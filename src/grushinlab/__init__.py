@@ -77,7 +77,6 @@ from .evolution import (
     evolve_fibre,
     evolve_plane,
     gaussian_packet,
-    step_fibre,
     to_original,
     to_transformed,
 )

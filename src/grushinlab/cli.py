@@ -73,8 +73,6 @@ def _jsonable(obj):
         return obj.tolist()
     if hasattr(obj, "value"):
         return obj.value
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
     return str(obj)
 
 
@@ -108,6 +106,26 @@ def _fill_from_config(args, section):
             setattr(args, attr, raw)
 
 
+def _number(args, name, kind, default, minimum=None):
+    """``args.<name>``, from a flag or the config file, as a finite
+    ``kind`` (int or float) of at least ``minimum``, or ``default`` when
+    unset; anything else is a usage error."""
+    raw = getattr(args, name)
+    if raw is None:
+        return default
+    flag = "--" + name.replace("_", "-")
+    expected = "an integer" if kind is int else "a number"
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise UsageError(f"{flag} expects {expected}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} expects a finite number, got {raw!r}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, got {raw!r}")
+    return value
+
+
 def _resolve_profile(args) -> GrushinProfile:
     given = [
         args.alpha is not None,
@@ -117,7 +135,7 @@ def _resolve_profile(args) -> GrushinProfile:
     if sum(given) > 1:
         raise UsageError("give exactly one of --alpha, --profile, --profile-file")
     if args.alpha is not None:
-        return power_law(float(args.alpha))
+        return power_law(_number(args, "alpha", float, None))
     if getattr(args, "profile_file", None):
         return load_profile(args.profile_file)
     if getattr(args, "profile", None):
@@ -146,22 +164,23 @@ def _cmd_classify(args) -> int:
     _fill_from_config(args, "classify")
     profile = _resolve_profile(args)
     mode = Mode(args.mode or "plane")
-    jobs = int(args.jobs or 1)
 
     if mode is Mode.CYLINDER:
-        k_max = int(args.k_max or 5)
+        k_max = _number(args, "k_max", int, 5, minimum=0)
         xi_values = [float(k) for k in range(-k_max, k_max + 1)]
         grid_info = {"kind": "integer modes", "k_max": k_max}
     else:
-        lo = float(args.xi_min if args.xi_min is not None else -5.0)
-        hi = float(args.xi_max if args.xi_max is not None else 5.0)
-        step = float(args.xi_step if args.xi_step is not None else 0.25)
+        lo = _number(args, "xi_min", float, -5.0)
+        hi = _number(args, "xi_max", float, 5.0)
+        step = _number(args, "xi_step", float, 0.25)
+        if step <= 0.0 or hi < lo:
+            raise UsageError("the xi grid needs --xi-min <= --xi-max and --xi-step > 0")
         n = int(round((hi - lo) / step)) + 1
         xi_values = [lo + i * step for i in range(n)]
         grid_info = {"kind": "uniform", "xi_min": lo, "xi_max": hi, "xi_step": step}
 
     method = args.method or "auto"
-    reports = classify_sweep(profile, xi_values, mode=mode, method=method, jobs=jobs)
+    reports = classify_sweep(profile, xi_values, mode=mode, method=method)
     verdict = aggregate_verdict(reports, mode, grid_info=grid_info)
 
     inequality = {"verdict": "skipped"}
@@ -178,7 +197,6 @@ def _cmd_classify(args) -> int:
         "alpha": profile.alpha,
         "method": method,
         "grid": grid_info,
-        "jobs": jobs,
     }
     document = {
         "config": config,
@@ -217,12 +235,12 @@ def _cmd_geodesics(args) -> int:
     _fill_from_config(args, "geodesics")
     if args.alpha is None:
         raise UsageError("geodesics requires --alpha")
-    alpha = float(args.alpha)
-    t_max = float(args.t_max if args.t_max is not None else 10.0)
-    tol = float(args.tol if args.tol is not None else 1e-12)
-    x0 = float(args.x0 if args.x0 is not None else 1.0)
-    y0 = float(args.y0 if args.y0 is not None else 0.0)
-    jobs = int(args.jobs or 1)
+    alpha = _number(args, "alpha", float, None)
+    t_max = _number(args, "t_max", float, 10.0)
+    tol = _number(args, "tol", float, 1e-12)
+    x0 = _number(args, "x0", float, 1.0)
+    y0 = _number(args, "y0", float, 0.0)
+    theta = _number(args, "theta", float, None)
     out = _outdir(args)
 
     config = {
@@ -232,16 +250,15 @@ def _cmd_geodesics(args) -> int:
         "tol": tol,
         "x0": x0,
         "y0": y0,
-        "jobs": jobs,
     }
-    if args.theta is not None:
-        init = GeodesicInitialData(x0=x0, y0=y0, theta=float(args.theta), alpha=alpha)
+    if theta is not None:
+        init = GeodesicInitialData(x0=x0, y0=y0, theta=theta, alpha=alpha)
         trajs = [integrate_geodesic(init, (-t_max, t_max), tol)]
-        config["theta"] = float(args.theta)
+        config["theta"] = theta
     else:
-        n_angles = int(args.angles or 16)
+        n_angles = _number(args, "angles", int, 16)
         config["angles"] = n_angles
-        trajs = geodesic_fan(alpha, n_angles, (-t_max, t_max), x0=x0, y0=y0, tol=tol, jobs=jobs)
+        trajs = geodesic_fan(alpha, n_angles, (-t_max, t_max), x0=x0, y0=y0, tol=tol)
 
     if alpha > 0:
         for traj in trajs:
@@ -282,12 +299,14 @@ def _cmd_evolve(args) -> int:
 def _evolve_sensitivity(args) -> int:
     if args.alpha is None:
         raise UsageError("evolve --protocol sensitivity requires --alpha")
-    alpha = float(args.alpha)
-    xi = float(args.xi if args.xi is not None else 0.5)
-    t_final = float(args.t_final if args.t_final is not None else 1.0)
-    dt = float(args.dt if args.dt is not None else 1e-3)
-    beta = float(args.beta if args.beta is not None else 1.0)
-    refine = int(args.refine or 1)
+    if args.jobs is not None:
+        raise UsageError("--jobs applies only to --protocol plane or cylinder")
+    alpha = _number(args, "alpha", float, None)
+    xi = _number(args, "xi", float, 0.5)
+    t_final = _number(args, "t_final", float, 1.0)
+    dt = _number(args, "dt", float, 1e-3)
+    beta = _number(args, "beta", float, 1.0)
+    refine = _number(args, "refine", int, 1, minimum=1)
     eps_grid = _parse_float_list(args.eps_grid or "1e-1,1e-2,1e-3", "--eps-grid")
     out = _outdir(args)
 
@@ -349,19 +368,19 @@ def _standard_plane_data(grid: FibreGrid, geometry: str, ny: int, sigma_xi: floa
 def _evolve_plane(args, geometry) -> int:
     if args.alpha is None:
         raise UsageError(f"evolve --protocol {geometry} requires --alpha")
-    alpha = float(args.alpha)
+    alpha = _number(args, "alpha", float, None)
     profile = power_law(alpha)
-    t_final = float(args.t_final if args.t_final is not None else 1.0)
-    dt = float(args.dt if args.dt is not None else 2e-3)
-    eps = float(args.eps if args.eps is not None else 0.01)
+    t_final = _number(args, "t_final", float, 1.0)
+    dt = _number(args, "dt", float, 2e-3)
+    eps = _number(args, "eps", float, 0.01)
     # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
-    ny = int(args.ny or 45)
-    sigma_xi = float(args.sigma_xi if args.sigma_xi is not None else 2.0)
-    y_span = float(args.y_span if args.y_span is not None else 16.0)
+    ny = _number(args, "ny", int, 45, minimum=1)
+    sigma_xi = _number(args, "sigma_xi", float, 2.0)
+    y_span = _number(args, "y_span", float, 16.0)
     bc_kind = args.bc or "dirichlet"
-    bc = (BoundaryCondition.robin(float(args.beta if args.beta is not None else 1.0))
+    bc = (BoundaryCondition.robin(_number(args, "beta", float, 1.0))
           if bc_kind == "robin" else BoundaryCondition.dirichlet())
-    jobs = int(args.jobs or 1)
+    jobs = _number(args, "jobs", int, 1, minimum=1)
     out = _outdir(args)
 
     xi_edge = float(ny // 2) if geometry == "cylinder" else float(
@@ -371,12 +390,11 @@ def _evolve_plane(args, geometry) -> int:
     # spacing must resolve the stiffest one (the spectral edge)
     pot_zero = FibrePotential(xi=0.0, profile=profile)
     pot_edge = FibrePotential(xi=xi_edge, profile=profile)
-    L = float(args.outer_wall) if args.outer_wall is not None else choose_outer_wall(pot_zero)
+    L = _number(args, "outer_wall", float, choose_outer_wall(pot_zero))
     grid = FibreGrid.resolved(eps, L, pot_edge)
 
     psi0 = _standard_plane_data(grid, geometry, ny, sigma_xi, y_span)
-    result = evolve_plane(psi0, profile, t_final, grid, bc, dt=dt, jobs=jobs,
-                          record_norms=True)
+    result = evolve_plane(psi0, profile, t_final, grid, bc, dt=dt, jobs=jobs)
 
     config = {
         "command": "evolve",
@@ -391,7 +409,6 @@ def _evolve_plane(args, geometry) -> int:
         "sigma_xi": sigma_xi,
         "y_span": y_span,
         "bc": bc.label(),
-        "jobs": jobs,
         "spectrum_edge_mass": result.spectrum_edge_mass,
     }
 
@@ -451,7 +468,7 @@ def _cmd_verify_deficiency(args) -> int:
     _fill_from_config(args, "verify-deficiency")
     if args.alpha is None:
         raise UsageError("verify-deficiency requires --alpha")
-    alpha = float(args.alpha)
+    alpha = _number(args, "alpha", float, None)
     interval = _parse_float_list(args.interval or "0,1", "--interval")
     if len(interval) != 2:
         raise UsageError("--interval needs two comma-separated numbers")
@@ -460,7 +477,7 @@ def _cmd_verify_deficiency(args) -> int:
         other = _parse_float_list(args.other_interval, "--other-interval")
         if len(other) != 2:
             raise UsageError("--other-interval needs two comma-separated numbers")
-    samples = int(args.samples or 16)
+    samples = _number(args, "samples", int, 16)
     out = _outdir(args)
 
     report = verify_deficiency_family(alpha, tuple(interval), samples,
@@ -504,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--output-dir", help="directory for output files (default .)")
-        p.add_argument("--jobs", help="parallel workers for independent sweeps")
         p.add_argument("--alpha", help="power-law exponent")
 
     p = sub.add_parser("classify", help="fibre classification and aggregate verdict")
@@ -532,6 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="fibre/plane Schroedinger evolution")
     common(p)
     p.add_argument("--protocol", choices=["sensitivity", "plane", "cylinder"])
+    p.add_argument("--jobs", help="worker threads for the fibres of a plane or cylinder run")
     p.add_argument("--xi")
     p.add_argument("--t-final")
     p.add_argument("--dt")

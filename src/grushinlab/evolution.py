@@ -39,6 +39,7 @@ fixed here so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -54,7 +55,6 @@ __all__ = [
     "FibreEvolutionState",
     "CrankNicolson",
     "PlaneWavefunction",
-    "step_fibre",
     "evolve_fibre",
     "gaussian_packet",
     "choose_outer_wall",
@@ -218,24 +218,42 @@ class CrankNicolson:
             raise NumericError(f"tridiagonal factorisation failed (info={info})")
         self._factors = (dl_f, d_f, du_f, du2_f, ipiv)
         self._gttrs = gttrs
-        self._b_main = 1.0 - z * main
-        self._b_off = -z * off
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        rhs = self._b_main * psi
-        rhs[:-1] += self._b_off * psi[1:]
-        rhs[1:] += self._b_off * psi[:-1]
-        out, info = self._gttrs(*self._factors, rhs)
+        """One Cayley step in solve-only form: with A = 1 + i dt H/2 the
+        right-hand matrix is 2 - A, so A^{-1} (2 - A) psi = 2 A^{-1} psi - psi."""
+        out, info = self._gttrs(*self._factors, psi)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed (info={info})")
+        out *= 2.0
+        out -= psi
         return out
 
+    def evolve(self, psi: np.ndarray, nsteps: int, record: bool = False):
+        """Apply ``nsteps`` steps to ``psi``; returns the final state and the
+        trace of sum |psi|^2, after every step with ``record``, else at the
+        start and the end only."""
+        psi = np.array(psi, dtype=complex)
+        sumsq = [float(np.sum(np.abs(psi) ** 2))]
+        for _ in range(nsteps):
+            psi = self.step(psi)
+            if record:
+                sumsq.append(float(np.sum(np.abs(psi) ** 2)))
+        if not record:
+            sumsq.append(float(np.sum(np.abs(psi) ** 2)))
+        return psi, np.array(sumsq)
 
-def step_fibre(state: FibreEvolutionState, dt: float) -> FibreEvolutionState:
-    """Advance one fibre state by a single Crank-Nicolson step."""
-    pot = state.potential()
-    stepper = CrankNicolson(state.grid, pot(state.grid.nodes), state.bc, dt)
-    return replace(state, psi=stepper.step(state.psi.astype(complex)), t=state.t + dt)
+
+def _step_count(t: float, dt: float) -> int:
+    """Number of steps of size ``dt`` spanning ``t``, which must be a whole
+    multiple of ``dt``: the final time is never silently moved."""
+    if not dt > 0.0:
+        raise UsageError("dt must be positive")
+    ratio = t / dt
+    n = round(ratio) if math.isfinite(ratio) else -1
+    if n < 0 or abs(ratio - n) > 1e-9 * max(1, n):
+        raise UsageError(f"evolution time {t:g} is not a whole number of steps dt={dt:g}")
+    return n
 
 
 def evolve_fibre(
@@ -245,19 +263,12 @@ def evolve_fibre(
     record_norms: bool = False,
 ):
     """Evolve a fibre state to ``t_final``; returns (state, norm trace)."""
+    nsteps = _step_count(t_final - state.t, dt)
     pot = state.potential()
     stepper = CrankNicolson(state.grid, pot(state.grid.nodes), state.bc, dt)
-    nsteps = int(round((t_final - state.t) / dt))
-    psi = state.psi.astype(complex).copy()
-    norms = [math.sqrt(state.grid.spacing * float(np.sum(np.abs(psi) ** 2)))]
-    for _ in range(nsteps):
-        psi = stepper.step(psi)
-        if record_norms:
-            norms.append(math.sqrt(state.grid.spacing * float(np.sum(np.abs(psi) ** 2))))
-    if not record_norms:
-        norms.append(math.sqrt(state.grid.spacing * float(np.sum(np.abs(psi) ** 2))))
+    psi, sumsq = stepper.evolve(state.psi, nsteps, record_norms)
     new_state = replace(state, psi=psi, t=state.t + nsteps * dt)
-    return new_state, np.array(norms)
+    return new_state, np.sqrt(state.grid.spacing * sumsq)
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
@@ -539,7 +550,7 @@ class PlaneEvolutionResult:
     norm_before: float
     norm_after: float
     fibre_norms: np.ndarray = field(repr=False)
-    norm_trace: np.ndarray | None = field(default=None, repr=False)
+    norm_trace: np.ndarray = field(repr=False)
     spectrum_edge_mass: float = 0.0
     config: dict = field(default_factory=dict, compare=False)
 
@@ -556,15 +567,15 @@ def evolve_plane(
     bc: BoundaryCondition,
     dt: float = 1e-3,
     jobs: int = 1,
-    record_norms: bool = False,
 ) -> PlaneEvolutionResult:
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
-    Fibres are independent; the assembled result does not depend on the
-    evaluation order.  The xi grid must be symmetric about zero (odd FFT
-    size); mass in the outermost frequency bins must be negligible for
-    the assembly to represent the plane faithfully, and is recorded.
-    With ``record_norms`` the total-norm trace over the steps is kept.
+    Fibres are independent and are mapped through a pool of ``jobs``
+    threads (the tridiagonal solves release the GIL); the assembled
+    result does not depend on the evaluation order.  The xi grid must be
+    symmetric about zero (odd FFT size); mass in the outermost frequency
+    bins must be negligible for the assembly to represent the plane
+    faithfully, and is recorded, as is the total-norm trace over the steps.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -573,46 +584,25 @@ def evolve_plane(
     _check_finite(psi0.values)
     if abs(psi0.axis[0] + psi0.axis[-1]) > 1e-9 * max(1.0, abs(float(psi0.axis[-1]))):
         raise UsageError("xi grid must be symmetric about 0")
+    nsteps = _step_count(t_final, dt)
 
     dens = np.abs(psi0.values) ** 2
     total = float(np.sum(dens))
     edge = float(np.sum(dens[:, [0, -1]]))
     edge_mass = edge / total if total > 0 else 0.0
-
     norm_before = psi0.norm()
-    nsteps = int(round(t_final / dt))
-    out = np.empty_like(psi0.values)
-    sumsq_traces = np.zeros((nsteps + 1, psi0.axis.size)) if record_norms else None
 
     def run_column(m):
         pot = FibrePotential(xi=float(psi0.axis[m]), profile=profile)
         try:
             stepper = CrankNicolson(grid, pot(grid.nodes), bc, dt)
-            col = psi0.values[:, m].astype(complex).copy()
-            trace = None
-            if record_norms:
-                trace = np.empty(nsteps + 1)
-                trace[0] = float(np.sum(np.abs(col) ** 2))
-            for k in range(nsteps):
-                col = stepper.step(col)
-                if record_norms:
-                    trace[k + 1] = float(np.sum(np.abs(col) ** 2))
+            return stepper.evolve(psi0.values[:, m], nsteps, record=True)
         except NumericError as exc:
             raise NumericError(f"fibre xi={psi0.axis[m]:g} (index {m}): {exc}") from exc
-        return m, col, trace
 
-    columns = range(psi0.axis.size)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_column, columns))
-    else:
-        results = [run_column(m) for m in columns]
-    for m, col, trace in results:
-        out[:, m] = col
-        if record_norms:
-            sumsq_traces[:, m] = trace
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        columns, traces = zip(*pool.map(run_column, range(psi0.axis.size)))
+    out = np.column_stack(columns)
 
     final = PlaneWavefunction(
         values=out,
@@ -623,9 +613,7 @@ def evolve_plane(
         y0=psi0.y0,
     )
     fibre_norms = np.sqrt(grid.spacing * np.sum(np.abs(out) ** 2, axis=0) * final._dxi())
-    norm_trace = None
-    if record_norms:
-        norm_trace = np.sqrt(grid.spacing * final._dxi() * np.sum(sumsq_traces, axis=1))
+    norm_trace = np.sqrt(grid.spacing * final._dxi() * np.sum(np.column_stack(traces), axis=1))
     return PlaneEvolutionResult(
         final=final,
         norm_before=norm_before,

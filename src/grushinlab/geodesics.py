@@ -273,22 +273,13 @@ def geodesic_fan(
     x0: float = 1.0,
     y0: float = 0.0,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> list[GeodesicTrajectory]:
-    """Trajectories for n_angles angles uniformly spaced in [0, 2 pi).
-
-    Members are independent; with jobs > 1 they are evaluated in a thread
-    pool.  The returned list is always ordered by theta.
-    """
+    """Trajectories for n_angles angles uniformly spaced in [0, 2 pi),
+    ordered by theta."""
     if n_angles < 2:
         raise UsageError("a fan needs at least 2 angles")
     thetas = [2.0 * math.pi * i / n_angles for i in range(n_angles)]
     inits = [GeodesicInitialData(x0=x0, y0=y0, theta=th, alpha=alpha) for th in thetas]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda i: integrate_geodesic(i, t_span, tol), inits))
     return [integrate_geodesic(i, t_span, tol) for i in inits]
 
 

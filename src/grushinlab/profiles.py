@@ -184,12 +184,12 @@ def power_law(alpha: float, scale: float = 1.0) -> GrushinProfile:
     def f2(x):
         return a * (a + 1.0) * lam * x ** (-a - 2.0)
 
-    # On (0, 1] the power law is minimised at x = 1 when alpha >= 0; the
-    # declared bound is honest there and knowingly fails for alpha < 0.
-    kappa = lam if a >= 0 else lam * 1.0
     name = f"power_law(alpha={a:g})" if lam == 1.0 else f"power_law(alpha={a:g}, scale={lam:g})"
+    # kappa = lam: on (0, 1] the power law is minimised at x = 1 when
+    # alpha >= 0; the declared bound is honest there and knowingly fails
+    # for alpha < 0.
     return GrushinProfile(
-        kind=POWER_LAW, f=f, f1=f1, f2=f2, kappa=kappa, alpha=a, scale=lam, name=name
+        kind=POWER_LAW, f=f, f1=f1, f2=f2, kappa=lam, alpha=a, scale=lam, name=name
     )
 
 

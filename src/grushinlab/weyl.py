@@ -96,7 +96,6 @@ class Endpoint(Enum):
 
 class Method(Enum):
     ANALYTIC_POWER_LAW = "analytic_power_law"
-    INEQUALITY_GRID = "inequality_grid"
     NUMERIC_ODE = "numeric_ode"
 
 
@@ -136,20 +135,19 @@ class WeylReport:
 
     xi: float
     endpoint_zero: Endpoint
-    deficiency: int
     method: Method
     mode: Mode = Mode.PLANE
-    endpoint_infinity: Endpoint = Endpoint.LIMIT_POINT
     diagnostics: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        if self.endpoint_infinity is not Endpoint.LIMIT_POINT:
-            raise UsageError("the right endpoint is always limit point here")
-        expected = 1 if self.endpoint_zero is Endpoint.LIMIT_CIRCLE else 0
-        if self.deficiency != expected:
-            raise UsageError(
-                "deficiency must be 1 exactly for a limit-circle left endpoint"
-            )
+    @property
+    def endpoint_infinity(self) -> Endpoint:
+        """Always limit point: W_xi is bounded below near infinity."""
+        return Endpoint.LIMIT_POINT
+
+    @property
+    def deficiency(self) -> int:
+        """1 exactly when the left endpoint is limit circle."""
+        return 1 if self.endpoint_zero is Endpoint.LIMIT_CIRCLE else 0
 
     @property
     def essentially_self_adjoint(self) -> bool:
@@ -189,7 +187,6 @@ def _report_from_c0(xi, c0, method, mode, diagnostics):
     return WeylReport(
         xi=float(xi),
         endpoint_zero=Endpoint.LIMIT_POINT if lp else Endpoint.LIMIT_CIRCLE,
-        deficiency=0 if lp else 1,
         method=method,
         mode=mode,
         diagnostics=diagnostics,
@@ -272,7 +269,7 @@ def _fit_c0(pot: FibrePotential, eps_grid: np.ndarray):
     tail_err = abs(v[-1] - v[-2]) + abs(v[-2] - v[-3])
     diverging = bool(v[-1] > max(1e3, 10.0 * abs(v[0])) and v[-1] > v[-2] > v[-3])
     c0 = math.inf if diverging else float(v[-1])
-    return c0, float(tail_err), v
+    return c0, float(tail_err)
 
 
 def _deficiency_rhs(x, y, pot):
@@ -375,17 +372,13 @@ def classify_numeric(
     if eps_grid.max() / eps_grid.min() < 1e4:
         raise UsageError("eps_grid must span at least 4 decades")
 
-    c0, c0_err, _ = _fit_c0(pot, eps_grid)
+    c0, c0_err = _fit_c0(pot, eps_grid)
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
     x_end = min(float(eps_grid.min()), 1e-7)
     slopes, early_lp = _amplitude_slopes(pot, x0, x_end, rtol=rtol)
-    if early_lp:
-        s_est = min(s[-1] for s in slopes)
-        lp_ode = True
-    else:
-        s_est = min(s[-1] for s in slopes)
-        lp_ode = s_est <= CRITICAL_EXPONENT + slope_tol
+    s_est = min(s[-1] for s in slopes)
+    lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + slope_tol
 
     if lp_fit != lp_ode:
         raise InconclusiveClassification(
@@ -403,7 +396,6 @@ def classify_numeric(
     return WeylReport(
         xi=float(pot.xi),
         endpoint_zero=Endpoint.LIMIT_POINT if lp_ode else Endpoint.LIMIT_CIRCLE,
-        deficiency=0 if lp_ode else 1,
         method=Method.NUMERIC_ODE,
         mode=mode,
         diagnostics=diag,
@@ -415,25 +407,16 @@ def classify_sweep(
     xi_values: Iterable[float],
     mode: Mode = Mode.PLANE,
     method: str = "auto",
-    jobs: int = 1,
 ) -> list[WeylReport]:
     """Classify every fibre in ``xi_values``, analytic when possible."""
     xi_values = [float(v) for v in xi_values]
     use_analytic = method == "analytic" or (method == "auto" and profile.is_power_law)
     if method == "analytic" and not profile.is_power_law:
         raise UsageError("analytic classification requires a power-law profile")
-
-    def one(xi):
-        if use_analytic:
-            return classify_power_law(profile.alpha, xi, mode)
-        return classify_numeric(FibrePotential(xi=xi, profile=profile), mode=mode)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, xi_values))
-    return [one(xi) for xi in xi_values]
+    if use_analytic:
+        return [classify_power_law(profile.alpha, xi, mode) for xi in xi_values]
+    return [classify_numeric(FibrePotential(xi=xi, profile=profile), mode=mode)
+            for xi in xi_values]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ class TestEvolveCommand:
         assert main(["evolve", "--protocol", "plane", "--alpha", "1",
                      "--ny", "16", "--output-dir", str(tmp_path)]) == 2
 
+    def test_jobs_do_not_change_outputs(self, tmp_path):
+        outputs = {}
+        for jobs in ("1", "3"):
+            d = tmp_path / f"jobs{jobs}"
+            code = main(["evolve", "--protocol", "plane", "--alpha", "1",
+                         "--t-final", "0.05", "--eps", "0.05", "--ny", "7",
+                         "--jobs", jobs, "--output-dir", str(d)])
+            assert code == 0
+            outputs[jobs] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+        assert set(outputs["1"]) == {"density.csv", "evolution.json",
+                                     "fibre_norms.csv", "norm_trace.csv"}
+        assert outputs["1"] == outputs["3"]
+
 
 class TestVerifyDeficiencyCommand:
     def test_report(self, tmp_path):
@@ -186,3 +199,27 @@ class TestVerifyDeficiencyCommand:
     def test_alpha_precondition(self, tmp_path):
         assert main(["verify-deficiency", "--alpha", "1.5",
                      "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--dt", "abc"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--jobs", "two"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--jobs", "0"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--jobs", "2"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.5", "--dt", "0.3"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--refine", "1.5"], None),
+    (["geodesics", "--alpha", "1", "--tol", "nan"], None),
+    (["classify", "--alpha", "1", "--xi-step", "0"], None),
+    (["classify", "--alpha", "1"], "[classify]\nxi-max = five\n"),
+    (["classify"], "[profile]\nkind = power_law\nalpha = 0.5\n\n"
+                   "[classify]\nmode = cylinder\nk-max = 2.5\n"),
+    (["verify-deficiency", "--alpha", "0.5"], "[verify-deficiency]\nsamples = many\n"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+

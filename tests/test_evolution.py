@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from grushinlab.errors import DataError, ProtocolError, UsageError
 from grushinlab.evolution import (
+    _hamiltonian_diagonals,
     BoundaryCondition,
     CrankNicolson,
     FibreEvolutionState,
@@ -15,7 +16,6 @@ from grushinlab.evolution import (
     evolve_fibre,
     evolve_plane,
     gaussian_packet,
-    step_fibre,
     to_original,
     to_transformed,
 )
@@ -76,16 +76,47 @@ class TestBoundaryCondition:
 class TestUnitarity:
     def test_single_step_norm(self):
         state = make_state(1.0, 1.0)
-        before = state.norm()
-        after = step_fibre(state, 1e-3).norm()
-        assert abs(after - before) <= 1e-10
+        after, _ = evolve_fibre(state, 1e-3, 1e-3)
+        assert after.t == 1e-3
+        assert abs(after.norm() - state.norm()) <= 1e-10
 
     def test_step_requires_profile(self):
         state = make_state(1.0, 1.0)
         from dataclasses import replace
 
         with pytest.raises(UsageError):
-            step_fibre(replace(state, profile=None), 1e-3)
+            evolve_fibre(replace(state, profile=None), 1e-3, 1e-3)
+
+    def test_step_matches_explicit_cayley_map(self):
+        # reference: psi+ = A^{-1} B psi with A = 1 + i dt H/2 and
+        # B = 1 - i dt H/2 assembled from the Hamiltonian diagonals
+        pot = FibrePotential(xi=0.5, profile=power_law(0.5))
+        grid = FibreGrid.resolved(0.05, 6.0, pot)
+        bc, dt = BoundaryCondition.robin(1.0), 1e-3
+        w = pot(grid.nodes)
+        main, off = _hamiltonian_diagonals(grid, w, bc)
+        z = 0.5j * dt
+        a_banded = np.zeros((3, grid.n), dtype=complex)
+        a_banded[0, 1:] = z * off
+        a_banded[1] = 1.0 + z * main
+        a_banded[2, :-1] = z * off
+        psi = gaussian_packet(grid, center=0.5, width=0.2)
+        b_psi = (1.0 - z * main) * psi
+        b_psi[:-1] -= z * off * psi[1:]
+        b_psi[1:] -= z * off * psi[:-1]
+        expected = solve_banded((1, 1), a_banded, b_psi)
+        got = CrankNicolson(grid, w, bc, dt).step(psi)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert np.max(np.abs(got - psi)) > 1e-3  # the step does move the data
+
+    def test_t_final_must_be_whole_steps(self):
+        state = make_state(1.0, 1.0)
+        with pytest.raises(UsageError):
+            evolve_fibre(state, 0.5, 0.3)
+        with pytest.raises(UsageError):
+            evolve_fibre(state, -0.3, 0.3)
+        after, norms = evolve_fibre(state, 0.6, 0.3, record_norms=True)
+        assert after.t == pytest.approx(0.6) and norms.size == 3
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
     def test_thousand_steps(self, bc):

@@ -151,13 +151,6 @@ class TestFan:
         with pytest.raises(UsageError):
             geodesic_fan(1.0, 1)
 
-    def test_jobs_do_not_change_results(self):
-        serial = geodesic_fan(1.0, 6)
-        threaded = geodesic_fan(1.0, 6, jobs=3)
-        for a, b in zip(serial, threaded):
-            assert a.init.theta == b.init.theta
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-
     def test_writers(self, tmp_path):
         fan = geodesic_fan(1.0, 4)
         manifest_path = write_fan(fan, tmp_path, config={"alpha": 1.0})

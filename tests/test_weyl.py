@@ -14,7 +14,6 @@ from grushinlab.weyl import (
     Mode,
     SAVerdict,
     TotalDeficiency,
-    WeylReport,
     aggregate_verdict,
     classify_by_inequality,
     classify_numeric,
@@ -76,11 +75,6 @@ class TestAnalyticClassification:
         r = classify_power_law(alpha, xi)
         if abs(c0_sampled - 0.75) > 1e-6:
             assert (r.deficiency == 0) == (c0_sampled >= 0.75)
-
-    def test_report_consistency_enforced(self):
-        with pytest.raises(UsageError):
-            WeylReport(xi=0.0, endpoint_zero=LC, deficiency=0,
-                       method=Method.ANALYTIC_POWER_LAW)
 
 
 class TestCriticalCoefficient:
