@@ -38,6 +38,8 @@ from .evolution import (
     FibreGrid,
     PlaneWavefunction,
     TRANSFORMED,
+    WALL_MASS_LIMIT,
+    _step_count,
     bc_sensitivity,
     evolve_plane,
     gaussian_packet,
@@ -76,12 +78,20 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _write_csv(path, header_cols, rows, config):
+CSV_BLOCK_ROWS = 256
+
+
+def _write_csv(path, header_cols, columns, config):
+    """Write equal-length float ``columns`` as rows of ``%.16e`` values,
+    formatting ``CSV_BLOCK_ROWS`` rows at a time to bound memory."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row_format = ",".join(["%.16e"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# config: " + json.dumps(config, sort_keys=True, default=_jsonable) + "\n")
         fh.write(",".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row) + "\n")
+        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
     return path
 
 
@@ -94,16 +104,27 @@ def _load_config_file(path):
 
 
 def _fill_from_config(args, section):
-    """Copy file values into argparse Namespace slots left at None."""
+    """Copy file values into argparse Namespace slots left at None (or a
+    switch left off); a key that names no option of the command is a
+    usage error."""
     if args.config is None:
         return
     parser = _load_config_file(args.config)
     if not parser.has_section(section):
         return
+    options = set(vars(args)) - {"command", "func", "config"}
     for key, raw in parser.items(section):
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if attr not in options:
+            raise UsageError(f"config file [{section}] has unknown key {key!r}")
+        if getattr(args, attr) is None:
             setattr(args, attr, raw)
+        elif getattr(args, attr) is False:
+            try:
+                setattr(args, attr, parser.getboolean(section, key))
+            except ValueError:
+                raise UsageError(f"config file [{section}] {key} expects a boolean, "
+                                 f"got {raw!r}") from None
 
 
 def _number(args, name, kind, default, minimum=None):
@@ -175,8 +196,8 @@ def _cmd_classify(args) -> int:
         step = _number(args, "xi_step", float, 0.25)
         if step <= 0.0 or hi < lo:
             raise UsageError("the xi grid needs --xi-min <= --xi-max and --xi-step > 0")
-        n = int(round((hi - lo) / step)) + 1
-        xi_values = [lo + i * step for i in range(n)]
+        n = _step_count(hi - lo, step, what="xi span --xi-max - --xi-min") + 1
+        xi_values = [float(v) for v in np.linspace(lo, hi, n)]
         grid_info = {"kind": "uniform", "xi_min": lo, "xi_max": hi, "xi_step": step}
 
     method = args.method or "auto"
@@ -325,9 +346,9 @@ def _evolve_sensitivity(args) -> int:
         "eps_grid": eps_grid,
         **result.config,
     }
-    rows = [(eps, D, wall) for (eps, D), wall in zip(result.rows, result.wall_mass)]
-    cpath = _write_csv(os.path.join(out, "bc_sensitivity.csv"),
-                       ["eps", "D", "wall_mass"], rows, config)
+    eps_col, d_col = zip(*result.rows)
+    cpath = _write_csv(os.path.join(out, "bc_sensitivity.csv"), ["eps", "D", "wall_mass"],
+                       [eps_col, d_col, result.wall_mass], config)
     document = {
         "config": config,
         "rows": [{"eps": e, "D": d} for e, d in result.rows],
@@ -395,6 +416,9 @@ def _evolve_plane(args, geometry) -> int:
 
     psi0 = _standard_plane_data(grid, geometry, ny, sigma_xi, y_span)
     result = evolve_plane(psi0, profile, t_final, grid, bc, dt=dt, jobs=jobs)
+    if result.wall_mass > WALL_MASS_LIMIT:
+        raise ProtocolError(f"outer wall contaminated (mass {result.wall_mass:.2e} > "
+                            f"{WALL_MASS_LIMIT}); enlarge --outer-wall")
 
     config = {
         "command": "evolve",
@@ -412,10 +436,10 @@ def _evolve_plane(args, geometry) -> int:
         "spectrum_edge_mass": result.spectrum_edge_mass,
     }
 
-    rows = list(zip([float(v) for v in psi0.axis], [float(v) for v in result.fibre_norms]))
-    npath = _write_csv(os.path.join(out, "fibre_norms.csv"), ["xi", "norm"], rows, config)
-    trace_rows = [(k * dt, float(v)) for k, v in enumerate(result.norm_trace)]
-    _write_csv(os.path.join(out, "norm_trace.csv"), ["t", "norm"], trace_rows, config)
+    npath = _write_csv(os.path.join(out, "fibre_norms.csv"), ["xi", "norm"],
+                       [psi0.axis, result.fibre_norms], config)
+    _write_csv(os.path.join(out, "norm_trace.csv"), ["t", "norm"],
+               [np.arange(result.norm_trace.size) * dt, result.norm_trace], config)
 
     from .evolution import to_original
 
@@ -437,18 +461,17 @@ def _evolve_plane(args, geometry) -> int:
         })
         spath = rpath
     else:
-        triplets = []
-        for i, xv in enumerate(original.x):
-            for j, yv in enumerate(original.axis):
-                triplets.append((float(xv), float(yv), float(density[i, j])))
+        x_col = np.repeat(original.x, original.axis.size)
+        y_col = np.tile(original.axis, original.x.size)
         spath = _write_csv(os.path.join(out, "density.csv"), ["x", "y", "density"],
-                           triplets, config)
+                           [x_col, y_col, density.ravel()], config)
 
     document = {
         "config": config,
         "norm_before": result.norm_before,
         "norm_after": result.norm_after,
         "norm_drift": result.norm_drift,
+        "wall_mass": result.wall_mass,
         "boundary_mass_below_0.05": float(
             grid.spacing * result.final._dxi()
             * np.sum(np.abs(result.final.values[grid.nodes < 0.05, :]) ** 2)
@@ -556,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", help="comma list of decreasing cutoffs")
     p.add_argument("--refine", help="uniform spacing refinement factor")
     p.add_argument("--eps")
-    p.add_argument("--outer-wall")
+    p.add_argument("--outer-wall", help="widest outer wall of a plane or cylinder run; "
+                   "each fibre stops at its own turning-point wall inside it")
     p.add_argument("--ny")
     p.add_argument("--sigma-xi")
     p.add_argument("--y-span")

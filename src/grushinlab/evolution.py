@@ -244,15 +244,16 @@ class CrankNicolson:
         return psi, np.array(sumsq)
 
 
-def _step_count(t: float, dt: float) -> int:
+def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
     """Number of steps of size ``dt`` spanning ``t``, which must be a whole
-    multiple of ``dt``: the final time is never silently moved."""
+    multiple of ``dt``: the end point is never silently moved.  ``what``
+    names the span in the error."""
     if not dt > 0.0:
         raise UsageError("dt must be positive")
     ratio = t / dt
     n = round(ratio) if math.isfinite(ratio) else -1
     if n < 0 or abs(ratio - n) > 1e-9 * max(1, n):
-        raise UsageError(f"evolution time {t:g} is not a whole number of steps dt={dt:g}")
+        raise UsageError(f"{what} {t:g} is not a whole number of steps {dt:g}")
     return n
 
 
@@ -552,11 +553,23 @@ class PlaneEvolutionResult:
     fibre_norms: np.ndarray = field(repr=False)
     norm_trace: np.ndarray = field(repr=False)
     spectrum_edge_mass: float = 0.0
+    wall_mass: float = 0.0
     config: dict = field(default_factory=dict, compare=False)
 
     @property
     def norm_drift(self) -> float:
         return abs(self.norm_after - self.norm_before)
+
+
+def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:
+    """The first k nodes of ``grid``, same spacing, with the outer wall at
+    node k+1, the first node at or past the fibre's own turning-point wall
+    (``choose_outer_wall``); never fewer than 100 nodes, and ``grid``
+    itself when that wall is not inside it."""
+    k = max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
+    if k >= grid.n:
+        return grid
+    return FibreGrid(eps=grid.eps, L=grid.eps + (k + 1) * grid.spacing, n=k)
 
 
 def evolve_plane(
@@ -570,12 +583,21 @@ def evolve_plane(
 ) -> PlaneEvolutionResult:
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
-    Fibres are independent and are mapped through a pool of ``jobs``
-    threads (the tridiagonal solves release the GIL); the assembled
-    result does not depend on the evaluation order.  The xi grid must be
-    symmetric about zero (odd FFT size); mass in the outermost frequency
-    bins must be negligible for the assembly to represent the plane
-    faithfully, and is recorded, as is the total-norm trace over the steps.
+    ``grid`` is the widest domain.  Each fibre is evolved on the prefix of
+    it that ends at its own turning-point wall, the rule of the
+    sensitivity protocol, and is zero beyond; a fibre whose wall lies at
+    or beyond ``grid.L`` uses ``grid`` unchanged.  Fibres are independent
+    and are mapped through a pool of ``jobs`` threads (the tridiagonal
+    solves release the GIL); the assembled result does not depend on the
+    evaluation order.  The xi grid must be symmetric about zero (odd FFT
+    size); mass in the outermost frequency bins must be negligible for the
+    assembly to represent the plane faithfully, and is recorded, as is the
+    total-norm trace over the steps.
+
+    The wall mass of a fibre is ``h dxi sum |psi|^2`` over the last 0.5
+    before its wall at ``t_final``, plus any initial mass beyond the wall;
+    the result records the largest.  A fibre whose wall was moved inward
+    and whose wall mass exceeds 1e-8 raises :class:`ProtocolError`.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -591,18 +613,35 @@ def evolve_plane(
     edge = float(np.sum(dens[:, [0, -1]]))
     edge_mass = edge / total if total > 0 else 0.0
     norm_before = psi0.norm()
+    x = grid.nodes
+    mass_unit = grid.spacing * psi0._dxi()
 
     def run_column(m):
         pot = FibrePotential(xi=float(psi0.axis[m]), profile=profile)
+        fibre = _fibre_grid(grid, pot)
+        k = fibre.n
         try:
-            stepper = CrankNicolson(grid, pot(grid.nodes), bc, dt)
-            return stepper.evolve(psi0.values[:, m], nsteps, record=True)
+            stepper = CrankNicolson(fibre, pot(x[:k]), bc, dt)
+            psi, trace = stepper.evolve(psi0.values[:k, m], nsteps, record=True)
         except NumericError as exc:
             raise NumericError(f"fibre xi={psi0.axis[m]:g} (index {m}): {exc}") from exc
+        near_wall = psi[x[:k] >= fibre.L - 0.5]
+        wall = mass_unit * (float(np.sum(np.abs(near_wall) ** 2)) + float(np.sum(dens[k:, m])))
+        return psi, trace, fibre.L, wall
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        columns, traces = zip(*pool.map(run_column, range(psi0.axis.size)))
-    out = np.column_stack(columns)
+        columns, traces, walls, wall_masses = zip(*pool.map(run_column, range(psi0.axis.size)))
+    out = np.zeros(psi0.values.shape, dtype=complex)
+    for m, psi in enumerate(columns):
+        out[: psi.size, m] = psi
+
+    moved = [m for m, psi in enumerate(columns) if psi.size < grid.n]
+    worst = max(moved, key=lambda m: wall_masses[m], default=None)
+    if worst is not None and wall_masses[worst] > WALL_MASS_LIMIT:
+        raise ProtocolError(
+            f"fibre xi={psi0.axis[worst]:g}: its turning-point wall at x={walls[worst]:.4g} "
+            f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
+        )
 
     final = PlaneWavefunction(
         values=out,
@@ -613,7 +652,7 @@ def evolve_plane(
         y0=psi0.y0,
     )
     fibre_norms = np.sqrt(grid.spacing * np.sum(np.abs(out) ** 2, axis=0) * final._dxi())
-    norm_trace = np.sqrt(grid.spacing * final._dxi() * np.sum(np.column_stack(traces), axis=1))
+    norm_trace = np.sqrt(mass_unit * np.sum(np.column_stack(traces), axis=1))
     return PlaneEvolutionResult(
         final=final,
         norm_before=norm_before,
@@ -621,6 +660,7 @@ def evolve_plane(
         fibre_norms=fibre_norms,
         norm_trace=norm_trace,
         spectrum_edge_mass=edge_mass,
+        wall_mass=max(wall_masses),
         config={
             "t_final": t_final,
             "dt": dt,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grushinlab import cli
 from grushinlab.cli import main
 
 
@@ -89,6 +90,16 @@ class TestClassifyCommand:
                   "--output-dir", str(d)])
         assert (d1 / "verdict.json").read_bytes() == (d2 / "verdict.json").read_bytes()
 
+    def test_xi_grid_ends_at_xi_max(self, tmp_path):
+        # 0.1 + 3 * 0.2 is 0.7000000000000001; the last node must be xi_max
+        code = main(["classify", "--alpha", "1", "--xi-min", "0.1", "--xi-max", "0.7",
+                     "--xi-step", "0.2", "--output-dir", str(tmp_path)])
+        assert code == 0
+        doc = read_json(tmp_path / "verdict.json")
+        xis = [row["xi"] for row in doc["fibres"]]
+        assert len(xis) == 4 and xis[0] == 0.1 and xis[-1] == 0.7
+        assert doc["config"]["grid"]["xi_max"] == 0.7
+
     def test_inconclusive_exit_code(self, tmp_path, monkeypatch):
         from grushinlab import cli
         from grushinlab.errors import InconclusiveClassification
@@ -163,6 +174,15 @@ class TestEvolveCommand:
         data = np.fromfile(tmp_path / "density.f32", dtype=np.float32)
         assert data.size == header["shape"][0] * header["shape"][1]
 
+    def test_raster_from_config(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[evolve]\nraster = true\n")
+        assert main(["evolve", "--protocol", "cylinder", "--alpha", "0.5", "--t-final", "0.1",
+                     "--eps", "0.05", "--ny", "7", "--config", str(cfg),
+                     "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "density.f32").exists()
+        assert not (tmp_path / "density.csv").exists()
+
     def test_unknown_protocol(self, tmp_path):
         assert main(["evolve", "--protocol", "sensitivity", "--output-dir",
                      str(tmp_path)]) == 2
@@ -183,6 +203,52 @@ class TestEvolveCommand:
         assert set(outputs["1"]) == {"density.csv", "evolution.json",
                                      "fibre_norms.csv", "norm_trace.csv"}
         assert outputs["1"] == outputs["3"]
+
+    def test_plane_wall_check(self, tmp_path):
+        argv = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.1",
+                "--eps", "0.05", "--ny", "7"]
+        assert main(argv + ["--output-dir", str(tmp_path / "ok")]) == 0
+        doc = read_json(tmp_path / "ok" / "evolution.json")
+        assert 0.0 < doc["wall_mass"] <= 1e-8
+        # the spreading xi = 0 fibre reaches a wall at x = 4 by t = 0.1
+        bad = tmp_path / "bad"
+        assert main(argv + ["--outer-wall", "4", "--output-dir", str(bad)]) == 3
+        assert not bad.exists() or not any(bad.iterdir())
+
+
+def _per_row_csv(path, header_cols, columns, config):
+    """The per-row formatter that the block writer replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# config: " + json.dumps(config, sort_keys=True, default=cli._jsonable) + "\n")
+        fh.write(",".join(header_cols) + "\n")
+        for row in zip(*[[float(v) for v in c] for c in columns]):
+            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+
+
+def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
+    calls = []
+    block_writer = cli._write_csv
+
+    def recording(path, header_cols, columns, config):
+        calls.append((path, header_cols, columns, config))
+        return block_writer(path, header_cols, columns, config)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    out = tmp_path / "out"
+    assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.05",
+                 "--eps", "0.05", "--ny", "7", "--output-dir", str(out)]) == 0
+    assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0.1",
+                 "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 0
+    names = {path.rsplit("/", 1)[-1] for path, *_ in calls}
+    assert names == {"density.csv", "fibre_norms.csv", "norm_trace.csv", "bc_sensitivity.csv"}
+    # density.csv spans many blocks and ends in a partial one
+    (density_rows,) = {len(columns[0]) for path, _, columns, _ in calls
+                       if path.endswith("density.csv")}
+    assert density_rows > cli.CSV_BLOCK_ROWS and density_rows % cli.CSV_BLOCK_ROWS
+    for path, header_cols, columns, config in calls:
+        reference = tmp_path / "reference.csv"
+        _per_row_csv(reference, header_cols, columns, config)
+        assert open(path, "rb").read() == reference.read_bytes(), path
 
 
 class TestVerifyDeficiencyCommand:
@@ -214,6 +280,11 @@ class TestVerifyDeficiencyCommand:
     (["classify"], "[profile]\nkind = power_law\nalpha = 0.5\n\n"
                    "[classify]\nmode = cylinder\nk-max = 2.5\n"),
     (["verify-deficiency", "--alpha", "0.5"], "[verify-deficiency]\nsamples = many\n"),
+    (["classify", "--alpha", "1", "--xi-min", "0", "--xi-max", "1", "--xi-step", "0.3"], None),
+    (["classify"], "[profile]\nkind = power_law\nalpha = 0.5\n\n"
+                   "[classify]\nmode = cylinder\nkmax = 2\n"),
+    (["classify", "--alpha", "1"], "[classify]\njobs = 4\n"),
+    (["evolve", "--protocol", "cylinder", "--alpha", "1"], "[evolve]\nraster = maybe\n"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

@@ -331,6 +331,45 @@ class TestPlaneEvolution:
             assert res.norm_drift <= 1e-6
         assert all(m < 1e-4 for m in masses)
 
+    @staticmethod
+    def _stiff_plane(center=2.0):
+        # the |xi| = 3, 6 fibres turn near x = 4.2 and x = 2.1, so their
+        # walls move in from L = 12 to about 6.3 and 3.6
+        prof = power_law(1.0)
+        axis = np.array([-6.0, -3.0, 0.0, 3.0, 6.0])
+        grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof))
+        g = np.exp(-((grid.nodes - center) ** 2) / (2.0 * 0.3**2))
+        vals = np.outer(g, np.exp(-(axis**2) / 8.0)).astype(complex)
+        psi0 = PlaneWavefunction(values=vals, x=grid.nodes, axis=axis,
+                                 representation="transformed")
+        return prof, grid, PlaneWavefunction(values=vals / psi0.norm(), x=grid.nodes,
+                                             axis=axis, representation="transformed")
+
+    def test_fibre_walls_match_full_grid(self):
+        prof, grid, psi0 = self._stiff_plane()
+        bc = BoundaryCondition.dirichlet()
+        res = evolve_plane(psi0, prof, 0.2, grid, bc, dt=2e-3)
+        # the full-grid reference: every fibre on the caller's grid
+        full = np.column_stack([
+            CrankNicolson(grid, FibrePotential(xi=float(xi), profile=prof)(grid.nodes), bc,
+                          2e-3).evolve(psi0.values[:, m], 100)[0]
+            for m, xi in enumerate(psi0.axis)
+        ])
+        beyond = grid.nodes > 6.5
+        assert not np.any(res.final.values[beyond][:, [0, 1, 3, 4]])
+        assert np.array_equal(res.final.values[:, 2], full[:, 2])
+        err = np.linalg.norm(res.final.values - full) / np.linalg.norm(full)
+        assert err <= 1e-5
+        assert 0.0 < res.wall_mass <= 1e-8
+        assert res.norm_drift <= 1e-6
+
+    @pytest.mark.parametrize("center", [3.3, 5.0])
+    def test_truncated_wall_contamination_detected(self, center):
+        # data next to (3.3) or beyond (5.0) the xi = 6 fibre's wall near 3.6
+        prof, grid, psi0 = self._stiff_plane(center)
+        with pytest.raises(ProtocolError, match="xi=-6"):
+            evolve_plane(psi0, prof, 0.05, grid, BoundaryCondition.dirichlet(), dt=1e-3)
+
 
 class TestBcSensitivity:
     def test_confining_trend_decreases(self):
