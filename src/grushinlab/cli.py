@@ -61,10 +61,22 @@ EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
 
 
+def _dumps(document, **kwargs):
+    """Strict JSON text of ``document``: a non-finite number is a numeric
+    failure, never a bare ``NaN`` or ``Infinity``."""
+    try:
+        return json.dumps(document, sort_keys=True, default=_jsonable, allow_nan=False,
+                          **kwargs)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in an output: {exc}") from None
+
+
 def _write_json(path, document):
+    """Write ``document``; nothing is written when it holds a non-finite
+    value."""
+    text = _dumps(document, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, sort_keys=True, indent=2, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -86,8 +98,9 @@ def _write_csv(path, header_cols, columns, config):
     formatting ``CSV_BLOCK_ROWS`` rows at a time to bound memory."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row_format = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    header = "# config: " + _dumps(config) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True, default=_jsonable) + "\n")
+        fh.write(header)
         fh.write(",".join(header_cols) + "\n")
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
@@ -346,17 +359,17 @@ def _evolve_sensitivity(args) -> int:
         "eps_grid": eps_grid,
         **result.config,
     }
-    eps_col, d_col = zip(*result.rows)
-    cpath = _write_csv(os.path.join(out, "bc_sensitivity.csv"), ["eps", "D", "wall_mass"],
-                       [eps_col, d_col, result.wall_mass], config)
     document = {
         "config": config,
-        "rows": [{"eps": e, "D": d} for e, d in result.rows],
+        "rows": [{"eps": e, "D": d, **grid} for (e, d), grid in zip(result.rows, result.grids)],
         "trend": result.trend,
         "ratio_end_to_start": result.ratio_end_to_start,
         "norm_drift": result.norm_drift,
     }
     jpath = _write_json(os.path.join(out, "bc_sensitivity.json"), document)
+    eps_col, d_col = zip(*result.rows)
+    cpath = _write_csv(os.path.join(out, "bc_sensitivity.csv"), ["eps", "D", "wall_mass"],
+                       [eps_col, d_col, result.wall_mass], config)
     print(f"alpha={alpha:g} xi={xi:g}: D trend {result.trend}, "
           f"D({result.rows[-1][0]:g})/D({result.rows[0][0]:g}) = {result.ratio_end_to_start:.3e}")
     print(f"wrote {cpath}\nwrote {jpath}")
@@ -466,6 +479,7 @@ def _evolve_plane(args, geometry) -> int:
         spath = _write_csv(os.path.join(out, "density.csv"), ["x", "y", "density"],
                            [x_col, y_col, density.ravel()], config)
 
+    near_cutoff = grid.nodes < 0.05
     document = {
         "config": config,
         "norm_before": result.norm_before,
@@ -473,8 +487,8 @@ def _evolve_plane(args, geometry) -> int:
         "norm_drift": result.norm_drift,
         "wall_mass": result.wall_mass,
         "boundary_mass_below_0.05": float(
-            grid.spacing * result.final._dxi()
-            * np.sum(np.abs(result.final.values[grid.nodes < 0.05, :]) ** 2)
+            result.final._dxi() * np.sum(grid.weights[near_cutoff, None]
+                                         * np.abs(result.final.values[near_cutoff]) ** 2)
         ),
     }
     jpath = _write_json(os.path.join(out, "evolution.json"), document)
@@ -577,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt")
     p.add_argument("--beta", default=None, help="Robin parameter (default 1)")
     p.add_argument("--eps-grid", help="comma list of decreasing cutoffs")
-    p.add_argument("--refine", help="uniform spacing refinement factor")
+    p.add_argument("--refine", help="divides the local spacing of the sensitivity "
+                   "protocol's graded grid (default 1)")
     p.add_argument("--eps")
     p.add_argument("--outer-wall", help="widest outer wall of a plane or cylinder run; "
                    "each fibre stops at its own turning-point wall inside it")

@@ -8,21 +8,36 @@ and the full evolution is assembled fibre by fibre.  Numerically each
 fibre lives on a truncated interval [eps, L] with a hard Dirichlet wall
 at L and a configurable condition at the inner cutoff eps: Dirichlet
 (the proxy for the Friedrichs, confinement-preserving realisation) or
-Robin with parameter beta, discretised by one-sided elimination of the
-boundary node,
+Robin with parameter beta.
 
-    u'(eps) = beta u(eps)   ->   u_0 = u_1 / (1 + beta h),
+The interior nodes x_1 < ... < x_n need not be equally spaced
+(:class:`FibreGrid`).  With cells h_{j+1/2} = x_{j+1} - x_j (x_0 = eps,
+x_{n+1} = L) and lumped-mass weights w_j = (h_{j-1/2} + h_{j+1/2})/2,
+the finite-volume Laplacian is M^{-1} K with M = diag(w) and
 
-which keeps the operator real symmetric tridiagonal.
+    K_jj = 1/h_{j-1/2} + 1/h_{j+1/2},    K_{j,j+1} = K_{j+1,j} = -1/h_{j+1/2},
+
+and the discrete Hamiltonian is H = M^{-1} K + diag(W(x_j)).  The Robin
+condition eliminates the boundary node one-sidedly over the first cell,
+
+    u'(eps) = beta u(eps)   ->   u_0 = u_1 / (1 + beta h_{1/2}),
+    K_11 = (1 - 1/(1 + beta h_{1/2})) / h_{1/2} + 1/h_{3/2}.
+
+On equal spacings these reduce to the three-point formulas 2/h^2, -1/h^2
+and (2 - 1/(1 + beta h))/h^2.  H is not symmetric, but it is similar to
+the real symmetric M^{-1/2} K M^{-1/2} + W, so it is self-adjoint in the
+weighted inner product <u, v> = sum_j w_j conj(u_j) v_j, and every norm,
+distance and mass below is a sum with the weights.
 
 Time stepping is implicit midpoint (Crank-Nicolson),
 
     (1 + i dt H / 2) psi^{n+1} = (1 - i dt H / 2) psi^n,
 
-a Cayley transform of the Hermitian discrete Hamiltonian, hence exactly
-unitary in the discrete L^2 norm; explicit schemes are ruled out by the
-inverse-square growth of W near the cutoff.  The factorisation of the
-left-hand matrix is done once per (grid, potential, dt).
+a Cayley transform of the self-adjoint discrete Hamiltonian, hence exactly
+unitary in the weighted discrete L^2 norm; explicit schemes are ruled out
+by the inverse-square growth of W near the cutoff.  The general
+tridiagonal factorisation of the left-hand matrix is done once per
+(grid, potential, dt).
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
 data under Dirichlet-at-eps and Robin-at-eps and record the distance
@@ -31,9 +46,13 @@ data under Dirichlet-at-eps and Robin-at-eps and record the distance
 
 as the cutoff is pushed towards the boundary.  In the confining regime
 the inner condition is asymptotically irrelevant and D collapses
-rapidly; outside it the collapse is measurably slower.  All protocol
-constants (standard Gaussian data, wall placement, resolution rule) are
-fixed here so runs are reproducible bit for bit.
+rapidly; outside it the collapse is measurably slower.  It runs on a grid
+graded geometrically towards the cutoff (:meth:`FibreGrid.graded`, in
+the spirit of Langer's logarithmic variable), where W ~ c0/x^2 needs
+cells proportional to x; the plane and cylinder protocols share one
+uniform grid set by their stiffest fibre.  All protocol constants
+(standard Gaussian data, wall placement, resolution rule, grid growth)
+are fixed here so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +60,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,46 +93,81 @@ WALL_ENERGY = 160.0
 FREE_WALL = 30.0
 WALL_MASS_LIMIT = 1e-8
 SPACING_CAP = 0.01
-RESOLUTION_LIMIT = 0.5  # spacing^2 * max W, the grid invariant
+RESOLUTION_LIMIT = 0.5  # h^2 |W| at every node, the grid invariant
+# graded grids: largest ratio of neighbouring cells; bounds on the shrinks
+# of one cell, on the marches and on the node count before giving up
+GRID_GROWTH = 1.05
+MARCH_SHRINKS = 8
+MARCH_TRIES = 5
+MAX_GRID_NODES = 2_000_000
 # the sensitivity protocol resolves the cutoff boundary layer more finely
 # so that D(eps) is stable under spacing refinement
 SENSITIVITY_RESOLUTION = 0.04
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FibreGrid:
-    """Uniform interior grid for the truncated half-line [eps, L].
+    """Interior nodes eps < x_1 < ... < x_n < L of the truncated half-line
+    and their lumped-mass quadrature weights.
 
-    Nodes are x_j = eps + j * spacing for j = 1..n; the boundary nodes
-    j = 0 and j = n+1 carry the boundary conditions and are not stored.
+    The boundary nodes x_0 = eps and x_{n+1} = L carry the boundary
+    conditions and are not stored.  ``gaps`` are the n+1 cell lengths
+    h_{j+1/2} = x_{j+1} - x_j and ``weights`` the dual-cell lengths
+    w_j = (h_{j-1/2} + h_{j+1/2}) / 2, so sum_j w_j |u_j|^2 is the
+    discrete L^2 norm.
     """
 
     eps: float
     L: float
-    n: int
+    nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eps < self.L):
             raise UsageError("grid requires 0 < eps < L")
         if self.n < 100:
             raise UsageError("grid requires at least 100 interior points")
+        if not np.all(self.gaps > 0.0):
+            raise UsageError("grid nodes must increase strictly inside (eps, L)")
 
     @property
-    def spacing(self) -> float:
-        return (self.L - self.eps) / (self.n + 1)
+    def n(self) -> int:
+        return self.nodes.size
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        return np.diff(np.concatenate(([self.eps], self.nodes, [self.L])))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return 0.5 * (self.gaps[:-1] + self.gaps[1:])
 
     @property
-    def nodes(self) -> np.ndarray:
-        return self.eps + self.spacing * np.arange(1, self.n + 1)
+    def h_min(self) -> float:
+        return float(self.gaps.min())
+
+    @property
+    def h_max(self) -> float:
+        return float(self.gaps.max())
+
+    def resolution_margin(self, w_values: np.ndarray) -> float:
+        """max_j h_j^2 |W(x_j)| over the nodes, h_j the larger of the two
+        cells at x_j."""
+        h = np.maximum(self.gaps[:-1], self.gaps[1:])
+        return float(np.max(h**2 * np.abs(w_values)))
 
     def validate_resolution(self, w_values: np.ndarray) -> None:
-        """Enforce spacing^2 * max |W| <= 0.5 on this grid."""
-        wmax = float(np.max(np.abs(w_values)))
-        if self.spacing**2 * wmax > RESOLUTION_LIMIT:
+        """Enforce h^2 |W| <= 0.5 at every node."""
+        margin = self.resolution_margin(w_values)
+        if margin > RESOLUTION_LIMIT:
             raise UsageError(
-                f"grid spacing {self.spacing:.3e} does not resolve the potential "
-                f"(spacing^2 * maxW = {self.spacing ** 2 * wmax:.3g} > {RESOLUTION_LIMIT})"
+                f"grid spacing {self.h_min:.3e}-{self.h_max:.3e} does not resolve the "
+                f"potential (max h^2 |W| = {margin:.3g} > {RESOLUTION_LIMIT})"
             )
+
+    @classmethod
+    def uniform(cls, eps: float, L: float, n: int) -> "FibreGrid":
+        """n equally spaced interior nodes x_j = eps + j (L - eps)/(n + 1)."""
+        return cls(eps=eps, L=L, nodes=eps + (L - eps) / (n + 1) * np.arange(1, n + 1))
 
     @classmethod
     def resolved(
@@ -124,20 +179,74 @@ class FibreGrid:
         refine: int = 1,
         resolution: float = RESOLUTION_LIMIT,
     ) -> "FibreGrid":
-        """Choose n so spacing^2 * max W <= resolution, with a
-        wave-resolution cap on the spacing.
-
-        ``resolution`` may be tightened below the 0.5 invariant when the
-        behaviour near the cutoff must be resolved accurately; ``refine``
-        divides the spacing uniformly (refine=2 halves it) for
-        convergence studies.
-        """
-        if not (0.0 < resolution <= RESOLUTION_LIMIT):
-            raise UsageError(f"resolution target must lie in (0, {RESOLUTION_LIMIT}]")
+        """Uniform grid with spacing^2 * max(|W(eps)|, |W(L)|) <= resolution,
+        capped at ``spacing_cap``; the shared grid of the plane and
+        cylinder protocols.  ``refine`` divides the spacing."""
+        _check_resolution(resolution)
         w_edge = max(abs(float(pot(eps))), abs(float(pot(L))))
         h = min(spacing_cap, math.sqrt(resolution / max(w_edge, 1.0))) / refine
-        n = max(100, int(math.ceil((L - eps) / h)) - 1)
-        return cls(eps=eps, L=L, n=n)
+        return cls.uniform(eps, L, max(100, int(math.ceil((L - eps) / h)) - 1))
+
+    @classmethod
+    def graded(
+        cls,
+        eps: float,
+        L: float,
+        pot: FibrePotential,
+        spacing_cap: float = SPACING_CAP,
+        refine: int = 1,
+        resolution: float = RESOLUTION_LIMIT,
+    ) -> "FibreGrid":
+        """Grid graded towards the singular end: marching from eps, each
+        cell is at most min(spacing_cap, sqrt(resolution / |W|)) / refine at
+        both of its ends and at most GRID_GROWTH times the cell before it.
+        The cells are then shrunk by one common factor so that the last one
+        ends at L, which keeps every growth ratio; the march is repeated
+        with a tighter target in the rare case that shifting the nodes
+        inward breaks the resolution at one of them."""
+        _check_resolution(resolution)
+        limit = target = resolution / refine**2
+        for _ in range(MARCH_TRIES):
+            gaps = _march(eps, L, pot, spacing_cap / refine, target)
+            grid = cls(eps=eps, L=L, nodes=eps + np.cumsum(gaps[:-1] * ((L - eps) / gaps.sum())))
+            ends = grid.gaps[[0, -1]] ** 2 * np.abs(pot(np.array([eps, L])))
+            margin = max(grid.resolution_margin(pot(grid.nodes)), *ends)
+            if margin <= limit:
+                return grid
+            target *= limit / margin
+        raise NumericError(f"no graded grid on [{eps:g}, {L:g}] resolves the potential")
+
+
+def _check_resolution(resolution: float) -> None:
+    if not (0.0 < resolution <= RESOLUTION_LIMIT):
+        raise UsageError(f"resolution target must lie in (0, {RESOLUTION_LIMIT}]")
+
+
+def _march(eps, L, pot, cap, resolution):
+    """Cell lengths from eps until they pass L: each at most ``cap``, at
+    most GRID_GROWTH times its predecessor, and with h^2 |W| <= resolution
+    at both of its ends."""
+
+    def local(x):
+        w = abs(float(pot(x)))
+        return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
+
+    gaps, x, h, h_here = [], eps, math.inf, local(eps)
+    while x < L:
+        h = min(GRID_GROWTH * h, h_here)
+        for _ in range(MARCH_SHRINKS):  # the far end of the cell
+            h_there = local(x + h)
+            if h <= h_there:
+                break
+            h = h_there
+        else:
+            raise NumericError(f"potential varies too fast to resolve near x={x:g}")
+        gaps.append(h)
+        if len(gaps) > MAX_GRID_NODES:
+            raise UsageError(f"resolving the potential on [{eps:g}, {L:g}] needs more "
+                             f"than {MAX_GRID_NODES} nodes")
+        x, h_here = x + h, h_there
+    return np.array(gaps)
 
 
 @dataclass(frozen=True)
@@ -183,37 +292,46 @@ class FibreEvolutionState:
         return FibrePotential(xi=self.xi, profile=self.profile)
 
     def norm(self) -> float:
-        return math.sqrt(self.grid.spacing * float(np.sum(np.abs(self.psi) ** 2)))
+        return math.sqrt(_weighted_sumsq(self.grid.weights, self.psi))
+
+
+def _weighted_sumsq(weights: np.ndarray, psi: np.ndarray) -> float:
+    """sum_j w_j |psi_j|^2"""
+    return float(np.vdot(psi, weights * psi).real)
 
 
 def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition):
-    h = grid.spacing
-    main = 2.0 / h**2 + w_values.astype(float)
-    off = np.full(grid.n - 1, -1.0 / h**2)
+    """Sub-, main and super-diagonal of H = M^{-1} K + W, with K the
+    finite-volume stiffness matrix and M = diag(weights) the lumped mass."""
+    gaps, weights = grid.gaps, grid.weights
+    inv = 1.0 / gaps
+    stiff = inv[:-1] + inv[1:]
     if bc.kind == "robin":
-        denom = 1.0 + bc.beta * h
+        denom = 1.0 + bc.beta * gaps[0]
         if denom <= 0.0:
             raise UsageError("Robin elimination requires 1 + beta*h > 0")
-        main = main.copy()
-        main[0] = (2.0 - 1.0 / denom) / h**2 + w_values[0]
-    return main, off
+        stiff[0] = (1.0 - 1.0 / denom) * inv[0] + inv[1]
+    main = stiff / weights + np.asarray(w_values, dtype=float)
+    coupling = -inv[1:-1]
+    return coupling / weights[1:], main, coupling / weights[:-1]
 
 
 class CrankNicolson:
-    """Unitary Cayley stepper for one fibre; factorises once per dt."""
+    """Unitary Cayley stepper for one fibre; factorises once per dt.
+
+    H is similar to a real symmetric matrix, M^{1/2} H M^{-1/2}, so the
+    step is unitary in the weighted norm sum_j w_j |psi_j|^2."""
 
     def __init__(self, grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition, dt: float):
         if dt <= 0.0:
             raise UsageError("dt must be positive")
         grid.validate_resolution(w_values)
         self.grid, self.bc, self.dt = grid, bc, dt
-        main, off = _hamiltonian_diagonals(grid, np.asarray(w_values, dtype=float), bc)
+        lower, main, upper = _hamiltonian_diagonals(grid, w_values, bc)
         z = 0.5j * dt
         d = 1.0 + z * main
-        dl = z * off.astype(complex)
-        du = dl.copy()
         gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-        dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, d, du)
+        dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(z * lower, d, z * upper)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed (info={info})")
         self._factors = (dl_f, d_f, du_f, du2_f, ipiv)
@@ -231,17 +349,25 @@ class CrankNicolson:
 
     def evolve(self, psi: np.ndarray, nsteps: int, record: bool = False):
         """Apply ``nsteps`` steps to ``psi``; returns the final state and the
-        trace of sum |psi|^2, after every step with ``record``, else at the
-        start and the end only."""
+        trace of the squared weighted norm sum_j w_j |psi_j|^2, after every
+        step with ``record``, else at the start and the end only."""
         psi = np.array(psi, dtype=complex)
-        sumsq = [float(np.sum(np.abs(psi) ** 2))]
+        # sum_j w_j (re_j^2 + im_j^2) over the interleaved real view, in one
+        # pass without temporaries
+        w2 = np.repeat(self.grid.weights, 2)
+
+        def sumsq(p):
+            v = p.view(float)
+            return float(np.einsum("i,i,i->", w2, v, v))
+
+        trace = [sumsq(psi)]
         for _ in range(nsteps):
             psi = self.step(psi)
             if record:
-                sumsq.append(float(np.sum(np.abs(psi) ** 2)))
+                trace.append(sumsq(psi))
         if not record:
-            sumsq.append(float(np.sum(np.abs(psi) ** 2)))
-        return psi, np.array(sumsq)
+            trace.append(sumsq(psi))
+        return psi, np.array(trace)
 
 
 def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
@@ -269,14 +395,14 @@ def evolve_fibre(
     stepper = CrankNicolson(state.grid, pot(state.grid.nodes), state.bc, dt)
     psi, sumsq = stepper.evolve(state.psi, nsteps, record_norms)
     new_state = replace(state, psi=psi, t=state.t + nsteps * dt)
-    return new_state, np.sqrt(state.grid.spacing * sumsq)
+    return new_state, np.sqrt(sumsq)
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
     """Standard unit-norm real Gaussian on the interior nodes."""
     x = grid.nodes
     psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
-    nrm = math.sqrt(grid.spacing * float(np.sum(np.abs(psi) ** 2)))
+    nrm = math.sqrt(_weighted_sumsq(grid.weights, psi))
     if nrm == 0.0:
         raise UsageError("Gaussian data vanishes on this grid")
     return psi / nrm
@@ -297,7 +423,8 @@ def choose_outer_wall(pot: FibrePotential, energy: float = WALL_ENERGY,
 
 @dataclass(frozen=True)
 class BcSensitivityResult:
-    """D(eps) table with the wall diagnostics of each run."""
+    """D(eps) table with the wall diagnostics of each run and the grid
+    each eps ran on."""
 
     alpha: float
     xi: float
@@ -307,25 +434,14 @@ class BcSensitivityResult:
     norm_drift: float
     trend: str
     config: dict = field(default_factory=dict, compare=False)
+    # per eps: n, h_min, h_max and resolution_margin (max h^2 |W| over the nodes)
+    grids: tuple[dict, ...] = field(default=(), compare=False)
 
     @property
     def ratio_end_to_start(self) -> float:
-        return self.rows[-1][1] / self.rows[0][1]
-
-
-def _sensitivity_run(pot, eps, bc, t_final, dt, spacing_cap, refine, L, resolution):
-    grid = FibreGrid.resolved(eps, L, pot, spacing_cap=spacing_cap, refine=refine,
-                              resolution=resolution)
-    psi0 = gaussian_packet(grid)
-    state = FibreEvolutionState(
-        xi=pot.xi, grid=grid, psi=psi0, t=0.0, bc=bc, profile=pot.profile
-    )
-    final, norms = evolve_fibre(state, t_final, dt)
-    x = grid.nodes
-    wall_zone = x >= L - 0.5
-    wall_mass = grid.spacing * float(np.sum(np.abs(final.psi[wall_zone]) ** 2))
-    drift = abs(norms[-1] - norms[0])
-    return final, wall_mass, drift
+        """D at the last eps over D at the first; NaN when the first is 0."""
+        start = self.rows[0][1]
+        return self.rows[-1][1] / start if start else math.nan
 
 
 def bc_sensitivity(
@@ -345,10 +461,10 @@ def bc_sensitivity(
 
     For each eps in the (decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
-    Robin(beta)-at-eps on the same grid, and D(eps) is the discrete L^2
-    distance of the two final states.  The outer wall is positioned so
-    that boundary mass at L stays below 1e-8; contamination raises
-    :class:`ProtocolError` (enlarge the wall).
+    Robin(beta)-at-eps on the same graded grid (:meth:`FibreGrid.graded`),
+    and D(eps) is the discrete L^2 distance of the two final states.  The
+    outer wall is positioned so that boundary mass at L stays below 1e-8;
+    contamination raises :class:`ProtocolError` (enlarge the wall).
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -360,28 +476,30 @@ def bc_sensitivity(
     L = choose_outer_wall(pot)
     if max(eps_list) >= GAUSS_CENTER - 4.0 * GAUSS_WIDTH:
         raise UsageError("largest eps overlaps the standard initial data")
+    nsteps = _step_count(t_final, dt)
 
-    rows, walls, drifts = [], [], []
+    rows, walls, drifts, grids = [], [], [], []
     for eps in eps_list:
-        fin_d, wall_d, drift_d = _sensitivity_run(
-            pot, eps, BoundaryCondition.dirichlet(), t_final, dt, spacing_cap,
-            refine, L, resolution
-        )
-        fin_r, wall_r, drift_r = _sensitivity_run(
-            pot, eps, BoundaryCondition.robin(beta), t_final, dt, spacing_cap,
-            refine, L, resolution
-        )
-        wall = max(wall_d, wall_r)
+        grid = FibreGrid.graded(eps, L, pot, spacing_cap=spacing_cap, refine=refine,
+                                resolution=resolution)
+        w_values = pot(grid.nodes)
+        psi0 = gaussian_packet(grid)
+        wall_zone = grid.nodes >= L - 0.5
+        finals, wall, drift = [], 0.0, 0.0
+        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta)):
+            psi, sumsq = CrankNicolson(grid, w_values, bc, dt).evolve(psi0, nsteps)
+            finals.append(psi)
+            wall = max(wall, _weighted_sumsq(grid.weights[wall_zone], psi[wall_zone]))
+            drift = max(drift, abs(math.sqrt(sumsq[-1]) - math.sqrt(sumsq[0])))
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
                 f"outer wall contaminated (mass {wall:.2e} > {WALL_MASS_LIMIT}); enlarge L"
             )
-        D = math.sqrt(
-            fin_d.grid.spacing * float(np.sum(np.abs(fin_d.psi - fin_r.psi) ** 2))
-        )
-        rows.append((eps, D))
+        rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
         walls.append(wall)
-        drifts.append(max(drift_d, drift_r))
+        drifts.append(drift)
+        grids.append({"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
+                      "resolution_margin": grid.resolution_margin(w_values)})
 
     ds = [d for _, d in rows]
     if all(b < a for a, b in zip(ds, ds[1:])):
@@ -408,6 +526,7 @@ def bc_sensitivity(
             "gaussian": {"center": GAUSS_CENTER, "width": GAUSS_WIDTH},
             "profile": prof.name,
         },
+        grids=tuple(grids),
     )
 
 
@@ -562,14 +681,14 @@ class PlaneEvolutionResult:
 
 
 def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:
-    """The first k nodes of ``grid``, same spacing, with the outer wall at
-    node k+1, the first node at or past the fibre's own turning-point wall
+    """The first k nodes of ``grid`` with the outer wall at node k+1, the
+    first node at or past the fibre's own turning-point wall
     (``choose_outer_wall``); never fewer than 100 nodes, and ``grid``
     itself when that wall is not inside it."""
     k = max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
     if k >= grid.n:
         return grid
-    return FibreGrid(eps=grid.eps, L=grid.eps + (k + 1) * grid.spacing, n=k)
+    return FibreGrid(eps=grid.eps, L=float(grid.nodes[k]), nodes=grid.nodes[:k])
 
 
 def evolve_plane(
@@ -594,7 +713,7 @@ def evolve_plane(
     assembly to represent the plane faithfully, and is recorded, as is the
     total-norm trace over the steps.
 
-    The wall mass of a fibre is ``h dxi sum |psi|^2`` over the last 0.5
+    The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
     before its wall at ``t_final``, plus any initial mass beyond the wall;
     the result records the largest.  A fibre whose wall was moved inward
     and whose wall mass exceeds 1e-8 raises :class:`ProtocolError`.
@@ -612,9 +731,8 @@ def evolve_plane(
     total = float(np.sum(dens))
     edge = float(np.sum(dens[:, [0, -1]]))
     edge_mass = edge / total if total > 0 else 0.0
-    norm_before = psi0.norm()
-    x = grid.nodes
-    mass_unit = grid.spacing * psi0._dxi()
+    x, weights, dxi = grid.nodes, grid.weights, psi0._dxi()
+    norm_before = math.sqrt(dxi * float(weights @ np.sum(dens, axis=1)))
 
     def run_column(m):
         pot = FibrePotential(xi=float(psi0.axis[m]), profile=profile)
@@ -625,8 +743,9 @@ def evolve_plane(
             psi, trace = stepper.evolve(psi0.values[:k, m], nsteps, record=True)
         except NumericError as exc:
             raise NumericError(f"fibre xi={psi0.axis[m]:g} (index {m}): {exc}") from exc
-        near_wall = psi[x[:k] >= fibre.L - 0.5]
-        wall = mass_unit * (float(np.sum(np.abs(near_wall) ** 2)) + float(np.sum(dens[k:, m])))
+        near_wall = x[:k] >= fibre.L - 0.5
+        wall = dxi * (_weighted_sumsq(weights[:k][near_wall], psi[near_wall])
+                      + float(weights[k:] @ dens[k:, m]))
         return psi, trace, fibre.L, wall
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -651,12 +770,12 @@ def evolve_plane(
         geometry=psi0.geometry,
         y0=psi0.y0,
     )
-    fibre_norms = np.sqrt(grid.spacing * np.sum(np.abs(out) ** 2, axis=0) * final._dxi())
-    norm_trace = np.sqrt(mass_unit * np.sum(np.column_stack(traces), axis=1))
+    fibre_norms = np.sqrt(dxi * (weights @ np.abs(out) ** 2))
+    norm_trace = np.sqrt(dxi * np.sum(np.column_stack(traces), axis=1))
     return PlaneEvolutionResult(
         final=final,
         norm_before=norm_before,
-        norm_after=final.norm(),
+        norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,
         norm_trace=norm_trace,
         spectrum_edge_mass=edge_mass,

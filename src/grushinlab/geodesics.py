@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import DomainError, IntegrationError, UsageError
+from .errors import DomainError, IntegrationError, NumericError, UsageError
 
 __all__ = [
     "GeodesicInitialData",
@@ -334,7 +334,10 @@ def write_fan(
         entries.append(entry)
     manifest = {"config": config or {}, "trajectories": entries}
     mpath = os.path.join(str(directory), "manifest.json")
+    try:
+        text = json.dumps(manifest, sort_keys=True, indent=2, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in {mpath}: {exc}") from None
     with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
     return mpath

@@ -149,6 +149,13 @@ class TestEvolveCommand:
         assert code == 0
         doc = read_json(tmp_path / "bc_sensitivity.json")
         assert doc["trend"] == "decreasing"
+        # each row records the graded grid it ran on
+        assert [set(row) for row in doc["rows"]] == [
+            {"eps", "D", "n", "h_min", "h_max", "resolution_margin"}] * 2
+        first, last = doc["rows"]
+        assert last["n"] > first["n"] >= 100
+        assert last["h_min"] < first["h_min"] <= first["h_max"] <= doc["config"]["spacing_cap"]
+        assert 0.0 < last["resolution_margin"] <= doc["config"]["resolution"]
         lines = (tmp_path / "bc_sensitivity.csv").read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "eps,D,wall_mass"
@@ -249,6 +256,48 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
         reference = tmp_path / "reference.csv"
         _per_row_csv(reference, header_cols, columns, config)
         assert open(path, "rb").read() == reference.read_bytes(), path
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_every_json_output_is_strict(tmp_path):
+    runs = {
+        "classify": ["classify", "--alpha", "0.5", "--method", "numeric",
+                     "--xi-min", "-1", "--xi-max", "1", "--xi-step", "0.5"],
+        "geodesics": ["geodesics", "--alpha", "1", "--angles", "4"],
+        "sensitivity": ["evolve", "--protocol", "sensitivity", "--alpha", "1.5",
+                        "--t-final", "0.1", "--eps-grid", "1e-1,3e-2"],
+        "plane": ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.05",
+                  "--eps", "0.05", "--ny", "7"],
+        "raster": ["evolve", "--protocol", "cylinder", "--alpha", "0.5", "--t-final", "0.05",
+                   "--eps", "0.05", "--ny", "7", "--raster"],
+        "deficiency": ["verify-deficiency", "--alpha", "0.5", "--interval", "0,1",
+                       "--other-interval", "2,3", "--samples", "8"],
+    }
+    parsed = []
+    for name, argv in runs.items():
+        assert main(argv + ["--output-dir", str(tmp_path / name)]) == 0, name
+        for path in sorted((tmp_path / name).glob("*.json")):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+            parsed.append(f"{name}/{path.name}")
+    assert parsed == ["classify/verdict.json", "geodesics/manifest.json",
+                      "sensitivity/bc_sensitivity.json", "plane/evolution.json",
+                      "raster/density.json", "raster/evolution.json",
+                      "deficiency/deficiency_family.json"]
+
+
+def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys):
+    with pytest.raises(cli.NumericError):
+        cli._write_json(tmp_path / "x.json", {"value": float("inf")})
+    assert not (tmp_path / "x.json").exists()
+    # no step taken: D is 0 at every cutoff, so D(eps_end)/D(eps_start) is NaN
+    out = tmp_path / "out"
+    assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "0",
+                 "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 class TestVerifyDeficiencyCommand:

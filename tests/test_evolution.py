@@ -6,6 +6,9 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from grushinlab.errors import DataError, ProtocolError, UsageError
 from grushinlab.evolution import (
+    GRID_GROWTH,
+    SENSITIVITY_RESOLUTION,
+    SPACING_CAP,
     _hamiltonian_diagonals,
     BoundaryCondition,
     CrankNicolson,
@@ -13,13 +16,14 @@ from grushinlab.evolution import (
     FibreGrid,
     PlaneWavefunction,
     bc_sensitivity,
+    choose_outer_wall,
     evolve_fibre,
     evolve_plane,
     gaussian_packet,
     to_original,
     to_transformed,
 )
-from grushinlab.profiles import FibrePotential, power_law
+from grushinlab.profiles import FibrePotential, custom_profile, power_law
 
 
 def make_state(alpha, xi, eps=0.05, L=12.0, bc=None):
@@ -38,27 +42,100 @@ def make_state(alpha, xi, eps=0.05, L=12.0, bc=None):
 
 class TestGrid:
     def test_spacing_and_nodes(self):
-        g = FibreGrid(eps=0.1, L=10.1, n=999)
-        assert g.spacing == pytest.approx(0.01)
+        g = FibreGrid.uniform(0.1, 10.1, 999)
+        assert g.gaps.size == 1000
+        assert g.h_min == pytest.approx(0.01) and g.h_max == pytest.approx(0.01)
+        assert np.allclose(g.weights, 0.01)
         assert g.nodes[0] == pytest.approx(0.11)
         assert g.nodes[-1] == pytest.approx(10.09)
 
     def test_invariants(self):
         with pytest.raises(UsageError):
-            FibreGrid(eps=1.0, L=0.5, n=500)
+            FibreGrid.uniform(1.0, 0.5, 500)
         with pytest.raises(UsageError):
-            FibreGrid(eps=0.1, L=10.0, n=50)
+            FibreGrid.uniform(0.1, 10.0, 50)
+        with pytest.raises(UsageError):  # nodes out of order
+            FibreGrid(eps=0.1, L=10.0, nodes=np.linspace(0.2, 9.0, 200)[::-1])
 
     def test_resolution_guard(self):
         pot = FibrePotential(xi=0.0, profile=power_law(2.0))
-        g = FibreGrid(eps=1e-3, L=5.0, n=200)  # far too coarse near eps
+        g = FibreGrid.uniform(1e-3, 5.0, 200)  # far too coarse near eps
         with pytest.raises(UsageError):
             CrankNicolson(g, pot(g.nodes), BoundaryCondition.dirichlet(), 1e-3)
 
     def test_resolved_satisfies_rule(self):
         pot = FibrePotential(xi=0.5, profile=power_law(2.0))
         g = FibreGrid.resolved(1e-3, 7.0, pot)
-        assert g.spacing**2 * np.max(np.abs(pot(g.nodes))) <= 0.5
+        assert g.h_max**2 * np.max(np.abs(pot(g.nodes))) <= 0.5
+
+
+class TestGradedGrid:
+    @pytest.mark.parametrize("alpha, xi, eps, refine", [
+        (0.5, 0.5, 1e-3, 1),   # W ~ c0/x^2 towards eps, mild at L = 30
+        (1.5, 0.5, 1e-3, 2),   # W grows like x^3 towards L ~ 11.8
+        (2.0, 2.0, 1e-2, 1),
+    ])
+    def test_growth_and_local_resolution(self, alpha, xi, eps, refine):
+        pot = FibrePotential(xi=xi, profile=power_law(alpha))
+        L = choose_outer_wall(pot)
+        g = FibreGrid.graded(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
+        ratios = g.gaps[1:] / g.gaps[:-1]
+        assert np.max(ratios) <= GRID_GROWTH * (1.0 + 1e-9)
+        assert g.h_max <= SPACING_CAP / refine * (1.0 + 1e-12)
+        # every node, the cutoff and the wall included, with its larger cell
+        x = np.concatenate(([eps], g.nodes, [L]))
+        h = np.concatenate(([g.gaps[0]], np.maximum(g.gaps[:-1], g.gaps[1:]), [g.gaps[-1]]))
+        assert np.max(h**2 * np.abs(pot(x))) <= SENSITIVITY_RESOLUTION / refine**2
+        assert g.resolution_margin(pot(g.nodes)) <= SENSITIVITY_RESOLUTION / refine**2
+        assert g.h_min < 0.2 * g.h_max  # graded: fine at eps, coarse far away
+        assert np.sum(g.weights) == pytest.approx(L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7)])
+    def test_uniform_diagonals_are_the_three_point_formula(self, bc):
+        pot = FibrePotential(xi=1.0, profile=power_law(1.0))
+        grid = FibreGrid.resolved(0.05, 8.0, pot)
+        h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.nodes)
+        lower, main, upper = _hamiltonian_diagonals(grid, w, bc)
+        expected = 2.0 / h**2 + w
+        if bc.kind == "robin":
+            expected[0] = (2.0 - 1.0 / (1.0 + bc.beta * h)) / h**2 + w[0]
+        assert np.max(np.abs(main / expected - 1.0)) <= 1e-12
+        for off in (lower, upper):
+            assert np.max(np.abs(off * h**2 + 1.0)) <= 1e-12
+
+    def test_weighted_norm_conserved_on_graded_robin_grid(self):
+        pot = FibrePotential(xi=0.5, profile=power_law(0.5))
+        grid = FibreGrid.graded(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
+        stepper = CrankNicolson(grid, pot(grid.nodes), BoundaryCondition.robin(1.0), 1e-3)
+        psi0 = gaussian_packet(grid, center=0.5, width=0.2)  # reaches the cutoff
+        psi, sumsq = stepper.evolve(psi0, 1000, record=True)
+        norms = np.sqrt(sumsq)
+        assert norms.size == 1001 and norms[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(norms - norms[0])) <= 1e-12
+        # the unweighted sum is not what the step conserves on this grid
+        flat = [np.sum(np.abs(p) ** 2) for p in (psi0, psi)]
+        assert abs(flat[1] / flat[0] - 1.0) > 1e-6
+
+    def test_interior_maximum_is_refined(self):
+        # W = 2e4 exp(-(x-3)^2/0.05): its maximum is inside (eps, L) and far
+        # above both endpoint values, which the uniform grid is sized from
+        def bump(x):
+            return 2e4 * np.exp(-((x - 3.0) ** 2) / 0.05)
+
+        prof = custom_profile(lambda x: np.ones_like(x), lambda x: np.zeros_like(x),
+                              lambda x: np.zeros_like(x), kappa=1.0, name="bump",
+                              base_w=bump, inv_f2=lambda x: np.ones_like(x))
+        pot = FibrePotential(xi=0.0, profile=prof)
+        dirichlet = BoundaryCondition.dirichlet()
+        uniform = FibreGrid.resolved(0.1, 6.0, pot)
+        with pytest.raises(UsageError, match="does not resolve"):
+            CrankNicolson(uniform, pot(uniform.nodes), dirichlet, 1e-3)
+        graded = FibreGrid.graded(0.1, 6.0, pot)
+        assert graded.resolution_margin(pot(graded.nodes)) <= 0.5
+        CrankNicolson(graded, pot(graded.nodes), dirichlet, 1e-3)
+        near = np.abs(graded.nodes - 3.0) < 0.05
+        assert np.max(graded.gaps[1:][near]) < 0.6 * SPACING_CAP
+        assert graded.h_max == pytest.approx(SPACING_CAP, rel=1e-3)
 
 
 class TestBoundaryCondition:
@@ -89,25 +166,27 @@ class TestUnitarity:
 
     def test_step_matches_explicit_cayley_map(self):
         # reference: psi+ = A^{-1} B psi with A = 1 + i dt H/2 and
-        # B = 1 - i dt H/2 assembled from the Hamiltonian diagonals
+        # B = 1 - i dt H/2 assembled from the Hamiltonian diagonals, on a
+        # uniform and on a graded Robin grid
         pot = FibrePotential(xi=0.5, profile=power_law(0.5))
-        grid = FibreGrid.resolved(0.05, 6.0, pot)
         bc, dt = BoundaryCondition.robin(1.0), 1e-3
-        w = pot(grid.nodes)
-        main, off = _hamiltonian_diagonals(grid, w, bc)
-        z = 0.5j * dt
-        a_banded = np.zeros((3, grid.n), dtype=complex)
-        a_banded[0, 1:] = z * off
-        a_banded[1] = 1.0 + z * main
-        a_banded[2, :-1] = z * off
-        psi = gaussian_packet(grid, center=0.5, width=0.2)
-        b_psi = (1.0 - z * main) * psi
-        b_psi[:-1] -= z * off * psi[1:]
-        b_psi[1:] -= z * off * psi[:-1]
-        expected = solve_banded((1, 1), a_banded, b_psi)
-        got = CrankNicolson(grid, w, bc, dt).step(psi)
-        assert np.max(np.abs(got - expected)) <= 1e-12
-        assert np.max(np.abs(got - psi)) > 1e-3  # the step does move the data
+        for grid in (FibreGrid.resolved(0.05, 6.0, pot),
+                     FibreGrid.graded(1e-3, 6.0, pot, resolution=0.04)):
+            w = pot(grid.nodes)
+            lower, main, upper = _hamiltonian_diagonals(grid, w, bc)
+            z = 0.5j * dt
+            a_banded = np.zeros((3, grid.n), dtype=complex)
+            a_banded[0, 1:] = z * upper
+            a_banded[1] = 1.0 + z * main
+            a_banded[2, :-1] = z * lower
+            psi = gaussian_packet(grid, center=0.5, width=0.2)
+            b_psi = (1.0 - z * main) * psi
+            b_psi[:-1] -= z * upper * psi[1:]
+            b_psi[1:] -= z * lower * psi[:-1]
+            expected = solve_banded((1, 1), a_banded, b_psi)
+            got = CrankNicolson(grid, w, bc, dt).step(psi)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+            assert np.max(np.abs(got - psi)) > 1e-3  # the step does move the data
 
     def test_t_final_must_be_whole_steps(self):
         state = make_state(1.0, 1.0)
@@ -130,13 +209,13 @@ class TestUnitarity:
         # W = 0: alpha = 0, xi = 0, plain Dirichlet box
         prof = power_law(0.0)
         pot = FibrePotential(xi=0.0, profile=prof)
-        grid = FibreGrid(eps=0.5, L=10.0, n=800)
+        grid = FibreGrid.uniform(0.5, 10.0, 800)
         w = pot(grid.nodes)
         stepper = CrankNicolson(grid, w, BoundaryCondition.dirichlet(), 1e-4)
         psi = gaussian_packet(grid, center=5.0, width=0.5)
 
         def energy(p):
-            h = grid.spacing
+            h = grid.h_max
             lap = 2.0 * p.copy()
             lap[:-1] -= p[1:]
             lap[1:] -= p[:-1]
@@ -152,7 +231,7 @@ class TestUnitarity:
         prof = power_law(1.0)
         pot = FibrePotential(xi=1.0, profile=prof)
         grid = FibreGrid.resolved(0.05, 12.0, pot)
-        h = grid.spacing
+        h = grid.h_max
         w = pot(grid.nodes)
         main = 2.0 / h**2 + w
         off = np.full(grid.n - 1, -1.0 / h**2)
@@ -191,7 +270,7 @@ class TestTransforms:
         # oracle: direct quadrature of |psi|^2 f(x) dx dy vs flat sum
         x = self.grid.nodes
         direct = math.sqrt(
-            self.grid.spacing
+            self.grid.h_max
             * (self.y[1] - self.y[0])
             * float(np.sum(np.abs(self.psi.values) ** 2 * (1.0 / x)[:, None]))
         )
@@ -326,7 +405,7 @@ class TestPlaneEvolution:
             res = evolve_plane(psi0, prof, 1.0, grid, BoundaryCondition.dirichlet(),
                                dt=2e-3)
             zone = grid.nodes < 0.05
-            mass = grid.spacing * float(np.sum(np.abs(res.final.values[zone, :]) ** 2))
+            mass = float(np.sum(grid.weights[zone, None] * np.abs(res.final.values[zone]) ** 2))
             masses.append(mass)
             assert res.norm_drift <= 1e-6
         assert all(m < 1e-4 for m in masses)
@@ -397,6 +476,29 @@ class TestBcSensitivity:
     def test_wall_contamination_detected(self):
         with pytest.raises(ProtocolError):
             bc_sensitivity(0.0, 0.0, 2.5, [0.1], dt=2e-3)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_graded_matches_uniform_grid(self, alpha):
+        # the same protocol on the uniform grid that resolves W(eps)
+        eps, beta, dt = 1e-2, 1.0, 1e-3
+        pot = FibrePotential(xi=0.5, profile=power_law(alpha))
+        grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot,
+                                  resolution=SENSITIVITY_RESOLUTION)
+        w, psi0 = pot(grid.nodes), gaussian_packet(grid)
+        finals = [CrankNicolson(grid, w, bc, dt).evolve(psi0, 1000)[0]
+                  for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))]
+        d_uniform = math.sqrt(float(grid.weights @ np.abs(finals[0] - finals[1]) ** 2))
+        r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
+        assert r.grids[0]["n"] < grid.n / 2
+        assert r.rows[0][1] == pytest.approx(d_uniform, rel=0.01)
+
+    def test_grids_recorded(self):
+        r = bc_sensitivity(1.5, 0.5, 0.1, [1e-1, 1e-3])
+        assert [g["n"] for g in r.grids] == [1169, 1243]
+        for g in r.grids:
+            assert 0.0 < g["h_min"] <= g["h_max"] <= SPACING_CAP
+            assert 0.0 < g["resolution_margin"] <= SENSITIVITY_RESOLUTION
+        assert r.grids[1]["h_min"] < 0.02 * r.grids[0]["h_min"]
 
     def test_eps_grid_validation(self):
         with pytest.raises(UsageError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from grushinlab.errors import DomainError, UsageError
+from grushinlab.errors import DomainError, NumericError, UsageError
 from grushinlab.geodesics import (
     GeodesicInitialData,
     geodesic_fan,
@@ -161,3 +161,10 @@ class TestFan:
         assert lines[0].startswith("# ")
         assert lines[1] == "t,x,y,P_x,P_y"
         assert len(lines) > 100
+
+    def test_non_finite_manifest_not_written(self, tmp_path):
+        fan = geodesic_fan(1.0, 2)
+        fan[0].meta["quadrature_hit_time"] = math.inf
+        with pytest.raises(NumericError):
+            write_fan(fan, tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
