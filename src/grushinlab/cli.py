@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    DomainError,
     GrushinError,
     InconclusiveClassification,
     NumericError,
@@ -45,7 +46,7 @@ from .evolution import (
     gaussian_packet,
     choose_outer_wall,
 )
-from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, integrate_geodesic, write_fan
+from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, integrate_geodesic
 from .profiles import FibrePotential, GrushinProfile, builtin_profile, load_profile, power_law
 from .weyl import (
     Mode,
@@ -265,6 +266,33 @@ def _cmd_classify(args) -> int:
 # geodesics
 # ---------------------------------------------------------------------------
 
+def write_fan(trajectories, directory, config):
+    """One CSV per trajectory, ``t,x,y,P_x,P_y`` under a config line holding
+    ``config`` and the trajectory's summary, and ``manifest.json`` with
+    every summary; returns the manifest path.  The manifest holds every
+    value of every CSV header, so it is encoded before any file is opened
+    and a non-finite value writes nothing."""
+    summaries = [{
+        "alpha": traj.init.alpha,
+        "theta": traj.init.theta,
+        "x0": traj.init.x0,
+        "y0": traj.init.y0,
+        "hit_time_plus": traj.hit_time_plus,
+        "hit_time_minus": traj.hit_time_minus,
+        "energy_drift": traj.energy_drift,
+        "meta": traj.meta,
+    } for traj in trajectories]
+    names = [f"geodesic_alpha{traj.init.alpha:g}_theta{traj.init.theta:.6f}.csv"
+             for traj in trajectories]
+    manifest = {"config": config,
+                "trajectories": [{**s, "file": n} for s, n in zip(summaries, names)]}
+    _dumps(manifest)
+    for traj, summary, name in zip(trajectories, summaries, names):
+        _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x", "P_y"],
+                   [traj.t, traj.x, traj.y, traj.px, traj.py], {**config, **summary})
+    return _write_json(os.path.join(directory, "manifest.json"), manifest)
+
+
 def _cmd_geodesics(args) -> int:
     _fill_from_config(args, "geodesics")
     if args.alpha is None:
@@ -376,29 +404,6 @@ def _evolve_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def _standard_plane_data(grid: FibreGrid, geometry: str, ny: int, sigma_xi: float,
-                         y_span: float):
-    """Separable standard data in transformed coordinates: the fibre
-    Gaussian times a normalised xi envelope."""
-    if ny % 2 == 0:
-        raise UsageError("--ny must be odd so the xi grid is symmetric")
-    y0 = 0.0
-    if geometry == "cylinder":
-        axis = np.arange(-(ny // 2), ny // 2 + 1, dtype=float)
-    else:
-        dy = y_span / ny
-        axis = np.sort(2.0 * math.pi * np.fft.fftfreq(ny, d=dy))
-        y0 = -y_span / 2.0  # centre the back-transformed packet in the window
-    g = gaussian_packet(grid)
-    env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
-    values = np.outer(g, env).astype(complex)
-    psi = PlaneWavefunction(values=values, x=grid.nodes, axis=axis,
-                            representation=TRANSFORMED, geometry=geometry, y0=y0)
-    nrm = psi.norm()
-    return PlaneWavefunction(values=values / nrm, x=grid.nodes, axis=axis,
-                             representation=TRANSFORMED, geometry=geometry, y0=y0)
-
-
 def _evolve_plane(args, geometry) -> int:
     if args.alpha is None:
         raise UsageError(f"evolve --protocol {geometry} requires --alpha")
@@ -408,27 +413,39 @@ def _evolve_plane(args, geometry) -> int:
     dt = _number(args, "dt", float, 2e-3)
     eps = _number(args, "eps", float, 0.01)
     # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
-    ny = _number(args, "ny", int, 45, minimum=1)
+    ny = _number(args, "ny", int, 45, minimum=3)
     sigma_xi = _number(args, "sigma_xi", float, 2.0)
     y_span = _number(args, "y_span", float, 16.0)
+    if ny % 2 == 0:
+        raise UsageError("--ny must be odd so the xi grid is symmetric")
+    if sigma_xi <= 0.0 or y_span <= 0.0:
+        raise UsageError("--sigma-xi and --y-span must be positive")
     bc_kind = args.bc or "dirichlet"
     bc = (BoundaryCondition.robin(_number(args, "beta", float, 1.0))
           if bc_kind == "robin" else BoundaryCondition.dirichlet())
     jobs = _number(args, "jobs", int, 1, minimum=1)
     out = _outdir(args)
 
-    xi_edge = float(ny // 2) if geometry == "cylinder" else float(
-        np.max(np.abs(2.0 * math.pi * np.fft.fftfreq(ny, d=y_span / ny)))
-    )
+    if geometry == "cylinder":
+        axis, dxi, y0 = np.arange(-(ny // 2), ny // 2 + 1, dtype=float), 1.0, 0.0
+    else:
+        axis = np.sort(2.0 * math.pi * np.fft.fftfreq(ny, d=y_span / ny))
+        dxi = float(axis[1] - axis[0])
+        y0 = -y_span / 2.0  # centre the back-transformed packet in the window
     # the wall must leave room for the most-spreading fibre (xi = 0); the
-    # spacing must resolve the stiffest one (the spectral edge)
+    # grid must resolve the stiffest one (the spectral edge)
     pot_zero = FibrePotential(xi=0.0, profile=profile)
-    pot_edge = FibrePotential(xi=xi_edge, profile=profile)
+    pot_edge = FibrePotential(xi=float(np.max(np.abs(axis))), profile=profile)
     L = _number(args, "outer_wall", float, choose_outer_wall(pot_zero))
     grid = FibreGrid.resolved(eps, L, pot_edge)
 
-    psi0 = _standard_plane_data(grid, geometry, ny, sigma_xi, y_span)
-    result = evolve_plane(psi0, profile, t_final, grid, bc, dt=dt, jobs=jobs)
+    # separable standard data: the unit fibre Gaussian times a xi envelope
+    # with dxi sum env^2 = 1
+    env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
+    env /= math.sqrt(dxi * float(np.sum(env**2)))
+    psi0 = PlaneWavefunction(values=np.outer(gaussian_packet(grid), env), grid=grid,
+                             axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
+    result = evolve_plane(psi0, profile, t_final, bc, dt=dt, jobs=jobs)
     if result.wall_mass > WALL_MASS_LIMIT:
         raise ProtocolError(f"outer wall contaminated (mass {result.wall_mass:.2e} > "
                             f"{WALL_MASS_LIMIT}); enlarge --outer-wall")
@@ -467,8 +484,7 @@ def _evolve_plane(args, geometry) -> int:
             "dtype": "float32",
             "order": "C",
             "shape": [int(density.shape[0]), int(density.shape[1])],
-            "x0": float(original.x[0]),
-            "dx": float(original.x[1] - original.x[0]),
+            "x": grid.nodes,
             "y0": float(original.axis[0]),
             "dy": float(original.axis[1] - original.axis[0]),
         })
@@ -482,6 +498,8 @@ def _evolve_plane(args, geometry) -> int:
     near_cutoff = grid.nodes < 0.05
     document = {
         "config": config,
+        "grid": {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
+                 "resolution_margin": grid.resolution_margin(pot_edge(grid.nodes))},
         "norm_before": result.norm_before,
         "norm_after": result.norm_after,
         "norm_drift": result.norm_drift,
@@ -592,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None, help="Robin parameter (default 1)")
     p.add_argument("--eps-grid", help="comma list of decreasing cutoffs")
     p.add_argument("--refine", help="divides the local spacing of the sensitivity "
-                   "protocol's graded grid (default 1)")
+                   "protocol's grid (default 1)")
     p.add_argument("--eps")
     p.add_argument("--outer-wall", help="widest outer wall of a plane or cylinder run; "
                    "each fibre stops at its own turning-point wall inside it")
@@ -618,7 +636,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveClassification as exc:

@@ -46,13 +46,18 @@ data under Dirichlet-at-eps and Robin-at-eps and record the distance
 
 as the cutoff is pushed towards the boundary.  In the confining regime
 the inner condition is asymptotically irrelevant and D collapses
-rapidly; outside it the collapse is measurably slower.  It runs on a grid
-graded geometrically towards the cutoff (:meth:`FibreGrid.graded`, in
-the spirit of Langer's logarithmic variable), where W ~ c0/x^2 needs
-cells proportional to x; the plane and cylinder protocols share one
-uniform grid set by their stiffest fibre.  All protocol constants
-(standard Gaussian data, wall placement, resolution rule, grid growth)
-are fixed here so runs are reproducible bit for bit.
+rapidly; outside it the collapse is measurably slower.
+
+Every protocol builds its grid with :meth:`FibreGrid.resolved`, whose
+cells follow the local size of W and grow by at most GRID_GROWTH from
+one to the next.  Near the cutoff, where W ~ c0/x^2, that makes the cells
+proportional to x, a geometric grading in the spirit of Langer's
+logarithmic variable.  The plane and cylinder protocols share one grid,
+built from the fibre at the edge of the xi grid: W_xi = W_0 + xi^2/f^2
+grows with |xi|, so for a positive W_0 the edge fibre bounds every fibre
+at every node, and each stepper checks its own fibre.  All protocol
+constants (standard Gaussian data, wall placement, resolution rule, grid
+growth) are fixed here so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ FREE_WALL = 30.0
 WALL_MASS_LIMIT = 1e-8
 SPACING_CAP = 0.01
 RESOLUTION_LIMIT = 0.5  # h^2 |W| at every node, the grid invariant
-# graded grids: largest ratio of neighbouring cells; bounds on the shrinks
+# fibre grids: largest ratio of neighbouring cells; bounds on the shrinks
 # of one cell, on the marches and on the node count before giving up
 GRID_GROWTH = 1.05
 MARCH_SHRINKS = 8
@@ -166,7 +171,8 @@ class FibreGrid:
 
     @classmethod
     def uniform(cls, eps: float, L: float, n: int) -> "FibreGrid":
-        """n equally spaced interior nodes x_j = eps + j (L - eps)/(n + 1)."""
+        """n equally spaced interior nodes x_j = eps + j (L - eps)/(n + 1);
+        the reference grid of the tests."""
         return cls(eps=eps, L=L, nodes=eps + (L - eps) / (n + 1) * np.arange(1, n + 1))
 
     @classmethod
@@ -179,31 +185,13 @@ class FibreGrid:
         refine: int = 1,
         resolution: float = RESOLUTION_LIMIT,
     ) -> "FibreGrid":
-        """Uniform grid with spacing^2 * max(|W(eps)|, |W(L)|) <= resolution,
-        capped at ``spacing_cap``; the shared grid of the plane and
-        cylinder protocols.  ``refine`` divides the spacing."""
-        _check_resolution(resolution)
-        w_edge = max(abs(float(pot(eps))), abs(float(pot(L))))
-        h = min(spacing_cap, math.sqrt(resolution / max(w_edge, 1.0))) / refine
-        return cls.uniform(eps, L, max(100, int(math.ceil((L - eps) / h)) - 1))
-
-    @classmethod
-    def graded(
-        cls,
-        eps: float,
-        L: float,
-        pot: FibrePotential,
-        spacing_cap: float = SPACING_CAP,
-        refine: int = 1,
-        resolution: float = RESOLUTION_LIMIT,
-    ) -> "FibreGrid":
-        """Grid graded towards the singular end: marching from eps, each
-        cell is at most min(spacing_cap, sqrt(resolution / |W|)) / refine at
-        both of its ends and at most GRID_GROWTH times the cell before it.
-        The cells are then shrunk by one common factor so that the last one
-        ends at L, which keeps every growth ratio; the march is repeated
-        with a tighter target in the rare case that shifting the nodes
-        inward breaks the resolution at one of them."""
+        """Grid whose cells follow the local size of the potential: marching
+        from eps, each cell is at most min(spacing_cap, sqrt(resolution / |W|)) /
+        refine at both of its ends and at most GRID_GROWTH times the cell
+        before it.  The cells are then shrunk by one common factor so that
+        the last one ends at L, which keeps every growth ratio; the march is
+        repeated with a tighter target in the rare case that shifting the
+        nodes inward breaks the resolution at one of them."""
         _check_resolution(resolution)
         limit = target = resolution / refine**2
         for _ in range(MARCH_TRIES):
@@ -214,7 +202,7 @@ class FibreGrid:
             if margin <= limit:
                 return grid
             target *= limit / margin
-        raise NumericError(f"no graded grid on [{eps:g}, {L:g}] resolves the potential")
+        raise NumericError(f"no grid on [{eps:g}, {L:g}] resolves the potential")
 
 
 def _check_resolution(resolution: float) -> None:
@@ -461,7 +449,7 @@ def bc_sensitivity(
 
     For each eps in the (decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
-    Robin(beta)-at-eps on the same graded grid (:meth:`FibreGrid.graded`),
+    Robin(beta)-at-eps on the same grid (:meth:`FibreGrid.resolved`),
     and D(eps) is the discrete L^2 distance of the two final states.  The
     outer wall is positioned so that boundary mass at L stays below 1e-8;
     contamination raises :class:`ProtocolError` (enlarge the wall).
@@ -480,8 +468,8 @@ def bc_sensitivity(
 
     rows, walls, drifts, grids = [], [], [], []
     for eps in eps_list:
-        grid = FibreGrid.graded(eps, L, pot, spacing_cap=spacing_cap, refine=refine,
-                                resolution=resolution)
+        grid = FibreGrid.resolved(eps, L, pot, spacing_cap=spacing_cap, refine=refine,
+                                  resolution=resolution)
         w_values = pot(grid.nodes)
         psi0 = gaussian_packet(grid)
         wall_zone = grid.nodes >= L - 0.5
@@ -547,14 +535,14 @@ class PlaneWavefunction:
     ``transformed``: values(x, xi) in flat L^2(dx dxi) after the rescaling
                      psi -> sqrt(f) psi and the Fourier transform in y.
 
-    ``axis`` holds the y nodes (original) or the xi frequencies
-    (transformed); ``geometry`` is "plane" or "cylinder" (for the latter
-    the y axis is the circle of circumference 2 pi and xi values are
-    integer mode numbers).
+    ``grid`` holds the x nodes and their quadrature weights, ``axis`` the
+    y nodes (original) or the xi frequencies (transformed); ``geometry``
+    is "plane" or "cylinder" (for the latter the y axis is the circle of
+    circumference 2 pi and xi values are integer mode numbers).
     """
 
     values: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
+    grid: FibreGrid
     axis: np.ndarray = field(repr=False)
     representation: str
     geometry: str = "plane"
@@ -565,10 +553,13 @@ class PlaneWavefunction:
             raise UsageError("representation must be original or transformed")
         if self.geometry not in ("plane", "cylinder"):
             raise UsageError("geometry must be plane or cylinder")
+        if self.values.shape != (self.grid.n, self.axis.size):
+            raise UsageError(f"values of shape {self.values.shape} do not match the "
+                             f"{self.grid.n} x nodes and {self.axis.size} axis nodes")
 
     @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+    def x(self) -> np.ndarray:
+        return self.grid.nodes
 
     @property
     def daxis(self) -> float:
@@ -577,14 +568,15 @@ class PlaneWavefunction:
         return float(abs(self.axis[1] - self.axis[0]))
 
     def norm(self, profile: GrushinProfile | None = None) -> float:
-        dens = np.abs(self.values) ** 2
+        """sum_j w_j sum_m |values_jm|^2, times f(x_j) and dy in the
+        original representation, times dxi in the transformed one."""
+        row_sums = np.sum(np.abs(self.values) ** 2, axis=1)
         if self.representation == ORIGINAL:
             if profile is None:
                 raise UsageError("original-representation norm needs the profile")
-            weight = np.asarray(profile.f(self.x), dtype=float)[:, None]
-            return math.sqrt(self.dx * self.daxis * float(np.sum(dens * weight)))
-        # transformed: flat measure dx dxi; for the cylinder dxi = 1
-        return math.sqrt(self.dx * self._dxi() * float(np.sum(dens)))
+            weight = self.grid.weights * np.asarray(profile.f(self.x), dtype=float)
+            return math.sqrt(self.daxis * float(weight @ row_sums))
+        return math.sqrt(self._dxi() * float(self.grid.weights @ row_sums))
 
     def _dxi(self) -> float:
         if self.representation == TRANSFORMED:
@@ -623,7 +615,7 @@ def to_transformed(psi: PlaneWavefunction, profile: GrushinProfile) -> PlaneWave
     order = np.argsort(freqs)
     return PlaneWavefunction(
         values=hat[:, order],
-        x=psi.x,
+        grid=psi.grid,
         axis=freqs[order],
         representation=TRANSFORMED,
         geometry=psi.geometry,
@@ -656,7 +648,7 @@ def to_original(psi: PlaneWavefunction, profile: GrushinProfile,
     vals = vals / np.sqrt(np.asarray(profile.f(psi.x), dtype=float))[:, None]
     return PlaneWavefunction(
         values=vals,
-        x=psi.x,
+        grid=psi.grid,
         axis=np.asarray(y_nodes, dtype=float),
         representation=ORIGINAL,
         geometry=psi.geometry,
@@ -673,7 +665,6 @@ class PlaneEvolutionResult:
     norm_trace: np.ndarray = field(repr=False)
     spectrum_edge_mass: float = 0.0
     wall_mass: float = 0.0
-    config: dict = field(default_factory=dict, compare=False)
 
     @property
     def norm_drift(self) -> float:
@@ -695,15 +686,14 @@ def evolve_plane(
     psi0: PlaneWavefunction,
     profile: GrushinProfile,
     t_final: float,
-    grid: FibreGrid,
     bc: BoundaryCondition,
     dt: float = 1e-3,
     jobs: int = 1,
 ) -> PlaneEvolutionResult:
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
-    ``grid`` is the widest domain.  Each fibre is evolved on the prefix of
-    it that ends at its own turning-point wall, the rule of the
+    ``psi0.grid`` is the widest domain.  Each fibre is evolved on the
+    prefix of it that ends at its own turning-point wall, the rule of the
     sensitivity protocol, and is zero beyond; a fibre whose wall lies at
     or beyond ``grid.L`` uses ``grid`` unchanged.  Fibres are independent
     and are mapped through a pool of ``jobs`` threads (the tridiagonal
@@ -720,19 +710,18 @@ def evolve_plane(
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
-    if psi0.x.size != grid.n or abs(psi0.x[0] - grid.nodes[0]) > 1e-12:
-        raise UsageError("initial data x grid does not match the fibre grid")
     _check_finite(psi0.values)
     if abs(psi0.axis[0] + psi0.axis[-1]) > 1e-9 * max(1.0, abs(float(psi0.axis[-1]))):
         raise UsageError("xi grid must be symmetric about 0")
     nsteps = _step_count(t_final, dt)
 
+    grid, dxi = psi0.grid, psi0._dxi()
+    x, weights = grid.nodes, grid.weights
     dens = np.abs(psi0.values) ** 2
-    total = float(np.sum(dens))
-    edge = float(np.sum(dens[:, [0, -1]]))
-    edge_mass = edge / total if total > 0 else 0.0
-    x, weights, dxi = grid.nodes, grid.weights, psi0._dxi()
-    norm_before = math.sqrt(dxi * float(weights @ np.sum(dens, axis=1)))
+    column_mass = weights @ dens
+    total = float(np.sum(column_mass))
+    edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
+    edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
     def run_column(m):
         pot = FibrePotential(xi=float(psi0.axis[m]), profile=profile)
@@ -762,30 +751,15 @@ def evolve_plane(
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 
-    final = PlaneWavefunction(
-        values=out,
-        x=psi0.x,
-        axis=psi0.axis,
-        representation=TRANSFORMED,
-        geometry=psi0.geometry,
-        y0=psi0.y0,
-    )
+    final = replace(psi0, values=out)
     fibre_norms = np.sqrt(dxi * (weights @ np.abs(out) ** 2))
     norm_trace = np.sqrt(dxi * np.sum(np.column_stack(traces), axis=1))
     return PlaneEvolutionResult(
         final=final,
-        norm_before=norm_before,
+        norm_before=psi0.norm(),
         norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,
         norm_trace=norm_trace,
         spectrum_edge_mass=edge_mass,
         wall_mass=max(wall_masses),
-        config={
-            "t_final": t_final,
-            "dt": dt,
-            "bc": bc.label(),
-            "grid": {"eps": grid.eps, "L": grid.L, "n": grid.n},
-            "geometry": psi0.geometry,
-            "profile": profile.name,
-        },
     )

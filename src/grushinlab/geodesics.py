@@ -38,15 +38,13 @@ there for alpha < 1/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import DomainError, IntegrationError, NumericError, UsageError
+from .errors import DomainError, IntegrationError, UsageError
 
 __all__ = [
     "GeodesicInitialData",
@@ -54,9 +52,6 @@ __all__ = [
     "integrate_geodesic",
     "hit_time_quadrature",
     "geodesic_fan",
-    "trajectory_csv_name",
-    "write_trajectory_csv",
-    "write_fan",
 ]
 
 DEFAULT_X_STOP = 1e-10
@@ -281,63 +276,3 @@ def geodesic_fan(
     thetas = [2.0 * math.pi * i / n_angles for i in range(n_angles)]
     inits = [GeodesicInitialData(x0=x0, y0=y0, theta=th, alpha=alpha) for th in thetas]
     return [integrate_geodesic(i, t_span, tol) for i in inits]
-
-
-# ---------------------------------------------------------------------------
-# file output
-# ---------------------------------------------------------------------------
-
-def trajectory_csv_name(traj: GeodesicTrajectory) -> str:
-    return f"geodesic_alpha{traj.init.alpha:g}_theta{traj.init.theta:.6f}.csv"
-
-
-def _summary(traj: GeodesicTrajectory) -> dict:
-    return {
-        "alpha": traj.init.alpha,
-        "theta": traj.init.theta,
-        "x0": traj.init.x0,
-        "y0": traj.init.y0,
-        "hit_time_plus": traj.hit_time_plus,
-        "hit_time_minus": traj.hit_time_minus,
-        "energy_drift": traj.energy_drift,
-        "meta": traj.meta,
-    }
-
-
-def write_trajectory_csv(traj: GeodesicTrajectory, directory, config: dict | None = None) -> str:
-    """Write one trajectory as CSV (t, x, y, P_x, P_y); returns the path."""
-    import os
-
-    path = os.path.join(str(directory), trajectory_csv_name(traj))
-    header = dict(config or {})
-    header.update(_summary(traj))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True, default=float) + "\n")
-        fh.write("t,x,y,P_x,P_y\n")
-        for row in zip(traj.t, traj.x, traj.y, traj.px, traj.py):
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
-    return path
-
-
-def write_fan(
-    trajectories: Sequence[GeodesicTrajectory], directory, config: dict | None = None
-) -> str:
-    """Write every trajectory CSV plus a manifest JSON; returns manifest path."""
-    import os
-
-    os.makedirs(str(directory), exist_ok=True)
-    entries = []
-    for traj in trajectories:
-        path = write_trajectory_csv(traj, directory, config)
-        entry = _summary(traj)
-        entry["file"] = os.path.basename(path)
-        entries.append(entry)
-    manifest = {"config": config or {}, "trajectories": entries}
-    mpath = os.path.join(str(directory), "manifest.json")
-    try:
-        text = json.dumps(manifest, sort_keys=True, indent=2, default=float, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"non-finite value in {mpath}: {exc}") from None
-    with open(mpath, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    return mpath

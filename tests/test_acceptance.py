@@ -293,10 +293,9 @@ def test_criterion_8_unitarity():
     pot_edge = FibrePotential(xi=2.0, profile=profile)
     pgrid = FibreGrid.resolved(0.05, 12.0, pot_edge)
     vals = np.outer(gaussian_packet(pgrid), np.ones(axis.size)).astype(complex)
-    psi0 = PlaneWavefunction(values=vals, x=pgrid.nodes, axis=axis,
+    psi0 = PlaneWavefunction(values=vals, grid=pgrid, axis=axis,
                              representation="transformed")
-    result = evolve_plane(psi0, profile, 1.0, pgrid, BoundaryCondition.dirichlet(),
-                          dt=1e-3)
+    result = evolve_plane(psi0, profile, 1.0, BoundaryCondition.dirichlet(), dt=1e-3)
     ok = fibre_drift <= 1e-6 and result.norm_drift <= 1e-6 and n_steps >= 1000
     record_acceptance(
         f"criterion 8 (unitarity over >= 1e3 steps): {'PASS' if ok else 'FAIL'} "

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from grushinlab import cli
@@ -140,6 +142,28 @@ class TestGeodesicsCommand:
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
 
+    def test_writers(self, tmp_path):
+        fan = cli.geodesic_fan(1.0, 4)
+        manifest_path = cli.write_fan(fan, tmp_path, {"alpha": 1.0, "angles": 4})
+        manifest = json.loads(open(manifest_path).read())
+        assert len(manifest["trajectories"]) == 4
+        entry = manifest["trajectories"][1]
+        lines = (tmp_path / entry["file"]).read_text().splitlines()
+        # the config line of every CSV: the run config and the trajectory's summary
+        assert lines[0].startswith("# config: ")
+        header = json.loads(lines[0][len("# config: "):])
+        assert header["angles"] == 4
+        assert header["theta"] == entry["theta"] == fan[1].init.theta
+        assert lines[1] == "t,x,y,P_x,P_y"
+        assert len(lines) == fan[1].t.size + 2
+
+    def test_non_finite_manifest_not_written(self, tmp_path):
+        fan = cli.geodesic_fan(1.0, 2)
+        fan[0].meta["quadrature_hit_time"] = math.inf
+        with pytest.raises(cli.NumericError):
+            cli.write_fan(fan, tmp_path, {"alpha": 1.0})
+        assert not any(tmp_path.iterdir())
+
 
 class TestEvolveCommand:
     def test_sensitivity_outputs(self, tmp_path):
@@ -168,18 +192,25 @@ class TestEvolveCommand:
         assert code == 0
         doc = read_json(tmp_path / "evolution.json")
         assert doc["norm_drift"] <= 1e-6
+        # the shared grid, its resolution margin taken against the edge fibre
+        grid = doc["grid"]
+        assert set(grid) == {"n", "h_min", "h_max", "resolution_margin"}
+        assert grid["n"] == doc["config"]["n_x"]
+        assert 0.0 < grid["h_min"] < grid["h_max"] <= 0.01
+        assert 0.0 < grid["resolution_margin"] <= 0.5
         assert (tmp_path / "fibre_norms.csv").exists()
         assert (tmp_path / "density.csv").exists()
 
     def test_raster_output(self, tmp_path):
-        import numpy as np
-
         main(["evolve", "--protocol", "cylinder", "--alpha", "0.5",
               "--t-final", "0.1", "--eps", "0.05", "--ny", "7", "--raster",
               "--output-dir", str(tmp_path)])
         header = read_json(tmp_path / "density.json")
         data = np.fromfile(tmp_path / "density.f32", dtype=np.float32)
         assert data.size == header["shape"][0] * header["shape"][1]
+        x = np.array(header["x"])
+        assert len(x) == header["shape"][0] == header["config"]["n_x"]
+        assert np.all(np.diff(x) > 0.0) and 0.05 < x[0] < x[-1] < header["config"]["outer_wall"]
 
     def test_raster_from_config(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -334,6 +365,11 @@ class TestVerifyDeficiencyCommand:
                    "[classify]\nmode = cylinder\nkmax = 2\n"),
     (["classify", "--alpha", "1"], "[classify]\njobs = 4\n"),
     (["evolve", "--protocol", "cylinder", "--alpha", "1"], "[evolve]\nraster = maybe\n"),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "1"], None),
+    (["evolve", "--protocol", "cylinder", "--alpha", "1", "--ny", "1"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--y-span", "0"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--sigma-xi", "0"], None),
+    (["geodesics", "--alpha", "1", "--x0", "-1"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from grushinlab.errors import DataError, ProtocolError, UsageError
 from grushinlab.evolution import (
     GRID_GROWTH,
+    RESOLUTION_LIMIT,
     SENSITIVITY_RESOLUTION,
     SPACING_CAP,
     _hamiltonian_diagonals,
@@ -24,6 +27,25 @@ from grushinlab.evolution import (
     to_transformed,
 )
 from grushinlab.profiles import FibrePotential, custom_profile, power_law
+
+
+def endpoint_uniform(eps, L, pot, resolution=RESOLUTION_LIMIT):
+    """The uniform reference grid: spacing^2 max(|W(eps)|, |W(L)|, 1) <=
+    resolution, capped at SPACING_CAP, and at least 100 nodes."""
+    w_edge = max(abs(float(pot(eps))), abs(float(pot(L))), 1.0)
+    h = min(SPACING_CAP, math.sqrt(resolution / w_edge))
+    return FibreGrid.uniform(eps, L, max(100, math.ceil((L - eps) / h) - 1))
+
+
+def check_local_rule(g, pot, resolution):
+    """Neighbouring cells differ by at most GRID_GROWTH, and h^2 |W| <=
+    resolution at every node, the cutoff and the wall included, with h the
+    larger of its cells."""
+    assert np.max(g.gaps[1:] / g.gaps[:-1]) <= GRID_GROWTH * (1.0 + 1e-9)
+    x = np.concatenate(([g.eps], g.nodes, [g.L]))
+    h = np.concatenate(([g.gaps[0]], np.maximum(g.gaps[:-1], g.gaps[1:]), [g.gaps[-1]]))
+    assert np.max(h**2 * np.abs(pot(x))) <= resolution
+    assert g.resolution_margin(pot(g.nodes)) <= resolution
 
 
 def make_state(alpha, xi, eps=0.05, L=12.0, bc=None):
@@ -63,37 +85,51 @@ class TestGrid:
         with pytest.raises(UsageError):
             CrankNicolson(g, pot(g.nodes), BoundaryCondition.dirichlet(), 1e-3)
 
-    def test_resolved_satisfies_rule(self):
-        pot = FibrePotential(xi=0.5, profile=power_law(2.0))
-        g = FibreGrid.resolved(1e-3, 7.0, pot)
-        assert g.h_max**2 * np.max(np.abs(pot(g.nodes))) <= 0.5
-
 
 class TestGradedGrid:
-    @pytest.mark.parametrize("alpha, xi, eps, refine", [
-        (0.5, 0.5, 1e-3, 1),   # W ~ c0/x^2 towards eps, mild at L = 30
-        (1.5, 0.5, 1e-3, 2),   # W grows like x^3 towards L ~ 11.8
-        (2.0, 2.0, 1e-2, 1),
+    # (alpha, xi, eps, refine, L, resolution, largest h_min / h_max); L None
+    # is the fibre's own wall
+    @pytest.mark.parametrize("alpha, xi, eps, refine, L, resolution, cell_ratio", [
+        # W ~ c0/x^2 towards eps, mild at L = 30
+        pytest.param(0.5, 0.5, 1e-3, 1, None, SENSITIVITY_RESOLUTION, 0.2, id="0.5-0.5-0.001-1"),
+        # W grows like x^3 towards L ~ 11.8
+        pytest.param(1.5, 0.5, 1e-3, 2, None, SENSITIVITY_RESOLUTION, 0.2, id="1.5-0.5-0.001-2"),
+        pytest.param(2.0, 2.0, 1e-2, 1, None, SENSITIVITY_RESOLUTION, 0.2, id="2.0-2.0-0.01-1"),
+        # the default resolution, with W large at both ends
+        pytest.param(2.0, 0.5, 1e-3, 1, 7.0, RESOLUTION_LIMIT, 0.2, id="2.0-0.5-0.001-1-L7"),
+        # the edge fibre of the default plane run: W = 3/(4x^2) + xi^2 x^2
+        # is largest at L, where it needs cells of 0.0027
+        pytest.param(1.0, 8.64, 1e-2, 1, 30.0, RESOLUTION_LIMIT, 0.3, id="plane-edge"),
     ])
-    def test_growth_and_local_resolution(self, alpha, xi, eps, refine):
+    def test_growth_and_local_resolution(self, alpha, xi, eps, refine, L, resolution,
+                                         cell_ratio):
         pot = FibrePotential(xi=xi, profile=power_law(alpha))
-        L = choose_outer_wall(pot)
-        g = FibreGrid.graded(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
-        ratios = g.gaps[1:] / g.gaps[:-1]
-        assert np.max(ratios) <= GRID_GROWTH * (1.0 + 1e-9)
+        L = choose_outer_wall(pot) if L is None else L
+        g = FibreGrid.resolved(eps, L, pot, refine=refine, resolution=resolution)
+        check_local_rule(g, pot, resolution / refine**2)
         assert g.h_max <= SPACING_CAP / refine * (1.0 + 1e-12)
-        # every node, the cutoff and the wall included, with its larger cell
-        x = np.concatenate(([eps], g.nodes, [L]))
-        h = np.concatenate(([g.gaps[0]], np.maximum(g.gaps[:-1], g.gaps[1:]), [g.gaps[-1]]))
-        assert np.max(h**2 * np.abs(pot(x))) <= SENSITIVITY_RESOLUTION / refine**2
-        assert g.resolution_margin(pot(g.nodes)) <= SENSITIVITY_RESOLUTION / refine**2
-        assert g.h_min < 0.2 * g.h_max  # graded: fine at eps, coarse far away
+        assert g.h_min < cell_ratio * g.h_max  # graded: fine where |W| is large
+        # and at most 60% of the nodes of the uniform grid sized by both ends
+        assert g.n < 0.6 * endpoint_uniform(eps, L, pot, resolution / refine**2).n
         assert np.sum(g.weights) == pytest.approx(L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
+
+    @given(alpha=st.floats(-1.0, 2.0), xi=st.floats(0.0, 4.0), eps=st.floats(1e-3, 0.1),
+           beta=st.none() | st.floats(-5.0, 5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_fibres_keep_the_rule_and_the_norm(self, alpha, xi, eps, beta):
+        pot = FibrePotential(xi=xi, profile=power_law(alpha))
+        grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot)
+        check_local_rule(grid, pot, RESOLUTION_LIMIT)
+        bc = BoundaryCondition.dirichlet() if beta is None else BoundaryCondition.robin(beta)
+        psi0 = gaussian_packet(grid, center=eps + 0.5, width=0.2)  # reaches the cutoff
+        _, sumsq = CrankNicolson(grid, pot(grid.nodes), bc, 1e-3).evolve(psi0, 200, record=True)
+        norms = np.sqrt(sumsq)
+        assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7)])
     def test_uniform_diagonals_are_the_three_point_formula(self, bc):
         pot = FibrePotential(xi=1.0, profile=power_law(1.0))
-        grid = FibreGrid.resolved(0.05, 8.0, pot)
+        grid = endpoint_uniform(0.05, 8.0, pot)
         h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.nodes)
         lower, main, upper = _hamiltonian_diagonals(grid, w, bc)
         expected = 2.0 / h**2 + w
@@ -105,7 +141,7 @@ class TestGradedGrid:
 
     def test_weighted_norm_conserved_on_graded_robin_grid(self):
         pot = FibrePotential(xi=0.5, profile=power_law(0.5))
-        grid = FibreGrid.graded(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
+        grid = FibreGrid.resolved(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
         stepper = CrankNicolson(grid, pot(grid.nodes), BoundaryCondition.robin(1.0), 1e-3)
         psi0 = gaussian_packet(grid, center=0.5, width=0.2)  # reaches the cutoff
         psi, sumsq = stepper.evolve(psi0, 1000, record=True)
@@ -127,10 +163,10 @@ class TestGradedGrid:
                               base_w=bump, inv_f2=lambda x: np.ones_like(x))
         pot = FibrePotential(xi=0.0, profile=prof)
         dirichlet = BoundaryCondition.dirichlet()
-        uniform = FibreGrid.resolved(0.1, 6.0, pot)
+        uniform = endpoint_uniform(0.1, 6.0, pot)
         with pytest.raises(UsageError, match="does not resolve"):
             CrankNicolson(uniform, pot(uniform.nodes), dirichlet, 1e-3)
-        graded = FibreGrid.graded(0.1, 6.0, pot)
+        graded = FibreGrid.resolved(0.1, 6.0, pot)
         assert graded.resolution_margin(pot(graded.nodes)) <= 0.5
         CrankNicolson(graded, pot(graded.nodes), dirichlet, 1e-3)
         near = np.abs(graded.nodes - 3.0) < 0.05
@@ -170,8 +206,8 @@ class TestUnitarity:
         # uniform and on a graded Robin grid
         pot = FibrePotential(xi=0.5, profile=power_law(0.5))
         bc, dt = BoundaryCondition.robin(1.0), 1e-3
-        for grid in (FibreGrid.resolved(0.05, 6.0, pot),
-                     FibreGrid.graded(1e-3, 6.0, pot, resolution=0.04)):
+        for grid in (endpoint_uniform(0.05, 6.0, pot),
+                     FibreGrid.resolved(1e-3, 6.0, pot, resolution=0.04)):
             w = pot(grid.nodes)
             lower, main, upper = _hamiltonian_diagonals(grid, w, bc)
             z = 0.5j * dt
@@ -230,7 +266,7 @@ class TestUnitarity:
         # oracle: lowest eigenvector of the discrete tridiagonal operator
         prof = power_law(1.0)
         pot = FibrePotential(xi=1.0, profile=prof)
-        grid = FibreGrid.resolved(0.05, 12.0, pot)
+        grid = endpoint_uniform(0.05, 12.0, pot)
         h = grid.h_max
         w = pot(grid.nodes)
         main = 2.0 / h**2 + w
@@ -251,13 +287,16 @@ class TestUnitarity:
 class TestTransforms:
     def setup_method(self):
         self.prof = power_law(1.0)
-        pot = FibrePotential(xi=0.0, profile=self.prof)
-        self.grid = FibreGrid.resolved(0.05, 12.0, pot)
+        self.pot = FibrePotential(xi=0.0, profile=self.prof)
+        self.grid = FibreGrid.resolved(0.05, 12.0, self.pot)
         self.y = np.linspace(-8.0, 8.0, 63)
-        x = self.grid.nodes
+        self.psi = self.bump(self.grid)
+
+    def bump(self, grid):
+        x = grid.nodes
         bump = np.exp(-((x[:, None] - 2.0) ** 2 + self.y[None, :] ** 2) / (2 * 0.3**2))
-        self.psi = PlaneWavefunction(
-            values=bump.astype(complex), x=x, axis=self.y, representation="original"
+        return PlaneWavefunction(
+            values=bump.astype(complex), grid=grid, axis=self.y, representation="original"
         )
 
     def test_flat_profile_is_fourier_only(self):
@@ -268,13 +307,15 @@ class TestTransforms:
 
     def test_norms_agree_across_representations(self):
         # oracle: direct quadrature of |psi|^2 f(x) dx dy vs flat sum
-        x = self.grid.nodes
+        grid = endpoint_uniform(0.05, 12.0, self.pot)
+        psi = self.bump(grid)
+        x = grid.nodes
         direct = math.sqrt(
-            self.grid.h_max
+            grid.h_max
             * (self.y[1] - self.y[0])
-            * float(np.sum(np.abs(self.psi.values) ** 2 * (1.0 / x)[:, None]))
+            * float(np.sum(np.abs(psi.values) ** 2 * (1.0 / x)[:, None]))
         )
-        hat = to_transformed(self.psi, self.prof)
+        hat = to_transformed(psi, self.prof)
         assert hat.norm() == pytest.approx(direct, rel=1e-8)
 
     def test_narrow_bump_parseval(self):
@@ -283,7 +324,8 @@ class TestTransforms:
             -(self.y[None, :] ** 2) / (2 * 0.05**2)
         )
         psi = PlaneWavefunction(
-            values=narrow.astype(complex), x=x, axis=self.y, representation="original"
+            values=narrow.astype(complex), grid=self.grid, axis=self.y,
+            representation="original"
         )
         hat = to_transformed(psi, self.prof)
         assert hat.norm() == pytest.approx(psi.norm(self.prof), rel=1e-8)
@@ -295,17 +337,16 @@ class TestTransforms:
         assert err <= 1e-8
 
     def test_rejects_even_grid(self):
-        x = self.grid.nodes
         y = np.linspace(-8.0, 8.0, 64)
-        vals = np.zeros((x.size, 64), dtype=complex)
-        psi = PlaneWavefunction(values=vals, x=x, axis=y, representation="original")
+        vals = np.zeros((self.grid.n, 64), dtype=complex)
+        psi = PlaneWavefunction(values=vals, grid=self.grid, axis=y, representation="original")
         with pytest.raises(UsageError):
             to_transformed(psi, self.prof)
 
     def test_rejects_nonfinite(self):
         vals = self.psi.values.copy()
         vals[3, 3] = math.nan
-        psi = PlaneWavefunction(values=vals, x=self.psi.x, axis=self.y,
+        psi = PlaneWavefunction(values=vals, grid=self.grid, axis=self.y,
                                 representation="original")
         with pytest.raises(DataError):
             to_transformed(psi, self.prof)
@@ -319,16 +360,17 @@ class TestPlaneEvolution:
         g = gaussian_packet(grid)
         psi0 = PlaneWavefunction(
             values=g[:, None].astype(complex),
-            x=grid.nodes,
+            grid=grid,
             axis=np.array([0.0]),
             representation="transformed",
         )
-        res = evolve_plane(psi0, prof, 0.2, grid, BoundaryCondition.dirichlet(), dt=1e-3)
+        res = evolve_plane(psi0, prof, 0.2, BoundaryCondition.dirichlet(), dt=1e-3)
         state = FibreEvolutionState(
             xi=0.0, grid=grid, psi=g, t=0.0, bc=BoundaryCondition.dirichlet(), profile=prof
         )
         fin, _ = evolve_fibre(state, 0.2, 1e-3)
         assert np.array_equal(res.final.values[:, 0], fin.psi)
+        assert res.spectrum_edge_mass == pytest.approx(1.0)  # the one column is the edge
 
     def test_cylinder_mode_norms_sum(self):
         prof = power_law(0.5)
@@ -338,9 +380,9 @@ class TestPlaneEvolution:
         axis = np.arange(-kmax, kmax + 1, dtype=float)
         g = gaussian_packet(grid)
         vals = np.outer(g, np.exp(-(axis**2) / 4.0)).astype(complex)
-        psi0 = PlaneWavefunction(values=vals, x=grid.nodes, axis=axis,
+        psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
                                  representation="transformed", geometry="cylinder")
-        res = evolve_plane(psi0, prof, 0.1, grid, BoundaryCondition.dirichlet(), dt=1e-3)
+        res = evolve_plane(psi0, prof, 0.1, BoundaryCondition.dirichlet(), dt=1e-3)
         total = math.sqrt(float(np.sum(res.fibre_norms**2)))
         assert total == pytest.approx(res.norm_after, rel=1e-12)
         assert res.norm_drift <= 1e-6
@@ -351,10 +393,10 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         axis = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         vals = np.outer(gaussian_packet(grid), np.ones(5)).astype(complex)
-        psi0 = PlaneWavefunction(values=vals, x=grid.nodes, axis=axis,
+        psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
                                  representation="transformed")
-        r1 = evolve_plane(psi0, prof, 0.05, grid, BoundaryCondition.dirichlet(), dt=1e-3)
-        r2 = evolve_plane(psi0, prof, 0.05, grid, BoundaryCondition.dirichlet(), dt=1e-3,
+        r1 = evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3)
+        r2 = evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3,
                           jobs=3)
         assert np.array_equal(r1.final.values, r2.final.values)
 
@@ -364,12 +406,12 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         psi = PlaneWavefunction(
             values=np.zeros((grid.n, 3), dtype=complex),
-            x=grid.nodes,
+            grid=grid,
             axis=np.array([-1.0, 0.0, 1.0]),
             representation="original",
         )
         with pytest.raises(UsageError):
-            evolve_plane(psi, prof, 0.1, grid, BoundaryCondition.dirichlet())
+            evolve_plane(psi, prof, 0.1, BoundaryCondition.dirichlet())
 
     def test_asymmetric_xi_grid_rejected(self):
         prof = power_law(1.0)
@@ -377,12 +419,12 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         psi = PlaneWavefunction(
             values=np.zeros((grid.n, 3), dtype=complex),
-            x=grid.nodes,
+            grid=grid,
             axis=np.array([0.0, 1.0, 2.0]),
             representation="transformed",
         )
         with pytest.raises(UsageError):
-            evolve_plane(psi, prof, 0.1, grid, BoundaryCondition.dirichlet())
+            evolve_plane(psi, prof, 0.1, BoundaryCondition.dirichlet())
 
     def test_confinement_boundary_mass(self):
         # confining regime: mass near the boundary stays tiny and is stable
@@ -395,14 +437,14 @@ class TestPlaneEvolution:
             g = gaussian_packet(grid)
             psi0 = PlaneWavefunction(
                 values=np.outer(g, [0.5, 1.0, 0.5]).astype(complex),
-                x=grid.nodes,
+                grid=grid,
                 axis=np.array([-1.0, 0.0, 1.0]),
                 representation="transformed",
             )
             nrm = psi0.norm()
-            psi0 = PlaneWavefunction(values=psi0.values / nrm, x=grid.nodes,
+            psi0 = PlaneWavefunction(values=psi0.values / nrm, grid=grid,
                                      axis=psi0.axis, representation="transformed")
-            res = evolve_plane(psi0, prof, 1.0, grid, BoundaryCondition.dirichlet(),
+            res = evolve_plane(psi0, prof, 1.0, BoundaryCondition.dirichlet(),
                                dt=2e-3)
             zone = grid.nodes < 0.05
             mass = float(np.sum(grid.weights[zone, None] * np.abs(res.final.values[zone]) ** 2))
@@ -419,15 +461,15 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof))
         g = np.exp(-((grid.nodes - center) ** 2) / (2.0 * 0.3**2))
         vals = np.outer(g, np.exp(-(axis**2) / 8.0)).astype(complex)
-        psi0 = PlaneWavefunction(values=vals, x=grid.nodes, axis=axis,
+        psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
                                  representation="transformed")
-        return prof, grid, PlaneWavefunction(values=vals / psi0.norm(), x=grid.nodes,
+        return prof, grid, PlaneWavefunction(values=vals / psi0.norm(), grid=grid,
                                              axis=axis, representation="transformed")
 
     def test_fibre_walls_match_full_grid(self):
         prof, grid, psi0 = self._stiff_plane()
         bc = BoundaryCondition.dirichlet()
-        res = evolve_plane(psi0, prof, 0.2, grid, bc, dt=2e-3)
+        res = evolve_plane(psi0, prof, 0.2, bc, dt=2e-3)
         # the full-grid reference: every fibre on the caller's grid
         full = np.column_stack([
             CrankNicolson(grid, FibrePotential(xi=float(xi), profile=prof)(grid.nodes), bc,
@@ -447,7 +489,7 @@ class TestPlaneEvolution:
         # data next to (3.3) or beyond (5.0) the xi = 6 fibre's wall near 3.6
         prof, grid, psi0 = self._stiff_plane(center)
         with pytest.raises(ProtocolError, match="xi=-6"):
-            evolve_plane(psi0, prof, 0.05, grid, BoundaryCondition.dirichlet(), dt=1e-3)
+            evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3)
 
 
 class TestBcSensitivity:
@@ -482,8 +524,7 @@ class TestBcSensitivity:
         # the same protocol on the uniform grid that resolves W(eps)
         eps, beta, dt = 1e-2, 1.0, 1e-3
         pot = FibrePotential(xi=0.5, profile=power_law(alpha))
-        grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot,
-                                  resolution=SENSITIVITY_RESOLUTION)
+        grid = endpoint_uniform(eps, choose_outer_wall(pot), pot, SENSITIVITY_RESOLUTION)
         w, psi0 = pot(grid.nodes), gaussian_packet(grid)
         finals = [CrankNicolson(grid, w, bc, dt).evolve(psi0, 1000)[0]
                   for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))]

@@ -1,16 +1,14 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from grushinlab.errors import DomainError, NumericError, UsageError
+from grushinlab.errors import DomainError, UsageError
 from grushinlab.geodesics import (
     GeodesicInitialData,
     geodesic_fan,
     hit_time_quadrature,
     integrate_geodesic,
-    write_fan,
 )
 
 PI = math.pi
@@ -150,21 +148,3 @@ class TestFan:
     def test_too_few_angles(self):
         with pytest.raises(UsageError):
             geodesic_fan(1.0, 1)
-
-    def test_writers(self, tmp_path):
-        fan = geodesic_fan(1.0, 4)
-        manifest_path = write_fan(fan, tmp_path, config={"alpha": 1.0})
-        manifest = json.loads(open(manifest_path).read())
-        assert len(manifest["trajectories"]) == 4
-        name = manifest["trajectories"][1]["file"]
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0].startswith("# ")
-        assert lines[1] == "t,x,y,P_x,P_y"
-        assert len(lines) > 100
-
-    def test_non_finite_manifest_not_written(self, tmp_path):
-        fan = geodesic_fan(1.0, 2)
-        fan[0].meta["quadrature_hit_time"] = math.inf
-        with pytest.raises(NumericError):
-            write_fan(fan, tmp_path)
-        assert not (tmp_path / "manifest.json").exists()
