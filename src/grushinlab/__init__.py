@@ -32,14 +32,10 @@ from .profiles import (
     GrushinProfile,
     builtin_profile,
     check_assumptions,
-    confinement_gap,
-    curvature,
     custom_profile,
-    effective_potential,
     load_profile,
     parse_profile_config,
     power_law,
-    volume_density,
 )
 from .geodesics import (
     GeodesicInitialData,

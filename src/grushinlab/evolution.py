@@ -127,8 +127,7 @@ class FibreGrid:
     nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.eps < self.L):
-            raise UsageError("grid requires 0 < eps < L")
+        _check_interval(self.eps, self.L)
         if self.n < 100:
             raise UsageError("grid requires at least 100 interior points")
         if not np.all(self.gaps > 0.0):
@@ -181,21 +180,21 @@ class FibreGrid:
         eps: float,
         L: float,
         pot: FibrePotential,
-        spacing_cap: float = SPACING_CAP,
         refine: int = 1,
         resolution: float = RESOLUTION_LIMIT,
     ) -> "FibreGrid":
         """Grid whose cells follow the local size of the potential: marching
-        from eps, each cell is at most min(spacing_cap, sqrt(resolution / |W|)) /
+        from eps, each cell is at most min(SPACING_CAP, sqrt(resolution / |W|)) /
         refine at both of its ends and at most GRID_GROWTH times the cell
         before it.  The cells are then shrunk by one common factor so that
         the last one ends at L, which keeps every growth ratio; the march is
         repeated with a tighter target in the rare case that shifting the
         nodes inward breaks the resolution at one of them."""
+        _check_interval(eps, L)
         _check_resolution(resolution)
         limit = target = resolution / refine**2
         for _ in range(MARCH_TRIES):
-            gaps = _march(eps, L, pot, spacing_cap / refine, target)
+            gaps = _march(eps, L, pot, SPACING_CAP / refine, target)
             grid = cls(eps=eps, L=L, nodes=eps + np.cumsum(gaps[:-1] * ((L - eps) / gaps.sum())))
             ends = grid.gaps[[0, -1]] ** 2 * np.abs(pot(np.array([eps, L])))
             margin = max(grid.resolution_margin(pot(grid.nodes)), *ends)
@@ -203,6 +202,11 @@ class FibreGrid:
                 return grid
             target *= limit / margin
         raise NumericError(f"no grid on [{eps:g}, {L:g}] resolves the potential")
+
+
+def _check_interval(eps: float, L: float) -> None:
+    if not (0.0 < eps < L):
+        raise UsageError("grid requires 0 < eps < L")
 
 
 def _check_resolution(resolution: float) -> None:
@@ -272,11 +276,9 @@ class FibreEvolutionState:
     psi: np.ndarray = field(repr=False)
     t: float
     bc: BoundaryCondition
-    profile: GrushinProfile | None = None
+    profile: GrushinProfile
 
     def potential(self) -> FibrePotential:
-        if self.profile is None:
-            raise UsageError("state carries no profile; cannot evaluate the potential")
         return FibrePotential(xi=self.xi, profile=self.profile)
 
     def norm(self) -> float:
@@ -396,17 +398,16 @@ def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float 
     return psi / nrm
 
 
-def choose_outer_wall(pot: FibrePotential, energy: float = WALL_ENERGY,
-                      free_wall: float = FREE_WALL) -> float:
+def choose_outer_wall(pot: FibrePotential) -> float:
     """Outer wall position: the classical turning point of the fastest
-    packet component if the potential provides one, else the free-flight
-    wall."""
-    xs = np.linspace(GAUSS_CENTER, free_wall, 600)
+    packet component (energy WALL_ENERGY) if the potential provides one,
+    else the free-flight wall FREE_WALL."""
+    xs = np.linspace(GAUSS_CENTER, FREE_WALL, 600)
     w = np.asarray(pot(xs), dtype=float)
-    idx = int(np.argmax(w >= energy))
-    if w[idx] < energy:
-        return free_wall
-    return min(free_wall, float(xs[idx]) * 1.25 + 1.0)
+    idx = int(np.argmax(w >= WALL_ENERGY))
+    if w[idx] < WALL_ENERGY:
+        return FREE_WALL
+    return min(FREE_WALL, float(xs[idx]) * 1.25 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -440,26 +441,24 @@ def bc_sensitivity(
     *,
     beta: float = 1.0,
     dt: float = 1e-3,
-    spacing_cap: float = SPACING_CAP,
     refine: int = 1,
-    resolution: float = SENSITIVITY_RESOLUTION,
-    profile: GrushinProfile | None = None,
 ) -> BcSensitivityResult:
     """Cutoff boundary-condition sensitivity D(eps) for one fibre.
 
     For each eps in the (decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
-    Robin(beta)-at-eps on the same grid (:meth:`FibreGrid.resolved`),
-    and D(eps) is the discrete L^2 distance of the two final states.  The
-    outer wall is positioned so that boundary mass at L stays below 1e-8;
-    contamination raises :class:`ProtocolError` (enlarge the wall).
+    Robin(beta)-at-eps on the same grid (:meth:`FibreGrid.resolved` at
+    SENSITIVITY_RESOLUTION), and D(eps) is the discrete L^2 distance of
+    the two final states.  The outer wall is positioned so that boundary
+    mass at L stays below 1e-8; contamination raises
+    :class:`ProtocolError` (enlarge the wall).
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise UsageError("eps_grid must contain positive cutoffs")
     if sorted(eps_list, reverse=True) != eps_list:
         raise UsageError("eps_grid must be decreasing")
-    prof = profile if profile is not None else power_law(alpha)
+    prof = power_law(alpha)
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)
     if max(eps_list) >= GAUSS_CENTER - 4.0 * GAUSS_WIDTH:
@@ -468,8 +467,8 @@ def bc_sensitivity(
 
     rows, walls, drifts, grids = [], [], [], []
     for eps in eps_list:
-        grid = FibreGrid.resolved(eps, L, pot, spacing_cap=spacing_cap, refine=refine,
-                                  resolution=resolution)
+        grid = FibreGrid.resolved(eps, L, pot, refine=refine,
+                                  resolution=SENSITIVITY_RESOLUTION)
         w_values = pot(grid.nodes)
         psi0 = gaussian_packet(grid)
         wall_zone = grid.nodes >= L - 0.5
@@ -507,9 +506,9 @@ def bc_sensitivity(
         config={
             "beta": beta,
             "dt": dt,
-            "spacing_cap": spacing_cap,
+            "spacing_cap": SPACING_CAP,
             "refine": refine,
-            "resolution": resolution,
+            "resolution": SENSITIVITY_RESOLUTION,
             "outer_wall": L,
             "gaussian": {"center": GAUSS_CENTER, "width": GAUSS_WIDTH},
             "profile": prof.name,
@@ -623,9 +622,8 @@ def to_transformed(psi: PlaneWavefunction, profile: GrushinProfile) -> PlaneWave
     )
 
 
-def to_original(psi: PlaneWavefunction, profile: GrushinProfile,
-                y_nodes: np.ndarray | None = None) -> PlaneWavefunction:
-    """Inverse of :func:`to_transformed`."""
+def to_original(psi: PlaneWavefunction, profile: GrushinProfile) -> PlaneWavefunction:
+    """Inverse of :func:`to_transformed`: the y nodes start at ``psi.y0``."""
     if psi.representation != TRANSFORMED:
         raise UsageError("to_original expects the transformed representation")
     _check_finite(psi.values)
@@ -636,23 +634,22 @@ def to_original(psi: PlaneWavefunction, profile: GrushinProfile,
         span = psi.axis[-1] - psi.axis[0]
         dxi = span / (n - 1)
         dy = 2.0 * math.pi / (n * dxi)
-    if y_nodes is None:
-        y_nodes = psi.y0 + dy * np.arange(n)
+    y = psi.y0 + dy * np.arange(n)
     freqs_natural = _fft_frequencies(n, dy, psi.geometry)
     order = np.argsort(freqs_natural)
     hat_natural = np.empty_like(psi.values)
     hat_natural[:, order] = psi.values
-    phase = np.exp(1j * freqs_natural * y_nodes[0])[None, :]
+    phase = np.exp(1j * freqs_natural * y[0])[None, :]
     dxi_step = psi._dxi()
     vals = (dxi_step * n / math.sqrt(2.0 * math.pi)) * np.fft.ifft(hat_natural * phase, axis=1)
     vals = vals / np.sqrt(np.asarray(profile.f(psi.x), dtype=float))[:, None]
     return PlaneWavefunction(
         values=vals,
         grid=psi.grid,
-        axis=np.asarray(y_nodes, dtype=float),
+        axis=y,
         representation=ORIGINAL,
         geometry=psi.geometry,
-        y0=float(y_nodes[0]),
+        y0=float(y[0]),
     )
 
 

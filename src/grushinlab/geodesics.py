@@ -31,7 +31,7 @@ substitution u = u_c (1 - v^2) removes it exactly, and the resulting
 smooth integrals are evaluated with adaptive quadrature to 1e-12.
 
 The ODE route detects the boundary with a terminal event at a small
-floor x_stop and extrapolates the remaining x_stop / |P_x| of travel;
+floor X_STOP and extrapolates the remaining X_STOP / |P_x| of travel;
 integrating through x = 0 is never attempted because P_x' is singular
 there for alpha < 1/2.
 """
@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, IntegrationError, UsageError
 
@@ -54,9 +53,10 @@ __all__ = [
     "geodesic_fan",
 ]
 
-DEFAULT_X_STOP = 1e-10
+X_STOP = 1e-10
 DEFAULT_TOL = 1e-12
-_SAMPLES_PER_DIRECTION = 400
+# recorded samples of each time direction
+SAMPLES_EACH_WAY = 400
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,14 @@ def _rhs(t, state, alpha, py):
     return (px, -alpha * (x2a / xg) * py * py, x2a * py)
 
 
-def _integrate_one_direction(init, t_end, tol, x_stop):
+def _integrate_one_direction(init, t_end, tol):
     """Integrate from t=0 towards t_end (either sign); return solution."""
+    from scipy.integrate import solve_ivp
+
     px0, py = init.momenta
 
     def event(t, state, alpha, py):
-        return state[0] - x_stop
+        return state[0] - X_STOP
 
     event.terminal = True
     event.direction = -1
@@ -158,12 +160,10 @@ def integrate_geodesic(
     init: GeodesicInitialData,
     t_span: tuple[float, float] = (-10.0, 10.0),
     tol: float = DEFAULT_TOL,
-    x_stop: float = DEFAULT_X_STOP,
-    samples_per_direction: int = _SAMPLES_PER_DIRECTION,
 ) -> GeodesicTrajectory:
     """Integrate one geodesic over ``t_span``, both time directions.
 
-    The integration stops when x crosses ``x_stop``; the event time plus
+    The integration stops when x crosses X_STOP; the event time plus
     the linear remainder locates the boundary arrival well below ``tol``.
     """
     if not (1e-13 < tol < 1e-3):
@@ -176,13 +176,13 @@ def integrate_geodesic(
     hit_plus = hit_minus = None
 
     if t_span[1] > 0.0:
-        sol_f, hit_plus = _integrate_one_direction(init, t_span[1], tol, x_stop)
-        tf = np.linspace(0.0, sol_f.t[-1], samples_per_direction)
+        sol_f, hit_plus = _integrate_one_direction(init, t_span[1], tol)
+        tf = np.linspace(0.0, sol_f.t[-1], SAMPLES_EACH_WAY)
         t_grids.append(tf)
         states.append(sol_f.sol(tf))
     if t_span[0] < 0.0:
-        sol_b, hit_minus = _integrate_one_direction(init, t_span[0], tol, x_stop)
-        tb = np.linspace(0.0, sol_b.t[-1], samples_per_direction)[1:]
+        sol_b, hit_minus = _integrate_one_direction(init, t_span[0], tol)
+        tb = np.linspace(0.0, sol_b.t[-1], SAMPLES_EACH_WAY)[1:]
         t_grids.append(tb[::-1])
         states.append(sol_b.sol(tb)[:, ::-1])
 
@@ -208,19 +208,21 @@ def integrate_geodesic(
             "integrator": "DOP853",
             "rtol": tol,
             "atol": tol * 1e-2,
-            "x_stop": x_stop,
+            "x_stop": X_STOP,
             "t_span": [float(t_span[0]), float(t_span[1])],
         },
     )
 
 
-def _leg(alpha, u_lo, u_hi, s2, eps_abs):
+def _leg(alpha, u_lo, u_hi, s2):
     """x0-scaled travel time between u_lo < u_hi along the radicand
     1 - s2 * u^(2 alpha), with the singularity (if any) sitting at u_hi.
 
     Substituting u = u_hi (1 - v^2) turns the inverse-square-root
     endpoint into a bounded smooth integrand.
     """
+    from scipy.integrate import quad
+
     top = s2 * u_hi ** (2.0 * alpha)
     singular = abs(top - 1.0) <= 1e-12
 
@@ -233,11 +235,11 @@ def _leg(alpha, u_lo, u_hi, s2, eps_abs):
         return 2.0 * v / math.sqrt(radicand)
 
     v_max = math.sqrt(1.0 - u_lo / u_hi)
-    val, _err = quad(integrand, 0.0, v_max, epsabs=eps_abs, epsrel=1e-13, limit=200)
+    val, _err = quad(integrand, 0.0, v_max, epsabs=1e-12, epsrel=1e-13, limit=200)
     return u_hi * val
 
 
-def hit_time_quadrature(init: GeodesicInitialData, eps_abs: float = 1e-12) -> float | None:
+def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
     """Forward boundary-arrival time from the conserved-energy quadrature.
 
     Returns None for theta = 0 (the only launch direction with no forward
@@ -254,10 +256,10 @@ def hit_time_quadrature(init: GeodesicInitialData, eps_abs: float = 1e-12) -> fl
         return x0  # straight run (x0 - t, y0)
     s2 = s * s
     if c <= 0.0:
-        return x0 * _leg(alpha, 0.0, 1.0, s2, eps_abs)
+        return x0 * _leg(alpha, 0.0, 1.0, s2)
     u_c = abs(s) ** (-1.0 / alpha)
-    rise = _leg(alpha, 1.0, u_c, s2, eps_abs)
-    fall = _leg(alpha, 0.0, u_c, s2, eps_abs)
+    rise = _leg(alpha, 1.0, u_c, s2)
+    fall = _leg(alpha, 0.0, u_c, s2)
     return x0 * (rise + fall)
 
 

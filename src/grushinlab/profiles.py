@@ -9,27 +9,19 @@ family f(x) = x^(-alpha) is the main object of study; alpha = 1 is the
 classical Grushin half-plane and alpha = 0 the Euclidean one.  Custom
 profiles are supported as long as f, f', f'' can be evaluated on x > 0.
 
-Derived quantities implemented here:
+The effective fibre potential
 
-* Gaussian curvature          K(x)  = -f''(x) / f(x)
-                              (power law: -alpha(alpha+1)/x^2)
-* Riemannian volume density   f(x) dx dy
-* effective fibre potential   W_xi(x) = xi^2/f^2 + (2 f f'' - f'^2)/(4 f^2)
-                              (power law: xi^2 x^(2 alpha)
-                                          + alpha(2+alpha)/(4 x^2))
-* confinement gap             (2 f f'' - f'^2)/(4 f^2) - 3/(4 x^2),
-                              whose sign separates the confining from the
-                              non-confining regime (zero at alpha = 1).
+    W_xi(x) = xi^2/f^2 + (2 f f'' - f'^2)/(4 f^2)
+            (power law: xi^2 x^(2 alpha) + alpha(2+alpha)/(4 x^2))
 
-The effective potential is what the Laplace-Beltrami operator becomes on
-each Fourier fibre after the unitary rescaling psi -> sqrt(f) psi; all
-endpoint classification and fibre dynamics in the sibling modules is
-driven by it.
+is what the Laplace-Beltrami operator becomes on each Fourier fibre after
+the unitary rescaling psi -> sqrt(f) psi; all endpoint classification and
+fibre dynamics in the sibling modules is driven by it.
 
 Admissibility of a profile is the conjunction of four sampled conditions:
 
     (i)   f(x) > 0,
-    (ii)  f(x) >= kappa on a declared neighbourhood (0, x_nb] of zero,
+    (ii)  f(x) >= kappa on the neighbourhood (0, 1] of zero,
     (iii) f, f', f'' finite (smoothness proxy on a grid),
     (iv)  2 f f'' - f'^2 >= 0.
 
@@ -47,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "GrushinProfile",
@@ -59,24 +51,14 @@ __all__ = [
     "builtin_profile",
     "parse_profile_config",
     "load_profile",
-    "curvature",
-    "volume_density",
-    "effective_potential",
-    "confinement_gap",
     "check_assumptions",
     "BUILTIN_CUSTOM_PROFILES",
 ]
 
 POWER_LAW = "power_law"
 CUSTOM = "custom"
-
-
-def _require_positive(x):
-    """Validate x > 0 (scalar or array) and return it as float array/scalar."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"x must be positive and finite, got {x!r}")
-    return arr if arr.ndim else float(arr)
+# admissibility (ii) is checked on (0, NEAR_ZERO_END]
+NEAR_ZERO_END = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,15 +66,10 @@ class GrushinProfile:
     """Immutable warp-function bundle (f, f', f'') for a half-plane metric.
 
     Instances are safe to share across threads; every evaluator is pure.
-    ``alpha`` is set only for the power-law family.  ``kappa`` together
-    with ``kappa_window`` declares the near-zero lower bound of
-    admissibility condition (ii); the declaration is verified, not
-    enforced, by :func:`check_assumptions`.
-
-    ``derivative_mode`` records whether f', f'' are analytic or a
-    finite-difference fallback.  The fallback is allowed but flagged:
-    the combination 2 f f'' - f'^2 suffers cancellation, and the
-    classification thresholds downstream are sign-sensitive.
+    ``alpha`` is set only for the power-law family.  ``kappa`` declares
+    the lower bound of admissibility condition (ii) on (0, NEAR_ZERO_END];
+    the declaration is verified, not enforced, by
+    :func:`check_assumptions`.
     """
 
     kind: str
@@ -100,11 +77,9 @@ class GrushinProfile:
     f1: Callable[[np.ndarray], np.ndarray]
     f2: Callable[[np.ndarray], np.ndarray]
     kappa: float
-    kappa_window: float = 1.0
     alpha: float | None = None
     scale: float = 1.0
     name: str = "custom"
-    derivative_mode: str = "analytic"
     # Optional closed forms for the scale-invariant combinations; needed
     # when f itself overflows near 0 (e.g. exp(1/x)) although the
     # combinations stay representable.
@@ -195,45 +170,23 @@ def power_law(alpha: float, scale: float = 1.0) -> GrushinProfile:
 
 def custom_profile(
     f: Callable,
-    f1: Callable | None = None,
-    f2: Callable | None = None,
+    f1: Callable,
+    f2: Callable,
     *,
     kappa: float,
-    kappa_window: float = 1.0,
     name: str = "custom",
-    fd_step: float = 1e-5,
     base_w: Callable | None = None,
     inv_f2: Callable | None = None,
     x_float_min: float = 0.0,
 ) -> GrushinProfile:
-    """Wrap user-supplied evaluators into a profile.
-
-    Analytic f', f'' should be given whenever available.  If omitted they
-    are replaced by central finite differences with relative step
-    ``fd_step`` and the profile is flagged ``derivative_mode =
-    "finite_difference"``: the cancellation in 2 f f'' - f'^2 makes that
-    mode unsuitable for borderline classification.
-    """
-    mode = "analytic"
-    if f1 is None or f2 is None:
-        mode = "finite_difference"
-        if f1 is None:
-            def f1(x, _f=f):  # noqa: E731 - closures keep the profile frozen
-                h = fd_step * np.asarray(x, dtype=float)
-                return (_f(x + h) - _f(x - h)) / (2.0 * h)
-        if f2 is None:
-            def f2(x, _f=f):
-                h = fd_step * np.asarray(x, dtype=float)
-                return (_f(x + h) - 2.0 * _f(x) + _f(x - h)) / (h * h)
+    """Wrap user-supplied evaluators f, f', f'' into a profile."""
     return GrushinProfile(
         kind=CUSTOM,
         f=f,
         f1=f1,
         f2=f2,
         kappa=kappa,
-        kappa_window=kappa_window,
         name=name,
-        derivative_mode=mode,
         base_w=base_w,
         inv_f2=inv_f2,
         x_float_min=x_float_min,
@@ -287,49 +240,6 @@ def builtin_profile(name: str, **params) -> GrushinProfile:
 
 
 # ---------------------------------------------------------------------------
-# geometric quantities
-# ---------------------------------------------------------------------------
-
-def curvature(profile: GrushinProfile, x) -> float:
-    """Gaussian curvature K(x) = -f''/f; power law: -alpha(alpha+1)/x^2."""
-    x = _require_positive(x)
-    if profile.is_power_law:
-        a = profile.alpha
-        return -a * (a + 1.0) / (x * x)
-    return -profile.f2(x) / profile.f(x)
-
-
-def volume_density(profile: GrushinProfile, x) -> float:
-    """Density of the Riemannian volume form against dx dy, i.e. f(x)."""
-    x = _require_positive(x)
-    return profile.f(x)
-
-
-def effective_potential(pot: FibrePotential, x) -> float:
-    """W_xi(x) = xi^2/f^2 + (2 f f'' - f'^2)/(4 f^2) at x > 0.
-
-    The xi-dependence enters as an additive term, so
-    W(xi, x) - W(0, x) equals xi^2/f(x)^2 by construction.
-    """
-    x = _require_positive(x)
-    return pot(x)
-
-
-def confinement_gap(profile: GrushinProfile, x) -> float:
-    """Normalised margin of the confinement inequality at x.
-
-    Returns (2 f f'' - f'^2)/(4 f^2) - 3/(4 x^2); the power-law closed
-    form is (alpha-1)(alpha+3)/(4 x^2).  Positive sign means the fibre
-    potential dominates the critical inverse-square threshold at x.
-    """
-    x = _require_positive(x)
-    if profile.is_power_law:
-        a = profile.alpha
-        return (a - 1.0) * (a + 3.0) / (4.0 * x * x)
-    return profile.base_potential(x) - 0.75 / (x * x)
-
-
-# ---------------------------------------------------------------------------
 # admissibility checks
 # ---------------------------------------------------------------------------
 
@@ -373,17 +283,13 @@ def _first_violation(grid: np.ndarray, bad: np.ndarray) -> float | None:
     return float(grid[idx[0]]) if idx.size else None
 
 
-def check_assumptions(
-    profile: GrushinProfile,
-    grid: Sequence[float] | np.ndarray,
-    *,
-    iv_rel_tol: float = 1e-12,
-) -> AssumptionReport:
+def check_assumptions(profile: GrushinProfile,
+                      grid: Sequence[float] | np.ndarray) -> AssumptionReport:
     """Evaluate admissibility conditions (i)-(iv) pointwise on ``grid``.
 
     ``grid`` must hold at least 100 strictly positive samples (a
     log-spaced grid is expected so several decades near zero are probed).
-    Condition (iv) is tested as 2 f f'' - f'^2 >= -tol * |f^2/x^2| so that
+    Condition (iv) is tested as 2 f f'' - f'^2 >= -1e-12 |f^2/x^2| so that
     exact-equality profiles (alpha = 1, constant f) pass under roundoff.
     """
     grid = np.asarray(grid, dtype=float)
@@ -418,10 +324,10 @@ def check_assumptions(
                         "f(x) > 0 for all sampled x" + clipped)
     )
 
-    window = grid <= profile.kappa_window
+    window = grid <= NEAR_ZERO_END
     if window.any():
         bad_ii = window & ~(fx >= profile.kappa)
-        detail = (f"f >= kappa={profile.kappa:g} on (0, {profile.kappa_window:g}], "
+        detail = (f"f >= kappa={profile.kappa:g} on (0, {NEAR_ZERO_END:g}], "
                   f"{int(window.sum())} samples")
         checks.append(
             AssumptionCheck("(ii) lower bound near 0", not bad_ii.any(),
@@ -441,7 +347,7 @@ def check_assumptions(
 
     # (iv) tested in the scale-invariant form (2 f f'' - f'^2)/(4 f^2) >= 0,
     # equivalent by condition (i) and robust against overflow of f itself.
-    slack = iv_rel_tol * (np.abs(base) + 1.0 / (grid * grid))
+    slack = 1e-12 * (np.abs(base) + 1.0 / (grid * grid))
     bad_iv = ~(base >= -slack)
     checks.append(
         AssumptionCheck("(iv) concavity combination", not bad_iv.any(),

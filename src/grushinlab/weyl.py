@@ -64,7 +64,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InconclusiveClassification, NumericError, UsageError
 from .profiles import FibrePotential, GrushinProfile, check_assumptions, power_law
@@ -127,6 +126,10 @@ CRITICAL_COEFFICIENT = 0.75
 CRITICAL_EXPONENT = -0.5
 SLOPE_TOL = 0.02
 C0_FIT_TOL = 1e-9
+# the numeric route fits c0 on samples from 1e-2 down to X_END and
+# integrates the deficiency equation inward from X_START to X_END
+X_START = 1.0
+X_END = 1e-7
 
 
 @dataclass(frozen=True)
@@ -209,12 +212,7 @@ def classify_power_law(alpha: float, xi: float, mode: Mode = Mode.PLANE) -> Weyl
     return _report_from_c0(xi, c0, Method.ANALYTIC_POWER_LAW, mode, diag)
 
 
-def classify_by_inequality(
-    profile: GrushinProfile,
-    grid: Sequence[float] | np.ndarray,
-    *,
-    rel_tol: float = 1e-12,
-):
+def classify_by_inequality(profile: GrushinProfile, grid: Sequence[float] | np.ndarray):
     """Test the global confinement inequalities on a sampled grid.
 
     Returns ``(verdict, info)`` where ``verdict`` is an
@@ -242,7 +240,7 @@ def classify_by_inequality(
         )
     # q = 4 x^2 * base_potential; base_potential = (2ff''-f'^2)/(4f^2)
     q = 4.0 * grid * grid * np.asarray(profile.base_potential(grid), dtype=float)
-    slack = rel_tol * np.maximum(np.abs(q), 3.0)
+    slack = 1e-12 * np.maximum(np.abs(q), 3.0)
     info = {
         "q_min": float(np.min(q)),
         "q_max": float(np.max(q)),
@@ -262,9 +260,9 @@ def classify_by_inequality(
 # numeric route
 # ---------------------------------------------------------------------------
 
-def _fit_c0(pot: FibrePotential, eps_grid: np.ndarray):
-    """Estimate c0 = lim x^2 W(x) on a decreasing grid of sample points."""
-    x = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
+def _fit_c0(pot: FibrePotential):
+    """Estimate c0 = lim x^2 W(x) on decreasing log-spaced samples."""
+    x = np.geomspace(1e-2, X_END, 26)
     v = x * x * np.asarray(pot(x), dtype=float)
     tail_err = abs(v[-1] - v[-2]) + abs(v[-2] - v[-3])
     diverging = bool(v[-1] > max(1e3, 10.0 * abs(v[0])) and v[-1] > v[-2] > v[-3])
@@ -295,7 +293,7 @@ _magnitude_guard.terminal = True
 _magnitude_guard.direction = 1.0
 
 
-def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float, rtol: float = 1e-10):
+def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float):
     """Per-half-decade growth exponents of the deficiency solutions.
 
     Integrates -u'' + W u = i u inward from ``x_start`` for the two
@@ -305,6 +303,8 @@ def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float, rtol: f
     early_limit_point), where an early stop is triggered by hyper-fast
     growth (more singular than any inverse square).
     """
+    from scipy.integrate import solve_ivp
+
     n_blocks = max(4, int(math.ceil(2.0 * math.log10(x_start / x_end))))
     edges = np.geomspace(x_start, x_end, n_blocks + 1)
     all_slopes = []
@@ -319,7 +319,7 @@ def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float, rtol: f
                 y,
                 args=(pot,),
                 method="DOP853",
-                rtol=rtol,
+                rtol=1e-10,
                 atol=1e-30,
                 events=_magnitude_guard,
             )
@@ -339,46 +339,28 @@ def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float, rtol: f
     return all_slopes, False
 
 
-def classify_numeric(
-    pot: FibrePotential,
-    eps_grid: Sequence[float] | np.ndarray | None = None,
-    *,
-    x0: float = 1.0,
-    mode: Mode = Mode.PLANE,
-    slope_tol: float = SLOPE_TOL,
-    rtol: float = 1e-10,
-) -> WeylReport:
+def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylReport:
     """Classify a fibre at x = 0 by sampling plus ODE integration.
 
-    The indicial fit estimates c0 = lim x^2 W on ``eps_grid`` (which must
-    span at least four decades inside (0, x0)); the cross-check
-    integrates the deficiency equation inward from ``x0`` with two
-    independent initial conditions and reads the dominant growth
-    exponent s from per-decade amplitude ratios: both local solutions
-    are square integrable near zero iff s > -1/2.  The routes must
-    agree; disagreement raises :class:`InconclusiveClassification`
-    rather than silently picking a side.
+    The indicial fit estimates c0 = lim x^2 W on 26 samples spanning
+    five decades down to X_END; the cross-check integrates the
+    deficiency equation inward from X_START with two independent initial
+    conditions and reads the dominant growth exponent s from per-decade
+    amplitude ratios: both local solutions are square integrable near
+    zero iff s > -1/2.  The routes must agree; disagreement raises
+    :class:`InconclusiveClassification` rather than silently picking a
+    side.
     """
     mode = Mode(mode)
     if mode is Mode.CYLINDER and float(pot.xi) != int(pot.xi):
         raise UsageError("cylinder mode indexes fibres by integer k")
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-2, 1e-7, 26)
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if eps_grid.size < 4:
-        raise UsageError("eps_grid needs at least 4 points")
-    if np.any(eps_grid <= 0.0) or np.any(eps_grid >= x0):
-        raise UsageError("eps_grid must lie strictly inside (0, x0)")
-    if eps_grid.max() / eps_grid.min() < 1e4:
-        raise UsageError("eps_grid must span at least 4 decades")
 
-    c0, c0_err = _fit_c0(pot, eps_grid)
+    c0, c0_err = _fit_c0(pot)
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
-    x_end = min(float(eps_grid.min()), 1e-7)
-    slopes, early_lp = _amplitude_slopes(pot, x0, x_end, rtol=rtol)
+    slopes, early_lp = _amplitude_slopes(pot, X_START, X_END)
     s_est = min(s[-1] for s in slopes)
-    lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + slope_tol
+    lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + SLOPE_TOL
 
     if lp_fit != lp_ode:
         raise InconclusiveClassification(
@@ -390,8 +372,8 @@ def classify_numeric(
         "c0": c0,
         "c0_fit_error": c0_err,
         "indicial_slope": s_est,
-        "x0": x0,
-        "x_end": x_end,
+        "x0": X_START,
+        "x_end": X_END,
     }
     return WeylReport(
         xi=float(pot.xi),
@@ -523,6 +505,8 @@ OBS_GRID_LO = 0.3
 OBS_GRID_HI = 8.0
 OBS_GRID_STEP = 1.0 / 256.0
 _DECAY_BUDGET = 35.0
+# inner end of the deficiency solves; a power tail covers (0, FAMILY_X_MIN)
+FAMILY_X_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -540,10 +524,10 @@ class DeficiencyFamilyReport:
     grid: dict = field(default_factory=dict, compare=False)
 
 
-def _right_start(pot: FibrePotential, x_obs: float = OBS_GRID_HI) -> float:
+def _right_start(pot: FibrePotential) -> float:
     """Starting abscissa for inward integration: far enough out that the
     growing solution contaminates the decaying one below 1e-15."""
-    x, acc = x_obs, 0.0
+    x, acc = OBS_GRID_HI, 0.0
     while acc < _DECAY_BUDGET and x < 80.0:
         kappa = np.sqrt(pot(x) - 1j).real
         acc += max(kappa, 0.5)
@@ -551,9 +535,12 @@ def _right_start(pot: FibrePotential, x_obs: float = OBS_GRID_HI) -> float:
     return x
 
 
-def _solve_l2_solution(pot: FibrePotential, x_min: float, rtol: float = 1e-12):
-    """Integrate the deficiency equation inward from the far region,
-    seeding the decaying WKB branch; returns the dense solution."""
+def _solve_l2_solution(pot: FibrePotential):
+    """Integrate the deficiency equation inward from the far region to
+    FAMILY_X_MIN, seeding the decaying WKB branch; returns the dense
+    solution."""
+    from scipy.integrate import solve_ivp
+
     x_right = _right_start(pot)
     k = np.sqrt(complex(pot(x_right)) - 1j)
     if k.real < 0:
@@ -561,11 +548,11 @@ def _solve_l2_solution(pot: FibrePotential, x_min: float, rtol: float = 1e-12):
     y0 = (1.0, 0.0, -k.real, -k.imag)
     sol = solve_ivp(
         _deficiency_rhs,
-        (x_right, x_min),
+        (x_right, FAMILY_X_MIN),
         y0,
         args=(pot,),
         method="DOP853",
-        rtol=rtol,
+        rtol=1e-12,
         atol=1e-280,
         dense_output=True,
         first_step=min(0.1, 1.0 / max(abs(k), 1.0)),
@@ -580,11 +567,12 @@ def _eval(sol, x):
     return vals[0] + 1j * vals[1]
 
 
-def _norm_pieces(sol, x_min, x_right, refine: int = 1):
+def _norm_pieces(sol, x_right, refine: int = 1):
     """L^2 norm^2 on (0, x_right): log-grid rule near zero, uniform rule
-    outside, plus the analytic power tail below x_min."""
+    outside, plus the analytic power tail below FAMILY_X_MIN."""
     from scipy.integrate import simpson
 
+    x_min = FAMILY_X_MIN
     n_log, n_uni = 2001 * refine, 12001 * refine
     x_log = np.geomspace(x_min, OBS_GRID_LO, n_log)
     p_log = np.abs(_eval(sol, x_log)) ** 2
@@ -606,9 +594,6 @@ def verify_deficiency_family(
     interval: tuple[float, float] = (0.0, 1.0),
     xi_samples: int = 16,
     other_interval: tuple[float, float] | None = None,
-    *,
-    x_min: float = 1e-6,
-    rtol: float = 1e-12,
 ) -> DeficiencyFamilyReport:
     """Numerically realise the compact-interval eigenfunction family.
 
@@ -647,8 +632,8 @@ def verify_deficiency_family(
     contradiction = False
     for xi in xi_values:
         pot = FibrePotential(xi=float(xi), profile=profile)
-        sol, x_right = _solve_l2_solution(pot, x_min, rtol=rtol)
-        norm_sq, s_fit = _norm_pieces(sol, x_min, x_right)
+        sol, x_right = _solve_l2_solution(pot)
+        norm_sq, s_fit = _norm_pieces(sol, x_right)
         if s_fit <= CRITICAL_EXPONENT + 1e-3:
             contradiction = True
         scale = 1.0 / math.sqrt(norm_sq)
@@ -659,7 +644,7 @@ def verify_deficiency_family(
         )
         res = np.abs(-upp + (pot(xc) - 1j) * phi[2:-2])
         max_res = max(max_res, float(res.max()))
-        norm_refined, _ = _norm_pieces(sol, x_min, x_right, refine=2)
+        norm_refined, _ = _norm_pieces(sol, x_right, refine=2)
         max_norm_err = max(max_norm_err, abs(math.sqrt(norm_refined) * scale - 1.0))
 
     # ||Phi_J||^2 = |J| once each fibre is normalised
@@ -685,7 +670,7 @@ def verify_deficiency_family(
         contradiction=contradiction,
         grid={
             "observation_grid": [OBS_GRID_LO, OBS_GRID_HI, h],
-            "x_min": x_min,
+            "x_min": FAMILY_X_MIN,
             "fd_order": 4,
         },
     )

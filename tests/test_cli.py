@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +374,8 @@ class TestVerifyDeficiencyCommand:
     (["evolve", "--protocol", "plane", "--alpha", "1", "--y-span", "0"], None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--sigma-xi", "0"], None),
     (["geodesics", "--alpha", "1", "--x0", "-1"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "0"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--outer-wall", "-1"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -379,3 +385,12 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "usage error" in capsys.readouterr().err
 
+
+def test_import_leaves_out_scipy_integrate():
+    # only the ODE and quadrature routes need scipy.integrate; evolve and
+    # analytic classify runs must not pay for importing it
+    code = "import sys, grushinlab.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

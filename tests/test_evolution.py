@@ -193,13 +193,6 @@ class TestUnitarity:
         assert after.t == 1e-3
         assert abs(after.norm() - state.norm()) <= 1e-10
 
-    def test_step_requires_profile(self):
-        state = make_state(1.0, 1.0)
-        from dataclasses import replace
-
-        with pytest.raises(UsageError):
-            evolve_fibre(replace(state, profile=None), 1e-3, 1e-3)
-
     def test_step_matches_explicit_cayley_map(self):
         # reference: psi+ = A^{-1} B psi with A = 1 + i dt H/2 and
         # B = 1 - i dt H/2 assembled from the Hamiltonian diagonals, on a
@@ -330,11 +323,23 @@ class TestTransforms:
         hat = to_transformed(psi, self.prof)
         assert hat.norm() == pytest.approx(psi.norm(self.prof), rel=1e-8)
 
-    def test_round_trip(self):
-        hat = to_transformed(self.psi, self.prof)
-        back = to_original(hat, self.prof, y_nodes=self.y)
-        err = np.max(np.abs(back.values - self.psi.values))
-        assert err <= 1e-8
+    @given(half=st.integers(1, 40), geometry=st.sampled_from(["plane", "cylinder"]),
+           y0=st.floats(-10.0, 10.0), dy=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(self, half, geometry, y0, dy, seed):
+        # random complex data on random odd ny; the cylinder's y axis is the
+        # circle of circumference 2 pi
+        ny = 2 * half + 1
+        if geometry == "cylinder":
+            dy = 2.0 * math.pi / ny
+        y = y0 + dy * np.arange(ny)
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((self.grid.n, ny)) + 1j * rng.standard_normal((self.grid.n, ny))
+        psi = PlaneWavefunction(values=vals, grid=self.grid, axis=y, representation="original",
+                                geometry=geometry)
+        back = to_original(to_transformed(psi, self.prof), self.prof)
+        assert np.max(np.abs(back.values - vals)) <= 1e-8
+        assert np.allclose(back.axis, y, rtol=0.0, atol=1e-12 * max(1.0, abs(y0)))
 
     def test_rejects_even_grid(self):
         y = np.linspace(-8.0, 8.0, 64)

@@ -1,22 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab.errors import DomainError, UsageError
+from grushinlab.errors import UsageError
 from grushinlab.profiles import (
     FibrePotential,
     builtin_profile,
     check_assumptions,
-    confinement_gap,
-    curvature,
     custom_profile,
-    effective_potential,
     parse_profile_config,
     power_law,
-    volume_density,
 )
 
 ALPHAS = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]
@@ -34,68 +28,22 @@ def power_law_as_custom(alpha):
     )
 
 
-class TestCurvature:
-    def test_grushin_plane_value(self):
-        assert curvature(power_law(1.0), 1.0) == pytest.approx(-2.0, abs=1e-14)
-
-    def test_euclidean_half_plane_is_flat(self):
-        assert curvature(power_law(0.0), 5.0) == 0.0
-
-    def test_alpha_two(self):
-        assert curvature(power_law(2.0), 2.0) == pytest.approx(-1.5, abs=1e-14)
-
-    def test_custom_branch_matches(self):
-        x = np.geomspace(0.1, 10, 50)
-        got = curvature(power_law_as_custom(1.5), x)
-        want = curvature(power_law(1.5), x)
-        assert np.allclose(got, want, rtol=1e-12)
-
-    def test_exp_inverse_curvature(self):
-        # -f''/f = -(2x+1)/x^4, so K(1) = -3
-        prof = builtin_profile("exp_inverse")
-        assert curvature(prof, 1.0) == pytest.approx(-3.0, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            curvature(power_law(1.0), 0.0)
-        with pytest.raises(DomainError):
-            curvature(power_law(1.0), -1.0)
-
-
-class TestVolumeDensity:
-    def test_power_law(self):
-        assert volume_density(power_law(1.0), 2.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_flat(self):
-        assert volume_density(power_law(0.0), 7.0) == 1.0
-
-    def test_exp_inverse_at_one(self):
-        prof = builtin_profile("exp_inverse")
-        assert volume_density(prof, 1.0) == pytest.approx(math.e, rel=1e-15)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            volume_density(power_law(1.0), -0.5)
-
-
 class TestEffectivePotential:
+    """W_xi(x) = xi^2/f^2 + (2 f f'' - f'^2)/(4 f^2), evaluated by
+    FibrePotential."""
+
     def test_zero_mode_grushin(self):
         pot = FibrePotential(xi=0.0, profile=power_law(1.0))
-        assert effective_potential(pot, 2.0) == pytest.approx(3.0 / 16.0, abs=1e-16)
+        assert pot(2.0) == pytest.approx(3.0 / 16.0, abs=1e-16)
 
     def test_flat_case_is_xi_squared(self):
         pot = FibrePotential(xi=3.0, profile=power_law(0.0))
-        assert effective_potential(pot, 1.0) == pytest.approx(9.0, abs=1e-14)
+        assert pot(1.0) == pytest.approx(9.0, abs=1e-14)
 
     def test_vanishing_combination_alpha_minus_one(self):
         # (xi^2 - 1/4)/x^2 vanishes identically at xi = 1/2
         pot = FibrePotential(xi=0.5, profile=power_law(-1.0))
-        assert effective_potential(pot, 1.0) == pytest.approx(0.0, abs=1e-16)
-
-    def test_domain_error(self):
-        pot = FibrePotential(xi=1.0, profile=power_law(1.0))
-        with pytest.raises(DomainError):
-            effective_potential(pot, 0.0)
+        assert pot(1.0) == pytest.approx(0.0, abs=1e-16)
 
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
     def test_custom_branch_matches_closed_form(self, alpha):
@@ -122,40 +70,6 @@ class TestEffectivePotential:
         assert abs((w_xi - w_0) - extra) <= tol
 
 
-class TestConfinementGap:
-    def test_threshold_alpha_one(self):
-        assert confinement_gap(power_law(1.0), 3.0) == 0.0
-
-    def test_alpha_three(self):
-        assert confinement_gap(power_law(3.0), 1.0) == pytest.approx(3.0, abs=1e-14)
-
-    def test_euclidean(self):
-        assert confinement_gap(power_law(0.0), 1.0) == pytest.approx(-0.75, abs=1e-15)
-
-    def test_cross_check_against_potential(self):
-        # gap = W_0(x) - 3/(4 x^2)
-        x = 1.7
-        pot = FibrePotential(xi=0.0, profile=power_law(0.0))
-        assert confinement_gap(power_law(0.0), x) == pytest.approx(
-            effective_potential(pot, x) - 0.75 / x**2, abs=1e-15
-        )
-
-    @given(
-        alpha=st.floats(-2.5, 3.0),
-        lam=st.floats(1e-3, 1e3),
-        x=st.floats(1e-2, 1e2),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_sign_is_scale_invariant(self, alpha, lam, x):
-        base = confinement_gap(power_law(alpha), x)
-        scaled = confinement_gap(power_law(alpha, scale=lam), x)
-        assert np.sign(base) == np.sign(scaled)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            confinement_gap(power_law(1.0), 0.0)
-
-
 class TestDerivativeEvaluators:
     @pytest.mark.parametrize("alpha", [-2.0, -0.5, 0.5, 1.0, 2.0])
     def test_power_law_matches_finite_differences(self, alpha):
@@ -168,12 +82,6 @@ class TestDerivativeEvaluators:
             assert np.max(np.abs(fd1 / prof.f1(x) - 1.0)) < 1e-6
         if alpha not in (0.0, -1.0):
             assert np.max(np.abs(fd2 / prof.f2(x) - 1.0)) < 1e-6
-
-    def test_fd_fallback_is_flagged(self):
-        prof = custom_profile(lambda x: 1.0 + 0.0 * x, kappa=0.5)
-        assert prof.derivative_mode == "finite_difference"
-        prof2 = power_law_as_custom(1.0)
-        assert prof2.derivative_mode == "analytic"
 
 
 class TestAssumptions:
@@ -235,7 +143,7 @@ class TestConfig:
             "kind = custom\nname = scaled_power_law\nalpha = 1\nlam = 2.5\n"
         )
         assert prof.is_power_law and prof.scale == 2.5
-        assert volume_density(prof, 1.0) == pytest.approx(2.5)
+        assert prof.f(1.0) == 2.5
 
     def test_exp_inverse_builtin(self):
         prof = parse_profile_config("kind = custom\nname = exp_inverse\n")

@@ -172,13 +172,6 @@ class TestNumericClassification:
         ana = classify_power_law(alpha, xi)
         assert num.endpoint_zero == ana.endpoint_zero
 
-    def test_eps_grid_validation(self):
-        pot = FibrePotential(xi=0.0, profile=power_law(1.0))
-        with pytest.raises(UsageError):
-            classify_numeric(pot, eps_grid=[0.1, 0.05, 0.01])  # < 4 decades
-        with pytest.raises(UsageError):
-            classify_numeric(pot, eps_grid=[2.0, 0.1, 1e-3, 1e-5])  # outside (0, x0)
-
 
 class TestAggregation:
     def plane_reports(self, alpha, grid):
@@ -246,6 +239,19 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             aggregate_verdict([], Mode.PLANE)
+
+    @given(alpha=st.sampled_from([-3.0, -2.0, -1.0, 0.5, 1.0]),
+           mode=st.sampled_from([Mode.PLANE, Mode.CYLINDER]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_report_order_is_irrelevant(self, alpha, mode, data):
+        # alpha -1 fails at |xi| < 1 (three plane fibres, one mode) and
+        # alpha -2 at xi = 0 alone, so the permutation moves failing and
+        # passing fibres past each other
+        step = 1.0 if mode is Mode.CYLINDER else 0.5
+        reports = [classify_power_law(alpha, step * k, mode) for k in range(-4, 5)]
+        shuffled = data.draw(st.permutations(reports))
+        v, w = aggregate_verdict(reports, mode), aggregate_verdict(shuffled, mode)
+        assert v == w and v.grid == w.grid
 
 
 class TestDeficiencyFamily:
