@@ -36,18 +36,13 @@ from .errors import (
 )
 from .evolution import (
     BoundaryCondition,
-    FibreGrid,
-    PlaneWavefunction,
-    TRANSFORMED,
-    WALL_MASS_LIMIT,
     _step_count,
     bc_sensitivity,
     evolve_plane,
-    gaussian_packet,
-    choose_outer_wall,
+    standard_plane_data,
 )
 from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, integrate_geodesic
-from .profiles import FibrePotential, GrushinProfile, builtin_profile, load_profile, power_law
+from .profiles import GrushinProfile, builtin_profile, load_profile, power_law
 from .weyl import (
     Mode,
     aggregate_verdict,
@@ -109,23 +104,17 @@ def _write_csv(path, header_cols, columns, config):
     return path
 
 
-def _load_config_file(path):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    return parser
-
-
 def _fill_from_config(args, section):
     """Copy file values into argparse Namespace slots left at None (or a
     switch left off); a key that names no option of the command is a
-    usage error."""
+    usage error.  Returns the parsed file, or None without --config."""
     if args.config is None:
-        return
-    parser = _load_config_file(args.config)
+        return None
+    parser = configparser.ConfigParser()
+    if not parser.read(args.config):
+        raise UsageError(f"config file not found: {args.config}")
     if not parser.has_section(section):
-        return
+        return parser
     options = set(vars(args)) - {"command", "func", "config"}
     for key, raw in parser.items(section):
         attr = key.replace("-", "_")
@@ -139,6 +128,7 @@ def _fill_from_config(args, section):
             except ValueError:
                 raise UsageError(f"config file [{section}] {key} expects a boolean, "
                                  f"got {raw!r}") from None
+    return parser
 
 
 def _number(args, name, kind, default, minimum=None):
@@ -161,7 +151,9 @@ def _number(args, name, kind, default, minimum=None):
     return value
 
 
-def _resolve_profile(args) -> GrushinProfile:
+def _resolve_profile(args, config) -> GrushinProfile:
+    """The profile from the flags, else from the [profile] section of the
+    parsed config file ``config`` (None without one)."""
     given = [
         args.alpha is not None,
         getattr(args, "profile_file", None) is not None,
@@ -175,13 +167,11 @@ def _resolve_profile(args) -> GrushinProfile:
         return load_profile(args.profile_file)
     if getattr(args, "profile", None):
         return builtin_profile(args.profile)
-    if args.config is not None:
-        parser = _load_config_file(args.config)
-        if parser.has_section("profile"):
-            from .profiles import parse_profile_config
+    if config is not None and config.has_section("profile"):
+        from .profiles import parse_profile_config
 
-            body = "\n".join(f"{k} = {v}" for k, v in parser.items("profile"))
-            return parse_profile_config(body)
+        body = "\n".join(f"{k} = {v}" for k, v in config.items("profile"))
+        return parse_profile_config(body)
     raise UsageError("no profile given: use --alpha, --profile, --profile-file or a config file")
 
 
@@ -196,8 +186,7 @@ def _outdir(args) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    _fill_from_config(args, "classify")
-    profile = _resolve_profile(args)
+    profile = _resolve_profile(args, _fill_from_config(args, "classify"))
     mode = Mode(args.mode or "plane")
 
     if mode is Mode.CYLINDER:
@@ -324,11 +313,7 @@ def _cmd_geodesics(args) -> int:
 
     if alpha > 0:
         for traj in trajs:
-            try:
-                expected = hit_time_quadrature(traj.init)
-            except UsageError:
-                expected = None
-            traj.meta["quadrature_hit_time"] = expected
+            traj.meta["quadrature_hit_time"] = hit_time_quadrature(traj.init)
     mpath = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
     print(f"alpha={alpha:g}: {len(trajs)} trajectories, "
@@ -381,9 +366,6 @@ def _evolve_sensitivity(args) -> int:
         "alpha": alpha,
         "xi": xi,
         "t_final": t_final,
-        "dt": dt,
-        "beta": beta,
-        "refine": refine,
         "eps_grid": eps_grid,
         **result.config,
     }
@@ -413,42 +395,19 @@ def _evolve_plane(args, geometry) -> int:
     dt = _number(args, "dt", float, 2e-3)
     eps = _number(args, "eps", float, 0.01)
     # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
-    ny = _number(args, "ny", int, 45, minimum=3)
+    ny = _number(args, "ny", int, 45)
     sigma_xi = _number(args, "sigma_xi", float, 2.0)
     y_span = _number(args, "y_span", float, 16.0)
-    if ny % 2 == 0:
-        raise UsageError("--ny must be odd so the xi grid is symmetric")
-    if sigma_xi <= 0.0 or y_span <= 0.0:
-        raise UsageError("--sigma-xi and --y-span must be positive")
     bc_kind = args.bc or "dirichlet"
     bc = (BoundaryCondition.robin(_number(args, "beta", float, 1.0))
           if bc_kind == "robin" else BoundaryCondition.dirichlet())
     jobs = _number(args, "jobs", int, 1, minimum=1)
-    out = _outdir(args)
 
-    if geometry == "cylinder":
-        axis, dxi, y0 = np.arange(-(ny // 2), ny // 2 + 1, dtype=float), 1.0, 0.0
-    else:
-        axis = np.sort(2.0 * math.pi * np.fft.fftfreq(ny, d=y_span / ny))
-        dxi = float(axis[1] - axis[0])
-        y0 = -y_span / 2.0  # centre the back-transformed packet in the window
-    # the wall must leave room for the most-spreading fibre (xi = 0); the
-    # grid must resolve the stiffest one (the spectral edge)
-    pot_zero = FibrePotential(xi=0.0, profile=profile)
-    pot_edge = FibrePotential(xi=float(np.max(np.abs(axis))), profile=profile)
-    L = _number(args, "outer_wall", float, choose_outer_wall(pot_zero))
-    grid = FibreGrid.resolved(eps, L, pot_edge)
-
-    # separable standard data: the unit fibre Gaussian times a xi envelope
-    # with dxi sum env^2 = 1
-    env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
-    env /= math.sqrt(dxi * float(np.sum(env**2)))
-    psi0 = PlaneWavefunction(values=np.outer(gaussian_packet(grid), env), grid=grid,
-                             axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
+    psi0, grid_record = standard_plane_data(profile, geometry, eps, ny, sigma_xi, y_span,
+                                            _number(args, "outer_wall", float, None))
+    grid = psi0.grid
     result = evolve_plane(psi0, profile, t_final, bc, dt=dt, jobs=jobs)
-    if result.wall_mass > WALL_MASS_LIMIT:
-        raise ProtocolError(f"outer wall contaminated (mass {result.wall_mass:.2e} > "
-                            f"{WALL_MASS_LIMIT}); enlarge --outer-wall")
+    out = _outdir(args)
 
     config = {
         "command": "evolve",
@@ -457,7 +416,7 @@ def _evolve_plane(args, geometry) -> int:
         "t_final": t_final,
         "dt": dt,
         "eps": eps,
-        "outer_wall": L,
+        "outer_wall": grid.L,
         "n_x": grid.n,
         "ny": ny,
         "sigma_xi": sigma_xi,
@@ -498,14 +457,13 @@ def _evolve_plane(args, geometry) -> int:
     near_cutoff = grid.nodes < 0.05
     document = {
         "config": config,
-        "grid": {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
-                 "resolution_margin": grid.resolution_margin(pot_edge(grid.nodes))},
+        "grid": grid_record,
         "norm_before": result.norm_before,
         "norm_after": result.norm_after,
         "norm_drift": result.norm_drift,
         "wall_mass": result.wall_mass,
         "boundary_mass_below_0.05": float(
-            result.final._dxi() * np.sum(grid.weights[near_cutoff, None]
+            result.final.daxis * np.sum(grid.weights[near_cutoff, None]
                                          * np.abs(result.final.values[near_cutoff]) ** 2)
         ),
     }

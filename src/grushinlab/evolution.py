@@ -55,9 +55,13 @@ proportional to x, a geometric grading in the spirit of Langer's
 logarithmic variable.  The plane and cylinder protocols share one grid,
 built from the fibre at the edge of the xi grid: W_xi = W_0 + xi^2/f^2
 grows with |xi|, so for a positive W_0 the edge fibre bounds every fibre
-at every node, and each stepper checks its own fibre.  All protocol
-constants (standard Gaussian data, wall placement, resolution rule, grid
-growth) are fixed here so runs are reproducible bit for bit.
+at every node, and each stepper checks its own fibre.  Every protocol
+rule lives here once: ``standard_plane_data`` sets up the plane and
+cylinder runs, every protocol checks that its cutoff leaves the standard
+data room, and ``bc_sensitivity`` and ``evolve_plane`` hold every wall to
+one wall-mass limit.  All protocol constants (standard Gaussian data,
+wall placement, resolution rule, grid growth) are fixed here so runs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ __all__ = [
     "to_original",
     "evolve_plane",
     "PlaneEvolutionResult",
+    "standard_plane_data",
 ]
 
 # protocol constants for the sensitivity experiment
@@ -389,13 +394,34 @@ def evolve_fibre(
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
-    """Standard unit-norm real Gaussian on the interior nodes."""
+    """Unit-norm real Gaussian on the interior nodes."""
     x = grid.nodes
     psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
     nrm = math.sqrt(_weighted_sumsq(grid.weights, psi))
     if nrm == 0.0:
         raise UsageError("Gaussian data vanishes on this grid")
     return psi / nrm
+
+
+def _standard_packet(grid: FibreGrid) -> np.ndarray:
+    """The standard Gaussian data of every protocol, on a grid whose cutoff
+    leaves room for it: eps < GAUSS_CENTER - 4 GAUSS_WIDTH."""
+    room = GAUSS_CENTER - 4.0 * GAUSS_WIDTH
+    if grid.eps >= room:
+        raise UsageError(f"cutoff eps={grid.eps:g} overlaps the standard initial data "
+                         f"(centre {GAUSS_CENTER:g}, width {GAUSS_WIDTH:g}): needs eps < {room:g}")
+    return gaussian_packet(grid)
+
+
+def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
+    """sum_j w_j |psi_j|^2 over the nodes within 0.5 of the outer wall."""
+    near = grid.nodes >= grid.L - 0.5
+    return _weighted_sumsq(grid.weights[near], psi[near])
+
+
+def _grid_record(grid: FibreGrid, w_values: np.ndarray) -> dict:
+    return {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
+            "resolution_margin": grid.resolution_margin(w_values)}
 
 
 def choose_outer_wall(pot: FibrePotential) -> float:
@@ -461,8 +487,6 @@ def bc_sensitivity(
     prof = power_law(alpha)
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)
-    if max(eps_list) >= GAUSS_CENTER - 4.0 * GAUSS_WIDTH:
-        raise UsageError("largest eps overlaps the standard initial data")
     nsteps = _step_count(t_final, dt)
 
     rows, walls, drifts, grids = [], [], [], []
@@ -470,13 +494,12 @@ def bc_sensitivity(
         grid = FibreGrid.resolved(eps, L, pot, refine=refine,
                                   resolution=SENSITIVITY_RESOLUTION)
         w_values = pot(grid.nodes)
-        psi0 = gaussian_packet(grid)
-        wall_zone = grid.nodes >= L - 0.5
+        psi0 = _standard_packet(grid)
         finals, wall, drift = [], 0.0, 0.0
         for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta)):
             psi, sumsq = CrankNicolson(grid, w_values, bc, dt).evolve(psi0, nsteps)
             finals.append(psi)
-            wall = max(wall, _weighted_sumsq(grid.weights[wall_zone], psi[wall_zone]))
+            wall = max(wall, _wall_mass(grid, psi))
             drift = max(drift, abs(math.sqrt(sumsq[-1]) - math.sqrt(sumsq[0])))
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
@@ -485,8 +508,7 @@ def bc_sensitivity(
         rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
         walls.append(wall)
         drifts.append(drift)
-        grids.append({"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
-                      "resolution_margin": grid.resolution_margin(w_values)})
+        grids.append(_grid_record(grid, w_values))
 
     ds = [d for _, d in rows]
     if all(b < a for a, b in zip(ds, ds[1:])):
@@ -575,12 +597,7 @@ class PlaneWavefunction:
                 raise UsageError("original-representation norm needs the profile")
             weight = self.grid.weights * np.asarray(profile.f(self.x), dtype=float)
             return math.sqrt(self.daxis * float(weight @ row_sums))
-        return math.sqrt(self._dxi() * float(self.grid.weights @ row_sums))
-
-    def _dxi(self) -> float:
-        if self.representation == TRANSFORMED:
-            return self.daxis if self.geometry == "plane" else 1.0
-        raise UsageError("dxi only defined in the transformed representation")
+        return math.sqrt(self.daxis * float(self.grid.weights @ row_sums))
 
 
 def _check_finite(values):
@@ -589,8 +606,10 @@ def _check_finite(values):
 
 
 def _fft_frequencies(n: int, dy: float, geometry: str) -> np.ndarray:
+    """The xi values of the n-point y transform in FFT order: the exact
+    integer modes on the cylinder, 2 pi k / (n dy) on the plane."""
     if geometry == "cylinder":
-        return np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
+        return np.fft.ifftshift(np.arange(n) - n // 2).astype(float)
     return 2.0 * math.pi * np.fft.fftfreq(n, d=dy)
 
 
@@ -628,20 +647,17 @@ def to_original(psi: PlaneWavefunction, profile: GrushinProfile) -> PlaneWavefun
         raise UsageError("to_original expects the transformed representation")
     _check_finite(psi.values)
     n = psi.axis.size
-    if psi.geometry == "cylinder":
-        dy = 2.0 * math.pi / n
-    else:
-        span = psi.axis[-1] - psi.axis[0]
-        dxi = span / (n - 1)
-        dy = 2.0 * math.pi / (n * dxi)
+    if n < 2:
+        raise UsageError("to_original needs at least two xi nodes to rebuild the y nodes")
+    # 2 pi / n exactly on the cylinder's consecutive integer modes
+    dy = 2.0 * math.pi / (n * ((psi.axis[-1] - psi.axis[0]) / (n - 1)))
     y = psi.y0 + dy * np.arange(n)
     freqs_natural = _fft_frequencies(n, dy, psi.geometry)
     order = np.argsort(freqs_natural)
     hat_natural = np.empty_like(psi.values)
     hat_natural[:, order] = psi.values
     phase = np.exp(1j * freqs_natural * y[0])[None, :]
-    dxi_step = psi._dxi()
-    vals = (dxi_step * n / math.sqrt(2.0 * math.pi)) * np.fft.ifft(hat_natural * phase, axis=1)
+    vals = (psi.daxis * n / math.sqrt(2.0 * math.pi)) * np.fft.ifft(hat_natural * phase, axis=1)
     vals = vals / np.sqrt(np.asarray(profile.f(psi.x), dtype=float))[:, None]
     return PlaneWavefunction(
         values=vals,
@@ -666,6 +682,34 @@ class PlaneEvolutionResult:
     @property
     def norm_drift(self) -> float:
         return abs(self.norm_after - self.norm_before)
+
+
+def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: int,
+                        sigma_xi: float, y_span: float, outer_wall: float | None = None):
+    """Standard transformed data of the plane and cylinder protocols and
+    the record of its shared grid.  The xi axis holds the frequencies of
+    the ``ny``-node y transform (integer modes on the cylinder; on the plane
+    the window [-y_span/2, y_span/2) centres the packet).  The outer wall,
+    unless given, is the wall of the most-spreading fibre, xi = 0; the grid
+    resolves the edge fibre, and its record holds the margin against that
+    fibre's W.  The data is the standard Gaussian times the xi envelope
+    exp(-xi^2 / (2 sigma_xi^2)) scaled to dxi sum env^2 = 1."""
+    if ny < 3 or ny % 2 == 0:
+        raise UsageError(f"ny must be odd and at least 3 so the xi grid is symmetric, got {ny}")
+    if sigma_xi <= 0.0 or y_span <= 0.0:
+        raise UsageError("sigma_xi and y_span must be positive")
+    axis = np.sort(_fft_frequencies(ny, y_span / ny, geometry))
+    dxi = float(axis[1] - axis[0])
+    y0 = 0.0 if geometry == "cylinder" else -y_span / 2.0
+    if outer_wall is None:
+        outer_wall = choose_outer_wall(FibrePotential(xi=0.0, profile=profile))
+    pot_edge = FibrePotential(xi=float(np.max(np.abs(axis))), profile=profile)
+    grid = FibreGrid.resolved(eps, outer_wall, pot_edge)
+    env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
+    env /= math.sqrt(dxi * float(np.sum(env**2)))
+    psi0 = PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
+                             axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
+    return psi0, _grid_record(grid, pot_edge(grid.nodes))
 
 
 def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:
@@ -702,8 +746,9 @@ def evolve_plane(
 
     The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
     before its wall at ``t_final``, plus any initial mass beyond the wall;
-    the result records the largest.  A fibre whose wall was moved inward
-    and whose wall mass exceeds 1e-8 raises :class:`ProtocolError`.
+    the result records the largest.  A fibre whose wall mass exceeds 1e-8,
+    at its own turning-point wall or at ``grid.L``, raises
+    :class:`ProtocolError`.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -712,8 +757,7 @@ def evolve_plane(
         raise UsageError("xi grid must be symmetric about 0")
     nsteps = _step_count(t_final, dt)
 
-    grid, dxi = psi0.grid, psi0._dxi()
-    x, weights = grid.nodes, grid.weights
+    grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.weights
     dens = np.abs(psi0.values) ** 2
     column_mass = weights @ dens
     total = float(np.sum(column_mass))
@@ -725,13 +769,11 @@ def evolve_plane(
         fibre = _fibre_grid(grid, pot)
         k = fibre.n
         try:
-            stepper = CrankNicolson(fibre, pot(x[:k]), bc, dt)
+            stepper = CrankNicolson(fibre, pot(fibre.nodes), bc, dt)
             psi, trace = stepper.evolve(psi0.values[:k, m], nsteps, record=True)
         except NumericError as exc:
             raise NumericError(f"fibre xi={psi0.axis[m]:g} (index {m}): {exc}") from exc
-        near_wall = x[:k] >= fibre.L - 0.5
-        wall = dxi * (_weighted_sumsq(weights[:k][near_wall], psi[near_wall])
-                      + float(weights[k:] @ dens[k:, m]))
+        wall = dxi * (_wall_mass(fibre, psi) + float(weights[k:] @ dens[k:, m]))
         return psi, trace, fibre.L, wall
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -740,11 +782,10 @@ def evolve_plane(
     for m, psi in enumerate(columns):
         out[: psi.size, m] = psi
 
-    moved = [m for m, psi in enumerate(columns) if psi.size < grid.n]
-    worst = max(moved, key=lambda m: wall_masses[m], default=None)
-    if worst is not None and wall_masses[worst] > WALL_MASS_LIMIT:
+    worst = int(np.argmax(wall_masses))
+    if wall_masses[worst] > WALL_MASS_LIMIT:
         raise ProtocolError(
-            f"fibre xi={psi0.axis[worst]:g}: its turning-point wall at x={walls[worst]:.4g} "
+            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={walls[worst]:.4g} "
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 

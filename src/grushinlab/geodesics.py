@@ -219,19 +219,18 @@ def _leg(alpha, u_lo, u_hi, s2):
     1 - s2 * u^(2 alpha), with the singularity (if any) sitting at u_hi.
 
     Substituting u = u_hi (1 - v^2) turns the inverse-square-root
-    endpoint into a bounded smooth integrand.
+    endpoint into a bounded smooth integrand.  With top = s2 u_hi^(2 alpha)
+    the radicand is (1 - top) - top expm1(2 alpha log1p(-v^2)), which keeps
+    its relative accuracy as v -> 0 at a turning point (top = 1), where the
+    plain difference 1 - top (1 - v^2)^(2 alpha) cancels.
     """
     from scipy.integrate import quad
 
     top = s2 * u_hi ** (2.0 * alpha)
-    singular = abs(top - 1.0) <= 1e-12
+    gap = max(1.0 - top, 0.0)  # top <= 1 on every leg; clip the roundoff above
 
     def integrand(v):
-        w = 1.0 - v * v
-        if singular and v < 1e-8:
-            # limit 2 v / sqrt(g(v)) with g ~ 2 alpha s2 u_hi^(2a) v^2
-            return 2.0 / math.sqrt(2.0 * alpha * top)
-        radicand = 1.0 - s2 * (u_hi * w) ** (2.0 * alpha)
+        radicand = gap - top * math.expm1(2.0 * alpha * math.log1p(-v * v))
         return 2.0 * v / math.sqrt(radicand)
 
     v_max = math.sqrt(1.0 - u_lo / u_hi)

@@ -22,6 +22,7 @@ from grushinlab.evolution import (
     FibreGrid,
     PlaneWavefunction,
     bc_sensitivity,
+    choose_outer_wall,
     evolve_fibre,
     evolve_plane,
     gaussian_packet,
@@ -290,8 +291,10 @@ def test_criterion_8_unitarity():
 
     # assembled plane run, 1000 steps across 5 fibres
     axis = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    # the wall of the most-spreading fibre (xi = 0), as the plane protocol sets it
     pot_edge = FibrePotential(xi=2.0, profile=profile)
-    pgrid = FibreGrid.resolved(0.05, 12.0, pot_edge)
+    wall = choose_outer_wall(FibrePotential(xi=0.0, profile=profile))
+    pgrid = FibreGrid.resolved(0.05, wall, pot_edge)
     vals = np.outer(gaussian_packet(pgrid), np.ones(axis.size)).astype(complex)
     psi0 = PlaneWavefunction(values=vals, grid=pgrid, axis=axis,
                              representation="transformed")

@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grushinlab import cli
 from grushinlab.cli import main
@@ -115,6 +118,48 @@ class TestClassifyCommand:
 
         monkeypatch.setattr(cli, "classify_sweep", boom)
         assert main(["classify", "--alpha", "1", "--output-dir", str(tmp_path)]) == 4
+
+
+# classify options: two values a flag or the config file may give, and the
+# default (None: the option is required)
+MERGED_OPTIONS = {
+    "alpha": (["0.5", "1.5"], None),
+    "mode": (["plane", "cylinder"], "plane"),
+    "method": (["auto", "analytic"], "auto"),
+    "xi-min": (["-1", "-0.5"], -5.0),
+    "xi-max": (["0.5", "1"], 5.0),
+    "xi-step": (["0.25", "0.5"], 0.25),
+    "k-max": (["1", "2"], 5),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_config_merge_prefers_flag_then_file_then_default(data):
+    flags, keys, expected = [], [], {}
+    for name, (values, default) in MERGED_OPTIONS.items():
+        sources = ["flag", "file", "both"] + (["neither"] if default is not None else [])
+        source = data.draw(st.sampled_from(sources), label=name)
+        flag_value, file_value = data.draw(st.permutations(values), label=f"{name} values")
+        if source in ("flag", "both"):
+            flags += [f"--{name}", flag_value]
+        if source in ("file", "both"):
+            keys.append(f"{name} = {file_value}")
+        expected[name] = {"flag": flag_value, "both": flag_value, "file": file_value}.get(
+            source, default)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text("[classify]\n" + "\n".join(keys) + "\n")
+        assert main(["classify", *flags, "--config", str(cfg), "--output-dir", tmp]) == 0
+        config = read_json(Path(tmp) / "verdict.json")["config"]
+    recorded = {"alpha": config["alpha"], "mode": config["mode"], "method": config["method"],
+                **{k.replace("_", "-"): v for k, v in config["grid"].items() if k != "kind"}}
+    # the grid records the xi range on the plane and k-max on the cylinder
+    assert set(recorded) == {"alpha", "mode", "method"} | (
+        {"k-max"} if recorded["mode"] == "cylinder" else {"xi-min", "xi-max", "xi-step"})
+    for name, value in recorded.items():
+        want = expected[name]
+        assert value == (want if name in ("mode", "method") else float(want)), name
 
 
 class TestGeodesicsCommand:
@@ -376,14 +421,19 @@ class TestVerifyDeficiencyCommand:
     (["geodesics", "--alpha", "1", "--x0", "-1"], None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "0"], None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--outer-wall", "-1"], None),
+    # the standard data (centre 2, width 0.3) needs eps < 0.8
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "1.0"], None),
+    (["evolve", "--protocol", "cylinder", "--alpha", "1", "--eps", "1.0"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
         argv = argv + ["--config", str(cfg)]
-    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_import_leaves_out_scipy_integrate():

@@ -341,6 +341,25 @@ class TestTransforms:
         assert np.max(np.abs(back.values - vals)) <= 1e-8
         assert np.allclose(back.axis, y, rtol=0.0, atol=1e-12 * max(1.0, abs(y0)))
 
+    def test_cylinder_modes_are_exact_integers(self):
+        # 49 * (1/49) is not 1 in floating point, so fftfreq(49, d=1/49) is
+        # off by an ulp; the mode numbers must be exact
+        y = 2.0 * math.pi / 49 * np.arange(49)
+        psi = PlaneWavefunction(values=np.ones((self.grid.n, 49), dtype=complex), grid=self.grid,
+                                axis=y, representation="original", geometry="cylinder")
+        hat = to_transformed(psi, self.prof)
+        assert np.array_equal(hat.axis, np.arange(-24, 25))
+        assert hat.daxis == 1.0
+
+    @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
+    def test_rejects_single_xi_node(self, geometry):
+        # one frequency fixes no y spacing; it must not become NaN nodes
+        psi = PlaneWavefunction(values=np.ones((self.grid.n, 1), dtype=complex), grid=self.grid,
+                                axis=np.array([0.0]), representation="transformed",
+                                geometry=geometry)
+        with pytest.raises(UsageError):
+            to_original(psi, self.prof)
+
     def test_rejects_even_grid(self):
         y = np.linspace(-8.0, 8.0, 64)
         vals = np.zeros((self.grid.n, 64), dtype=complex)
@@ -435,10 +454,11 @@ class TestPlaneEvolution:
         # confining regime: mass near the boundary stays tiny and is stable
         # under pushing the cutoff inward
         prof = power_law(1.0)
+        wall = choose_outer_wall(FibrePotential(xi=0.0, profile=prof))
         masses = []
         for eps in (0.02, 0.01):
             pot = FibrePotential(xi=1.0, profile=prof)
-            grid = FibreGrid.resolved(eps, 12.0, pot)
+            grid = FibreGrid.resolved(eps, wall, pot)
             g = gaussian_packet(grid)
             psi0 = PlaneWavefunction(
                 values=np.outer(g, [0.5, 1.0, 0.5]).astype(complex),
@@ -488,6 +508,16 @@ class TestPlaneEvolution:
         assert err <= 1e-5
         assert 0.0 < res.wall_mass <= 1e-8
         assert res.norm_drift <= 1e-6
+
+    def test_grid_end_contamination_detected(self):
+        # the xi = 0 fibre's own wall lies beyond L = 4, so it runs on the
+        # whole grid and spreads onto its end by t = 0.1
+        prof = power_law(1.0)
+        grid = FibreGrid.resolved(0.05, 4.0, FibrePotential(xi=0.0, profile=prof))
+        psi0 = PlaneWavefunction(values=gaussian_packet(grid)[:, None], grid=grid,
+                                 axis=np.array([0.0]), representation="transformed")
+        with pytest.raises(ProtocolError, match="xi=0: its outer wall at x=4 "):
+            evolve_plane(psi0, prof, 0.1, BoundaryCondition.dirichlet(), dt=1e-3)
 
     @pytest.mark.parametrize("center", [3.3, 5.0])
     def test_truncated_wall_contamination_detected(self, center):

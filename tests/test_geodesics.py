@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from grushinlab.errors import DomainError, UsageError
 from grushinlab.geodesics import (
@@ -148,3 +150,16 @@ class TestFan:
     def test_too_few_angles(self):
         with pytest.raises(UsageError):
             geodesic_fan(1.0, 1)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_quadrature_matches_every_fan_angle(self, alpha):
+        # the benchmark's fans; near a turning point the hit-time radicand
+        # must not cancel, or quad warns and loses digits
+        for traj in geodesic_fan(alpha, 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                expected = hit_time_quadrature(traj.init)
+            if traj.hit_time_plus is None:  # no hit within the fan's t_max = 10
+                assert expected is None or expected > 10.0, traj.init.theta
+            else:
+                assert abs(traj.hit_time_plus - expected) <= 1e-6, traj.init.theta
