@@ -286,6 +286,8 @@ def _cmd_geodesics(args) -> int:
     _fill_from_config(args, "geodesics")
     if args.alpha is None:
         raise UsageError("geodesics requires --alpha")
+    if args.theta is not None and args.angles is not None:
+        raise UsageError("--angles sets the size of a fan; it does not apply with --theta")
     alpha = _number(args, "alpha", float, None)
     t_max = _number(args, "t_max", float, 10.0)
     tol = _number(args, "tol", float, 1e-12)
@@ -333,21 +335,34 @@ def _parse_float_list(raw, name):
         raise UsageError(f"malformed {name}: {raw!r}") from exc
 
 
+# the options each evolve protocol reads; a plane or cylinder run also
+# reads --beta under --bc robin
+_PLANE_OPTIONS = {"alpha", "t_final", "dt", "eps", "outer_wall", "ny", "sigma_xi", "y_span",
+                  "bc", "jobs", "raster"}
+_EVOLVE_OPTIONS = {"sensitivity": {"alpha", "xi", "t_final", "dt", "beta", "refine", "eps_grid"},
+                   "plane": _PLANE_OPTIONS, "cylinder": _PLANE_OPTIONS}
+
+
 def _cmd_evolve(args) -> int:
     _fill_from_config(args, "evolve")
     protocol = args.protocol or "sensitivity"
+    if protocol not in _EVOLVE_OPTIONS:
+        raise UsageError(f"unknown evolve protocol {protocol!r}")
+    reads = _EVOLVE_OPTIONS[protocol] | ({"beta"} if args.bc == "robin" else set())
+    given = {name for name, value in vars(args).items()
+             if value is not None and value is not False}
+    unread = sorted(given - reads - {"command", "func", "config", "output_dir", "protocol"})
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise UsageError(f"evolve --protocol {protocol} does not read {flags}")
+    if args.alpha is None:
+        raise UsageError(f"evolve --protocol {protocol} requires --alpha")
     if protocol == "sensitivity":
         return _evolve_sensitivity(args)
-    if protocol in ("plane", "cylinder"):
-        return _evolve_plane(args, protocol)
-    raise UsageError(f"unknown evolve protocol {protocol!r}")
+    return _evolve_plane(args, protocol)
 
 
 def _evolve_sensitivity(args) -> int:
-    if args.alpha is None:
-        raise UsageError("evolve --protocol sensitivity requires --alpha")
-    if args.jobs is not None:
-        raise UsageError("--jobs applies only to --protocol plane or cylinder")
     alpha = _number(args, "alpha", float, None)
     xi = _number(args, "xi", float, 0.5)
     t_final = _number(args, "t_final", float, 1.0)
@@ -387,8 +402,6 @@ def _evolve_sensitivity(args) -> int:
 
 
 def _evolve_plane(args, geometry) -> int:
-    if args.alpha is None:
-        raise UsageError(f"evolve --protocol {geometry} requires --alpha")
     alpha = _number(args, "alpha", float, None)
     profile = power_law(alpha)
     t_final = _number(args, "t_final", float, 1.0)

@@ -16,7 +16,8 @@ The effective fibre potential
 
 is what the Laplace-Beltrami operator becomes on each Fourier fibre after
 the unitary rescaling psi -> sqrt(f) psi; all endpoint classification and
-fibre dynamics in the sibling modules is driven by it.
+fibre dynamics in the sibling modules is driven by it.  Every profile
+carries its two pieces, the curvature term and 1/f^2, as plain callables.
 
 Admissibility of a profile is the conjunction of four sampled conditions:
 
@@ -55,15 +56,16 @@ __all__ = [
     "BUILTIN_CUSTOM_PROFILES",
 ]
 
-POWER_LAW = "power_law"
-CUSTOM = "custom"
 # admissibility (ii) is checked on (0, NEAR_ZERO_END]
 NEAR_ZERO_END = 1.0
 
 
 @dataclass(frozen=True)
 class GrushinProfile:
-    """Immutable warp-function bundle (f, f', f'') for a half-plane metric.
+    """Immutable warp function (f, f', f'') and the two fibre-potential
+    pieces it determines: ``base_potential(x)``, the curvature part
+    (2 f f'' - f'^2)/(4 f^2), invariant under f -> lambda f, and
+    ``inv_f_squared(x)``, 1/f^2.  Every constructor fills both.
 
     Instances are safe to share across threads; every evaluator is pure.
     ``alpha`` is set only for the power-law family.  ``kappa`` declares
@@ -72,57 +74,25 @@ class GrushinProfile:
     :func:`check_assumptions`.
     """
 
-    kind: str
     f: Callable[[np.ndarray], np.ndarray]
     f1: Callable[[np.ndarray], np.ndarray]
     f2: Callable[[np.ndarray], np.ndarray]
+    base_potential: Callable[[np.ndarray], np.ndarray]
+    inv_f_squared: Callable[[np.ndarray], np.ndarray]
     kappa: float
     alpha: float | None = None
-    scale: float = 1.0
     name: str = "custom"
-    # Optional closed forms for the scale-invariant combinations; needed
-    # when f itself overflows near 0 (e.g. exp(1/x)) although the
-    # combinations stay representable.
-    base_w: Callable[[np.ndarray], np.ndarray] | None = None
-    inv_f2: Callable[[np.ndarray], np.ndarray] | None = None
-    # Smallest x at which the raw evaluators are float-representable;
-    # sampling grids are clipped here (and the clip is reported).
+    # Smallest x at which f, f', f'' are float-representable; sampling
+    # grids are clipped here (and the clip is reported).
     x_float_min: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (POWER_LAW, CUSTOM):
-            raise UsageError(f"unknown profile kind {self.kind!r}")
         if not (self.kappa > 0.0) or not math.isfinite(self.kappa):
             raise UsageError("kappa must be a positive real")
-        if self.kind == POWER_LAW and self.alpha is None:
-            raise UsageError("power-law profile requires alpha")
 
     @property
     def is_power_law(self) -> bool:
-        return self.kind == POWER_LAW
-
-    def inv_f_squared(self, x):
-        """1/f(x)^2, i.e. x^(2 alpha) for the power law."""
-        if self.is_power_law:
-            return x ** (2.0 * self.alpha) / self.scale**2
-        if self.inv_f2 is not None:
-            return self.inv_f2(x)
-        fx = self.f(x)
-        return 1.0 / (fx * fx)
-
-    def base_potential(self, x):
-        """Curvature part of the fibre potential, (2 f f'' - f'^2)/(4 f^2).
-
-        Scale-invariant under f -> lambda f; the power-law closed form is
-        alpha(2+alpha)/(4 x^2).
-        """
-        if self.is_power_law:
-            a = self.alpha
-            return a * (2.0 + a) / (4.0 * x * x)
-        if self.base_w is not None:
-            return self.base_w(x)
-        fx, f1x, f2x = self.f(x), self.f1(x), self.f2(x)
-        return (2.0 * fx * f2x - f1x * f1x) / (4.0 * fx * fx)
+        return self.alpha is not None
 
 
 @dataclass(frozen=True)
@@ -159,13 +129,18 @@ def power_law(alpha: float, scale: float = 1.0) -> GrushinProfile:
     def f2(x):
         return a * (a + 1.0) * lam * x ** (-a - 2.0)
 
+    def base_potential(x):
+        return a * (2.0 + a) / (4.0 * x * x)
+
+    def inv_f_squared(x):
+        return x ** (2.0 * a) / lam**2
+
     name = f"power_law(alpha={a:g})" if lam == 1.0 else f"power_law(alpha={a:g}, scale={lam:g})"
     # kappa = lam: on (0, 1] the power law is minimised at x = 1 when
     # alpha >= 0; the declared bound is honest there and knowingly fails
     # for alpha < 0.
-    return GrushinProfile(
-        kind=POWER_LAW, f=f, f1=f1, f2=f2, kappa=lam, alpha=a, scale=lam, name=name
-    )
+    return GrushinProfile(f, f1, f2, base_potential, inv_f_squared, kappa=lam, alpha=a,
+                          name=name)
 
 
 def custom_profile(
@@ -179,18 +154,25 @@ def custom_profile(
     inv_f2: Callable | None = None,
     x_float_min: float = 0.0,
 ) -> GrushinProfile:
-    """Wrap user-supplied evaluators f, f', f'' into a profile."""
-    return GrushinProfile(
-        kind=CUSTOM,
-        f=f,
-        f1=f1,
-        f2=f2,
-        kappa=kappa,
-        name=name,
-        base_w=base_w,
-        inv_f2=inv_f2,
-        x_float_min=x_float_min,
-    )
+    """Wrap user-supplied evaluators f, f', f'' into a profile.
+
+    ``base_w`` and ``inv_f2`` are closed forms of the two potential
+    pieces, needed when f itself overflows near 0 (e.g. exp(1/x)) although
+    the pieces stay representable; a piece left out is computed from
+    f, f', f''.
+    """
+
+    def generic_base_potential(x):
+        fx, f1x, f2x = f(x), f1(x), f2(x)
+        return (2.0 * fx * f2x - f1x * f1x) / (4.0 * fx * fx)
+
+    def generic_inv_f_squared(x):
+        fx = f(x)
+        return 1.0 / (fx * fx)
+
+    base = base_w if base_w is not None else generic_base_potential
+    inv = inv_f2 if inv_f2 is not None else generic_inv_f_squared
+    return GrushinProfile(f, f1, f2, base, inv, kappa=kappa, name=name, x_float_min=x_float_min)
 
 
 def _exp_inverse_profile() -> GrushinProfile:
@@ -222,21 +204,17 @@ def _exp_inverse_profile() -> GrushinProfile:
     )
 
 
-BUILTIN_CUSTOM_PROFILES: Mapping[str, Callable[..., GrushinProfile]] = {
-    # f = lam * x^(-alpha): same geometry as the power law up to a dilation
-    # of the y axis; useful for scale-invariance checks.
-    "scaled_power_law": lambda alpha=1.0, lam=1.0: power_law(alpha, scale=lam),
-    "exp_inverse": lambda: _exp_inverse_profile(),
-}
+BUILTIN_CUSTOM_PROFILES: Mapping[str, Callable[[], GrushinProfile]] = {
+    "exp_inverse": _exp_inverse_profile}
 
 
-def builtin_profile(name: str, **params) -> GrushinProfile:
+def builtin_profile(name: str) -> GrushinProfile:
     try:
         factory = BUILTIN_CUSTOM_PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_CUSTOM_PROFILES))
         raise UsageError(f"unknown builtin profile {name!r} (known: {known})") from None
-    return factory(**params)
+    return factory()
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +341,17 @@ def check_assumptions(profile: GrushinProfile,
 # ---------------------------------------------------------------------------
 
 _PROFILE_SECTION = "profile"
+# the keys each profile kind reads; any other key is a usage error
+_CONFIG_KEYS = {"power_law": {"kind", "alpha", "scale"}, "custom": {"kind", "name"}}
 
 
 def parse_profile_config(text: str) -> GrushinProfile:
     """Build a profile from `key = value` configuration text.
 
     Recognised keys: ``kind`` (power_law | custom); for power_law:
-    ``alpha`` and optional ``scale``; for custom: ``name`` of a builtin
-    plus its parameters (``alpha``/``lam`` for scaled_power_law).  A
-    ``[profile]`` section header is optional.
+    ``alpha`` and optional ``scale``; for custom: ``name`` of a builtin.
+    A key the kind does not read is a usage error.  A ``[profile]``
+    section header is optional.
     """
     stripped = text.lstrip()
     if not stripped.startswith("["):
@@ -384,29 +364,24 @@ def parse_profile_config(text: str) -> GrushinProfile:
     section = parser[_PROFILE_SECTION] if parser.has_section(_PROFILE_SECTION) else parser[parser.sections()[0]]
 
     kind = section.get("kind", "").strip().lower()
-    if kind == POWER_LAW:
-        if "alpha" not in section:
-            raise UsageError("power_law profile config requires field 'alpha'")
-        try:
-            alpha = float(section["alpha"])
-            scale = float(section.get("scale", "1.0"))
-        except ValueError as exc:
-            raise UsageError(f"non-numeric profile field: {exc}") from exc
-        return power_law(alpha, scale=scale)
-    if kind == CUSTOM:
+    if kind not in _CONFIG_KEYS:
+        raise UsageError(f"profile config field 'kind' must be power_law or custom, got {kind!r}")
+    unknown = sorted(set(section) - _CONFIG_KEYS[kind])
+    if unknown:
+        raise UsageError(f"{kind} profile config has unknown key(s): {', '.join(unknown)}")
+    if kind == "custom":
         name = section.get("name", "").strip()
         if not name:
             raise UsageError("custom profile config requires field 'name'")
-        params = {}
-        for key in section:
-            if key in ("kind", "name"):
-                continue
-            try:
-                params[key] = float(section[key])
-            except ValueError as exc:
-                raise UsageError(f"non-numeric profile field {key!r}") from exc
-        return builtin_profile(name, **params)
-    raise UsageError(f"profile config field 'kind' must be power_law or custom, got {kind!r}")
+        return builtin_profile(name)
+    if "alpha" not in section:
+        raise UsageError("power_law profile config requires field 'alpha'")
+    try:
+        alpha = float(section["alpha"])
+        scale = float(section.get("scale", "1.0"))
+    except ValueError as exc:
+        raise UsageError(f"non-numeric profile field: {exc}") from exc
+    return power_law(alpha, scale=scale)
 
 
 def load_profile(path) -> GrushinProfile:

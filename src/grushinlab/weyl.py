@@ -293,24 +293,24 @@ _magnitude_guard.terminal = True
 _magnitude_guard.direction = 1.0
 
 
-def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float):
-    """Per-half-decade growth exponents of the deficiency solutions.
+def _amplitude_slopes(pot: FibrePotential):
+    """Growth exponents of the deficiency solutions over the last block.
 
-    Integrates -u'' + W u = i u inward from ``x_start`` for the two
-    canonical initial conditions, renormalising at each block so the
-    exponent of the dominant local solution can be read from amplitude
-    ratios without overflow.  Returns (slopes for IC1, slopes for IC2,
-    early_limit_point), where an early stop is triggered by hyper-fast
-    growth (more singular than any inverse square).
+    Integrates -u'' + W u = i u inward from X_START to X_END for the two
+    canonical initial conditions, one half-decade block at a time and
+    renormalising after each, so the exponent of the dominant local
+    solution can be read from amplitude ratios without overflow.  Returns
+    (the last block's slope of each initial condition, early_limit_point),
+    where an early stop is triggered by hyper-fast growth (more singular
+    than any inverse square) and its slope is that of the stopped block.
     """
     from scipy.integrate import solve_ivp
 
-    n_blocks = max(4, int(math.ceil(2.0 * math.log10(x_start / x_end))))
-    edges = np.geomspace(x_start, x_end, n_blocks + 1)
-    all_slopes = []
-    for ic in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, x_start, 0.0)):
-        y = np.array(ic) / _scale_invariant_mag(x_start, ic)
-        slopes = []
+    n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
+    edges = np.geomspace(X_START, X_END, n_blocks + 1)
+    slopes = []
+    for ic in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, X_START, 0.0)):
+        y = np.array(ic) / _scale_invariant_mag(X_START, ic)
         for k in range(n_blocks):
             a, b = edges[k], edges[k + 1]
             sol = solve_ivp(
@@ -329,14 +329,14 @@ def _amplitude_slopes(pot: FibrePotential, x_start: float, x_end: float):
             y = sol.y[:, -1]
             m = _scale_invariant_mag(x_last, y)
             slope = math.log(m) / (math.log(x_last) - math.log(a))
-            slopes.append(slope)
             if sol.status == 1:
                 # the magnitude guard fired: growth beyond e^100 within
                 # half a decade, steeper than any inverse-square profile
-                return all_slopes + [slopes], True
+                # (one solve over all blocks would measure it over seven)
+                return slopes + [slope], True
             y = y / m
-        all_slopes.append(slopes)
-    return all_slopes, False
+        slopes.append(slope)
+    return slopes, False
 
 
 def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylReport:
@@ -358,8 +358,8 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylRep
     c0, c0_err = _fit_c0(pot)
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
-    slopes, early_lp = _amplitude_slopes(pot, X_START, X_END)
-    s_est = min(s[-1] for s in slopes)
+    slopes, early_lp = _amplitude_slopes(pot)
+    s_est = min(slopes)
     lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + SLOPE_TOL
 
     if lp_fit != lp_ode:
@@ -589,6 +589,13 @@ def _norm_pieces(sol, x_right, refine: int = 1):
     return float(m_log + m_uni + tail), s_fit
 
 
+def _bounded_interval(interval, name):
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise UsageError(f"{name} must be bounded with a < b")
+    return lo, hi
+
+
 def verify_deficiency_family(
     alpha: float,
     interval: tuple[float, float] = (0.0, 1.0),
@@ -606,8 +613,9 @@ def verify_deficiency_family(
     * eigenvalue residual of the 5-point finite-difference operator on
       the observation grid (independent of the integration route);
     * unit norm under a refined re-quadrature;
-    * orthogonality against the family over ``other_interval`` (exact
-      for disjoint intervals since the xi supports do not meet).
+    * orthogonality against the family over ``other_interval``, which
+      must be bounded and disjoint from ``interval`` (exact, since the
+      xi supports do not meet).
 
     A failure to find a square-integrable solution (fitted local growth
     at zero at or below the critical exponent) sets ``contradiction``.
@@ -616,9 +624,11 @@ def verify_deficiency_family(
         raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
     if xi_samples < 8:
         raise UsageError("need at least 8 fibre samples")
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise UsageError("interval must be bounded with a < b")
+    a, b = _bounded_interval(interval, "interval")
+    if other_interval is not None:
+        a2, b2 = _bounded_interval(other_interval, "other interval")
+        if a2 <= b and a <= b2:
+            raise UsageError("other interval must be disjoint from the interval")
 
     profile = power_law(alpha)
     xi_values = np.linspace(a, b, xi_samples)
@@ -652,7 +662,6 @@ def verify_deficiency_family(
 
     max_cross = None
     if other_interval is not None:
-        a2, b2 = float(other_interval[0]), float(other_interval[1])
         # indicator overlap on the joint grid; disjoint supports give 0
         joint = np.union1d(xi_values, np.linspace(a2, b2, xi_samples))
         ind1 = ((joint >= a) & (joint <= b)).astype(float)

@@ -396,6 +396,11 @@ class TestVerifyDeficiencyCommand:
                      "--output-dir", str(tmp_path)]) == 2
 
 
+SENSITIVITY_RUN = ["evolve", "--protocol", "sensitivity", "--alpha", "1.5",
+                   "--eps-grid", "1e-1,1e-2", "--t-final", "0.1"]
+PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02", "--ny", "7"]
+
+
 @pytest.mark.parametrize("argv, ini", [
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--dt", "abc"], None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--jobs", "two"], None),
@@ -424,6 +429,22 @@ class TestVerifyDeficiencyCommand:
     # the standard data (centre 2, width 0.3) needs eps < 0.8
     (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "1.0"], None),
     (["evolve", "--protocol", "cylinder", "--alpha", "1", "--eps", "1.0"], None),
+    # [profile] keys the chosen kind does not read, and the deleted builtin
+    (["classify"], "[profile]\nkind = power_law\nalpha = 1\nscal = 2\n"),
+    (["classify"], "[profile]\nkind = custom\nname = exp_inverse\nfoo = 1\n"),
+    (["classify"], "[profile]\nkind = custom\nname = scaled_power_law\nalpha = 1\nbeta = 3\n"),
+    (["classify"], "[profile]\nkind = custom\nname = scaled_power_law\n"),
+    # options the evolve protocol does not read, as flags or [evolve] keys
+    *(([*SENSITIVITY_RUN, *extra], None) for extra in (
+        ["--ny", "8"], ["--bc", "robin"], ["--eps", "0.5"], ["--raster"], ["--sigma-xi", "-3"])),
+    *(([*PLANE_RUN, *extra], None) for extra in (
+        ["--xi", "3"], ["--eps-grid", "5"], ["--refine", "0"], ["--beta", "2"])),
+    (PLANE_RUN, "[evolve]\nxi = 3\n"),
+    (SENSITIVITY_RUN, "[evolve]\njobs = 2\n"),
+    (["geodesics", "--alpha", "1", "--theta", "0.3", "--angles", "0"], None),
+    # --other-interval must be bounded, ordered and disjoint from --interval
+    *((["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--other-interval", other],
+       None) for other in ("3,2", "0.5,2", "nan,1", "inf,5")),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

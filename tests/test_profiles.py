@@ -16,15 +16,15 @@ from grushinlab.profiles import (
 ALPHAS = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]
 
 
-def power_law_as_custom(alpha):
+def power_law_as_custom(alpha, scale=1.0):
     """Power-law evaluators wrapped as a generic custom profile, so the
     generic combination path can be checked against the closed forms."""
     return custom_profile(
-        lambda x: x ** (-alpha),
-        lambda x: -alpha * x ** (-alpha - 1.0),
-        lambda x: alpha * (alpha + 1.0) * x ** (-alpha - 2.0),
-        kappa=1.0,
-        name=f"custom_power({alpha})",
+        lambda x: scale * x ** (-alpha),
+        lambda x: -alpha * scale * x ** (-alpha - 1.0),
+        lambda x: alpha * (alpha + 1.0) * scale * x ** (-alpha - 2.0),
+        kappa=scale,
+        name=f"custom_power({alpha}, {scale})",
     )
 
 
@@ -45,13 +45,18 @@ class TestEffectivePotential:
         pot = FibrePotential(xi=0.5, profile=power_law(-1.0))
         assert pot(1.0) == pytest.approx(0.0, abs=1e-16)
 
-    @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
-    def test_custom_branch_matches_closed_form(self, alpha):
+    # scale 1 keeps the bare alpha as the id; scale 2.5 checks the closed
+    # form's division by scale^2 against the generic 1/f^2
+    @pytest.mark.parametrize("alpha, scale", [
+        *(pytest.param(a, 1.0, id=f"{a}") for a in ALPHAS),
+        *(pytest.param(a, 2.5, id=f"{a}-scale2.5") for a in ALPHAS),
+    ])
+    def test_custom_branch_matches_closed_form(self, alpha, scale):
         x = np.geomspace(1e-2, 1e2, 300)
-        closed = FibrePotential(xi=1.5, profile=power_law(alpha))(x)
-        generic = FibrePotential(xi=1.5, profile=power_law_as_custom(alpha))(x)
-        scale = np.maximum(np.abs(closed), 1e-300)
-        assert np.max(np.abs(generic - closed) / scale) < 1e-10
+        closed = FibrePotential(xi=1.5, profile=power_law(alpha, scale=scale))(x)
+        generic = FibrePotential(xi=1.5, profile=power_law_as_custom(alpha, scale))(x)
+        size = np.maximum(np.abs(closed), 1e-300)
+        assert np.max(np.abs(generic - closed) / size) < 1e-10
 
     @given(
         alpha=st.floats(-2.0, 3.0),
@@ -138,12 +143,11 @@ class TestConfig:
         prof = parse_profile_config("[profile]\nkind = power_law\nalpha = -1\n")
         assert prof.alpha == -1.0
 
-    def test_scaled_power_law_builtin(self):
-        prof = parse_profile_config(
-            "kind = custom\nname = scaled_power_law\nalpha = 1\nlam = 2.5\n"
-        )
-        assert prof.is_power_law and prof.scale == 2.5
+    def test_scaled_power_law_config(self):
+        prof = parse_profile_config("kind = power_law\nalpha = 1\nscale = 2.5\n")
+        assert prof.is_power_law
         assert prof.f(1.0) == 2.5
+        assert prof.inv_f_squared(1.0) == 1 / 6.25
 
     def test_exp_inverse_builtin(self):
         prof = parse_profile_config("kind = custom\nname = exp_inverse\n")
@@ -160,6 +164,16 @@ class TestConfig:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(UsageError):
             parse_profile_config("kind = custom\nname = nope\n")
+
+    @pytest.mark.parametrize("text", [
+        "kind = power_law\nalpha = 1\nscal = 2\n",
+        "kind = custom\nname = exp_inverse\nfoo = 1\n",
+        "kind = custom\nname = exp_inverse\nalpha = 1\n",
+        "kind = power_law\nalpha = 1\nname = exp_inverse\n",
+    ])
+    def test_key_the_kind_does_not_read_rejected(self, text):
+        with pytest.raises(UsageError, match="unknown key"):
+            parse_profile_config(text)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "profile.ini"

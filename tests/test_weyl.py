@@ -172,6 +172,23 @@ class TestNumericClassification:
         ana = classify_power_law(alpha, xi)
         assert num.endpoint_zero == ana.endpoint_zero
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0])
+    def test_indicial_slope_is_dominant_root(self, alpha):
+        # at xi = 0, c0 = alpha(2+alpha)/4 and the dominant local solution
+        # is x^s with s = (1 - |1 + alpha|)/2
+        r = classify_numeric(FibrePotential(xi=0.0, profile=power_law(alpha)))
+        expected = (1.0 - abs(1.0 + alpha)) / 2.0
+        assert abs(r.diagnostics["indicial_slope"] - expected) < 1e-3
+
+    @pytest.mark.parametrize("alpha,xi", [(-2.0, 0.5), (-3.0, 1.0)])
+    def test_early_stop_slope_is_finite_and_limit_point(self, alpha, xi):
+        # c0 = +inf: the magnitude guard stops the solve, and the slope of
+        # the stopped block is what the diagnostics report
+        r = classify_numeric(FibrePotential(xi=xi, profile=power_law(alpha)))
+        slope = r.diagnostics["indicial_slope"]
+        assert r.endpoint_zero is LP
+        assert math.isfinite(slope) and slope < -0.5
+
 
 class TestAggregation:
     def plane_reports(self, alpha, grid):
@@ -270,3 +287,9 @@ class TestDeficiencyFamily:
             verify_deficiency_family(0.5, (0.0, 1.0), 4)
         with pytest.raises(UsageError):
             verify_deficiency_family(0.5, (1.0, 0.0), 8)
+
+    @pytest.mark.parametrize("other", [(3.0, 2.0), (0.5, 2.0), (1.0, 2.0), (-1.0, 0.0),
+                                       (math.nan, 1.0), (math.inf, 5.0)])
+    def test_other_interval_must_be_bounded_and_disjoint(self, other):
+        with pytest.raises(UsageError):
+            verify_deficiency_family(0.5, (0.0, 1.0), 8, other)
