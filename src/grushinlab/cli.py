@@ -104,10 +104,20 @@ def _write_csv(path, header_cols, columns, config):
     return path
 
 
+# the options that take one of a fixed set of values, as flags or file keys
+_CHOICES = {
+    "mode": ("plane", "cylinder"),
+    "method": ("auto", "analytic", "numeric"),
+    "protocol": ("sensitivity", "plane", "cylinder"),
+    "bc": ("dirichlet", "robin"),
+}
+
+
 def _fill_from_config(args, section):
     """Copy file values into argparse Namespace slots left at None (or a
-    switch left off); a key that names no option of the command is a
-    usage error.  Returns the parsed file, or None without --config."""
+    switch left off); a key that names no option of the command, or a
+    value outside the option's choices, is a usage error.  Returns the
+    parsed file, or None without --config."""
     if args.config is None:
         return None
     parser = configparser.ConfigParser()
@@ -120,6 +130,9 @@ def _fill_from_config(args, section):
         attr = key.replace("-", "_")
         if attr not in options:
             raise UsageError(f"config file [{section}] has unknown key {key!r}")
+        if attr in _CHOICES and raw not in _CHOICES[attr]:
+            raise UsageError(f"config file [{section}] {key} must be one of "
+                             f"{', '.join(_CHOICES[attr])}, got {raw!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, raw)
         elif getattr(args, attr) is False:
@@ -149,6 +162,18 @@ def _number(args, name, kind, default, minimum=None):
     if minimum is not None and value < minimum:
         raise UsageError(f"{flag} must be at least {minimum}, got {raw!r}")
     return value
+
+
+def _given(args) -> set[str]:
+    """The options set in ``args``, flags and file keys alike."""
+    return {name for name, value in vars(args).items()
+            if value is not None and value is not False} - {"command", "func", "config"}
+
+
+def _reject_unread(what, names):
+    if names:
+        flags = ", ".join("--" + name.replace("_", "-") for name in sorted(names))
+        raise UsageError(f"{what} does not read {flags}")
 
 
 def _resolve_profile(args, config) -> GrushinProfile:
@@ -185,9 +210,16 @@ def _outdir(args) -> str:
 # classify
 # ---------------------------------------------------------------------------
 
+# the classify options each mode does not read; as file keys they are
+# allowed, so one [classify] section can serve both modes
+_UNREAD_IN_MODE = {Mode.PLANE: {"k_max"}, Mode.CYLINDER: {"xi_min", "xi_max", "xi_step"}}
+
+
 def _cmd_classify(args) -> int:
+    flags = _given(args)
     profile = _resolve_profile(args, _fill_from_config(args, "classify"))
     mode = Mode(args.mode or "plane")
+    _reject_unread(f"classify --mode {mode.value}", flags & _UNREAD_IN_MODE[mode])
 
     if mode is Mode.CYLINDER:
         k_max = _number(args, "k_max", int, 5, minimum=0)
@@ -346,15 +378,9 @@ _EVOLVE_OPTIONS = {"sensitivity": {"alpha", "xi", "t_final", "dt", "beta", "refi
 def _cmd_evolve(args) -> int:
     _fill_from_config(args, "evolve")
     protocol = args.protocol or "sensitivity"
-    if protocol not in _EVOLVE_OPTIONS:
-        raise UsageError(f"unknown evolve protocol {protocol!r}")
     reads = _EVOLVE_OPTIONS[protocol] | ({"beta"} if args.bc == "robin" else set())
-    given = {name for name, value in vars(args).items()
-             if value is not None and value is not False}
-    unread = sorted(given - reads - {"command", "func", "config", "output_dir", "protocol"})
-    if unread:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        raise UsageError(f"evolve --protocol {protocol} does not read {flags}")
+    _reject_unread(f"evolve --protocol {protocol}",
+                   _given(args) - reads - {"output_dir", "protocol"})
     if args.alpha is None:
         raise UsageError(f"evolve --protocol {protocol} requires --alpha")
     if protocol == "sensitivity":
@@ -553,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--profile", help="builtin custom profile name")
     p.add_argument("--profile-file", help="profile config file")
-    p.add_argument("--mode", choices=["plane", "cylinder"])
-    p.add_argument("--method", choices=["auto", "analytic", "numeric"])
+    p.add_argument("--mode", choices=_CHOICES["mode"])
+    p.add_argument("--method", choices=_CHOICES["method"])
     p.add_argument("--xi-min")
     p.add_argument("--xi-max")
     p.add_argument("--xi-step")
@@ -573,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="fibre/plane Schroedinger evolution")
     common(p)
-    p.add_argument("--protocol", choices=["sensitivity", "plane", "cylinder"])
+    p.add_argument("--protocol", choices=_CHOICES["protocol"])
     p.add_argument("--jobs", help="worker threads for the fibres of a plane or cylinder run")
     p.add_argument("--xi")
     p.add_argument("--t-final")
@@ -588,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny")
     p.add_argument("--sigma-xi")
     p.add_argument("--y-span")
-    p.add_argument("--bc", choices=["dirichlet", "robin"])
+    p.add_argument("--bc", choices=_CHOICES["bc"])
     p.add_argument("--raster", action="store_true", help="write float32 raster snapshot")
     p.set_defaults(func=_cmd_evolve)
 

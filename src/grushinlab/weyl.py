@@ -270,76 +270,119 @@ def _fit_c0(pot: FibrePotential):
     return c0, float(tail_err)
 
 
-def _deficiency_rhs(x, y, pot):
-    u = y[0] + 1j * y[1]
-    v = y[2] + 1j * y[3]
-    du = v
-    dv = (pot(x) - 1j) * u
-    return (du.real, du.imag, dv.real, dv.imag)
+def _squares(xi) -> np.ndarray:
+    # xi**2 as FibrePotential computes it, so a batch of one fibre is
+    # bit-identical to that fibre's scalar potential
+    return np.array([float(v) ** 2 for v in np.atleast_1d(xi)])
 
 
-def _scale_invariant_mag(x, y):
-    # sqrt(|u|^2 + |x u'|^2): homogeneous of degree s for Frobenius
+def _deficiency_rhs(x, y, profile, xi2):
+    """-u'' + W u = i u for every fibre at once, W = base + xi^2 / f^2.
+    ``y`` stacks the fibres' Re u, Im u, Re u', Im u' in four rows."""
+    ur, ui, vr, vi = y.reshape(4, -1)
+    w = profile.base_potential(x) + xi2 * profile.inv_f_squared(x)
+    return np.concatenate((vr, vi, w * ur + ui, w * ui - ur))
+
+
+def _mag_squared(x, y):
+    # |u|^2 + |x u'|^2 per fibre: homogeneous of degree 2s for Frobenius
     # solutions u ~ x^s, and never zero (u and u' cannot vanish together).
-    return math.sqrt(y[0] ** 2 + y[1] ** 2 + (x * y[2]) ** 2 + (x * y[3]) ** 2)
+    ur, ui, vr, vi = y.reshape(4, -1)
+    return ur**2 + ui**2 + (x * vr) ** 2 + (x * vi) ** 2
 
 
-def _magnitude_guard(x, y, pot):
-    m2 = y[0] ** 2 + y[1] ** 2 + (x * y[2]) ** 2 + (x * y[3]) ** 2
-    return math.log(m2) - 200.0
+# the magnitude guard fires when log m^2 reaches this
+_GUARD_LOG_M2 = 200.0
+
+
+def _magnitude_guard(x, y, profile, xi2):
+    return math.log(float(np.max(_mag_squared(x, y)))) - _GUARD_LOG_M2
 
 
 _magnitude_guard.terminal = True
 _magnitude_guard.direction = 1.0
 
 
-def _amplitude_slopes(pot: FibrePotential):
-    """Growth exponents of the deficiency solutions over the last block.
+def _batch_tolerances(rtol, atol, n):
+    """scipy's error norm is an RMS over the whole state: dividing the
+    tolerances by sqrt(n) bounds each of the n fibres' RMS error by the
+    bound a solve of that fibre alone would meet."""
+    root = math.sqrt(n)
+    return rtol / root, atol / root
+
+
+def _amplitude_slopes(profile: GrushinProfile, xi):
+    """Growth exponents of the deficiency solutions of every fibre ``xi``.
 
     Integrates -u'' + W u = i u inward from X_START to X_END for the two
-    canonical initial conditions, one half-decade block at a time and
-    renormalising after each, so the exponent of the dominant local
-    solution can be read from amplitude ratios without overflow.  Returns
-    (the last block's slope of each initial condition, early_limit_point),
+    canonical initial conditions, all fibres in one vector ODE, one
+    half-decade block at a time and renormalising each fibre after each,
+    so the exponent of the dominant local solution can be read from
+    amplitude ratios without overflow.  Returns one (the last block's
+    slope of each initial condition, early_limit_point) pair per fibre,
     where an early stop is triggered by hyper-fast growth (more singular
-    than any inverse square) and its slope is that of the stopped block.
+    than any inverse square) and its slope is that of the stopped block;
+    an early-stopped fibre skips the later initial conditions.
     """
     from scipy.integrate import solve_ivp
 
+    xi2 = _squares(xi)
     n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
     edges = np.geomspace(X_START, X_END, n_blocks + 1)
-    slopes = []
+    slopes = [[] for _ in xi2]
+    early = np.zeros(xi2.size, dtype=bool)
     for ic in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, X_START, 0.0)):
-        y = np.array(ic) / _scale_invariant_mag(X_START, ic)
+        active = np.flatnonzero(~early)
+        if not active.size:
+            break
+        y = np.repeat(np.array(ic)[:, None], active.size, axis=1)
+        y = y / np.sqrt(_mag_squared(X_START, y))
         for k in range(n_blocks):
             a, b = edges[k], edges[k + 1]
-            sol = solve_ivp(
-                _deficiency_rhs,
-                (a, b),
-                y,
-                args=(pot,),
-                method="DOP853",
-                rtol=1e-10,
-                atol=1e-30,
-                events=_magnitude_guard,
-            )
-            if sol.status == -1:
-                raise NumericError(f"deficiency ODE integration failed: {sol.message}")
-            x_last = float(sol.t[-1])
-            y = sol.y[:, -1]
-            m = _scale_invariant_mag(x_last, y)
-            slope = math.log(m) / (math.log(x_last) - math.log(a))
-            if sol.status == 1:
+            x0 = a
+            while active.size:
+                rtol, atol = _batch_tolerances(1e-10, 1e-30, active.size)
+                sol = solve_ivp(
+                    _deficiency_rhs,
+                    (x0, b),
+                    y.ravel(),
+                    args=(profile, xi2[active]),
+                    method="DOP853",
+                    rtol=rtol,
+                    atol=atol,
+                    events=_magnitude_guard,
+                )
+                if sol.status == -1:
+                    raise NumericError(f"deficiency ODE integration failed: {sol.message}")
+                x_last = float(sol.t[-1])
+                y = sol.y[:, -1].reshape(4, -1)
+                m2 = _mag_squared(x_last, y)
+                m = np.sqrt(m2)
+                # math.log, as a fibre alone would take it, not numpy's
+                slope = np.array([math.log(v) for v in m]) / (math.log(x_last) - math.log(a))
+                if sol.status != 1:
+                    break
                 # the magnitude guard fired: growth beyond e^100 within
                 # half a decade, steeper than any inverse-square profile
-                # (one solve over all blocks would measure it over seven)
-                return slopes + [slope], True
+                # (one solve over all blocks would measure it over seven).
+                # Every fibre at or past the guard stops here; one left
+                # running would restart above it and never cross it upward.
+                stop = np.log(m2) >= _GUARD_LOG_M2
+                stop[np.argmax(m2)] = True
+                for i, s in zip(active[stop], slope[stop]):
+                    slopes[i].append(float(s))
+                early[active[stop]] = True
+                active, y, x0 = active[~stop], y[:, ~stop], x_last
+            if not active.size:
+                break
             y = y / m
-        slopes.append(slope)
-    return slopes, False
+        for i, s in zip(active, slope):
+            slopes[i].append(float(s))
+    return [(fibre, bool(stopped)) for fibre, stopped in zip(slopes, early)]
 
 
-def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylReport:
+def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE,
+                     slopes: tuple[list[float], bool] | None = None) -> WeylReport:
     """Classify a fibre at x = 0 by sampling plus ODE integration.
 
     The indicial fit estimates c0 = lim x^2 W on 26 samples spanning
@@ -349,7 +392,9 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylRep
     amplitude ratios: both local solutions are square integrable near
     zero iff s > -1/2.  The routes must agree; disagreement raises
     :class:`InconclusiveClassification` rather than silently picking a
-    side.
+    side.  ``slopes`` is this fibre's entry of :func:`_amplitude_slopes`
+    when a sweep has integrated it together with others; without it the
+    fibre is integrated alone.
     """
     mode = Mode(mode)
     if mode is Mode.CYLINDER and float(pot.xi) != int(pot.xi):
@@ -358,7 +403,9 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylRep
     c0, c0_err = _fit_c0(pot)
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
-    slopes, early_lp = _amplitude_slopes(pot)
+    if slopes is None:
+        (slopes,) = _amplitude_slopes(pot.profile, [pot.xi])
+    slopes, early_lp = slopes
     s_est = min(slopes)
     lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + SLOPE_TOL
 
@@ -372,6 +419,7 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE) -> WeylRep
         "c0": c0,
         "c0_fit_error": c0_err,
         "indicial_slope": s_est,
+        "early_limit_point": early_lp,
         "x0": X_START,
         "x_end": X_END,
     }
@@ -390,15 +438,20 @@ def classify_sweep(
     mode: Mode = Mode.PLANE,
     method: str = "auto",
 ) -> list[WeylReport]:
-    """Classify every fibre in ``xi_values``, analytic when possible."""
+    """Classify every fibre in ``xi_values``, analytic when possible.  The
+    numeric route integrates all fibres in one vector ODE and then
+    decides each fibre with :func:`classify_numeric`."""
+    if method not in ("auto", "analytic", "numeric"):
+        raise UsageError(f"method must be auto, analytic or numeric, got {method!r}")
     xi_values = [float(v) for v in xi_values]
     use_analytic = method == "analytic" or (method == "auto" and profile.is_power_law)
     if method == "analytic" and not profile.is_power_law:
         raise UsageError("analytic classification requires a power-law profile")
     if use_analytic:
         return [classify_power_law(profile.alpha, xi, mode) for xi in xi_values]
-    return [classify_numeric(FibrePotential(xi=xi, profile=profile), mode=mode)
-            for xi in xi_values]
+    batch = _amplitude_slopes(profile, xi_values)
+    return [classify_numeric(FibrePotential(xi=xi, profile=profile), mode=mode, slopes=fibre)
+            for xi, fibre in zip(xi_values, batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +560,10 @@ OBS_GRID_STEP = 1.0 / 256.0
 _DECAY_BUDGET = 35.0
 # inner end of the deficiency solves; a power tail covers (0, FAMILY_X_MIN)
 FAMILY_X_MIN = 1e-6
+# Fibres per deficiency solve.  A solve keeps its fibres' values at about
+# 44k points, 0.7 MB a fibre; groups of 8 run a third faster but raise the
+# peak memory by about 3 MB.
+FAMILY_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -535,58 +592,93 @@ def _right_start(pot: FibrePotential) -> float:
     return x
 
 
-def _solve_l2_solution(pot: FibrePotential):
-    """Integrate the deficiency equation inward from the far region to
-    FAMILY_X_MIN, seeding the decaying WKB branch; returns the dense
-    solution."""
-    from scipy.integrate import solve_ivp
+def _l2_solutions(profile: GrushinProfile, xi, x_right: float, grids):
+    """Values at each of ``grids`` of the square-integrable solution of
+    every fibre ``xi``: one inward solve of all of them from ``x_right``
+    to FAMILY_X_MIN, each fibre seeded on its decaying WKB branch.  Each
+    step's dense output is evaluated at the points the step covers and
+    then dropped, so memory holds the values and no interpolants.
+    Returns one complex (fibres, points) array per grid."""
+    from scipy.integrate import DOP853
 
-    x_right = _right_start(pot)
-    k = np.sqrt(complex(pot(x_right)) - 1j)
-    if k.real < 0:
-        k = -k
-    y0 = (1.0, 0.0, -k.real, -k.imag)
-    sol = solve_ivp(
-        _deficiency_rhs,
-        (x_right, FAMILY_X_MIN),
-        y0,
-        args=(pot,),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-280,
-        dense_output=True,
-        first_step=min(0.1, 1.0 / max(abs(k), 1.0)),
-    )
-    if sol.status != 0:
-        raise NumericError(f"deficiency solve failed: {sol.message}")
-    return sol, x_right
+    xi2 = _squares(xi)
+    k = np.sqrt(profile.base_potential(x_right) + xi2 * profile.inv_f_squared(x_right) - 1j)
+    k = np.where(k.real < 0, -k, k)
+    y0 = np.concatenate((np.ones_like(xi2), np.zeros_like(xi2), -k.real, -k.imag))
+    rtol, atol = _batch_tolerances(1e-12, 1e-280, xi2.size)
+    solver = DOP853(lambda x, y: _deficiency_rhs(x, y, profile, xi2), x_right, y0,
+                    FAMILY_X_MIN, rtol=rtol, atol=atol,
+                    first_step=min(0.1, 1.0 / max(float(np.abs(k).max()), 1.0)))
+    points = np.concatenate(grids)
+    inward = np.argsort(-points, kind="stable")
+    descending = points[inward]
+    values = np.empty((xi2.size, points.size), dtype=complex)
+    done = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise NumericError(f"deficiency solve failed: {message}")
+        reached = int(np.searchsorted(-descending, -solver.t, side="right"))
+        if reached > done:
+            covered = inward[done:reached]
+            y = solver.dense_output()(points[covered])
+            values[:, covered] = y[: xi2.size] + 1j * y[xi2.size: 2 * xi2.size]
+            done = reached
+    return np.split(values, np.cumsum([len(g) for g in grids])[:-1], axis=1)
 
 
-def _eval(sol, x):
-    vals = sol.sol(x)
-    return vals[0] + 1j * vals[1]
+def _quadrature_grids(x_right: float, refine: int):
+    """The norm rule's log grid on (FAMILY_X_MIN, OBS_GRID_LO) and uniform
+    grid on (OBS_GRID_LO, x_right)."""
+    return (np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 2001 * refine),
+            np.linspace(OBS_GRID_LO, x_right, 12001 * refine))
 
 
-def _norm_pieces(sol, x_right, refine: int = 1):
+def _norm_sq(grids, u_log, u_uni, s_fit: float) -> float:
     """L^2 norm^2 on (0, x_right): log-grid rule near zero, uniform rule
     outside, plus the analytic power tail below FAMILY_X_MIN."""
     from scipy.integrate import simpson
 
-    x_min = FAMILY_X_MIN
-    n_log, n_uni = 2001 * refine, 12001 * refine
-    x_log = np.geomspace(x_min, OBS_GRID_LO, n_log)
-    p_log = np.abs(_eval(sol, x_log)) ** 2
-    m_log = simpson(p_log, x=x_log)
-    x_uni = np.linspace(OBS_GRID_LO, x_right, n_uni)
-    m_uni = simpson(np.abs(_eval(sol, x_uni)) ** 2, x=x_uni)
-    # fitted local exponent over the last decade above x_min
-    m1 = np.abs(_eval(sol, x_min))
-    m2 = np.abs(_eval(sol, 10.0 * x_min))
-    s_fit = math.log(m2 / m1) / math.log(10.0)
+    x_log, x_uni = grids
+    m_log = simpson(np.abs(u_log) ** 2, x=x_log)
+    m_uni = simpson(np.abs(u_uni) ** 2, x=x_uni)
     tail = 0.0
     if 2.0 * s_fit + 1.0 > 1e-6:
-        tail = float(m1**2 * x_min / (2.0 * s_fit + 1.0))
-    return float(m_log + m_uni + tail), s_fit
+        tail = float(abs(u_log[0]) ** 2 * FAMILY_X_MIN / (2.0 * s_fit + 1.0))
+    return float(m_log + m_uni + tail)
+
+
+def _check_family_group(profile: GrushinProfile, group: np.ndarray):
+    """Solve the fibres ``group`` together and check each solution:
+    returns the largest eigenvalue residual on the observation grid, the
+    largest unit-norm error under a refined re-quadrature, and whether
+    any fibre's fitted local exponent at zero fails integrability."""
+    h = OBS_GRID_STEP
+    xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
+    xc = xs[2:-2]
+    # one abscissa for the group: more decay budget only helps
+    x_right = max(_right_start(FibrePotential(xi=float(xi), profile=profile)) for xi in group)
+    coarse, fine = _quadrature_grids(x_right, 1), _quadrature_grids(x_right, 2)
+    solutions = _l2_solutions(profile, group, x_right, [*coarse, *fine, [10.0 * FAMILY_X_MIN], xs])
+    max_res = max_norm_err = 0.0
+    contradiction = False
+    for xi, (u_log, u_uni, u_log2, u_uni2, u_ten, u_obs) in zip(group, zip(*solutions)):
+        # fitted local exponent over the last decade above FAMILY_X_MIN
+        s_fit = math.log(abs(u_ten[0]) / abs(u_log[0])) / math.log(10.0)
+        if s_fit <= CRITICAL_EXPONENT + 1e-3:
+            contradiction = True
+        scale = 1.0 / math.sqrt(_norm_sq(coarse, u_log, u_uni, s_fit))
+        phi = u_obs * scale
+        # independent arithmetic path: 4th-order central differences
+        upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
+            12.0 * h * h
+        )
+        pot = FibrePotential(xi=float(xi), profile=profile)
+        res = np.abs(-upp + (pot(xc) - 1j) * phi[2:-2])
+        max_res = max(max_res, float(res.max()))
+        norm_refined = _norm_sq(fine, u_log2, u_uni2, s_fit)
+        max_norm_err = max(max_norm_err, abs(math.sqrt(norm_refined) * scale - 1.0))
+    return max_res, max_norm_err, contradiction
 
 
 def _bounded_interval(interval, name):
@@ -619,6 +711,8 @@ def verify_deficiency_family(
 
     A failure to find a square-integrable solution (fitted local growth
     at zero at or below the critical exponent) sets ``contradiction``.
+    The fibres are solved FAMILY_GROUP at a time, each group in one vector
+    ODE started at the largest of its fibres' right starts.
     """
     if not (0.0 < alpha < 1.0):
         raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
@@ -633,29 +727,14 @@ def verify_deficiency_family(
     profile = power_law(alpha)
     xi_values = np.linspace(a, b, xi_samples)
 
-    h = OBS_GRID_STEP
-    xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
-    xc = xs[2:-2]
-
     max_res = 0.0
     max_norm_err = 0.0
     contradiction = False
-    for xi in xi_values:
-        pot = FibrePotential(xi=float(xi), profile=profile)
-        sol, x_right = _solve_l2_solution(pot)
-        norm_sq, s_fit = _norm_pieces(sol, x_right)
-        if s_fit <= CRITICAL_EXPONENT + 1e-3:
-            contradiction = True
-        scale = 1.0 / math.sqrt(norm_sq)
-        phi = _eval(sol, xs) * scale
-        # independent arithmetic path: 4th-order central differences
-        upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
-            12.0 * h * h
-        )
-        res = np.abs(-upp + (pot(xc) - 1j) * phi[2:-2])
-        max_res = max(max_res, float(res.max()))
-        norm_refined, _ = _norm_pieces(sol, x_right, refine=2)
-        max_norm_err = max(max_norm_err, abs(math.sqrt(norm_refined) * scale - 1.0))
+    for start in range(0, xi_values.size, FAMILY_GROUP):
+        res, norm_err, failed = _check_family_group(profile, xi_values[start:start + FAMILY_GROUP])
+        max_res = max(max_res, res)
+        max_norm_err = max(max_norm_err, norm_err)
+        contradiction = contradiction or failed
 
     # ||Phi_J||^2 = |J| once each fibre is normalised
     family_norm_sq = float(np.trapezoid(np.ones_like(xi_values), xi_values))
@@ -678,7 +757,7 @@ def verify_deficiency_family(
         family_norm_sq=family_norm_sq,
         contradiction=contradiction,
         grid={
-            "observation_grid": [OBS_GRID_LO, OBS_GRID_HI, h],
+            "observation_grid": [OBS_GRID_LO, OBS_GRID_HI, OBS_GRID_STEP],
             "x_min": FAMILY_X_MIN,
             "fd_order": 4,
         },

@@ -33,7 +33,6 @@ from grushinlab.weyl import (
     Mode,
     SAVerdict,
     aggregate_verdict,
-    classify_numeric,
     classify_power_law,
     classify_sweep,
     verify_deficiency_family,
@@ -123,10 +122,11 @@ def test_criterion_3_xi_resolved_alpha_minus_one():
 def test_criterion_4_analytic_numeric_equivalence():
     start = time.perf_counter()
     disagreements = []
+    xis = (0.0, 0.5, 1.0, 2.0)
     for alpha in (-2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 1.5, 3.0):
-        profile = power_law(alpha)
-        for xi in (0.0, 0.5, 1.0, 2.0):
-            numeric = classify_numeric(FibrePotential(xi=xi, profile=profile))
+        # the numeric route of the classify command: one sweep per profile
+        swept = classify_sweep(power_law(alpha), xis, method="numeric")
+        for xi, numeric in zip(xis, swept):
             analytic = classify_power_law(alpha, xi)
             if numeric.endpoint_zero != analytic.endpoint_zero:
                 disagreements.append((alpha, xi))

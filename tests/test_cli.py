@@ -131,6 +131,8 @@ MERGED_OPTIONS = {
     "xi-step": (["0.25", "0.5"], 0.25),
     "k-max": (["1", "2"], 5),
 }
+# the mode that reads each mode-specific option
+MODE_OPTIONS = {"xi-min": "plane", "xi-max": "plane", "xi-step": "plane", "k-max": "cylinder"}
 
 
 @given(data=st.data())
@@ -139,6 +141,10 @@ def test_config_merge_prefers_flag_then_file_then_default(data):
     flags, keys, expected = [], [], {}
     for name, (values, default) in MERGED_OPTIONS.items():
         sources = ["flag", "file", "both"] + (["neither"] if default is not None else [])
+        if name in MODE_OPTIONS and expected["mode"] != MODE_OPTIONS[name]:
+            # the other mode's options are usage errors as flags, but a
+            # [classify] section may hold both modes' keys
+            sources = ["file", "neither"]
         source = data.draw(st.sampled_from(sources), label=name)
         flag_value, file_value = data.draw(st.permutations(values), label=f"{name} values")
         if source in ("flag", "both"):
@@ -445,6 +451,14 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # --other-interval must be bounded, ordered and disjoint from --interval
     *((["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--other-interval", other],
        None) for other in ("3,2", "0.5,2", "nan,1", "inf,5")),
+    # config values outside the option's choices, as the flags would be
+    (["classify", "--alpha", "1"], "[classify]\nmethod = foo\n"),
+    (["classify", "--alpha", "1"], "[classify]\nmode = foo\n"),
+    (["evolve", "--protocol", "plane", "--alpha", "1"], "[evolve]\nbc = Robin\n"),
+    # flags of the other classify mode
+    (["classify", "--alpha", "1", "--k-max", "9"], None),
+    (["classify", "--alpha", "1", "--mode", "cylinder", "--xi-min", "0", "--xi-step", "7"], None),
+    (["classify", "--alpha", "1", "--xi-max", "2"], "[classify]\nmode = cylinder\n"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

@@ -190,6 +190,63 @@ class TestNumericClassification:
         assert math.isfinite(slope) and slope < -0.5
 
 
+# the (alpha, xi) pairs of acceptance criterion 4
+CRITERION_4_ALPHAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 1.5, 3.0)
+CRITERION_4_XIS = (0.0, 0.5, 1.0, 2.0)
+
+
+def assert_sweep_matches_fibres_alone(profile, xis):
+    """classify_sweep integrates the fibres together; each must get the
+    verdict, slope and early-stop flag of a solve of that fibre alone.  W
+    depends on xi^2 only, so a fibre alone is solved once per |xi|."""
+    swept = classify_sweep(profile, xis, method="numeric")
+    alone = {abs(xi): classify_numeric(FibrePotential(xi=abs(xi), profile=profile))
+             for xi in xis}
+    for xi, report in zip(xis, swept):
+        reference = alone[abs(xi)]
+        assert report.xi == xi
+        assert report.endpoint_zero is reference.endpoint_zero, xi
+        assert report.diagnostics["early_limit_point"] is reference.diagnostics[
+            "early_limit_point"], xi
+        # slopes near 0 (alpha 0, or alpha -1 at xi 1/2) need the abs floor
+        assert report.diagnostics["indicial_slope"] == pytest.approx(
+            reference.diagnostics["indicial_slope"], rel=1e-9, abs=1e-12), xi
+    return swept
+
+
+class TestBatchedClassification:
+    @pytest.mark.parametrize("alpha", CRITERION_4_ALPHAS)
+    def test_sweep_matches_fibres_alone(self, alpha):
+        assert_sweep_matches_fibres_alone(power_law(alpha), list(CRITERION_4_XIS))
+
+    def test_exp_inverse_sweep_stops_every_fibre_at_its_own_crossing(self):
+        # The fibres cross the magnitude guard together.  On this grid (the
+        # plane grid of the ode-verdicts benchmark at shift 1/8) fibres
+        # other than the largest are already past the guard where it fires;
+        # left running, they never cross it upward and report a slope
+        # measured over the rest of their block (-204.8 instead of -91.6).
+        xis = [float(v) for v in np.linspace(-5.0, 5.0, 41) + 0.125]
+        swept = assert_sweep_matches_fibres_alone(builtin_profile("exp_inverse"), xis)
+        for report in swept:
+            slope = report.diagnostics["indicial_slope"]
+            assert report.endpoint_zero is LP
+            assert report.diagnostics["early_limit_point"] is True
+            assert math.isfinite(slope) and slope < -0.5
+
+    def test_large_xi_sweep_matches_fibres_alone(self):
+        # xi^2 / f^2 spans seven decades across these fibres; xi = 30 is
+        # still limit circle, decided within its half-decade blocks
+        swept = assert_sweep_matches_fibres_alone(power_law(-0.75), [0.0, 5.0, 10.0, 30.0])
+        assert [r.endpoint_zero for r in swept] == [LC] * 4
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(UsageError):
+            classify_sweep(power_law(1.0), [0.0], method="foo")
+
+    def test_empty_sweep(self):
+        assert classify_sweep(power_law(0.5), [], method="numeric") == []
+
+
 class TestAggregation:
     def plane_reports(self, alpha, grid):
         return classify_sweep(power_law(alpha), grid, Mode.PLANE)
