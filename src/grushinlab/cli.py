@@ -347,7 +347,8 @@ def _cmd_geodesics(args) -> int:
 
     if alpha > 0:
         for traj in trajs:
-            traj.meta["quadrature_hit_time"] = hit_time_quadrature(traj.init)
+            hit, err = hit_time_quadrature(traj.init)
+            traj.meta.update(quadrature_hit_time=hit, quadrature_error=err)
     mpath = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
     print(f"alpha={alpha:g}: {len(trajs)} trajectories, "

@@ -8,7 +8,11 @@ Geodesics are projections of solutions of the Hamiltonian system for
         y'   = x^(2 alpha) P_y  P_y' = 0.
 
 P_y is an exact constant of motion, so the system is integrated in the
-reduced variables (x, P_x, y).  Launch data is a point (x0, y0) and an
+reduced variables (x, P_x, y - y0), which start at (x0, P_x, 0) for every
+y0.  P_y enters the (x, P_x) equations only as P_y^2, so negating P_y
+negates y - y0 and changes nothing else; and the flow is reversible, so
+every half of a geodesic is a forward-time solve (see
+``integrate_geodesic``).  Launch data is a point (x0, y0) and an
 angle theta measured in the orthonormal frame {d/dx, x^alpha d/dy}, so
 the initial momenta are
 
@@ -59,6 +63,20 @@ DEFAULT_TOL = 1e-12
 SAMPLES_EACH_WAY = 400
 
 
+def _direction(theta: float) -> tuple[float, float]:
+    """(cos theta, sin theta), exact on the axes.
+
+    A float multiple of pi/2 gives the exact axis direction; sin(math.pi)
+    = 1.2e-16 would otherwise launch the horizontal geodesic with a P_y
+    that x^(2 alpha) amplifies near the boundary for alpha < 0.  Any
+    other theta gets math.cos and math.sin, which reduce it exactly.
+    """
+    quarter = 0.5 * math.pi
+    if math.remainder(theta, quarter) != 0.0:
+        return math.cos(theta), math.sin(theta)
+    return [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][round(theta / quarter) % 4]
+
+
 @dataclass(frozen=True)
 class GeodesicInitialData:
     """Launch point, angle and power-law exponent of one geodesic."""
@@ -71,16 +89,14 @@ class GeodesicInitialData:
     def __post_init__(self):
         if not (self.x0 > 0.0 and math.isfinite(self.x0)):
             raise DomainError("launch point must have x0 > 0")
-        if not math.isfinite(self.theta) or not math.isfinite(self.alpha):
-            raise UsageError("theta and alpha must be finite")
+        if not all(map(math.isfinite, (self.y0, self.theta, self.alpha))):
+            raise UsageError("y0, theta and alpha must be finite")
 
     @property
     def momenta(self) -> tuple[float, float]:
         """(P_x, P_y) induced by the frame-normalised launch direction."""
-        return (
-            math.cos(self.theta),
-            math.sin(self.theta) * self.x0 ** (-self.alpha),
-        )
+        c, s = _direction(self.theta)
+        return c, s * self.x0 ** (-self.alpha)
 
     def energy(self, x: float, px: float) -> float:
         py = self.momenta[1]
@@ -110,7 +126,7 @@ class GeodesicTrajectory:
 
 
 def _rhs(t, state, alpha, py):
-    x, px, _y = state
+    x, px, _dy = state
     # Trial stages of the integrator may overshoot below the stop floor;
     # clamp so fractional powers of a negative x never appear.
     xg = x if x > 1e-14 else 1e-14
@@ -118,11 +134,30 @@ def _rhs(t, state, alpha, py):
     return (px, -alpha * (x2a / xg) * py * py, x2a * py)
 
 
-def _integrate_one_direction(init, t_end, tol):
-    """Integrate from t=0 towards t_end (either sign); return solution."""
-    from scipy.integrate import solve_ivp
+@dataclass(frozen=True)
+class _Half:
+    """SAMPLES_EACH_WAY samples of one forward-time solve from t = 0:
+    rows x, P_x and y - y0.  ``hit`` is the boundary arrival time (or
+    None) and ``nfev`` the right-hand-side calls of the solve."""
 
-    px0, py = init.momenta
+    t: np.ndarray
+    state: np.ndarray
+    hit: float | None
+    nfev: int
+
+    def mirrored(self) -> _Half:
+        """The same half launched with -P_y: y - y0 changes sign."""
+        return _Half(self.t, self.state * np.array([[1.0], [1.0], [-1.0]]), self.hit, self.nfev)
+
+
+def _solve_half(alpha, x0, px0, py, t_end, tol, frame) -> _Half:
+    """Integrate from t = 0 to t_end > 0, or to the boundary floor.
+
+    ``frame`` = (y0, time sign, y - y0 sign) places the solve in the
+    geodesic half that asked for it; it is used only to report a failure
+    at the time and state (x, P_x, y) that geodesic reached.
+    """
+    from scipy.integrate import solve_ivp
 
     def event(t, state, alpha, py):
         return state[0] - X_STOP
@@ -133,8 +168,8 @@ def _integrate_one_direction(init, t_end, tol):
     sol = solve_ivp(
         _rhs,
         (0.0, t_end),
-        (init.x0, px0, init.y0),
-        args=(init.alpha, py),
+        (x0, px0, 0.0),
+        args=(alpha, py),
         method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
@@ -142,67 +177,83 @@ def _integrate_one_direction(init, t_end, tol):
         dense_output=True,
     )
     if sol.status == -1:
+        y0, t_sign, y_sign = frame
+        x, px, dy = sol.y[:, -1]
         raise IntegrationError(
             f"geodesic integration failed: {sol.message}",
-            last_time=sol.t[-1] if sol.t.size else 0.0,
-            last_state=sol.y[:, -1] if sol.t.size else None,
+            last_time=t_sign * sol.t[-1],
+            last_state=np.array([x, t_sign * px, y0 + y_sign * dy]),
         )
     hit = None
     if sol.t_events[0].size:
         t_event = float(sol.t_events[0][0])
         x_e, px_e, _ = sol.y_events[0][0]
         # Remaining travel below the floor at essentially constant P_x.
-        hit = t_event + math.copysign(x_e / max(abs(px_e), 1e-15), t_end)
-    return sol, hit
+        hit = t_event + x_e / max(abs(px_e), 1e-15)
+    t = np.linspace(0.0, sol.t[-1], SAMPLES_EACH_WAY)
+    return _Half(t, sol.sol(t), hit, sol.nfev)
+
+
+def _check_span(t_span, tol):
+    if not (1e-13 < tol < 1e-3):
+        raise UsageError("tol must lie in (1e-13, 1e-3)")
+    if not (t_span[0] <= 0.0 <= t_span[1]) or t_span[0] == t_span[1]:
+        raise UsageError("t_span must contain t=0")
 
 
 def integrate_geodesic(
     init: GeodesicInitialData,
     t_span: tuple[float, float] = (-10.0, 10.0),
     tol: float = DEFAULT_TOL,
+    _halves: tuple[_Half | None, _Half | None] | None = None,
 ) -> GeodesicTrajectory:
     """Integrate one geodesic over ``t_span``, both time directions.
 
     The integration stops when x crosses X_STOP; the event time plus
     the linear remainder locates the boundary arrival well below ``tol``.
+
+    Both halves are forward-time solves.  By time reversal, the backward
+    half of the launch (P_x, P_y) is the forward half of (-P_x, -P_y)
+    with t and P_x negated.  ``geodesic_fan`` passes these two solves in
+    as ``_halves`` to share them between angles (the second None when
+    t_span[0] = 0, the first when t_span[1] = 0); by default they are
+    solved here.
     """
-    if not (1e-13 < tol < 1e-3):
-        raise UsageError("tol must lie in (1e-13, 1e-3)")
-    if not (t_span[0] <= 0.0 <= t_span[1]) or t_span[0] == t_span[1]:
-        raise UsageError("t_span must contain t=0")
+    _check_span(t_span, tol)
+    alpha, x0 = init.alpha, init.x0
+    px0, py = init.momenta
+    if _halves is None:
+        y0 = init.y0
+        _halves = (
+            _solve_half(alpha, x0, px0, py, t_span[1], tol, (y0, 1.0, 1.0))
+            if t_span[1] > 0.0 else None,
+            _solve_half(alpha, x0, -px0, -py, -t_span[0], tol, (y0, -1.0, 1.0))
+            if t_span[0] < 0.0 else None,
+        )
+    fwd, bwd = _halves
 
-    _, py = init.momenta
-    t_grids, states = [], []
-    hit_plus = hit_minus = None
+    t_parts, state_parts = [], []
+    if bwd is not None:
+        t_parts.append(-bwd.t[:0:-1])
+        state_parts.append(bwd.state[:, :0:-1] * np.array([[1.0], [-1.0], [1.0]]))
+    if fwd is not None:
+        t_parts.append(fwd.t)
+        state_parts.append(fwd.state)
+    t = np.concatenate(t_parts)
+    x, px, dy = np.concatenate(state_parts, axis=1)
 
-    if t_span[1] > 0.0:
-        sol_f, hit_plus = _integrate_one_direction(init, t_span[1], tol)
-        tf = np.linspace(0.0, sol_f.t[-1], SAMPLES_EACH_WAY)
-        t_grids.append(tf)
-        states.append(sol_f.sol(tf))
-    if t_span[0] < 0.0:
-        sol_b, hit_minus = _integrate_one_direction(init, t_span[0], tol)
-        tb = np.linspace(0.0, sol_b.t[-1], SAMPLES_EACH_WAY)[1:]
-        t_grids.append(tb[::-1])
-        states.append(sol_b.sol(tb)[:, ::-1])
-
-    order = np.argsort([g[0] for g in t_grids])
-    t = np.concatenate([t_grids[i] for i in order])
-    st = np.concatenate([states[i] for i in order], axis=1)
-    x, px, y = st
-
-    energy = 0.5 * (px**2 + x ** (2.0 * init.alpha) * py**2)
+    energy = 0.5 * (px**2 + x ** (2.0 * alpha) * py**2)
     drift = float(np.max(np.abs(energy - 0.5)))
 
     return GeodesicTrajectory(
         init=init,
         t=t,
         x=x,
-        y=y,
+        y=init.y0 + dy,
         px=px,
         py=np.full_like(t, py),
-        hit_time_plus=hit_plus,
-        hit_time_minus=hit_minus,
+        hit_time_plus=None if fwd is None else fwd.hit,
+        hit_time_minus=None if bwd is None or bwd.hit is None else -bwd.hit,
         energy_drift=drift,
         meta={
             "integrator": "DOP853",
@@ -210,6 +261,8 @@ def integrate_geodesic(
             "atol": tol * 1e-2,
             "x_stop": X_STOP,
             "t_span": [float(t_span[0]), float(t_span[1])],
+            "nfev_forward": 0 if fwd is None else fwd.nfev,
+            "nfev_backward": 0 if bwd is None else bwd.nfev,
         },
     )
 
@@ -234,32 +287,35 @@ def _leg(alpha, u_lo, u_hi, s2):
         return 2.0 * v / math.sqrt(radicand)
 
     v_max = math.sqrt(1.0 - u_lo / u_hi)
-    val, _err = quad(integrand, 0.0, v_max, epsabs=1e-12, epsrel=1e-13, limit=200)
-    return u_hi * val
+    val, err = quad(integrand, 0.0, v_max, epsabs=1e-12, epsrel=1e-13, limit=200)
+    return u_hi * val, u_hi * err
 
 
-def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
-    """Forward boundary-arrival time from the conserved-energy quadrature.
+def hit_time_quadrature(init: GeodesicInitialData) -> tuple[float | None, float]:
+    """Forward boundary-arrival time from the conserved-energy quadrature
+    and quad's absolute error estimate of it.
 
-    Returns None for theta = 0 (the only launch direction with no forward
-    hit).  Requires alpha > 0; for alpha <= 0 geodesics need not reach
-    the boundary and the quadrature does not apply.
+    The time is None for theta = 0 (the only launch direction with no
+    forward hit).  Requires alpha > 0; for alpha <= 0 geodesics need not
+    reach the boundary and the quadrature does not apply.
     """
     alpha, theta, x0 = init.alpha, init.theta, init.x0
     if alpha <= 0.0:
         raise UsageError("hit-time quadrature requires alpha > 0")
-    s, c = math.sin(theta), math.cos(theta)
+    c, s = _direction(theta)
     if s == 0.0:
-        if c > 0.0:
-            return None
-        return x0  # straight run (x0 - t, y0)
-    s2 = s * s
-    if c <= 0.0:
-        return x0 * _leg(alpha, 0.0, 1.0, s2)
-    u_c = abs(s) ** (-1.0 / alpha)
-    rise = _leg(alpha, 1.0, u_c, s2)
-    fall = _leg(alpha, 0.0, u_c, s2)
-    return x0 * (rise + fall)
+        time = None if c > 0.0 else x0  # no forward hit, or the straight run (x0 - t, y0)
+        err = 0.0
+    else:
+        s2 = s * s
+        if c <= 0.0:
+            legs = [_leg(alpha, 0.0, 1.0, s2)]
+        else:
+            u_c = abs(s) ** (-1.0 / alpha)
+            legs = [_leg(alpha, 1.0, u_c, s2), _leg(alpha, 0.0, u_c, s2)]
+        time = x0 * sum(val for val, _ in legs)
+        err = x0 * sum(e for _, e in legs)
+    return time, err
 
 
 def geodesic_fan(
@@ -271,9 +327,36 @@ def geodesic_fan(
     tol: float = DEFAULT_TOL,
 ) -> list[GeodesicTrajectory]:
     """Trajectories for n_angles angles uniformly spaced in [0, 2 pi),
-    ordered by theta."""
+    ordered by theta.
+
+    Each distinct half is solved once.  Angle theta_i = pi m / n with
+    m = 2 i launches its forward half, and by time reversal its backward
+    half is the forward half of m = 2 i + n (mod 2 n).  The launch 2 n - m
+    is the mirror image of m (P_y negated), so m folds to
+    k = min(m, 2 n - m) in [0, n]: n/2 + 1 solves per time direction for
+    even n, n + 1 for odd n, shared across directions when t_span is
+    symmetric.
+    """
     if n_angles < 2:
         raise UsageError("a fan needs at least 2 angles")
-    thetas = [2.0 * math.pi * i / n_angles for i in range(n_angles)]
-    inits = [GeodesicInitialData(x0=x0, y0=y0, theta=th, alpha=alpha) for th in thetas]
-    return [integrate_geodesic(i, t_span, tol) for i in inits]
+    _check_span(t_span, tol)
+    n2 = 2 * n_angles
+    inits = [GeodesicInitialData(x0=x0, y0=y0, theta=2.0 * math.pi * i / n_angles, alpha=alpha)
+             for i in range(n_angles)]
+    solves: dict[tuple[int, float], _Half] = {}
+
+    def half(m: int, t_end: float, t_sign: float) -> _Half | None:
+        if t_end <= 0.0:
+            return None
+        k = min(m, n2 - m)
+        y_sign = -1.0 if m > n_angles else 1.0
+        if (k, t_end) not in solves:
+            c, s = _direction(math.pi * k / n_angles)
+            solves[k, t_end] = _solve_half(alpha, x0, c, s * x0 ** (-alpha), t_end, tol,
+                                           (y0, t_sign, y_sign))
+        return solves[k, t_end].mirrored() if y_sign < 0.0 else solves[k, t_end]
+
+    return [integrate_geodesic(init, t_span, tol,
+                               _halves=(half(2 * i, t_span[1], 1.0),
+                                        half((2 * i + n_angles) % n2, -t_span[0], -1.0)))
+            for i, init in enumerate(inits)]

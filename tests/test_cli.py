@@ -194,6 +194,32 @@ class TestGeodesicsCommand:
                     if abs(t["theta"] - 1.5707963267948966) < 1e-12][0]
         assert vertical["meta"]["quadrature_hit_time"] == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", ["0.5", "-1"])
+    def test_manifest_records_solver_work(self, tmp_path, alpha):
+        assert main(["geodesics", "--alpha", alpha, "--angles", "7", "--t-max", "5",
+                     "--output-dir", str(tmp_path)]) == 0
+        for entry in read_json(tmp_path / "manifest.json")["trajectories"]:
+            meta = entry["meta"]
+            for key in ("nfev_forward", "nfev_backward"):
+                assert isinstance(meta[key], int) and meta[key] > 0, (entry["theta"], key)
+            if alpha == "-1":  # no quadrature applies
+                assert "quadrature_hit_time" not in meta and "quadrature_error" not in meta
+                continue
+            assert 0.0 <= meta["quadrature_error"] < 1e-9, entry["theta"]
+            hit = meta["quadrature_hit_time"]
+            if entry["theta"] == 0.0:  # the one launch with no forward hit
+                assert hit is None
+            else:
+                assert isinstance(hit, float) and math.isfinite(hit), entry["theta"]
+
+    def test_repeated_runs_are_byte_identical(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            main(["geodesics", "--alpha", "0.5", "--angles", "6", "--y0", "0.25",
+                  "--output-dir", str(tmp_path / run)])
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
 
