@@ -114,14 +114,19 @@ _CHOICES = {
 
 
 def _fill_from_config(args, section):
-    """Copy file values into argparse Namespace slots left at None (or a
-    switch left off); a key that names no option of the command, or a
+    """Copy file values into argparse Namespace slots left at None; a file
+    that does not parse, a key that names no option of the command, or a
     value outside the option's choices, is a usage error.  Returns the
     parsed file, or None without --config."""
     if args.config is None:
         return None
-    parser = configparser.ConfigParser()
-    if not parser.read(args.config):
+    # values are literal: a '%' in one is no interpolation syntax error
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(args.config)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file {args.config}: {exc}") from None
+    if not found:
         raise UsageError(f"config file not found: {args.config}")
     if not parser.has_section(section):
         return parser
@@ -135,12 +140,6 @@ def _fill_from_config(args, section):
                              f"{', '.join(_CHOICES[attr])}, got {raw!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, raw)
-        elif getattr(args, attr) is False:
-            try:
-                setattr(args, attr, parser.getboolean(section, key))
-            except ValueError:
-                raise UsageError(f"config file [{section}] {key} expects a boolean, "
-                                 f"got {raw!r}") from None
     return parser
 
 
@@ -167,7 +166,7 @@ def _number(args, name, kind, default, minimum=None):
 def _given(args) -> set[str]:
     """The options set in ``args``, flags and file keys alike."""
     return {name for name, value in vars(args).items()
-            if value is not None and value is not False} - {"command", "func", "config"}
+            if value is not None} - {"command", "func", "config"}
 
 
 def _reject_unread(what, names):
@@ -288,16 +287,17 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def write_fan(trajectories, directory, config):
-    """One CSV per trajectory, ``t,x,y,P_x,P_y`` under a config line holding
-    ``config`` and the trajectory's summary, and ``manifest.json`` with
-    every summary; returns the manifest path.  The manifest holds every
-    value of every CSV header, so it is encoded before any file is opened
-    and a non-finite value writes nothing."""
+    """One CSV per trajectory, ``t,x,y,P_x`` under a config line holding
+    ``config`` and the trajectory's summary (with the constant ``P_y``),
+    and ``manifest.json`` with every summary; returns the manifest path.
+    The manifest holds every value of every CSV header, so it is encoded
+    before any file is opened and a non-finite value writes nothing."""
     summaries = [{
         "alpha": traj.init.alpha,
         "theta": traj.init.theta,
         "x0": traj.init.x0,
         "y0": traj.init.y0,
+        "P_y": traj.py,
         "hit_time_plus": traj.hit_time_plus,
         "hit_time_minus": traj.hit_time_minus,
         "energy_drift": traj.energy_drift,
@@ -309,8 +309,8 @@ def write_fan(trajectories, directory, config):
                 "trajectories": [{**s, "file": n} for s, n in zip(summaries, names)]}
     _dumps(manifest)
     for traj, summary, name in zip(trajectories, summaries, names):
-        _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x", "P_y"],
-                   [traj.t, traj.x, traj.y, traj.px, traj.py], {**config, **summary})
+        _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x"],
+                   [traj.t, traj.x, traj.y, traj.px], {**config, **summary})
     return _write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
@@ -371,7 +371,7 @@ def _parse_float_list(raw, name):
 # the options each evolve protocol reads; a plane or cylinder run also
 # reads --beta under --bc robin
 _PLANE_OPTIONS = {"alpha", "t_final", "dt", "eps", "outer_wall", "ny", "sigma_xi", "y_span",
-                  "bc", "jobs", "raster"}
+                  "bc", "jobs"}
 _EVOLVE_OPTIONS = {"sensitivity": {"alpha", "xi", "t_final", "dt", "beta", "refine", "eps_grid"},
                    "plane": _PLANE_OPTIONS, "cylinder": _PLANE_OPTIONS}
 
@@ -472,27 +472,12 @@ def _evolve_plane(args, geometry) -> int:
 
     from .evolution import to_original
 
+    # |psi(x, y)|^2 on the tensor grid: one value per node, x-major, with
+    # the x and y nodes in the config line
     original = to_original(result.final, profile)
     density = np.abs(original.values) ** 2
-    if args.raster:
-        rpath = os.path.join(out, "density.f32")
-        density.astype(np.float32).tofile(rpath)
-        _write_json(os.path.join(out, "density.json"), {
-            "config": config,
-            "file": "density.f32",
-            "dtype": "float32",
-            "order": "C",
-            "shape": [int(density.shape[0]), int(density.shape[1])],
-            "x": grid.nodes,
-            "y0": float(original.axis[0]),
-            "dy": float(original.axis[1] - original.axis[0]),
-        })
-        spath = rpath
-    else:
-        x_col = np.repeat(original.x, original.axis.size)
-        y_col = np.tile(original.axis, original.x.size)
-        spath = _write_csv(os.path.join(out, "density.csv"), ["x", "y", "density"],
-                           [x_col, y_col, density.ravel()], config)
+    spath = _write_csv(os.path.join(out, "density.csv"), ["density"], [density.ravel()],
+                       {**config, "x": grid.nodes, "y": original.axis})
 
     near_cutoff = grid.nodes < 0.05
     document = {
@@ -616,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-xi")
     p.add_argument("--y-span")
     p.add_argument("--bc", choices=_CHOICES["bc"])
-    p.add_argument("--raster", action="store_true", help="write float32 raster snapshot")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("verify-deficiency", help="deficiency eigenfunction family")

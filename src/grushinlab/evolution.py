@@ -73,7 +73,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DataError, NumericError, ProtocolError, UsageError
 from .profiles import FibrePotential, GrushinProfile, power_law
@@ -318,6 +317,8 @@ class CrankNicolson:
     step is unitary in the weighted norm sum_j w_j |psi_j|^2."""
 
     def __init__(self, grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition, dt: float):
+        from scipy.linalg import get_lapack_funcs
+
         if dt <= 0.0:
             raise UsageError("dt must be positive")
         grid.validate_resolution(w_values)

@@ -111,6 +111,7 @@ class GeodesicTrajectory:
     (``hit_time_minus``) is the forward (backward) boundary arrival time,
     or None if the boundary is not reached inside the integration span.
     ``energy_drift`` is max_t |h - 1/2| over the recorded samples.
+    ``py`` is one number: P_y is a constant of motion.
     """
 
     init: GeodesicInitialData
@@ -118,7 +119,7 @@ class GeodesicTrajectory:
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     px: np.ndarray = field(repr=False)
-    py: np.ndarray = field(repr=False)
+    py: float
     hit_time_plus: float | None
     hit_time_minus: float | None
     energy_drift: float
@@ -251,7 +252,7 @@ def integrate_geodesic(
         x=x,
         y=init.y0 + dy,
         px=px,
-        py=np.full_like(t, py),
+        py=py,
         hit_time_plus=None if fwd is None else fwd.hit,
         hit_time_minus=None if bwd is None or bwd.hit is None else -bwd.hit,
         energy_drift=drift,

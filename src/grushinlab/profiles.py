@@ -356,7 +356,7 @@ def parse_profile_config(text: str) -> GrushinProfile:
     stripped = text.lstrip()
     if not stripped.startswith("["):
         text = f"[{_PROFILE_SECTION}]\n" + text
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
@@ -386,5 +386,9 @@ def parse_profile_config(text: str) -> GrushinProfile:
 
 def load_profile(path) -> GrushinProfile:
     """Read a profile definition from a config file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError:
+        raise UsageError(f"profile file not found: {path}") from None
+    return parse_profile_config(text)

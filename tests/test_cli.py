@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from grushinlab import cli
 from grushinlab.cli import main
+from grushinlab.evolution import BoundaryCondition, evolve_plane, standard_plane_data, to_original
+from grushinlab.profiles import power_law
 
 
 def read_json(path):
@@ -235,7 +237,9 @@ class TestGeodesicsCommand:
         header = json.loads(lines[0][len("# config: "):])
         assert header["angles"] == 4
         assert header["theta"] == entry["theta"] == fan[1].init.theta
-        assert lines[1] == "t,x,y,P_x,P_y"
+        # P_y is a constant of motion: stored once, in the summary
+        assert header["P_y"] == entry["P_y"] == fan[1].init.momenta[1]
+        assert lines[1] == "t,x,y,P_x"
         assert len(lines) == fan[1].t.size + 2
 
     def test_non_finite_manifest_not_written(self, tmp_path):
@@ -282,25 +286,24 @@ class TestEvolveCommand:
         assert (tmp_path / "fibre_norms.csv").exists()
         assert (tmp_path / "density.csv").exists()
 
-    def test_raster_output(self, tmp_path):
-        main(["evolve", "--protocol", "cylinder", "--alpha", "0.5",
-              "--t-final", "0.1", "--eps", "0.05", "--ny", "7", "--raster",
-              "--output-dir", str(tmp_path)])
-        header = read_json(tmp_path / "density.json")
-        data = np.fromfile(tmp_path / "density.f32", dtype=np.float32)
-        assert data.size == header["shape"][0] * header["shape"][1]
-        x = np.array(header["x"])
-        assert len(x) == header["shape"][0] == header["config"]["n_x"]
-        assert np.all(np.diff(x) > 0.0) and 0.05 < x[0] < x[-1] < header["config"]["outer_wall"]
+    @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
+    def test_density_is_the_final_state(self, tmp_path, geometry):
+        # one value per node of the tensor grid, x-major, under a config
+        # line that holds the x and y nodes
+        assert main(["evolve", "--protocol", geometry, "--alpha", "0.5", "--t-final", "0.1",
+                     "--eps", "0.05", "--ny", "7", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "density.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ") and lines[1] == "density"
+        config = json.loads(lines[0][len("# config: "):])
+        x, y = np.array(config["x"]), np.array(config["y"])
+        density = np.array([float(v) for v in lines[2:]]).reshape(x.size, y.size)
 
-    def test_raster_from_config(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[evolve]\nraster = true\n")
-        assert main(["evolve", "--protocol", "cylinder", "--alpha", "0.5", "--t-final", "0.1",
-                     "--eps", "0.05", "--ny", "7", "--config", str(cfg),
-                     "--output-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "density.f32").exists()
-        assert not (tmp_path / "density.csv").exists()
+        profile = power_law(0.5)
+        psi0, _ = standard_plane_data(profile, geometry, 0.05, 7, 2.0, 16.0)
+        result = evolve_plane(psi0, profile, 0.1, BoundaryCondition.dirichlet(), dt=2e-3)
+        original = to_original(result.final, profile)
+        assert np.array_equal(x, psi0.grid.nodes) and np.array_equal(y, original.axis)
+        assert np.array_equal(density, np.abs(original.values) ** 2)
 
     def test_unknown_protocol(self, tmp_path):
         assert main(["evolve", "--protocol", "sensitivity", "--output-dir",
@@ -383,8 +386,8 @@ def test_every_json_output_is_strict(tmp_path):
                         "--t-final", "0.1", "--eps-grid", "1e-1,3e-2"],
         "plane": ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.05",
                   "--eps", "0.05", "--ny", "7"],
-        "raster": ["evolve", "--protocol", "cylinder", "--alpha", "0.5", "--t-final", "0.05",
-                   "--eps", "0.05", "--ny", "7", "--raster"],
+        "cylinder": ["evolve", "--protocol", "cylinder", "--alpha", "0.5", "--t-final", "0.05",
+                     "--eps", "0.05", "--ny", "7"],
         "deficiency": ["verify-deficiency", "--alpha", "0.5", "--interval", "0,1",
                        "--other-interval", "2,3", "--samples", "8"],
     }
@@ -396,7 +399,7 @@ def test_every_json_output_is_strict(tmp_path):
             parsed.append(f"{name}/{path.name}")
     assert parsed == ["classify/verdict.json", "geodesics/manifest.json",
                       "sensitivity/bc_sensitivity.json", "plane/evolution.json",
-                      "raster/density.json", "raster/evolution.json",
+                      "cylinder/evolution.json",
                       "deficiency/deficiency_family.json"]
 
 
@@ -468,7 +471,8 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify"], "[profile]\nkind = custom\nname = scaled_power_law\n"),
     # options the evolve protocol does not read, as flags or [evolve] keys
     *(([*SENSITIVITY_RUN, *extra], None) for extra in (
-        ["--ny", "8"], ["--bc", "robin"], ["--eps", "0.5"], ["--raster"], ["--sigma-xi", "-3"])),
+        ["--ny", "8"], ["--bc", "robin"], ["--eps", "0.5"], ["--y-span", "8"],
+        ["--sigma-xi", "-3"])),
     *(([*PLANE_RUN, *extra], None) for extra in (
         ["--xi", "3"], ["--eps-grid", "5"], ["--refine", "0"], ["--beta", "2"])),
     (PLANE_RUN, "[evolve]\nxi = 3\n"),
@@ -485,6 +489,12 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify", "--alpha", "1", "--k-max", "9"], None),
     (["classify", "--alpha", "1", "--mode", "cylinder", "--xi-min", "0", "--xi-step", "7"], None),
     (["classify", "--alpha", "1", "--xi-max", "2"], "[classify]\nmode = cylinder\n"),
+    # input files that do not parse or do not exist
+    (["classify", "--alpha", "1"], "xi-max = 1\n"),
+    (["classify", "--alpha", "1"], "[classify]\nmode = plane\nmode = cylinder\n"),
+    (["classify", "--alpha", "1"], "[classify]\nxi-max = 5%\n"),
+    (["classify"], "[profile]\nkind = power_law\nalpha = 5%\n"),
+    (["classify", "--profile-file", "no-such-profile.ini"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -497,11 +507,21 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_import_leaves_out_scipy_integrate():
-    # only the ODE and quadrature routes need scipy.integrate; evolve and
-    # analytic classify runs must not pay for importing it
-    code = "import sys, grushinlab.cli; print('scipy.integrate' in sys.modules)"
+def _imported_with_cli(module):
+    """'True' or 'False': whether importing grushinlab.cli imports ``module``."""
+    code = f"import sys, grushinlab.cli; print({module!r} in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only the ODE and quadrature routes need scipy.integrate; evolve and
+    # analytic classify runs must not pay for importing it
+    assert _imported_with_cli("scipy.integrate") == "False"
+
+
+def test_import_leaves_out_scipy_linalg():
+    # only evolve factorises; the other commands must not pay for importing it
+    assert _imported_with_cli("scipy.linalg") == "False"
