@@ -123,8 +123,8 @@ def _fill_from_config(args, section):
     # values are literal: a '%' in one is no interpolation syntax error
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(args.config)
-    except configparser.Error as exc:
+        found = parser.read(args.config, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config file {args.config}: {exc}") from None
     if not found:
         raise UsageError(f"config file not found: {args.config}")
@@ -286,13 +286,10 @@ def _cmd_classify(args) -> int:
 # geodesics
 # ---------------------------------------------------------------------------
 
-def write_fan(trajectories, directory, config):
-    """One CSV per trajectory, ``t,x,y,P_x`` under a config line holding
-    ``config`` and the trajectory's summary (with the constant ``P_y``),
-    and ``manifest.json`` with every summary; returns the manifest path.
-    The manifest holds every value of every CSV header, so it is encoded
-    before any file is opened and a non-finite value writes nothing."""
-    summaries = [{
+def _summary(traj):
+    """Launch, constant ``P_y``, hit times, energy drift and ``meta`` of
+    one trajectory."""
+    return {
         "alpha": traj.init.alpha,
         "theta": traj.init.theta,
         "x0": traj.init.x0,
@@ -302,15 +299,66 @@ def write_fan(trajectories, directory, config):
         "hit_time_minus": traj.hit_time_minus,
         "energy_drift": traj.energy_drift,
         "meta": traj.meta,
-    } for traj in trajectories]
-    names = [f"geodesic_alpha{traj.init.alpha:g}_theta{traj.init.theta:.6f}.csv"
-             for traj in trajectories]
-    manifest = {"config": config,
-                "trajectories": [{**s, "file": n} for s, n in zip(summaries, names)]}
+    }
+
+
+def _write_trajectory(traj, directory, config):
+    """One CSV ``t,x,y,P_x`` under a config line holding ``config`` and the
+    trajectory's summary, and ``manifest.json`` with the summary; returns
+    the manifest path.  The manifest holds every value of the CSV header,
+    so it is encoded before any file is opened and a non-finite value
+    writes nothing."""
+    summary = _summary(traj)
+    name = f"geodesic_alpha{traj.init.alpha:g}_theta{traj.init.theta:.6f}.csv"
+    manifest = {"config": config, "trajectories": [{**summary, "file": name}]}
     _dumps(manifest)
-    for traj, summary, name in zip(trajectories, summaries, names):
-        _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x"],
-                   [traj.t, traj.x, traj.y, traj.px], {**config, **summary})
+    _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x"],
+               [traj.t, traj.x, traj.y, traj.px], {**config, **summary})
+    return _write_json(os.path.join(directory, "manifest.json"), manifest)
+
+
+def _fan_solves(trajectories):
+    """The distinct forward-time solves the trajectories were built from,
+    in order of first use."""
+    solves = {}
+    for traj in trajectories:
+        for part in (traj.forward, traj.backward):
+            if part is not None:
+                solves.setdefault(id(part[0]), part[0])
+    return list(solves.values())
+
+
+def write_fan(trajectories, directory, config):
+    """One CSV per distinct solve, ``t,x,P_x,dy`` with dy = y - y0 in the
+    solve's own unmirrored frame, under a config line holding ``config``
+    and the solve's launch (``theta``, ``t_end``, ``P_x``, ``P_y``), hit
+    time and ``nfev``; and ``manifest.json`` with one entry per
+    trajectory: its summary, and for each half the solve file and its
+    y-mirror sign (None outside the span).  Returns the manifest path.
+
+    Trajectory (t, x, y, P_x) is rebuilt from its entry as
+    (t, x, y0 + s dy, P_x) from the forward file and, from the backward
+    file, (-t[:0:-1], x[:0:-1], y0 + s dy[:0:-1], -P_x[:0:-1]) before it.
+    The manifest and every header are encoded before any file is opened,
+    so a non-finite value writes nothing."""
+    solves = _fan_solves(trajectories)
+    config = {**config, "solves": len(solves)}
+    names = {id(half): f"geodesic_solve{i:03d}.csv" for i, half in enumerate(solves)}
+    headers = [{**config, "theta": half.theta, "t_end": half.t_end, "P_x": half.px,
+                "P_y": half.py, "hit_time": half.hit, "nfev": half.nfev} for half in solves]
+
+    def source(part):
+        return None if part is None else {"file": names[id(part[0])], "y_sign": part[1]}
+
+    manifest = {"config": config,
+                "trajectories": [{**_summary(traj), "forward": source(traj.forward),
+                                  "backward": source(traj.backward)}
+                                 for traj in trajectories]}
+    _dumps([manifest, *headers])
+    for half, header in zip(solves, headers):
+        x, px, dy = half.state
+        _write_csv(os.path.join(directory, names[id(half)]), ["t", "x", "P_x", "dy"],
+                   [half.t, x, px, dy], header)
     return _write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
@@ -349,9 +397,12 @@ def _cmd_geodesics(args) -> int:
         for traj in trajs:
             hit, err = hit_time_quadrature(traj.init)
             traj.meta.update(quadrature_hit_time=hit, quadrature_error=err)
-    mpath = write_fan(trajs, out, config)
+    if theta is not None:
+        mpath = _write_trajectory(trajs[0], out, config)
+    else:
+        mpath = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
-    print(f"alpha={alpha:g}: {len(trajs)} trajectories, "
+    print(f"alpha={alpha:g}: {len(trajs)} trajectories from {len(_fan_solves(trajs))} solves, "
           f"{sum(h is not None for h in hits)} forward boundary hits")
     print(f"wrote {mpath}")
     return EXIT_OK

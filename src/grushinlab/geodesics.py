@@ -111,7 +111,10 @@ class GeodesicTrajectory:
     (``hit_time_minus``) is the forward (backward) boundary arrival time,
     or None if the boundary is not reached inside the integration span.
     ``energy_drift`` is max_t |h - 1/2| over the recorded samples.
-    ``py`` is one number: P_y is a constant of motion.
+    ``py`` is one number: P_y is a constant of motion.  ``forward`` and
+    ``backward`` are the (solve, y-mirror sign) pairs the two halves were
+    built from, or None for a half outside the integration span; a fan
+    shares one solve between several trajectories.
     """
 
     init: GeodesicInitialData
@@ -124,6 +127,8 @@ class GeodesicTrajectory:
     hit_time_minus: float | None
     energy_drift: float
     meta: dict = field(default_factory=dict)
+    forward: tuple[_Half, float] | None = field(default=None, repr=False)
+    backward: tuple[_Half, float] | None = field(default=None, repr=False)
 
 
 def _rhs(t, state, alpha, py):
@@ -138,21 +143,25 @@ def _rhs(t, state, alpha, py):
 @dataclass(frozen=True)
 class _Half:
     """SAMPLES_EACH_WAY samples of one forward-time solve from t = 0:
-    rows x, P_x and y - y0.  ``hit`` is the boundary arrival time (or
-    None) and ``nfev`` the right-hand-side calls of the solve."""
+    rows x, P_x and y - y0.  The launch is the angle ``theta`` with
+    momenta (``px``, ``py``), integrated to ``t_end``; ``hit`` is the
+    boundary arrival time (or None) and ``nfev`` the right-hand-side
+    calls of the solve.  The same half launched with -P_y has y - y0
+    negated and nothing else changed."""
 
-    t: np.ndarray
-    state: np.ndarray
+    theta: float
+    px: float
+    py: float
+    t_end: float
+    t: np.ndarray = field(repr=False)
+    state: np.ndarray = field(repr=False)
     hit: float | None
     nfev: int
 
-    def mirrored(self) -> _Half:
-        """The same half launched with -P_y: y - y0 changes sign."""
-        return _Half(self.t, self.state * np.array([[1.0], [1.0], [-1.0]]), self.hit, self.nfev)
 
-
-def _solve_half(alpha, x0, px0, py, t_end, tol, frame) -> _Half:
-    """Integrate from t = 0 to t_end > 0, or to the boundary floor.
+def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
+    """Integrate the launch ``theta`` with momenta (px0, py) from t = 0 to
+    t_end > 0, or to the boundary floor.
 
     ``frame`` = (y0, time sign, y - y0 sign) places the solve in the
     geodesic half that asked for it; it is used only to report a failure
@@ -192,7 +201,7 @@ def _solve_half(alpha, x0, px0, py, t_end, tol, frame) -> _Half:
         # Remaining travel below the floor at essentially constant P_x.
         hit = t_event + x_e / max(abs(px_e), 1e-15)
     t = np.linspace(0.0, sol.t[-1], SAMPLES_EACH_WAY)
-    return _Half(t, sol.sol(t), hit, sol.nfev)
+    return _Half(theta, px0, py, t_end, t, sol.sol(t), hit, sol.nfev)
 
 
 def _check_span(t_span, tol):
@@ -206,7 +215,7 @@ def integrate_geodesic(
     init: GeodesicInitialData,
     t_span: tuple[float, float] = (-10.0, 10.0),
     tol: float = DEFAULT_TOL,
-    _halves: tuple[_Half | None, _Half | None] | None = None,
+    _halves: tuple[tuple[_Half, float] | None, tuple[_Half, float] | None] | None = None,
 ) -> GeodesicTrajectory:
     """Integrate one geodesic over ``t_span``, both time directions.
 
@@ -216,30 +225,33 @@ def integrate_geodesic(
     Both halves are forward-time solves.  By time reversal, the backward
     half of the launch (P_x, P_y) is the forward half of (-P_x, -P_y)
     with t and P_x negated.  ``geodesic_fan`` passes these two solves in
-    as ``_halves`` to share them between angles (the second None when
-    t_span[0] = 0, the first when t_span[1] = 0); by default they are
-    solved here.
+    as ``_halves``, each with the sign that mirrors its y - y0, to share
+    them between angles (the second None when t_span[0] = 0, the first
+    when t_span[1] = 0); by default they are solved here.
     """
     _check_span(t_span, tol)
-    alpha, x0 = init.alpha, init.x0
+    alpha, x0, theta = init.alpha, init.x0, init.theta
     px0, py = init.momenta
     if _halves is None:
         y0 = init.y0
         _halves = (
-            _solve_half(alpha, x0, px0, py, t_span[1], tol, (y0, 1.0, 1.0))
+            (_solve_half(alpha, x0, theta, px0, py, t_span[1], tol, (y0, 1.0, 1.0)), 1.0)
             if t_span[1] > 0.0 else None,
-            _solve_half(alpha, x0, -px0, -py, -t_span[0], tol, (y0, -1.0, 1.0))
+            (_solve_half(alpha, x0, theta + math.pi, -px0, -py, -t_span[0], tol,
+                         (y0, -1.0, 1.0)), 1.0)
             if t_span[0] < 0.0 else None,
         )
     fwd, bwd = _halves
 
     t_parts, state_parts = [], []
     if bwd is not None:
-        t_parts.append(-bwd.t[:0:-1])
-        state_parts.append(bwd.state[:, :0:-1] * np.array([[1.0], [-1.0], [1.0]]))
+        half, y_sign = bwd
+        t_parts.append(-half.t[:0:-1])
+        state_parts.append(half.state[:, :0:-1] * np.array([[1.0], [-1.0], [y_sign]]))
     if fwd is not None:
-        t_parts.append(fwd.t)
-        state_parts.append(fwd.state)
+        half, y_sign = fwd
+        t_parts.append(half.t)
+        state_parts.append(half.state * np.array([[1.0], [1.0], [y_sign]]))
     t = np.concatenate(t_parts)
     x, px, dy = np.concatenate(state_parts, axis=1)
 
@@ -253,8 +265,8 @@ def integrate_geodesic(
         y=init.y0 + dy,
         px=px,
         py=py,
-        hit_time_plus=None if fwd is None else fwd.hit,
-        hit_time_minus=None if bwd is None or bwd.hit is None else -bwd.hit,
+        hit_time_plus=None if fwd is None else fwd[0].hit,
+        hit_time_minus=None if bwd is None or bwd[0].hit is None else -bwd[0].hit,
         energy_drift=drift,
         meta={
             "integrator": "DOP853",
@@ -262,9 +274,11 @@ def integrate_geodesic(
             "atol": tol * 1e-2,
             "x_stop": X_STOP,
             "t_span": [float(t_span[0]), float(t_span[1])],
-            "nfev_forward": 0 if fwd is None else fwd.nfev,
-            "nfev_backward": 0 if bwd is None else bwd.nfev,
+            "nfev_forward": 0 if fwd is None else fwd[0].nfev,
+            "nfev_backward": 0 if bwd is None else bwd[0].nfev,
         },
+        forward=fwd,
+        backward=bwd,
     )
 
 
@@ -346,16 +360,17 @@ def geodesic_fan(
              for i in range(n_angles)]
     solves: dict[tuple[int, float], _Half] = {}
 
-    def half(m: int, t_end: float, t_sign: float) -> _Half | None:
+    def half(m: int, t_end: float, t_sign: float) -> tuple[_Half, float] | None:
         if t_end <= 0.0:
             return None
         k = min(m, n2 - m)
         y_sign = -1.0 if m > n_angles else 1.0
         if (k, t_end) not in solves:
-            c, s = _direction(math.pi * k / n_angles)
-            solves[k, t_end] = _solve_half(alpha, x0, c, s * x0 ** (-alpha), t_end, tol,
+            theta = math.pi * k / n_angles
+            c, s = _direction(theta)
+            solves[k, t_end] = _solve_half(alpha, x0, theta, c, s * x0 ** (-alpha), t_end, tol,
                                            (y0, t_sign, y_sign))
-        return solves[k, t_end].mirrored() if y_sign < 0.0 else solves[k, t_end]
+        return solves[k, t_end], y_sign
 
     return [integrate_geodesic(init, t_span, tol,
                                _halves=(half(2 * i, t_span[1], 1.0),

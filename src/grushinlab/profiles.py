@@ -391,4 +391,6 @@ def load_profile(path) -> GrushinProfile:
             text = fh.read()
     except OSError:
         raise UsageError(f"profile file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"profile file {path} is not UTF-8 text: {exc}") from None
     return parse_profile_config(text)

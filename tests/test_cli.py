@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from grushinlab import cli
 from grushinlab.cli import main
 from grushinlab.evolution import BoundaryCondition, evolve_plane, standard_plane_data, to_original
+from grushinlab.geodesics import integrate_geodesic
 from grushinlab.profiles import power_law
 
 
@@ -171,7 +173,7 @@ def test_config_merge_prefers_flag_then_file_then_default(data):
 
 
 class TestGeodesicsCommand:
-    def test_fan_manifest(self, tmp_path):
+    def test_fan_manifest(self, tmp_path, capsys):
         code = main(["geodesics", "--alpha", "1", "--angles", "8",
                      "--output-dir", str(tmp_path)])
         assert code == 0
@@ -179,8 +181,19 @@ class TestGeodesicsCommand:
         assert len(manifest["trajectories"]) == 8
         hits = [t["hit_time_plus"] for t in manifest["trajectories"]]
         assert sum(h is None for h in hits) == 1
-        csvs = list(tmp_path.glob("geodesic_alpha1_theta*.csv"))
-        assert len(csvs) == 8
+        # one file per launch-class solve: n/2 + 1 for even n
+        csvs = list(tmp_path.glob("geodesic_solve*.csv"))
+        assert len(csvs) == 5 == manifest["config"]["solves"]
+        assert "8 trajectories from 5 solves, 7 forward boundary hits" in capsys.readouterr().out
+
+    def test_single_angle_keeps_one_csv(self, tmp_path, capsys):
+        assert main(["geodesics", "--alpha", "1", "--theta", "0.5",
+                     "--output-dir", str(tmp_path)]) == 0
+        (entry,) = read_json(tmp_path / "manifest.json")["trajectories"]
+        lines = (tmp_path / entry["file"]).read_text().splitlines()
+        assert lines[1] == "t,x,y,P_x" and len(lines) == 2 + 799
+        assert sorted(p.name for p in tmp_path.iterdir()) == [entry["file"], "manifest.json"]
+        assert "1 trajectories from 2 solves" in capsys.readouterr().out
 
     def test_single_angle_hit_time(self, tmp_path):
         main(["geodesics", "--alpha", "1", "--theta", "3.14159",
@@ -220,7 +233,8 @@ class TestGeodesicsCommand:
             main(["geodesics", "--alpha", "0.5", "--angles", "6", "--y0", "0.25",
                   "--output-dir", str(tmp_path / run)])
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
-        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+        # 6 angles share 4 solves; one file each, and the manifest
+        assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
@@ -231,16 +245,26 @@ class TestGeodesicsCommand:
         manifest = json.loads(open(manifest_path).read())
         assert len(manifest["trajectories"]) == 4
         entry = manifest["trajectories"][1]
-        lines = (tmp_path / entry["file"]).read_text().splitlines()
-        # the config line of every CSV: the run config and the trajectory's summary
+        assert entry["theta"] == fan[1].init.theta
+        # P_y is a constant of motion: stored once, in the summary
+        assert entry["P_y"] == fan[1].init.momenta[1]
+        # angle pi/2 runs forward on the launch pi/2 and backward on the
+        # launch 3 pi/2, which is pi/2 mirrored in y
+        forward, backward = entry["forward"], entry["backward"]
+        assert forward["y_sign"] == 1.0 and backward["y_sign"] == -1.0
+        assert forward["file"] == backward["file"]
+        lines = (tmp_path / forward["file"]).read_text().splitlines()
+        # the config line of every solve file: the run config and the solve's launch
         assert lines[0].startswith("# config: ")
         header = json.loads(lines[0][len("# config: "):])
-        assert header["angles"] == 4
-        assert header["theta"] == entry["theta"] == fan[1].init.theta
-        # P_y is a constant of motion: stored once, in the summary
-        assert header["P_y"] == entry["P_y"] == fan[1].init.momenta[1]
-        assert lines[1] == "t,x,y,P_x"
-        assert len(lines) == fan[1].t.size + 2
+        half = fan[1].forward[0]
+        assert header["angles"] == 4 and header["solves"] == 3
+        assert header["theta"] == math.pi / 2 and header["t_end"] == 10.0
+        assert (header["P_x"], header["P_y"]) == (0.0, 1.0)
+        assert header["hit_time"] == entry["hit_time_plus"] == half.hit
+        assert header["nfev"] == entry["meta"]["nfev_forward"] == half.nfev
+        assert lines[1] == "t,x,P_x,dy"
+        assert len(lines) == half.t.size + 2
 
     def test_non_finite_manifest_not_written(self, tmp_path):
         fan = cli.geodesic_fan(1.0, 2)
@@ -248,6 +272,75 @@ class TestGeodesicsCommand:
         with pytest.raises(cli.NumericError):
             cli.write_fan(fan, tmp_path, {"alpha": 1.0})
         assert not any(tmp_path.iterdir())
+        # a value that only a solve file's header holds
+        fan = cli.geodesic_fan(1.0, 2)
+        half, y_sign = fan[1].forward
+        fan[1] = dataclasses.replace(
+            fan[1], forward=(dataclasses.replace(half, hit=math.inf), y_sign))
+        with pytest.raises(cli.NumericError):
+            cli.write_fan(fan, tmp_path, {"alpha": 1.0})
+        assert not any(tmp_path.iterdir())
+
+
+def _rebuild(directory, entry):
+    """(t, x, y, P_x) of one manifest entry from its two solve files."""
+    parts = []
+    for key in ("backward", "forward"):
+        source = entry[key]
+        if source is None:
+            continue
+        t, x, px, dy = np.loadtxt(directory / source["file"], delimiter=",", skiprows=2,
+                                  unpack=True)
+        s, y0 = source["y_sign"], entry["y0"]
+        if key == "forward":
+            parts.append((t, x, y0 + s * dy, px))
+        else:
+            parts.append((-t[:0:-1], x[:0:-1], y0 + s * dy[:0:-1], -px[:0:-1]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _check_round_trip(directory, fan, t_span):
+    """Every trajectory rebuilt from the files equals the fan's in-memory
+    one bit for bit, and a solve of its own within the tolerances of
+    test_geodesics.TestSharedSolves."""
+    entries = read_json(directory / "manifest.json")["trajectories"]
+    assert len(entries) == len(fan)
+    for entry, traj in zip(entries, fan):
+        assert entry["theta"] == traj.init.theta
+        t, x, y, px = _rebuild(directory, entry)
+        for got, want in ((t, traj.t), (x, traj.x), (y, traj.y), (px, traj.px)):
+            assert np.array_equal(got, want), traj.init.theta
+        alone = integrate_geodesic(traj.init, t_span)
+        assert t.shape == alone.t.shape
+        assert np.max(np.abs(t - alone.t)) <= 1e-11, traj.init.theta
+        for got, want in ((x, alone.x), (y, alone.y), (px, alone.px)):
+            assert np.max(np.abs(got - want)) <= 1e-8, traj.init.theta
+
+
+FAN_LAUNCH = {"x0": 1.3, "y0": -0.75}
+
+
+@pytest.mark.parametrize("t_span", [(-10.0, 10.0), (-3.0, 7.0)])
+@pytest.mark.parametrize("n", [8, 7])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_fan_round_trip(tmp_path, alpha, n, t_span):
+    fan = cli.geodesic_fan(alpha, n, t_span, **FAN_LAUNCH)
+    cli.write_fan(fan, tmp_path, {"alpha": alpha})
+    _check_round_trip(tmp_path, fan, t_span)
+
+
+def test_fan_round_trip_catches_a_flipped_mirror_sign(tmp_path):
+    t_span = (-3.0, 7.0)
+    fan = cli.geodesic_fan(1.0, 8, t_span, **FAN_LAUNCH)
+    cli.write_fan(fan, tmp_path, {"alpha": 1.0})
+    _check_round_trip(tmp_path, fan, t_span)
+    path = tmp_path / "manifest.json"
+    manifest = read_json(path)
+    entry = next(e for e in manifest["trajectories"] if e["P_y"] != 0.0)
+    entry["backward"]["y_sign"] *= -1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(AssertionError):
+        _check_round_trip(tmp_path, fan, t_span)
 
 
 class TestEvolveCommand:
@@ -361,8 +454,10 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
                  "--eps", "0.05", "--ny", "7", "--output-dir", str(out)]) == 0
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0.1",
                  "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 0
+    assert main(["geodesics", "--alpha", "1", "--angles", "4", "--output-dir", str(out)]) == 0
     names = {path.rsplit("/", 1)[-1] for path, *_ in calls}
-    assert names == {"density.csv", "fibre_norms.csv", "norm_trace.csv", "bc_sensitivity.csv"}
+    assert names == {"density.csv", "fibre_norms.csv", "norm_trace.csv", "bc_sensitivity.csv",
+                     "geodesic_solve000.csv", "geodesic_solve001.csv", "geodesic_solve002.csv"}
     # density.csv spans many blocks and ends in a partial one
     (density_rows,) = {len(columns[0]) for path, _, columns, _ in calls
                        if path.endswith("density.csv")}
@@ -503,6 +598,23 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
         argv = argv + ["--config", str(cfg)]
     out = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--alpha", "1"], "--config"),
+    (["classify"], "--profile-file"),
+])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv, flag):
+    # byte 0xff never occurs in UTF-8 text
+    path = tmp_path / "input.ini"
+    if flag == "--config":
+        path.write_bytes(b"[classify]\nxi-max = 1\xff\n")
+    else:
+        path.write_bytes(b"kind = power_law\nalpha = 1\xff\n")
+    out = tmp_path / "out"
+    assert main(argv + [flag, str(path), "--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
