@@ -286,80 +286,46 @@ def _cmd_classify(args) -> int:
 # geodesics
 # ---------------------------------------------------------------------------
 
-def _summary(traj):
-    """Launch, constant ``P_y``, hit times, energy drift and ``meta`` of
-    one trajectory."""
-    return {
-        "alpha": traj.init.alpha,
-        "theta": traj.init.theta,
-        "x0": traj.init.x0,
-        "y0": traj.init.y0,
-        "P_y": traj.py,
-        "hit_time_plus": traj.hit_time_plus,
-        "hit_time_minus": traj.hit_time_minus,
-        "energy_drift": traj.energy_drift,
-        "meta": traj.meta,
-    }
-
-
-def _write_trajectory(traj, directory, config):
-    """One CSV ``t,x,y,P_x`` under a config line holding ``config`` and the
-    trajectory's summary, and ``manifest.json`` with the summary; returns
-    the manifest path.  The manifest holds every value of the CSV header,
-    so it is encoded before any file is opened and a non-finite value
-    writes nothing."""
-    summary = _summary(traj)
-    name = f"geodesic_alpha{traj.init.alpha:g}_theta{traj.init.theta:.6f}.csv"
-    manifest = {"config": config, "trajectories": [{**summary, "file": name}]}
-    _dumps(manifest)
-    _write_csv(os.path.join(directory, name), ["t", "x", "y", "P_x"],
-               [traj.t, traj.x, traj.y, traj.px], {**config, **summary})
-    return _write_json(os.path.join(directory, "manifest.json"), manifest)
-
-
-def _fan_solves(trajectories):
-    """The distinct forward-time solves the trajectories were built from,
-    in order of first use."""
-    solves = {}
-    for traj in trajectories:
-        for part in (traj.forward, traj.backward):
-            if part is not None:
-                solves.setdefault(id(part[0]), part[0])
-    return list(solves.values())
-
-
 def write_fan(trajectories, directory, config):
     """One CSV per distinct solve, ``t,x,P_x,dy`` with dy = y - y0 in the
     solve's own unmirrored frame, under a config line holding ``config``
     and the solve's launch (``theta``, ``t_end``, ``P_x``, ``P_y``), hit
     time and ``nfev``; and ``manifest.json`` with one entry per
     trajectory: its summary, and for each half the solve file and its
-    y-mirror sign (None outside the span).  Returns the manifest path.
+    y-mirror sign (None outside the span).  Returns the manifest path
+    and the number of solves written.
 
-    Trajectory (t, x, y, P_x) is rebuilt from its entry as
-    (t, x, y0 + s dy, P_x) from the forward file and, from the backward
-    file, (-t[:0:-1], x[:0:-1], y0 + s dy[:0:-1], -P_x[:0:-1]) before it.
-    The manifest and every header are encoded before any file is opened,
-    so a non-finite value writes nothing."""
-    solves = _fan_solves(trajectories)
+    Trajectory (t, x, y, P_x) is rebuilt from its entry by the rule of
+    ``GeodesicTrajectory``: (t, x, y0 + s dy, P_x) from the forward file
+    and, from the backward file, (-t[:0:-1], x[:0:-1], y0 + s dy[:0:-1],
+    -P_x[:0:-1]) before it.  The manifest and every header are encoded
+    before any file is opened, so a non-finite value writes nothing."""
+    solves = {}  # the distinct solves by id, in order of first use
+    for traj in trajectories:
+        for part in (traj.forward, traj.backward):
+            if part is not None:
+                solves.setdefault(id(part[0]), part[0])
     config = {**config, "solves": len(solves)}
-    names = {id(half): f"geodesic_solve{i:03d}.csv" for i, half in enumerate(solves)}
+    names = {key: f"geodesic_solve{i:03d}.csv" for i, key in enumerate(solves)}
     headers = [{**config, "theta": half.theta, "t_end": half.t_end, "P_x": half.px,
-                "P_y": half.py, "hit_time": half.hit, "nfev": half.nfev} for half in solves]
+                "P_y": half.py, "hit_time": half.hit, "nfev": half.nfev}
+               for half in solves.values()]
 
     def source(part):
         return None if part is None else {"file": names[id(part[0])], "y_sign": part[1]}
 
-    manifest = {"config": config,
-                "trajectories": [{**_summary(traj), "forward": source(traj.forward),
-                                  "backward": source(traj.backward)}
-                                 for traj in trajectories]}
+    manifest = {"config": config, "trajectories": [
+        {"alpha": traj.init.alpha, "theta": traj.init.theta, "x0": traj.init.x0,
+         "y0": traj.init.y0, "P_y": traj.py, "hit_time_plus": traj.hit_time_plus,
+         "hit_time_minus": traj.hit_time_minus, "energy_drift": traj.energy_drift,
+         "meta": traj.meta, "forward": source(traj.forward), "backward": source(traj.backward)}
+        for traj in trajectories]}
     _dumps([manifest, *headers])
-    for half, header in zip(solves, headers):
+    for half, header in zip(solves.values(), headers):
         x, px, dy = half.state
         _write_csv(os.path.join(directory, names[id(half)]), ["t", "x", "P_x", "dy"],
                    [half.t, x, px, dy], header)
-    return _write_json(os.path.join(directory, "manifest.json"), manifest)
+    return _write_json(os.path.join(directory, "manifest.json"), manifest), len(solves)
 
 
 def _cmd_geodesics(args) -> int:
@@ -397,12 +363,9 @@ def _cmd_geodesics(args) -> int:
         for traj in trajs:
             hit, err = hit_time_quadrature(traj.init)
             traj.meta.update(quadrature_hit_time=hit, quadrature_error=err)
-    if theta is not None:
-        mpath = _write_trajectory(trajs[0], out, config)
-    else:
-        mpath = write_fan(trajs, out, config)
+    mpath, solves = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
-    print(f"alpha={alpha:g}: {len(trajs)} trajectories from {len(_fan_solves(trajs))} solves, "
+    print(f"alpha={alpha:g}: {len(trajs)} trajectories from {solves} solves, "
           f"{sum(h is not None for h in hits)} forward boundary hits")
     print(f"wrote {mpath}")
     return EXIT_OK
@@ -413,8 +376,9 @@ def _cmd_geodesics(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_float_list(raw, name):
+    """Comma-separated numbers; an empty item is a usage error."""
     try:
-        return [float(tok) for tok in str(raw).replace(" ", "").split(",") if tok]
+        return [float(tok) for tok in str(raw).replace(" ", "").split(",")]
     except ValueError as exc:
         raise UsageError(f"malformed {name}: {raw!r}") from exc
 
@@ -447,7 +411,8 @@ def _evolve_sensitivity(args) -> int:
     dt = _number(args, "dt", float, 1e-3)
     beta = _number(args, "beta", float, 1.0)
     refine = _number(args, "refine", int, 1, minimum=1)
-    eps_grid = _parse_float_list(args.eps_grid or "1e-1,1e-2,1e-3", "--eps-grid")
+    eps_grid = _parse_float_list("1e-1,1e-2,1e-3" if args.eps_grid is None else args.eps_grid,
+                                 "--eps-grid")
     out = _outdir(args)
 
     result = bc_sensitivity(
@@ -558,7 +523,7 @@ def _cmd_verify_deficiency(args) -> int:
     if args.alpha is None:
         raise UsageError("verify-deficiency requires --alpha")
     alpha = _number(args, "alpha", float, None)
-    interval = _parse_float_list(args.interval or "0,1", "--interval")
+    interval = _parse_float_list("0,1" if args.interval is None else args.interval, "--interval")
     if len(interval) != 2:
         raise UsageError("--interval needs two comma-separated numbers")
     other = None
@@ -642,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final")
     p.add_argument("--dt")
     p.add_argument("--beta", default=None, help="Robin parameter (default 1)")
-    p.add_argument("--eps-grid", help="comma list of decreasing cutoffs")
+    p.add_argument("--eps-grid", help="comma list of strictly decreasing cutoffs")
     p.add_argument("--refine", help="divides the local spacing of the sensitivity "
                    "protocol's grid (default 1)")
     p.add_argument("--eps")

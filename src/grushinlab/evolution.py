@@ -472,7 +472,7 @@ def bc_sensitivity(
 ) -> BcSensitivityResult:
     """Cutoff boundary-condition sensitivity D(eps) for one fibre.
 
-    For each eps in the (decreasing) grid, identical standard Gaussian
+    For each eps in the (strictly decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
     Robin(beta)-at-eps on the same grid (:meth:`FibreGrid.resolved` at
     SENSITIVITY_RESOLUTION), and D(eps) is the discrete L^2 distance of
@@ -481,10 +481,10 @@ def bc_sensitivity(
     :class:`ProtocolError` (enlarge the wall).
     """
     eps_list = [float(e) for e in eps_grid]
-    if not eps_list or any(e <= 0 for e in eps_list):
+    if not eps_list or not all(e > 0 for e in eps_list):
         raise UsageError("eps_grid must contain positive cutoffs")
-    if sorted(eps_list, reverse=True) != eps_list:
-        raise UsageError("eps_grid must be decreasing")
+    if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
+        raise UsageError("eps_grid must be strictly decreasing")
     prof = power_law(alpha)
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)

@@ -98,37 +98,73 @@ class GeodesicInitialData:
         c, s = _direction(self.theta)
         return c, s * self.x0 ** (-self.alpha)
 
-    def energy(self, x: float, px: float) -> float:
-        py = self.momenta[1]
-        return 0.5 * (px * px + x ** (2.0 * self.alpha) * py * py)
-
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """Time-stamped samples of one geodesic plus boundary-arrival data.
+    """One geodesic: its launch and the two halves it is made of.
 
-    Samples are ordered by t and restricted to x > 0; ``hit_time_plus``
-    (``hit_time_minus``) is the forward (backward) boundary arrival time,
-    or None if the boundary is not reached inside the integration span.
-    ``energy_drift`` is max_t |h - 1/2| over the recorded samples.
-    ``py`` is one number: P_y is a constant of motion.  ``forward`` and
-    ``backward`` are the (solve, y-mirror sign) pairs the two halves were
-    built from, or None for a half outside the integration span; a fan
-    shares one solve between several trajectories.
+    ``forward`` and ``backward`` are (solve, y-mirror sign s) pairs, or
+    None for a half outside the integration span; a fan shares one solve
+    between several trajectories.  The samples t, x, y and P_x are
+    assembled when read, ordered by t and restricted to x > 0: the
+    backward solve time-reversed without its t = 0 sample,
+    (-t, x, y0 + s dy, -P_x), then the forward solve, (t, x, y0 + s dy,
+    P_x).  ``hit_time_plus`` (``hit_time_minus``) is the forward
+    (backward) boundary arrival time, or None if the boundary is not
+    reached inside the span; ``energy_drift`` is max |h - 1/2| over the
+    samples of both solves.
     """
 
     init: GeodesicInitialData
-    t: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    px: np.ndarray = field(repr=False)
-    py: float
-    hit_time_plus: float | None
-    hit_time_minus: float | None
-    energy_drift: float
+    forward: tuple[_Half, float] | None = field(repr=False)
+    backward: tuple[_Half, float] | None = field(repr=False)
     meta: dict = field(default_factory=dict)
-    forward: tuple[_Half, float] | None = field(default=None, repr=False)
-    backward: tuple[_Half, float] | None = field(default=None, repr=False)
+
+    def _samples(self) -> list[np.ndarray]:
+        parts = []
+        if self.backward is not None:
+            half, y_sign = self.backward
+            x, px, dy = half.state[:, :0:-1]
+            parts.append((-half.t[:0:-1], x, self.init.y0 + y_sign * dy, -px))
+        if self.forward is not None:
+            half, y_sign = self.forward
+            x, px, dy = half.state
+            parts.append((half.t, x, self.init.y0 + y_sign * dy, px))
+        return [np.concatenate(column) for column in zip(*parts)]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self._samples()[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._samples()[1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._samples()[2]
+
+    @property
+    def px(self) -> np.ndarray:
+        return self._samples()[3]
+
+    @property
+    def py(self) -> float:
+        """P_y, a constant of motion."""
+        return self.init.momenta[1]
+
+    @property
+    def hit_time_plus(self) -> float | None:
+        return None if self.forward is None else self.forward[0].hit
+
+    @property
+    def hit_time_minus(self) -> float | None:
+        hit = None if self.backward is None else self.backward[0].hit
+        return None if hit is None else -hit
+
+    @property
+    def energy_drift(self) -> float:
+        return max(part[0].drift for part in (self.forward, self.backward) if part is not None)
 
 
 def _rhs(t, state, alpha, py):
@@ -145,9 +181,10 @@ class _Half:
     """SAMPLES_EACH_WAY samples of one forward-time solve from t = 0:
     rows x, P_x and y - y0.  The launch is the angle ``theta`` with
     momenta (``px``, ``py``), integrated to ``t_end``; ``hit`` is the
-    boundary arrival time (or None) and ``nfev`` the right-hand-side
-    calls of the solve.  The same half launched with -P_y has y - y0
-    negated and nothing else changed."""
+    boundary arrival time (or None), ``nfev`` the right-hand-side calls
+    of the solve and ``drift`` max |h - 1/2| over the samples.  The same
+    half launched with -P_y has y - y0 negated and nothing else
+    changed."""
 
     theta: float
     px: float
@@ -157,6 +194,7 @@ class _Half:
     state: np.ndarray = field(repr=False)
     hit: float | None
     nfev: int
+    drift: float
 
 
 def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
@@ -201,7 +239,10 @@ def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
         # Remaining travel below the floor at essentially constant P_x.
         hit = t_event + x_e / max(abs(px_e), 1e-15)
     t = np.linspace(0.0, sol.t[-1], SAMPLES_EACH_WAY)
-    return _Half(theta, px0, py, t_end, t, sol.sol(t), hit, sol.nfev)
+    state = sol.sol(t)
+    x, px, _dy = state
+    drift = float(np.max(np.abs(0.5 * (px**2 + x ** (2.0 * alpha) * py**2) - 0.5)))
+    return _Half(theta, px0, py, t_end, t, state, hit, sol.nfev, drift)
 
 
 def _check_span(t_span, tol):
@@ -230,10 +271,9 @@ def integrate_geodesic(
     when t_span[1] = 0); by default they are solved here.
     """
     _check_span(t_span, tol)
-    alpha, x0, theta = init.alpha, init.x0, init.theta
-    px0, py = init.momenta
     if _halves is None:
-        y0 = init.y0
+        alpha, x0, theta, y0 = init.alpha, init.x0, init.theta, init.y0
+        px0, py = init.momenta
         _halves = (
             (_solve_half(alpha, x0, theta, px0, py, t_span[1], tol, (y0, 1.0, 1.0)), 1.0)
             if t_span[1] > 0.0 else None,
@@ -242,32 +282,10 @@ def integrate_geodesic(
             if t_span[0] < 0.0 else None,
         )
     fwd, bwd = _halves
-
-    t_parts, state_parts = [], []
-    if bwd is not None:
-        half, y_sign = bwd
-        t_parts.append(-half.t[:0:-1])
-        state_parts.append(half.state[:, :0:-1] * np.array([[1.0], [-1.0], [y_sign]]))
-    if fwd is not None:
-        half, y_sign = fwd
-        t_parts.append(half.t)
-        state_parts.append(half.state * np.array([[1.0], [1.0], [y_sign]]))
-    t = np.concatenate(t_parts)
-    x, px, dy = np.concatenate(state_parts, axis=1)
-
-    energy = 0.5 * (px**2 + x ** (2.0 * alpha) * py**2)
-    drift = float(np.max(np.abs(energy - 0.5)))
-
     return GeodesicTrajectory(
         init=init,
-        t=t,
-        x=x,
-        y=init.y0 + dy,
-        px=px,
-        py=py,
-        hit_time_plus=None if fwd is None else fwd[0].hit,
-        hit_time_minus=None if bwd is None or bwd[0].hit is None else -bwd[0].hit,
-        energy_drift=drift,
+        forward=fwd,
+        backward=bwd,
         meta={
             "integrator": "DOP853",
             "rtol": tol,
@@ -277,8 +295,6 @@ def integrate_geodesic(
             "nfev_forward": 0 if fwd is None else fwd[0].nfev,
             "nfev_backward": 0 if bwd is None else bwd[0].nfev,
         },
-        forward=fwd,
-        backward=bwd,
     )
 
 

@@ -224,16 +224,13 @@ def classify_by_inequality(profile: GrushinProfile, grid: Sequence[float] | np.n
     not exhaustive).  The profile must satisfy the admissibility
     assumptions; scale invariance f -> lambda f holds because q does.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 200:
-        raise UsageError("inequality classification needs >= 200 grid points")
-    if profile.x_float_min > 0.0:
-        grid = grid[grid >= profile.x_float_min]
-        if grid.size < 200:
-            raise UsageError(
-                "fewer than 200 grid points above the profile's float floor"
-            )
     assumptions = check_assumptions(profile, grid)
+    # the grid the assumptions were checked on: sorted, and clipped to the
+    # profile's float floor
+    grid = assumptions.grid
+    if grid.size < 200:
+        raise UsageError("inequality classification needs >= 200 grid points "
+                         "above the profile's float floor")
     if not assumptions.all_passed:
         raise UsageError(
             f"profile fails admissibility assumptions: {assumptions.summary()}"

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from grushinlab import cli
 from grushinlab.cli import main
 from grushinlab.evolution import BoundaryCondition, evolve_plane, standard_plane_data, to_original
-from grushinlab.geodesics import integrate_geodesic
+from grushinlab.geodesics import GeodesicInitialData, geodesic_fan, integrate_geodesic
 from grushinlab.profiles import power_law
 
 
@@ -186,14 +188,35 @@ class TestGeodesicsCommand:
         assert len(csvs) == 5 == manifest["config"]["solves"]
         assert "8 trajectories from 5 solves, 7 forward boundary hits" in capsys.readouterr().out
 
-    def test_single_angle_keeps_one_csv(self, tmp_path, capsys):
-        assert main(["geodesics", "--alpha", "1", "--theta", "0.5",
-                     "--output-dir", str(tmp_path)]) == 0
-        (entry,) = read_json(tmp_path / "manifest.json")["trajectories"]
-        lines = (tmp_path / entry["file"]).read_text().splitlines()
-        assert lines[1] == "t,x,y,P_x" and len(lines) == 2 + 799
-        assert sorted(p.name for p in tmp_path.iterdir()) == [entry["file"], "manifest.json"]
+    def test_single_angle_round_trip(self, tmp_path, capsys):
+        # --theta writes like a fan of one angle: its two solves and the manifest
+        assert main(["geodesics", "--alpha", "1", "--theta", "0.5", "--y0", "-0.75",
+                     "--t-max", "5", "--output-dir", str(tmp_path)]) == 0
         assert "1 trajectories from 2 solves" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "geodesic_solve000.csv", "geodesic_solve001.csv", "manifest.json"]
+        manifest = read_json(tmp_path / "manifest.json")
+        assert manifest["config"]["theta"] == 0.5 and manifest["config"]["solves"] == 2
+        (entry,) = manifest["trajectories"]
+        assert entry["forward"] == {"file": "geodesic_solve000.csv", "y_sign": 1.0}
+        assert entry["backward"] == {"file": "geodesic_solve001.csv", "y_sign": 1.0}
+        init = GeodesicInitialData(x0=1.0, y0=-0.75, theta=0.5, alpha=1.0)
+        traj = integrate_geodesic(init, (-5.0, 5.0))
+
+        def rebuilt_exactly():
+            return all(np.array_equal(got, want) for got, want in
+                       zip(_rebuild(tmp_path, entry), (traj.t, traj.x, traj.y, traj.px)))
+
+        assert rebuilt_exactly()
+        # the backward solve read without its time reversal, or with its y
+        # mirrored, is another trajectory
+        entry["backward"]["y_sign"] = -1.0
+        assert not rebuilt_exactly()
+        entry["backward"]["y_sign"] = 1.0
+        path = tmp_path / "geodesic_solve001.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[:1:-1]))
+        assert not rebuilt_exactly()
 
     def test_single_angle_hit_time(self, tmp_path):
         main(["geodesics", "--alpha", "1", "--theta", "3.14159",
@@ -228,21 +251,25 @@ class TestGeodesicsCommand:
                 assert isinstance(hit, float) and math.isfinite(hit), entry["theta"]
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
-        outputs = []
-        for run in ("a", "b"):
-            main(["geodesics", "--alpha", "0.5", "--angles", "6", "--y0", "0.25",
-                  "--output-dir", str(tmp_path / run)])
-            outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
-        # 6 angles share 4 solves; one file each, and the manifest
-        assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
+        # 6 angles share 4 solves, one angle makes 2; one file each, and the
+        # manifest
+        for launch, files in ((["--angles", "6"], 5), (["--theta", "2"], 3)):
+            outputs = []
+            for run in ("a", "b"):
+                out = tmp_path / launch[0][2:] / run
+                assert main(["geodesics", "--alpha", "0.5", *launch, "--y0", "0.25",
+                             "--output-dir", str(out)]) == 0
+                outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert len(outputs[0]) == files and outputs[0] == outputs[1], launch
 
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
 
     def test_writers(self, tmp_path):
         fan = cli.geodesic_fan(1.0, 4)
-        manifest_path = cli.write_fan(fan, tmp_path, {"alpha": 1.0, "angles": 4})
+        manifest_path, solves = cli.write_fan(fan, tmp_path, {"alpha": 1.0, "angles": 4})
         manifest = json.loads(open(manifest_path).read())
+        assert solves == 3
         assert len(manifest["trajectories"]) == 4
         entry = manifest["trajectories"][1]
         assert entry["theta"] == fan[1].init.theta
@@ -276,7 +303,7 @@ class TestGeodesicsCommand:
         fan = cli.geodesic_fan(1.0, 2)
         half, y_sign = fan[1].forward
         fan[1] = dataclasses.replace(
-            fan[1], forward=(dataclasses.replace(half, hit=math.inf), y_sign))
+            fan[1], forward=(dataclasses.replace(half, px=math.inf), y_sign))
         with pytest.raises(cli.NumericError):
             cli.write_fan(fan, tmp_path, {"alpha": 1.0})
         assert not any(tmp_path.iterdir())
@@ -341,6 +368,48 @@ def test_fan_round_trip_catches_a_flipped_mirror_sign(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(AssertionError):
         _check_round_trip(tmp_path, fan, t_span)
+
+
+def _readme_recipes():
+    """The fenced ``python`` blocks of the README, dedented, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```$", text, flags=re.M | re.S)
+    return [textwrap.dedent(body) for _, body in blocks]
+
+
+def test_readme_recipes_rebuild_the_outputs(tmp_path, monkeypatch):
+    trajectory, density = _readme_recipes()
+
+    def run(recipe, directory):
+        namespace = {}
+        monkeypatch.chdir(directory)
+        exec(recipe, namespace)
+        return namespace
+
+    # the trajectory recipe, as written on a fan, and for entry 0 of a --theta run
+    assert main(["geodesics", "--alpha", "1", "--angles", "8", "--y0", "-0.75",
+                 "--output-dir", str(tmp_path / "fan")]) == 0
+    assert main(["geodesics", "--alpha", "1", "--theta", "0.5", "--y0", "-0.75",
+                 "--output-dir", str(tmp_path / "theta")]) == 0
+    assert '["trajectories"][1]' in trajectory
+    runs = [(trajectory, "fan", geodesic_fan(1.0, 8, y0=-0.75)[1]),
+            (trajectory.replace('["trajectories"][1]', '["trajectories"][0]'), "theta",
+             integrate_geodesic(GeodesicInitialData(x0=1.0, y0=-0.75, theta=0.5, alpha=1.0)))]
+    for recipe, name, traj in runs:
+        got = run(recipe, tmp_path / name)
+        for key in ("t", "x", "y", "px"):
+            assert np.array_equal(got[key], getattr(traj, key)), (name, key)
+
+    # the density recipe on a small plane run
+    assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02",
+                 "--ny", "7", "--eps", "0.05", "--output-dir", str(tmp_path / "plane")]) == 0
+    profile = power_law(1.0)
+    psi0, _ = standard_plane_data(profile, "plane", 0.05, 7, 2.0, 16.0)
+    result = evolve_plane(psi0, profile, 0.02, BoundaryCondition.dirichlet(), dt=2e-3)
+    original = to_original(result.final, profile)
+    x, y = np.meshgrid(psi0.grid.nodes, original.axis, indexing="ij")
+    want = np.column_stack([x.ravel(), y.ravel(), (np.abs(original.values) ** 2).ravel()])
+    assert np.array_equal(run(density, tmp_path / "plane")["triples"], want)
 
 
 class TestEvolveCommand:
@@ -590,6 +659,16 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify", "--alpha", "1"], "[classify]\nxi-max = 5%\n"),
     (["classify"], "[profile]\nkind = power_law\nalpha = 5%\n"),
     (["classify", "--profile-file", "no-such-profile.ini"], None),
+    # a repeated cutoff, and empty items of a number list
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--eps-grid", "1e-1,1e-1",
+      "--t-final", "0.1"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--eps-grid", "1e-1,,3e-2",
+      "--t-final", "0.1"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--interval", "0,1,"], None),
+    # an empty list is no default
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--eps-grid", "",
+      "--t-final", "0.1"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--interval", ""], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

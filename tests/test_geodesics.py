@@ -115,7 +115,9 @@ class TestIntegration:
 
     def test_energy_is_half_at_general_launch(self):
         init = launch(0.7, 1.5, x0=3.0)
-        assert init.energy(init.x0, init.momenta[0]) == pytest.approx(0.5, abs=1e-15)
+        px, py = init.momenta
+        energy = 0.5 * (px * px + init.x0 ** (2.0 * init.alpha) * py * py)
+        assert energy == pytest.approx(0.5, abs=1e-15)
 
     def test_alpha_negative_no_hit(self):
         # metric is regular at the boundary for alpha < 0 with sin(theta) != 0:

@@ -133,6 +133,16 @@ class TestInequality:
         with pytest.raises(UsageError):
             classify_by_inequality(power_law(1.0), np.geomspace(0.01, 1, 50))
 
+    def test_minimum_counts_the_points_above_the_float_floor(self):
+        # exp_inverse is clipped to x >= 3e-3: 150 of these 300 points remain
+        profile = builtin_profile("exp_inverse")
+        grid = np.geomspace(3e-3 ** 2, 1.0, 301)[1:]
+        assert np.count_nonzero(grid >= profile.x_float_min) < 200
+        with pytest.raises(UsageError, match="200 grid points"):
+            classify_by_inequality(profile, grid)
+        _, info = classify_by_inequality(profile, self.GRID)
+        assert info["x_min"] >= profile.x_float_min
+
 
 class TestNumericClassification:
     def test_subcritical_exponent(self):
