@@ -33,8 +33,6 @@ from .profiles import (
     builtin_profile,
     check_assumptions,
     custom_profile,
-    load_profile,
-    parse_profile_config,
     power_law,
 )
 from .geodesics import (

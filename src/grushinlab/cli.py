@@ -8,9 +8,10 @@ evolve              fibre or plane evolution experiments
 verify-deficiency   deficiency eigenfunction family residuals
 
 Configuration may come from flags, from an INI-style file passed with
---config (sections named after the commands, plus an optional
-[profile] section), or both; flags win.  Every output embeds the fully
-resolved configuration.  Exit codes: 0 success/definite verdict,
+--config (one section per command, named after it), or both; flags
+win.  ``classify`` takes its profile from --alpha or --profile, as a
+flag or a [classify] key.  Every output embeds the fully resolved
+configuration.  Exit codes: 0 success/definite verdict,
 2 usage error, 3 numeric failure, 4 inconclusive classification.
 """
 
@@ -42,7 +43,7 @@ from .evolution import (
     standard_plane_data,
 )
 from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, integrate_geodesic
-from .profiles import GrushinProfile, builtin_profile, load_profile, power_law
+from .profiles import GrushinProfile, builtin_profile, power_law
 from .weyl import (
     Mode,
     aggregate_verdict,
@@ -104,6 +105,8 @@ def _write_csv(path, header_cols, columns, config):
     return path
 
 
+# the commands, each also the name of its config-file section
+_COMMANDS = ("classify", "geodesics", "evolve", "verify-deficiency")
 # the options that take one of a fixed set of values, as flags or file keys
 _CHOICES = {
     "mode": ("plane", "cylinder"),
@@ -113,13 +116,13 @@ _CHOICES = {
 }
 
 
-def _fill_from_config(args, section):
-    """Copy file values into argparse Namespace slots left at None; a file
-    that does not parse, a key that names no option of the command, or a
-    value outside the option's choices, is a usage error.  Returns the
-    parsed file, or None without --config."""
+def _fill_from_config(args):
+    """Copy the values of the command's file section into argparse
+    Namespace slots left at None; a file that does not parse, a section
+    that names no command, a key that names no option of the command, or
+    a value outside the option's choices, is a usage error."""
     if args.config is None:
-        return None
+        return
     # values are literal: a '%' in one is no interpolation syntax error
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -128,8 +131,13 @@ def _fill_from_config(args, section):
         raise UsageError(f"malformed config file {args.config}: {exc}") from None
     if not found:
         raise UsageError(f"config file not found: {args.config}")
+    unknown = [name for name in parser.sections() if name not in _COMMANDS]
+    if unknown:
+        raise UsageError(f"config file section [{unknown[0]}] names no command "
+                         f"(sections: {', '.join(_COMMANDS)})")
+    section = args.command
     if not parser.has_section(section):
-        return parser
+        return
     options = set(vars(args)) - {"command", "func", "config"}
     for key, raw in parser.items(section):
         attr = key.replace("-", "_")
@@ -140,7 +148,6 @@ def _fill_from_config(args, section):
                              f"{', '.join(_CHOICES[attr])}, got {raw!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, raw)
-    return parser
 
 
 def _number(args, name, kind, default, minimum=None):
@@ -175,28 +182,15 @@ def _reject_unread(what, names):
         raise UsageError(f"{what} does not read {flags}")
 
 
-def _resolve_profile(args, config) -> GrushinProfile:
-    """The profile from the flags, else from the [profile] section of the
-    parsed config file ``config`` (None without one)."""
-    given = [
-        args.alpha is not None,
-        getattr(args, "profile_file", None) is not None,
-        getattr(args, "profile", None) is not None,
-    ]
-    if sum(given) > 1:
-        raise UsageError("give exactly one of --alpha, --profile, --profile-file")
+def _resolve_profile(args) -> GrushinProfile:
+    """The profile named by --alpha or by --profile, flag or file key."""
+    if args.alpha is not None and args.profile is not None:
+        raise UsageError("give exactly one of --alpha, --profile")
     if args.alpha is not None:
         return power_law(_number(args, "alpha", float, None))
-    if getattr(args, "profile_file", None):
-        return load_profile(args.profile_file)
-    if getattr(args, "profile", None):
+    if args.profile is not None:
         return builtin_profile(args.profile)
-    if config is not None and config.has_section("profile"):
-        from .profiles import parse_profile_config
-
-        body = "\n".join(f"{k} = {v}" for k, v in config.items("profile"))
-        return parse_profile_config(body)
-    raise UsageError("no profile given: use --alpha, --profile, --profile-file or a config file")
+    raise UsageError("no profile given: use --alpha or --profile")
 
 
 def _outdir(args) -> str:
@@ -216,7 +210,8 @@ _UNREAD_IN_MODE = {Mode.PLANE: {"k_max"}, Mode.CYLINDER: {"xi_min", "xi_max", "x
 
 def _cmd_classify(args) -> int:
     flags = _given(args)
-    profile = _resolve_profile(args, _fill_from_config(args, "classify"))
+    _fill_from_config(args)
+    profile = _resolve_profile(args)
     mode = Mode(args.mode or "plane")
     _reject_unread(f"classify --mode {mode.value}", flags & _UNREAD_IN_MODE[mode])
 
@@ -329,7 +324,7 @@ def write_fan(trajectories, directory, config):
 
 
 def _cmd_geodesics(args) -> int:
-    _fill_from_config(args, "geodesics")
+    _fill_from_config(args)
     if args.alpha is None:
         raise UsageError("geodesics requires --alpha")
     if args.theta is not None and args.angles is not None:
@@ -392,7 +387,7 @@ _EVOLVE_OPTIONS = {"sensitivity": {"alpha", "xi", "t_final", "dt", "beta", "refi
 
 
 def _cmd_evolve(args) -> int:
-    _fill_from_config(args, "evolve")
+    _fill_from_config(args)
     protocol = args.protocol or "sensitivity"
     reads = _EVOLVE_OPTIONS[protocol] | ({"beta"} if args.bc == "robin" else set())
     _reject_unread(f"evolve --protocol {protocol}",
@@ -519,7 +514,7 @@ def _evolve_plane(args, geometry) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_deficiency(args) -> int:
-    _fill_from_config(args, "verify-deficiency")
+    _fill_from_config(args)
     if args.alpha is None:
         raise UsageError("verify-deficiency requires --alpha")
     alpha = _number(args, "alpha", float, None)
@@ -580,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="fibre classification and aggregate verdict")
     common(p)
     p.add_argument("--profile", help="builtin custom profile name")
-    p.add_argument("--profile-file", help="profile config file")
     p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--method", choices=_CHOICES["method"])
     p.add_argument("--xi-min")

@@ -79,7 +79,8 @@ def _direction(theta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GeodesicInitialData:
-    """Launch point, angle and power-law exponent of one geodesic."""
+    """Launch point, angle and power-law exponent of one geodesic; a
+    launch whose ``momenta`` overflow a float is a usage error."""
 
     x0: float
     y0: float
@@ -91,6 +92,11 @@ class GeodesicInitialData:
             raise DomainError("launch point must have x0 > 0")
         if not all(map(math.isfinite, (self.y0, self.theta, self.alpha))):
             raise UsageError("y0, theta and alpha must be finite")
+        try:
+            self.momenta
+        except OverflowError:
+            raise UsageError(f"x0^(-alpha) = {self.x0:g}^{-self.alpha:g} overflows a float: "
+                             "the launch has no finite P_y") from None
 
     @property
     def momenta(self) -> tuple[float, float]:
@@ -382,9 +388,8 @@ def geodesic_fan(
         k = min(m, n2 - m)
         y_sign = -1.0 if m > n_angles else 1.0
         if (k, t_end) not in solves:
-            theta = math.pi * k / n_angles
-            c, s = _direction(theta)
-            solves[k, t_end] = _solve_half(alpha, x0, theta, c, s * x0 ** (-alpha), t_end, tol,
+            launch = GeodesicInitialData(x0=x0, y0=y0, theta=math.pi * k / n_angles, alpha=alpha)
+            solves[k, t_end] = _solve_half(alpha, x0, launch.theta, *launch.momenta, t_end, tol,
                                            (y0, t_sign, y_sign))
         return solves[k, t_end], y_sign
 

@@ -32,8 +32,6 @@ when alpha(2+alpha) >= 0, i.e. outside (-2, 0).
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -50,8 +48,6 @@ __all__ = [
     "power_law",
     "custom_profile",
     "builtin_profile",
-    "parse_profile_config",
-    "load_profile",
     "check_assumptions",
     "BUILTIN_CUSTOM_PROFILES",
 ]
@@ -101,46 +97,48 @@ class FibrePotential:
 
     ``xi`` is the Fourier variable dual to y (an integer mode number in
     cylinder geometry).  W is evaluated lazily through the profile so a
-    single object can be broadcast over grids.
+    single object can be broadcast over grids.  A ``xi`` whose square
+    overflows a float is a usage error here, once, rather than in the
+    calls that every ODE solve makes.
     """
 
     xi: float
     profile: GrushinProfile
 
+    def __post_init__(self):
+        if not math.isfinite(float(self.xi) * float(self.xi)):
+            raise UsageError(f"fibre frequency xi = {self.xi:g} has no finite square")
+
     def __call__(self, x):
         return self.profile.base_potential(x) + self.xi**2 * self.profile.inv_f_squared(x)
 
 
-def power_law(alpha: float, scale: float = 1.0) -> GrushinProfile:
-    """Profile f(x) = scale * x^(-alpha) with analytic derivatives."""
+def power_law(alpha: float) -> GrushinProfile:
+    """Profile f(x) = x^(-alpha) with analytic derivatives."""
     if not math.isfinite(alpha):
         raise UsageError("alpha must be finite")
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise UsageError("scale must be a positive real")
     a = float(alpha)
-    lam = float(scale)
 
     def f(x):
-        return lam * x ** (-a)
+        return x ** (-a)
 
     def f1(x):
-        return -a * lam * x ** (-a - 1.0)
+        return -a * x ** (-a - 1.0)
 
     def f2(x):
-        return a * (a + 1.0) * lam * x ** (-a - 2.0)
+        return a * (a + 1.0) * x ** (-a - 2.0)
 
     def base_potential(x):
         return a * (2.0 + a) / (4.0 * x * x)
 
     def inv_f_squared(x):
-        return x ** (2.0 * a) / lam**2
+        return x ** (2.0 * a)
 
-    name = f"power_law(alpha={a:g})" if lam == 1.0 else f"power_law(alpha={a:g}, scale={lam:g})"
-    # kappa = lam: on (0, 1] the power law is minimised at x = 1 when
+    # kappa = 1: on (0, 1] the power law is minimised at x = 1 when
     # alpha >= 0; the declared bound is honest there and knowingly fails
     # for alpha < 0.
-    return GrushinProfile(f, f1, f2, base_potential, inv_f_squared, kappa=lam, alpha=a,
-                          name=name)
+    return GrushinProfile(f, f1, f2, base_potential, inv_f_squared, kappa=1.0, alpha=a,
+                          name=f"power_law(alpha={a:g})")
 
 
 def custom_profile(
@@ -334,63 +332,3 @@ def check_assumptions(profile: GrushinProfile,
     )
 
     return AssumptionReport(profile_name=profile.name, grid=grid, checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# configuration parsing
-# ---------------------------------------------------------------------------
-
-_PROFILE_SECTION = "profile"
-# the keys each profile kind reads; any other key is a usage error
-_CONFIG_KEYS = {"power_law": {"kind", "alpha", "scale"}, "custom": {"kind", "name"}}
-
-
-def parse_profile_config(text: str) -> GrushinProfile:
-    """Build a profile from `key = value` configuration text.
-
-    Recognised keys: ``kind`` (power_law | custom); for power_law:
-    ``alpha`` and optional ``scale``; for custom: ``name`` of a builtin.
-    A key the kind does not read is a usage error.  A ``[profile]``
-    section header is optional.
-    """
-    stripped = text.lstrip()
-    if not stripped.startswith("["):
-        text = f"[{_PROFILE_SECTION}]\n" + text
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise UsageError(f"malformed profile config: {exc}") from exc
-    section = parser[_PROFILE_SECTION] if parser.has_section(_PROFILE_SECTION) else parser[parser.sections()[0]]
-
-    kind = section.get("kind", "").strip().lower()
-    if kind not in _CONFIG_KEYS:
-        raise UsageError(f"profile config field 'kind' must be power_law or custom, got {kind!r}")
-    unknown = sorted(set(section) - _CONFIG_KEYS[kind])
-    if unknown:
-        raise UsageError(f"{kind} profile config has unknown key(s): {', '.join(unknown)}")
-    if kind == "custom":
-        name = section.get("name", "").strip()
-        if not name:
-            raise UsageError("custom profile config requires field 'name'")
-        return builtin_profile(name)
-    if "alpha" not in section:
-        raise UsageError("power_law profile config requires field 'alpha'")
-    try:
-        alpha = float(section["alpha"])
-        scale = float(section.get("scale", "1.0"))
-    except ValueError as exc:
-        raise UsageError(f"non-numeric profile field: {exc}") from exc
-    return power_law(alpha, scale=scale)
-
-
-def load_profile(path) -> GrushinProfile:
-    """Read a profile definition from a config file on disk."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        raise UsageError(f"profile file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"profile file {path} is not UTF-8 text: {exc}") from None
-    return parse_profile_config(text)

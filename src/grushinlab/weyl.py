@@ -446,9 +446,9 @@ def classify_sweep(
         raise UsageError("analytic classification requires a power-law profile")
     if use_analytic:
         return [classify_power_law(profile.alpha, xi, mode) for xi in xi_values]
+    pots = [FibrePotential(xi=xi, profile=profile) for xi in xi_values]
     batch = _amplitude_slopes(profile, xi_values)
-    return [classify_numeric(FibrePotential(xi=xi, profile=profile), mode=mode, slopes=fibre)
-            for xi, fibre in zip(xi_values, batch)]
+    return [classify_numeric(pot, mode=mode, slopes=fibre) for pot, fibre in zip(pots, batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -645,21 +645,23 @@ def _norm_sq(grids, u_log, u_uni, s_fit: float) -> float:
     return float(m_log + m_uni + tail)
 
 
-def _check_family_group(profile: GrushinProfile, group: np.ndarray):
-    """Solve the fibres ``group`` together and check each solution:
-    returns the largest eigenvalue residual on the observation grid, the
-    largest unit-norm error under a refined re-quadrature, and whether
-    any fibre's fitted local exponent at zero fails integrability."""
+def _check_family_group(group: list[FibrePotential]):
+    """Solve the fibres ``group`` of one profile together and check each
+    solution: returns the largest eigenvalue residual on the observation
+    grid, the largest unit-norm error under a refined re-quadrature, and
+    whether any fibre's fitted local exponent at zero fails
+    integrability."""
     h = OBS_GRID_STEP
     xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
     xc = xs[2:-2]
     # one abscissa for the group: more decay budget only helps
-    x_right = max(_right_start(FibrePotential(xi=float(xi), profile=profile)) for xi in group)
+    x_right = max(_right_start(pot) for pot in group)
     coarse, fine = _quadrature_grids(x_right, 1), _quadrature_grids(x_right, 2)
-    solutions = _l2_solutions(profile, group, x_right, [*coarse, *fine, [10.0 * FAMILY_X_MIN], xs])
+    solutions = _l2_solutions(group[0].profile, [pot.xi for pot in group], x_right,
+                              [*coarse, *fine, [10.0 * FAMILY_X_MIN], xs])
     max_res = max_norm_err = 0.0
     contradiction = False
-    for xi, (u_log, u_uni, u_log2, u_uni2, u_ten, u_obs) in zip(group, zip(*solutions)):
+    for pot, (u_log, u_uni, u_log2, u_uni2, u_ten, u_obs) in zip(group, zip(*solutions)):
         # fitted local exponent over the last decade above FAMILY_X_MIN
         s_fit = math.log(abs(u_ten[0]) / abs(u_log[0])) / math.log(10.0)
         if s_fit <= CRITICAL_EXPONENT + 1e-3:
@@ -670,7 +672,6 @@ def _check_family_group(profile: GrushinProfile, group: np.ndarray):
         upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
             12.0 * h * h
         )
-        pot = FibrePotential(xi=float(xi), profile=profile)
         res = np.abs(-upp + (pot(xc) - 1j) * phi[2:-2])
         max_res = max(max_res, float(res.max()))
         norm_refined = _norm_sq(fine, u_log2, u_uni2, s_fit)
@@ -723,12 +724,13 @@ def verify_deficiency_family(
 
     profile = power_law(alpha)
     xi_values = np.linspace(a, b, xi_samples)
+    pots = [FibrePotential(xi=float(xi), profile=profile) for xi in xi_values]
 
     max_res = 0.0
     max_norm_err = 0.0
     contradiction = False
-    for start in range(0, xi_values.size, FAMILY_GROUP):
-        res, norm_err, failed = _check_family_group(profile, xi_values[start:start + FAMILY_GROUP])
+    for start in range(0, len(pots), FAMILY_GROUP):
+        res, norm_err, failed = _check_family_group(pots[start:start + FAMILY_GROUP])
         max_res = max(max_res, res)
         max_norm_err = max(max_norm_err, norm_err)
         contradiction = contradiction or failed

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 import math
@@ -80,9 +81,11 @@ class TestClassifyCommand:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.ini"
+        # one file may hold a section for every command
         cfg.write_text(
-            "[profile]\nkind = power_law\nalpha = 0.5\n\n"
-            "[classify]\nmode = cylinder\nk-max = 2\n"
+            "[classify]\nalpha = 0.5\nmode = cylinder\nk-max = 2\n\n"
+            "[geodesics]\nangles = 4\n\n[evolve]\nprotocol = plane\n\n"
+            "[verify-deficiency]\nsamples = 8\n"
         )
         code = main(["classify", "--config", str(cfg), "--output-dir", str(tmp_path)])
         assert code == 0
@@ -370,15 +373,27 @@ def test_fan_round_trip_catches_a_flipped_mirror_sign(tmp_path):
         _check_round_trip(tmp_path, fan, t_span)
 
 
-def _readme_recipes():
-    """The fenced ``python`` blocks of the README, dedented, in order."""
+def _readme_recipes(language):
+    """The fenced ``language`` blocks of the README, dedented, in order."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^( *)```python\n(.*?)^\1```$", text, flags=re.M | re.S)
+    blocks = re.findall(rf"^( *)```{language}\n(.*?)^\1```$", text, flags=re.M | re.S)
     return [textwrap.dedent(body) for _, body in blocks]
 
 
+def test_readme_config_example_runs(tmp_path):
+    (ini,) = _readme_recipes("ini")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert main(["classify", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    parser = configparser.ConfigParser()
+    parser.read_string(ini)
+    doc = read_json(tmp_path / "verdict.json")
+    assert doc["mode"] == parser["classify"]["mode"]
+    assert doc["alpha"] == float(parser["classify"]["alpha"])
+
+
 def test_readme_recipes_rebuild_the_outputs(tmp_path, monkeypatch):
-    trajectory, density = _readme_recipes()
+    trajectory, density = _readme_recipes("python")
 
     def run(recipe, directory):
         namespace = {}
@@ -610,12 +625,10 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["geodesics", "--alpha", "1", "--tol", "nan"], None),
     (["classify", "--alpha", "1", "--xi-step", "0"], None),
     (["classify", "--alpha", "1"], "[classify]\nxi-max = five\n"),
-    (["classify"], "[profile]\nkind = power_law\nalpha = 0.5\n\n"
-                   "[classify]\nmode = cylinder\nk-max = 2.5\n"),
+    (["classify"], "[classify]\nalpha = 0.5\nmode = cylinder\nk-max = 2.5\n"),
     (["verify-deficiency", "--alpha", "0.5"], "[verify-deficiency]\nsamples = many\n"),
     (["classify", "--alpha", "1", "--xi-min", "0", "--xi-max", "1", "--xi-step", "0.3"], None),
-    (["classify"], "[profile]\nkind = power_law\nalpha = 0.5\n\n"
-                   "[classify]\nmode = cylinder\nkmax = 2\n"),
+    (["classify"], "[classify]\nalpha = 0.5\nmode = cylinder\nkmax = 2\n"),
     (["classify", "--alpha", "1"], "[classify]\njobs = 4\n"),
     (["evolve", "--protocol", "cylinder", "--alpha", "1"], "[evolve]\nraster = maybe\n"),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "1"], None),
@@ -628,11 +641,13 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # the standard data (centre 2, width 0.3) needs eps < 0.8
     (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "1.0"], None),
     (["evolve", "--protocol", "cylinder", "--alpha", "1", "--eps", "1.0"], None),
-    # [profile] keys the chosen kind does not read, and the deleted builtin
-    (["classify"], "[profile]\nkind = power_law\nalpha = 1\nscal = 2\n"),
-    (["classify"], "[profile]\nkind = custom\nname = exp_inverse\nfoo = 1\n"),
-    (["classify"], "[profile]\nkind = custom\nname = scaled_power_law\nalpha = 1\nbeta = 3\n"),
-    (["classify"], "[profile]\nkind = custom\nname = scaled_power_law\n"),
+    # sections that name no command: the retired [profile], whose scale the
+    # analytic route ignored, and misspellings
+    (["classify", "--xi-min", "-3", "--xi-max", "3", "--xi-step", "0.5"],
+     "[profile]\nkind = power_law\nalpha = -1\nscale = 2\n"),
+    (["classify", "--alpha", "-2"], "[clasify]\nmode = cylinder\n"),
+    (["classify", "--alpha", "-2"], "[Classify]\nmode = cylinder\n"),
+    (["geodesics", "--alpha", "1", "--angles", "2"], "[geodesic]\nx0 = 2\n"),
     # options the evolve protocol does not read, as flags or [evolve] keys
     *(([*SENSITIVITY_RUN, *extra], None) for extra in (
         ["--ny", "8"], ["--bc", "robin"], ["--eps", "0.5"], ["--y-span", "8"],
@@ -657,8 +672,8 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify", "--alpha", "1"], "xi-max = 1\n"),
     (["classify", "--alpha", "1"], "[classify]\nmode = plane\nmode = cylinder\n"),
     (["classify", "--alpha", "1"], "[classify]\nxi-max = 5%\n"),
-    (["classify"], "[profile]\nkind = power_law\nalpha = 5%\n"),
-    (["classify", "--profile-file", "no-such-profile.ini"], None),
+    (["classify"], "[classify]\nalpha = 5%\n"),
+    (["classify", "--profile", "no-such-profile"], None),
     # a repeated cutoff, and empty items of a number list
     (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--eps-grid", "1e-1,1e-1",
       "--t-final", "0.1"], None),
@@ -669,6 +684,15 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--eps-grid", "",
       "--t-final", "0.1"], None),
     (["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--interval", ""], None),
+    # a launch whose x0^(-alpha) overflows a float, and fibre frequencies
+    # whose squares do
+    (["geodesics", "--alpha", "2000", "--x0", "0.5", "--angles", "4"], None),
+    (["geodesics", "--alpha", "2000", "--x0", "0.5", "--theta", "0.3"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--xi", "1e200", "--t-final",
+      "0.01"], None),
+    (["classify", "--alpha", "0.5", "--method", "numeric", "--xi-min", "0", "--xi-max", "1e300",
+      "--xi-step", "1e299"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--interval", "0,1e300"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -681,19 +705,13 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["classify", "--alpha", "1"], "--config"),
-    (["classify"], "--profile-file"),
-])
-def test_non_utf8_input_exits_2(tmp_path, capsys, argv, flag):
+def test_non_utf8_config_exits_2(tmp_path, capsys):
     # byte 0xff never occurs in UTF-8 text
     path = tmp_path / "input.ini"
-    if flag == "--config":
-        path.write_bytes(b"[classify]\nxi-max = 1\xff\n")
-    else:
-        path.write_bytes(b"kind = power_law\nalpha = 1\xff\n")
+    path.write_bytes(b"[classify]\nxi-max = 1\xff\n")
     out = tmp_path / "out"
-    assert main(argv + [flag, str(path), "--output-dir", str(out)]) == 2
+    assert main(["classify", "--alpha", "1", "--config", str(path),
+                 "--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

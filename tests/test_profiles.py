@@ -9,7 +9,6 @@ from grushinlab.profiles import (
     builtin_profile,
     check_assumptions,
     custom_profile,
-    parse_profile_config,
     power_law,
 )
 
@@ -45,16 +44,11 @@ class TestEffectivePotential:
         pot = FibrePotential(xi=0.5, profile=power_law(-1.0))
         assert pot(1.0) == pytest.approx(0.0, abs=1e-16)
 
-    # scale 1 keeps the bare alpha as the id; scale 2.5 checks the closed
-    # form's division by scale^2 against the generic 1/f^2
-    @pytest.mark.parametrize("alpha, scale", [
-        *(pytest.param(a, 1.0, id=f"{a}") for a in ALPHAS),
-        *(pytest.param(a, 2.5, id=f"{a}-scale2.5") for a in ALPHAS),
-    ])
-    def test_custom_branch_matches_closed_form(self, alpha, scale):
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_custom_branch_matches_closed_form(self, alpha):
         x = np.geomspace(1e-2, 1e2, 300)
-        closed = FibrePotential(xi=1.5, profile=power_law(alpha, scale=scale))(x)
-        generic = FibrePotential(xi=1.5, profile=power_law_as_custom(alpha, scale))(x)
+        closed = FibrePotential(xi=1.5, profile=power_law(alpha))(x)
+        generic = FibrePotential(xi=1.5, profile=power_law_as_custom(alpha))(x)
         size = np.maximum(np.abs(closed), 1e-300)
         assert np.max(np.abs(generic - closed) / size) < 1e-10
 
@@ -132,55 +126,6 @@ class TestAssumptions:
     def test_report_keeps_grid(self, log_grid):
         report = check_assumptions(power_law(1.0), log_grid)
         assert report.grid.size == log_grid.size
-
-
-class TestConfig:
-    def test_power_law_config(self):
-        prof = parse_profile_config("kind = power_law\nalpha = 1.5\n")
-        assert prof.is_power_law and prof.alpha == 1.5
-
-    def test_section_header_is_optional(self):
-        prof = parse_profile_config("[profile]\nkind = power_law\nalpha = -1\n")
-        assert prof.alpha == -1.0
-
-    def test_scaled_power_law_config(self):
-        prof = parse_profile_config("kind = power_law\nalpha = 1\nscale = 2.5\n")
-        assert prof.is_power_law
-        assert prof.f(1.0) == 2.5
-        assert prof.inv_f_squared(1.0) == 1 / 6.25
-
-    def test_exp_inverse_builtin(self):
-        prof = parse_profile_config("kind = custom\nname = exp_inverse\n")
-        assert prof.name == "exp_inverse"
-
-    def test_missing_alpha_rejected(self):
-        with pytest.raises(UsageError):
-            parse_profile_config("kind = power_law\n")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(UsageError):
-            parse_profile_config("kind = spherical\n")
-
-    def test_unknown_builtin_rejected(self):
-        with pytest.raises(UsageError):
-            parse_profile_config("kind = custom\nname = nope\n")
-
-    @pytest.mark.parametrize("text", [
-        "kind = power_law\nalpha = 1\nscal = 2\n",
-        "kind = custom\nname = exp_inverse\nfoo = 1\n",
-        "kind = custom\nname = exp_inverse\nalpha = 1\n",
-        "kind = power_law\nalpha = 1\nname = exp_inverse\n",
-    ])
-    def test_key_the_kind_does_not_read_rejected(self, text):
-        with pytest.raises(UsageError, match="unknown key"):
-            parse_profile_config(text)
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "profile.ini"
-        path.write_text("kind = power_law\nalpha = 0.5\n")
-        from grushinlab.profiles import load_profile
-
-        assert load_profile(path).alpha == 0.5
 
 
 class TestFibrePotentialInvariant:

@@ -22,6 +22,7 @@ from grushinlab.weyl import (
     critical_coefficient,
     verify_deficiency_family,
 )
+from test_profiles import power_law_as_custom
 
 LP, LC = Endpoint.LIMIT_POINT, Endpoint.LIMIT_CIRCLE
 
@@ -122,7 +123,7 @@ class TestInequality:
 
     def test_scale_invariance(self):
         for lam in (0.1, 7.0):
-            v, _ = classify_by_inequality(power_law(0.5, scale=lam), self.GRID)
+            v, _ = classify_by_inequality(power_law_as_custom(0.5, lam), self.GRID)
             assert v is InequalityVerdict.NO_CONFINEMENT_CONDITION
 
     def test_inadmissible_profile_rejected(self):
