@@ -596,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="fibre/plane Schroedinger evolution")
     common(p)
     p.add_argument("--protocol", choices=_CHOICES["protocol"])
-    p.add_argument("--jobs", help="worker threads for the fibres of a plane or cylinder run")
+    p.add_argument("--jobs", help="stacks of fibres a plane or cylinder run steps, each on a "
+                                  "thread of its own (at most one per fibre)")
     p.add_argument("--xi")
     p.add_argument("--t-final")
     p.add_argument("--dt")

@@ -35,9 +35,17 @@ Time stepping is implicit midpoint (Crank-Nicolson),
 
 a Cayley transform of the self-adjoint discrete Hamiltonian, hence exactly
 unitary in the weighted discrete L^2 norm; explicit schemes are ruled out
-by the inverse-square growth of W near the cutoff.  The general
-tridiagonal factorisation of the left-hand matrix is done once per
-(grid, potential, dt).
+by the inverse-square growth of W near the cutoff.  Fibres are
+independent, so :class:`CrankNicolson` steps a stack of them as one
+block-diagonal tridiagonal system: the couplings across the seams are
+zero, the pivoting never crosses a seam, and every block's numbers are
+bit for bit those of a stepper of its own.  The general tridiagonal
+factorisation of the stacked left-hand matrix is done once per (grid,
+potentials, conditions, dt), in place, and the steps alternate between
+two preallocated buffers.  Every protocol steps through it:
+``evolve_fibre`` is one block, ``bc_sensitivity`` stacks the Dirichlet
+and the Robin block of each cutoff, and ``evolve_plane`` splits its
+fibres into one stack per thread.
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
 data under Dirichlet-at-eps and Robin-at-eps and record the distance
@@ -55,13 +63,13 @@ proportional to x, a geometric grading in the spirit of Langer's
 logarithmic variable.  The plane and cylinder protocols share one grid,
 built from the fibre at the edge of the xi grid: W_xi = W_0 + xi^2/f^2
 grows with |xi|, so for a positive W_0 the edge fibre bounds every fibre
-at every node, and each stepper checks its own fibre.  Every protocol
-rule lives here once: ``standard_plane_data`` sets up the plane and
-cylinder runs, every protocol checks that its cutoff leaves the standard
-data room, and ``bc_sensitivity`` and ``evolve_plane`` hold every wall to
-one wall-mass limit.  All protocol constants (standard Gaussian data,
-wall placement, resolution rule, grid growth) are fixed here so runs are
-reproducible bit for bit.
+at every node, and the stepper checks each fibre on its own block.
+Every protocol rule lives here once: ``standard_plane_data`` sets up the
+plane and cylinder runs, every protocol checks that its cutoff leaves the
+standard data room, and ``bc_sensitivity`` and ``evolve_plane`` hold
+every wall to one wall-mass limit.  All protocol constants (standard
+Gaussian data, wall placement, resolution rule, grid growth) are fixed
+here so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -171,6 +179,15 @@ class FibreGrid:
                 f"grid spacing {self.h_min:.3e}-{self.h_max:.3e} does not resolve the "
                 f"potential (max h^2 |W| = {margin:.3g} > {RESOLUTION_LIMIT})"
             )
+
+    def prefix(self, k: int) -> "FibreGrid":
+        """The first k nodes with the outer wall at node k+1; the grid itself
+        when k is its node count."""
+        if k == self.n:
+            return self
+        if not 0 < k < self.n:
+            raise UsageError(f"a prefix of {k} nodes does not fit a grid of {self.n}")
+        return FibreGrid(eps=self.eps, L=float(self.nodes[k]), nodes=self.nodes[:k])
 
     @classmethod
     def uniform(cls, eps: float, L: float, n: int) -> "FibreGrid":
@@ -310,60 +327,117 @@ def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCo
     return coupling / weights[1:], main, coupling / weights[:-1]
 
 
+def _per_block(values) -> list:
+    """One 1-D array is one block; any other sequence holds one array per
+    block."""
+    return [values] if np.ndim(values[0]) == 0 else list(values)
+
+
 class CrankNicolson:
-    """Unitary Cayley stepper for one fibre; factorises once per dt.
+    """Unitary Cayley stepper for a stack of independent fibre blocks;
+    factorises once per dt.
+
+    ``w_values`` is one array, a single block on all of ``grid``, or a
+    sequence of arrays, one block each: block m lives on the first
+    len(w_values[m]) nodes of ``grid`` with its outer wall at the next node
+    (:meth:`FibreGrid.prefix`).  ``bc`` is one condition for every block or
+    one per block.  The blocks form one tridiagonal system whose couplings
+    across the seams are zero, so the pivoting of the factorisation never
+    crosses a seam and each block's factors and solves are bit for bit
+    those of a stepper of its own.
 
     H is similar to a real symmetric matrix, M^{1/2} H M^{-1/2}, so the
     step is unitary in the weighted norm sum_j w_j |psi_j|^2."""
 
-    def __init__(self, grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition, dt: float):
+    def __init__(self, grid: FibreGrid, w_values, bc, dt: float):
         from scipy.linalg import get_lapack_funcs
 
         if dt <= 0.0:
             raise UsageError("dt must be positive")
-        grid.validate_resolution(w_values)
-        self.grid, self.bc, self.dt = grid, bc, dt
-        lower, main, upper = _hamiltonian_diagonals(grid, w_values, bc)
+        w_blocks = _per_block(w_values)
+        bcs = [bc] * len(w_blocks) if isinstance(bc, BoundaryCondition) else list(bc)
+        if len(bcs) != len(w_blocks):
+            raise UsageError(f"{len(bcs)} boundary conditions for {len(w_blocks)} blocks")
+        ends = np.cumsum([len(w) for w in w_blocks])
+        self.grid, self.dt = grid, dt
+        self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_blocks)]
+        size = int(ends[-1])
+        # the stacked matrix 1 + i dt H/2, factored in place
         z = 0.5j * dt
-        d = 1.0 + z * main
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
-        dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(z * lower, d, z * upper)
+        lower, diag, upper = (np.zeros(size - 1, complex), np.empty(size, complex),
+                              np.zeros(size - 1, complex))
+        reals = [slice(2 * sl.start, 2 * sl.stop) for sl in self._slices]
+        w2 = np.empty(2 * size)
+        for sl, r, w, cond in zip(self._slices, reals, w_blocks, bcs):
+            block = grid.prefix(sl.stop - sl.start)
+            block.validate_resolution(w)
+            sub, main, sup = _hamiltonian_diagonals(block, w, cond)
+            diag[sl] = 1.0 + z * main
+            lower[sl.start:sl.stop - 1] = z * sub
+            upper[sl.start:sl.stop - 1] = z * sup
+            w2[r] = np.repeat(block.weights, 2)
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+        *self._factors, info = gttrf(lower, diag, upper,
+                                     overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed (info={info})")
-        self._factors = (dl_f, d_f, du_f, du2_f, ipiv)
-        self._gttrs = gttrs
+        self._buffers = (np.empty(size, complex), np.empty(size, complex))
+        # sum_j w_j (re_j^2 + im_j^2) of a block over its interleaved real
+        # view, in one pass without temporaries
+        self._norm_views = [[(w2[r], buf.view(float)[r]) for r in reals] for buf in self._buffers]
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
+    def step(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One Cayley step in solve-only form: with A = 1 + i dt H/2 the
-        right-hand matrix is 2 - A, so A^{-1} (2 - A) psi = 2 A^{-1} psi - psi."""
-        out, info = self._gttrs(*self._factors, psi)
+        right-hand matrix is 2 - A, so A^{-1} (2 - A) psi = 2 A^{-1} psi - psi.
+        The result goes into ``out`` (a new array by default), which must
+        not be ``psi``."""
+        if out is None:
+            out = np.empty(psi.shape, dtype=complex)
+        out[...] = psi
+        out, info = self._gttrs(*self._factors, out, overwrite_b=1)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed (info={info})")
         out *= 2.0
         out -= psi
         return out
 
-    def evolve(self, psi: np.ndarray, nsteps: int, record: bool = False):
-        """Apply ``nsteps`` steps to ``psi``; returns the final state and the
-        trace of the squared weighted norm sum_j w_j |psi_j|^2, after every
-        step with ``record``, else at the start and the end only."""
-        psi = np.array(psi, dtype=complex)
-        # sum_j w_j (re_j^2 + im_j^2) over the interleaved real view, in one
-        # pass without temporaries
-        w2 = np.repeat(self.grid.weights, 2)
+    def _norms(self, psi: np.ndarray, column: np.ndarray) -> None:
+        """Squared weighted norm of each block of ``psi``, one of the two
+        buffers, into ``column``."""
+        for m, (w2, v) in enumerate(self._norm_views[psi is self._buffers[1]]):
+            column[m] = np.einsum("i,i,i->", w2, v, v)
 
-        def sumsq(p):
-            v = p.view(float)
-            return float(np.einsum("i,i,i->", w2, v, v))
+    def evolution(self, psi, nsteps: int, record: bool = False):
+        """Load ``psi`` (one array per block, as ``w_values``) and allocate
+        the norm traces now; returns the function that applies ``nsteps``
+        steps, allocating nothing per step, and returns the per-block final
+        states, views of one of the stepper's buffers, and the traces.  Row
+        m of the traces is block m's squared weighted norm sum_j w_j |psi_j|^2
+        after every step with ``record``, else at the start and the end
+        only."""
+        first, second = self._buffers
+        for sl, block in zip(self._slices, _per_block(psi), strict=True):
+            first[sl] = block
+        traces = np.empty((len(self._slices), nsteps + 1 if record else 2))
+        self._norms(first, traces[:, 0])
 
-        trace = [sumsq(psi)]
-        for _ in range(nsteps):
-            psi = self.step(psi)
-            if record:
-                trace.append(sumsq(psi))
-        if not record:
-            trace.append(sumsq(psi))
-        return psi, np.array(trace)
+        def run():
+            state = first
+            for i in range(1, nsteps + 1):
+                state = self.step(state, out=second if state is first else first)
+                if record:
+                    self._norms(state, traces[:, i])
+            if not record:
+                self._norms(state, traces[:, 1])
+            return [state[sl] for sl in self._slices], traces
+
+        return run
+
+    def evolve(self, psi, nsteps: int, record: bool = False):
+        """Apply ``nsteps`` steps to ``psi``; returns copies of the per-block
+        final states and the traces of :meth:`evolution`."""
+        states, traces = self.evolution(psi, nsteps, record)()
+        return [state.copy() for state in states], traces
 
 
 def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
@@ -389,7 +463,7 @@ def evolve_fibre(
     nsteps = _step_count(t_final - state.t, dt)
     pot = state.potential()
     stepper = CrankNicolson(state.grid, pot(state.grid.nodes), state.bc, dt)
-    psi, sumsq = stepper.evolve(state.psi, nsteps, record_norms)
+    (psi,), (sumsq,) = stepper.evolve(state.psi, nsteps, record_norms)
     new_state = replace(state, psi=psi, t=state.t + nsteps * dt)
     return new_state, np.sqrt(sumsq)
 
@@ -490,18 +564,17 @@ def bc_sensitivity(
     L = choose_outer_wall(pot)
     nsteps = _step_count(t_final, dt)
 
+    bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
     rows, walls, drifts, grids = [], [], [], []
     for eps in eps_list:
         grid = FibreGrid.resolved(eps, L, pot, refine=refine,
                                   resolution=SENSITIVITY_RESOLUTION)
         w_values = pot(grid.nodes)
         psi0 = _standard_packet(grid)
-        finals, wall, drift = [], 0.0, 0.0
-        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta)):
-            psi, sumsq = CrankNicolson(grid, w_values, bc, dt).evolve(psi0, nsteps)
-            finals.append(psi)
-            wall = max(wall, _wall_mass(grid, psi))
-            drift = max(drift, abs(math.sqrt(sumsq[-1]) - math.sqrt(sumsq[0])))
+        stepper = CrankNicolson(grid, [w_values, w_values], bcs, dt)
+        finals, sumsq = stepper.evolve([psi0, psi0], nsteps)
+        wall = max(_wall_mass(grid, psi) for psi in finals)
+        drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
                 f"outer wall contaminated (mass {wall:.2e} > {WALL_MASS_LIMIT}); enlarge L"
@@ -714,14 +787,23 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
 
 
 def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:
-    """The first k nodes of ``grid`` with the outer wall at node k+1, the
-    first node at or past the fibre's own turning-point wall
-    (``choose_outer_wall``); never fewer than 100 nodes, and ``grid``
-    itself when that wall is not inside it."""
+    """The prefix of ``grid`` that ends at the first node at or past the
+    fibre's own turning-point wall (``choose_outer_wall``); never fewer
+    than 100 nodes, and ``grid`` itself when that wall is not inside it."""
     k = max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
-    if k >= grid.n:
-        return grid
-    return FibreGrid(eps=grid.eps, L=float(grid.nodes[k]), nodes=grid.nodes[:k])
+    return grid.prefix(min(k, grid.n))
+
+
+def _contiguous_parts(sizes: Sequence[int], parts: int) -> list[range]:
+    """``parts`` non-empty runs of consecutive indices of ``sizes`` whose
+    sums are as near equal as the cuts between whole items allow."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    for j in range(1, parts):
+        nearest = int(np.argmin(np.abs(ends - ends[-1] * j / parts))) + 1
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(sizes) - (parts - j)))
+    cuts.append(len(sizes))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def evolve_plane(
@@ -737,13 +819,17 @@ def evolve_plane(
     ``psi0.grid`` is the widest domain.  Each fibre is evolved on the
     prefix of it that ends at its own turning-point wall, the rule of the
     sensitivity protocol, and is zero beyond; a fibre whose wall lies at
-    or beyond ``grid.L`` uses ``grid`` unchanged.  Fibres are independent
-    and are mapped through a pool of ``jobs`` threads (the tridiagonal
-    solves release the GIL); the assembled result does not depend on the
-    evaluation order.  The xi grid must be symmetric about zero (odd FFT
-    size); mass in the outermost frequency bins must be negligible for the
-    assembly to represent the plane faithfully, and is recorded, as is the
-    total-norm trace over the steps.
+    or beyond ``grid.L`` uses ``grid`` unchanged.  The fibres are
+    independent blocks of :class:`CrankNicolson` stacks: they are split
+    into ``min(jobs, fibres)`` contiguous stacks of near-equal node count,
+    every stack is built (factors, buffers, traces) on the calling thread,
+    and each is stepped on a thread of its own (the tridiagonal solves
+    release the GIL), or on the calling thread for a single stack.  Each
+    block's numbers are those of a stepper of its own, so the result does
+    not depend on ``jobs``.  The xi grid must be symmetric about zero (odd
+    FFT size); mass in the outermost frequency bins must be negligible for
+    the assembly to represent the plane faithfully, and is recorded, as
+    is the total-norm trace over the steps.
 
     The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
     before its wall at ``t_final``, plus any initial mass beyond the wall;
@@ -759,34 +845,38 @@ def evolve_plane(
     nsteps = _step_count(t_final, dt)
 
     grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.weights
+    pots = [FibrePotential(xi=float(xi), profile=profile) for xi in psi0.axis]
+    fibres = [_fibre_grid(grid, pot) for pot in pots]
     dens = np.abs(psi0.values) ** 2
     column_mass = weights @ dens
+    beyond = [float(weights[f.n:] @ dens[f.n:, m]) for m, f in enumerate(fibres)]
+    del dens
     total = float(np.sum(column_mass))
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
-    def run_column(m):
-        pot = FibrePotential(xi=float(psi0.axis[m]), profile=profile)
-        fibre = _fibre_grid(grid, pot)
-        k = fibre.n
-        try:
-            stepper = CrankNicolson(fibre, pot(fibre.nodes), bc, dt)
-            psi, trace = stepper.evolve(psi0.values[:k, m], nsteps, record=True)
-        except NumericError as exc:
-            raise NumericError(f"fibre xi={psi0.axis[m]:g} (index {m}): {exc}") from exc
-        wall = dxi * (_wall_mass(fibre, psi) + float(weights[k:] @ dens[k:, m]))
-        return psi, trace, fibre.L, wall
+    parts = _contiguous_parts([f.n for f in fibres], min(jobs, len(fibres)))
+    runs = [CrankNicolson(grid, [pots[m](fibres[m].nodes) for m in part], bc, dt)
+            .evolution([psi0.values[:fibres[m].n, m] for m in part], nsteps, record=True)
+            for part in parts]
+    if len(runs) == 1:
+        stacks = [runs[0]()]
+    else:
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            stacks = list(pool.map(lambda run: run(), runs))
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        columns, traces, walls, wall_masses = zip(*pool.map(run_column, range(psi0.axis.size)))
     out = np.zeros(psi0.values.shape, dtype=complex)
-    for m, psi in enumerate(columns):
-        out[: psi.size, m] = psi
+    traces, wall_masses = [], []
+    for part, (states, sumsq) in zip(parts, stacks):
+        for m, psi, trace in zip(part, states, sumsq):
+            out[: psi.size, m] = psi
+            traces.append(trace)
+            wall_masses.append(dxi * (_wall_mass(fibres[m], psi) + beyond[m]))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
         raise ProtocolError(
-            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={walls[worst]:.4g} "
+            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={fibres[worst].L:.4g} "
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 

@@ -80,7 +80,7 @@ def _direction(theta: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class GeodesicInitialData:
     """Launch point, angle and power-law exponent of one geodesic; a
-    launch whose ``momenta`` overflow a float is a usage error."""
+    launch whose ``momenta`` or P_y^2 overflow a float is a usage error."""
 
     x0: float
     y0: float
@@ -93,10 +93,14 @@ class GeodesicInitialData:
         if not all(map(math.isfinite, (self.y0, self.theta, self.alpha))):
             raise UsageError("y0, theta and alpha must be finite")
         try:
-            self.momenta
+            py = self.momenta[1]
         except OverflowError:
             raise UsageError(f"x0^(-alpha) = {self.x0:g}^{-self.alpha:g} overflows a float: "
                              "the launch has no finite P_y") from None
+        if not math.isfinite(py * py):
+            raise UsageError(f"P_y^2 = {py:g}^2 overflows a float: the launch at x0={self.x0:g} "
+                             f"with alpha={self.alpha:g} and theta={self.theta:g} has no "
+                             "finite energy")
 
     @property
     def momenta(self) -> tuple[float, float]:

@@ -693,6 +693,9 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify", "--alpha", "0.5", "--method", "numeric", "--xi-min", "0", "--xi-max", "1e300",
       "--xi-step", "1e299"], None),
     (["verify-deficiency", "--alpha", "0.5", "--samples", "8", "--interval", "0,1e300"], None),
+    # x0^(-alpha) = 2^1000 is a float, but P_y^2 is not
+    (["geodesics", "--alpha", "1000", "--x0", "0.5", "--angles", "4"], None),
+    (["geodesics", "--alpha", "1000", "--x0", "0.5", "--theta", "1.5707963267948966"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

@@ -12,6 +12,7 @@ from grushinlab.evolution import (
     RESOLUTION_LIMIT,
     SENSITIVITY_RESOLUTION,
     SPACING_CAP,
+    _contiguous_parts,
     _hamiltonian_diagonals,
     BoundaryCondition,
     CrankNicolson,
@@ -122,7 +123,7 @@ class TestGradedGrid:
         check_local_rule(grid, pot, RESOLUTION_LIMIT)
         bc = BoundaryCondition.dirichlet() if beta is None else BoundaryCondition.robin(beta)
         psi0 = gaussian_packet(grid, center=eps + 0.5, width=0.2)  # reaches the cutoff
-        _, sumsq = CrankNicolson(grid, pot(grid.nodes), bc, 1e-3).evolve(psi0, 200, record=True)
+        _, (sumsq,) = CrankNicolson(grid, pot(grid.nodes), bc, 1e-3).evolve(psi0, 200, record=True)
         norms = np.sqrt(sumsq)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
@@ -144,7 +145,7 @@ class TestGradedGrid:
         grid = FibreGrid.resolved(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
         stepper = CrankNicolson(grid, pot(grid.nodes), BoundaryCondition.robin(1.0), 1e-3)
         psi0 = gaussian_packet(grid, center=0.5, width=0.2)  # reaches the cutoff
-        psi, sumsq = stepper.evolve(psi0, 1000, record=True)
+        (psi,), (sumsq,) = stepper.evolve(psi0, 1000, record=True)
         norms = np.sqrt(sumsq)
         assert norms.size == 1001 and norms[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
@@ -275,6 +276,86 @@ class TestUnitarity:
         # the Cayley step multiplies the eigenvector by a pure phase
         phase = math.atan2(-evals[0] * dt / 2.0, 1.0) * 2.0 * nsteps
         assert np.max(np.abs(psi - v0 * np.exp(1j * phase))) <= 1e-9
+
+
+class TestStackedStepper:
+    # blocks of unequal lengths on one graded grid, every kind of condition
+    LENGTHS = (None, 150, 700, 333)
+    XI = (0.0, 2.0, 1.0, 3.0)
+    BCS = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7),
+           BoundaryCondition.dirichlet(), BoundaryCondition.robin(-2.0))
+
+    @classmethod
+    def _blocks(cls, seed=0):
+        prof = power_law(1.0)
+        grid = FibreGrid.resolved(0.05, 8.0, FibrePotential(xi=max(cls.XI), profile=prof))
+        rng = np.random.default_rng(seed)
+        w, data = [], []
+        for k, xi in zip(cls.LENGTHS, cls.XI):
+            k = k or grid.n
+            w.append(FibrePotential(xi=xi, profile=prof)(grid.nodes[:k]))
+            data.append(rng.normal(size=k) + 1j * rng.normal(size=k))
+        return grid, w, data
+
+    @staticmethod
+    def _alone(grid, w, data, bc, nsteps):
+        """Every block on a stepper of its own."""
+        runs = [CrankNicolson(grid.prefix(v.size), v, b, 1e-3).evolve(p, nsteps, record=True)
+                for v, p, b in zip(w, data, bc)]
+        return [s for (s,), _ in runs], [t for _, (t,) in runs]
+
+    def test_stack_equals_steppers_of_their_own(self):
+        grid, w, data = self._blocks()
+        stepper = CrankNicolson(grid, w, self.BCS, 1e-3)
+        states, traces = stepper.evolve(data, 40, record=True)
+        expected_states, expected_traces = self._alone(grid, w, data, self.BCS, 40)
+        assert traces.shape == (4, 41)
+        for got, want in zip(states, expected_states):
+            assert np.array_equal(got, want)
+        for got, want in zip(traces, expected_traces):
+            assert np.array_equal(got, want)
+        # one step of the stacked vector, block by block
+        stacked = stepper.step(np.concatenate(data))
+        singles = np.concatenate([CrankNicolson(grid.prefix(v.size), v, b, 1e-3).step(p)
+                                  for v, p, b in zip(w, data, self.BCS)])
+        assert np.array_equal(stacked, singles)
+
+    @pytest.mark.parametrize("perturb", ["data", "potential", "condition"])
+    def test_perturbing_one_block_leaves_the_others(self, perturb):
+        grid, w, data = self._blocks()
+        bcs = list(self.BCS)
+        base = CrankNicolson(grid, w, bcs, 1e-3).evolve(data, 40, record=True)
+        if perturb == "data":
+            data[1] = data[1] * (1.0 + 1e-6)
+        elif perturb == "potential":
+            w[1] = w[1] + 1.0
+        else:
+            bcs[1] = BoundaryCondition.robin(0.8)
+        moved = CrankNicolson(grid, w, bcs, 1e-3).evolve(data, 40, record=True)
+        for m in range(4):
+            same = (np.array_equal(base[0][m], moved[0][m])
+                    and np.array_equal(base[1][m], moved[1][m]))
+            assert same == (m != 1), m
+
+    def test_evolution_returns_views_of_the_buffers(self):
+        grid, w, data = self._blocks()
+        stepper = CrankNicolson(grid, w, self.BCS, 1e-3)
+        for nsteps in (2, 3):
+            states, traces = stepper.evolution(data, nsteps)()
+            assert traces.shape == (4, 2)
+            # the final states are views of one of the stepper's two buffers
+            assert all(any(np.shares_memory(s, b) for b in stepper._buffers) for s in states)
+            copies, _ = stepper.evolve(data, nsteps)
+            assert all(np.array_equal(s, c) for s, c in zip(states, copies))
+
+    def test_block_validation(self):
+        grid, w, data = self._blocks()
+        with pytest.raises(UsageError, match="3 boundary conditions for 4 blocks"):
+            CrankNicolson(grid, w, self.BCS[:3], 1e-3)
+        with pytest.raises(UsageError, match="does not fit"):
+            CrankNicolson(grid, [np.zeros(grid.n + 1)], self.BCS[0], 1e-3)
+        with pytest.raises(UsageError, match="does not resolve"):
+            CrankNicolson(grid, [w[0], w[1] * 1e6], self.BCS[0], 1e-3)
 
 
 class TestTransforms:
@@ -424,6 +505,51 @@ class TestPlaneEvolution:
                           jobs=3)
         assert np.array_equal(r1.final.values, r2.final.values)
 
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.5)])
+    def test_jobs_do_not_change_the_result(self, bc):
+        # fibres of three prefix lengths, split into 1, 2, 3 and 5 stacks
+        prof, _, psi0 = self._stiff_plane()
+        results = [evolve_plane(psi0, prof, 0.1, bc, dt=2e-3, jobs=jobs)
+                   for jobs in (1, 2, 3, psi0.axis.size + 1)]
+        for r in results[1:]:
+            assert np.array_equal(r.final.values, results[0].final.values)
+            assert np.array_equal(r.norm_trace, results[0].norm_trace)
+            assert np.array_equal(r.fibre_norms, results[0].fibre_norms)
+            assert r.wall_mass == results[0].wall_mass
+        assert results[0].norm_trace.size == 51
+
+    def test_thread_pool_only_for_several_stacks(self, monkeypatch):
+        import grushinlab.evolution as evolution
+
+        pools = []
+
+        class CountingPool(evolution.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(evolution, "ThreadPoolExecutor", CountingPool)
+        prof, _, psi0 = self._stiff_plane()
+        bc = BoundaryCondition.dirichlet()
+        evolve_plane(psi0, prof, 0.01, bc, dt=2e-3)
+        assert pools == []
+        evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=2)
+        evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=9)
+        assert pools == [2, 5]
+
+    @pytest.mark.parametrize("sizes, parts, expected", [
+        ([5, 5, 5, 5], 2, [2, 2]),
+        ([9, 1, 1, 1, 1, 1], 2, [1, 5]),
+        ([1, 1, 1, 1, 1, 9], 2, [5, 1]),
+        ([3, 1, 4, 1, 5], 5, [1, 1, 1, 1, 1]),
+        ([7], 1, [1]),
+        ([2, 2, 2, 2, 2, 2, 2], 3, [2, 3, 2]),
+    ])
+    def test_stacks_are_contiguous_and_balanced(self, sizes, parts, expected):
+        runs = _contiguous_parts(sizes, parts)
+        assert [len(r) for r in runs] == expected
+        assert [i for r in runs for i in r] == list(range(len(sizes)))
+
     def test_requires_transformed(self):
         prof = power_law(1.0)
         pot = FibrePotential(xi=0.0, profile=prof)
@@ -498,7 +624,7 @@ class TestPlaneEvolution:
         # the full-grid reference: every fibre on the caller's grid
         full = np.column_stack([
             CrankNicolson(grid, FibrePotential(xi=float(xi), profile=prof)(grid.nodes), bc,
-                          2e-3).evolve(psi0.values[:, m], 100)[0]
+                          2e-3).evolve(psi0.values[:, m], 100)[0][0]
             for m, xi in enumerate(psi0.axis)
         ])
         beyond = grid.nodes > 6.5
@@ -561,7 +687,7 @@ class TestBcSensitivity:
         pot = FibrePotential(xi=0.5, profile=power_law(alpha))
         grid = endpoint_uniform(eps, choose_outer_wall(pot), pot, SENSITIVITY_RESOLUTION)
         w, psi0 = pot(grid.nodes), gaussian_packet(grid)
-        finals = [CrankNicolson(grid, w, bc, dt).evolve(psi0, 1000)[0]
+        finals = [CrankNicolson(grid, w, bc, dt).evolve(psi0, 1000)[0][0]
                   for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))]
         d_uniform = math.sqrt(float(grid.weights @ np.abs(finals[0] - finals[1]) ** 2))
         r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
