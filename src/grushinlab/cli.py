@@ -282,29 +282,31 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def write_fan(trajectories, directory, config):
-    """One CSV per distinct solve, ``t,x,P_x,dy`` with dy = y - y0 in the
-    solve's own unmirrored frame, under a config line holding ``config``
-    and the solve's launch (``theta``, ``t_end``, ``P_x``, ``P_y``), hit
-    time and ``nfev``; and ``manifest.json`` with one entry per
-    trajectory: its summary, and for each half the solve file and its
-    y-mirror sign (None outside the span).  Returns the manifest path
-    and the number of solves written.
+    """One CSV per distinct half, ``t,x,P_x,dy`` with dy = y - y0 in the
+    half's own unmirrored frame, under a config line holding ``config``
+    and the half's launch (``theta``, ``t_end``, ``P_x``, ``P_y``), hit
+    time and ``source``; and ``manifest.json`` with the config, the
+    ``reference`` solve the halves came from (or None), and one entry per
+    trajectory: its summary, and for each half its file and y-mirror sign
+    (None outside the span).  Returns the manifest path, the number of
+    halves written and the number of reference solves.
 
     Trajectory (t, x, y, P_x) is rebuilt from its entry by the rule of
     ``GeodesicTrajectory``: (t, x, y0 + s dy, P_x) from the forward file
     and, from the backward file, (-t[:0:-1], x[:0:-1], y0 + s dy[:0:-1],
     -P_x[:0:-1]) before it.  The manifest and every header are encoded
     before any file is opened, so a non-finite value writes nothing."""
-    solves = {}  # the distinct solves by id, in order of first use
+    halves = {}  # the distinct halves by id, in order of first use
     for traj in trajectories:
         for part in (traj.forward, traj.backward):
             if part is not None:
-                solves.setdefault(id(part[0]), part[0])
-    config = {**config, "solves": len(solves)}
-    names = {key: f"geodesic_solve{i:03d}.csv" for i, key in enumerate(solves)}
+                halves.setdefault(id(part[0]), part[0])
+    references = {id(h.reference): h.reference for h in halves.values() if h.reference}
+    config = {**config, "halves": len(halves), "reference": next(iter(references.values()), None)}
+    names = {key: f"geodesic_half{i:03d}.csv" for i, key in enumerate(halves)}
     headers = [{**config, "theta": half.theta, "t_end": half.t_end, "P_x": half.px,
-                "P_y": half.py, "hit_time": half.hit, "nfev": half.nfev}
-               for half in solves.values()]
+                "P_y": half.py, "hit_time": half.hit, "source": half.source}
+               for half in halves.values()]
 
     def source(part):
         return None if part is None else {"file": names[id(part[0])], "y_sign": part[1]}
@@ -316,11 +318,12 @@ def write_fan(trajectories, directory, config):
          "meta": traj.meta, "forward": source(traj.forward), "backward": source(traj.backward)}
         for traj in trajectories]}
     _dumps([manifest, *headers])
-    for half, header in zip(solves.values(), headers):
+    for half, header in zip(halves.values(), headers):
         x, px, dy = half.state
         _write_csv(os.path.join(directory, names[id(half)]), ["t", "x", "P_x", "dy"],
                    [half.t, x, px, dy], header)
-    return _write_json(os.path.join(directory, "manifest.json"), manifest), len(solves)
+    manifest_path = _write_json(os.path.join(directory, "manifest.json"), manifest)
+    return manifest_path, len(halves), len(references)
 
 
 def _cmd_geodesics(args) -> int:
@@ -358,9 +361,10 @@ def _cmd_geodesics(args) -> int:
         for traj in trajs:
             hit, err = hit_time_quadrature(traj.init)
             traj.meta.update(quadrature_hit_time=hit, quadrature_error=err)
-    mpath, solves = write_fan(trajs, out, config)
+    mpath, halves, references = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
-    print(f"alpha={alpha:g}: {len(trajs)} trajectories from {solves} solves, "
+    print(f"alpha={alpha:g}: {len(trajs)} trajectories from {halves} halves and {references} "
+          f"reference solve{'' if references == 1 else 's'}, "
           f"{sum(h is not None for h in hits)} forward boundary hits")
     print(f"wrote {mpath}")
     return EXIT_OK

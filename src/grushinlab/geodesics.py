@@ -37,12 +37,20 @@ smooth integrals are evaluated with adaptive quadrature to 1e-12.
 The ODE route detects the boundary with a terminal event at a small
 floor X_STOP and extrapolates the remaining X_STOP / |P_x| of travel;
 integrating through x = 0 is never attempted because P_x' is singular
-there for alpha < 1/2.
+there for alpha < 1/2.  A launch with P_y = 0, and every launch at
+alpha = 0, is the straight line x = x0 + P_x t and needs no solve.
+
+A fan solves one ODE.  The metric is homogeneous under the dilation
+(x, y) -> (lambda x, lambda^(1+alpha) y), so every launch with P_y != 0
+is the reference geodesic R through the turning point R = 1 (P = 0,
+P_y = 1), dilated by its own turning point x_t = x0 s^(-1/alpha) and
+entered at its own phase (``_orbit_halves``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,16 +121,16 @@ class GeodesicInitialData:
 class GeodesicTrajectory:
     """One geodesic: its launch and the two halves it is made of.
 
-    ``forward`` and ``backward`` are (solve, y-mirror sign s) pairs, or
-    None for a half outside the integration span; a fan shares one solve
+    ``forward`` and ``backward`` are (half, y-mirror sign s) pairs, or
+    None for a half outside the integration span; a fan shares one half
     between several trajectories.  The samples t, x, y and P_x are
     assembled when read, ordered by t and restricted to x > 0: the
-    backward solve time-reversed without its t = 0 sample,
-    (-t, x, y0 + s dy, -P_x), then the forward solve, (t, x, y0 + s dy,
+    backward half time-reversed without its t = 0 sample,
+    (-t, x, y0 + s dy, -P_x), then the forward half, (t, x, y0 + s dy,
     P_x).  ``hit_time_plus`` (``hit_time_minus``) is the forward
     (backward) boundary arrival time, or None if the boundary is not
     reached inside the span; ``energy_drift`` is max |h - 1/2| over the
-    samples of both solves.
+    samples of both halves.
     """
 
     init: GeodesicInitialData
@@ -177,23 +185,40 @@ class GeodesicTrajectory:
         return max(part[0].drift for part in (self.forward, self.backward) if part is not None)
 
 
-def _rhs(t, state, alpha, py):
+def _rhs(t, state, alpha, py, floor):
     x, px, _dy = state
-    # Trial stages of the integrator may overshoot below the stop floor;
-    # clamp so fractional powers of a negative x never appear.
-    xg = x if x > 1e-14 else 1e-14
+    # Trial stages of the integrator may overshoot below the solution's
+    # range; clamp so fractional powers of a negative x never appear.
+    xg = x if x > floor else floor
     x2a = xg ** (2.0 * alpha)
     return (px, -alpha * (x2a / xg) * py * py, x2a * py)
 
 
+def _drift(alpha, x, px, py) -> float:
+    """max |h - 1/2| over samples; x^(2 alpha) is not formed when P_y = 0."""
+    potential = x ** (2.0 * alpha) * py * py if py else 0.0
+    return float(np.max(np.abs(0.5 * (px * px + potential) - 0.5)))
+
+
+def _fail(message, frame, t, x, px, dy):
+    """IntegrationError at time t and state (x, P_x, y - y0) of a forward
+    solve, placed by ``frame`` = (y0, time sign, y - y0 sign) in the
+    geodesic half that asked for it."""
+    y0, t_sign, y_sign = frame
+    raise IntegrationError(f"geodesic integration failed: {message}", last_time=t_sign * t,
+                           last_state=np.array([x, t_sign * px, y0 + y_sign * dy]))
+
+
 @dataclass(frozen=True)
 class _Half:
-    """SAMPLES_EACH_WAY samples of one forward-time solve from t = 0:
+    """SAMPLES_EACH_WAY samples of one forward-time half from t = 0:
     rows x, P_x and y - y0.  The launch is the angle ``theta`` with
-    momenta (``px``, ``py``), integrated to ``t_end``; ``hit`` is the
-    boundary arrival time (or None), ``nfev`` the right-hand-side calls
-    of the solve and ``drift`` max |h - 1/2| over the samples.  The same
-    half launched with -P_y has y - y0 negated and nothing else
+    momenta (``px``, ``py``), followed to ``t_end``; ``hit`` is the
+    boundary arrival time (or None), ``drift`` max |h - 1/2| over the
+    samples.  ``source`` is where the samples came from: "line", a direct
+    solve {"nfev"}, or the dilation {"x_t", "phase"} of the ``reference``
+    orbit; ``nfev`` counts the right-hand-side calls of that solve.  The
+    same half launched with -P_y has y - y0 negated and nothing else
     changed."""
 
     theta: float
@@ -205,43 +230,41 @@ class _Half:
     hit: float | None
     nfev: int
     drift: float
+    source: str | dict
+    reference: dict | None = field(default=None, repr=False)
 
 
 def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
     """Integrate the launch ``theta`` with momenta (px0, py) from t = 0 to
     t_end > 0, or to the boundary floor.
 
-    ``frame`` = (y0, time sign, y - y0 sign) places the solve in the
-    geodesic half that asked for it; it is used only to report a failure
-    at the time and state (x, P_x, y) that geodesic reached.
+    With P_y = 0 or alpha = 0, P_x' = 0 and the half is the straight line
+    x = x0 + P_x t, y - y0 = P_y t (x^0 = 1), stopped at the floor like a
+    solve.  ``frame`` = (y0, time sign, y - y0 sign) places the solve in
+    the geodesic half that asked for it; it is used only to report a
+    failure at the time and state (x, P_x, y) that geodesic reached.
     """
+    if py == 0.0 or alpha == 0.0:
+        t_stop, hit = t_end, None
+        if px0 < 0.0 and X_STOP < x0 and x0 - X_STOP <= -px0 * t_end:
+            t_stop = (x0 - X_STOP) / -px0
+            hit = t_stop + X_STOP / -px0
+        t = np.linspace(0.0, t_stop, SAMPLES_EACH_WAY)
+        state = np.array([x0 + px0 * t, np.full_like(t, px0), py * t])
+        return _Half(theta, px0, py, t_end, t, state, hit, 0, _drift(alpha, state[0], px0, py),
+                     "line")
     from scipy.integrate import solve_ivp
 
-    def event(t, state, alpha, py):
+    def event(t, state, alpha, py, floor):
         return state[0] - X_STOP
 
     event.terminal = True
     event.direction = -1
 
-    sol = solve_ivp(
-        _rhs,
-        (0.0, t_end),
-        (x0, px0, 0.0),
-        args=(alpha, py),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=event,
-        dense_output=True,
-    )
+    sol = solve_ivp(_rhs, (0.0, t_end), (x0, px0, 0.0), args=(alpha, py, 1e-14), method="DOP853",
+                    rtol=tol, atol=tol * 1e-2, events=event, dense_output=True)
     if sol.status == -1:
-        y0, t_sign, y_sign = frame
-        x, px, dy = sol.y[:, -1]
-        raise IntegrationError(
-            f"geodesic integration failed: {sol.message}",
-            last_time=t_sign * sol.t[-1],
-            last_state=np.array([x, t_sign * px, y0 + y_sign * dy]),
-        )
+        _fail(sol.message, frame, sol.t[-1], *sol.y[:, -1])
     hit = None
     if sol.t_events[0].size:
         t_event = float(sol.t_events[0][0])
@@ -250,9 +273,8 @@ def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
         hit = t_event + x_e / max(abs(px_e), 1e-15)
     t = np.linspace(0.0, sol.t[-1], SAMPLES_EACH_WAY)
     state = sol.sol(t)
-    x, px, _dy = state
-    drift = float(np.max(np.abs(0.5 * (px**2 + x ** (2.0 * alpha) * py**2) - 0.5)))
-    return _Half(theta, px0, py, t_end, t, state, hit, sol.nfev, drift)
+    return _Half(theta, px0, py, t_end, t, state, hit, sol.nfev,
+                 _drift(alpha, state[0], state[1], py), {"nfev": sol.nfev})
 
 
 def _check_span(t_span, tol):
@@ -273,9 +295,9 @@ def integrate_geodesic(
     The integration stops when x crosses X_STOP; the event time plus
     the linear remainder locates the boundary arrival well below ``tol``.
 
-    Both halves are forward-time solves.  By time reversal, the backward
+    Both halves run forward in time.  By time reversal, the backward
     half of the launch (P_x, P_y) is the forward half of (-P_x, -P_y)
-    with t and P_x negated.  ``geodesic_fan`` passes these two solves in
+    with t and P_x negated.  ``geodesic_fan`` passes these two halves in
     as ``_halves``, each with the sign that mirrors its y - y0, to share
     them between angles (the second None when t_span[0] = 0, the first
     when t_span[1] = 0); by default they are solved here.
@@ -359,6 +381,106 @@ def hit_time_quadrature(init: GeodesicInitialData) -> tuple[float | None, float]
     return time, err
 
 
+def _phases(sol, alpha, rows, targets):
+    """Phases at which R (row 0) or P (row 1) of the reference equals
+    ``targets``: Newton's method from the solve's steps, on which R rises
+    and P is monotone."""
+    tau = np.empty(targets.size)
+    for row in (0, 1):
+        order = np.argsort(sol.y[row])
+        tau[rows == row] = np.interp(targets[rows == row], sol.y[row][order], sol.t[order])
+    for _ in range(16):
+        r, p, _y = sol.sol(tau)
+        slope = np.where(rows == 0, p, -alpha * r ** (2.0 * alpha - 1.0))
+        step = np.divide(np.where(rows == 0, r, p) - targets, slope,
+                         out=np.zeros_like(tau), where=slope != 0.0)
+        tau = np.clip(tau - step, 0.0, sol.t[-1])
+        if np.all(np.abs(step) <= 4e-16 * tau):
+            break
+    return tau
+
+
+def _orbit_halves(alpha, x0, launches, tol) -> dict:
+    """Every half of ``launches``, (key, frame, theta, P_x, P_y, t_end, x_t,
+    x_t^(1+alpha), x0 / x_t), from one solve of the reference geodesic
+    (R' = P, P' = -alpha R^(2 alpha - 1), Y' = R^(2 alpha), h = 1/2).
+
+    Dilated by x_t, R is the launch's geodesic: x = x_t R, P_x = +-P and
+    y - y0 = sign(P_y) x_t^(1+alpha) (Y - Y(launch)) at the phase
+    tau = +-(t - T) / x_t of each leg, written in t so that phases near
+    the anchor tau = 0 keep their digits.  For alpha > 0 the anchor is the
+    floor R = X_STOP / max x_t and R rises to its turning point P = 0,
+    mirrored beyond it; for alpha < 0 it is the turning point R = 1, R is
+    even in tau and runs out to max (x0 + t_end) / x_t.  A failed solve
+    fails the first launch in angle order whose half needs a phase it did
+    not reach, at the time and state it reaches there.
+    """
+    from scipy.integrate import solve_ivp
+
+    up = alpha > 0.0
+    if up:
+        r0 = X_STOP / max(launch[6] for launch in launches)
+        start = (r0, math.sqrt(-math.expm1(2.0 * alpha * math.log(r0))), 0.0)
+        atol = tol * 1e-2 * np.array([r0, 1.0, r0])
+    else:
+        r_end = max((x0 + launch[5]) / launch[6] for launch in launches)
+        start, atol = (1.0, 0.0, 0.0), tol * 1e-2
+
+    def event(tau, state, alpha, py, floor):
+        return state[1] if up else state[0] - r_end
+
+    event.terminal = True
+    event.direction = -1.0 if up else 1.0
+    sol = solve_ivp(_rhs, (0.0, math.inf), start, args=(alpha, 1.0, start[0]), method="DOP853",
+                    rtol=tol, atol=atol, events=event, dense_output=True)
+    failed, tau_end = sol.status != 1, sol.t[-1]
+    tau_m, y_m = (math.inf if up else 0.0), 0.0  # phase and Y of the mirror, the turning point
+    if up and not failed:  # one Newton step on P past the event's root finder
+        r, p, _y = sol.sol(tau_end)
+        tau_m = tau_end + p / (alpha * r ** (2.0 * alpha - 1.0))
+        y_m = float(sol.sol(tau_m)[2])
+    reference = {"nfev": sol.nfev, "anchor": "boundary" if up else "turning point",
+                 "R0": start[0], "phase_end": float(tau_end)}
+
+    px, x_t, u0 = (np.array([launch[i] for launch in launches]) for i in (3, 6, 8))
+    on_p = np.abs(px) < abs(alpha) * (1.0 - px * px)  # where |P'| = |alpha| R^(2 alpha - 1) > P / R
+    phases = _phases(sol, alpha, np.concatenate([on_p, np.zeros_like(on_p)]).astype(int),
+                     np.concatenate([np.where(on_p, np.abs(px), u0), X_STOP / x_t]))
+    parts = []
+    for (key, frame, theta, c, py, t_end, xt, scale, u), tau0, tau_f in zip(
+            launches, phases[:len(launches)], phases[len(launches):]):
+        if failed and u > sol.y[0, -1]:  # the launch lies beyond the phases reached
+            _fail(sol.message, frame, 0.0, x0, c, 0.0)
+        d = 1.0 if c > 0.0 or (c == 0.0 and not up) else -1.0
+        tau0 = tau_m if c == 0.0 else tau0
+        t1 = -d * xt * tau0  # phase d (t - t1) / x_t, exact in t, to the turning point at t_r
+        t_r = t1 + d * xt * tau_m if d * alpha > 0.0 else math.inf
+        t2 = t_r + d * xt * tau_m  # then -d (t - t2) / x_t
+        # the floor, on the leg that falls toward the anchor
+        t_hit = math.inf if not up and (d > 0.0 or X_STOP / xt <= 1.0) else (
+            (t1 if d < 0.0 else t2) - xt * tau_f)
+        t = np.linspace(0.0, min(t_hit, t_end), SAMPLES_EACH_WAY)
+        t_cross = (t1 if d > 0.0 else t2 if not up else math.inf) + xt * tau_end
+        if failed and t_cross < t[-1]:
+            (r, p, y), y_0 = sol.sol(tau_end), float(sol.sol(tau0)[2])
+            _fail(sol.message, frame, t_cross, xt * r, p, math.copysign(scale, py) * (y - d * y_0))
+        first = t <= t_r
+        parts.append((np.where(first, d * (t - t1), d * (t2 - t)) / xt, t, t_hit <= t_end,
+                      np.where(first, d, -d), np.where(first, 0.0, 2.0 * d * y_m), tau0))
+    r, p, y = sol.sol(np.concatenate([part[0] for part in parts])).reshape(3, len(parts), -1)
+    halves = {}
+    for i, ((key, _, theta, c, py, t_end, xt, scale, _), (_, t, hits, sign, offset, tau0)) in \
+            enumerate(zip(launches, parts)):
+        y_unfolded = sign * y[i] + offset
+        state = np.array([xt * r[i], sign * p[i],
+                          math.copysign(scale, py) * (y_unfolded - y_unfolded[0])])
+        hit = t[-1] + state[0, -1] / max(abs(state[1, -1]), 1e-15) if hits else None
+        halves[key] = _Half(theta, c, py, t_end, t, state, hit, sol.nfev,
+                            _drift(alpha, state[0], state[1], py),
+                            {"x_t": xt, "phase": float(tau0)}, reference)
+    return halves
+
+
 def geodesic_fan(
     alpha: float,
     n_angles: int,
@@ -370,34 +492,59 @@ def geodesic_fan(
     """Trajectories for n_angles angles uniformly spaced in [0, 2 pi),
     ordered by theta.
 
-    Each distinct half is solved once.  Angle theta_i = pi m / n with
+    Each distinct half is computed once.  Angle theta_i = pi m / n with
     m = 2 i launches its forward half, and by time reversal its backward
     half is the forward half of m = 2 i + n (mod 2 n).  The launch 2 n - m
-    is the mirror image of m (P_y negated), so m folds to
-    k = min(m, 2 n - m) in [0, n]: n/2 + 1 solves per time direction for
-    even n, n + 1 for odd n, shared across directions when t_span is
-    symmetric.
+    is the mirror image of m (P_y negated), so m folds to the launch class
+    k = min(m, 2 n - m) in [0, n].  Every class with P_y != 0 whose
+    dilation is a float comes from one reference orbit
+    (``_orbit_halves``); the others are lines or direct solves
+    (``_solve_half``).
     """
     if n_angles < 2:
         raise UsageError("a fan needs at least 2 angles")
     _check_span(t_span, tol)
     n2 = 2 * n_angles
-    inits = [GeodesicInitialData(x0=x0, y0=y0, theta=2.0 * math.pi * i / n_angles, alpha=alpha)
+    # pi (k / n), not (pi k) / n, so that the axis angles are exact and
+    # their P_x or P_y exactly 0 (see _direction)
+    inits = [GeodesicInitialData(x0=x0, y0=y0, theta=2.0 * math.pi * (i / n_angles), alpha=alpha)
              for i in range(n_angles)]
-    solves: dict[tuple[int, float], _Half] = {}
+    frames: dict[tuple[int, float], tuple] = {}  # launch class -> frame of its first use
+    uses = []
+    for i in range(n_angles):
+        for m, t_end, t_sign in ((2 * i, t_span[1], 1.0),
+                                 ((2 * i + n_angles) % n2, -t_span[0], -1.0)):
+            y_sign = -1.0 if m > n_angles else 1.0
+            key = (min(m, n2 - m), t_end)
+            if t_end > 0.0:
+                frames.setdefault(key, (y0, t_sign, y_sign))
+            uses.append((key, y_sign) if t_end > 0.0 else None)
+    halves, orbit = {}, []
+    for key, frame in frames.items():
+        theta = math.pi * (key[0] / n_angles)
+        px, py = GeodesicInitialData(x0=x0, y0=y0, theta=theta, alpha=alpha).momenta
+        try:  # the dilation; a line, sin theta = 0 or alpha = 0, has none
+            u0 = _direction(theta)[1] ** (1.0 / alpha)
+            x_t = x0 / u0
+            dilation = (x_t, x_t ** (1.0 + alpha))
+        except (OverflowError, ZeroDivisionError):
+            dilation = (math.inf,)
+        # Solved directly: lines, dilations that are no finite normal
+        # doubles, launches below the floor, and references that would span
+        # more than 1e100, down to the floor X_STOP / x_t for alpha > 0 or
+        # out to (x0 + t_end) / x_t for alpha < 0: DOP853 squares its error
+        # estimates, which overflow or underflow past spans of 1e140-1e200.
+        if (x0 > X_STOP and X_STOP / dilation[0] >= 1e-100 and (x0 + key[1]) / dilation[0] <= 1e100
+                and all(math.isfinite(v) and v >= sys.float_info.min for v in dilation)):
+            orbit.append((key, frame, theta, px, py, key[1], *dilation, u0))
+        else:
+            halves[key] = _solve_half(alpha, x0, theta, px, py, key[1], tol, frame)
+    if orbit:
+        halves.update(_orbit_halves(alpha, x0, orbit, tol))
 
-    def half(m: int, t_end: float, t_sign: float) -> tuple[_Half, float] | None:
-        if t_end <= 0.0:
-            return None
-        k = min(m, n2 - m)
-        y_sign = -1.0 if m > n_angles else 1.0
-        if (k, t_end) not in solves:
-            launch = GeodesicInitialData(x0=x0, y0=y0, theta=math.pi * k / n_angles, alpha=alpha)
-            solves[k, t_end] = _solve_half(alpha, x0, launch.theta, *launch.momenta, t_end, tol,
-                                           (y0, t_sign, y_sign))
-        return solves[k, t_end], y_sign
+    def half(use):
+        return None if use is None else (halves[use[0]], use[1])
 
     return [integrate_geodesic(init, t_span, tol,
-                               _halves=(half(2 * i, t_span[1], 1.0),
-                                        half((2 * i + n_angles) % n2, -t_span[0], -1.0)))
+                               _halves=(half(uses[2 * i]), half(uses[2 * i + 1])))
             for i, init in enumerate(inits)]

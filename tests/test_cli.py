@@ -186,23 +186,28 @@ class TestGeodesicsCommand:
         assert len(manifest["trajectories"]) == 8
         hits = [t["hit_time_plus"] for t in manifest["trajectories"]]
         assert sum(h is None for h in hits) == 1
-        # one file per launch-class solve: n/2 + 1 for even n
-        csvs = list(tmp_path.glob("geodesic_solve*.csv"))
-        assert len(csvs) == 5 == manifest["config"]["solves"]
-        assert "8 trajectories from 5 solves, 7 forward boundary hits" in capsys.readouterr().out
+        # one file per launch-class half: n/2 + 1 for even n, all from one
+        # reference orbit but the two lines
+        csvs = list(tmp_path.glob("geodesic_half*.csv"))
+        assert len(csvs) == 5 == manifest["config"]["halves"]
+        assert manifest["config"]["reference"]["nfev"] > 0
+        assert ("8 trajectories from 5 halves and 1 reference solve, 7 forward boundary hits"
+                in capsys.readouterr().out)
 
     def test_single_angle_round_trip(self, tmp_path, capsys):
-        # --theta writes like a fan of one angle: its two solves and the manifest
+        # --theta writes like a fan of one angle: its two direct solves and
+        # the manifest
         assert main(["geodesics", "--alpha", "1", "--theta", "0.5", "--y0", "-0.75",
                      "--t-max", "5", "--output-dir", str(tmp_path)]) == 0
-        assert "1 trajectories from 2 solves" in capsys.readouterr().out
+        assert "1 trajectories from 2 halves and 0 reference solves" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "geodesic_solve000.csv", "geodesic_solve001.csv", "manifest.json"]
+            "geodesic_half000.csv", "geodesic_half001.csv", "manifest.json"]
         manifest = read_json(tmp_path / "manifest.json")
-        assert manifest["config"]["theta"] == 0.5 and manifest["config"]["solves"] == 2
+        config = manifest["config"]
+        assert config["theta"] == 0.5 and config["halves"] == 2 and config["reference"] is None
         (entry,) = manifest["trajectories"]
-        assert entry["forward"] == {"file": "geodesic_solve000.csv", "y_sign": 1.0}
-        assert entry["backward"] == {"file": "geodesic_solve001.csv", "y_sign": 1.0}
+        assert entry["forward"] == {"file": "geodesic_half000.csv", "y_sign": 1.0}
+        assert entry["backward"] == {"file": "geodesic_half001.csv", "y_sign": 1.0}
         init = GeodesicInitialData(x0=1.0, y0=-0.75, theta=0.5, alpha=1.0)
         traj = integrate_geodesic(init, (-5.0, 5.0))
 
@@ -216,7 +221,7 @@ class TestGeodesicsCommand:
         entry["backward"]["y_sign"] = -1.0
         assert not rebuilt_exactly()
         entry["backward"]["y_sign"] = 1.0
-        path = tmp_path / "geodesic_solve001.csv"
+        path = tmp_path / "geodesic_half001.csv"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2] + lines[:1:-1]))
         assert not rebuilt_exactly()
@@ -239,10 +244,15 @@ class TestGeodesicsCommand:
     def test_manifest_records_solver_work(self, tmp_path, alpha):
         assert main(["geodesics", "--alpha", alpha, "--angles", "7", "--t-max", "5",
                      "--output-dir", str(tmp_path)]) == 0
-        for entry in read_json(tmp_path / "manifest.json")["trajectories"]:
+        manifest = read_json(tmp_path / "manifest.json")
+        for entry in manifest["trajectories"]:
             meta = entry["meta"]
+            # theta = 0 runs on two lines, pi and 0 (P_y = 0), which take no
+            # solve; every other half comes from the reference solve
+            nfev = 0 if entry["theta"] == 0.0 else manifest["config"]["reference"]["nfev"]
             for key in ("nfev_forward", "nfev_backward"):
-                assert isinstance(meta[key], int) and meta[key] > 0, (entry["theta"], key)
+                assert isinstance(meta[key], int) and meta[key] == nfev, (entry["theta"], key)
+            assert nfev > 0 or entry["P_y"] == 0.0
             if alpha == "-1":  # no quadrature applies
                 assert "quadrature_hit_time" not in meta and "quadrature_error" not in meta
                 continue
@@ -254,7 +264,7 @@ class TestGeodesicsCommand:
                 assert isinstance(hit, float) and math.isfinite(hit), entry["theta"]
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
-        # 6 angles share 4 solves, one angle makes 2; one file each, and the
+        # 6 angles share 4 halves, one angle makes 2; one file each, and the
         # manifest
         for launch, files in ((["--angles", "6"], 5), (["--theta", "2"], 3)):
             outputs = []
@@ -265,14 +275,28 @@ class TestGeodesicsCommand:
                 outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
             assert len(outputs[0]) == files and outputs[0] == outputs[1], launch
 
+    @pytest.mark.parametrize("launch", [["--angles", "2"], ["--theta", "0"]], ids=["fan", "theta"])
+    def test_lines_do_not_overflow(self, tmp_path, launch):
+        # P_y = 0: the straight line x = x0 + P_x t, which never forms
+        # x^(2 alpha) = 10.5^2000
+        assert main(["geodesics", "--alpha", "1000", "--x0", "0.5", *launch,
+                     "--output-dir", str(tmp_path)]) == 0
+        manifest = read_json(tmp_path / "manifest.json")
+        assert all(t["energy_drift"] == 0.0 for t in manifest["trajectories"])
+        entry = manifest["trajectories"][0]  # theta = 0, which reaches x = 0 backward
+        t, x, y, px = _rebuild(tmp_path, entry)
+        assert np.array_equal(x, 0.5 + t) and np.all(y == 0.0) and np.all(px == 1.0)
+        assert t[-1] == 10.0 and entry["hit_time_minus"] == -0.5
+
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
 
     def test_writers(self, tmp_path):
         fan = cli.geodesic_fan(1.0, 4)
-        manifest_path, solves = cli.write_fan(fan, tmp_path, {"alpha": 1.0, "angles": 4})
+        manifest_path, halves, references = cli.write_fan(fan, tmp_path,
+                                                           {"alpha": 1.0, "angles": 4})
         manifest = json.loads(open(manifest_path).read())
-        assert solves == 3
+        assert (halves, references) == (3, 1)
         assert len(manifest["trajectories"]) == 4
         entry = manifest["trajectories"][1]
         assert entry["theta"] == fan[1].init.theta
@@ -284,15 +308,23 @@ class TestGeodesicsCommand:
         assert forward["y_sign"] == 1.0 and backward["y_sign"] == -1.0
         assert forward["file"] == backward["file"]
         lines = (tmp_path / forward["file"]).read_text().splitlines()
-        # the config line of every solve file: the run config and the solve's launch
+        # the config line of every half file: the run config, the half's
+        # launch and its source, here the reference orbit undilated (x_t = 1)
+        # from its turning point
         assert lines[0].startswith("# config: ")
         header = json.loads(lines[0][len("# config: "):])
         half = fan[1].forward[0]
-        assert header["angles"] == 4 and header["solves"] == 3
+        assert header["angles"] == 4 and header["halves"] == 3
+        assert header["reference"] == manifest["config"]["reference"] == half.reference
         assert header["theta"] == math.pi / 2 and header["t_end"] == 10.0
         assert (header["P_x"], header["P_y"]) == (0.0, 1.0)
         assert header["hit_time"] == entry["hit_time_plus"] == half.hit
-        assert header["nfev"] == entry["meta"]["nfev_forward"] == half.nfev
+        assert header["source"] == {"x_t": 1.0, "phase": half.source["phase"]}
+        assert entry["meta"]["nfev_forward"] == half.nfev == half.reference["nfev"]
+        # the two lines, 0 and pi
+        assert [json.loads((tmp_path / name).read_text().splitlines()[0][10:])["source"]
+                for name in (manifest["trajectories"][0]["forward"]["file"],
+                             manifest["trajectories"][0]["backward"]["file"])] == ["line"] * 2
         assert lines[1] == "t,x,P_x,dy"
         assert len(lines) == half.t.size + 2
 
@@ -302,7 +334,7 @@ class TestGeodesicsCommand:
         with pytest.raises(cli.NumericError):
             cli.write_fan(fan, tmp_path, {"alpha": 1.0})
         assert not any(tmp_path.iterdir())
-        # a value that only a solve file's header holds
+        # a value that only a half file's header holds
         fan = cli.geodesic_fan(1.0, 2)
         half, y_sign = fan[1].forward
         fan[1] = dataclasses.replace(
@@ -313,7 +345,7 @@ class TestGeodesicsCommand:
 
 
 def _rebuild(directory, entry):
-    """(t, x, y, P_x) of one manifest entry from its two solve files."""
+    """(t, x, y, P_x) of one manifest entry from its two half files."""
     parts = []
     for key in ("backward", "forward"):
         source = entry[key]
@@ -541,7 +573,7 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
     assert main(["geodesics", "--alpha", "1", "--angles", "4", "--output-dir", str(out)]) == 0
     names = {path.rsplit("/", 1)[-1] for path, *_ in calls}
     assert names == {"density.csv", "fibre_norms.csv", "norm_trace.csv", "bc_sensitivity.csv",
-                     "geodesic_solve000.csv", "geodesic_solve001.csv", "geodesic_solve002.csv"}
+                     "geodesic_half000.csv", "geodesic_half001.csv", "geodesic_half002.csv"}
     # density.csv spans many blocks and ends in a partial one
     (density_rows,) = {len(columns[0]) for path, _, columns, _ in calls
                        if path.endswith("density.csv")}

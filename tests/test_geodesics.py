@@ -170,6 +170,16 @@ class TestFan:
         for traj in fan:
             assert np.allclose(traj.y, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [11, 22])
+    def test_axis_angles_are_exact(self, n):
+        # rounded as (pi k) / n, the angle pi is not math.pi for k = n = 11
+        # or 22, and the horizontal launch gets a P_y of 1e-16 that drifts y
+        # by 5e-6 near the boundary at alpha = -1
+        fan = geodesic_fan(-1.0, n, (-3.37, 7.34), x0=0.981, y0=0.3)
+        for traj in (fan[0], fan[n // 2]) if n % 2 == 0 else (fan[0],):
+            assert traj.py == 0.0 and np.all(traj.y == 0.3), traj.init.theta
+            assert traj.forward[0].source == traj.backward[0].source == "line"
+
     def test_too_few_angles(self):
         with pytest.raises(UsageError):
             geodesic_fan(1.0, 1)
@@ -194,11 +204,16 @@ SHARED_LAUNCH = {"x0": 1.3, "y0": -0.75}
 def exact_flow(init, t):
     """(x, y, P_x) along the launch at times t, in closed form where the
     flow is solvable: alpha = 1 (a harmonic oscillator in x of frequency
-    P_y) and alpha = 1/2 (constant force -P_y^2 / 2 on x)."""
+    P_y), alpha = 1/2 (constant force -P_y^2 / 2 on x) and alpha = -1
+    (x^2 = x0^2 + 2 x0 P_x t + t^2, y = y0 + atan of the same line)."""
     x0, y0 = init.x0, init.y0
     px0, py = init.momenta
     if py == 0.0:
         return x0 + px0 * t, np.full_like(t, y0), np.full_like(t, px0)
+    if init.alpha == -1.0:
+        u, s = x0 * px0 + t, py / x0
+        x = np.sqrt((x0 * s) ** 2 + u * u)
+        return x, y0 + np.arctan(u / (x0 * s)) - np.arctan(px0 / s), u / x
     if init.alpha == 0.5:
         q = py * py
         return (x0 + px0 * t - q * t * t / 4, y0 + py * (x0 * t + px0 * t * t / 2 - q * t**3 / 12),
@@ -212,8 +227,9 @@ def exact_flow(init, t):
 
 
 class TestSharedSolves:
-    """geodesic_fan solves each launch class once and mirrors or reverses
-    it; every trajectory must still be the one a solve of its own gives."""
+    """geodesic_fan takes each launch class once from one reference orbit,
+    and mirrors or reverses it; every trajectory must still be the one a
+    solve of its own gives."""
 
     @pytest.mark.parametrize("t_span", [(-10.0, 10.0), (-3.0, 7.0)])
     @pytest.mark.parametrize("n", [8, 7])
@@ -234,8 +250,53 @@ class TestSharedSolves:
                 gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
                 assert gap <= 1e-8, (theta, name, gap)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.1, 0.02, 0.001, 0.0, -0.1, -0.02])
+    def test_small_alpha_fans_match_direct_solves(self, alpha):
+        # far from the benchmark's alphas the dilation x_t = x0 |sin theta|^(-1/alpha)
+        # spans tens of decades (or is no float, and the half is solved
+        # directly); at alpha = 0 every half is a line.  P_x is not compared:
+        # at the floor sample it moves by about 1e8 per unit of x.  The angles
+        # in [0, pi] use every launch class, both ways.
+        t_span = (-10.0, 10.0)
+        for traj in geodesic_fan(alpha, 16, t_span, **SHARED_LAUNCH)[:9]:
+            alone = integrate_geodesic(traj.init, t_span)
+            theta = traj.init.theta
+            reverse = GeodesicInitialData(**SHARED_LAUNCH, alpha=alpha, theta=theta + PI)
+            for got, want, launch, sign in (
+                    (traj.hit_time_plus, alone.hit_time_plus, traj.init, 1),
+                    (traj.hit_time_minus, alone.hit_time_minus, reverse, -1)):
+                assert (got is None) == (want is None), theta
+                if got is None:
+                    continue
+                assert abs(got - want) <= 1e-8, theta
+                if alpha > 0.0:
+                    assert abs(sign * got - hit_time_quadrature(launch)[0]) <= 1e-8, theta
+            assert traj.t.shape == alone.t.shape
+            for name in ("t", "x", "y"):
+                gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
+                assert gap <= 1e-8, (theta, name, gap)
+            assert traj.energy_drift <= 1e-9, theta
+
+    def test_far_reaching_launches_match_direct_solves(self):
+        # alpha = -0.002: pi/8 turns at x_t = x0 sin(pi/8)^500, about 1e-208,
+        # and a reference out to (x0 + t_end) / x_t, about 1e209, lost y to
+        # 5e-3 where DOP853's squared error norm underflows
+        traj = geodesic_fan(-0.002, 16, (0.0, 10.0), **SHARED_LAUNCH)[1]
+        alone = integrate_geodesic(traj.init, (0.0, 10.0))
+        for name in ("t", "x", "y"):
+            gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
+            assert gap <= 1e-8, (name, gap)
+
+    def test_benchmark_fan_follows_the_exact_flow_in_y(self):
+        # alpha = 1/2, 64 angles: the dilation multiplies the reference's y
+        # error by x_t^(3/2), about 1e3 beside theta = pi; the last sample of
+        # every half that reaches the boundary is its floor sample
+        for traj in geodesic_fan(0.5, 64, y0=0.25):
+            gap = np.max(np.abs(traj.y - exact_flow(traj.init, traj.t)[1]))
+            assert gap <= 1e-11, (traj.init.theta, gap)
+
     @pytest.mark.parametrize("n", [8, 7])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, -1.0])
     def test_both_halves_follow_the_exact_flow(self, alpha, n):
         # independent of the shared time reversal: the backward half (t < 0)
         # must carry the launch's own x, y and P_x, and its hit time must be
@@ -246,6 +307,8 @@ class TestSharedSolves:
             for name, want in zip(("x", "y", "px"), exact_flow(traj.init, traj.t)):
                 gap = np.max(np.abs(getattr(traj, name) - want))
                 assert gap <= 1e-8, (traj.init.theta, name, gap)
+            if alpha < 0.0:  # no quadrature applies
+                continue
             reversed_launch = GeodesicInitialData(**SHARED_LAUNCH, alpha=alpha,
                                                   theta=traj.init.theta + PI)
             expected = hit_time_quadrature(reversed_launch)[0]
@@ -255,24 +318,31 @@ class TestSharedSolves:
                 assert abs(traj.hit_time_minus + expected) <= 1e-9, traj.init.theta
 
     def test_solve_counts(self, monkeypatch):
+        import scipy.integrate
+
         calls = []
-        solve = geodesics._solve_half
+        solve_ivp = scipy.integrate.solve_ivp
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return solve(*args)
+            return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(geodesics, "_solve_half", counted)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
 
         def solves(run):
             calls.clear()
             run()
             return len(calls)
 
-        assert solves(lambda: geodesic_fan(1.0, 64)) == 33
-        assert solves(lambda: geodesic_fan(1.0, 63)) == 64
-        assert solves(lambda: geodesic_fan(1.0, 64, (-3.0, 7.0))) == 66
-        assert solves(lambda: geodesic_fan(1.0, 8, (0.0, 5.0))) == 5
+        # one reference orbit per fan, whatever its size or span
+        for n, t_span in ((64, (-10.0, 10.0)), (63, (-10.0, 10.0)), (64, (-3.0, 7.0)),
+                          (8, (0.0, 5.0)), (8, (-5.0, 0.0))):
+            assert solves(lambda: geodesic_fan(1.0, n, t_span)) == 1, (n, t_span)
+        # lines are closed form: P_y = 0, or alpha = 0
+        assert solves(lambda: geodesic_fan(1.0, 2)) == 0
+        assert solves(lambda: geodesic_fan(0.0, 8)) == 0
+        assert solves(lambda: integrate_geodesic(launch(PI, 1.0))) == 0
+        # the direct route solves each of its halves
         assert solves(lambda: integrate_geodesic(launch(1.0, 1.0))) == 2
         assert solves(lambda: integrate_geodesic(launch(1.0, 1.0), (0.0, 5.0))) == 1
 
@@ -292,19 +362,43 @@ class TestSharedSolves:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", backward_fails_at_half)
         init = GeodesicInitialData(**SHARED_LAUNCH, theta=PI / 4, alpha=1.0)
         x, y, px = (v[0] for v in exact_flow(init, np.array([-0.5])))
-        # in the fan, angle 1 of 8 is the first to need a backward solve with
-        # P_y != 0: the launch 3 pi / 4, mirrored
-        for run in (lambda: integrate_geodesic(init, (-3.0, 7.0)),
-                    lambda: geodesic_fan(1.0, 8, (-3.0, 7.0), **SHARED_LAUNCH)):
+        with pytest.raises(IntegrationError) as failure:
+            integrate_geodesic(init, (-3.0, 7.0))
+        assert failure.value.last_time == -0.5
+        assert np.allclose(failure.value.last_state, [x, px, y], rtol=0.0, atol=1e-8)
+
+        # A fan's one solve is its reference orbit.  Stopped at phase
+        # tau_stop, it fails the first half in angle order that needs a later
+        # phase, at the time that half reaches tau_stop.  Angle 1 of 8, pi/4,
+        # is the first with P_y != 0.  At alpha = 1, R = sin(tau + asin(R0))
+        # from the floor R0 = X_STOP / x_t, and its forward half rises past
+        # tau_stop.  At alpha = -1, R = sqrt(1 + tau^2) from the turning
+        # point, and its backward half (the launch 3 pi/4, mirrored) falls
+        # to the turning point at tau = 0 from tau = 1, then rises past tau_stop.
+        def reference_stops(fun, t_span, y, **kwargs):
+            sol = solve_ivp(fun, (0.0, tau_stop), y, **kwargs)
+            sol.status, sol.message = -1, "forced"
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", reference_stops)
+        x0, s = SHARED_LAUNCH["x0"], math.sin(PI / 4)  # x_t = x0 s^(-1/alpha)
+        r0 = geodesics.X_STOP / (x0 / s)
+        for alpha, t_span, tau_stop, t_fail in (
+                (1.0, (-3.0, 7.0), 1.2, x0 / s * (1.2 + math.asin(r0) - PI / 4)),
+                (-1.0, (-7.0, 0.5), 1.6, -x0 * s * (1.0 + 1.6))):
+            init = GeodesicInitialData(**SHARED_LAUNCH, theta=PI / 4, alpha=alpha)
+            x, y, px = (v[0] for v in exact_flow(init, np.array([t_fail])))
             with pytest.raises(IntegrationError) as failure:
-                run()
-            assert failure.value.last_time == -0.5
+                geodesic_fan(alpha, 8, t_span, **SHARED_LAUNCH)
+            assert failure.value.last_time == pytest.approx(t_fail, rel=0.0, abs=1e-9)
             assert np.allclose(failure.value.last_state, [x, px, y], rtol=0.0, atol=1e-8)
 
     def test_one_sided_span(self):
         for traj in geodesic_fan(1.0, 4, (0.0, 5.0)):
             assert traj.hit_time_minus is None and traj.t[0] == 0.0
-            assert traj.meta["nfev_backward"] == 0 < traj.meta["nfev_forward"]
+            assert traj.meta["nfev_backward"] == 0
+            assert (traj.meta["nfev_forward"] > 0) == (traj.py != 0.0)  # lines are closed form
         for traj in geodesic_fan(1.0, 4, (-5.0, 0.0)):
             assert traj.hit_time_plus is None and traj.t[-1] < 0.0
-            assert traj.meta["nfev_forward"] == 0 < traj.meta["nfev_backward"]
+            assert traj.meta["nfev_forward"] == 0
+            assert (traj.meta["nfev_backward"] > 0) == (traj.py != 0.0)
