@@ -63,7 +63,6 @@ from .evolution import (
     BcSensitivityResult,
     BoundaryCondition,
     CrankNicolson,
-    FibreEvolutionState,
     FibreGrid,
     PlaneEvolutionResult,
     PlaneWavefunction,

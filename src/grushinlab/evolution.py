@@ -42,10 +42,10 @@ zero, the pivoting never crosses a seam, and every block's numbers are
 bit for bit those of a stepper of its own.  The general tridiagonal
 factorisation of the stacked left-hand matrix is done once per (grid,
 potentials, conditions, dt), in place, and the steps alternate between
-two preallocated buffers.  Every protocol steps through it:
-``evolve_fibre`` is one block, ``bc_sensitivity`` stacks the Dirichlet
-and the Robin block of each cutoff, and ``evolve_plane`` splits its
-fibres into one stack per thread.
+two preallocated buffers.  Every protocol steps through its one loop,
+:meth:`CrankNicolson.evolve`: ``evolve_fibre`` is a stack of one block,
+``bc_sensitivity`` stacks the Dirichlet and the Robin block of each
+cutoff, and ``evolve_plane`` splits its fibres into one stack per thread.
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
 data under Dirichlet-at-eps and Robin-at-eps and record the distance
@@ -88,7 +88,6 @@ from .profiles import FibrePotential, GrushinProfile, power_law
 __all__ = [
     "FibreGrid",
     "BoundaryCondition",
-    "FibreEvolutionState",
     "CrankNicolson",
     "PlaneWavefunction",
     "evolve_fibre",
@@ -288,24 +287,6 @@ class BoundaryCondition:
         return self.kind if self.kind == "dirichlet" else f"robin(beta={self.beta:g})"
 
 
-@dataclass(frozen=True)
-class FibreEvolutionState:
-    """Complex wavefunction on the interior nodes of one fibre."""
-
-    xi: float
-    grid: FibreGrid
-    psi: np.ndarray = field(repr=False)
-    t: float
-    bc: BoundaryCondition
-    profile: GrushinProfile
-
-    def potential(self) -> FibrePotential:
-        return FibrePotential(xi=self.xi, profile=self.profile)
-
-    def norm(self) -> float:
-        return math.sqrt(_weighted_sumsq(self.grid.weights, self.psi))
-
-
 def _weighted_sumsq(weights: np.ndarray, psi: np.ndarray) -> float:
     """sum_j w_j |psi_j|^2"""
     return float(np.vdot(psi, weights * psi).real)
@@ -327,40 +308,34 @@ def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCo
     return coupling / weights[1:], main, coupling / weights[:-1]
 
 
-def _per_block(values) -> list:
-    """One 1-D array is one block; any other sequence holds one array per
-    block."""
-    return [values] if np.ndim(values[0]) == 0 else list(values)
-
-
 class CrankNicolson:
     """Unitary Cayley stepper for a stack of independent fibre blocks;
     factorises once per dt.
 
-    ``w_values`` is one array, a single block on all of ``grid``, or a
-    sequence of arrays, one block each: block m lives on the first
-    len(w_values[m]) nodes of ``grid`` with its outer wall at the next node
-    (:meth:`FibreGrid.prefix`).  ``bc`` is one condition for every block or
-    one per block.  The blocks form one tridiagonal system whose couplings
-    across the seams are zero, so the pivoting of the factorisation never
-    crosses a seam and each block's factors and solves are bit for bit
-    those of a stepper of its own.
+    ``w_values`` holds one array and ``bcs`` one condition per block:
+    block m lives on the first len(w_values[m]) nodes of ``grid`` with its
+    outer wall at the next node (:meth:`FibreGrid.prefix`), so a single
+    fibre is a stack of one.  The blocks form one tridiagonal system whose
+    couplings across the seams are zero, so the pivoting of the
+    factorisation never crosses a seam and each block's factors and solves
+    are bit for bit those of a stepper of its own.  A bare array with a bare
+    condition, the form perfbench's tracer test builds, is one block.
 
     H is similar to a real symmetric matrix, M^{1/2} H M^{-1/2}, so the
     step is unitary in the weighted norm sum_j w_j |psi_j|^2."""
 
-    def __init__(self, grid: FibreGrid, w_values, bc, dt: float):
+    def __init__(self, grid: FibreGrid, w_values, bcs, dt: float):
         from scipy.linalg import get_lapack_funcs
 
         if dt <= 0.0:
             raise UsageError("dt must be positive")
-        w_blocks = _per_block(w_values)
-        bcs = [bc] * len(w_blocks) if isinstance(bc, BoundaryCondition) else list(bc)
-        if len(bcs) != len(w_blocks):
-            raise UsageError(f"{len(bcs)} boundary conditions for {len(w_blocks)} blocks")
-        ends = np.cumsum([len(w) for w in w_blocks])
+        if isinstance(bcs, BoundaryCondition):
+            w_values, bcs = [w_values], [bcs]
+        if len(bcs) != len(w_values):
+            raise UsageError(f"{len(bcs)} boundary conditions for {len(w_values)} blocks")
+        ends = np.cumsum([len(w) for w in w_values])
         self.grid, self.dt = grid, dt
-        self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_blocks)]
+        self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_values)]
         size = int(ends[-1])
         # the stacked matrix 1 + i dt H/2, factored in place
         z = 0.5j * dt
@@ -368,7 +343,7 @@ class CrankNicolson:
                               np.zeros(size - 1, complex))
         reals = [slice(2 * sl.start, 2 * sl.stop) for sl in self._slices]
         w2 = np.empty(2 * size)
-        for sl, r, w, cond in zip(self._slices, reals, w_blocks, bcs):
+        for sl, r, w, cond in zip(self._slices, reals, w_values, bcs):
             block = grid.prefix(sl.stop - sl.start)
             block.validate_resolution(w)
             sub, main, sup = _hamiltonian_diagonals(block, w, cond)
@@ -407,37 +382,26 @@ class CrankNicolson:
         for m, (w2, v) in enumerate(self._norm_views[psi is self._buffers[1]]):
             column[m] = np.einsum("i,i,i->", w2, v, v)
 
-    def evolution(self, psi, nsteps: int, record: bool = False):
-        """Load ``psi`` (one array per block, as ``w_values``) and allocate
-        the norm traces now; returns the function that applies ``nsteps``
-        steps, allocating nothing per step, and returns the per-block final
-        states, views of one of the stepper's buffers, and the traces.  Row
-        m of the traces is block m's squared weighted norm sum_j w_j |psi_j|^2
-        after every step with ``record``, else at the start and the end
-        only."""
+    def evolve(self, psi, nsteps: int, record: bool = False):
+        """Load ``psi`` (one array per block) and apply ``nsteps`` steps,
+        allocating nothing per step.  Returns the per-block final states,
+        views of one of the stepper's two buffers that the next call
+        overwrites, and the traces: row m is block m's squared weighted norm
+        sum_j w_j |psi_j|^2 after every step with ``record``, else at the
+        start and the end only."""
         first, second = self._buffers
-        for sl, block in zip(self._slices, _per_block(psi), strict=True):
+        for sl, block in zip(self._slices, psi, strict=True):
             first[sl] = block
         traces = np.empty((len(self._slices), nsteps + 1 if record else 2))
         self._norms(first, traces[:, 0])
-
-        def run():
-            state = first
-            for i in range(1, nsteps + 1):
-                state = self.step(state, out=second if state is first else first)
-                if record:
-                    self._norms(state, traces[:, i])
-            if not record:
-                self._norms(state, traces[:, 1])
-            return [state[sl] for sl in self._slices], traces
-
-        return run
-
-    def evolve(self, psi, nsteps: int, record: bool = False):
-        """Apply ``nsteps`` steps to ``psi``; returns copies of the per-block
-        final states and the traces of :meth:`evolution`."""
-        states, traces = self.evolution(psi, nsteps, record)()
-        return [state.copy() for state in states], traces
+        state = first
+        for i in range(1, nsteps + 1):
+            state = self.step(state, out=second if state is first else first)
+            if record:
+                self._norms(state, traces[:, i])
+        if not record:
+            self._norms(state, traces[:, 1])
+        return [state[sl] for sl in self._slices], traces
 
 
 def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
@@ -453,19 +417,14 @@ def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
     return n
 
 
-def evolve_fibre(
-    state: FibreEvolutionState,
-    t_final: float,
-    dt: float,
-    record_norms: bool = False,
-):
-    """Evolve a fibre state to ``t_final``; returns (state, norm trace)."""
-    nsteps = _step_count(t_final - state.t, dt)
-    pot = state.potential()
-    stepper = CrankNicolson(state.grid, pot(state.grid.nodes), state.bc, dt)
-    (psi,), (sumsq,) = stepper.evolve(state.psi, nsteps, record_norms)
-    new_state = replace(state, psi=psi, t=state.t + nsteps * dt)
-    return new_state, np.sqrt(sumsq)
+def evolve_fibre(grid: FibreGrid, pot: FibrePotential, bc: BoundaryCondition, psi: np.ndarray,
+                 t_final: float, dt: float, record_norms: bool = False):
+    """Evolve one fibre from t = 0 to ``t_final``, a stack of one block;
+    returns (psi, norm trace)."""
+    nsteps = _step_count(t_final, dt)
+    stepper = CrankNicolson(grid, [pot(grid.nodes)], [bc], dt)
+    (psi,), (sumsq,) = stepper.evolve([psi], nsteps, record_norms)
+    return psi, np.sqrt(sumsq)
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
@@ -822,11 +781,11 @@ def evolve_plane(
     or beyond ``grid.L`` uses ``grid`` unchanged.  The fibres are
     independent blocks of :class:`CrankNicolson` stacks: they are split
     into ``min(jobs, fibres)`` contiguous stacks of near-equal node count,
-    every stack is built (factors, buffers, traces) on the calling thread,
-    and each is stepped on a thread of its own (the tridiagonal solves
-    release the GIL), or on the calling thread for a single stack.  Each
-    block's numbers are those of a stepper of its own, so the result does
-    not depend on ``jobs``.  The xi grid must be symmetric about zero (odd
+    every stack is factored on the calling thread, and each runs its
+    :meth:`CrankNicolson.evolve` on a thread of its own (the tridiagonal
+    solves release the GIL), or on the calling thread for a single
+    stack.  Each block's numbers are those of a stepper of its own, so the
+    result does not depend on ``jobs``.  The xi grid must be symmetric about zero (odd
     FFT size); mass in the outermost frequency bins must be negligible for
     the assembly to represent the plane faithfully, and is recorded, as
     is the total-norm trace over the steps.
@@ -856,14 +815,14 @@ def evolve_plane(
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
     parts = _contiguous_parts([f.n for f in fibres], min(jobs, len(fibres)))
-    runs = [CrankNicolson(grid, [pots[m](fibres[m].nodes) for m in part], bc, dt)
-            .evolution([psi0.values[:fibres[m].n, m] for m in part], nsteps, record=True)
-            for part in parts]
-    if len(runs) == 1:
-        stacks = [runs[0]()]
+    steppers = [CrankNicolson(grid, [pots[m](fibres[m].nodes) for m in part], [bc] * len(part), dt)
+                for part in parts]
+    data = [[psi0.values[:fibres[m].n, m] for m in part] for part in parts]
+    if len(parts) == 1:
+        stacks = [steppers[0].evolve(data[0], nsteps, record=True)]
     else:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            stacks = list(pool.map(lambda run: run(), runs))
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            stacks = list(pool.map(lambda s, d: s.evolve(d, nsteps, record=True), steppers, data))
 
     out = np.zeros(psi0.values.shape, dtype=complex)
     traces, wall_masses = [], []

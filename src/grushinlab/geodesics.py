@@ -185,11 +185,12 @@ class GeodesicTrajectory:
         return max(part[0].drift for part in (self.forward, self.backward) if part is not None)
 
 
-def _rhs(t, state, alpha, py, floor):
+def _rhs(t, state, alpha, py, floor, ceiling=math.inf):
     x, px, _dy = state
-    # Trial stages of the integrator may overshoot below the solution's
-    # range; clamp so fractional powers of a negative x never appear.
-    xg = x if x > floor else floor
+    # Trial stages of the integrator may overshoot the solution's range;
+    # clamp so fractional powers of a negative x never appear, and so that
+    # x^(2 alpha) never passes a bound the solution keeps.
+    xg = min(x if x > floor else floor, ceiling)
     x2a = xg ** (2.0 * alpha)
     return (px, -alpha * (x2a / xg) * py * py, x2a * py)
 
@@ -374,7 +375,11 @@ def hit_time_quadrature(init: GeodesicInitialData) -> tuple[float | None, float]
         if c <= 0.0:
             legs = [_leg(alpha, 0.0, 1.0, s2)]
         else:
-            u_c = abs(s) ** (-1.0 / alpha)
+            try:
+                u_c = abs(s) ** (-1.0 / alpha)
+            except OverflowError:
+                raise UsageError(f"theta={theta:g}: the turning point x0 |sin theta|^(-1/alpha) "
+                                 f"overflows a float at alpha={alpha:g}") from None
             legs = [_leg(alpha, 1.0, u_c, s2), _leg(alpha, 0.0, u_c, s2)]
         time = x0 * sum(val for val, _ in legs)
         err = x0 * sum(e for _, e in legs)
@@ -426,13 +431,14 @@ def _orbit_halves(alpha, x0, launches, tol) -> dict:
         r_end = max((x0 + launch[5]) / launch[6] for launch in launches)
         start, atol = (1.0, 0.0, 0.0), tol * 1e-2
 
-    def event(tau, state, alpha, py, floor):
+    def event(tau, state, alpha, py, floor, ceiling):
         return state[1] if up else state[0] - r_end
 
     event.terminal = True
     event.direction = -1.0 if up else 1.0
-    sol = solve_ivp(_rhs, (0.0, math.inf), start, args=(alpha, 1.0, start[0]), method="DOP853",
-                    rtol=tol, atol=atol, events=event, dense_output=True)
+    ceiling = 1.0 if up else math.inf  # energy conservation keeps R <= 1 for alpha > 0
+    sol = solve_ivp(_rhs, (0.0, math.inf), start, args=(alpha, 1.0, start[0], ceiling),
+                    method="DOP853", rtol=tol, atol=atol, events=event, dense_output=True)
     failed, tau_end = sol.status != 1, sol.t[-1]
     tau_m, y_m = (math.inf if up else 0.0), 0.0  # phase and Y of the mirror, the turning point
     if up and not failed:  # one Newton step on P past the event's root finder

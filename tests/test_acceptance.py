@@ -18,7 +18,6 @@ import pytest
 
 from grushinlab.evolution import (
     BoundaryCondition,
-    FibreEvolutionState,
     FibreGrid,
     PlaneWavefunction,
     bc_sensitivity,
@@ -281,11 +280,8 @@ def test_criterion_8_unitarity():
     profile = power_law(1.0)
     pot = FibrePotential(xi=1.0, profile=profile)
     grid = FibreGrid.resolved(0.02, 12.0, pot)
-    state = FibreEvolutionState(
-        xi=1.0, grid=grid, psi=gaussian_packet(grid), t=0.0,
-        bc=BoundaryCondition.dirichlet(), profile=profile,
-    )
-    _, norms = evolve_fibre(state, 2.0, 1e-3, record_norms=True)
+    _, norms = evolve_fibre(grid, pot, BoundaryCondition.dirichlet(), gaussian_packet(grid),
+                            2.0, 1e-3, record_norms=True)
     fibre_drift = float(np.max(np.abs(norms - norms[0])))
     n_steps = norms.size - 1
 

@@ -288,6 +288,16 @@ class TestGeodesicsCommand:
         assert np.array_equal(x, 0.5 + t) and np.all(y == 0.0) and np.all(px == 1.0)
         assert t[-1] == 10.0 and entry["hit_time_minus"] == -0.5
 
+    def test_large_alpha_reference_stays_finite(self, tmp_path):
+        # trial stages of the reference solve past its turning point R = 1
+        # would form R^2000; any warning fails the run
+        assert main(["geodesics", "--alpha", "1000", "--angles", "8",
+                     "--output-dir", str(tmp_path)]) == 0
+        manifest = read_json(tmp_path / "manifest.json")
+        for entry in manifest["trajectories"][1:]:  # theta = 0 has no forward hit
+            gap = entry["hit_time_plus"] - entry["meta"]["quadrature_hit_time"]
+            assert abs(gap) <= 1e-12 and entry["energy_drift"] <= 1e-12, entry["theta"]
+
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
 
@@ -295,7 +305,7 @@ class TestGeodesicsCommand:
         fan = cli.geodesic_fan(1.0, 4)
         manifest_path, halves, references = cli.write_fan(fan, tmp_path,
                                                            {"alpha": 1.0, "angles": 4})
-        manifest = json.loads(open(manifest_path).read())
+        manifest = read_json(manifest_path)
         assert (halves, references) == (3, 1)
         assert len(manifest["trajectories"]) == 4
         entry = manifest["trajectories"][1]
@@ -581,7 +591,7 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
     for path, header_cols, columns, config in calls:
         reference = tmp_path / "reference.csv"
         _per_row_csv(reference, header_cols, columns, config)
-        assert open(path, "rb").read() == reference.read_bytes(), path
+        assert Path(path).read_bytes() == reference.read_bytes(), path
 
 
 def _reject_constant(name):
@@ -612,6 +622,21 @@ def test_every_json_output_is_strict(tmp_path):
                       "sensitivity/bc_sensitivity.json", "plane/evolution.json",
                       "cylinder/evolution.json",
                       "deficiency/deficiency_family.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0.1",
+     "--eps-grid", "1e-1,3e-2"],
+    ["evolve", "--protocol", "cylinder", "--alpha", "1", "--bc", "robin", "--t-final", "0.05",
+     "--eps", "0.05", "--ny", "7"],
+    ["verify-deficiency", "--alpha", "0.5", "--samples", "8"],
+], ids=["sensitivity", "cylinder-robin", "deficiency"])
+def test_identical_configurations_write_identical_bytes(tmp_path, argv):
+    outputs = []
+    for run in ("a", "b"):
+        assert main(argv + ["--output-dir", str(tmp_path / run)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -728,6 +753,9 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # x0^(-alpha) = 2^1000 is a float, but P_y^2 is not
     (["geodesics", "--alpha", "1000", "--x0", "0.5", "--angles", "4"], None),
     (["geodesics", "--alpha", "1000", "--x0", "0.5", "--theta", "1.5707963267948966"], None),
+    # a turning point x0 |sin theta|^(-1/alpha) past the float range
+    (["geodesics", "--alpha", "1e-6", "--angles", "8"], None),
+    (["geodesics", "--alpha", "1e-6", "--theta", "0.5"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

@@ -16,7 +16,6 @@ from grushinlab.evolution import (
     _hamiltonian_diagonals,
     BoundaryCondition,
     CrankNicolson,
-    FibreEvolutionState,
     FibreGrid,
     PlaneWavefunction,
     bc_sensitivity,
@@ -49,18 +48,11 @@ def check_local_rule(g, pot, resolution):
     assert g.resolution_margin(pot(g.nodes)) <= resolution
 
 
-def make_state(alpha, xi, eps=0.05, L=12.0, bc=None):
-    prof = power_law(alpha)
-    pot = FibrePotential(xi=xi, profile=prof)
+def make_fibre(alpha, xi, eps=0.05, L=12.0):
+    """The grid, potential and standard Gaussian data of one fibre."""
+    pot = FibrePotential(xi=xi, profile=power_law(alpha))
     grid = FibreGrid.resolved(eps, L, pot)
-    return FibreEvolutionState(
-        xi=xi,
-        grid=grid,
-        psi=gaussian_packet(grid),
-        t=0.0,
-        bc=bc or BoundaryCondition.dirichlet(),
-        profile=prof,
-    )
+    return grid, pot, gaussian_packet(grid)
 
 
 class TestGrid:
@@ -84,7 +76,7 @@ class TestGrid:
         pot = FibrePotential(xi=0.0, profile=power_law(2.0))
         g = FibreGrid.uniform(1e-3, 5.0, 200)  # far too coarse near eps
         with pytest.raises(UsageError):
-            CrankNicolson(g, pot(g.nodes), BoundaryCondition.dirichlet(), 1e-3)
+            CrankNicolson(g, [pot(g.nodes)], [BoundaryCondition.dirichlet()], 1e-3)
 
 
 class TestGradedGrid:
@@ -123,7 +115,8 @@ class TestGradedGrid:
         check_local_rule(grid, pot, RESOLUTION_LIMIT)
         bc = BoundaryCondition.dirichlet() if beta is None else BoundaryCondition.robin(beta)
         psi0 = gaussian_packet(grid, center=eps + 0.5, width=0.2)  # reaches the cutoff
-        _, (sumsq,) = CrankNicolson(grid, pot(grid.nodes), bc, 1e-3).evolve(psi0, 200, record=True)
+        stepper = CrankNicolson(grid, [pot(grid.nodes)], [bc], 1e-3)
+        _, (sumsq,) = stepper.evolve([psi0], 200, record=True)
         norms = np.sqrt(sumsq)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
@@ -143,9 +136,9 @@ class TestGradedGrid:
     def test_weighted_norm_conserved_on_graded_robin_grid(self):
         pot = FibrePotential(xi=0.5, profile=power_law(0.5))
         grid = FibreGrid.resolved(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
-        stepper = CrankNicolson(grid, pot(grid.nodes), BoundaryCondition.robin(1.0), 1e-3)
+        stepper = CrankNicolson(grid, [pot(grid.nodes)], [BoundaryCondition.robin(1.0)], 1e-3)
         psi0 = gaussian_packet(grid, center=0.5, width=0.2)  # reaches the cutoff
-        (psi,), (sumsq,) = stepper.evolve(psi0, 1000, record=True)
+        (psi,), (sumsq,) = stepper.evolve([psi0], 1000, record=True)
         norms = np.sqrt(sumsq)
         assert norms.size == 1001 and norms[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
@@ -166,10 +159,10 @@ class TestGradedGrid:
         dirichlet = BoundaryCondition.dirichlet()
         uniform = endpoint_uniform(0.1, 6.0, pot)
         with pytest.raises(UsageError, match="does not resolve"):
-            CrankNicolson(uniform, pot(uniform.nodes), dirichlet, 1e-3)
+            CrankNicolson(uniform, [pot(uniform.nodes)], [dirichlet], 1e-3)
         graded = FibreGrid.resolved(0.1, 6.0, pot)
         assert graded.resolution_margin(pot(graded.nodes)) <= 0.5
-        CrankNicolson(graded, pot(graded.nodes), dirichlet, 1e-3)
+        CrankNicolson(graded, [pot(graded.nodes)], [dirichlet], 1e-3)
         near = np.abs(graded.nodes - 3.0) < 0.05
         assert np.max(graded.gaps[1:][near]) < 0.6 * SPACING_CAP
         assert graded.h_max == pytest.approx(SPACING_CAP, rel=1e-3)
@@ -189,10 +182,10 @@ class TestBoundaryCondition:
 
 class TestUnitarity:
     def test_single_step_norm(self):
-        state = make_state(1.0, 1.0)
-        after, _ = evolve_fibre(state, 1e-3, 1e-3)
-        assert after.t == 1e-3
-        assert abs(after.norm() - state.norm()) <= 1e-10
+        grid, pot, psi0 = make_fibre(1.0, 1.0)
+        psi, _ = evolve_fibre(grid, pot, BoundaryCondition.dirichlet(), psi0, 1e-3, 1e-3)
+        norms = [math.sqrt(float(grid.weights @ np.abs(p) ** 2)) for p in (psi0, psi)]
+        assert abs(norms[1] - norms[0]) <= 1e-10
 
     def test_step_matches_explicit_cayley_map(self):
         # reference: psi+ = A^{-1} B psi with A = 1 + i dt H/2 and
@@ -214,23 +207,24 @@ class TestUnitarity:
             b_psi[:-1] -= z * upper * psi[1:]
             b_psi[1:] -= z * lower * psi[:-1]
             expected = solve_banded((1, 1), a_banded, b_psi)
-            got = CrankNicolson(grid, w, bc, dt).step(psi)
+            got = CrankNicolson(grid, [w], [bc], dt).step(psi)
             assert np.max(np.abs(got - expected)) <= 1e-12
             assert np.max(np.abs(got - psi)) > 1e-3  # the step does move the data
 
     def test_t_final_must_be_whole_steps(self):
-        state = make_state(1.0, 1.0)
+        grid, pot, psi0 = make_fibre(1.0, 1.0)
+        bc = BoundaryCondition.dirichlet()
         with pytest.raises(UsageError):
-            evolve_fibre(state, 0.5, 0.3)
+            evolve_fibre(grid, pot, bc, psi0, 0.5, 0.3)
         with pytest.raises(UsageError):
-            evolve_fibre(state, -0.3, 0.3)
-        after, norms = evolve_fibre(state, 0.6, 0.3, record_norms=True)
-        assert after.t == pytest.approx(0.6) and norms.size == 3
+            evolve_fibre(grid, pot, bc, psi0, -0.3, 0.3)
+        _, norms = evolve_fibre(grid, pot, bc, psi0, 0.6, 0.3, record_norms=True)
+        assert norms.size == 3
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
     def test_thousand_steps(self, bc):
-        state = make_state(0.5, 0.5, bc=bc)
-        _, norms = evolve_fibre(state, 1.0, 1e-3, record_norms=True)
+        grid, pot, psi0 = make_fibre(0.5, 0.5)
+        _, norms = evolve_fibre(grid, pot, bc, psi0, 1.0, 1e-3, record_norms=True)
         assert norms.size == 1001
         assert np.max(np.abs(norms - norms[0])) <= 1e-6
         assert np.max(np.abs(np.diff(norms))) <= 1e-10
@@ -241,7 +235,7 @@ class TestUnitarity:
         pot = FibrePotential(xi=0.0, profile=prof)
         grid = FibreGrid.uniform(0.5, 10.0, 800)
         w = pot(grid.nodes)
-        stepper = CrankNicolson(grid, w, BoundaryCondition.dirichlet(), 1e-4)
+        stepper = CrankNicolson(grid, [w], [BoundaryCondition.dirichlet()], 1e-4)
         psi = gaussian_packet(grid, center=5.0, width=0.5)
 
         def energy(p):
@@ -268,7 +262,7 @@ class TestUnitarity:
         evals, evecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
         v0 = evecs[:, 0] / math.sqrt(h * float(np.sum(evecs[:, 0] ** 2)))
         dt, nsteps = 1e-3, 500
-        stepper = CrankNicolson(grid, w, BoundaryCondition.dirichlet(), dt)
+        stepper = CrankNicolson(grid, [w], [BoundaryCondition.dirichlet()], dt)
         psi = v0.astype(complex)
         for _ in range(nsteps):
             psi = stepper.step(psi)
@@ -300,7 +294,7 @@ class TestStackedStepper:
     @staticmethod
     def _alone(grid, w, data, bc, nsteps):
         """Every block on a stepper of its own."""
-        runs = [CrankNicolson(grid.prefix(v.size), v, b, 1e-3).evolve(p, nsteps, record=True)
+        runs = [CrankNicolson(grid.prefix(v.size), [v], [b], 1e-3).evolve([p], nsteps, record=True)
                 for v, p, b in zip(w, data, bc)]
         return [s for (s,), _ in runs], [t for _, (t,) in runs]
 
@@ -316,7 +310,7 @@ class TestStackedStepper:
             assert np.array_equal(got, want)
         # one step of the stacked vector, block by block
         stacked = stepper.step(np.concatenate(data))
-        singles = np.concatenate([CrankNicolson(grid.prefix(v.size), v, b, 1e-3).step(p)
+        singles = np.concatenate([CrankNicolson(grid.prefix(v.size), [v], [b], 1e-3).step(p)
                                   for v, p, b in zip(w, data, self.BCS)])
         assert np.array_equal(stacked, singles)
 
@@ -340,22 +334,23 @@ class TestStackedStepper:
     def test_evolution_returns_views_of_the_buffers(self):
         grid, w, data = self._blocks()
         stepper = CrankNicolson(grid, w, self.BCS, 1e-3)
-        for nsteps in (2, 3):
-            states, traces = stepper.evolution(data, nsteps)()
+        for nsteps in (2, 3):  # the run ends in either buffer
+            states, traces = stepper.evolve(data, nsteps)
             assert traces.shape == (4, 2)
-            # the final states are views of one of the stepper's two buffers
-            assert all(any(np.shares_memory(s, b) for b in stepper._buffers) for s in states)
-            copies, _ = stepper.evolve(data, nsteps)
-            assert all(np.array_equal(s, c) for s, c in zip(states, copies))
+            # the final states are views of the buffer the last step wrote
+            buffer = stepper._buffers[nsteps % 2]
+            assert all(s.base is buffer for s in states)
+            fresh, _ = CrankNicolson(grid, w, self.BCS, 1e-3).evolve(data, nsteps)
+            assert all(np.array_equal(s, f) for s, f in zip(states, fresh))
 
     def test_block_validation(self):
         grid, w, data = self._blocks()
         with pytest.raises(UsageError, match="3 boundary conditions for 4 blocks"):
             CrankNicolson(grid, w, self.BCS[:3], 1e-3)
         with pytest.raises(UsageError, match="does not fit"):
-            CrankNicolson(grid, [np.zeros(grid.n + 1)], self.BCS[0], 1e-3)
+            CrankNicolson(grid, [np.zeros(grid.n + 1)], self.BCS[:1], 1e-3)
         with pytest.raises(UsageError, match="does not resolve"):
-            CrankNicolson(grid, [w[0], w[1] * 1e6], self.BCS[0], 1e-3)
+            CrankNicolson(grid, [w[0], w[1] * 1e6], [self.BCS[0]] * 2, 1e-3)
 
 
 class TestTransforms:
@@ -470,11 +465,8 @@ class TestPlaneEvolution:
             representation="transformed",
         )
         res = evolve_plane(psi0, prof, 0.2, BoundaryCondition.dirichlet(), dt=1e-3)
-        state = FibreEvolutionState(
-            xi=0.0, grid=grid, psi=g, t=0.0, bc=BoundaryCondition.dirichlet(), profile=prof
-        )
-        fin, _ = evolve_fibre(state, 0.2, 1e-3)
-        assert np.array_equal(res.final.values[:, 0], fin.psi)
+        fin, _ = evolve_fibre(grid, pot, BoundaryCondition.dirichlet(), g, 0.2, 1e-3)
+        assert np.array_equal(res.final.values[:, 0], fin)
         assert res.spectrum_edge_mass == pytest.approx(1.0)  # the one column is the edge
 
     def test_cylinder_mode_norms_sum(self):
@@ -623,8 +615,8 @@ class TestPlaneEvolution:
         res = evolve_plane(psi0, prof, 0.2, bc, dt=2e-3)
         # the full-grid reference: every fibre on the caller's grid
         full = np.column_stack([
-            CrankNicolson(grid, FibrePotential(xi=float(xi), profile=prof)(grid.nodes), bc,
-                          2e-3).evolve(psi0.values[:, m], 100)[0][0]
+            CrankNicolson(grid, [FibrePotential(xi=float(xi), profile=prof)(grid.nodes)], [bc],
+                          2e-3).evolve([psi0.values[:, m]], 100)[0][0]
             for m, xi in enumerate(psi0.axis)
         ])
         beyond = grid.nodes > 6.5
@@ -687,7 +679,7 @@ class TestBcSensitivity:
         pot = FibrePotential(xi=0.5, profile=power_law(alpha))
         grid = endpoint_uniform(eps, choose_outer_wall(pot), pot, SENSITIVITY_RESOLUTION)
         w, psi0 = pot(grid.nodes), gaussian_packet(grid)
-        finals = [CrankNicolson(grid, w, bc, dt).evolve(psi0, 1000)[0][0]
+        finals = [CrankNicolson(grid, [w], [bc], dt).evolve([psi0], 1000)[0][0]
                   for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))]
         d_uniform = math.sqrt(float(grid.weights @ np.abs(finals[0] - finals[1]) ** 2))
         r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
