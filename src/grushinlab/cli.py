@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DomainError,
     GrushinError,
     InconclusiveClassification,
     NumericError,
@@ -633,7 +632,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DomainError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveClassification as exc:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The command line front end maps these onto exit codes, so raising the
-right class matters more than the message wording.
+right class matters more than the message wording.  :class:`UsageError`
+is the one bad-input class: a configuration, flag or argument outside its
+domain raises it, and the command line exits with code 2.
 """
 
 
@@ -9,12 +11,9 @@ class GrushinError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(GrushinError, ValueError):
-    """An argument lies outside the mathematical domain (e.g. x <= 0)."""
-
-
 class UsageError(GrushinError, ValueError):
-    """A precondition on user-supplied configuration is violated."""
+    """A precondition on user-supplied configuration or arguments is
+    violated (e.g. a launch point with x0 <= 0)."""
 
 
 class DataError(GrushinError, ValueError):

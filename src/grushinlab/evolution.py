@@ -475,9 +475,6 @@ class BcSensitivityResult:
     """D(eps) table with the wall diagnostics of each run and the grid
     each eps ran on."""
 
-    alpha: float
-    xi: float
-    t_final: float
     rows: tuple[tuple[float, float], ...]  # (eps, D)
     wall_mass: tuple[float, ...]
     norm_drift: float
@@ -551,9 +548,6 @@ def bc_sensitivity(
     else:
         trend = "non-monotone"
     return BcSensitivityResult(
-        alpha=alpha,
-        xi=xi,
-        t_final=t_final,
         rows=tuple(rows),
         wall_mass=tuple(walls),
         norm_drift=max(drifts),

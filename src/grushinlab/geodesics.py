@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, UsageError
+from .errors import IntegrationError, UsageError
 
 __all__ = [
     "GeodesicInitialData",
@@ -69,6 +69,9 @@ X_STOP = 1e-10
 DEFAULT_TOL = 1e-12
 # recorded samples of each time direction
 SAMPLES_EACH_WAY = 400
+# widest span of a fan's reference orbit, from its floor up (alpha > 0) or
+# from its turning point out (alpha < 0)
+ORBIT_SPAN = 1e40
 
 
 def _direction(theta: float) -> tuple[float, float]:
@@ -97,7 +100,7 @@ class GeodesicInitialData:
 
     def __post_init__(self):
         if not (self.x0 > 0.0 and math.isfinite(self.x0)):
-            raise DomainError("launch point must have x0 > 0")
+            raise UsageError("launch point must have x0 > 0")
         if not all(map(math.isfinite, (self.y0, self.theta, self.alpha))):
             raise UsageError("y0, theta and alpha must be finite")
         try:
@@ -537,10 +540,13 @@ def geodesic_fan(
             dilation = (math.inf,)
         # Solved directly: lines, dilations that are no finite normal
         # doubles, launches below the floor, and references that would span
-        # more than 1e100, down to the floor X_STOP / x_t for alpha > 0 or
-        # out to (x0 + t_end) / x_t for alpha < 0: DOP853 squares its error
-        # estimates, which overflow or underflow past spans of 1e140-1e200.
-        if (x0 > X_STOP and X_STOP / dilation[0] >= 1e-100 and (x0 + key[1]) / dilation[0] <= 1e100
+        # more than ORBIT_SPAN, down to the floor X_STOP / x_t for alpha > 0
+        # or out to (x0 + t_end) / x_t for alpha < 0.  For small alpha > 0
+        # a reference takes about 20 DOP853 steps per decade, so past 40
+        # decades it costs more than the direct solves it replaces; and past
+        # spans of 1e140-1e200 DOP853's squared error estimates overflow.
+        span = dilation[0] / X_STOP if alpha > 0.0 else (x0 + key[1]) / dilation[0]
+        if (x0 > X_STOP and span <= ORBIT_SPAN
                 and all(math.isfinite(v) and v >= sys.float_info.min for v in dilation)):
             orbit.append((key, frame, theta, px, py, key[1], *dilation, u0))
         else:

@@ -79,7 +79,8 @@ class GrushinProfile:
     alpha: float | None = None
     name: str = "custom"
     # Smallest x at which f, f', f'' are float-representable; sampling
-    # grids are clipped here (and the clip is reported).
+    # grids are clipped here (classify reports the clipped grid's start as
+    # inequality_check.x_min in verdict.json).
     x_float_min: float = 0.0
 
     def __post_init__(self):
@@ -224,7 +225,6 @@ class AssumptionCheck:
     condition: str
     passed: bool
     first_violation: float | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,6 @@ def check_assumptions(profile: GrushinProfile,
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise UsageError("assumption grid must lie strictly inside (0, inf)")
     grid = np.sort(grid)
-    clipped = ""
     if profile.x_float_min > 0.0 and grid[0] < profile.x_float_min:
         grid = grid[grid >= profile.x_float_min]
         if grid.size < 100:
@@ -284,7 +283,6 @@ def check_assumptions(profile: GrushinProfile,
                 f"grid has fewer than 100 points above the profile's float "
                 f"floor x >= {profile.x_float_min:g}"
             )
-        clipped = f"; grid clipped to x >= {profile.x_float_min:g} (float range)"
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fx = np.asarray(profile.f(grid), dtype=float)
@@ -296,29 +294,18 @@ def check_assumptions(profile: GrushinProfile,
 
     bad_i = ~(np.isfinite(fx) & (fx > 0.0))
     checks.append(
-        AssumptionCheck("(i) positivity", not bad_i.any(), _first_violation(grid, bad_i),
-                        "f(x) > 0 for all sampled x" + clipped)
+        AssumptionCheck("(i) positivity", not bad_i.any(), _first_violation(grid, bad_i))
     )
 
-    window = grid <= NEAR_ZERO_END
-    if window.any():
-        bad_ii = window & ~(fx >= profile.kappa)
-        detail = (f"f >= kappa={profile.kappa:g} on (0, {NEAR_ZERO_END:g}], "
-                  f"{int(window.sum())} samples")
-        checks.append(
-            AssumptionCheck("(ii) lower bound near 0", not bad_ii.any(),
-                            _first_violation(grid, bad_ii), detail)
-        )
-    else:
-        checks.append(
-            AssumptionCheck("(ii) lower bound near 0", True, None,
-                            "no grid samples inside the declared neighbourhood")
-        )
+    # passes when no grid sample lies inside the declared neighbourhood
+    bad_ii = (grid <= NEAR_ZERO_END) & ~(fx >= profile.kappa)
+    checks.append(
+        AssumptionCheck("(ii) lower bound near 0", not bad_ii.any(), _first_violation(grid, bad_ii))
+    )
 
     bad_iii = ~(np.isfinite(fx) & np.isfinite(f1x) & np.isfinite(f2x))
     checks.append(
-        AssumptionCheck("(iii) smoothness", not bad_iii.any(), _first_violation(grid, bad_iii),
-                        "f, f', f'' finite at all samples (grid proxy)")
+        AssumptionCheck("(iii) smoothness", not bad_iii.any(), _first_violation(grid, bad_iii))
     )
 
     # (iv) tested in the scale-invariant form (2 f f'' - f'^2)/(4 f^2) >= 0,
@@ -327,8 +314,7 @@ def check_assumptions(profile: GrushinProfile,
     bad_iv = ~(base >= -slack)
     checks.append(
         AssumptionCheck("(iv) concavity combination", not bad_iv.any(),
-                        _first_violation(grid, bad_iv),
-                        "2 f f'' - f'^2 >= 0 (within roundoff slack)")
+                        _first_violation(grid, bad_iv))
     )
 
     return AssumptionReport(profile_name=profile.name, grid=grid, checks=tuple(checks))

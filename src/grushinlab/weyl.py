@@ -33,7 +33,10 @@ for alpha = -1 the fibres with |xi| >= 1 are limit point; for alpha < -1
 only xi = 0 can fail, and it does exactly when alpha > -3.  Aggregating
 over the fibres yields the half-plane verdict (failure on a set of xi of
 positive measure) and the half-cylinder verdict (failure of any integer
-mode), which differ precisely on alpha in (-3, -1).
+mode), which differ precisely on alpha in (-3, -1).  The two geometries
+share the fibre operators A(xi); only the index set (xi real, or k
+integer) and the aggregation rule differ, so a fibre report carries no
+geometry and ``aggregate_verdict`` takes it.
 
 Three classification routes are implemented and cross-checked:
 
@@ -139,7 +142,6 @@ class WeylReport:
     xi: float
     endpoint_zero: Endpoint
     method: Method
-    mode: Mode = Mode.PLANE
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -185,31 +187,20 @@ def critical_coefficient(alpha: float, xi: float) -> float:
     return math.inf if xi != 0.0 else base
 
 
-def _report_from_c0(xi, c0, method, mode, diagnostics):
-    lp = c0 >= CRITICAL_COEFFICIENT
-    return WeylReport(
-        xi=float(xi),
-        endpoint_zero=Endpoint.LIMIT_POINT if lp else Endpoint.LIMIT_CIRCLE,
-        method=method,
-        mode=mode,
-        diagnostics=diagnostics,
-    )
-
-
-def classify_power_law(alpha: float, xi: float, mode: Mode = Mode.PLANE) -> WeylReport:
+def classify_power_law(alpha: float, xi: float) -> WeylReport:
     """Closed-form fibre classification for f(x) = x^(-alpha).
 
-    Any real alpha and xi are accepted; in cylinder mode xi must be an
-    integer mode number.  The borderline c0 = 3/4 (alpha = 1, or
-    alpha = -1 with |xi| = 1) is limit point: the second local solution
-    x^(-1/2) just fails square integrability.
+    Any real alpha and xi are accepted.  The borderline c0 = 3/4
+    (alpha = 1, or alpha = -1 with |xi| = 1) is limit point: the second
+    local solution x^(-1/2) just fails square integrability.
     """
-    mode = Mode(mode)
-    if mode is Mode.CYLINDER and float(xi) != int(xi):
-        raise UsageError("cylinder mode indexes fibres by integer k")
     c0 = critical_coefficient(float(alpha), float(xi))
-    diag = {"c0": c0, "alpha": float(alpha)}
-    return _report_from_c0(xi, c0, Method.ANALYTIC_POWER_LAW, mode, diag)
+    return WeylReport(
+        xi=float(xi),
+        endpoint_zero=Endpoint.LIMIT_POINT if c0 >= CRITICAL_COEFFICIENT else Endpoint.LIMIT_CIRCLE,
+        method=Method.ANALYTIC_POWER_LAW,
+        diagnostics={"c0": c0, "alpha": float(alpha)},
+    )
 
 
 def classify_by_inequality(profile: GrushinProfile, grid: Sequence[float] | np.ndarray):
@@ -378,7 +369,7 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
     return [(fibre, bool(stopped)) for fibre, stopped in zip(slopes, early)]
 
 
-def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE,
+def classify_numeric(pot: FibrePotential, *,
                      slopes: tuple[list[float], bool] | None = None) -> WeylReport:
     """Classify a fibre at x = 0 by sampling plus ODE integration.
 
@@ -393,10 +384,6 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE,
     when a sweep has integrated it together with others; without it the
     fibre is integrated alone.
     """
-    mode = Mode(mode)
-    if mode is Mode.CYLINDER and float(pot.xi) != int(pot.xi):
-        raise UsageError("cylinder mode indexes fibres by integer k")
-
     c0, c0_err = _fit_c0(pot)
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
@@ -424,9 +411,13 @@ def classify_numeric(pot: FibrePotential, *, mode: Mode = Mode.PLANE,
         xi=float(pot.xi),
         endpoint_zero=Endpoint.LIMIT_POINT if lp_ode else Endpoint.LIMIT_CIRCLE,
         method=Method.NUMERIC_ODE,
-        mode=mode,
         diagnostics=diag,
     )
+
+
+def _check_modes(xi_values, mode) -> None:
+    if Mode(mode) is Mode.CYLINDER and not all(float(v).is_integer() for v in xi_values):
+        raise UsageError("cylinder mode indexes fibres by integer k")
 
 
 def classify_sweep(
@@ -435,20 +426,22 @@ def classify_sweep(
     mode: Mode = Mode.PLANE,
     method: str = "auto",
 ) -> list[WeylReport]:
-    """Classify every fibre in ``xi_values``, analytic when possible.  The
-    numeric route integrates all fibres in one vector ODE and then
-    decides each fibre with :func:`classify_numeric`."""
+    """Classify every fibre in ``xi_values``, analytic when possible; in
+    cylinder ``mode`` they must be integer mode numbers k.  The numeric
+    route integrates all fibres in one vector ODE and then decides each
+    fibre with :func:`classify_numeric`."""
     if method not in ("auto", "analytic", "numeric"):
         raise UsageError(f"method must be auto, analytic or numeric, got {method!r}")
     xi_values = [float(v) for v in xi_values]
+    _check_modes(xi_values, mode)
     use_analytic = method == "analytic" or (method == "auto" and profile.is_power_law)
     if method == "analytic" and not profile.is_power_law:
         raise UsageError("analytic classification requires a power-law profile")
     if use_analytic:
-        return [classify_power_law(profile.alpha, xi, mode) for xi in xi_values]
+        return [classify_power_law(profile.alpha, xi) for xi in xi_values]
     pots = [FibrePotential(xi=xi, profile=profile) for xi in xi_values]
     batch = _amplitude_slopes(profile, xi_values)
-    return [classify_numeric(pot, mode=mode, slopes=fibre) for pot, fibre in zip(pots, batch)]
+    return [classify_numeric(pot, slopes=fibre) for pot, fibre in zip(pots, batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,10 @@ def aggregate_verdict(
     mode: Mode,
     grid_info: dict | None = None,
 ) -> SelfAdjointnessVerdict:
-    """Fold per-fibre reports into the verdict for the full operator.
+    """Fold per-fibre reports into the verdict for the full operator of
+    geometry ``mode``.  The reports carry no geometry: the same fibres
+    aggregate to either verdict, and only the cylinder requires integer
+    xi, its mode numbers k.
 
     Cylinder: the operator is an orthogonal sum over integer modes, so a
     single failing mode destroys essential self-adjointness; the total
@@ -503,8 +499,7 @@ def aggregate_verdict(
     mode = Mode(mode)
     if not reports:
         raise UsageError("aggregate_verdict needs at least one report")
-    if any(r.mode is not mode for r in reports):
-        raise UsageError("mixed plane/cylinder reports in one aggregation")
+    _check_modes([r.xi for r in reports], mode)
     order = np.argsort([r.xi for r in reports])
     reports = [reports[i] for i in order]
     xi = np.array([r.xi for r in reports])
@@ -567,8 +562,6 @@ FAMILY_GROUP = 4
 class DeficiencyFamilyReport:
     """Residuals and orthogonality data for the eigenfunction family."""
 
-    alpha: float
-    interval: tuple[float, float]
     xi_values: np.ndarray = field(repr=False)
     max_residual: float = math.nan
     max_norm_error: float = math.nan
@@ -747,8 +740,6 @@ def verify_deficiency_family(
         max_cross = float(np.trapezoid(ind1 * ind2, joint))
 
     return DeficiencyFamilyReport(
-        alpha=alpha,
-        interval=(a, b),
         xi_values=xi_values,
         max_residual=max_res,
         max_norm_error=max_norm_err,

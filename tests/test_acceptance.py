@@ -44,13 +44,12 @@ PI = math.pi
 
 def plane_verdict(alpha):
     grid = np.arange(-5.0, 5.01, 0.25)
-    reports = classify_sweep(power_law(alpha), grid, Mode.PLANE)
+    reports = classify_sweep(power_law(alpha), grid)
     return aggregate_verdict(reports, Mode.PLANE)
 
 
 def cylinder_verdict(alpha, k_max=5):
-    reports = [classify_power_law(alpha, float(k), Mode.CYLINDER)
-               for k in range(-k_max, k_max + 1)]
+    reports = [classify_power_law(alpha, float(k)) for k in range(-k_max, k_max + 1)]
     return aggregate_verdict(reports, Mode.CYLINDER), reports
 
 
@@ -106,7 +105,7 @@ def test_criterion_2_cylinder_table():
 def test_criterion_3_xi_resolved_alpha_minus_one():
     wrong = []
     for xi in np.arange(0.0, 2.01, 0.25):
-        report = classify_power_law(-1.0, float(xi), Mode.PLANE)
+        report = classify_power_law(-1.0, float(xi))
         expected_esa = abs(xi) >= 1.0
         if (report.deficiency == 0) != expected_esa:
             wrong.append(float(xi))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 from grushinlab import geodesics
-from grushinlab.errors import DomainError, IntegrationError, UsageError
+from grushinlab.errors import IntegrationError, UsageError
 from grushinlab.geodesics import (
     GeodesicInitialData,
     geodesic_fan,
@@ -131,7 +131,7 @@ class TestIntegration:
             integrate_geodesic(launch(1.0, 1.0), tol=1e-2)
 
     def test_bad_launch_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             GeodesicInitialData(x0=0.0, y0=0.0, theta=1.0, alpha=1.0)
 
     @pytest.mark.parametrize("field", ["y0", "theta", "alpha"])
@@ -286,6 +286,18 @@ class TestSharedSolves:
         for name in ("t", "x", "y"):
             gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
             assert gap <= 1e-8, (name, gap)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.003, 0.01])
+    def test_reference_spans_at_most_forty_decades(self, alpha):
+        # for small alpha the reference takes about 20 steps per decade up
+        # from its floor R0 = X_STOP / max x_t; a launch whose x_t would put
+        # R0 below 1e-40 costs less solved directly
+        fan = geodesic_fan(alpha, 16, x0=1.3)
+        references = {id(half.reference): half.reference for traj in fan
+                      for half, _ in (traj.forward, traj.backward) if half.reference}
+        assert references
+        for reference in references.values():
+            assert reference["R0"] >= 1e-40, reference["R0"]
 
     def test_benchmark_fan_follows_the_exact_flow_in_y(self):
         # alpha = 1/2, 64 angles: the dilation multiplies the reference's y

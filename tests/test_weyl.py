@@ -29,11 +29,11 @@ LP, LC = Endpoint.LIMIT_POINT, Endpoint.LIMIT_CIRCLE
 
 class TestAnalyticClassification:
     def test_confining_grushin_plane(self):
-        r = classify_power_law(1.0, 7.0, Mode.PLANE)
+        r = classify_power_law(1.0, 7.0)
         assert r.endpoint_zero is LP and r.deficiency == 0
 
     def test_subcritical_fails(self):
-        r = classify_power_law(0.5, 0.0, Mode.PLANE)
+        r = classify_power_law(0.5, 0.0)
         assert r.endpoint_zero is LC and r.deficiency == 1
 
     def test_alpha_minus_one_small_mode(self):
@@ -45,11 +45,12 @@ class TestAnalyticClassification:
 
     def test_alpha_minus_three_cylinder_all_modes(self):
         for k in range(-5, 6):
-            assert classify_power_law(-3.0, k, Mode.CYLINDER).deficiency == 0
+            assert classify_power_law(-3.0, k).deficiency == 0
 
     def test_cylinder_requires_integer_modes(self):
-        with pytest.raises(UsageError):
-            classify_power_law(1.0, 0.5, Mode.CYLINDER)
+        # the sweep checks the modes; a fibre report carries no geometry
+        with pytest.raises(UsageError, match="integer k"):
+            classify_sweep(power_law(1.0), [0.0, 0.5], Mode.CYLINDER, method="analytic")
 
     def test_right_endpoint_always_limit_point(self):
         assert classify_power_law(0.3, 2.0).endpoint_infinity is LP
@@ -173,9 +174,8 @@ class TestNumericClassification:
         assert r.endpoint_zero is LP
 
     def test_numeric_cylinder_requires_integer_modes(self):
-        with pytest.raises(UsageError):
-            classify_numeric(FibrePotential(xi=0.5, profile=power_law(1.0)),
-                             mode=Mode.CYLINDER)
+        with pytest.raises(UsageError, match="integer k"):
+            classify_sweep(power_law(1.0), [0.0, 0.5], Mode.CYLINDER, method="numeric")
 
     @pytest.mark.parametrize("alpha,xi", [(-1.0, 1.0), (0.9, 2.0), (1.5, 0.5)])
     def test_agreement_with_analytic(self, alpha, xi):
@@ -260,7 +260,7 @@ class TestBatchedClassification:
 
 class TestAggregation:
     def plane_reports(self, alpha, grid):
-        return classify_sweep(power_law(alpha), grid, Mode.PLANE)
+        return classify_sweep(power_law(alpha), grid)
 
     def test_confining_plane(self):
         grid = np.arange(-5.0, 5.01, 0.25)
@@ -291,14 +291,14 @@ class TestAggregation:
 
     def test_cylinder_single_failing_mode(self):
         ks = range(-5, 6)
-        reports = [classify_power_law(-2.0, k, Mode.CYLINDER) for k in ks]
+        reports = [classify_power_law(-2.0, k) for k in ks]
         v = aggregate_verdict(reports, Mode.CYLINDER)
         assert v.verdict is SAVerdict.NOT_ESSENTIALLY_SELF_ADJOINT
         assert v.failing_values == (0.0,)
         assert v.total_deficiency is TotalDeficiency.FINITE
 
     def test_cylinder_all_modes_fail(self):
-        reports = [classify_power_law(0.5, k, Mode.CYLINDER) for k in range(-5, 6)]
+        reports = [classify_power_law(0.5, k) for k in range(-5, 6)]
         v = aggregate_verdict(reports, Mode.CYLINDER)
         assert v.total_deficiency is TotalDeficiency.INFINITE
 
@@ -306,7 +306,7 @@ class TestAggregation:
         # for alpha in (-3, -1): cylinder fails via k=0, plane is ESA
         for alpha in (-2.5, -2.0, -1.5):
             cyl = aggregate_verdict(
-                [classify_power_law(alpha, k, Mode.CYLINDER) for k in range(-5, 6)],
+                [classify_power_law(alpha, k) for k in range(-5, 6)],
                 Mode.CYLINDER,
             )
             pla = aggregate_verdict(
@@ -315,11 +315,21 @@ class TestAggregation:
             assert cyl.verdict is SAVerdict.NOT_ESSENTIALLY_SELF_ADJOINT
             assert pla.verdict is SAVerdict.ESSENTIALLY_SELF_ADJOINT
 
-    def test_mixed_modes_rejected(self):
-        r1 = classify_power_law(1.0, 0.0, Mode.PLANE)
-        r2 = classify_power_law(1.0, 0.0, Mode.CYLINDER)
-        with pytest.raises(UsageError):
-            aggregate_verdict([r1, r2], Mode.PLANE)
+    def test_one_list_of_integer_fibres_aggregates_to_both_verdicts(self):
+        # alpha -2 fails at xi = 0 alone: a measure-zero set of the plane's
+        # fibres, and one failing mode of the cylinder's
+        reports = [classify_power_law(-2.0, k) for k in range(-5, 6)]
+        plane = aggregate_verdict(reports, Mode.PLANE)
+        cylinder = aggregate_verdict(reports, Mode.CYLINDER)
+        assert plane.verdict is SAVerdict.ESSENTIALLY_SELF_ADJOINT
+        assert cylinder.verdict is SAVerdict.NOT_ESSENTIALLY_SELF_ADJOINT
+        assert plane.failing_values == cylinder.failing_values == (0.0,)
+
+    def test_cylinder_rejects_non_integer_xi(self):
+        reports = classify_sweep(power_law(1.0), [0.0, 0.5])
+        assert aggregate_verdict(reports, Mode.PLANE).essentially_self_adjoint
+        with pytest.raises(UsageError, match="integer k"):
+            aggregate_verdict(reports, Mode.CYLINDER)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -333,7 +343,7 @@ class TestAggregation:
         # alpha -2 at xi = 0 alone, so the permutation moves failing and
         # passing fibres past each other
         step = 1.0 if mode is Mode.CYLINDER else 0.5
-        reports = [classify_power_law(alpha, step * k, mode) for k in range(-4, 5)]
+        reports = [classify_power_law(alpha, step * k) for k in range(-4, 5)]
         shuffled = data.draw(st.permutations(reports))
         v, w = aggregate_verdict(reports, mode), aggregate_verdict(shuffled, mode)
         assert v == w and v.grid == w.grid
