@@ -229,7 +229,7 @@ def _cmd_classify(args) -> int:
         grid_info = {"kind": "uniform", "xi_min": lo, "xi_max": hi, "xi_step": step}
 
     method = args.method or "auto"
-    reports = classify_sweep(profile, xi_values, mode=mode, method=method)
+    reports = classify_sweep(profile, xi_values, method=method)
     verdict = aggregate_verdict(reports, mode, grid_info=grid_info)
 
     inequality = {"verdict": "skipped"}

@@ -541,10 +541,11 @@ def geodesic_fan(
         # Solved directly: lines, dilations that are no finite normal
         # doubles, launches below the floor, and references that would span
         # more than ORBIT_SPAN, down to the floor X_STOP / x_t for alpha > 0
-        # or out to (x0 + t_end) / x_t for alpha < 0.  For small alpha > 0
-        # a reference takes about 20 DOP853 steps per decade, so past 40
-        # decades it costs more than the direct solves it replaces; and past
-        # spans of 1e140-1e200 DOP853's squared error estimates overflow.
+        # or out to (x0 + t_end) / x_t for alpha < 0.  Every decade costs
+        # the reference DOP853 steps (about 20 for small alpha > 0), so in a
+        # 16-angle fan at small |alpha| the decades past 40 cost more than
+        # direct solves of the launches beyond; and past spans of
+        # 1e140-1e200 DOP853's squared error estimates overflow.
         span = dilation[0] / X_STOP if alpha > 0.0 else (x0 + key[1]) / dilation[0]
         if (x0 > X_STOP and span <= ORBIT_SPAN
                 and all(math.isfinite(v) and v >= sys.float_info.min for v in dilation)):

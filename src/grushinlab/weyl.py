@@ -415,25 +415,17 @@ def classify_numeric(pot: FibrePotential, *,
     )
 
 
-def _check_modes(xi_values, mode) -> None:
-    if Mode(mode) is Mode.CYLINDER and not all(float(v).is_integer() for v in xi_values):
-        raise UsageError("cylinder mode indexes fibres by integer k")
-
-
 def classify_sweep(
     profile: GrushinProfile,
     xi_values: Iterable[float],
-    mode: Mode = Mode.PLANE,
     method: str = "auto",
 ) -> list[WeylReport]:
-    """Classify every fibre in ``xi_values``, analytic when possible; in
-    cylinder ``mode`` they must be integer mode numbers k.  The numeric
-    route integrates all fibres in one vector ODE and then decides each
-    fibre with :func:`classify_numeric`."""
+    """Classify every fibre in ``xi_values``, analytic when possible.  The
+    numeric route integrates all fibres in one vector ODE and then decides
+    each fibre with :func:`classify_numeric`."""
     if method not in ("auto", "analytic", "numeric"):
         raise UsageError(f"method must be auto, analytic or numeric, got {method!r}")
     xi_values = [float(v) for v in xi_values]
-    _check_modes(xi_values, mode)
     use_analytic = method == "analytic" or (method == "auto" and profile.is_power_law)
     if method == "analytic" and not profile.is_power_law:
         raise UsageError("analytic classification requires a power-law profile")
@@ -499,7 +491,8 @@ def aggregate_verdict(
     mode = Mode(mode)
     if not reports:
         raise UsageError("aggregate_verdict needs at least one report")
-    _check_modes([r.xi for r in reports], mode)
+    if mode is Mode.CYLINDER and not all(float(r.xi).is_integer() for r in reports):
+        raise UsageError("cylinder mode indexes fibres by integer k")
     order = np.argsort([r.xi for r in reports])
     reports = [reports[i] for i in order]
     xi = np.array([r.xi for r in reports])

@@ -287,17 +287,20 @@ class TestSharedSolves:
             gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
             assert gap <= 1e-8, (name, gap)
 
-    @pytest.mark.parametrize("alpha", [0.001, 0.003, 0.01])
-    def test_reference_spans_at_most_forty_decades(self, alpha):
-        # for small alpha the reference takes about 20 steps per decade up
-        # from its floor R0 = X_STOP / max x_t; a launch whose x_t would put
-        # R0 below 1e-40 costs less solved directly
-        fan = geodesic_fan(alpha, 16, x0=1.3)
-        references = {id(half.reference): half.reference for traj in fan
-                      for half, _ in (traj.forward, traj.backward) if half.reference}
-        assert references
-        for reference in references.values():
-            assert reference["R0"] >= 1e-40, reference["R0"]
+    @pytest.mark.parametrize("alpha,n", [(0.001, 16), (0.003, 16), (0.01, 16),
+                                         (-0.002, 16), (-0.02, 64)])
+    def test_reference_spans_at_most_forty_decades(self, alpha, n):
+        # the reference spans from its floor R0 = X_STOP / max x_t up for
+        # alpha > 0, and from its turning point out to max (x0 + t_end) / x_t
+        # for alpha < 0; a launch that would stretch it past 40 decades is
+        # solved directly
+        halves = [half for traj in geodesic_fan(alpha, n, x0=1.3)
+                  for half, _ in (traj.forward, traj.backward) if half.reference]
+        assert halves
+        for half in halves:
+            span = (half.reference["R0"] * 1e40 if alpha > 0.0
+                    else 1e40 * half.source["x_t"] / (1.3 + half.t_end))
+            assert span >= 1.0, (half.theta, span)
 
     def test_benchmark_fan_follows_the_exact_flow_in_y(self):
         # alpha = 1/2, 64 angles: the dilation multiplies the reference's y

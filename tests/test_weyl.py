@@ -48,9 +48,11 @@ class TestAnalyticClassification:
             assert classify_power_law(-3.0, k).deficiency == 0
 
     def test_cylinder_requires_integer_modes(self):
-        # the sweep checks the modes; a fibre report carries no geometry
+        # a fibre report carries no geometry; the cylinder's aggregation
+        # checks the modes
+        reports = classify_sweep(power_law(1.0), [0.0, 0.5], method="analytic")
         with pytest.raises(UsageError, match="integer k"):
-            classify_sweep(power_law(1.0), [0.0, 0.5], Mode.CYLINDER, method="analytic")
+            aggregate_verdict(reports, Mode.CYLINDER)
 
     def test_right_endpoint_always_limit_point(self):
         assert classify_power_law(0.3, 2.0).endpoint_infinity is LP
@@ -174,8 +176,9 @@ class TestNumericClassification:
         assert r.endpoint_zero is LP
 
     def test_numeric_cylinder_requires_integer_modes(self):
+        reports = classify_sweep(power_law(1.0), [0.0, 0.5], method="numeric")
         with pytest.raises(UsageError, match="integer k"):
-            classify_sweep(power_law(1.0), [0.0, 0.5], Mode.CYLINDER, method="numeric")
+            aggregate_verdict(reports, Mode.CYLINDER)
 
     @pytest.mark.parametrize("alpha,xi", [(-1.0, 1.0), (0.9, 2.0), (1.5, 0.5)])
     def test_agreement_with_analytic(self, alpha, xi):
