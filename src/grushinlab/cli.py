@@ -548,6 +548,7 @@ def _cmd_verify_deficiency(args) -> int:
         "max_cross_inner_product": report.max_cross_inner,
         "family_norm_sq": report.family_norm_sq,
         "contradiction": report.contradiction,
+        "nfev": report.nfev,
         "grid": report.grid,
         "xi_values": [float(v) for v in report.xi_values],
     }

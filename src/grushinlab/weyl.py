@@ -545,10 +545,9 @@ OBS_GRID_STEP = 1.0 / 256.0
 _DECAY_BUDGET = 35.0
 # inner end of the deficiency solves; a power tail covers (0, FAMILY_X_MIN)
 FAMILY_X_MIN = 1e-6
-# Fibres per deficiency solve.  A solve keeps its fibres' values at about
-# 44k points, 0.7 MB a fibre; groups of 8 run a third faster but raise the
-# peak memory by about 3 MB.
-FAMILY_GROUP = 4
+# |u|^2 enters the norm sums and overflows for |u| above 1.3e154: a
+# fibre whose state passes this stops the solve, a factor 1e4 short of it
+_MAX_STATE = 1e150
 
 
 @dataclass(frozen=True)
@@ -561,6 +560,7 @@ class DeficiencyFamilyReport:
     max_cross_inner: float | None = None
     family_norm_sq: float = math.nan
     contradiction: bool = False
+    nfev: int = 0
     grid: dict = field(default_factory=dict, compare=False)
 
 
@@ -575,94 +575,100 @@ def _right_start(pot: FibrePotential) -> float:
     return x
 
 
-def _l2_solutions(profile: GrushinProfile, xi, x_right: float, grids):
-    """Values at each of ``grids`` of the square-integrable solution of
-    every fibre ``xi``: one inward solve of all of them from ``x_right``
-    to FAMILY_X_MIN, each fibre seeded on its decaying WKB branch.  Each
-    step's dense output is evaluated at the points the step covers and
-    then dropped, so memory holds the values and no interpolants.
-    Returns one complex (fibres, points) array per grid."""
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with ``w @ y == scipy.integrate.simpson(y, x=x)``: the
+    irregular-spacing Simpson panels and, for an even number of points,
+    the last interval's end correction."""
+    w = np.zeros(x.size)
+    h = np.diff(x)
+    m = x.size if x.size % 2 else x.size - 1
+    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    hsum = h0 + h1
+    w[0:m - 2:2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1:m - 1:2] += hsum / 6.0 * hsum * hsum / (h0 * h1)
+    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if m < x.size:
+        h0, h1 = h[-2], h[-1]
+        w[-1] += (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
+        w[-2] += (h1 * h1 + 3.0 * h0 * h1) / (6.0 * h0)
+        w[-3] -= h1 ** 3 / (6.0 * h0 * (h0 + h1))
+    return w
+
+
+# row r of _RULES adds a point of rule r to the coarse and refined sums
+_RULES = np.eye(3)[:, :2]
+
+
+def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
+    """One inward DOP853 solve of the square-integrable solution of every
+    fibre ``xi`` down to FAMILY_X_MIN.  A fibre joins the running solve
+    at its own abscissa ``starts``, seeded on its decaying WKB branch; the
+    fibres are decoupled and linear, so a join leaves the running ones'
+    solutions unchanged, and the solver restarts there with the
+    tolerances of the new fibre count.  The coarse and the refined norm
+    rule (Simpson on a log grid below OBS_GRID_LO and on a uniform grid
+    above it, up to the largest start) are summed as the solve passes
+    their points, a fibre contributing nothing above its start; only the
+    points ``kept`` keep values.  Returns each fibre's coarse and refined
+    norm^2 on (FAMILY_X_MIN, start), its complex values at ``kept``, and
+    the solve's right-hand-side calls."""
     from scipy.integrate import DOP853
 
-    xi2 = _squares(xi)
-    k = np.sqrt(profile.base_potential(x_right) + xi2 * profile.inv_f_squared(x_right) - 1j)
-    k = np.where(k.real < 0, -k, k)
-    y0 = np.concatenate((np.ones_like(xi2), np.zeros_like(xi2), -k.real, -k.imag))
-    rtol, atol = _batch_tolerances(1e-12, 1e-280, xi2.size)
-    solver = DOP853(lambda x, y: _deficiency_rhs(x, y, profile, xi2), x_right, y0,
-                    FAMILY_X_MIN, rtol=rtol, atol=atol,
-                    first_step=min(0.1, 1.0 / max(float(np.abs(k).max()), 1.0)))
-    points = np.concatenate(grids)
-    inward = np.argsort(-points, kind="stable")
-    descending = points[inward]
-    values = np.empty((xi2.size, points.size), dtype=complex)
-    done = 0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise NumericError(f"deficiency solve failed: {message}")
-        reached = int(np.searchsorted(-descending, -solver.t, side="right"))
-        if reached > done:
-            covered = inward[done:reached]
-            y = solver.dense_output()(points[covered])
-            values[:, covered] = y[: xi2.size] + 1j * y[xi2.size: 2 * xi2.size]
-            done = reached
-    return np.split(values, np.cumsum([len(g) for g in grids])[:-1], axis=1)
+    xi = np.asarray(xi, dtype=float)
+    starts = np.asarray(starts, dtype=float)
+    # join order: the state's columns are the fibres by descending start
+    order = np.argsort(-starts, kind="stable")
+    xi2 = _squares(xi[order])
+    starts = starts[order]
+    grids = [grid for refine in (1, 2) for grid in (
+        np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 2001 * refine),
+        np.linspace(OBS_GRID_LO, starts[0], 12001 * refine))]
+    # -x ascends in the order the solve passes the points
+    neg_x = -np.concatenate((*grids, kept))
+    inward = np.argsort(neg_x, kind="stable")
+    neg_x = neg_x[inward]
+    weights = np.concatenate([*map(_simpson_weights, grids), np.zeros(len(kept))])[inward]
+    # the sum a point feeds: 0 the coarse norm, 1 the refined one, 2 none
+    rule = np.repeat(np.array([0, 0, 1, 1, 2], dtype=np.int8),
+                     [*map(len, grids), len(kept)])[inward]
+    slots = inward - (inward.size - len(kept))  # index into ``kept``
 
-
-def _quadrature_grids(x_right: float, refine: int):
-    """The norm rule's log grid on (FAMILY_X_MIN, OBS_GRID_LO) and uniform
-    grid on (OBS_GRID_LO, x_right)."""
-    return (np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 2001 * refine),
-            np.linspace(OBS_GRID_LO, x_right, 12001 * refine))
-
-
-def _norm_sq(grids, u_log, u_uni, s_fit: float) -> float:
-    """L^2 norm^2 on (0, x_right): log-grid rule near zero, uniform rule
-    outside, plus the analytic power tail below FAMILY_X_MIN."""
-    from scipy.integrate import simpson
-
-    x_log, x_uni = grids
-    m_log = simpson(np.abs(u_log) ** 2, x=x_log)
-    m_uni = simpson(np.abs(u_uni) ** 2, x=x_uni)
-    tail = 0.0
-    if 2.0 * s_fit + 1.0 > 1e-6:
-        tail = float(abs(u_log[0]) ** 2 * FAMILY_X_MIN / (2.0 * s_fit + 1.0))
-    return float(m_log + m_uni + tail)
-
-
-def _check_family_group(group: list[FibrePotential]):
-    """Solve the fibres ``group`` of one profile together and check each
-    solution: returns the largest eigenvalue residual on the observation
-    grid, the largest unit-norm error under a refined re-quadrature, and
-    whether any fibre's fitted local exponent at zero fails
-    integrability."""
-    h = OBS_GRID_STEP
-    xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
-    xc = xs[2:-2]
-    # one abscissa for the group: more decay budget only helps
-    x_right = max(_right_start(pot) for pot in group)
-    coarse, fine = _quadrature_grids(x_right, 1), _quadrature_grids(x_right, 2)
-    solutions = _l2_solutions(group[0].profile, [pot.xi for pot in group], x_right,
-                              [*coarse, *fine, [10.0 * FAMILY_X_MIN], xs])
-    max_res = max_norm_err = 0.0
-    contradiction = False
-    for pot, (u_log, u_uni, u_log2, u_uni2, u_ten, u_obs) in zip(group, zip(*solutions)):
-        # fitted local exponent over the last decade above FAMILY_X_MIN
-        s_fit = math.log(abs(u_ten[0]) / abs(u_log[0])) / math.log(10.0)
-        if s_fit <= CRITICAL_EXPONENT + 1e-3:
-            contradiction = True
-        scale = 1.0 / math.sqrt(_norm_sq(coarse, u_log, u_uni, s_fit))
-        phi = u_obs * scale
-        # independent arithmetic path: 4th-order central differences
-        upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
-            12.0 * h * h
-        )
-        res = np.abs(-upp + (pot(xc) - 1j) * phi[2:-2])
-        max_res = max(max_res, float(res.max()))
-        norm_refined = _norm_sq(fine, u_log2, u_uni2, s_fit)
-        max_norm_err = max(max_norm_err, abs(math.sqrt(norm_refined) * scale - 1.0))
-    return max_res, max_norm_err, contradiction
+    norms = np.zeros((xi2.size, 2))
+    values = np.zeros((xi2.size, len(kept)), dtype=complex)
+    y = np.empty((4, 0))
+    done = nfev = 0
+    joins = np.unique(starts)[::-1]
+    for x0, x1 in zip(joins, [*joins[1:], FAMILY_X_MIN]):
+        n = int(np.count_nonzero(starts >= x0))
+        # the joining fibres' decaying WKB branch, u' = -k u with Re k > 0
+        k = np.sqrt(profile.base_potential(x0) + xi2[y.shape[1]:n] * profile.inv_f_squared(x0)
+                    - 1j)
+        y = np.concatenate((y, [np.ones(k.size), np.zeros(k.size), -k.real, -k.imag]), axis=1)
+        rtol, atol = _batch_tolerances(1e-12, 1e-280, n)
+        solver = DOP853(lambda x, s, q=xi2[:n]: _deficiency_rhs(x, s, profile, q), x0,
+                        y.ravel(), x1, rtol=rtol, atol=atol,
+                        first_step=min(0.1, 1.0 / max(float(np.abs(k).max()), 1.0)))
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericError(f"deficiency solve failed at x={solver.t:g}: {message}")
+            big = np.flatnonzero(np.abs(solver.y.reshape(4, n)).max(axis=0) > _MAX_STATE)
+            if big.size:
+                raise NumericError(
+                    f"deficiency solution of the fibre xi={xi[order[big[0]]]:g} outgrows "
+                    f"doubles at x={solver.t:g}")
+            reached = int(np.searchsorted(neg_x, -solver.t, side="right"))
+            if reached > done:
+                s = solver.dense_output()(-neg_x[done:reached])
+                u = s[:n] + 1j * s[n:2 * n]
+                r = rule[done:reached]
+                norms[:n] += ((u.real ** 2 + u.imag ** 2) * weights[done:reached]) @ _RULES[r]
+                values[:n, slots[done:reached][r == 2]] = u[:, r == 2]
+                done = reached
+        nfev += solver.nfev
+        y = solver.y.reshape(4, n)
+    back = np.argsort(order)
+    return norms[back], values[back], nfev
 
 
 def _bounded_interval(interval, name):
@@ -695,8 +701,12 @@ def verify_deficiency_family(
 
     A failure to find a square-integrable solution (fitted local growth
     at zero at or below the critical exponent) sets ``contradiction``.
-    The fibres are solved FAMILY_GROUP at a time, each group in one vector
-    ODE started at the largest of its fibres' right starts.
+    The whole family is one inward DOP853 solve: each fibre joins it at
+    its own right start, and the norms are summed with Simpson weights
+    as the solve passes their points, so only the observation grid and
+    the two points of the exponent fit keep values.  A fibre whose
+    solution outgrows doubles, or any non-finite per-fibre number, raises
+    :class:`NumericError` naming its xi.
     """
     if not (0.0 < alpha < 1.0):
         raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
@@ -712,14 +722,36 @@ def verify_deficiency_family(
     xi_values = np.linspace(a, b, xi_samples)
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in xi_values]
 
-    max_res = 0.0
-    max_norm_err = 0.0
+    h = OBS_GRID_STEP
+    xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
+    xc = xs[2:-2]
+    starts = [_right_start(pot) for pot in pots]
+    norms, values, nfev = _l2_solutions(profile, xi_values, starts,
+                                        np.concatenate(([FAMILY_X_MIN, 10.0 * FAMILY_X_MIN], xs)))
+    max_res = max_norm_err = 0.0
     contradiction = False
-    for start in range(0, len(pots), FAMILY_GROUP):
-        res, norm_err, failed = _check_family_group(pots[start:start + FAMILY_GROUP])
+    for pot, (coarse, fine), u in zip(pots, norms, values):
+        u_min, u_ten = abs(u[0]), abs(u[1])
+        # fitted local exponent over the last decade above FAMILY_X_MIN,
+        # and the analytic power tail of the norm below it
+        s_fit = math.log(u_ten / u_min) / math.log(10.0)
+        tail = 0.0
+        if 2.0 * s_fit + 1.0 > 1e-6:
+            tail = u_min ** 2 * FAMILY_X_MIN / (2.0 * s_fit + 1.0)
+        scale = 1.0 / math.sqrt(coarse + tail)
+        phi = u[2:] * scale
+        # independent arithmetic path: 4th-order central differences
+        upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
+            12.0 * h * h
+        )
+        res = float(np.abs(-upp + (pot(xc) - 1j) * phi[2:-2]).max())
+        norm_err = abs(math.sqrt(fine + tail) * scale - 1.0)
+        if not all(map(math.isfinite, (s_fit, res, norm_err))):
+            raise NumericError(f"deficiency check of the fibre xi={pot.xi:g} is not finite "
+                               f"(s_fit {s_fit}, residual {res}, norm error {norm_err})")
+        contradiction = contradiction or s_fit <= CRITICAL_EXPONENT + 1e-3
         max_res = max(max_res, res)
         max_norm_err = max(max_norm_err, norm_err)
-        contradiction = contradiction or failed
 
     # ||Phi_J||^2 = |J| once each fibre is normalised
     family_norm_sq = float(np.trapezoid(np.ones_like(xi_values), xi_values))
@@ -739,9 +771,11 @@ def verify_deficiency_family(
         max_cross_inner=max_cross,
         family_norm_sq=family_norm_sq,
         contradiction=contradiction,
+        nfev=nfev,
         grid={
             "observation_grid": [OBS_GRID_LO, OBS_GRID_HI, OBS_GRID_STEP],
             "x_min": FAMILY_X_MIN,
+            "x_right": starts,
             "fd_order": 4,
         },
     )

@@ -666,6 +666,24 @@ class TestVerifyDeficiencyCommand:
         assert main(["verify-deficiency", "--alpha", "1.5",
                      "--output-dir", str(tmp_path)]) == 2
 
+    def test_reports_its_work_and_its_starts(self, tmp_path):
+        # the benchmark's family: one solve, at most half the 37,648
+        # right-hand-side calls of four-fibre groups from a shared start
+        assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,1",
+                     "--other-interval", "2,3", "--output-dir", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "deficiency_family.json")
+        assert 0 < doc["nfev"] <= 37648 // 2
+        starts = doc["grid"]["x_right"]
+        assert len(starts) == len(doc["xi_values"]) == 16
+        # W grows with xi, so the decay budget is spent sooner
+        assert starts == sorted(starts, reverse=True) and starts[0] > starts[-1]
+
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,20",
+                     "--samples", "8", "--output-dir", str(tmp_path)]) == 3
+        assert "xi=20 " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 SENSITIVITY_RUN = ["evolve", "--protocol", "sensitivity", "--alpha", "1.5",
                    "--eps-grid", "1e-1,1e-2", "--t-final", "0.1"]

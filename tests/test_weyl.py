@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab.errors import UsageError
+from grushinlab import weyl
+from grushinlab.errors import NumericError, UsageError
 from grushinlab.profiles import FibrePotential, builtin_profile, power_law
 from grushinlab.weyl import (
     Endpoint,
@@ -360,6 +361,49 @@ class TestDeficiencyFamily:
         assert report.max_cross_inner <= 1e-10
         assert report.max_norm_error <= 1e-6
         assert report.family_norm_sq == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.95, 0.99])
+    def test_steep_fibres_pass_without_overflow(self, alpha):
+        # started at a larger fibre's right start, the xi = 1 fibre grew
+        # past the doubles: its norm went inf and its residual 0
+        report = verify_deficiency_family(alpha, (0.0, 1.0), 8)
+        assert not report.contradiction
+        assert 0.0 < report.max_residual <= 1e-6
+        assert 0.0 < report.max_norm_error <= 1e-6
+
+    def test_non_finite_fibre_numbers_are_not_dropped(self, monkeypatch):
+        # without the state guard |u|^2 overflows in the norm sums; the
+        # per-fibre finiteness check must still name the fibre
+        monkeypatch.setattr(weyl, "_MAX_STATE", math.inf)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"xi=20\b.*not finite"):
+            verify_deficiency_family(0.5, (0.0, 20.0), 8)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("part", ["log", "uniform"])
+    def test_simpson_weights_reproduce_scipy(self, part, refine):
+        from scipy.integrate import simpson
+
+        if part == "log":
+            x = np.geomspace(weyl.FAMILY_X_MIN, weyl.OBS_GRID_LO, 2001 * refine)
+        else:
+            x = np.linspace(weyl.OBS_GRID_LO, 58.0, 12001 * refine)
+        y = np.random.default_rng(refine).random(x.size)
+        assert weyl._simpson_weights(x) @ y == pytest.approx(simpson(y, x=x), rel=1e-14, abs=0)
+
+    def test_joined_fibres_match_fibres_alone(self):
+        # right starts 58, 26 and 18: the later fibres join a running solve
+        profile = power_law(0.5)
+        xi = [0.0, 0.5, 1.0]
+        starts = [weyl._right_start(FibrePotential(xi=v, profile=profile)) for v in xi]
+        assert len(set(starts)) == 3
+        kept = np.arange(weyl.OBS_GRID_LO, weyl.OBS_GRID_HI, weyl.OBS_GRID_STEP)
+        norms, values, _ = weyl._l2_solutions(profile, xi, starts, kept)
+        for v, start, norm, u in zip(xi, starts, norms, values):
+            alone_norm, alone, _ = weyl._l2_solutions(profile, [v], [start], kept)
+            phi, phi_alone = u / math.sqrt(norm[0]), alone[0] / math.sqrt(alone_norm[0, 0])
+            assert np.abs(phi - phi_alone).max() <= 1e-9 * np.abs(phi_alone).max()
+            np.testing.assert_allclose(norm, alone_norm[0], rtol=1e-9, atol=0)
 
     def test_alpha_validation(self):
         with pytest.raises(UsageError):
