@@ -44,6 +44,7 @@ from .evolution import (
 from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, integrate_geodesic
 from .profiles import GrushinProfile, builtin_profile, power_law
 from .weyl import (
+    FAMILY_TOL,
     Mode,
     aggregate_verdict,
     classify_by_inequality,
@@ -553,10 +554,15 @@ def _cmd_verify_deficiency(args) -> int:
         "xi_values": [float(v) for v in report.xi_values],
     }
     path = _write_json(os.path.join(out, "deficiency_family.json"), document)
-    status = "CONTRADICTION" if report.contradiction else "ok"
-    print(f"alpha={alpha:g} J={interval}: max residual {report.max_residual:.3e} [{status}]")
+    failed = ["CONTRADICTION"] if report.contradiction else []
+    failed += [f"FAIL: {name} {value:.3e} > {FAMILY_TOL:g}"
+               for name, value in (("max_residual", report.max_residual),
+                                   ("max_norm_error", report.max_norm_error))
+               if value > FAMILY_TOL]
+    print(f"alpha={alpha:g} J={interval}: max residual {report.max_residual:.3e} "
+          f"[{'; '.join(failed) or 'ok'}]")
     print(f"wrote {path}")
-    return EXIT_NUMERIC if report.contradiction else EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

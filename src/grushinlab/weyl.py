@@ -47,16 +47,22 @@ Three classification routes are implemented and cross-checked:
 * ``classify_numeric``: estimates c0 = lim x^2 W by sampling, and
   independently integrates the deficiency equation -u'' + W u = i u
   inward, measuring the dominant local growth exponent s of the
-  solutions through per-decade amplitude ratios; limit point iff the
+  solutions through half-decade amplitude ratios; limit point iff the
   dominant solution is not square integrable (s <= -1/2).  The two
   sub-routes must agree or the classification is declared inconclusive.
+
+Both ODE routes step in t = ln x on z = (u, x u'), with dz/dt =
+(z2, x^2 (W - i) z1 + z2): a Frobenius solution x^s is e^(st), so the
+singular end costs a few steps per decade.
 
 When a fibre is limit circle, ker(A(xi)* - i) is one-dimensional;
 ``verify_deficiency_family`` builds the normalised solutions phi_xi over
 a compact interval J of fibres, checks the eigenvalue residual on a
 fixed observation grid, and confirms that families over disjoint
 intervals are orthogonal, which is the mechanism producing an infinite
-deficiency index for the full operator.
+deficiency index for the full operator.  Each phi_xi is seeded on its
+decaying WKB branch beyond a decay budget B = 1/2 ln 1e15, since the
+growing solution's share of the seed falls like e^(-2B).
 """
 
 from __future__ import annotations
@@ -264,37 +270,48 @@ def _squares(xi) -> np.ndarray:
     return np.array([float(v) ** 2 for v in np.atleast_1d(xi)])
 
 
-def _deficiency_rhs(x, y, profile, xi2):
-    """-u'' + W u = i u for every fibre at once, W = base + xi^2 / f^2.
-    ``y`` stacks the fibres' Re u, Im u, Re u', Im u' in four rows."""
-    ur, ui, vr, vi = y.reshape(4, -1)
-    w = profile.base_potential(x) + xi2 * profile.inv_f_squared(x)
-    return np.concatenate((vr, vi, w * ur + ui, w * ui - ur))
+def _deficiency_rhs(t, z, profile, xi2):
+    """-u'' + W u = i u in t = ln x for every column at once, W = base +
+    xi^2 / f^2.  ``z`` stacks the columns' u and x u' in two complex rows,
+    and d/dt (u, x u') = (x u', x^2 (W - i) u + x u'): a Frobenius
+    solution x^s is e^(st)."""
+    u, v = z.reshape(2, -1)
+    x = math.exp(t)
+    x2 = x * x
+    # x^2 (W - i), with the scalar parts folded before the one array product
+    a = (x2 * profile.inv_f_squared(x)) * xi2 + complex(x2 * profile.base_potential(x), -x2)
+    return np.concatenate((v, a * u + v))
 
 
-def _mag_squared(x, y):
-    # |u|^2 + |x u'|^2 per fibre: homogeneous of degree 2s for Frobenius
-    # solutions u ~ x^s, and never zero (u and u' cannot vanish together).
-    ur, ui, vr, vi = y.reshape(4, -1)
-    return ur**2 + ui**2 + (x * vr) ** 2 + (x * vi) ** 2
+def _wkb_roots(profile, xi2, x):
+    """k = sqrt(W - i) with Re k > 0 of every fibre at x: u' = -k u is the
+    decaying WKB branch."""
+    return np.sqrt(profile.base_potential(x) + xi2 * profile.inv_f_squared(x) - 1j)
 
 
-# the magnitude guard fires when log m^2 reaches this
+def _first_step(k, x):
+    # a step in t = ln x at x that resolves the fastest WKB rate |k|
+    return min(0.1, 1.0 / float(np.abs(k).max(initial=1.0))) / x
+
+
+def _log_mag_squared(z):
+    # log(|u|^2 + |x u'|^2) per column: 2 s t for Frobenius solutions
+    # u ~ x^s, and finite (u and u' cannot vanish together)
+    z = z.reshape(2, -1)
+    return np.log((z.real ** 2 + z.imag ** 2).sum(axis=0))
+
+
+# the magnitude guard fires when log m^2 grows by this within a block
 _GUARD_LOG_M2 = 200.0
-
-
-def _magnitude_guard(x, y, profile, xi2):
-    return math.log(float(np.max(_mag_squared(x, y)))) - _GUARD_LOG_M2
-
-
-_magnitude_guard.terminal = True
-_magnitude_guard.direction = 1.0
+# a column is rescaled to m = 1 when its log m^2 passes this, so that
+# growth over many blocks cannot overflow |z|^2 (at 709)
+_RESCALE_LOG_M2 = 400.0
 
 
 def _batch_tolerances(rtol, atol, n):
     """scipy's error norm is an RMS over the whole state: dividing the
-    tolerances by sqrt(n) bounds each of the n fibres' RMS error by the
-    bound a solve of that fibre alone would meet."""
+    tolerances by sqrt(n) bounds each of the n columns' RMS error by the
+    bound a solve of that column alone would meet."""
     root = math.sqrt(n)
     return rtol / root, atol / root
 
@@ -302,71 +319,92 @@ def _batch_tolerances(rtol, atol, n):
 def _amplitude_slopes(profile: GrushinProfile, xi):
     """Growth exponents of the deficiency solutions of every fibre ``xi``.
 
-    Integrates -u'' + W u = i u inward from X_START to X_END for the two
-    canonical initial conditions, all fibres in one vector ODE, one
-    half-decade block at a time and renormalising each fibre after each,
-    so the exponent of the dominant local solution can be read from
-    amplitude ratios without overflow.  Returns one (the last block's
-    slope of each initial condition, early_limit_point) pair per fibre,
-    where an early stop is triggered by hyper-fast growth (more singular
-    than any inverse square) and its slope is that of the stopped block;
-    an early-stopped fibre skips the later initial conditions.
+    Integrates -u'' + W u = i u in t = ln x from X_START to X_END, both
+    canonical initial conditions of every fibre in one DOP853 stepping
+    loop, and reads the growth rate of log m, m^2 = |u|^2 + |x u'|^2,
+    over each half-decade block from the dense output at its edges; a
+    column whose m passes e^200 is rescaled to 1, its scale carried into
+    its slopes.  Returns one (the last block's slope of each initial
+    condition, early_limit_point) pair per fibre.  Growth by e^100 within
+    a block, more singular than any inverse square, stops the fibre early
+    with both its columns and the slopes of the stopped block.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
 
     xi2 = _squares(xi)
     n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
-    edges = np.geomspace(X_START, X_END, n_blocks + 1)
-    slopes = [[] for _ in xi2]
+    edges = np.linspace(math.log(X_START), math.log(X_END), n_blocks + 1)
+    # columns 2i and 2i + 1 are fibre i's (u, x u') = (1, 0) and (0, 1)
+    fibre = np.repeat(np.arange(xi2.size), 2)
+    z = np.tile(np.eye(2, dtype=complex), xi2.size)
+    # per column: log m^2 divided out, at the block's start edge, and the
+    # slope of the last finished block
+    scale, ref, last = (np.zeros(fibre.size) for _ in range(3))
+    slopes = [None] * xi2.size
     early = np.zeros(xi2.size, dtype=bool)
-    for ic in ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, X_START, 0.0)):
-        active = np.flatnonzero(~early)
-        if not active.size:
-            break
-        y = np.repeat(np.array(ic)[:, None], active.size, axis=1)
-        y = y / np.sqrt(_mag_squared(X_START, y))
-        for k in range(n_blocks):
-            a, b = edges[k], edges[k + 1]
-            x0 = a
-            while active.size:
-                rtol, atol = _batch_tolerances(1e-10, 1e-30, active.size)
-                sol = solve_ivp(
-                    _deficiency_rhs,
-                    (x0, b),
-                    y.ravel(),
-                    args=(profile, xi2[active]),
-                    method="DOP853",
-                    rtol=rtol,
-                    atol=atol,
-                    events=_magnitude_guard,
-                )
-                if sol.status == -1:
-                    raise NumericError(f"deficiency ODE integration failed: {sol.message}")
-                x_last = float(sol.t[-1])
-                y = sol.y[:, -1].reshape(4, -1)
-                m2 = _mag_squared(x_last, y)
-                m = np.sqrt(m2)
-                # math.log, as a fibre alone would take it, not numpy's
-                slope = np.array([math.log(v) for v in m]) / (math.log(x_last) - math.log(a))
-                if sol.status != 1:
+    # a restart keeps the step size reached (none at the end point, where
+    # DOP853 takes no step and rejects a zero one)
+    t, k, step = edges[0], 0, _first_step(_wkb_roots(profile, xi2, X_START), X_START)
+    while fibre.size and k < n_blocks:
+        rtol, atol = _batch_tolerances(1e-10, 1e-30, fibre.size)
+        solver = DOP853(lambda s, y, q=xi2[fibre]: _deficiency_rhs(s, y, profile, q),
+                        t, z.ravel(), edges[-1], rtol=rtol, atol=atol,
+                        first_step=min(step, t - edges[-1]) or None)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise NumericError(f"deficiency ODE integration failed: {message}")
+            raw = _log_mag_squared(solver.y)
+            dense, begin, fired = None, solver.t_old, False
+            # one segment per block the step enters
+            while k < n_blocks:
+                end = max(solver.t, edges[k + 1])
+                if end == solver.t:
+                    grown = raw + scale - ref
+                else:
+                    dense = dense if dense is not None else solver.dense_output()
+                    grown = _log_mag_squared(dense(end)) + scale - ref
+                fired = grown.max() >= _GUARD_LOG_M2
+                if fired or end > edges[k + 1]:
                     break
-                # the magnitude guard fired: growth beyond e^100 within
-                # half a decade, steeper than any inverse-square profile
-                # (one solve over all blocks would measure it over seven).
-                # Every fibre at or past the guard stops here; one left
-                # running would restart above it and never cross it upward.
-                stop = np.log(m2) >= _GUARD_LOG_M2
-                stop[np.argmax(m2)] = True
-                for i, s in zip(active[stop], slope[stop]):
-                    slopes[i].append(float(s))
-                early[active[stop]] = True
-                active, y, x0 = active[~stop], y[:, ~stop], x_last
-            if not active.size:
+                last = 0.5 * grown / (edges[k + 1] - edges[k])
+                ref, begin, k = ref + grown, end, k + 1
+            if fired:
+                # the magnitude guard: growth beyond e^100 within half a
+                # decade, steeper than any inverse-square profile.  Each
+                # fibre past it stops at its own crossing, located as
+                # solve_ivp locates a terminal event; the others restart
+                # where the segment ends.
+                dense = dense if dense is not None else solver.dense_output()
+
+                def excess(s, own):
+                    lm2 = _log_mag_squared(dense(s)) + scale - ref
+                    return float(lm2[own].max()) - _GUARD_LOG_M2
+
+                stop = np.isin(fibre, fibre[grown >= _GUARD_LOG_M2])
+                tol = 4.0 * np.finfo(float).eps
+                for i in np.unique(fibre[stop]):
+                    own = fibre == i
+                    t = brentq(excess, end, begin, args=(own,), xtol=tol, rtol=tol)
+                    grown_at = _log_mag_squared(dense(t)) + scale - ref
+                    slopes[i] = [float(v) for v in 0.5 * grown_at[own] / (t - edges[k])]
+                early[fibre[stop]] = True
+                t = end
+                z = (solver.y if end == solver.t else dense(end)).reshape(2, -1)[:, ~stop]
+                fibre, scale, ref, last = fibre[~stop], scale[~stop], ref[~stop], last[~stop]
+                step = solver.step_size
                 break
-            y = y / m
-        for i, s in zip(active, slope):
-            slopes[i].append(float(s))
-    return [(fibre, bool(stopped)) for fibre, stopped in zip(slopes, early)]
+            if raw.max() > _RESCALE_LOG_M2:
+                t, big = solver.t, raw > _RESCALE_LOG_M2
+                z = solver.y.reshape(2, -1).copy()
+                z[:, big] /= np.exp(0.5 * raw[big])
+                scale = scale + np.where(big, raw, 0.0)
+                step = solver.step_size
+                break
+    for j, i in enumerate(fibre[::2]):
+        slopes[i] = [float(last[2 * j]), float(last[2 * j + 1])]
+    return [(fibre_slopes, bool(stopped)) for fibre_slopes, stopped in zip(slopes, early)]
 
 
 def classify_numeric(pot: FibrePotential, *,
@@ -375,10 +413,10 @@ def classify_numeric(pot: FibrePotential, *,
 
     The indicial fit estimates c0 = lim x^2 W on 26 samples spanning
     five decades down to X_END; the cross-check integrates the
-    deficiency equation inward from X_START with two independent initial
-    conditions and reads the dominant growth exponent s from per-decade
-    amplitude ratios: both local solutions are square integrable near
-    zero iff s > -1/2.  The routes must agree; disagreement raises
+    deficiency equation in t = ln x inward from X_START, in one solve of
+    two independent initial conditions, and reads the dominant growth
+    exponent s from the last half-decade's amplitude ratio: both local
+    solutions are square integrable near zero iff s > -1/2.  The routes must agree; disagreement raises
     :class:`InconclusiveClassification` rather than silently picking a
     side.  ``slopes`` is this fibre's entry of :func:`_amplitude_slopes`
     when a sweep has integrated it together with others; without it the
@@ -539,10 +577,14 @@ def aggregate_verdict(
 # deficiency eigenfunction family
 # ---------------------------------------------------------------------------
 
+# bound on a family's eigenvalue residual and unit-norm error (criterion 6)
+FAMILY_TOL = 1e-6
 OBS_GRID_LO = 0.3
 OBS_GRID_HI = 8.0
 OBS_GRID_STEP = 1.0 / 256.0
-_DECAY_BUDGET = 35.0
+# the growing solution's contamination of the decaying one falls like
+# e^(-2B) over a decay budget B spent outside the observation grid
+_DECAY_BUDGET = 0.5 * math.log(1e15)
 # inner end of the deficiency solves; a power tail covers (0, FAMILY_X_MIN)
 FAMILY_X_MIN = 1e-6
 # |u|^2 enters the norm sums and overflows for |u| above 1.3e154: a
@@ -566,7 +608,11 @@ class DeficiencyFamilyReport:
 
 def _right_start(pot: FibrePotential) -> float:
     """Starting abscissa for inward integration: far enough out that the
-    growing solution contaminates the decaying one below 1e-15."""
+    growing solution contaminates the decaying one below 1e-15.  The WKB
+    seed there is a u_dec + b u_grow; inward to OBS_GRID_HI the first term
+    grows by e^B and the second shrinks by e^(-B), B the integral of
+    Re sqrt(W - i), so the contamination is (b/a) e^(-2B) and the budget
+    is B = 1/2 ln 1e15."""
     x, acc = OBS_GRID_HI, 0.0
     while acc < _DECAY_BUDGET and x < 80.0:
         kappa = np.sqrt(pot(x) - 1j).real
@@ -600,18 +646,18 @@ _RULES = np.eye(3)[:, :2]
 
 
 def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
-    """One inward DOP853 solve of the square-integrable solution of every
-    fibre ``xi`` down to FAMILY_X_MIN.  A fibre joins the running solve
-    at its own abscissa ``starts``, seeded on its decaying WKB branch; the
-    fibres are decoupled and linear, so a join leaves the running ones'
-    solutions unchanged, and the solver restarts there with the
-    tolerances of the new fibre count.  The coarse and the refined norm
-    rule (Simpson on a log grid below OBS_GRID_LO and on a uniform grid
-    above it, up to the largest start) are summed as the solve passes
-    their points, a fibre contributing nothing above its start; only the
-    points ``kept`` keep values.  Returns each fibre's coarse and refined
-    norm^2 on (FAMILY_X_MIN, start), its complex values at ``kept``, and
-    the solve's right-hand-side calls."""
+    """One inward DOP853 solve in t = ln x of the square-integrable
+    solution of every fibre ``xi`` down to FAMILY_X_MIN.  A fibre joins
+    the running solve at its own abscissa ``starts``, seeded on its
+    decaying WKB branch; the fibres are decoupled and linear, so a join
+    leaves the running ones' solutions unchanged, and the solver restarts
+    there with the tolerances of the new fibre count.  The coarse and the
+    refined norm rule (Simpson in x on a log grid below OBS_GRID_LO and
+    on a uniform grid above it, up to the largest start) are summed as
+    the solve passes their points, a fibre contributing nothing above its
+    start; only the points ``kept`` keep values.  Returns each fibre's
+    coarse and refined norm^2 on (FAMILY_X_MIN, start), its complex values
+    at ``kept``, and the solve's right-hand-side calls."""
     from scipy.integrate import DOP853
 
     xi = np.asarray(xi, dtype=float)
@@ -623,50 +669,53 @@ def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
     grids = [grid for refine in (1, 2) for grid in (
         np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 2001 * refine),
         np.linspace(OBS_GRID_LO, starts[0], 12001 * refine))]
-    # -x ascends in the order the solve passes the points
-    neg_x = -np.concatenate((*grids, kept))
-    inward = np.argsort(neg_x, kind="stable")
-    neg_x = neg_x[inward]
-    weights = np.concatenate([*map(_simpson_weights, grids), np.zeros(len(kept))])[inward]
+    weights = np.concatenate([*map(_simpson_weights, grids), np.zeros(len(kept))])
     # the sum a point feeds: 0 the coarse norm, 1 the refined one, 2 none
-    rule = np.repeat(np.array([0, 0, 1, 1, 2], dtype=np.int8),
-                     [*map(len, grids), len(kept)])[inward]
-    slots = inward - (inward.size - len(kept))  # index into ``kept``
+    rule = np.repeat(np.array([0, 0, 1, 1, 2], dtype=np.int8), [*map(len, grids), len(kept)])
+    # -t = -ln x ascends in the order the solve passes the points; the x
+    # grids and the sort order (0.3 MB each) do not outlive the set-up
+    neg_t = -np.log(np.concatenate((*grids, kept)))
+    del grids
+    inward = np.argsort(neg_t, kind="stable")
+    neg_t, weights, rule = neg_t[inward], weights[inward], rule[inward]
+    # the index into ``kept`` of each kept point, in the order passed
+    slots = inward[rule == 2] - (inward.size - len(kept))
+    del inward
 
     norms = np.zeros((xi2.size, 2))
     values = np.zeros((xi2.size, len(kept)), dtype=complex)
-    y = np.empty((4, 0))
-    done = nfev = 0
+    z = np.empty((2, 0), dtype=complex)
+    done = passed = nfev = 0
     joins = np.unique(starts)[::-1]
-    for x0, x1 in zip(joins, [*joins[1:], FAMILY_X_MIN]):
+    for x0, t0, t1 in zip(joins, np.log(joins), [*np.log(joins[1:]), -neg_t[-1]]):
         n = int(np.count_nonzero(starts >= x0))
-        # the joining fibres' decaying WKB branch, u' = -k u with Re k > 0
-        k = np.sqrt(profile.base_potential(x0) + xi2[y.shape[1]:n] * profile.inv_f_squared(x0)
-                    - 1j)
-        y = np.concatenate((y, [np.ones(k.size), np.zeros(k.size), -k.real, -k.imag]), axis=1)
+        # the joining fibres' decaying WKB branch, u = 1 and x u' = -k x
+        k = _wkb_roots(profile, xi2[z.shape[1]:n], x0)
+        z = np.concatenate((z, [np.ones(k.size), -k * x0]), axis=1)
         rtol, atol = _batch_tolerances(1e-12, 1e-280, n)
-        solver = DOP853(lambda x, s, q=xi2[:n]: _deficiency_rhs(x, s, profile, q), x0,
-                        y.ravel(), x1, rtol=rtol, atol=atol,
-                        first_step=min(0.1, 1.0 / max(float(np.abs(k).max()), 1.0)))
+        solver = DOP853(lambda t, s, q=xi2[:n]: _deficiency_rhs(t, s, profile, q), t0,
+                        z.ravel(), t1, rtol=rtol, atol=atol, first_step=_first_step(k, x0))
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
-                raise NumericError(f"deficiency solve failed at x={solver.t:g}: {message}")
-            big = np.flatnonzero(np.abs(solver.y.reshape(4, n)).max(axis=0) > _MAX_STATE)
+                raise NumericError(f"deficiency solve failed at x={math.exp(solver.t):g}: "
+                                   f"{message}")
+            big = np.flatnonzero(np.abs(solver.y.reshape(2, n)).max(axis=0) > _MAX_STATE)
             if big.size:
                 raise NumericError(
                     f"deficiency solution of the fibre xi={xi[order[big[0]]]:g} outgrows "
-                    f"doubles at x={solver.t:g}")
-            reached = int(np.searchsorted(neg_x, -solver.t, side="right"))
+                    f"doubles at x={math.exp(solver.t):g}")
+            reached = int(np.searchsorted(neg_t, -solver.t, side="right"))
             if reached > done:
-                s = solver.dense_output()(-neg_x[done:reached])
-                u = s[:n] + 1j * s[n:2 * n]
+                u = solver.dense_output()(-neg_t[done:reached])[:n]
                 r = rule[done:reached]
                 norms[:n] += ((u.real ** 2 + u.imag ** 2) * weights[done:reached]) @ _RULES[r]
-                values[:n, slots[done:reached][r == 2]] = u[:, r == 2]
-                done = reached
+                here = r == 2
+                upto = passed + int(np.count_nonzero(here))
+                values[:n, slots[passed:upto]] = u[:, here]
+                done, passed = reached, upto
         nfev += solver.nfev
-        y = solver.y.reshape(4, n)
+        z = solver.y.reshape(2, n)
     back = np.argsort(order)
     return norms[back], values[back], nfev
 
@@ -701,8 +750,8 @@ def verify_deficiency_family(
 
     A failure to find a square-integrable solution (fitted local growth
     at zero at or below the critical exponent) sets ``contradiction``.
-    The whole family is one inward DOP853 solve: each fibre joins it at
-    its own right start, and the norms are summed with Simpson weights
+    The whole family is one inward DOP853 solve in t = ln x: each fibre
+    joins it at its own right start, and the norms are summed with Simpson weights
     as the solve passes their points, so only the observation grid and
     the two points of the exponent fit keep values.  A fibre whose
     solution outgrows doubles, or any non-finite per-fibre number, raises

@@ -667,16 +667,26 @@ class TestVerifyDeficiencyCommand:
                      "--output-dir", str(tmp_path)]) == 2
 
     def test_reports_its_work_and_its_starts(self, tmp_path):
-        # the benchmark's family: one solve, at most half the 37,648
-        # right-hand-side calls of four-fibre groups from a shared start
+        # the benchmark's family: one solve in ln x, at most half the
+        # 15,471 right-hand-side calls of the same solve in x with a decay
+        # budget of 35
         assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,1",
                      "--other-interval", "2,3", "--output-dir", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "deficiency_family.json")
-        assert 0 < doc["nfev"] <= 37648 // 2
+        assert 0 < doc["nfev"] <= 15471 // 2
         starts = doc["grid"]["x_right"]
         assert len(starts) == len(doc["xi_values"]) == 16
         # W grows with xi, so the decay budget is spent sooner
         assert starts == sorted(starts, reverse=True) and starts[0] > starts[-1]
+
+    def test_residual_above_the_bound_exits_3(self, tmp_path, capsys):
+        # small alpha, large xi: the observation grid's finite differences
+        # miss 1e-6; the document is still written
+        assert main(["verify-deficiency", "--alpha", "0.05", "--interval", "0,30",
+                     "--samples", "8", "--output-dir", str(tmp_path)]) == 3
+        doc = read_json(tmp_path / "deficiency_family.json")
+        assert doc["max_residual"] > 1e-6 and doc["contradiction"] is False
+        assert "[FAIL: max_residual" in capsys.readouterr().out
 
     def test_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
         assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,20",

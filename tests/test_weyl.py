@@ -195,6 +195,15 @@ class TestNumericClassification:
         expected = (1.0 - abs(1.0 + alpha)) / 2.0
         assert abs(r.diagnostics["indicial_slope"] - expected) < 1e-3
 
+    def test_steep_inverse_square_fibre_keeps_its_slope(self):
+        # alpha -1, xi 30: c0 = 899.75, and u ~ x^(-29.5) grows by about
+        # 10^206 over seven decades without tripping the per-block guard;
+        # unrescaled, |u|^2 overflows and the fibre is stopped early
+        r = classify_numeric(FibrePotential(xi=30.0, profile=power_law(-1.0)))
+        assert r.endpoint_zero is LP
+        assert r.diagnostics["early_limit_point"] is False
+        assert r.diagnostics["indicial_slope"] == pytest.approx(-29.5, abs=1e-6)
+
     @pytest.mark.parametrize("alpha,xi", [(-2.0, 0.5), (-3.0, 1.0)])
     def test_early_stop_slope_is_finite_and_limit_point(self, alpha, xi):
         # c0 = +inf: the magnitude guard stops the solve, and the slope of
@@ -235,11 +244,12 @@ class TestBatchedClassification:
         assert_sweep_matches_fibres_alone(power_law(alpha), list(CRITERION_4_XIS))
 
     def test_exp_inverse_sweep_stops_every_fibre_at_its_own_crossing(self):
-        # The fibres cross the magnitude guard together.  On this grid (the
-        # plane grid of the ode-verdicts benchmark at shift 1/8) fibres
-        # other than the largest are already past the guard where it fires;
-        # left running, they never cross it upward and report a slope
-        # measured over the rest of their block (-204.8 instead of -91.6).
+        # The fibres cross the magnitude guard together, within one step,
+        # on this grid (the plane grid of the ode-verdicts benchmark at
+        # shift 1/8).  Each must stop at its own crossing: a fibre left
+        # running once it is past the guard never crosses it upward and
+        # reports a slope measured over the rest of its block (-204.8
+        # instead of -91.6).
         xis = [float(v) for v in np.linspace(-5.0, 5.0, 41) + 0.125]
         swept = assert_sweep_matches_fibres_alone(builtin_profile("exp_inverse"), xis)
         for report in swept:
@@ -253,6 +263,27 @@ class TestBatchedClassification:
         # still limit circle, decided within its half-decade blocks
         swept = assert_sweep_matches_fibres_alone(power_law(-0.75), [0.0, 5.0, 10.0, 30.0])
         assert [r.endpoint_zero for r in swept] == [LC] * 4
+
+    def test_steep_inverse_square_sweep_matches_fibres_alone(self):
+        # the xi = 30 fibre grows by about 10^206 and must be rescaled on
+        # its way; its neighbours grow by 10^31 and not at all
+        swept = assert_sweep_matches_fibres_alone(power_law(-1.0), [0.5, 5.0, 30.0])
+        assert [r.endpoint_zero for r in swept] == [LC, LP, LP]
+
+    def test_sweep_makes_half_the_work_of_per_block_restarts(self, monkeypatch):
+        # the benchmark's alpha 0.5 numeric sweep: 41 fibres, 5,648
+        # right-hand-side calls when every half-decade block restarted
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        rhs = weyl._deficiency_rhs
+        monkeypatch.setattr(weyl, "_deficiency_rhs", counted)
+        swept = classify_sweep(power_law(0.5), np.linspace(-5.0, 5.0, 41), method="numeric")
+        assert [r.endpoint_zero for r in swept] == [LC] * 41
+        assert 0 < len(calls) <= 5648 // 2
 
     def test_unknown_method_rejected(self):
         with pytest.raises(UsageError):
@@ -392,7 +423,7 @@ class TestDeficiencyFamily:
         assert weyl._simpson_weights(x) @ y == pytest.approx(simpson(y, x=x), rel=1e-14, abs=0)
 
     def test_joined_fibres_match_fibres_alone(self):
-        # right starts 58, 26 and 18: the later fibres join a running solve
+        # right starts 33, 18 and 14: the later fibres join a running solve
         profile = power_law(0.5)
         xi = [0.0, 0.5, 1.0]
         starts = [weyl._right_start(FibrePotential(xi=v, profile=profile)) for v in xi]
@@ -404,6 +435,32 @@ class TestDeficiencyFamily:
             phi, phi_alone = u / math.sqrt(norm[0]), alone[0] / math.sqrt(alone_norm[0, 0])
             assert np.abs(phi - phi_alone).max() <= 1e-9 * np.abs(phi_alone).max()
             np.testing.assert_allclose(norm, alone_norm[0], rtol=1e-9, atol=0)
+
+    def test_purification_law_can_fail(self, monkeypatch):
+        # the growing solution's share of the seed falls like e^(-2B): at
+        # the production budget phi matches a solve at twice the budget,
+        # at B = 2 it does not (the benchmark family: alpha 0.5, [0, 1])
+        profile = power_law(0.5)
+        xi = np.linspace(0.0, 1.0, 16)
+        kept = np.arange(weyl.OBS_GRID_LO, weyl.OBS_GRID_HI, weyl.OBS_GRID_STEP)
+
+        def phi(budget):
+            monkeypatch.setattr(weyl, "_DECAY_BUDGET", budget)
+            starts = [weyl._right_start(FibrePotential(xi=v, profile=profile)) for v in xi]
+            norms, values, _ = weyl._l2_solutions(profile, xi, starts, kept)
+            return values / np.sqrt(norms[:, :1])
+
+        def gap(u, reference):
+            # each fibre's phi is unique up to a phase: align it first
+            phase = np.sum(u * reference.conj(), axis=1)
+            u = u * (phase.conj() / np.abs(phase))[:, None]
+            return float((np.abs(u - reference).max(axis=1)
+                          / np.abs(reference).max(axis=1)).max())
+
+        production = weyl._DECAY_BUDGET
+        reference = phi(2.0 * production)
+        assert gap(phi(production), reference) <= 1e-9
+        assert gap(phi(2.0), reference) > 1e-9
 
     def test_alpha_validation(self):
         with pytest.raises(UsageError):
