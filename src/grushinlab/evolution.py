@@ -45,7 +45,10 @@ potentials, conditions, dt), in place, and the steps alternate between
 two preallocated buffers.  Every protocol steps through its one loop,
 :meth:`CrankNicolson.evolve`: ``evolve_fibre`` is a stack of one block,
 ``bc_sensitivity`` stacks the Dirichlet and the Robin block of each
-cutoff, and ``evolve_plane`` splits its fibres into one stack per thread.
+cutoff, and ``evolve_plane`` splits its fibres into ``jobs`` stacks.
+Several stacks are stepped side by side, one thread each (the tridiagonal
+solves release the GIL): the sensitivity protocol always runs one thread
+per cutoff, with no flag, and the plane protocol one per stack.
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
 data under Dirichlet-at-eps and Robin-at-eps and record the distance
@@ -417,6 +420,16 @@ def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
     return n
 
 
+def _evolve_stacks(steppers: Sequence[CrankNicolson], data, nsteps: int, record: bool = False):
+    """``steppers[k].evolve(data[k], nsteps, record)`` for every k, in order:
+    each on a thread of its own when there are several (the tridiagonal
+    solves release the GIL), on the calling thread when there is one."""
+    if len(steppers) == 1:
+        return [steppers[0].evolve(data[0], nsteps, record)]
+    with ThreadPoolExecutor(max_workers=len(steppers)) as pool:
+        return list(pool.map(lambda s, d: s.evolve(d, nsteps, record), steppers, data))
+
+
 def evolve_fibre(grid: FibreGrid, pot: FibrePotential, bc: BoundaryCondition, psi: np.ndarray,
                  t_final: float, dt: float, record_norms: bool = False):
     """Evolve one fibre from t = 0 to ``t_final``, a stack of one block;
@@ -508,27 +521,36 @@ def bc_sensitivity(
     SENSITIVITY_RESOLUTION), and D(eps) is the discrete L^2 distance of
     the two final states.  The outer wall is positioned so that boundary
     mass at L stays below 1e-8; contamination raises
-    :class:`ProtocolError` (enlarge the wall).
+    :class:`ProtocolError` (enlarge the wall), for the first contaminated
+    cutoff in eps order.  Every cutoff's grid, data and Dirichlet+Robin
+    stack are built on the calling thread, and the stacks are then stepped
+    side by side, one thread per cutoff; each block's numbers are those of
+    a stepper of its own, so the result does not depend on the threading.
+    An evolution time of zero steps is rejected before any grid is built.
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list or not all(e > 0 for e in eps_list):
         raise UsageError("eps_grid must contain positive cutoffs")
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
         raise UsageError("eps_grid must be strictly decreasing")
+    nsteps = _step_count(t_final, dt)
+    if nsteps == 0:
+        raise UsageError(f"evolution time {t_final:g} takes no steps of {dt:g}, "
+                         "so D would be 0 at every cutoff")
     prof = power_law(alpha)
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)
-    nsteps = _step_count(t_final, dt)
 
     bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
-    rows, walls, drifts, grids = [], [], [], []
-    for eps in eps_list:
-        grid = FibreGrid.resolved(eps, L, pot, refine=refine,
-                                  resolution=SENSITIVITY_RESOLUTION)
-        w_values = pot(grid.nodes)
-        psi0 = _standard_packet(grid)
-        stepper = CrankNicolson(grid, [w_values, w_values], bcs, dt)
-        finals, sumsq = stepper.evolve([psi0, psi0], nsteps)
+    grids = [FibreGrid.resolved(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
+             for eps in eps_list]
+    w_values = [pot(grid.nodes) for grid in grids]
+    packets = [_standard_packet(grid) for grid in grids]
+    steppers = [CrankNicolson(grid, [w, w], bcs, dt) for grid, w in zip(grids, w_values)]
+    runs = _evolve_stacks(steppers, [[psi0, psi0] for psi0 in packets], nsteps)
+
+    rows, walls, drifts, records = [], [], [], []
+    for eps, grid, w, (finals, sumsq) in zip(eps_list, grids, w_values, runs):
         wall = max(_wall_mass(grid, psi) for psi in finals)
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
@@ -538,7 +560,7 @@ def bc_sensitivity(
         rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
         walls.append(wall)
         drifts.append(drift)
-        grids.append(_grid_record(grid, w_values))
+        records.append(_grid_record(grid, w))
 
     ds = [d for _, d in rows]
     if all(b < a for a, b in zip(ds, ds[1:])):
@@ -562,7 +584,7 @@ def bc_sensitivity(
             "gaussian": {"center": GAUSS_CENTER, "width": GAUSS_WIDTH},
             "profile": prof.name,
         },
-        grids=tuple(grids),
+        grids=tuple(records),
     )
 
 
@@ -812,11 +834,7 @@ def evolve_plane(
     steppers = [CrankNicolson(grid, [pots[m](fibres[m].nodes) for m in part], [bc] * len(part), dt)
                 for part in parts]
     data = [[psi0.values[:fibres[m].n, m] for m in part] for part in parts]
-    if len(parts) == 1:
-        stacks = [steppers[0].evolve(data[0], nsteps, record=True)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            stacks = list(pool.map(lambda s, d: s.evolve(d, nsteps, record=True), steppers, data))
+    stacks = _evolve_stacks(steppers, data, nsteps, record=True)
 
     out = np.zeros(psi0.values.shape, dtype=complex)
     traces, wall_masses = [], []

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -639,16 +640,40 @@ def test_identical_configurations_write_identical_bytes(tmp_path, argv):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys):
+def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     with pytest.raises(cli.NumericError):
         cli._write_json(tmp_path / "x.json", {"value": float("inf")})
     assert not (tmp_path / "x.json").exists()
-    # no step taken: D is 0 at every cutoff, so D(eps_end)/D(eps_start) is NaN
+    # a D of 0 at the first cutoff makes D(eps_end)/D(eps_start) NaN
+    measured = cli.bc_sensitivity
+
+    def first_d_zero(*args, **kwargs):
+        result = measured(*args, **kwargs)
+        (eps, _), *rest = result.rows
+        return dataclasses.replace(result, rows=((eps, 0.0), *rest))
+
+    monkeypatch.setattr(cli, "bc_sensitivity", first_d_zero)
     out = tmp_path / "out"
-    assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "0",
+    assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "0.01",
                  "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    # the cutoffs of tests/test_evolution.py's contamination case: the
+    # first two clean, the last two contaminated, all stepped side by side
+    from grushinlab import evolution
+
+    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 2.75e-7)
+    threads = set(threading.enumerate())
+    out = tmp_path / "out"
+    assert main(["evolve", "--protocol", "sensitivity", "--alpha", "0", "--xi", "0",
+                 "--t-final", "1.2", "--dt", "2e-3", "--eps-grid", "0.3,0.1,0.05,0.01",
+                 "--output-dir", str(out)]) == 3
+    assert "(mass 2.79e-07 > 2.75e-07)" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert set(threading.enumerate()) == threads
 
 
 class TestVerifyDeficiencyCommand:
@@ -784,6 +809,8 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # a turning point x0 |sin theta|^(-1/alpha) past the float range
     (["geodesics", "--alpha", "1e-6", "--angles", "8"], None),
     (["geodesics", "--alpha", "1e-6", "--theta", "0.5"], None),
+    # no step: D would be 0 at every cutoff
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

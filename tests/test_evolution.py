@@ -48,6 +48,22 @@ def check_local_rule(g, pot, resolution):
     assert g.resolution_margin(pot(g.nodes)) <= resolution
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every thread pool the evolution module opens."""
+    import grushinlab.evolution as evolution
+
+    sizes = []
+
+    class CountingPool(evolution.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evolution, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
 def make_fibre(alpha, xi, eps=0.05, L=12.0):
     """The grid, potential and standard Gaussian data of one fibre."""
     pot = FibrePotential(xi=xi, profile=power_law(alpha))
@@ -510,24 +526,14 @@ class TestPlaneEvolution:
             assert r.wall_mass == results[0].wall_mass
         assert results[0].norm_trace.size == 51
 
-    def test_thread_pool_only_for_several_stacks(self, monkeypatch):
-        import grushinlab.evolution as evolution
-
-        pools = []
-
-        class CountingPool(evolution.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(evolution, "ThreadPoolExecutor", CountingPool)
+    def test_thread_pool_only_for_several_stacks(self, pool_sizes):
         prof, _, psi0 = self._stiff_plane()
         bc = BoundaryCondition.dirichlet()
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3)
-        assert pools == []
+        assert pool_sizes == []
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=2)
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=9)
-        assert pools == [2, 5]
+        assert pool_sizes == [2, 5]
 
     @pytest.mark.parametrize("sizes, parts, expected", [
         ([5, 5, 5, 5], 2, [2, 2]),
@@ -699,3 +705,42 @@ class TestBcSensitivity:
             bc_sensitivity(1.0, 0.5, 1.0, [1e-2, 1e-1])  # increasing
         with pytest.raises(UsageError):
             bc_sensitivity(1.0, 0.5, 1.0, [1.5])  # overlaps the data
+
+    def test_no_step_is_bad_input(self):
+        with pytest.raises(UsageError, match="evolution time 0 takes no steps"):
+            bc_sensitivity(1.5, 0.5, 0.0, [1e-1, 1e-2])
+
+    def test_cutoffs_side_by_side_match_cutoffs_alone(self):
+        eps_grid = [1e-1, 1e-2, 1e-3]
+        together = bc_sensitivity(1.5, 0.5, 0.1, eps_grid, beta=0.9)
+        alone = [bc_sensitivity(1.5, 0.5, 0.1, [eps], beta=0.9) for eps in eps_grid]
+        assert together.rows == tuple(r.rows[0] for r in alone)
+        assert together.wall_mass == tuple(r.wall_mass[0] for r in alone)
+        assert together.norm_drift == max(r.norm_drift for r in alone)
+        assert together.grids == tuple(r.grids[0] for r in alone)
+
+    def test_thread_pool_only_for_several_cutoffs(self, pool_sizes):
+        bc_sensitivity(1.5, 0.5, 0.01, [1e-1])
+        assert pool_sizes == []
+        bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2, 1e-3])
+        assert pool_sizes == [3]
+
+    def test_first_contaminated_cutoff_in_eps_order_raises(self, monkeypatch):
+        # free flight to t = 1.2 leaves 2.5e-7 to 2.9e-7 of the mass at the
+        # wall, by cutoff: under a limit of 2.75e-7 the first two cutoffs
+        # are clean and the last two contaminated, the last one more
+        import grushinlab.evolution as evolution
+
+        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 2.75e-7)
+        eps_grid = [0.3, 0.1, 0.05, 0.01]
+        alone = []
+        for eps in eps_grid:
+            try:
+                bc_sensitivity(0.0, 0.0, 1.2, [eps], dt=2e-3)
+                alone.append(None)
+            except ProtocolError as exc:
+                alone.append(str(exc))
+        assert alone[:2] == [None, None] and None not in alone[2:] and alone[2] != alone[3]
+        with pytest.raises(ProtocolError) as caught:
+            bc_sensitivity(0.0, 0.0, 1.2, eps_grid, dt=2e-3)
+        assert str(caught.value) == alone[2]
