@@ -344,25 +344,24 @@ class CrankNicolson:
         z = 0.5j * dt
         lower, diag, upper = (np.zeros(size - 1, complex), np.empty(size, complex),
                               np.zeros(size - 1, complex))
-        reals = [slice(2 * sl.start, 2 * sl.stop) for sl in self._slices]
-        w2 = np.empty(2 * size)
-        for sl, r, w, cond in zip(self._slices, reals, w_values, bcs):
+        # each node's weight twice, over the interleaved real view of a buffer
+        self._w2 = np.empty(2 * size)
+        for sl, w, cond in zip(self._slices, w_values, bcs):
             block = grid.prefix(sl.stop - sl.start)
             block.validate_resolution(w)
             sub, main, sup = _hamiltonian_diagonals(block, w, cond)
             diag[sl] = 1.0 + z * main
             lower[sl.start:sl.stop - 1] = z * sub
             upper[sl.start:sl.stop - 1] = z * sup
-            w2[r] = np.repeat(block.weights, 2)
+            self._w2[2 * sl.start:2 * sl.stop] = np.repeat(block.weights, 2)
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
         *self._factors, info = gttrf(lower, diag, upper,
                                      overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info != 0:
             raise NumericError(f"tridiagonal factorisation failed (info={info})")
         self._buffers = (np.empty(size, complex), np.empty(size, complex))
-        # sum_j w_j (re_j^2 + im_j^2) of a block over its interleaved real
-        # view, in one pass without temporaries
-        self._norm_views = [[(w2[r], buf.view(float)[r]) for r in reals] for buf in self._buffers]
+        self._squares = np.empty(2 * size)
+        self._block_starts = np.array([2 * sl.start for sl in self._slices])
 
     def step(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One Cayley step in solve-only form: with A = 1 + i dt H/2 the
@@ -380,10 +379,13 @@ class CrankNicolson:
         return out
 
     def _norms(self, psi: np.ndarray, column: np.ndarray) -> None:
-        """Squared weighted norm of each block of ``psi``, one of the two
-        buffers, into ``column``."""
-        for m, (w2, v) in enumerate(self._norm_views[psi is self._buffers[1]]):
-            column[m] = np.einsum("i,i,i->", w2, v, v)
+        """Squared weighted norm sum_j w_j (re_j^2 + im_j^2) of each block
+        of ``psi`` into ``column``: one pass over the whole stack, summed
+        per block."""
+        v = psi.view(float)
+        np.multiply(v, v, out=self._squares)
+        self._squares *= self._w2
+        np.add.reduceat(self._squares, self._block_starts, out=column)
 
     def evolve(self, psi, nsteps: int, record: bool = False):
         """Load ``psi`` (one array per block) and apply ``nsteps`` steps,

@@ -324,6 +324,10 @@ class TestStackedStepper:
             assert np.array_equal(got, want)
         for got, want in zip(traces, expected_traces):
             assert np.array_equal(got, want)
+        # each trace sums the block's own weighted squares, in some order
+        for got, state in zip(traces[:, -1], states):
+            want = float(grid.prefix(state.size).weights @ np.abs(state) ** 2)
+            assert got == pytest.approx(want, rel=1e-13)
         # one step of the stacked vector, block by block
         stacked = stepper.step(np.concatenate(data))
         singles = np.concatenate([CrankNicolson(grid.prefix(v.size), [v], [b], 1e-3).step(p)
