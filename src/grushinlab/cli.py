@@ -72,6 +72,7 @@ def _write_json(path, document):
     """Write ``document``; nothing is written when it holds a non-finite
     value."""
     text = _dumps(document, indent=2)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return path
@@ -96,6 +97,7 @@ def _write_csv(path, header_cols, columns, config):
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row_format = ",".join(["%.16e"] * table.shape[1]) + "\n"
     header = "# config: " + _dumps(config) + "\n"
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write(",".join(header_cols) + "\n")
@@ -194,9 +196,8 @@ def _resolve_profile(args) -> GrushinProfile:
 
 
 def _outdir(args) -> str:
-    out = args.output_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory, made when its first file is written."""
+    return args.output_dir or "."
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +360,7 @@ def _cmd_geodesics(args) -> int:
 
     if alpha > 0:
         for traj in trajs:
-            hit, err = hit_time_quadrature(traj.init)
-            traj.meta.update(quadrature_hit_time=hit, quadrature_error=err)
+            traj.meta["quadrature_hit_time"] = hit_time_quadrature(traj.init)
     mpath, halves, references = write_fan(trajs, out, config)
     hits = [t.hit_time_plus for t in trajs]
     print(f"alpha={alpha:g}: {len(trajs)} trajectories from {halves} halves and {references} "

@@ -523,8 +523,8 @@ def bc_sensitivity(
     SENSITIVITY_RESOLUTION), and D(eps) is the discrete L^2 distance of
     the two final states.  The outer wall is positioned so that boundary
     mass at L stays below 1e-8; contamination raises
-    :class:`ProtocolError` (enlarge the wall), for the first contaminated
-    cutoff in eps order.  Every cutoff's grid, data and Dirichlet+Robin
+    :class:`ProtocolError` naming the first contaminated cutoff in eps
+    order and its wall.  Every cutoff's grid, data and Dirichlet+Robin
     stack are built on the calling thread, and the stacks are then stepped
     side by side, one thread per cutoff; each block's numbers are those of
     a stepper of its own, so the result does not depend on the threading.
@@ -557,7 +557,8 @@ def bc_sensitivity(
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
-                f"outer wall contaminated (mass {wall:.2e} > {WALL_MASS_LIMIT}); enlarge L"
+                f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is contaminated "
+                f"(mass {wall:.2e} > {WALL_MASS_LIMIT})"
             )
         rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
         walls.append(wall)

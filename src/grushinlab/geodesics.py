@@ -22,17 +22,21 @@ which normalises the energy to h = 1/2 for every launch point (for
 x0 = 1 this is the plain direction (cos theta, sin theta)).
 
 For alpha > 0 every geodesic except theta = 0 reaches the boundary x = 0
-in finite forward time.  Energy conservation turns the hit time into a
-quadrature: with s = |sin theta|,
+in finite forward time, and energy conservation gives the hit time in
+closed form.  With s = |sin theta|, u = x/x0 and its turning point
+u_c = s^(-1/alpha), the time is x0 times integral du / sqrt(1 - s^2
+u^(2 alpha)) over u from 1 down to 0 (cos theta <= 0), or from 1 up to
+u_c and back down to 0 (cos theta > 0).  Substituting w = s^2 u^(2 alpha)
+makes it an incomplete Beta function; with a = 1/(2 alpha), x_t = x0 u_c
+and the fall time x_t a B(a, 1/2) from x_t to x = 0,
 
-    t_+ = x0 [ I(1 -> u_c) + I(0 -> u_c) ]   if cos theta > 0,
-    t_+ = x0   I(0 -> 1)                     if cos theta <= 0,
+    t_+ = x0 2F1(a, 1/2; a + 1; s^2)                       if cos theta <= 0,
+    t_+ = 2 x_t a B(a, 1/2) - x0 2F1(a, 1/2; a + 1; s^2)   if cos theta > 0.
 
-where u_c = s^(-1/alpha) is the turning point of u = x/x0 and
-I(a -> b) = integral_a^b du / sqrt(1 - s^2 u^(2 alpha)).  The integrand
-has an inverse-square-root singularity at the turning point; the
-substitution u = u_c (1 - v^2) removes it exactly, and the resulting
-smooth integrals are evaluated with adaptive quadrature to 1e-12.
+Near the vertical (s^2 > 0.9) s^2 has lost the digits of cos^2 theta, and
+scipy's hyp2f1 returns nan there once a >= 171; so there both times are
+read from I_{cos^2 theta}(1/2, a), the share of the fall spent above x0:
+the fall times 1 - I inward and 1 + I outward.
 
 The ODE route detects the boundary with a terminal event at a small
 floor X_STOP and extrapolates the remaining X_STOP / |P_x| of travel;
@@ -334,59 +338,36 @@ def integrate_geodesic(
     )
 
 
-def _leg(alpha, u_lo, u_hi, s2):
-    """x0-scaled travel time between u_lo < u_hi along the radicand
-    1 - s2 * u^(2 alpha), with the singularity (if any) sitting at u_hi.
-
-    Substituting u = u_hi (1 - v^2) turns the inverse-square-root
-    endpoint into a bounded smooth integrand.  With top = s2 u_hi^(2 alpha)
-    the radicand is (1 - top) - top expm1(2 alpha log1p(-v^2)), which keeps
-    its relative accuracy as v -> 0 at a turning point (top = 1), where the
-    plain difference 1 - top (1 - v^2)^(2 alpha) cancels.
-    """
-    from scipy.integrate import quad
-
-    top = s2 * u_hi ** (2.0 * alpha)
-    gap = max(1.0 - top, 0.0)  # top <= 1 on every leg; clip the roundoff above
-
-    def integrand(v):
-        radicand = gap - top * math.expm1(2.0 * alpha * math.log1p(-v * v))
-        return 2.0 * v / math.sqrt(radicand)
-
-    v_max = math.sqrt(1.0 - u_lo / u_hi)
-    val, err = quad(integrand, 0.0, v_max, epsabs=1e-12, epsrel=1e-13, limit=200)
-    return u_hi * val, u_hi * err
-
-
-def hit_time_quadrature(init: GeodesicInitialData) -> tuple[float | None, float]:
-    """Forward boundary-arrival time from the conserved-energy quadrature
-    and quad's absolute error estimate of it.
-
-    The time is None for theta = 0 (the only launch direction with no
+def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
+    """Forward boundary-arrival time in the closed form of the module
+    docstring, or None for theta = 0 (the only launch direction with no
     forward hit).  Requires alpha > 0; for alpha <= 0 geodesics need not
-    reach the boundary and the quadrature does not apply.
+    reach the boundary and the formula does not apply.
     """
+    from scipy.special import beta, betainc, betaincc, hyp2f1
+
     alpha, theta, x0 = init.alpha, init.theta, init.x0
     if alpha <= 0.0:
         raise UsageError("hit-time quadrature requires alpha > 0")
     c, s = _direction(theta)
     if s == 0.0:
-        time = None if c > 0.0 else x0  # no forward hit, or the straight run (x0 - t, y0)
-        err = 0.0
-    else:
-        s2 = s * s
+        return None if c > 0.0 else x0  # no forward hit, or the straight run (x0 - t, y0)
+    a = 0.5 / alpha
+    near_vertical = s * s > 0.9
+    if not near_vertical:
+        inward = x0 * float(hyp2f1(a, 0.5, a + 1.0, s * s))
         if c <= 0.0:
-            legs = [_leg(alpha, 0.0, 1.0, s2)]
-        else:
-            try:
-                u_c = abs(s) ** (-1.0 / alpha)
-            except OverflowError:
-                raise UsageError(f"theta={theta:g}: the turning point x0 |sin theta|^(-1/alpha) "
-                                 f"overflows a float at alpha={alpha:g}") from None
-            legs = [_leg(alpha, 1.0, u_c, s2), _leg(alpha, 0.0, u_c, s2)]
-        time = x0 * sum(val for val, _ in legs)
-        err = x0 * sum(e for _, e in legs)
-    return time, err
+            return inward
+    try:  # the fall from x_t to x = 0
+        fall = x0 * abs(s) ** (-1.0 / alpha) * a * float(beta(a, 0.5))
+    except OverflowError:
+        raise UsageError(f"theta={theta:g}: the turning point x0 |sin theta|^(-1/alpha) "
+                         f"overflows a float at alpha={alpha:g}") from None
+    if not near_vertical:
+        return 2.0 * fall - inward
+    if c > 0.0:
+        return fall * (1.0 + float(betainc(0.5, a, c * c)))
+    return fall * float(betaincc(0.5, a, c * c))
 
 
 def _phases(sol, alpha, rows, targets):

@@ -147,13 +147,13 @@ def test_criterion_5_geodesic_hit_times():
         for theta in (PI / 4, PI / 2, 3 * PI / 4, PI):
             init = GeodesicInitialData(x0=1.0, y0=0.0, theta=theta, alpha=alpha)
             traj = integrate_geodesic(init)
-            expected = hit_time_quadrature(init)[0]
+            expected = hit_time_quadrature(init)
             worst_gap = max(worst_gap, abs(traj.hit_time_plus - expected))
             worst_drift = max(worst_drift, traj.energy_drift)
     analytic_errs = []
     for alpha, value in ((0.5, 2.0), (1.0, PI / 2)):
         init = GeodesicInitialData(x0=1.0, y0=0.0, theta=PI / 2, alpha=alpha)
-        analytic_errs.append(abs(hit_time_quadrature(init)[0] - value))
+        analytic_errs.append(abs(hit_time_quadrature(init) - value))
         analytic_errs.append(abs(integrate_geodesic(init).hit_time_plus - value))
     elapsed = time.perf_counter() - start
     ok = (worst_gap <= 1e-6 and max(analytic_errs) <= 1e-8

@@ -257,7 +257,7 @@ class TestGeodesicsCommand:
             if alpha == "-1":  # no quadrature applies
                 assert "quadrature_hit_time" not in meta and "quadrature_error" not in meta
                 continue
-            assert 0.0 <= meta["quadrature_error"] < 1e-9, entry["theta"]
+            assert "quadrature_error" not in meta, entry["theta"]
             hit = meta["quadrature_hit_time"]
             if entry["theta"] == 0.0:  # the one launch with no forward hit
                 assert hit is None
@@ -298,6 +298,16 @@ class TestGeodesicsCommand:
         for entry in manifest["trajectories"][1:]:  # theta = 0 has no forward hit
             gap = entry["hit_time_plus"] - entry["meta"]["quadrature_hit_time"]
             assert abs(gap) <= 1e-12 and entry["energy_drift"] <= 1e-12, entry["theta"]
+
+    def test_small_alpha_fan_matches_the_formula(self, tmp_path):
+        # at alpha 0.01 adaptive quadrature of the hit-time integral warned
+        # (IntegrationWarning) at theta = 5.105; any warning fails the run
+        assert main(["geodesics", "--alpha", "0.01", "--angles", "16",
+                     "--output-dir", str(tmp_path)]) == 0
+        gaps = [abs(entry["hit_time_plus"] - entry["meta"]["quadrature_hit_time"])
+                for entry in read_json(tmp_path / "manifest.json")["trajectories"]
+                if entry["hit_time_plus"] is not None]
+        assert gaps and max(gaps) <= 1e-8
 
     def test_requires_alpha(self, tmp_path):
         assert main(["geodesics", "--output-dir", str(tmp_path)]) == 2
@@ -555,7 +565,7 @@ class TestEvolveCommand:
         # the spreading xi = 0 fibre reaches a wall at x = 4 by t = 0.1
         bad = tmp_path / "bad"
         assert main(argv + ["--outer-wall", "4", "--output-dir", str(bad)]) == 3
-        assert not bad.exists() or not any(bad.iterdir())
+        assert not bad.exists()
 
 
 def _per_row_csv(path, header_cols, columns, config):
@@ -657,7 +667,7 @@ def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypa
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "0.01",
                  "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monkeypatch):
@@ -672,7 +682,7 @@ def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
                  "--t-final", "1.2", "--dt", "2e-3", "--eps-grid", "0.3,0.1,0.05,0.01",
                  "--output-dir", str(out)]) == 3
     assert "(mass 2.79e-07 > 2.75e-07)" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
     assert set(threading.enumerate()) == threads
 
 
@@ -820,7 +830,7 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     out = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -831,7 +841,7 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert main(["classify", "--alpha", "1", "--config", str(path),
                  "--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _imported_with_cli(module):
@@ -843,12 +853,9 @@ def _imported_with_cli(module):
     return out.strip()
 
 
-def test_import_leaves_out_scipy_integrate():
-    # only the ODE and quadrature routes need scipy.integrate; evolve and
-    # analytic classify runs must not pay for importing it
-    assert _imported_with_cli("scipy.integrate") == "False"
-
-
-def test_import_leaves_out_scipy_linalg():
-    # only evolve factorises; the other commands must not pay for importing it
-    assert _imported_with_cli("scipy.linalg") == "False"
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special"])
+def test_import_leaves_out_scipy(module):
+    # only the ODE routes need scipy.integrate, only evolve factorises with
+    # scipy.linalg, and only the hit-time formula needs scipy.special; a
+    # command must not pay for importing what it does not run
+    assert _imported_with_cli(module) == "False"

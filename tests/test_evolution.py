@@ -748,3 +748,4 @@ class TestBcSensitivity:
         with pytest.raises(ProtocolError) as caught:
             bc_sensitivity(0.0, 0.0, 1.2, eps_grid, dt=2e-3)
         assert str(caught.value) == alone[2]
+        assert str(caught.value).startswith("cutoff eps=0.05: its outer wall at L=")

@@ -1,9 +1,7 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from grushinlab import geodesics
 from grushinlab.errors import IntegrationError, UsageError
@@ -23,27 +21,45 @@ def launch(theta, alpha, x0=1.0, y0=0.0):
 
 class TestQuadrature:
     def test_straight_run(self):
-        assert hit_time_quadrature(launch(PI, 0.5))[0] == pytest.approx(1.0, abs=1e-12)
+        assert hit_time_quadrature(launch(PI, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_vertical_alpha_half(self):
         # int_0^1 ds / sqrt(1 - s) = 2
-        assert hit_time_quadrature(launch(PI / 2, 0.5))[0] == pytest.approx(2.0, abs=1e-10)
+        assert hit_time_quadrature(launch(PI / 2, 0.5)) == pytest.approx(2.0, abs=1e-10)
 
     def test_vertical_alpha_one(self):
         # int_0^1 ds / sqrt(1 - s^2) = pi/2
-        assert hit_time_quadrature(launch(PI / 2, 1.0))[0] == pytest.approx(PI / 2, abs=1e-10)
+        assert hit_time_quadrature(launch(PI / 2, 1.0)) == pytest.approx(PI / 2, abs=1e-10)
 
     def test_outgoing_angle_alpha_one(self):
         # harmonic-oscillator exact value: rise to x_c = sqrt(2) then fall
         exact = 3 * PI / (2 * math.sqrt(2.0))
-        assert hit_time_quadrature(launch(PI / 4, 1.0))[0] == pytest.approx(exact, abs=1e-10)
+        assert hit_time_quadrature(launch(PI / 4, 1.0)) == pytest.approx(exact, abs=1e-10)
+
+    def test_constant_force_on_every_fan_angle(self):
+        # alpha = 1/2 is the constant force -P_y^2 / 2 on x, which reaches
+        # x = 0 at t = 2 x0 (1 + cos theta) / sin^2 theta on both sides of
+        # the vertical, that is x0 / sin^2(theta / 2) without cancellation
+        for i in range(1, 64):
+            theta = 2.0 * PI * (i / 64)
+            exact = 1.3 / math.sin(0.5 * theta) ** 2
+            assert hit_time_quadrature(launch(theta, 0.5, x0=1.3)) == pytest.approx(
+                exact, rel=1e-13), theta
+
+    @pytest.mark.parametrize("theta", [PI / 2 - 0.01, PI / 2, PI / 2 + 0.01])
+    def test_near_vertical_at_small_alpha_matches_the_ode(self, theta):
+        # a = 1/(2 alpha) = 250: near sin^2 theta = 1 scipy's hyp2f1 is nan
+        # for a >= 171, so these times must come from cos^2 theta
+        init = launch(theta, 0.002)
+        traj = integrate_geodesic(init, t_span=(0.0, 60.0))
+        assert abs(traj.hit_time_plus - hit_time_quadrature(init)) <= 1e-8
 
     def test_theta_zero_never_hits_forward(self):
-        assert hit_time_quadrature(launch(0.0, 1.0))[0] is None
+        assert hit_time_quadrature(launch(0.0, 1.0)) is None
 
     def test_launch_point_scaling(self):
-        t1 = hit_time_quadrature(launch(2.0, 1.0, x0=1.0))[0]
-        t3 = hit_time_quadrature(launch(2.0, 1.0, x0=3.0))[0]
+        t1 = hit_time_quadrature(launch(2.0, 1.0, x0=1.0))
+        t3 = hit_time_quadrature(launch(2.0, 1.0, x0=3.0))
         assert t3 == pytest.approx(3.0 * t1, rel=1e-12)
 
     def test_alpha_nonpositive_unsupported(self):
@@ -55,7 +71,7 @@ class TestQuadrature:
     def test_tiny_angle_long_excursion(self):
         # grazing launch climbs to x_c ~ 1/sin(theta) before falling back
         init = launch(1e-3, 1.0)
-        q = hit_time_quadrature(init)[0]
+        q = hit_time_quadrature(init)
         assert q == pytest.approx(3140.5931770220427, rel=1e-10)
         traj = integrate_geodesic(init, t_span=(-4000.0, 4000.0))
         assert abs(traj.hit_time_plus - q) <= 1e-6
@@ -84,7 +100,7 @@ class TestIntegration:
     def test_oracle_agreement(self, alpha, theta):
         init = launch(theta, alpha)
         traj = integrate_geodesic(init)
-        assert abs(traj.hit_time_plus - hit_time_quadrature(init)[0]) <= 1e-6
+        assert abs(traj.hit_time_plus - hit_time_quadrature(init)) <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_energy_conservation(self, alpha):
@@ -111,7 +127,7 @@ class TestIntegration:
     def test_general_launch_point_oracle(self):
         init = launch(2.5, 1.0, x0=2.0)
         traj = integrate_geodesic(init, t_span=(-20.0, 20.0))
-        assert abs(traj.hit_time_plus - hit_time_quadrature(init)[0]) <= 1e-6
+        assert abs(traj.hit_time_plus - hit_time_quadrature(init)) <= 1e-6
 
     def test_energy_is_half_at_general_launch(self):
         init = launch(0.7, 1.5, x0=3.0)
@@ -186,12 +202,9 @@ class TestFan:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_quadrature_matches_every_fan_angle(self, alpha):
-        # the benchmark's fans; near a turning point the hit-time radicand
-        # must not cancel, or quad warns and loses digits
+        # the benchmark's fans
         for traj in geodesic_fan(alpha, 64):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", IntegrationWarning)
-                expected = hit_time_quadrature(traj.init)[0]
+            expected = hit_time_quadrature(traj.init)
             if traj.hit_time_plus is None:  # no hit within the fan's t_max = 10
                 assert expected is None or expected > 10.0, traj.init.theta
             else:
@@ -270,7 +283,7 @@ class TestSharedSolves:
                     continue
                 assert abs(got - want) <= 1e-8, theta
                 if alpha > 0.0:
-                    assert abs(sign * got - hit_time_quadrature(launch)[0]) <= 1e-8, theta
+                    assert abs(sign * got - hit_time_quadrature(launch)) <= 1e-8, theta
             assert traj.t.shape == alone.t.shape
             for name in ("t", "x", "y"):
                 gap = np.max(np.abs(getattr(traj, name) - getattr(alone, name)))
@@ -326,7 +339,7 @@ class TestSharedSolves:
                 continue
             reversed_launch = GeodesicInitialData(**SHARED_LAUNCH, alpha=alpha,
                                                   theta=traj.init.theta + PI)
-            expected = hit_time_quadrature(reversed_launch)[0]
+            expected = hit_time_quadrature(reversed_launch)
             if traj.hit_time_minus is None:
                 assert expected is None or expected > 3.0, traj.init.theta
             else:
