@@ -46,7 +46,8 @@ class TestQuadrature:
             assert hit_time_quadrature(launch(theta, 0.5, x0=1.3)) == pytest.approx(
                 exact, rel=1e-13), theta
 
-    @pytest.mark.parametrize("theta", [PI / 2 - 0.01, PI / 2, PI / 2 + 0.01])
+    @pytest.mark.parametrize("theta", [PI / 2 - 0.01, PI / 2, PI / 2 + 0.01],
+                             ids=["outward", "vertical", "inward"])
     def test_near_vertical_at_small_alpha_matches_the_ode(self, theta):
         # a = 1/(2 alpha) = 250: near sin^2 theta = 1 scipy's hyp2f1 is nan
         # for a >= 171, so these times must come from cos^2 theta
