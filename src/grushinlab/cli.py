@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    GrushinError,
     InconclusiveClassification,
     NumericError,
     ProtocolError,
@@ -647,9 +646,6 @@ def main(argv=None) -> int:
         return EXIT_INCONCLUSIVE
     except (NumericError, ProtocolError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except GrushinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The command line front end maps these onto exit codes, so raising the
-right class matters more than the message wording.  :class:`UsageError`
-is the one bad-input class: a configuration, flag or argument outside its
+A failure is its class and its message.  The command line front end maps
+each class onto an exit code and prints the message, which says what
+failed; no error carries anything more.  :class:`UsageError` is the one
+bad-input class: a configuration, flag, argument or array outside its
 domain raises it, and the command line exits with code 2.
 """
 
@@ -12,25 +13,15 @@ class GrushinError(Exception):
 
 
 class UsageError(GrushinError, ValueError):
-    """A precondition on user-supplied configuration or arguments is
-    violated (e.g. a launch point with x0 <= 0)."""
-
-
-class DataError(GrushinError, ValueError):
-    """Input arrays contain non-finite or otherwise unusable samples."""
+    """A precondition on user-supplied configuration, arguments or arrays
+    is violated (e.g. a launch point with x0 <= 0, or a wavefunction with
+    non-finite samples)."""
 
 
 class NumericError(GrushinError, RuntimeError):
-    """A numerical routine failed (linear solve breakdown, etc.)."""
-
-
-class IntegrationError(NumericError):
-    """ODE integration failed; carries the last good state reached."""
-
-    def __init__(self, message, last_time=None, last_state=None):
-        super().__init__(message)
-        self.last_time = last_time
-        self.last_state = last_state
+    """A numerical routine failed (an ODE solve that stopped, a grid that
+    resolves nothing, a non-finite output); the message says which, e.g.
+    the launch angle of a geodesic half or a fan's reference orbit."""
 
 
 class InconclusiveClassification(GrushinError):

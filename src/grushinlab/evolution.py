@@ -85,7 +85,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, ProtocolError, UsageError
+from .errors import NumericError, ProtocolError, UsageError
 from .profiles import FibrePotential, GrushinProfile, power_law
 
 __all__ = [
@@ -230,6 +230,8 @@ class FibreGrid:
 def _check_interval(eps: float, L: float) -> None:
     if not (0.0 < eps < L):
         raise UsageError("grid requires 0 < eps < L")
+    if eps * eps == 0.0:
+        raise UsageError(f"cutoff eps={eps:g}: its square underflows to 0, so W(eps) is no float")
 
 
 def _check_resolution(resolution: float) -> None:
@@ -654,7 +656,7 @@ class PlaneWavefunction:
 
 def _check_finite(values):
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-        raise DataError("wavefunction contains non-finite samples")
+        raise UsageError("wavefunction contains non-finite samples")
 
 
 def _fft_frequencies(n: int, dy: float, geometry: str) -> np.ndarray:
@@ -750,6 +752,8 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
         raise UsageError(f"ny must be odd and at least 3 so the xi grid is symmetric, got {ny}")
     if sigma_xi <= 0.0 or y_span <= 0.0:
         raise UsageError("sigma_xi and y_span must be positive")
+    if sigma_xi * sigma_xi == 0.0:
+        raise UsageError(f"sigma_xi={sigma_xi:g}: its square underflows to 0")
     axis = np.sort(_fft_frequencies(ny, y_span / ny, geometry))
     dxi = float(axis[1] - axis[0])
     y0 = 0.0 if geometry == "cylinder" else -y_span / 2.0

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationError, UsageError
+from .errors import NumericError, UsageError
 
 __all__ = [
     "GeodesicInitialData",
@@ -208,15 +208,6 @@ def _drift(alpha, x, px, py) -> float:
     return float(np.max(np.abs(0.5 * (px * px + potential) - 0.5)))
 
 
-def _fail(message, frame, t, x, px, dy):
-    """IntegrationError at time t and state (x, P_x, y - y0) of a forward
-    solve, placed by ``frame`` = (y0, time sign, y - y0 sign) in the
-    geodesic half that asked for it."""
-    y0, t_sign, y_sign = frame
-    raise IntegrationError(f"geodesic integration failed: {message}", last_time=t_sign * t,
-                           last_state=np.array([x, t_sign * px, y0 + y_sign * dy]))
-
-
 @dataclass(frozen=True)
 class _Half:
     """SAMPLES_EACH_WAY samples of one forward-time half from t = 0:
@@ -242,15 +233,14 @@ class _Half:
     reference: dict | None = field(default=None, repr=False)
 
 
-def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
+def _solve_half(alpha, x0, theta, px0, py, t_end, tol) -> _Half:
     """Integrate the launch ``theta`` with momenta (px0, py) from t = 0 to
-    t_end > 0, or to the boundary floor.
+    t_end > 0, or to the boundary floor; a failed solve raises
+    NumericError naming ``theta``.
 
     With P_y = 0 or alpha = 0, P_x' = 0 and the half is the straight line
     x = x0 + P_x t, y - y0 = P_y t (x^0 = 1), stopped at the floor like a
-    solve.  ``frame`` = (y0, time sign, y - y0 sign) places the solve in
-    the geodesic half that asked for it; it is used only to report a
-    failure at the time and state (x, P_x, y) that geodesic reached.
+    solve.
     """
     if py == 0.0 or alpha == 0.0:
         t_stop, hit = t_end, None
@@ -272,7 +262,7 @@ def _solve_half(alpha, x0, theta, px0, py, t_end, tol, frame) -> _Half:
     sol = solve_ivp(_rhs, (0.0, t_end), (x0, px0, 0.0), args=(alpha, py, 1e-14), method="DOP853",
                     rtol=tol, atol=tol * 1e-2, events=event, dense_output=True)
     if sol.status == -1:
-        _fail(sol.message, frame, sol.t[-1], *sol.y[:, -1])
+        raise NumericError(f"geodesic integration failed at theta={theta:g}: {sol.message}")
     hit = None
     if sol.t_events[0].size:
         t_event = float(sol.t_events[0][0])
@@ -308,17 +298,18 @@ def integrate_geodesic(
     with t and P_x negated.  ``geodesic_fan`` passes these two halves in
     as ``_halves``, each with the sign that mirrors its y - y0, to share
     them between angles (the second None when t_span[0] = 0, the first
-    when t_span[1] = 0); by default they are solved here.
+    when t_span[1] = 0); by default they are solved here.  A failed solve
+    raises NumericError naming the launch angle of its half: theta
+    forward, theta + pi backward.
     """
     _check_span(t_span, tol)
     if _halves is None:
-        alpha, x0, theta, y0 = init.alpha, init.x0, init.theta, init.y0
+        alpha, x0, theta = init.alpha, init.x0, init.theta
         px0, py = init.momenta
         _halves = (
-            (_solve_half(alpha, x0, theta, px0, py, t_span[1], tol, (y0, 1.0, 1.0)), 1.0)
+            (_solve_half(alpha, x0, theta, px0, py, t_span[1], tol), 1.0)
             if t_span[1] > 0.0 else None,
-            (_solve_half(alpha, x0, theta + math.pi, -px0, -py, -t_span[0], tol,
-                         (y0, -1.0, 1.0)), 1.0)
+            (_solve_half(alpha, x0, theta + math.pi, -px0, -py, -t_span[0], tol), 1.0)
             if t_span[0] < 0.0 else None,
         )
     fwd, bwd = _halves
@@ -390,7 +381,7 @@ def _phases(sol, alpha, rows, targets):
 
 
 def _orbit_halves(alpha, x0, launches, tol) -> dict:
-    """Every half of ``launches``, (key, frame, theta, P_x, P_y, t_end, x_t,
+    """Every half of ``launches``, (key, theta, P_x, P_y, t_end, x_t,
     x_t^(1+alpha), x0 / x_t), from one solve of the reference geodesic
     (R' = P, P' = -alpha R^(2 alpha - 1), Y' = R^(2 alpha), h = 1/2).
 
@@ -401,18 +392,17 @@ def _orbit_halves(alpha, x0, launches, tol) -> dict:
     floor R = X_STOP / max x_t and R rises to its turning point P = 0,
     mirrored beyond it; for alpha < 0 it is the turning point R = 1, R is
     even in tau and runs out to max (x0 + t_end) / x_t.  A failed solve
-    fails the first launch in angle order whose half needs a phase it did
-    not reach, at the time and state it reaches there.
+    raises NumericError before any half is built.
     """
     from scipy.integrate import solve_ivp
 
     up = alpha > 0.0
     if up:
-        r0 = X_STOP / max(launch[6] for launch in launches)
+        r0 = X_STOP / max(launch[5] for launch in launches)
         start = (r0, math.sqrt(-math.expm1(2.0 * alpha * math.log(r0))), 0.0)
         atol = tol * 1e-2 * np.array([r0, 1.0, r0])
     else:
-        r_end = max((x0 + launch[5]) / launch[6] for launch in launches)
+        r_end = max((x0 + launch[4]) / launch[5] for launch in launches)
         start, atol = (1.0, 0.0, 0.0), tol * 1e-2
 
     def event(tau, state, alpha, py, floor, ceiling):
@@ -423,24 +413,25 @@ def _orbit_halves(alpha, x0, launches, tol) -> dict:
     ceiling = 1.0 if up else math.inf  # energy conservation keeps R <= 1 for alpha > 0
     sol = solve_ivp(_rhs, (0.0, math.inf), start, args=(alpha, 1.0, start[0], ceiling),
                     method="DOP853", rtol=tol, atol=atol, events=event, dense_output=True)
-    failed, tau_end = sol.status != 1, sol.t[-1]
-    tau_m, y_m = (math.inf if up else 0.0), 0.0  # phase and Y of the mirror, the turning point
-    if up and not failed:  # one Newton step on P past the event's root finder
+    if sol.status != 1:
+        raise NumericError(f"geodesic integration failed on the fan's reference orbit: "
+                           f"{sol.message}")
+    tau_end = sol.t[-1]
+    tau_m, y_m = 0.0, 0.0  # phase and Y of the mirror, the turning point
+    if up:  # one Newton step on P past the event's root finder
         r, p, _y = sol.sol(tau_end)
         tau_m = tau_end + p / (alpha * r ** (2.0 * alpha - 1.0))
         y_m = float(sol.sol(tau_m)[2])
     reference = {"nfev": sol.nfev, "anchor": "boundary" if up else "turning point",
                  "R0": start[0], "phase_end": float(tau_end)}
 
-    px, x_t, u0 = (np.array([launch[i] for launch in launches]) for i in (3, 6, 8))
+    px, x_t, u0 = (np.array([launch[i] for launch in launches]) for i in (2, 5, 7))
     on_p = np.abs(px) < abs(alpha) * (1.0 - px * px)  # where |P'| = |alpha| R^(2 alpha - 1) > P / R
     phases = _phases(sol, alpha, np.concatenate([on_p, np.zeros_like(on_p)]).astype(int),
                      np.concatenate([np.where(on_p, np.abs(px), u0), X_STOP / x_t]))
     parts = []
-    for (key, frame, theta, c, py, t_end, xt, scale, u), tau0, tau_f in zip(
+    for (_, _, c, _, t_end, xt, _, _), tau0, tau_f in zip(
             launches, phases[:len(launches)], phases[len(launches):]):
-        if failed and u > sol.y[0, -1]:  # the launch lies beyond the phases reached
-            _fail(sol.message, frame, 0.0, x0, c, 0.0)
         d = 1.0 if c > 0.0 or (c == 0.0 and not up) else -1.0
         tau0 = tau_m if c == 0.0 else tau0
         t1 = -d * xt * tau0  # phase d (t - t1) / x_t, exact in t, to the turning point at t_r
@@ -450,16 +441,12 @@ def _orbit_halves(alpha, x0, launches, tol) -> dict:
         t_hit = math.inf if not up and (d > 0.0 or X_STOP / xt <= 1.0) else (
             (t1 if d < 0.0 else t2) - xt * tau_f)
         t = np.linspace(0.0, min(t_hit, t_end), SAMPLES_EACH_WAY)
-        t_cross = (t1 if d > 0.0 else t2 if not up else math.inf) + xt * tau_end
-        if failed and t_cross < t[-1]:
-            (r, p, y), y_0 = sol.sol(tau_end), float(sol.sol(tau0)[2])
-            _fail(sol.message, frame, t_cross, xt * r, p, math.copysign(scale, py) * (y - d * y_0))
         first = t <= t_r
         parts.append((np.where(first, d * (t - t1), d * (t2 - t)) / xt, t, t_hit <= t_end,
                       np.where(first, d, -d), np.where(first, 0.0, 2.0 * d * y_m), tau0))
     r, p, y = sol.sol(np.concatenate([part[0] for part in parts])).reshape(3, len(parts), -1)
     halves = {}
-    for i, ((key, _, theta, c, py, t_end, xt, scale, _), (_, t, hits, sign, offset, tau0)) in \
+    for i, ((key, theta, c, py, t_end, xt, scale, _), (_, t, hits, sign, offset, tau0)) in \
             enumerate(zip(launches, parts)):
         y_unfolded = sign * y[i] + offset
         state = np.array([xt * r[i], sign * p[i],
@@ -499,18 +486,13 @@ def geodesic_fan(
     # their P_x or P_y exactly 0 (see _direction)
     inits = [GeodesicInitialData(x0=x0, y0=y0, theta=2.0 * math.pi * (i / n_angles), alpha=alpha)
              for i in range(n_angles)]
-    frames: dict[tuple[int, float], tuple] = {}  # launch class -> frame of its first use
-    uses = []
+    uses = []  # (launch class, y - y0 sign) of each half, or None outside the span
     for i in range(n_angles):
-        for m, t_end, t_sign in ((2 * i, t_span[1], 1.0),
-                                 ((2 * i + n_angles) % n2, -t_span[0], -1.0)):
-            y_sign = -1.0 if m > n_angles else 1.0
-            key = (min(m, n2 - m), t_end)
-            if t_end > 0.0:
-                frames.setdefault(key, (y0, t_sign, y_sign))
-            uses.append((key, y_sign) if t_end > 0.0 else None)
+        for m, t_end in ((2 * i, t_span[1]), ((2 * i + n_angles) % n2, -t_span[0])):
+            uses.append(((min(m, n2 - m), t_end), -1.0 if m > n_angles else 1.0)
+                        if t_end > 0.0 else None)
     halves, orbit = {}, []
-    for key, frame in frames.items():
+    for key in dict.fromkeys(use[0] for use in uses if use is not None):
         theta = math.pi * (key[0] / n_angles)
         px, py = GeodesicInitialData(x0=x0, y0=y0, theta=theta, alpha=alpha).momenta
         try:  # the dilation; a line, sin theta = 0 or alpha = 0, has none
@@ -530,9 +512,9 @@ def geodesic_fan(
         span = dilation[0] / X_STOP if alpha > 0.0 else (x0 + key[1]) / dilation[0]
         if (x0 > X_STOP and span <= ORBIT_SPAN
                 and all(math.isfinite(v) and v >= sys.float_info.min for v in dilation)):
-            orbit.append((key, frame, theta, px, py, key[1], *dilation, u0))
+            orbit.append((key, theta, px, py, key[1], *dilation, u0))
         else:
-            halves[key] = _solve_half(alpha, x0, theta, px, py, key[1], tol, frame)
+            halves[key] = _solve_half(alpha, x0, theta, px, py, key[1], tol)
     if orbit:
         halves.update(_orbit_halves(alpha, x0, orbit, tol))
 

@@ -479,17 +479,8 @@ def classify_sweep(
 # ---------------------------------------------------------------------------
 
 def _describe_runs(values: np.ndarray, failing: np.ndarray) -> tuple[str, list]:
-    runs = []
-    i = 0
-    while i < values.size:
-        if failing[i]:
-            j = i
-            while j + 1 < values.size and failing[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
+    edges = np.flatnonzero(np.diff(failing.astype(int), prepend=0, append=0))
+    runs = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     if not runs:
         return "none", []
     if all(failing):

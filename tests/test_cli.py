@@ -18,6 +18,13 @@ from hypothesis import strategies as st
 
 from grushinlab import cli
 from grushinlab.cli import main
+from grushinlab.errors import (
+    GrushinError,
+    InconclusiveClassification,
+    NumericError,
+    ProtocolError,
+    UsageError,
+)
 from grushinlab.evolution import BoundaryCondition, evolve_plane, standard_plane_data, to_original
 from grushinlab.geodesics import GeodesicInitialData, geodesic_fan, integrate_geodesic
 from grushinlab.profiles import power_law
@@ -120,9 +127,6 @@ class TestClassifyCommand:
         assert doc["config"]["grid"]["xi_max"] == 0.7
 
     def test_inconclusive_exit_code(self, tmp_path, monkeypatch):
-        from grushinlab import cli
-        from grushinlab.errors import InconclusiveClassification
-
         def boom(*a, **k):
             raise InconclusiveClassification("routes disagree")
 
@@ -194,6 +198,16 @@ class TestGeodesicsCommand:
         assert manifest["config"]["reference"]["nfev"] > 0
         assert ("8 trajectories from 5 halves and 1 reference solve, 7 forward boundary hits"
                 in capsys.readouterr().out)
+
+    def test_failed_solve_exits_3_naming_its_angle(self, tmp_path, capsys):
+        # a real failure: at x0 = 1e-300, P_y^2 = 7e299 is a float, but the
+        # solver finds no step (numpy warns of overflow on the way)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["geodesics", "--alpha", "0.5", "--theta", "1", "--x0", "1e-300",
+                         "--output-dir", str(out)]) == 3
+        assert "theta=1:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_angle_round_trip(self, tmp_path, capsys):
         # --theta writes like a fan of one angle: its two direct solves and
@@ -821,6 +835,14 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["geodesics", "--alpha", "1e-6", "--theta", "0.5"], None),
     # no step: D would be 0 at every cutoff
     (["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0"], None),
+    # a cutoff whose square underflows to 0, so W(eps) is 0/0 or x/0; and a
+    # --sigma-xi whose square does
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--eps-grid", "1e-200"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "1e-200", "--ny", "3",
+      "--t-final", "0.002"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "0", "--eps-grid", "1e-200",
+      "--t-final", "0.01"], None),
+    ([*PLANE_RUN, "--sigma-xi", "1e-300"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -831,6 +853,28 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     assert main(argv + ["--output-dir", str(out)]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _error_classes(cls=GrushinError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# the exit code the README documents for each error class
+EXIT_CODES = {UsageError: 2, NumericError: 3, ProtocolError: 3, InconclusiveClassification: 4}
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, error):
+    # main has no catch-all: a class without its own branch escapes it
+    def fail(args):
+        raise error(f"forced {error.__name__}")
+
+    monkeypatch.setattr(cli, "_cmd_classify", fail)
+    assert main(["classify", "--alpha", "1"]) == EXIT_CODES[error]
+    assert f"forced {error.__name__}" in capsys.readouterr().err
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):

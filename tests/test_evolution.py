@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from grushinlab.errors import DataError, ProtocolError, UsageError
+from grushinlab.errors import ProtocolError, UsageError
 from grushinlab.evolution import (
     GRID_GROWTH,
     RESOLUTION_LIMIT,
@@ -468,7 +468,7 @@ class TestTransforms:
         vals[3, 3] = math.nan
         psi = PlaneWavefunction(values=vals, grid=self.grid, axis=self.y,
                                 representation="original")
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError, match="non-finite samples"):
             to_transformed(psi, self.prof)
 
 

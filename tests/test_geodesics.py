@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grushinlab import geodesics
-from grushinlab.errors import IntegrationError, UsageError
+from grushinlab.errors import NumericError, UsageError
 from grushinlab.geodesics import (
     GeodesicInitialData,
     geodesic_fan,
@@ -375,52 +374,34 @@ class TestSharedSolves:
         assert solves(lambda: integrate_geodesic(launch(1.0, 1.0))) == 2
         assert solves(lambda: integrate_geodesic(launch(1.0, 1.0), (0.0, 5.0))) == 1
 
-    def test_failure_reports_the_geodesic_state(self, monkeypatch):
-        # a failed solve reports the time and (x, P_x, y) reached by the
-        # geodesic half that asked for it, not those of the forward solve
+    def test_failure_names_its_half_or_the_reference(self, monkeypatch):
+        # a failure is its message: a failed direct solve names the launch
+        # angle of its half (theta forward, theta + pi backward), and a
+        # fan's one solve fails the fan, naming the reference orbit
         import scipy.integrate
 
         solve_ivp = scipy.integrate.solve_ivp
 
-        def backward_fails_at_half(fun, t_span, y, **kwargs):
-            sol = solve_ivp(fun, (0.0, 0.5), y, **kwargs)
-            if t_span[1] == 3.0 and kwargs["args"][1] != 0.0:
-                sol.status, sol.message = -1, "forced"
-            return sol
+        def stops(t_bound, fails):
+            def solve(fun, t_span, y, **kwargs):
+                sol = solve_ivp(fun, (0.0, t_bound), y, **kwargs)
+                if fails(t_span):
+                    sol.status, sol.message = -1, "forced"
+                return sol
+            return solve
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", backward_fails_at_half)
         init = GeodesicInitialData(**SHARED_LAUNCH, theta=PI / 4, alpha=1.0)
-        x, y, px = (v[0] for v in exact_flow(init, np.array([-0.5])))
-        with pytest.raises(IntegrationError) as failure:
-            integrate_geodesic(init, (-3.0, 7.0))
-        assert failure.value.last_time == -0.5
-        assert np.allclose(failure.value.last_state, [x, px, y], rtol=0.0, atol=1e-8)
+        for t_end, theta in ((7.0, PI / 4), (3.0, 5 * PI / 4)):
+            monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                                stops(0.5, lambda t_span: t_span[1] == t_end))
+            with pytest.raises(NumericError, match=rf"theta={theta:g}: forced$"):
+                integrate_geodesic(init, (-3.0, 7.0))
 
-        # A fan's one solve is its reference orbit.  Stopped at phase
-        # tau_stop, it fails the first half in angle order that needs a later
-        # phase, at the time that half reaches tau_stop.  Angle 1 of 8, pi/4,
-        # is the first with P_y != 0.  At alpha = 1, R = sin(tau + asin(R0))
-        # from the floor R0 = X_STOP / x_t, and its forward half rises past
-        # tau_stop.  At alpha = -1, R = sqrt(1 + tau^2) from the turning
-        # point, and its backward half (the launch 3 pi/4, mirrored) falls
-        # to the turning point at tau = 0 from tau = 1, then rises past tau_stop.
-        def reference_stops(fun, t_span, y, **kwargs):
-            sol = solve_ivp(fun, (0.0, tau_stop), y, **kwargs)
-            sol.status, sol.message = -1, "forced"
-            return sol
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", reference_stops)
-        x0, s = SHARED_LAUNCH["x0"], math.sin(PI / 4)  # x_t = x0 s^(-1/alpha)
-        r0 = geodesics.X_STOP / (x0 / s)
-        for alpha, t_span, tau_stop, t_fail in (
-                (1.0, (-3.0, 7.0), 1.2, x0 / s * (1.2 + math.asin(r0) - PI / 4)),
-                (-1.0, (-7.0, 0.5), 1.6, -x0 * s * (1.0 + 1.6))):
-            init = GeodesicInitialData(**SHARED_LAUNCH, theta=PI / 4, alpha=alpha)
-            x, y, px = (v[0] for v in exact_flow(init, np.array([t_fail])))
-            with pytest.raises(IntegrationError) as failure:
-                geodesic_fan(alpha, 8, t_span, **SHARED_LAUNCH)
-            assert failure.value.last_time == pytest.approx(t_fail, rel=0.0, abs=1e-9)
-            assert np.allclose(failure.value.last_state, [x, px, y], rtol=0.0, atol=1e-8)
+        # a fan's one solve is its reference orbit
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", stops(1.2, lambda t_span: True))
+        for alpha in (1.0, -1.0):
+            with pytest.raises(NumericError, match="fan's reference orbit: forced$"):
+                geodesic_fan(alpha, 8, (-3.0, 7.0), **SHARED_LAUNCH)
 
     def test_one_sided_span(self):
         for traj in geodesic_fan(1.0, 4, (0.0, 5.0)):

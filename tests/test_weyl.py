@@ -15,6 +15,7 @@ from grushinlab.weyl import (
     Mode,
     SAVerdict,
     TotalDeficiency,
+    WeylReport,
     aggregate_verdict,
     classify_by_inequality,
     classify_numeric,
@@ -323,6 +324,17 @@ class TestAggregation:
         assert v.verdict is SAVerdict.ESSENTIALLY_SELF_ADJOINT
         assert v.failing_values == (0.0,)
         assert "measure-zero" in v.caveat
+
+    def test_mixed_failing_set_is_described_run_by_run(self):
+        # hand-built reports out of xi order: runs and lone points, at the
+        # ends of the grid and inside it
+        lc, lp = Endpoint.LIMIT_CIRCLE, Endpoint.LIMIT_POINT
+        for ends, described in (
+                ({-1.0: lp, -0.5: lc, 0.0: lc, 0.5: lp, 1.0: lc, 1.5: lp, 2.0: lc, 2.5: lc},
+                 "xi in [-0.5, 0] U {1} U [2, 2.5]"),
+                ({-1.0: lc, 0.0: lp, 1.0: lc}, "xi in {-1} U {1}")):
+            reports = [WeylReport(xi, ends[xi], Method.ANALYTIC_POWER_LAW) for xi in reversed(ends)]
+            assert aggregate_verdict(reports, Mode.PLANE).failing_fibres == described
 
     def test_cylinder_single_failing_mode(self):
         ks = range(-5, 6)
