@@ -78,13 +78,10 @@ def _write_json(path, document):
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    """``json.dumps``'s ``default``: an array is its list."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "value"):
-        return obj.value
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
 CSV_BLOCK_ROWS = 256
@@ -233,12 +230,7 @@ def _cmd_classify(args) -> int:
     reports = classify_sweep(profile, xi_values, method=method)
     verdict = aggregate_verdict(reports, mode, grid_info=grid_info)
 
-    inequality = {"verdict": "skipped"}
-    try:
-        ineq, info = classify_by_inequality(profile, np.geomspace(1e-4, 1e2, 400))
-        inequality = {"verdict": ineq.value, **info}
-    except UsageError as exc:
-        inequality = {"verdict": "skipped", "reason": str(exc)}
+    ineq, info = classify_by_inequality(profile, np.geomspace(1e-4, 1e2, 400))
 
     config = {
         "command": "classify",
@@ -268,7 +260,7 @@ def _cmd_classify(args) -> int:
         "total_deficiency": verdict.total_deficiency.value,
         "caveat": verdict.caveat,
         "grid": verdict.grid,
-        "inequality_check": inequality,
+        "inequality_check": {"verdict": ineq.value, **info},
     }
     path = _write_json(os.path.join(_outdir(args), "verdict.json"), document)
     print(f"{profile.name} [{mode.value}]: {verdict.verdict.value}"

@@ -245,7 +245,10 @@ def _march(eps, L, pot, cap, resolution):
     at both of its ends."""
 
     def local(x):
-        w = abs(float(pot(x)))
+        try:
+            w = abs(float(pot(x)))
+        except OverflowError:
+            raise UsageError(f"the potential overflows a float at x={x:g}") from None
         return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
 
     gaps, x, h, h_here = [], eps, math.inf, local(eps)
@@ -761,7 +764,9 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
         outer_wall = choose_outer_wall(FibrePotential(xi=0.0, profile=profile))
     pot_edge = FibrePotential(xi=float(np.max(np.abs(axis))), profile=profile)
     grid = FibreGrid.resolved(eps, outer_wall, pot_edge)
-    env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
+    # a subnormal sigma_xi^2 gives every xi != 0 the limit exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
     env /= math.sqrt(dxi * float(np.sum(env**2)))
     psi0 = PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
                              axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)

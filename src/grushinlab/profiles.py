@@ -33,7 +33,7 @@ when alpha(2+alpha) >= 0, i.e. outside (-2, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,8 +43,6 @@ from .errors import UsageError
 __all__ = [
     "GrushinProfile",
     "FibrePotential",
-    "AssumptionCheck",
-    "AssumptionReport",
     "power_law",
     "custom_profile",
     "builtin_profile",
@@ -220,51 +218,16 @@ def builtin_profile(name: str) -> GrushinProfile:
 # admissibility checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    condition: str
-    passed: bool
-    first_violation: float | None = None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Grid-sampled admissibility report.
-
-    The sampling grid is retained verbatim so any reported violation can
-    be reproduced exactly.
-    """
-
-    profile_name: str
-    grid: np.ndarray = field(repr=False)
-    checks: tuple[AssumptionCheck, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, condition: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.condition == condition:
-                return c
-        raise KeyError(condition)
-
-    def summary(self) -> str:
-        parts = [f"{c.condition}:{'pass' if c.passed else 'FAIL'}" for c in self.checks]
-        return f"{self.profile_name} [{', '.join(parts)}]"
-
-
-def _first_violation(grid: np.ndarray, bad: np.ndarray) -> float | None:
-    idx = np.flatnonzero(bad)
-    return float(grid[idx[0]]) if idx.size else None
-
-
-def check_assumptions(profile: GrushinProfile,
-                      grid: Sequence[float] | np.ndarray) -> AssumptionReport:
+def check_assumptions(profile: GrushinProfile, grid: Sequence[float] | np.ndarray
+                      ) -> tuple[np.ndarray, dict[str, float]]:
     """Evaluate admissibility conditions (i)-(iv) pointwise on ``grid``.
 
-    ``grid`` must hold at least 100 strictly positive samples (a
-    log-spaced grid is expected so several decades near zero are probed).
+    Returns the grid checked, sorted and clipped to ``x_float_min``, and
+    a dict from each failing condition, as ``"(ii) lower bound near 0"``,
+    to the first x where it fails: empty for an admissible profile.
+    ``grid`` must hold at least 100 strictly positive samples above the
+    float floor (a log-spaced grid is expected so several decades near
+    zero are probed).
     Condition (iv) is tested as 2 f f'' - f'^2 >= -1e-12 |f^2/x^2| so that
     exact-equality profiles (alpha = 1, constant f) pass under roundoff.
     """
@@ -290,31 +253,14 @@ def check_assumptions(profile: GrushinProfile,
         f2x = np.asarray(profile.f2(grid), dtype=float)
         base = np.asarray(profile.base_potential(grid), dtype=float)
 
-    checks = []
-
-    bad_i = ~(np.isfinite(fx) & (fx > 0.0))
-    checks.append(
-        AssumptionCheck("(i) positivity", not bad_i.any(), _first_violation(grid, bad_i))
-    )
-
-    # passes when no grid sample lies inside the declared neighbourhood
-    bad_ii = (grid <= NEAR_ZERO_END) & ~(fx >= profile.kappa)
-    checks.append(
-        AssumptionCheck("(ii) lower bound near 0", not bad_ii.any(), _first_violation(grid, bad_ii))
-    )
-
-    bad_iii = ~(np.isfinite(fx) & np.isfinite(f1x) & np.isfinite(f2x))
-    checks.append(
-        AssumptionCheck("(iii) smoothness", not bad_iii.any(), _first_violation(grid, bad_iii))
-    )
-
     # (iv) tested in the scale-invariant form (2 f f'' - f'^2)/(4 f^2) >= 0,
     # equivalent by condition (i) and robust against overflow of f itself.
     slack = 1e-12 * (np.abs(base) + 1.0 / (grid * grid))
-    bad_iv = ~(base >= -slack)
-    checks.append(
-        AssumptionCheck("(iv) concavity combination", not bad_iv.any(),
-                        _first_violation(grid, bad_iv))
-    )
-
-    return AssumptionReport(profile_name=profile.name, grid=grid, checks=tuple(checks))
+    bad = {
+        "(i) positivity": ~(np.isfinite(fx) & (fx > 0.0)),
+        # passes when no grid sample lies inside the declared neighbourhood
+        "(ii) lower bound near 0": (grid <= NEAR_ZERO_END) & ~(fx >= profile.kappa),
+        "(iii) smoothness": ~(np.isfinite(fx) & np.isfinite(f1x) & np.isfinite(f2x)),
+        "(iv) concavity combination": ~(base >= -slack),
+    }
+    return grid, {name: float(grid[np.argmax(mask)]) for name, mask in bad.items() if mask.any()}

@@ -124,9 +124,13 @@ class TotalDeficiency(Enum):
 
 
 class InequalityVerdict(Enum):
+    """Outcome of :func:`classify_by_inequality`; ``SKIPPED`` when the
+    profile fails an admissibility condition and nothing is compared."""
+
     CONFINEMENT_CONDITION = "confinement_condition"
     NO_CONFINEMENT_CONDITION = "no_confinement_condition"
     INCONCLUSIVE = "inconclusive"
+    SKIPPED = "skipped"
 
 
 # Limit point at zero iff the inverse-square coefficient reaches 3/4.
@@ -159,10 +163,6 @@ class WeylReport:
     def deficiency(self) -> int:
         """1 exactly when the left endpoint is limit circle."""
         return 1 if self.endpoint_zero is Endpoint.LIMIT_CIRCLE else 0
-
-    @property
-    def essentially_self_adjoint(self) -> bool:
-        return self.deficiency == 0
 
 
 @dataclass(frozen=True)
@@ -218,20 +218,16 @@ def classify_by_inequality(profile: GrushinProfile, grid: Sequence[float] | np.n
     two conditions compare q(x) = x^2 (2 f f'' - f'^2) / f^2 against 3:
     q >= 3 everywhere is confining, sup q < 3 is non-confining with
     eps = 3 - sup q, anything else is inconclusive (the conditions are
-    not exhaustive).  The profile must satisfy the admissibility
-    assumptions; scale invariance f -> lambda f holds because q does.
+    not exhaustive).  A profile that fails an admissibility condition of
+    :func:`check_assumptions` is ``SKIPPED``, with ``{"violations": ...}``
+    as ``info``; scale invariance f -> lambda f holds because q does.
     """
-    assumptions = check_assumptions(profile, grid)
-    # the grid the assumptions were checked on: sorted, and clipped to the
-    # profile's float floor
-    grid = assumptions.grid
+    grid, violations = check_assumptions(profile, grid)
     if grid.size < 200:
         raise UsageError("inequality classification needs >= 200 grid points "
                          "above the profile's float floor")
-    if not assumptions.all_passed:
-        raise UsageError(
-            f"profile fails admissibility assumptions: {assumptions.summary()}"
-        )
+    if violations:
+        return InequalityVerdict.SKIPPED, {"violations": violations}
     # q = 4 x^2 * base_potential; base_potential = (2ff''-f'^2)/(4f^2)
     q = 4.0 * grid * grid * np.asarray(profile.base_potential(grid), dtype=float)
     slack = 1e-12 * np.maximum(np.abs(q), 3.0)
@@ -333,6 +329,11 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
     from scipy.optimize import brentq
 
     xi2 = _squares(xi)
+    # 1/f^2 of a power law with alpha < 0 is largest at X_END
+    try:
+        profile.inv_f_squared(X_END)
+    except OverflowError:
+        raise UsageError(f"the potential overflows a float at x={X_END:g}") from None
     n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
     edges = np.linspace(math.log(X_START), math.log(X_END), n_blocks + 1)
     # columns 2i and 2i + 1 are fibre i's (u, x u') = (1, 0) and (0, 1)

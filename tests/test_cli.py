@@ -60,6 +60,10 @@ class TestClassifyCommand:
         doc = read_json(tmp_path / "verdict.json")
         assert doc["verdict"] == "not_essentially_self_adjoint"
         assert doc["failing_fibres"] == "xi in {0}"
+        # f = x^2 falls below kappa = 1 near 0: the inequality route
+        # records the violation instead of comparing
+        assert doc["inequality_check"] == {"verdict": "skipped",
+                                           "violations": {"(ii) lower bound near 0": 1e-4}}
 
     def test_per_fibre_table(self, tmp_path):
         main(["classify", "--alpha", "-1", "--mode", "plane", "--xi-min", "0",
@@ -104,6 +108,17 @@ class TestClassifyCommand:
         main(["classify", "--config", str(cfg), "--mode", "plane",
               "--output-dir", str(tmp_path)])
         assert read_json(tmp_path / "verdict.json")["mode"] == "plane"
+
+    def test_config_file_without_a_classify_section(self, tmp_path):
+        # a file for another command leaves every classify option at its
+        # default
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[geodesics]\nangles = 4\n")
+        assert main(["classify", "--alpha", "1", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "file")]) == 0
+        assert main(["classify", "--alpha", "1", "--output-dir", str(tmp_path / "flags")]) == 0
+        assert ((tmp_path / "file" / "verdict.json").read_bytes()
+                == (tmp_path / "flags" / "verdict.json").read_bytes())
 
     def test_missing_config_file(self, tmp_path):
         assert main(["classify", "--config", str(tmp_path / "nope.ini"),
@@ -549,6 +564,14 @@ class TestEvolveCommand:
         assert np.array_equal(x, psi0.grid.nodes) and np.array_equal(y, original.axis)
         assert np.array_equal(density, np.abs(original.values) ** 2)
 
+    def test_subnormal_sigma_xi_populates_xi_zero_alone(self, tmp_path):
+        # sigma_xi^2 = 1e-320 is subnormal: the envelope of every xi != 0
+        # is 0, and is reached with no overflow warning
+        assert main([*PLANE_RUN, "--sigma-xi", "1e-160", "--output-dir", str(tmp_path)]) == 0
+        xi, norm = np.loadtxt(tmp_path / "fibre_norms.csv", delimiter=",", skiprows=2).T
+        assert np.all(norm[xi != 0.0] == 0.0)
+        assert abs(norm[xi == 0.0][0] - 1.0) < 1e-12
+
     def test_unknown_protocol(self, tmp_path):
         assert main(["evolve", "--protocol", "sensitivity", "--output-dir",
                      str(tmp_path)]) == 2
@@ -843,6 +866,21 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "sensitivity", "--alpha", "0", "--eps-grid", "1e-200",
       "--t-final", "0.01"], None),
     ([*PLANE_RUN, "--sigma-xi", "1e-300"], None),
+    # a power law whose x^(2 alpha) overflows a float where the numeric
+    # route or a grid march evaluates it
+    (["classify", "--alpha", "-25", "--method", "numeric", "--xi-min", "0", "--xi-max", "1",
+      "--xi-step", "0.5"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "-80", "--t-final", "0.002", "--ny", "3"],
+     None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "-160", "--t-final", "0.002"], None),
+    # no --alpha, number lists of the wrong length, an analytic route for a
+    # profile that is no power law, and a cutoff of 0
+    (["verify-deficiency"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--interval", "0,1,2"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--other-interval", "2"], None),
+    (["classify", "--profile", "exp_inverse", "--method", "analytic"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--eps-grid", "1e-1,0",
+      "--t-final", "0.01"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

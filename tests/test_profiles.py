@@ -85,19 +85,45 @@ class TestDerivativeEvaluators:
 
 class TestAssumptions:
     def test_grushin_plane_passes(self, log_grid):
-        report = check_assumptions(power_law(1.0), log_grid)
-        assert report.all_passed
+        _, violations = check_assumptions(power_law(1.0), log_grid)
+        assert violations == {}
+
+    def test_positivity_fails_where_f_turns_negative(self, log_grid):
+        # f = 3 - x is positive up to x = 3
+        prof = custom_profile(lambda x: 3.0 - x, lambda x: -np.ones_like(x),
+                              lambda x: np.zeros_like(x), kappa=1.0)
+        grid, violations = check_assumptions(prof, log_grid)
+        assert violations["(i) positivity"] == grid[grid >= 3.0][0]
 
     def test_negative_half_fails_condition_iv(self, log_grid):
-        report = check_assumptions(power_law(-0.5), log_grid)
-        iv = report.check("(iv) concavity combination")
-        assert not iv.passed
-        assert iv.first_violation is not None
+        _, violations = check_assumptions(power_law(-0.5), log_grid)
+        # alpha (2 + alpha) < 0: W's curvature part is negative everywhere
+        assert violations["(iv) concavity combination"] == log_grid[0]
 
     def test_negative_alpha_fails_lower_bound(self, log_grid):
         # f = x^{|alpha|} -> 0 near x = 0: the declared kappa cannot hold
-        report = check_assumptions(power_law(-1.0), log_grid)
-        assert not report.check("(ii) lower bound near 0").passed
+        _, violations = check_assumptions(power_law(-1.0), log_grid)
+        assert violations["(ii) lower bound near 0"] == log_grid[0]
+
+    def test_lower_bound_fails_past_the_declared_kappa(self, log_grid):
+        # f = 1/x is at least kappa = 2 only up to x = 1/2; (i), (iii) and
+        # (iv) hold
+        prof = custom_profile(lambda x: 1.0 / x, lambda x: -1.0 / x**2,
+                              lambda x: 2.0 / x**3, kappa=2.0)
+        grid, violations = check_assumptions(prof, log_grid)
+        assert violations == {"(ii) lower bound near 0": grid[grid > 0.5][0]}
+
+    def test_smoothness_fails_where_f2_is_infinite(self, log_grid):
+        # f = 1 + |x - 2|^(3/2) is C^1 but not C^2: f'' is infinite at x = 2
+        prof = custom_profile(
+            lambda x: 1.0 + np.abs(x - 2.0) ** 1.5,
+            lambda x: 1.5 * np.sign(x - 2.0) * np.abs(x - 2.0) ** 0.5,
+            lambda x: 0.75 * np.abs(x - 2.0) ** -0.5,
+            kappa=1.0,
+        )
+        _, violations = check_assumptions(prof, np.append(log_grid, 2.0))
+        assert violations["(iii) smoothness"] == 2.0
+        assert "(i) positivity" not in violations
 
     def test_constant_profile_passes_with_equality(self, log_grid):
         prof = custom_profile(
@@ -107,13 +133,13 @@ class TestAssumptions:
             kappa=1.0,
             name="unit",
         )
-        report = check_assumptions(prof, log_grid)
-        assert report.all_passed
+        _, violations = check_assumptions(prof, log_grid)
+        assert violations == {}
 
     def test_exp_inverse_passes_on_clipped_grid(self, log_grid):
-        report = check_assumptions(builtin_profile("exp_inverse"), log_grid)
-        assert report.all_passed
-        assert report.grid.min() >= 3e-3
+        grid, violations = check_assumptions(builtin_profile("exp_inverse"), log_grid)
+        assert violations == {}
+        assert grid.min() >= 3e-3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
@@ -124,8 +150,8 @@ class TestAssumptions:
             check_assumptions(power_law(1.0), np.geomspace(0.1, 1, 10))
 
     def test_report_keeps_grid(self, log_grid):
-        report = check_assumptions(power_law(1.0), log_grid)
-        assert report.grid.size == log_grid.size
+        grid, _ = check_assumptions(power_law(1.0), log_grid[::-1])
+        assert np.array_equal(grid, log_grid)
 
 
 class TestFibrePotentialInvariant:

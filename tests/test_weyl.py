@@ -132,8 +132,12 @@ class TestInequality:
             assert v is InequalityVerdict.NO_CONFINEMENT_CONDITION
 
     def test_inadmissible_profile_rejected(self):
-        with pytest.raises(UsageError):
-            classify_by_inequality(power_law(-0.5), self.GRID)
+        # f = x^(1/2) fails (ii) and (iv) from the grid's first point on:
+        # no comparison is made, and the violations are the result
+        v, info = classify_by_inequality(power_law(-0.5), self.GRID)
+        assert v is InequalityVerdict.SKIPPED
+        assert info == {"violations": {"(ii) lower bound near 0": 1e-4,
+                                       "(iv) concavity combination": 1e-4}}
 
     def test_small_grid_rejected(self):
         with pytest.raises(UsageError):
