@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -84,12 +85,13 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
-CSV_BLOCK_ROWS = 256
+CSV_BLOCK_ROWS = 4096
+_EXP_MIN, _EXP_MAX = -281, 280  # e of _csv_block's fast path; past them a split overflows
 
 
 def _write_csv(path, header_cols, columns, config):
-    """Write equal-length float ``columns`` as rows of ``%.16e`` values,
-    formatting ``CSV_BLOCK_ROWS`` rows at a time to bound memory."""
+    """Write equal-length float ``columns`` as rows of ``'%.16e' % v`` values,
+    ``CSV_BLOCK_ROWS`` rows at a time: by :func:`_csv_block`, else by ``%``."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row_format = ",".join(["%.16e"] * table.shape[1]) + "\n"
     header = "# config: " + _dumps(config) + "\n"
@@ -99,8 +101,73 @@ def _write_csv(path, header_cols, columns, config):
         fh.write(",".join(header_cols) + "\n")
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(block)
+                     or row_format * block.shape[0] % tuple(block.ravel().tolist()))
     return path
+
+
+def _veltkamp(a):
+    c = 134217729.0 * a  # 2^27 + 1: halves of 26 significant bits summing to a
+    return c - (c - a), a - (c - (c - a))
+
+
+@functools.cache
+def _format_tables():
+    """:func:`_csv_block`'s tables, built on first use.  By e - _EXP_MIN:
+    10^(16 - e) as a double-double (hi's halves, hi, lo), and 'e+dd' or
+    'e-ddd' with ',' in byte 8; '-d.' by d + 10 sign; '0000' to '9999'."""
+    tens = [(10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+            for e in range(_EXP_MIN, _EXP_MAX + 1)]
+    hi = [a / b for a, b in tens]  # an int quotient is correctly rounded, and so is lo
+    lo = [(a * d - n * b) / (b * d)
+          for (a, b), (n, d) in zip(tens, map(float.as_integer_ratio, hi))]
+    tail = [f"e{e:+03d}".ljust(7, "\0") + "," for e in range(_EXP_MIN, _EXP_MAX + 1)]
+    quad = np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + 48
+    return (*_veltkamp(np.array(hi)), np.array(hi), np.array(lo),
+            np.array(tail, "S8").view(np.uint64),
+            np.array([f"{s}{d}." for s in ("", "-") for d in range(10)], "S4").view(np.uint32),
+            quad.astype(np.uint8).view(np.uint32).ravel())
+
+
+def _csv_block(block):
+    """The float rows of ``block`` as CSV text, ``'%.16e' % v`` byte for
+    byte; None if a value is not finite or outside [1e-280, 1e280), or its
+    M is within 1e-6 of a tie (common above 1e9) or of a decade's edge.
+
+    The digits are the integer nearest to M = |v| 10^(16 - e) = p + r,
+    Dekker's product of the Veltkamp halves of v and of the double-double
+    10^(16 - e), to about 1e-14.  e = floor(log10 |v|) moves by one while
+    p + r (not p alone: p - 1e16 is exact there, and rounding keeps the
+    sum's sign) lies outside [1e16, 1e17); then 1e17 carries."""
+    flat = block.ravel()
+    v = np.abs(flat)
+    zero = v == 0.0
+    if not np.all(zero | ((v >= 1e-280) & (v < 1e280))):  # nan fails both
+        return None
+    th, tl, ten, lo, tail, head, quad = _format_tables()
+    v[zero] = 1.0
+    vh, vl = _veltkamp(v)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    for _ in range(2):
+        k = e - _EXP_MIN
+        p = v * ten[k]
+        r = ((vh * th[k] - p) + vh * tl[k] + vl * th[k]) + vl * tl[k] + v * lo[k]
+        shift = ((p - 1e17) + r >= 0.0).astype(np.int64) - ((p - 1e16) + r < 0.0)
+        if not shift.any():
+            break
+        e += shift
+    rounded = np.rint(r)
+    if shift.any() or np.any(np.abs(r - rounded) > 0.5 - 1e-6):
+        return None
+    n = p.astype(np.int64) + rounded.astype(np.int64)  # p >= 2^53 is an integer
+    carry = n >= 10**17
+    n, e = np.where(carry, 10**16, n), e + carry
+    n[zero] = e[zero] = 0
+    parts = n[:, None] // np.array([10**16, 10**12, 10**8, 10**4, 1]) % 10**4
+    text = np.column_stack([head[parts[:, 0] + 10 * np.signbit(flat)], quad[parts[:, 1:]],
+                            tail[e - _EXP_MIN].view(np.uint32).reshape(-1, 2)]).view(np.uint8)
+    text[block.shape[1] - 1::block.shape[1], 27] = ord("\n")  # the last byte of 28
+    return text[text != 0].tobytes().decode("ascii")
 
 
 # the commands, each also the name of its config-file section

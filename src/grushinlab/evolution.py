@@ -481,11 +481,13 @@ def _grid_record(grid: FibreGrid, w_values: np.ndarray) -> dict:
 def choose_outer_wall(pot: FibrePotential) -> float:
     """Outer wall position: the classical turning point of the fastest
     packet component (energy WALL_ENERGY) if the potential provides one,
-    else the free-flight wall FREE_WALL."""
+    else the free-flight wall FREE_WALL.  An overflowing W (inf, or 0 * inf
+    = nan) is past the turning point."""
     xs = np.linspace(GAUSS_CENTER, FREE_WALL, 600)
-    w = np.asarray(pot(xs), dtype=float)
-    idx = int(np.argmax(w >= WALL_ENERGY))
-    if w[idx] < WALL_ENERGY:
+    with np.errstate(over="ignore", invalid="ignore"):
+        past = ~(np.asarray(pot(xs), dtype=float) < WALL_ENERGY)
+    idx = int(np.argmax(past))
+    if not past[idx]:
         return FREE_WALL
     return min(FREE_WALL, float(xs[idx]) * 1.25 + 1.0)
 
@@ -508,6 +510,13 @@ class BcSensitivityResult:
         """D at the last eps over D at the first; NaN when the first is 0."""
         start = self.rows[0][1]
         return self.rows[-1][1] / start if start else math.nan
+
+
+def _trend(ds: Sequence[float]) -> str:
+    """The trend of D over the eps grid; equal neighbours are non-monotone."""
+    if all(b < a for a, b in zip(ds, ds[1:])):
+        return "decreasing"
+    return "increasing" if all(b > a for a, b in zip(ds, ds[1:])) else "non-monotone"
 
 
 def bc_sensitivity(
@@ -570,18 +579,11 @@ def bc_sensitivity(
         drifts.append(drift)
         records.append(_grid_record(grid, w))
 
-    ds = [d for _, d in rows]
-    if all(b < a for a, b in zip(ds, ds[1:])):
-        trend = "decreasing"
-    elif all(b > a for a, b in zip(ds, ds[1:])):
-        trend = "increasing"
-    else:
-        trend = "non-monotone"
     return BcSensitivityResult(
         rows=tuple(rows),
         wall_mass=tuple(walls),
         norm_drift=max(drifts),
-        trend=trend,
+        trend=_trend([d for _, d in rows]),
         config={
             "beta": beta,
             "dt": dt,

@@ -259,8 +259,9 @@ def _solve_half(alpha, x0, theta, px0, py, t_end, tol) -> _Half:
     event.terminal = True
     event.direction = -1
 
-    sol = solve_ivp(_rhs, (0.0, t_end), (x0, px0, 0.0), args=(alpha, py, 1e-14), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, events=event, dense_output=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # the status reports a failure
+        sol = solve_ivp(_rhs, (0.0, t_end), (x0, px0, 0.0), args=(alpha, py, 1e-14),
+                        method="DOP853", rtol=tol, atol=tol * 1e-2, events=event, dense_output=True)
     if sol.status == -1:
         raise NumericError(f"geodesic integration failed at theta={theta:g}: {sol.message}")
     hit = None

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +217,10 @@ class TestGeodesicsCommand:
 
     def test_failed_solve_exits_3_naming_its_angle(self, tmp_path, capsys):
         # a real failure: at x0 = 1e-300, P_y^2 = 7e299 is a float, but the
-        # solver finds no step (numpy warns of overflow on the way)
+        # solver finds no step, and says so without a numpy warning
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["geodesics", "--alpha", "0.5", "--theta", "1", "--x0", "1e-300",
-                         "--output-dir", str(out)]) == 3
+        assert main(["geodesics", "--alpha", "0.5", "--theta", "1", "--x0", "1e-300",
+                     "--output-dir", str(out)]) == 3
         assert "theta=1:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -642,6 +642,92 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
         assert Path(path).read_bytes() == reference.read_bytes(), path
 
 
+def _percent_rows(block):
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in block.tolist())
+
+
+def _decided(block):
+    """Whether ``_csv_block`` formats ``block``; its text must be ``%``'s."""
+    text = cli._csv_block(block)
+    assert text is None or text == _percent_rows(block), block
+    return text is not None
+
+
+def _in_range(v):
+    return v == 0.0 or 1e-280 <= abs(v) < 1e280
+
+
+# every float64 bit pattern, nan payloads, infinities and subnormals included
+_ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), _ANY_BITS), min_size=3, max_size=24),
+       st.integers(1, 3))
+def test_csv_block_matches_percent_on_any_float(values, cols):
+    # each value alone, so that a nan or a tie elsewhere cannot make the
+    # formatter decline it, and then all of them as one block
+    for v in values:
+        assert _decided(np.array([[v]])) <= _in_range(v), v
+    rows = values[:len(values) // cols * cols]
+    assert _decided(np.array(rows).reshape(-1, cols)) <= all(map(_in_range, rows))
+
+
+def _adversarial_floats():
+    """Powers of ten from 1e-300 to 1e299 with both float neighbours and
+    their negatives, +-0, and the fast path's range edges."""
+    tens = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    edges = [1e-280, 1e280, np.nextafter(1e-280, 0.0), np.nextafter(1e280, 0.0)]
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), edges])
+    return np.concatenate([near, -near, [0.0, -0.0]])
+
+
+def _near_tie_or_edge(v):
+    """Whether the exact M = |v| 10^(16 - e), e = floor(log10 |v|), lies
+    within 1e-6 of a tie or of the ends of [1e16, 1e17)."""
+    x, e = Fraction(abs(v)), math.floor(math.log10(abs(v)))
+    e += (x >= Fraction(10) ** (e + 1)) - (x < Fraction(10) ** e)
+    m = x * Fraction(10) ** (16 - e)
+    return abs(m - math.floor(m) - Fraction(1, 2)) < 1e-6 or min(m - 10**16, 10**17 - m) < 1e-6
+
+
+def test_csv_block_matches_percent_on_adversarial_floats():
+    values = _adversarial_floats()
+    for v in values:
+        decided = _decided(np.array([[v]]))
+        if not _in_range(v):
+            assert not decided, v
+        elif not decided:  # only where the docstring says it may decline
+            assert v != 0.0 and _near_tie_or_edge(v), v
+    fast = values[(np.abs(values) >= 1e-280) & (np.abs(values) < 1e280)]
+    _decided(fast[:fast.size // 4 * 4].reshape(-1, 4))
+    # a nan in the middle of a block declines the whole block
+    with_nan = np.insert(fast, fast.size // 2, np.nan)[:fast.size // 3 * 3].reshape(-1, 3)
+    assert not _decided(with_nan)
+
+
+def test_csv_block_decides_ordinary_values():
+    # an exact tie, 2.98023223876953125e-08, is declined, but full-mantissa
+    # values over 208 decades, signs and zeros are formatted; above about
+    # 1e9 a full mantissa often lies on an exact tie
+    assert not _decided(np.array([[2.0**-25]]))
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(3 * 4096) * 10.0 ** rng.integers(-200, 8, 3 * 4096)
+    values[::97] = 0.0
+    values[1::97] = -0.0
+    assert _decided(values.reshape(-1, 3))
+
+
+def test_csv_writer_formats_declined_blocks_through_percent(tmp_path):
+    # a nan in the first block, a tie in the second, a plain third block
+    values = np.linspace(0.1, 1.0, 2 * cli.CSV_BLOCK_ROWS + 5)
+    values[100], values[cli.CSV_BLOCK_ROWS + 7] = np.nan, 2.0**-25
+    columns, config = [values, -values], {"values": "mixed"}
+    cli._write_csv(str(tmp_path / "out.csv"), ["v", "minus_v"], columns, config)
+    _per_row_csv(tmp_path / "reference.csv", ["v", "minus_v"], columns, config)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -881,6 +967,10 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["classify", "--profile", "exp_inverse", "--method", "analytic"], None),
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--eps-grid", "1e-1,0",
       "--t-final", "0.01"], None),
+    # x^800 overflows on the outer-wall scan, to inf and, at xi = 0, to 0 * inf
+    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002", "--xi",
+      "0"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

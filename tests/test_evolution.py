@@ -14,6 +14,7 @@ from grushinlab.evolution import (
     SPACING_CAP,
     _contiguous_parts,
     _hamiltonian_diagonals,
+    _trend,
     BoundaryCondition,
     CrankNicolson,
     FibreGrid,
@@ -661,6 +662,19 @@ class TestBcSensitivity:
         assert r.trend == "decreasing"
         assert r.rows[1][1] < 0.2 * r.rows[0][1]
         assert r.norm_drift <= 1e-6
+
+    @pytest.mark.parametrize("ds, trend", [
+        ([3.0, 2.0, 1.0], "decreasing"),
+        ([1.0, 2.0, 3.0], "increasing"),
+        ([1.0, 3.0, 2.0], "non-monotone"),
+        ([3.0, 1.0, 2.0], "non-monotone"),
+        # equal neighbours are neither decreasing nor increasing
+        ([2.0, 2.0, 1.0], "non-monotone"),
+        ([1.0, 2.0, 2.0], "non-monotone"),
+        ([1.0, 1.0], "non-monotone"),
+    ])
+    def test_trend_rule(self, ds, trend):
+        assert _trend(ds) == trend
 
     def test_subcritical_stays_positive(self):
         r = bc_sensitivity(0.5, 0.5, 1.0, [1e-1, 1e-2])
