@@ -64,9 +64,10 @@ cells follow the local size of W and grow by at most GRID_GROWTH from
 one to the next.  Near the cutoff, where W ~ c0/x^2, that makes the cells
 proportional to x, a geometric grading in the spirit of Langer's
 logarithmic variable.  The plane and cylinder protocols share one grid,
-built from the fibre at the edge of the xi grid: W_xi = W_0 + xi^2/f^2
-grows with |xi|, so for a positive W_0 the edge fibre bounds every fibre
-at every node, and the stepper checks each fibre on its own block.
+built from an envelope of the fibres: at x, the W of the largest |xi|
+whose turning-point wall lies beyond x.  W_xi = W_0 + xi^2/f^2 grows with
+|xi|, so it bounds every fibre stepped at x, and the stepper checks each
+fibre on its own block.
 Every protocol rule lives here once: ``standard_plane_data`` sets up the
 plane and cylinder runs, every protocol checks that its cutoff leaves the
 standard data room, and ``bc_sensitivity`` and ``evolve_plane`` hold
@@ -210,14 +211,17 @@ class FibreGrid:
         from eps, each cell is at most min(SPACING_CAP, sqrt(resolution / |W|)) /
         refine at both of its ends and at most GRID_GROWTH times the cell
         before it.  The cells are then shrunk by one common factor so that
-        the last one ends at L, which keeps every growth ratio; the march is
-        repeated with a tighter target in the rare case that shifting the
-        nodes inward breaks the resolution at one of them."""
+        the last one ends at L, which keeps every growth ratio (cells short
+        of L by roundoff get one more, so no cell is stretched); the march
+        is repeated with a tighter target in the rare case that shifting
+        the nodes inward breaks the resolution at one of them."""
         _check_interval(eps, L)
         _check_resolution(resolution)
         limit = target = resolution / refine**2
         for _ in range(MARCH_TRIES):
             gaps = _march(eps, L, pot, SPACING_CAP / refine, target)
+            if gaps.sum() < L - eps:
+                gaps = np.append(gaps, gaps[-1])
             grid = cls(eps=eps, L=L, nodes=eps + np.cumsum(gaps[:-1] * ((L - eps) / gaps.sum())))
             ends = grid.gaps[[0, -1]] ** 2 * np.abs(pot(np.array([eps, L])))
             margin = max(grid.resolution_margin(pot(grid.nodes)), *ends)
@@ -251,7 +255,11 @@ def _march(eps, L, pot, cap, resolution):
             raise UsageError(f"the potential overflows a float at x={x:g}") from None
         return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
 
+    too_many = UsageError(f"resolving the potential on [{eps:g}, {L:g}] needs more "
+                          f"than {MAX_GRID_NODES} nodes")
     gaps, x, h, h_here = [], eps, math.inf, local(eps)
+    if _node_estimate(eps, L, pot, cap, resolution) > 2 * MAX_GRID_NODES:
+        raise too_many
     while x < L:
         h = min(GRID_GROWTH * h, h_here)
         for _ in range(MARCH_SHRINKS):  # the far end of the cell
@@ -263,10 +271,19 @@ def _march(eps, L, pot, cap, resolution):
             raise NumericError(f"potential varies too fast to resolve near x={x:g}")
         gaps.append(h)
         if len(gaps) > MAX_GRID_NODES:
-            raise UsageError(f"resolving the potential on [{eps:g}, {L:g}] needs more "
-                             f"than {MAX_GRID_NODES} nodes")
+            raise too_many
         x, h_here = x + h, h_there
     return np.array(gaps)
+
+
+def _node_estimate(eps, L, pot, cap, resolution) -> float:
+    """About the number of cells ``_march`` lays, within a few per cent:
+    the integral of 1 / min(cap, sqrt(resolution / |W|)) over 8,000 even and
+    geometric samples, leaving out those where W is no float."""
+    xs = np.union1d(np.geomspace(eps, L, 4000), np.linspace(eps, L, 4000))
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.fmax(1.0 / cap, np.sqrt(np.abs(np.asarray(pot(xs), dtype=float)) / resolution))
+    return float(np.diff(xs) @ np.where(np.isfinite(density), density, 0.0)[1:])
 
 
 @dataclass(frozen=True)
@@ -473,9 +490,8 @@ def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
     return _weighted_sumsq(grid.weights[near], psi[near])
 
 
-def _grid_record(grid: FibreGrid, w_values: np.ndarray) -> dict:
-    return {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
-            "resolution_margin": grid.resolution_margin(w_values)}
+def _grid_record(grid: FibreGrid, margin: float) -> dict:
+    return {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max, "resolution_margin": margin}
 
 
 def choose_outer_wall(pot: FibrePotential) -> float:
@@ -513,7 +529,10 @@ class BcSensitivityResult:
 
 
 def _trend(ds: Sequence[float]) -> str:
-    """The trend of D over the eps grid; equal neighbours are non-monotone."""
+    """The trend of D over the eps grid; equal neighbours are non-monotone,
+    and a single cutoff has none."""
+    if len(ds) < 2:
+        return "single cutoff"
     if all(b < a for a, b in zip(ds, ds[1:])):
         return "decreasing"
     return "increasing" if all(b > a for a, b in zip(ds, ds[1:])) else "non-monotone"
@@ -577,7 +596,7 @@ def bc_sensitivity(
         rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
         walls.append(wall)
         drifts.append(drift)
-        records.append(_grid_record(grid, w))
+        records.append(_grid_record(grid, grid.resolution_margin(w)))
 
     return BcSensitivityResult(
         rows=tuple(rows),
@@ -750,9 +769,10 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
     the ``ny``-node y transform (integer modes on the cylinder; on the plane
     the window [-y_span/2, y_span/2) centres the packet).  The outer wall,
     unless given, is the wall of the most-spreading fibre, xi = 0; the grid
-    resolves the edge fibre, and its record holds the margin against that
-    fibre's W.  The data is the standard Gaussian times the xi envelope
-    exp(-xi^2 / (2 sigma_xi^2)) scaled to dxi sum env^2 = 1."""
+    resolves the envelope of the fibres (:func:`_envelope`), and its record
+    holds the largest margin of any fibre on its own prefix.  The data is
+    the standard Gaussian times the xi envelope exp(-xi^2 / (2 sigma_xi^2))
+    scaled to dxi sum env^2 = 1."""
     if ny < 3 or ny % 2 == 0:
         raise UsageError(f"ny must be odd and at least 3 so the xi grid is symmetric, got {ny}")
     if sigma_xi <= 0.0 or y_span <= 0.0:
@@ -764,15 +784,33 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
     y0 = 0.0 if geometry == "cylinder" else -y_span / 2.0
     if outer_wall is None:
         outer_wall = choose_outer_wall(FibrePotential(xi=0.0, profile=profile))
-    pot_edge = FibrePotential(xi=float(np.max(np.abs(axis))), profile=profile)
-    grid = FibreGrid.resolved(eps, outer_wall, pot_edge)
+    pots = [FibrePotential(xi=float(xi), profile=profile) for xi in np.unique(np.abs(axis))]
+    grid = FibreGrid.resolved(eps, outer_wall, _envelope(pots))
     # a subnormal sigma_xi^2 gives every xi != 0 the limit exp(-inf) = 0
     with np.errstate(over="ignore"):
         env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
     env /= math.sqrt(dxi * float(np.sum(env**2)))
     psi0 = PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
                              axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
-    return psi0, _grid_record(grid, pot_edge(grid.nodes))
+    blocks = [(_fibre_grid(grid, pot), pot) for pot in pots]
+    return psi0, _grid_record(grid, max(b.resolution_margin(pot(b.nodes)) for b, pot in blocks))
+
+
+def _envelope(pots: Sequence[FibrePotential]):
+    """The potential the shared grid resolves, for fibres of ascending |xi|:
+    at x, the W of the largest |xi| whose wall (``choose_outer_wall``) lies
+    beyond x, or of the smallest beyond every wall.  W_xi grows with |xi|,
+    so the walls do not, and this W bounds every fibre whose prefix holds x."""
+    profile = pots[0].profile
+    walls = -np.array([choose_outer_wall(pot) for pot in pots])  # ascending
+    # entry k: the largest xi^2 of k fibres alive; entry 0: the smallest
+    squares = np.array([pot.xi**2 for pot in pots[:1] + pots])
+
+    def envelope(x):
+        alive = walls.searchsorted(-x)  # the number of walls beyond x
+        return profile.base_potential(x) + squares[alive] * profile.inv_f_squared(x)
+
+    return envelope
 
 
 def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -536,7 +537,8 @@ class TestEvolveCommand:
         assert code == 0
         doc = read_json(tmp_path / "evolution.json")
         assert doc["norm_drift"] <= 1e-6
-        # the shared grid, its resolution margin taken against the edge fibre
+        # the shared grid, its resolution margin the largest margin of any
+        # fibre on its own prefix
         grid = doc["grid"]
         assert set(grid) == {"n", "h_min", "h_max", "resolution_margin"}
         assert grid["n"] == doc["config"]["n_x"]
@@ -544,6 +546,26 @@ class TestEvolveCommand:
         assert 0.0 < grid["resolution_margin"] <= 0.5
         assert (tmp_path / "fibre_norms.csv").exists()
         assert (tmp_path / "density.csv").exists()
+
+    def test_plane_at_alpha_3(self, tmp_path):
+        # resolving the edge fibre out to the xi = 0 wall at 30 took more
+        # than 2,000,000 nodes; each fibre out to its own wall takes 3,284
+        assert main(["evolve", "--protocol", "plane", "--alpha", "3", "--t-final", "0.1",
+                     "--output-dir", str(tmp_path)]) == 0
+        grid = read_json(tmp_path / "evolution.json")["grid"]
+        assert grid["n"] == 3284 and grid["resolution_margin"] <= 0.5
+
+    def test_unresolvable_grid_fails_fast(self, tmp_path, capsys):
+        # W = x^800 / 4 passes 1e240 inside the wall at 3.5: the node
+        # estimate rejects the grid before the march lays 2,000,000 cells
+        start = time.perf_counter()
+        code = main(["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final",
+                     "0.002", "--output-dir", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert ("resolving the potential on [0.1, 3.5] needs more than 2000000 nodes"
+                in capsys.readouterr().err)
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
     def test_density_is_the_final_state(self, tmp_path, geometry):

@@ -13,7 +13,10 @@ from grushinlab.evolution import (
     SENSITIVITY_RESOLUTION,
     SPACING_CAP,
     _contiguous_parts,
+    _envelope,
+    _fibre_grid,
     _hamiltonian_diagonals,
+    _node_estimate,
     _trend,
     BoundaryCondition,
     CrankNicolson,
@@ -24,10 +27,15 @@ from grushinlab.evolution import (
     evolve_fibre,
     evolve_plane,
     gaussian_packet,
+    standard_plane_data,
     to_original,
     to_transformed,
 )
 from grushinlab.profiles import FibrePotential, custom_profile, power_law
+
+
+def _fibres(profile, xis):
+    return [FibrePotential(xi=float(xi), profile=profile) for xi in xis]
 
 
 def endpoint_uniform(eps, L, pot, resolution=RESOLUTION_LIMIT):
@@ -107,8 +115,9 @@ class TestGradedGrid:
         pytest.param(2.0, 2.0, 1e-2, 1, None, SENSITIVITY_RESOLUTION, 0.2, id="2.0-2.0-0.01-1"),
         # the default resolution, with W large at both ends
         pytest.param(2.0, 0.5, 1e-3, 1, 7.0, RESOLUTION_LIMIT, 0.2, id="2.0-0.5-0.001-1-L7"),
-        # the edge fibre of the default plane run: W = 3/(4x^2) + xi^2 x^2
-        # is largest at L, where it needs cells of 0.0027
+        # the edge fibre of the default plane run out to the xi = 0 wall:
+        # W = 3/(4x^2) + xi^2 x^2 is largest at L, where it needs cells of
+        # 0.0027
         pytest.param(1.0, 8.64, 1e-2, 1, 30.0, RESOLUTION_LIMIT, 0.3, id="plane-edge"),
     ])
     def test_growth_and_local_resolution(self, alpha, xi, eps, refine, L, resolution,
@@ -122,6 +131,28 @@ class TestGradedGrid:
         # and at most 60% of the nodes of the uniform grid sized by both ends
         assert g.n < 0.6 * endpoint_uniform(eps, L, pot, resolution / refine**2).n
         assert np.sum(g.weights) == pytest.approx(L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
+
+    # the bc-sweep grids, and the envelope grids of the plane and cylinder
+    # runs at alpha 1-3
+    @pytest.mark.parametrize("protocol, alpha, eps, refine", [
+        *(("sensitivity", alpha, eps, refine)
+          for alpha, refine in ((0.5, 1), (1.5, 1), (1.5, 2)) for eps in (1e-1, 1e-3)),
+        *((geometry, alpha, 1e-2, 1) for geometry in ("plane", "cylinder") for alpha in (1, 2, 3)),
+    ])
+    def test_node_estimate_follows_the_march(self, protocol, alpha, eps, refine):
+        # the march rejects a grid whose estimate exceeds 2 MAX_GRID_NODES,
+        # so within 10% no grid it builds is rejected
+        prof = power_law(alpha)
+        if protocol == "sensitivity":
+            pot, res = FibrePotential(xi=0.5, profile=prof), SENSITIVITY_RESOLUTION
+            grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot, refine=refine,
+                                      resolution=res)
+        else:
+            psi0, _ = standard_plane_data(prof, protocol, eps, 45, 2.0, 16.0)
+            grid, res = psi0.grid, RESOLUTION_LIMIT
+            pot = _envelope(_fibres(prof, np.unique(np.abs(psi0.axis))))
+        estimate = _node_estimate(grid.eps, grid.L, pot, SPACING_CAP / refine, res / refine**2)
+        assert 0.9 * grid.n <= estimate <= 1.1 * grid.n
 
     @given(alpha=st.floats(-1.0, 2.0), xi=st.floats(0.0, 4.0), eps=st.floats(1e-3, 0.1),
            beta=st.none() | st.floats(-5.0, 5.0))
@@ -638,6 +669,25 @@ class TestPlaneEvolution:
         assert 0.0 < res.wall_mass <= 1e-8
         assert res.norm_drift <= 1e-6
 
+    @pytest.mark.parametrize("geometry, alpha, edge_rule_n", [("cylinder", 1.0, 14162),
+                                                               ("plane", 2.0, 110157)])
+    def test_envelope_grid_resolves_every_fibre_on_its_own_prefix(self, geometry, alpha,
+                                                                   edge_rule_n):
+        # the shared grid follows the fibres still stepped, not the edge
+        # fibre out to the xi = 0 wall, which took edge_rule_n nodes
+        prof = power_law(alpha)
+        psi0, record = standard_plane_data(prof, geometry, 0.01, 45, 2.0, 16.0)
+        grid = psi0.grid
+        assert grid.n < edge_rule_n / 4
+        pots = _fibres(prof, psi0.axis)
+        margins = [f.resolution_margin(pot(f.nodes))
+                   for f, pot in ((_fibre_grid(grid, pot), pot) for pot in pots)]
+        assert max(margins) <= RESOLUTION_LIMIT
+        assert record["resolution_margin"] == max(margins)
+        # the stepper checks each fibre's block again
+        result = evolve_plane(psi0, prof, 0.02, BoundaryCondition.dirichlet(), dt=2e-3)
+        assert result.norm_drift <= 1e-6
+
     def test_grid_end_contamination_detected(self):
         # the xi = 0 fibre's own wall lies beyond L = 4, so it runs on the
         # whole grid and spreads onto its end by t = 0.1
@@ -672,6 +722,8 @@ class TestBcSensitivity:
         ([2.0, 2.0, 1.0], "non-monotone"),
         ([1.0, 2.0, 2.0], "non-monotone"),
         ([1.0, 1.0], "non-monotone"),
+        # a single cutoff has no trend
+        ([1.0], "single cutoff"),
     ])
     def test_trend_rule(self, ds, trend):
         assert _trend(ds) == trend
