@@ -564,6 +564,7 @@ def _evolve_plane(args, geometry) -> int:
             result.final.daxis * np.sum(grid.weights[near_cutoff, None]
                                          * np.abs(result.final.values[near_cutoff]) ** 2)
         ),
+        "work": result.work,
     }
     jpath = _write_json(os.path.join(out, "evolution.json"), document)
     print(f"alpha={alpha:g} [{geometry}]: norm drift {result.norm_drift:.3e}")
@@ -665,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--protocol", choices=_CHOICES["protocol"])
     p.add_argument("--jobs", help="stacks of fibres a plane or cylinder run steps, each on a "
-                                  "thread of its own (at most one per fibre)")
+                                  "thread of its own (at most one per distinct fibre: equal "
+                                  "fibres are stepped once)")
     p.add_argument("--xi")
     p.add_argument("--t-final")
     p.add_argument("--dt")

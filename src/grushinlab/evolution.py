@@ -45,7 +45,10 @@ potentials, conditions, dt), in place, and the steps alternate between
 two preallocated buffers.  Every protocol steps through its one loop,
 :meth:`CrankNicolson.evolve`: ``evolve_fibre`` is a stack of one block,
 ``bc_sensitivity`` stacks the Dirichlet and the Robin block of each
-cutoff, and ``evolve_plane`` splits its fibres into ``jobs`` stacks.
+cutoff, and ``evolve_plane`` steps each distinct fibre once, in up to
+``jobs`` stacks: W_xi depends on xi only through xi^2, so on data even in
+xi a fibre has the block and the data of its mirror fibre bit for bit,
+and copies that fibre's final state, the state it would reach itself.
 Several stacks are stepped side by side, one thread each (the tridiagonal
 solves release the GIL): the sensitivity protocol always runs one thread
 per cutoff, with no flag, and the plane protocol one per stack.
@@ -754,6 +757,8 @@ class PlaneEvolutionResult:
     norm_after: float
     fibre_norms: np.ndarray = field(repr=False)
     norm_trace: np.ndarray = field(repr=False)
+    # counts of the fibres, the fibres stepped, the steps and the node-steps
+    work: dict
     spectrum_edge_mass: float = 0.0
     wall_mass: float = 0.0
 
@@ -846,17 +851,21 @@ def evolve_plane(
     ``psi0.grid`` is the widest domain.  Each fibre is evolved on the
     prefix of it that ends at its own turning-point wall, the rule of the
     sensitivity protocol, and is zero beyond; a fibre whose wall lies at
-    or beyond ``grid.L`` uses ``grid`` unchanged.  The fibres are
-    independent blocks of :class:`CrankNicolson` stacks: they are split
-    into ``min(jobs, fibres)`` contiguous stacks of near-equal node count,
-    every stack is factored on the calling thread, and each runs its
-    :meth:`CrankNicolson.evolve` on a thread of its own (the tridiagonal
-    solves release the GIL), or on the calling thread for a single
-    stack.  Each block's numbers are those of a stepper of its own, so the
-    result does not depend on ``jobs``.  The xi grid must be symmetric about zero (odd
-    FFT size); mass in the outermost frequency bins must be negligible for
-    the assembly to represent the plane faithfully, and is recorded, as
-    is the total-norm trace over the steps.
+    or beyond ``grid.L`` uses ``grid`` unchanged.  A fibre whose prefix,
+    potential values and data equal an earlier fibre's bit for bit (the
+    +-xi twins of even data) takes that fibre's final state and trace.
+    The distinct fibres are independent blocks of :class:`CrankNicolson`
+    stacks: they are split into ``min(jobs, distinct fibres)`` contiguous
+    stacks of near-equal node count, every stack is factored on the
+    calling thread, and each runs its :meth:`CrankNicolson.evolve` on a
+    thread of its own (the tridiagonal solves release the GIL), or on the
+    calling thread for a single stack.  Each block's numbers are those of
+    a stepper of its own, so the result depends neither on ``jobs`` nor
+    on the copies; ``work`` counts what was stepped.  The xi grid must be
+    symmetric about zero (odd FFT size); mass in the outermost frequency
+    bins must be negligible for the assembly to represent the plane
+    faithfully, and is recorded, as is the total-norm trace over the
+    steps.
 
     The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
     before its wall at ``t_final``, plus any initial mass beyond the wall;
@@ -882,19 +891,32 @@ def evolve_plane(
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
-    parts = _contiguous_parts([f.n for f in fibres], min(jobs, len(fibres)))
-    steppers = [CrankNicolson(grid, [pots[m](fibres[m].nodes) for m in part], [bc] * len(part), dt)
+    w_values = [pot(f.nodes) for pot, f in zip(pots, fibres)]
+    # fibre m copies the first distinct fibre whose block and data are its
+    # own bit for bit (the +-xi twins of even data); compared in place
+    source = []
+    for m, f in enumerate(fibres):
+        source.append(next((k for k in range(m) if source[k] == k and fibres[k].n == f.n
+                            and np.array_equal(w_values[k], w_values[m])
+                            and np.array_equal(psi0.values[:f.n, k], psi0.values[:f.n, m])), m))
+    distinct = [m for m, k in enumerate(source) if k == m]
+    parts = [[distinct[i] for i in run] for run in
+             _contiguous_parts([fibres[m].n for m in distinct], min(jobs, len(distinct)))]
+    steppers = [CrankNicolson(grid, [w_values[m] for m in part], [bc] * len(part), dt)
                 for part in parts]
+    del w_values
     data = [[psi0.values[:fibres[m].n, m] for m in part] for part in parts]
     stacks = _evolve_stacks(steppers, data, nsteps, record=True)
+    finals = {m: run for part, (states, sumsq) in zip(parts, stacks)
+              for m, run in zip(part, zip(states, sumsq))}
 
     out = np.zeros(psi0.values.shape, dtype=complex)
     traces, wall_masses = [], []
-    for part, (states, sumsq) in zip(parts, stacks):
-        for m, psi, trace in zip(part, states, sumsq):
-            out[: psi.size, m] = psi
-            traces.append(trace)
-            wall_masses.append(dxi * (_wall_mass(fibres[m], psi) + beyond[m]))
+    for m, k in enumerate(source):
+        psi, trace = finals[k]
+        out[: psi.size, m] = psi
+        traces.append(trace)
+        wall_masses.append(dxi * (_wall_mass(fibres[m], psi) + beyond[m]))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
@@ -914,4 +936,6 @@ def evolve_plane(
         norm_trace=norm_trace,
         spectrum_edge_mass=edge_mass,
         wall_mass=max(wall_masses),
+        work={"fibres": len(fibres), "fibres_stepped": len(distinct), "steps": nsteps,
+              "node_steps": nsteps * sum(fibres[m].n for m in distinct)},
     )

@@ -544,6 +544,10 @@ class TestEvolveCommand:
         assert grid["n"] == doc["config"]["n_x"]
         assert 0.0 < grid["h_min"] < grid["h_max"] <= 0.01
         assert 0.0 < grid["resolution_margin"] <= 0.5
+        # the even data's xi > 0 fibres copy their mirror fibres
+        work = doc["work"]
+        assert (work["fibres"], work["fibres_stepped"], work["steps"]) == (17, 9, 100)
+        assert work["node_steps"] % 100 == 0 and 0 < work["node_steps"] <= 100 * 9 * grid["n"]
         assert (tmp_path / "fibre_norms.csv").exists()
         assert (tmp_path / "density.csv").exists()
 

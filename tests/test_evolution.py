@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(evolution, "ThreadPoolExecutor", CountingPool)
     return sizes
+
+
+@pytest.fixture
+def stacked_blocks(monkeypatch):
+    """The block lengths of every :class:`CrankNicolson` built, one list per
+    stack."""
+    blocks = []
+    init = CrankNicolson.__init__
+
+    def spy(self, grid, w_values, bcs, dt):
+        blocks.append([len(w) for w in w_values])
+        init(self, grid, w_values, bcs, dt)
+
+    monkeypatch.setattr(CrankNicolson, "__init__", spy)
+    return blocks
 
 
 def make_fibre(alpha, xi, eps=0.05, L=12.0):
@@ -563,13 +579,61 @@ class TestPlaneEvolution:
         assert results[0].norm_trace.size == 51
 
     def test_thread_pool_only_for_several_stacks(self, pool_sizes):
+        # the even data has 3 distinct fibres of 5; without twins all 5 step
         prof, _, psi0 = self._stiff_plane()
         bc = BoundaryCondition.dirichlet()
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3)
         assert pool_sizes == []
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=2)
         evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=9)
-        assert pool_sizes == [2, 5]
+        assert pool_sizes == [2, 3]
+        evolve_plane(self._without_twins(psi0), prof, 0.01, bc, dt=2e-3, jobs=2)
+        evolve_plane(self._without_twins(psi0), prof, 0.01, bc, dt=2e-3, jobs=9)
+        assert pool_sizes == [2, 3, 2, 5]
+
+    @staticmethod
+    def _without_twins(psi0):
+        """``psi0`` with every xi < 0 column turned by the phase e^{0.1 i}, so
+        no fibre holds the data of its mirror fibre."""
+        values = psi0.values.copy()
+        values[:, psi0.axis < 0] *= np.exp(0.1j)
+        return replace(psi0, values=values)
+
+    @pytest.mark.parametrize("twins, stepped, nodes", [(True, 23, 19213), (False, 45, 35427)])
+    def test_each_distinct_fibre_is_stepped_once(self, stacked_blocks, twins, stepped, nodes):
+        # the standard data is even in xi, so each xi > 0 fibre repeats the
+        # block and the data of its mirror fibre
+        prof = power_law(1.0)
+        psi0, _ = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
+        if not twins:
+            psi0 = self._without_twins(psi0)
+        res = evolve_plane(psi0, prof, 0.01, BoundaryCondition.dirichlet(), dt=2e-3, jobs=2)
+        lengths = [n for stack in stacked_blocks for n in stack]
+        assert (len(lengths), sum(lengths)) == (stepped, nodes)
+        assert res.work == {"fibres": 45, "fibres_stepped": stepped, "steps": 5,
+                            "node_steps": 5 * sum(lengths)}
+        mirrored = np.array_equal(res.final.values, res.final.values[:, ::-1])
+        assert mirrored == twins
+
+    def test_twins_that_differ_are_stepped_apart(self, stacked_blocks):
+        # one ulp inside the xi > 0 twin's prefix makes it a fibre of its own
+        prof, bc, dt = power_law(1.0), BoundaryCondition.dirichlet(), 2e-3
+        psi0, _ = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
+        values = psi0.values.copy()
+        m = 30  # the twin of fibre 14
+        j = int(np.argmax(np.abs(values[:, m])))
+        values[j, m] = np.nextafter(values[j, m].real, np.inf)
+        psi0 = replace(psi0, values=values)
+        res = evolve_plane(psi0, prof, 0.01, bc, dt=dt)
+        # the other 22 twins are still stepped once
+        assert sum(len(stack) for stack in stacked_blocks) == 24
+        assert res.work["fibres_stepped"] == 24
+        for k in (44 - m, m):
+            pot = FibrePotential(xi=float(psi0.axis[k]), profile=prof)
+            prefix = _fibre_grid(psi0.grid, pot)
+            (alone,), _ = CrankNicolson(prefix, [pot(prefix.nodes)], [bc], dt).evolve(
+                [values[:prefix.n, k]], 5)
+            assert np.array_equal(res.final.values[:prefix.n, k], alone)
 
     @pytest.mark.parametrize("sizes, parts, expected", [
         ([5, 5, 5, 5], 2, [2, 2]),
