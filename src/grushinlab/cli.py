@@ -170,15 +170,73 @@ def _csv_block(block):
     return text[text != 0].tobytes().decode("ascii")
 
 
-# the commands, each also the name of its config-file section
-_COMMANDS = ("classify", "geodesics", "evolve", "verify-deficiency")
-# the options that take one of a fixed set of values, as flags or file keys
-_CHOICES = {
-    "mode": ("plane", "cylinder"),
-    "method": ("auto", "analytic", "numeric"),
-    "protocol": ("sensitivity", "plane", "cylinder"),
-    "bc": ("dirichlet", "robin"),
+MAX_COUNT = 10_000  # the most fibres, modes, angles, samples, refinements or stacks
+REQUIRED = object()  # the default of an option a command cannot run without
+
+# what each command reads, also the name of its config-file section: its
+# options by the modes or protocols that read them, which a key names
+# space-separated (the command's own name stands for all of them, and
+# "robin" for a run under --bc robin).  An option is (kind, default[,
+# minimum[, maximum]]); kind is float, int, str, list (comma-separated
+# numbers) or the tuple of the option's values.
+_READS = {
+    "classify": {
+        "classify": {"alpha": (float, None), "profile": (str, None),
+                     "mode": (("plane", "cylinder"), "plane"),
+                     "method": (("auto", "analytic", "numeric"), "auto")},
+        "plane": {"xi_min": (float, -5.0), "xi_max": (float, 5.0), "xi_step": (float, 0.25)},
+        "cylinder": {"k_max": (int, 5, 0, MAX_COUNT)},
+    },
+    "geodesics": {
+        "geodesics": {"alpha": (float, REQUIRED), "angles": (int, 16, None, MAX_COUNT),
+                      "theta": (float, None), "t_max": (float, 10.0), "tol": (float, 1e-12),
+                      "x0": (float, 1.0), "y0": (float, 0.0)},
+    },
+    "evolve": {
+        "evolve": {"alpha": (float, REQUIRED),
+                   "protocol": (("sensitivity", "plane", "cylinder"), "sensitivity"),
+                   "t_final": (float, 1.0)},
+        "sensitivity": {"xi": (float, 0.5), "dt": (float, 1e-3), "refine": (int, 1, 1, MAX_COUNT),
+                        "eps_grid": (list, "1e-1,1e-2,1e-3")},
+        "sensitivity robin": {"beta": (float, 1.0)},
+        # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
+        "plane cylinder": {"dt": (float, 2e-3), "eps": (float, 0.01), "outer_wall": (float, None),
+                           "ny": (int, 45, None, MAX_COUNT), "sigma_xi": (float, 2.0),
+                           "y_span": (float, 16.0), "bc": (("dirichlet", "robin"), "dirichlet"),
+                           "jobs": (int, 1, 1, MAX_COUNT)},
+    },
+    "verify-deficiency": {
+        "verify-deficiency": {"alpha": (float, REQUIRED), "interval": (list, "0,1"),
+                              "other_interval": (list, None),
+                              "samples": (int, 16, None, MAX_COUNT)},
+    },
 }
+_HELP = {
+    "config": "INI config file; flags override its values",
+    "output_dir": "directory for output files (default .)",
+    "alpha": "power-law exponent",
+    "profile": "builtin custom profile name",
+    "angles": "number of fan angles",
+    "theta": "single launch angle instead of a fan",
+    "refine": "divides the local spacing of the sensitivity protocol's grid (default 1)",
+    "eps_grid": "comma list of strictly decreasing cutoffs",
+    "beta": "Robin parameter (default 1)",
+    "outer_wall": "widest outer wall of a plane or cylinder run; each fibre stops at its "
+                  "own turning-point wall inside it",
+    "jobs": "stacks of fibres a plane or cylinder run steps, each on a thread of its own "
+            "(at most one per distinct fibre: equal fibres are stepped once)",
+    "interval": "xi interval a,b (default 0,1)",
+    "other_interval": "disjoint interval for orthogonality",
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _options(command):
+    """Every option of ``command`` by name, each with a spec of the table."""
+    return {name: spec for entry in _READS[command].values() for name, spec in entry.items()}
 
 
 def _fill_from_config(args):
@@ -196,104 +254,131 @@ def _fill_from_config(args):
         raise UsageError(f"malformed config file {args.config}: {exc}") from None
     if not found:
         raise UsageError(f"config file not found: {args.config}")
-    unknown = [name for name in parser.sections() if name not in _COMMANDS]
+    unknown = [name for name in parser.sections() if name not in _READS]
     if unknown:
         raise UsageError(f"config file section [{unknown[0]}] names no command "
-                         f"(sections: {', '.join(_COMMANDS)})")
+                         f"(sections: {', '.join(_READS)})")
     section = args.command
     if not parser.has_section(section):
         return
-    options = set(vars(args)) - {"command", "func", "config"}
+    options = {**_options(section), "output_dir": (str,)}
     for key, raw in parser.items(section):
         attr = key.replace("-", "_")
         if attr not in options:
             raise UsageError(f"config file [{section}] has unknown key {key!r}")
-        if attr in _CHOICES and raw not in _CHOICES[attr]:
+        choices = options[attr][0]
+        if isinstance(choices, tuple) and raw not in choices:
             raise UsageError(f"config file [{section}] {key} must be one of "
-                             f"{', '.join(_CHOICES[attr])}, got {raw!r}")
+                             f"{', '.join(choices)}, got {raw!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, raw)
 
 
-def _number(args, name, kind, default, minimum=None):
-    """``args.<name>``, from a flag or the config file, as a finite
-    ``kind`` (int or float) of at least ``minimum``, or ``default`` when
-    unset; anything else is a usage error."""
-    raw = getattr(args, name)
-    if raw is None:
-        return default
-    flag = "--" + name.replace("_", "-")
+def _parse(flag, kind, raw, minimum=None, maximum=None):
+    """``raw``, from a flag, a file key or the table, as a ``kind`` value
+    (a finite one, for a number) within the bounds; None stays None, and
+    anything else is a usage error."""
+    if raw is None or kind is str or isinstance(kind, tuple):
+        return raw
+    if kind is list:  # an empty item is an error
+        try:
+            return [float(tok) for tok in str(raw).replace(" ", "").split(",")]
+        except ValueError as exc:
+            raise UsageError(f"malformed {flag}: {raw!r}") from exc
     expected = "an integer" if kind is int else "a number"
     try:
         value = kind(raw)
     except ValueError:
         raise UsageError(f"{flag} expects {expected}, got {raw!r}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise UsageError(f"{flag} expects a finite number, got {raw!r}")
     if minimum is not None and value < minimum:
         raise UsageError(f"{flag} must be at least {minimum}, got {raw!r}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{flag} must be at most {maximum}, got {raw!r}")
     return value
 
 
 def _given(args) -> set[str]:
-    """The options set in ``args``, flags and file keys alike."""
+    """The options set in ``args``, flags and file keys alike, but --config
+    and --output-dir."""
     return {name for name, value in vars(args).items()
-            if value is not None} - {"command", "func", "config"}
+            if value is not None} - {"command", "func", "config", "output_dir"}
 
 
-def _reject_unread(what, names):
-    if names:
-        flags = ", ".join("--" + name.replace("_", "-") for name in sorted(names))
-        raise UsageError(f"{what} does not read {flags}")
+def _read(args, command, given, selector=None):
+    """The options a run of ``command`` reads, parsed, as a Namespace: the
+    entries of its table keyed by the command or by the value, set or
+    default, of one of its choice options.  Messages name the run by its
+    ``selector`` option.  An option in ``given`` the run does not read, a
+    REQUIRED one unset, or a value not of its kind, is a usage error."""
+    choices = {name: getattr(args, name) or default for name, (kind, default, *_)
+               in _options(command).items() if isinstance(kind, tuple)}
+    tags = {command, *choices.values()}
+    reads = {name: spec for key, entry in _READS[command].items() if tags & set(key.split())
+             for name, spec in entry.items()}
+    what = command if selector is None else f"{command} --{selector} {choices[selector]}"
+    unread = sorted(given - set(reads))
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(map(_flag, unread))}")
+    values = {}
+    for name, (kind, default, *bounds) in reads.items():
+        raw = getattr(args, name)
+        if raw is None and default is REQUIRED:
+            raise UsageError(f"{what} requires {_flag(name)}")
+        values[name] = _parse(_flag(name), kind, default if raw is None else raw, *bounds)
+    return argparse.Namespace(**values)
 
 
-def _resolve_profile(args) -> GrushinProfile:
+def _resolve_profile(read) -> GrushinProfile:
     """The profile named by --alpha or by --profile, flag or file key."""
-    if args.alpha is not None and args.profile is not None:
+    if read.alpha is not None and read.profile is not None:
         raise UsageError("give exactly one of --alpha, --profile")
-    if args.alpha is not None:
-        return power_law(_number(args, "alpha", float, None))
-    if args.profile is not None:
-        return builtin_profile(args.profile)
+    if read.alpha is not None:
+        return power_law(read.alpha)
+    if read.profile is not None:
+        return builtin_profile(read.profile)
     raise UsageError("no profile given: use --alpha or --profile")
 
 
 def _outdir(args) -> str:
-    """The output directory, made when its first file is written."""
-    return args.output_dir or "."
+    """The output directory, made when its first file is written; one whose
+    nearest existing ancestor is no directory is a usage error."""
+    out = existing = args.output_dir or "."
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        raise UsageError(f"--output-dir {out}: {existing} is not a directory")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
-# the classify options each mode does not read; as file keys they are
-# allowed, so one [classify] section can serve both modes
-_UNREAD_IN_MODE = {Mode.PLANE: {"k_max"}, Mode.CYLINDER: {"xi_min", "xi_max", "xi_step"}}
-
-
 def _cmd_classify(args) -> int:
     flags = _given(args)
     _fill_from_config(args)
-    profile = _resolve_profile(args)
-    mode = Mode(args.mode or "plane")
-    _reject_unread(f"classify --mode {mode.value}", flags & _UNREAD_IN_MODE[mode])
+    # a [classify] section may hold both modes' keys, but not a flag of the other mode
+    read = _read(args, "classify", flags, "mode")
+    out = _outdir(args)
+    profile = _resolve_profile(read)
+    mode, method = Mode(read.mode), read.method
 
     if mode is Mode.CYLINDER:
-        k_max = _number(args, "k_max", int, 5, minimum=0)
-        xi_values = [float(k) for k in range(-k_max, k_max + 1)]
-        grid_info = {"kind": "integer modes", "k_max": k_max}
+        xi_values = [float(k) for k in range(-read.k_max, read.k_max + 1)]
+        grid_info = {"kind": "integer modes", "k_max": read.k_max}
     else:
-        lo = _number(args, "xi_min", float, -5.0)
-        hi = _number(args, "xi_max", float, 5.0)
-        step = _number(args, "xi_step", float, 0.25)
+        lo, hi, step = read.xi_min, read.xi_max, read.xi_step
         if step <= 0.0 or hi < lo:
             raise UsageError("the xi grid needs --xi-min <= --xi-max and --xi-step > 0")
+        if (hi - lo) / step >= MAX_COUNT - 0.5:  # it rounds to more than MAX_COUNT fibres
+            raise UsageError(f"the xi grid needs at most {MAX_COUNT} fibres, "
+                             f"got {(hi - lo) / step + 1:.6g}")
         n = _step_count(hi - lo, step, what="xi span --xi-max - --xi-min") + 1
         xi_values = [float(v) for v in np.linspace(lo, hi, n)]
         grid_info = {"kind": "uniform", "xi_min": lo, "xi_max": hi, "xi_step": step}
 
-    method = args.method or "auto"
     reports = classify_sweep(profile, xi_values, method=method)
     verdict = aggregate_verdict(reports, mode, grid_info=grid_info)
 
@@ -329,7 +414,7 @@ def _cmd_classify(args) -> int:
         "grid": verdict.grid,
         "inequality_check": {"verdict": ineq.value, **info},
     }
-    path = _write_json(os.path.join(_outdir(args), "verdict.json"), document)
+    path = _write_json(os.path.join(out, "verdict.json"), document)
     print(f"{profile.name} [{mode.value}]: {verdict.verdict.value}"
           f" (failing: {verdict.failing_fibres}; deficiency: {verdict.total_deficiency.value})")
     print(f"wrote {path}")
@@ -387,34 +472,20 @@ def write_fan(trajectories, directory, config):
 
 def _cmd_geodesics(args) -> int:
     _fill_from_config(args)
-    if args.alpha is None:
-        raise UsageError("geodesics requires --alpha")
+    read = _read(args, "geodesics", _given(args))
     if args.theta is not None and args.angles is not None:
         raise UsageError("--angles sets the size of a fan; it does not apply with --theta")
-    alpha = _number(args, "alpha", float, None)
-    t_max = _number(args, "t_max", float, 10.0)
-    tol = _number(args, "tol", float, 1e-12)
-    x0 = _number(args, "x0", float, 1.0)
-    y0 = _number(args, "y0", float, 0.0)
-    theta = _number(args, "theta", float, None)
     out = _outdir(args)
+    alpha, t_max, tol, x0, y0 = read.alpha, read.t_max, read.tol, read.x0, read.y0
 
-    config = {
-        "command": "geodesics",
-        "alpha": alpha,
-        "t_max": t_max,
-        "tol": tol,
-        "x0": x0,
-        "y0": y0,
-    }
-    if theta is not None:
-        init = GeodesicInitialData(x0=x0, y0=y0, theta=theta, alpha=alpha)
+    config = {"command": "geodesics", **vars(read)}  # with --theta or --angles, not both
+    if read.theta is not None:
+        del config["angles"]
+        init = GeodesicInitialData(x0=x0, y0=y0, theta=read.theta, alpha=alpha)
         trajs = [integrate_geodesic(init, (-t_max, t_max), tol)]
-        config["theta"] = theta
     else:
-        n_angles = _number(args, "angles", int, 16)
-        config["angles"] = n_angles
-        trajs = geodesic_fan(alpha, n_angles, (-t_max, t_max), x0=x0, y0=y0, tol=tol)
+        del config["theta"]
+        trajs = geodesic_fan(alpha, read.angles, (-t_max, t_max), x0=x0, y0=y0, tol=tol)
 
     if alpha > 0:
         for traj in trajs:
@@ -432,58 +503,20 @@ def _cmd_geodesics(args) -> int:
 # evolve
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(raw, name):
-    """Comma-separated numbers; an empty item is a usage error."""
-    try:
-        return [float(tok) for tok in str(raw).replace(" ", "").split(",")]
-    except ValueError as exc:
-        raise UsageError(f"malformed {name}: {raw!r}") from exc
-
-
-# the options each evolve protocol reads; a plane or cylinder run also
-# reads --beta under --bc robin
-_PLANE_OPTIONS = {"alpha", "t_final", "dt", "eps", "outer_wall", "ny", "sigma_xi", "y_span",
-                  "bc", "jobs"}
-_EVOLVE_OPTIONS = {"sensitivity": {"alpha", "xi", "t_final", "dt", "beta", "refine", "eps_grid"},
-                   "plane": _PLANE_OPTIONS, "cylinder": _PLANE_OPTIONS}
-
-
 def _cmd_evolve(args) -> int:
     _fill_from_config(args)
-    protocol = args.protocol or "sensitivity"
-    reads = _EVOLVE_OPTIONS[protocol] | ({"beta"} if args.bc == "robin" else set())
-    _reject_unread(f"evolve --protocol {protocol}",
-                   _given(args) - reads - {"output_dir", "protocol"})
-    if args.alpha is None:
-        raise UsageError(f"evolve --protocol {protocol} requires --alpha")
-    if protocol == "sensitivity":
-        return _evolve_sensitivity(args)
-    return _evolve_plane(args, protocol)
-
-
-def _evolve_sensitivity(args) -> int:
-    alpha = _number(args, "alpha", float, None)
-    xi = _number(args, "xi", float, 0.5)
-    t_final = _number(args, "t_final", float, 1.0)
-    dt = _number(args, "dt", float, 1e-3)
-    beta = _number(args, "beta", float, 1.0)
-    refine = _number(args, "refine", int, 1, minimum=1)
-    eps_grid = _parse_float_list("1e-1,1e-2,1e-3" if args.eps_grid is None else args.eps_grid,
-                                 "--eps-grid")
+    read = _read(args, "evolve", _given(args), "protocol")
     out = _outdir(args)
+    if read.protocol == "sensitivity":
+        return _evolve_sensitivity(read, out)
+    return _evolve_plane(read, out)
 
-    result = bc_sensitivity(
-        alpha, xi, t_final, eps_grid, beta=beta, dt=dt, refine=refine
-    )
-    config = {
-        "command": "evolve",
-        "protocol": "sensitivity",
-        "alpha": alpha,
-        "xi": xi,
-        "t_final": t_final,
-        "eps_grid": eps_grid,
-        **result.config,
-    }
+
+def _evolve_sensitivity(read, out) -> int:
+    alpha, xi = read.alpha, read.xi
+    result = bc_sensitivity(alpha, xi, read.t_final, read.eps_grid, beta=read.beta, dt=read.dt,
+                            refine=read.refine)
+    config = {"command": "evolve", **vars(read), **result.config}
     document = {
         "config": config,
         "rows": [{"eps": e, "D": d, **grid} for (e, d), grid in zip(result.rows, result.grids)],
@@ -501,42 +534,19 @@ def _evolve_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def _evolve_plane(args, geometry) -> int:
-    alpha = _number(args, "alpha", float, None)
+def _evolve_plane(read, out) -> int:
+    alpha, geometry, dt = read.alpha, read.protocol, read.dt
     profile = power_law(alpha)
-    t_final = _number(args, "t_final", float, 1.0)
-    dt = _number(args, "dt", float, 2e-3)
-    eps = _number(args, "eps", float, 0.01)
-    # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
-    ny = _number(args, "ny", int, 45)
-    sigma_xi = _number(args, "sigma_xi", float, 2.0)
-    y_span = _number(args, "y_span", float, 16.0)
-    bc_kind = args.bc or "dirichlet"
-    bc = (BoundaryCondition.robin(_number(args, "beta", float, 1.0))
-          if bc_kind == "robin" else BoundaryCondition.dirichlet())
-    jobs = _number(args, "jobs", int, 1, minimum=1)
-
-    psi0, grid_record = standard_plane_data(profile, geometry, eps, ny, sigma_xi, y_span,
-                                            _number(args, "outer_wall", float, None))
+    bc = BoundaryCondition.robin(read.beta) if read.bc == "robin" else BoundaryCondition.dirichlet()
+    psi0, grid_record = standard_plane_data(profile, geometry, read.eps, read.ny, read.sigma_xi,
+                                            read.y_span, read.outer_wall)
     grid = psi0.grid
-    result = evolve_plane(psi0, profile, t_final, bc, dt=dt, jobs=jobs)
-    out = _outdir(args)
+    result = evolve_plane(psi0, profile, read.t_final, bc, dt=dt, jobs=read.jobs)
 
-    config = {
-        "command": "evolve",
-        "protocol": geometry,
-        "alpha": alpha,
-        "t_final": t_final,
-        "dt": dt,
-        "eps": eps,
-        "outer_wall": grid.L,
-        "n_x": grid.n,
-        "ny": ny,
-        "sigma_xi": sigma_xi,
-        "y_span": y_span,
-        "bc": bc.label(),
-        "spectrum_edge_mass": result.spectrum_edge_mass,
-    }
+    config = {"command": "evolve", **vars(read), "outer_wall": grid.L, "n_x": grid.n,
+              "bc": bc.label(), "spectrum_edge_mass": result.spectrum_edge_mass}
+    del config["jobs"]  # every --jobs writes the same bytes, and the bc label holds beta
+    config.pop("beta", None)
 
     npath = _write_csv(os.path.join(out, "fibre_norms.csv"), ["xi", "norm"],
                        [psi0.axis, result.fibre_norms], config)
@@ -578,31 +588,18 @@ def _evolve_plane(args, geometry) -> int:
 
 def _cmd_verify_deficiency(args) -> int:
     _fill_from_config(args)
-    if args.alpha is None:
-        raise UsageError("verify-deficiency requires --alpha")
-    alpha = _number(args, "alpha", float, None)
-    interval = _parse_float_list("0,1" if args.interval is None else args.interval, "--interval")
+    read = _read(args, "verify-deficiency", _given(args))
+    alpha, interval, other = read.alpha, read.interval, read.other_interval
     if len(interval) != 2:
         raise UsageError("--interval needs two comma-separated numbers")
-    other = None
-    if args.other_interval is not None:
-        other = _parse_float_list(args.other_interval, "--other-interval")
-        if len(other) != 2:
-            raise UsageError("--other-interval needs two comma-separated numbers")
-    samples = _number(args, "samples", int, 16)
+    if other is not None and len(other) != 2:
+        raise UsageError("--other-interval needs two comma-separated numbers")
     out = _outdir(args)
 
-    report = verify_deficiency_family(alpha, tuple(interval), samples,
+    report = verify_deficiency_family(alpha, tuple(interval), read.samples,
                                       tuple(other) if other else None)
-    config = {
-        "command": "verify-deficiency",
-        "alpha": alpha,
-        "interval": interval,
-        "other_interval": other,
-        "samples": samples,
-    }
     document = {
-        "config": config,
+        "config": {"command": "verify-deficiency", **vars(read)},
         "max_residual": report.max_residual,
         "max_norm_error": report.max_norm_error,
         "max_cross_inner_product": report.max_cross_inner,
@@ -635,62 +632,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--output-dir", help="directory for output files (default .)")
-        p.add_argument("--alpha", help="power-law exponent")
-
-    p = sub.add_parser("classify", help="fibre classification and aggregate verdict")
-    common(p)
-    p.add_argument("--profile", help="builtin custom profile name")
-    p.add_argument("--mode", choices=_CHOICES["mode"])
-    p.add_argument("--method", choices=_CHOICES["method"])
-    p.add_argument("--xi-min")
-    p.add_argument("--xi-max")
-    p.add_argument("--xi-step")
-    p.add_argument("--k-max")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("geodesics", help="geodesic fan with boundary hit times")
-    common(p)
-    p.add_argument("--angles", help="number of fan angles")
-    p.add_argument("--theta", help="single launch angle instead of a fan")
-    p.add_argument("--t-max")
-    p.add_argument("--tol")
-    p.add_argument("--x0")
-    p.add_argument("--y0")
-    p.set_defaults(func=_cmd_geodesics)
-
-    p = sub.add_parser("evolve", help="fibre/plane Schroedinger evolution")
-    common(p)
-    p.add_argument("--protocol", choices=_CHOICES["protocol"])
-    p.add_argument("--jobs", help="stacks of fibres a plane or cylinder run steps, each on a "
-                                  "thread of its own (at most one per distinct fibre: equal "
-                                  "fibres are stepped once)")
-    p.add_argument("--xi")
-    p.add_argument("--t-final")
-    p.add_argument("--dt")
-    p.add_argument("--beta", default=None, help="Robin parameter (default 1)")
-    p.add_argument("--eps-grid", help="comma list of strictly decreasing cutoffs")
-    p.add_argument("--refine", help="divides the local spacing of the sensitivity "
-                   "protocol's grid (default 1)")
-    p.add_argument("--eps")
-    p.add_argument("--outer-wall", help="widest outer wall of a plane or cylinder run; "
-                   "each fibre stops at its own turning-point wall inside it")
-    p.add_argument("--ny")
-    p.add_argument("--sigma-xi")
-    p.add_argument("--y-span")
-    p.add_argument("--bc", choices=_CHOICES["bc"])
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("verify-deficiency", help="deficiency eigenfunction family")
-    common(p)
-    p.add_argument("--interval", help="xi interval a,b (default 0,1)")
-    p.add_argument("--other-interval", help="disjoint interval for orthogonality")
-    p.add_argument("--samples")
-    p.set_defaults(func=_cmd_verify_deficiency)
-
+    for command, func, text in (
+            ("classify", _cmd_classify, "fibre classification and aggregate verdict"),
+            ("geodesics", _cmd_geodesics, "geodesic fan with boundary hit times"),
+            ("evolve", _cmd_evolve, "fibre/plane Schroedinger evolution"),
+            ("verify-deficiency", _cmd_verify_deficiency, "deficiency eigenfunction family")):
+        p = sub.add_parser(command, help=text)
+        for name, (kind, *_) in {"config": (str,), "output_dir": (str,),
+                                 **_options(command)}.items():
+            p.add_argument(_flag(name), help=_HELP.get(name),
+                           choices=kind if isinstance(kind, tuple) else None)
+        p.set_defaults(func=func)
     return parser
 
 

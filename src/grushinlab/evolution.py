@@ -123,6 +123,7 @@ GRID_GROWTH = 1.05
 MARCH_SHRINKS = 8
 MARCH_TRIES = 5
 MAX_GRID_NODES = 2_000_000
+MAX_STEPS = 1_000_000  # the most steps of one evolution
 # the sensitivity protocol resolves the cutoff boundary layer more finely
 # so that D(eps) is stable under spacing refinement
 SENSITIVITY_RESOLUTION = 0.04
@@ -436,14 +437,16 @@ class CrankNicolson:
 
 def _step_count(t: float, dt: float, what: str = "evolution time") -> int:
     """Number of steps of size ``dt`` spanning ``t``, which must be a whole
-    multiple of ``dt``: the end point is never silently moved.  ``what``
-    names the span in the error."""
+    multiple of ``dt`` (the end point is never silently moved) of at most
+    MAX_STEPS steps.  ``what`` names the span in the error."""
     if not dt > 0.0:
         raise UsageError("dt must be positive")
     ratio = t / dt
     n = round(ratio) if math.isfinite(ratio) else -1
     if n < 0 or abs(ratio - n) > 1e-9 * max(1, n):
         raise UsageError(f"{what} {t:g} is not a whole number of steps {dt:g}")
+    if n > MAX_STEPS:
+        raise UsageError(f"{what} {t:g} takes {n:.3g} steps of {dt:g}, more than {MAX_STEPS}")
     return n
 
 

@@ -997,6 +997,29 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002"], None),
     (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002", "--xi",
       "0"], None),
+    # a count just above its ceiling of 10,000, and far above it, where it
+    # would fill memory or pass numpy's largest array; the xi grid's fibres
+    (["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "10001"], None),
+    (["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "100000000000000000000"],
+     None),
+    (["classify", "--alpha", "1", "--xi-min", "0", "--xi-max", "1", "--xi-step", "1e-4"], None),
+    (["classify", "--alpha", "1", "--xi-min", "0", "--xi-max", "1", "--xi-step", "1e-300"], None),
+    (["geodesics", "--alpha", "1", "--angles", "10001"], None),
+    (["geodesics", "--alpha", "1", "--angles", "100000000000000000000"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "10001"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "100000000000000001"], None),
+    (["evolve", "--protocol", "cylinder", "--alpha", "1", "--jobs", "10001"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "10001"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "100000000000000000000"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--refine", "10001"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--refine", "1" + "0" * 400], None),
+    (["classify", "--alpha", "1"], "[classify]\nmode = cylinder\nk-max = 10001\n"),
+    # an evolution of more than 1,000,000 steps
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "1000.001"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "1e300"], None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "2000.002", "--ny", "3"],
+     None),
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "1e12", "--ny", "3"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -1057,3 +1080,102 @@ def test_import_leaves_out_scipy(module):
     # scipy.linalg, and only the hit-time formula needs scipy.special; a
     # command must not pay for importing what it does not run
     assert _imported_with_cli(module) == "False"
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "1"],
+    ["geodesics", "--alpha", "1"],
+    ["evolve", "--alpha", "1"],
+    ["verify-deficiency", "--alpha", "0.5"],
+], ids=lambda argv: argv[0])
+def test_output_dir_that_cannot_be_a_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, below):
+    def work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("classify_sweep", "geodesic_fan", "bc_sensitivity", "verify_deficiency_family"):
+        monkeypatch.setattr(cli, name, work)
+    path = tmp_path / "FILE"
+    path.write_text("not a directory\n")
+    assert main([*argv, "--output-dir", str(path / below)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "not a directory\n"
+
+
+# each evolve protocol's unread options, with values the other protocol
+# accepts: a usage error as a flag and as an [evolve] key
+UNREAD_OPTIONS = [
+    ("sensitivity", "eps", "0.05"), ("sensitivity", "outer-wall", "8"),
+    ("sensitivity", "ny", "7"), ("sensitivity", "sigma-xi", "2"),
+    ("sensitivity", "y-span", "8"), ("sensitivity", "bc", "robin"),
+    ("sensitivity", "jobs", "2"),
+    ("plane", "xi", "0.5"), ("plane", "eps-grid", "1e-1,1e-2"), ("plane", "refine", "2"),
+    ("plane", "beta", "2"),  # without --bc robin
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "key"])
+@pytest.mark.parametrize("protocol, name, value", UNREAD_OPTIONS)
+def test_evolve_protocol_rejects_each_option_it_does_not_read(
+        tmp_path, capsys, protocol, name, value, source):
+    argv = ["evolve", "--protocol", protocol, "--alpha", "1", "--t-final", "0.02"]
+    if source == "flag":
+        argv += [f"--{name}", value]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[evolve]\n{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert f"evolve --protocol {protocol} does not read --{name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_records_its_protocol_defaults(tmp_path):
+    assert main(["evolve", "--alpha", "1.5", "--t-final", "0.002",
+                 "--output-dir", str(tmp_path / "sensitivity")]) == 0
+    config = read_json(tmp_path / "sensitivity" / "bc_sensitivity.json")["config"]
+    assert {key: config[key] for key in ("protocol", "dt", "eps_grid", "beta", "refine")} == {
+        "protocol": "sensitivity", "dt": 0.001, "eps_grid": [0.1, 0.01, 0.001], "beta": 1.0,
+        "refine": 1}
+    assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.002",
+                 "--output-dir", str(tmp_path / "plane")]) == 0
+    config = read_json(tmp_path / "plane" / "evolution.json")["config"]
+    assert {key: config[key] for key in ("dt", "eps", "ny", "sigma_xi", "y_span", "bc")} == {
+        "dt": 0.002, "eps": 0.01, "ny": 45, "sigma_xi": 2.0, "y_span": 16.0, "bc": "dirichlet"}
+
+
+class Sentinel(Exception):
+    pass
+
+
+# the library names the benchmark's tracer replaces on cli, and
+# evolution.to_original, which the plane protocol imports when it runs:
+# each with the smallest command that reaches it
+TRACED = {
+    "bc_sensitivity": ["evolve", "--alpha", "1"],
+    "evolve_plane": ["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "3"],
+    "to_original": ["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "3",
+                    "--t-final", "0.002"],
+    "classify_sweep": ["classify", "--alpha", "1"],
+    "aggregate_verdict": ["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "0"],
+    "classify_by_inequality": ["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "0"],
+    "verify_deficiency_family": ["verify-deficiency", "--alpha", "0.5"],
+    "geodesic_fan": ["geodesics", "--alpha", "1"],
+    "integrate_geodesic": ["geodesics", "--alpha", "1", "--theta", "0.5"],
+    "hit_time_quadrature": ["geodesics", "--alpha", "1", "--theta", "0.5", "--t-max", "1"],
+    "write_fan": ["geodesics", "--alpha", "-1", "--theta", "0.5", "--t-max", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_commands_look_up_traced_names_when_they_run(tmp_path, monkeypatch, name):
+    from grushinlab import evolution
+
+    def sentinel(*args, **kwargs):
+        raise Sentinel(name)
+
+    monkeypatch.setattr(evolution if name == "to_original" else cli, name, sentinel)
+    with pytest.raises(Sentinel):
+        main([*TRACED[name], "--output-dir", str(tmp_path)])
