@@ -45,6 +45,7 @@ from .geodesics import GeodesicInitialData, geodesic_fan, hit_time_quadrature, i
 from .profiles import GrushinProfile, builtin_profile, power_law
 from .weyl import (
     FAMILY_TOL,
+    MAX_FAMILY_SAMPLES,
     Mode,
     aggregate_verdict,
     classify_by_inequality,
@@ -170,7 +171,7 @@ def _csv_block(block):
     return text[text != 0].tobytes().decode("ascii")
 
 
-MAX_COUNT = 10_000  # the most fibres, modes, angles, samples, refinements or stacks
+MAX_COUNT = 10_000  # the most fibres, modes, angles, refinements or stacks
 REQUIRED = object()  # the default of an option a command cannot run without
 
 # what each command reads, also the name of its config-file section: its
@@ -208,7 +209,7 @@ _READS = {
     "verify-deficiency": {
         "verify-deficiency": {"alpha": (float, REQUIRED), "interval": (list, "0,1"),
                               "other_interval": (list, None),
-                              "samples": (int, 16, None, MAX_COUNT)},
+                              "samples": (int, 16, None, MAX_FAMILY_SAMPLES)},
     },
 }
 _HELP = {

@@ -40,9 +40,12 @@ independent, so :class:`CrankNicolson` steps a stack of them as one
 block-diagonal tridiagonal system: the couplings across the seams are
 zero, the pivoting never crosses a seam, and every block's numbers are
 bit for bit those of a stepper of its own.  The general tridiagonal
-factorisation of the stacked left-hand matrix is done once per (grid,
-potentials, conditions, dt), in place, and the steps alternate between
-two preallocated buffers.  Every protocol steps through its one loop,
+factorisation of half the stacked left-hand matrix, A/2 with
+A = 1 + i dt H/2, is done once per (grid, potentials, conditions, dt), in
+place: the halving is exact, so its solve is 2 A^{-1} psi bit for bit and
+a step psi^{n+1} = 2 A^{-1} psi^n - psi^n is a copy, a solve and a
+subtraction.  The steps alternate between two preallocated buffers.
+Every protocol steps through its one loop,
 :meth:`CrankNicolson.evolve`: ``evolve_fibre`` is a stack of one block,
 ``bc_sensitivity`` stacks the Dirichlet and the Robin block of each
 cutoff, and ``evolve_plane`` steps each distinct fibre once, in up to
@@ -123,6 +126,7 @@ GRID_GROWTH = 1.05
 MARCH_SHRINKS = 8
 MARCH_TRIES = 5
 MAX_GRID_NODES = 2_000_000
+MAX_PLANE_VALUES = 4 * MAX_GRID_NODES  # x nodes times fibres of plane or cylinder data
 MAX_STEPS = 1_000_000  # the most steps of one evolution
 # the sensitivity protocol resolves the cutoff boundary layer more finely
 # so that D(eps) is stable under spacing refinement
@@ -250,7 +254,17 @@ def _check_resolution(resolution: float) -> None:
 def _march(eps, L, pot, cap, resolution):
     """Cell lengths from eps until they pass L: each at most ``cap``, at
     most GRID_GROWTH times its predecessor, and with h^2 |W| <= resolution
-    at both of its ends."""
+    at both of its ends.
+
+    The cells are laid one by one, but where the march stands at a cap
+    cell the cap cells that follow are laid as one array: their far ends
+    are running sums from x, so bit for bit the loop's x + h, and W is
+    evaluated on them at once.  A run keeps the cells whose far end has
+    |W| cap^2 <= resolution (1 - 1e-12), which leaves any rounding of the
+    array evaluation no room to shrink the cell, through the first far
+    end at or past L; the first doubtful cell goes back to the scalar
+    step.  A run's chunks start at 64 cells and double while every cell
+    is kept, so the work stays linear in the cells laid."""
 
     def local(x):
         try:
@@ -259,12 +273,35 @@ def _march(eps, L, pot, cap, resolution):
             raise UsageError(f"the potential overflows a float at x={x:g}") from None
         return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
 
+    def cap_run(x):
+        """Lay the cap cells that follow x; returns the far end of the last."""
+        size = 64
+        while len(gaps) <= MAX_GRID_NODES:
+            ends = np.add.accumulate(np.concatenate(([x], np.full(size, cap))))[1:]
+            with np.errstate(all="ignore"):
+                sure = np.abs(pot(ends)) * cap**2 <= resolution * (1.0 - 1e-12)
+            kept = min(size if sure.all() else int(np.argmin(sure)),
+                       int(np.searchsorted(ends, L)) + 1)
+            gaps.extend([cap] * kept)
+            if kept:
+                x = float(ends[kept - 1])
+            if kept < size or x >= L:
+                break
+            size *= 2
+        return x
+
     too_many = UsageError(f"resolving the potential on [{eps:g}, {L:g}] needs more "
                           f"than {MAX_GRID_NODES} nodes")
     gaps, x, h, h_here = [], eps, math.inf, local(eps)
     if _node_estimate(eps, L, pot, cap, resolution) > 2 * MAX_GRID_NODES:
         raise too_many
     while x < L:
+        if h == h_here == cap:
+            x = cap_run(x)
+            if len(gaps) > MAX_GRID_NODES:
+                raise too_many
+            if x >= L:
+                break
         h = min(GRID_GROWTH * h, h_here)
         for _ in range(MARCH_SHRINKS):  # the far end of the cell
             h_there = local(x + h)
@@ -366,7 +403,8 @@ class CrankNicolson:
         self.grid, self.dt = grid, dt
         self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_values)]
         size = int(ends[-1])
-        # the stacked matrix 1 + i dt H/2, factored in place
+        # the stacked matrix A/2 = (1 + i dt H/2)/2, factored in place: the
+        # halving is exact, so the factors are A's halved and the pivots A's
         z = 0.5j * dt
         lower, diag, upper = (np.zeros(size - 1, complex), np.empty(size, complex),
                               np.zeros(size - 1, complex))
@@ -376,9 +414,9 @@ class CrankNicolson:
             block = grid.prefix(sl.stop - sl.start)
             block.validate_resolution(w)
             sub, main, sup = _hamiltonian_diagonals(block, w, cond)
-            diag[sl] = 1.0 + z * main
-            lower[sl.start:sl.stop - 1] = z * sub
-            upper[sl.start:sl.stop - 1] = z * sup
+            diag[sl] = 0.5 * (1.0 + z * main)
+            lower[sl.start:sl.stop - 1] = 0.5 * (z * sub)
+            upper[sl.start:sl.stop - 1] = 0.5 * (z * sup)
             self._w2[2 * sl.start:2 * sl.stop] = np.repeat(block.weights, 2)
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
         *self._factors, info = gttrf(lower, diag, upper,
@@ -391,16 +429,16 @@ class CrankNicolson:
 
     def step(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One Cayley step in solve-only form: with A = 1 + i dt H/2 the
-        right-hand matrix is 2 - A, so A^{-1} (2 - A) psi = 2 A^{-1} psi - psi.
-        The result goes into ``out`` (a new array by default), which must
-        not be ``psi``."""
+        right-hand matrix is 2 - A, so A^{-1} (2 - A) psi = 2 A^{-1} psi - psi,
+        and the stored factors of A/2 solve for 2 A^{-1} psi directly: copy,
+        solve, subtract.  The result goes into ``out`` (a new array by
+        default), which must not be ``psi``."""
         if out is None:
             out = np.empty(psi.shape, dtype=complex)
         out[...] = psi
         out, info = self._gttrs(*self._factors, out, overwrite_b=1)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed (info={info})")
-        out *= 2.0
         out -= psi
         return out
 
@@ -794,6 +832,9 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
         outer_wall = choose_outer_wall(FibrePotential(xi=0.0, profile=profile))
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in np.unique(np.abs(axis))]
     grid = FibreGrid.resolved(eps, outer_wall, _envelope(pots))
+    if grid.n * ny > MAX_PLANE_VALUES:
+        raise UsageError(f"the data on n_x = {grid.n} x nodes times ny = {ny} fibres needs "
+                         f"{grid.n * ny} values, more than {MAX_PLANE_VALUES}")
     # a subnormal sigma_xi^2 gives every xi != 0 the limit exp(-inf) = 0
     with np.errstate(over="ignore"):
         env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
@@ -808,15 +849,24 @@ def _envelope(pots: Sequence[FibrePotential]):
     """The potential the shared grid resolves, for fibres of ascending |xi|:
     at x, the W of the largest |xi| whose wall (``choose_outer_wall``) lies
     beyond x, or of the smallest beyond every wall.  W_xi grows with |xi|,
-    so the walls do not, and this W bounds every fibre whose prefix holds x."""
+    so the walls do not, and this W bounds every fibre whose prefix holds x.
+    A float x counts the walls with ``bisect`` on lists, a few times
+    cheaper than numpy on one float, an array with numpy: the same W."""
+    from bisect import bisect_left
+
     profile = pots[0].profile
-    walls = -np.array([choose_outer_wall(pot) for pot in pots])  # ascending
+    walls = [-choose_outer_wall(pot) for pot in pots]  # ascending
     # entry k: the largest xi^2 of k fibres alive; entry 0: the smallest
-    squares = np.array([pot.xi**2 for pot in pots[:1] + pots])
+    squares = [pot.xi**2 for pot in pots[:1] + pots]
+    wall_array, square_array = np.array(walls), np.array(squares)
 
     def envelope(x):
-        alive = walls.searchsorted(-x)  # the number of walls beyond x
-        return profile.base_potential(x) + squares[alive] * profile.inv_f_squared(x)
+        # the entry at the number of walls beyond x
+        if isinstance(x, float):
+            square = squares[bisect_left(walls, -x)]
+        else:
+            square = square_array[wall_array.searchsorted(-x)]
+        return profile.base_potential(x) + square * profile.inv_f_squared(x)
 
     return envelope
 

@@ -582,6 +582,13 @@ FAMILY_X_MIN = 1e-6
 # |u|^2 enters the norm sums and overflows for |u| above 1.3e154: a
 # fibre whose state passes this stops the solve, a factor 1e4 short of it
 _MAX_STATE = 1e150
+# the family solve's rtol for one fibre, divided by sqrt(fibres) over the
+# batch (_batch_tolerances); scipy raises an rtol below 100 machine
+# epsilons to that floor, with a warning, so the family has at most the
+# fibres that keep its batched rtol at or above the floor
+_FAMILY_RTOL = 1e-12
+_SCIPY_RTOL_FLOOR = 100 * math.ulp(1.0)
+MAX_FAMILY_SAMPLES = int((_FAMILY_RTOL / _SCIPY_RTOL_FLOOR) ** 2)
 
 
 @dataclass(frozen=True)
@@ -684,7 +691,7 @@ def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
         # the joining fibres' decaying WKB branch, u = 1 and x u' = -k x
         k = _wkb_roots(profile, xi2[z.shape[1]:n], x0)
         z = np.concatenate((z, [np.ones(k.size), -k * x0]), axis=1)
-        rtol, atol = _batch_tolerances(1e-12, 1e-280, n)
+        rtol, atol = _batch_tolerances(_FAMILY_RTOL, 1e-280, n)
         solver = DOP853(lambda t, s, q=xi2[:n]: _deficiency_rhs(t, s, profile, q), t0,
                         z.ravel(), t1, rtol=rtol, atol=atol, first_step=_first_step(k, x0))
         while solver.status == "running":
@@ -753,6 +760,9 @@ def verify_deficiency_family(
         raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
     if xi_samples < 8:
         raise UsageError("need at least 8 fibre samples")
+    if xi_samples > MAX_FAMILY_SAMPLES:
+        raise UsageError(f"at most {MAX_FAMILY_SAMPLES} fibre samples keep the batched rtol "
+                         f"at or above scipy's floor, got {xi_samples}")
     a, b = _bounded_interval(interval, "interval")
     if other_interval is not None:
         a2, b2 = _bounded_interval(other_interval, "other interval")

@@ -1020,6 +1020,10 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "2000.002", "--ny", "3"],
      None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "1e12", "--ny", "3"], None),
+    # plane data past its ceiling of values (29,107 x nodes times 9,999
+    # fibres), and family samples past scipy's rtol floor
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "9999"], None),
+    (["verify-deficiency", "--alpha", "0.5", "--samples", "2029"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:

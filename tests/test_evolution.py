@@ -10,13 +10,16 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from grushinlab.errors import ProtocolError, UsageError
 from grushinlab.evolution import (
     GRID_GROWTH,
+    MARCH_SHRINKS,
     RESOLUTION_LIMIT,
     SENSITIVITY_RESOLUTION,
     SPACING_CAP,
     _contiguous_parts,
     _envelope,
+    _fft_frequencies,
     _fibre_grid,
     _hamiltonian_diagonals,
+    _march,
     _node_estimate,
     _trend,
     BoundaryCondition,
@@ -232,6 +235,119 @@ class TestGradedGrid:
         assert graded.h_max == pytest.approx(SPACING_CAP, rel=1e-3)
 
 
+def scalar_march(eps, L, pot, cap, resolution):
+    """The march one cell at a time, with no runs of cap cells: the
+    reference the runs must reproduce bit for bit."""
+
+    def local(x):
+        w = abs(float(pot(x)))
+        return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
+
+    gaps, x, h, h_here = [], eps, math.inf, local(eps)
+    while x < L:
+        h = min(GRID_GROWTH * h, h_here)
+        for _ in range(MARCH_SHRINKS):
+            h_there = local(x + h)
+            if h <= h_there:
+                break
+            h = h_there
+        else:
+            raise AssertionError(f"no cell at x={x:g}")
+        gaps.append(h)
+        x, h_here = x + h, h_there
+    return np.array(gaps)
+
+
+def last_bit_step(resolution, cap):
+    """W = 1 below x = 1 and from there the least float that makes a cell
+    shorter than the cap, which an array evaluation reads one bit lower
+    (vectorised powers may round otherwise than scalar ones): a run that
+    trusts the array without a margin keeps cap cells the scalar step
+    shrinks."""
+    high = resolution / cap**2
+    while not math.sqrt(resolution / high) < cap:
+        high = math.nextafter(high, math.inf)
+    low = math.nextafter(high, 0.0)
+    assert low * cap**2 <= resolution  # the array reading passes without the margin
+
+    def pot(x):
+        return np.where(np.asarray(x) >= 1.0, low if np.ndim(x) else high, 1.0)
+
+    return pot
+
+
+class TestCapRuns:
+    """``_march`` lays runs of cap cells as arrays; the nodes are those of
+    the march one cell at a time."""
+
+    @staticmethod
+    def _both_ways(monkeypatch, build):
+        import grushinlab.evolution as evolution
+
+        got = build().nodes
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_march", scalar_march)
+            want = build().nodes
+        return got, want
+
+    @pytest.mark.parametrize("kind", ["sensitivity", "plane", "cylinder"])
+    @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_nodes_match_the_scalar_march(self, monkeypatch, kind, alpha):
+        # sensitivity grids at res 0.04 (alpha 1.5 at xi 0.5 passes
+        # |W| = res/cap^2 before its wall, so a run ends on W) and envelope
+        # grids at res 0.5
+        prof = power_law(alpha)
+        if kind == "sensitivity":
+            pot = FibrePotential(xi=0.5, profile=prof)
+            L, res = choose_outer_wall(pot), SENSITIVITY_RESOLUTION
+        else:
+            axis = np.sort(_fft_frequencies(45, 16.0 / 45, kind))
+            pot = _envelope(_fibres(prof, np.unique(np.abs(axis))))
+            L, res = choose_outer_wall(FibrePotential(xi=0.0, profile=prof)), RESOLUTION_LIMIT
+        # alpha -2 envelope grids at eps 1e-3 grade 34k-68k cells one by one
+        # before the same runs as at 1e-2, a second of scalar reference
+        cutoffs = (1e-1, 1e-2) if alpha == -2.0 and kind != "sensitivity" else (1e-1, 1e-2, 1e-3)
+        for eps in cutoffs:
+            for refine in (1, 2):
+                got, want = self._both_ways(monkeypatch, lambda: FibreGrid.resolved(
+                    eps, L, pot, refine=refine, resolution=res))
+                assert got.size == want.size and np.array_equal(got, want), (eps, refine)
+
+    def test_doubtful_last_bit_goes_to_the_scalar_step(self, monkeypatch):
+        pot = last_bit_step(RESOLUTION_LIMIT, SPACING_CAP)
+        got, want = self._both_ways(monkeypatch, lambda: FibreGrid.resolved(0.1, 3.0, pot))
+        assert np.array_equal(got, want)
+        assert np.max(np.diff(want[want > 1.5])) < SPACING_CAP  # the step did shrink
+
+    def test_a_run_doubles_its_chunks(self):
+        # W = 1 everywhere: after the first cell, one run of 2,999 cap cells
+        scalar, chunks = [], []
+
+        def flat(x):
+            (chunks if np.ndim(x) else scalar).append(np.size(x))
+            return np.ones_like(x)
+
+        gaps = _march(1e-9, 30.0, flat, SPACING_CAP, RESOLUTION_LIMIT)
+        assert gaps.size == 3000 and np.all(gaps == SPACING_CAP)
+        assert len(scalar) == 2  # both ends of the first cell
+        # the node estimate, then 64, 128, ..., 2048 cells
+        assert chunks[1:] == [64 * 2**k for k in range(6)]
+
+    def test_runs_that_keep_breaking_stay_linear(self):
+        # |W| cap^2 inside the margin everywhere: every run keeps no cell and
+        # the scalar step lays it at the cap, so each cell costs one chunk
+        points = []
+
+        def band(x):
+            if np.ndim(x):
+                points.append(np.size(x))
+            return np.full(np.shape(x), RESOLUTION_LIMIT / SPACING_CAP**2 * (1.0 - 1e-13))
+
+        gaps = _march(0.1, 3.0, band, SPACING_CAP, RESOLUTION_LIMIT)
+        assert gaps.size == 291 and np.all(gaps == SPACING_CAP)
+        assert sum(points[1:]) == 64 * (gaps.size - 1)  # the node estimate first
+
+
 class TestBoundaryCondition:
     def test_labels(self):
         assert BoundaryCondition.dirichlet().label() == "dirichlet"
@@ -274,6 +390,23 @@ class TestUnitarity:
             got = CrankNicolson(grid, [w], [bc], dt).step(psi)
             assert np.max(np.abs(got - expected)) <= 1e-12
             assert np.max(np.abs(got - psi)) > 1e-3  # the step does move the data
+
+    def test_step_is_twice_the_solve_of_the_unscaled_factors(self):
+        # the stepper stores the factors of A/2: on normal-range numbers
+        # its step is bit for bit 2 A^{-1} psi - psi from A's own factors
+        from scipy.linalg import get_lapack_funcs
+
+        grid, pot, _ = make_fibre(0.5, 0.5, eps=1e-3)
+        w, dt, z = pot(grid.nodes), 1e-3, 0.5j * 1e-3
+        psi = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, grid.n))
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
+        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)):
+            sub, main, sup = _hamiltonian_diagonals(grid, w, bc)
+            *factors, info = gttrf(z * sub, 1.0 + z * main, z * sup)
+            solved, info_solve = gttrs(*factors, psi)
+            assert info == info_solve == 0
+            assert np.array_equal(CrankNicolson(grid, [w], [bc], dt).step(psi),
+                                  2.0 * solved - psi)
 
     def test_t_final_must_be_whole_steps(self):
         grid, pot, psi0 = make_fibre(1.0, 1.0)

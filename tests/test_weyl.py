@@ -486,6 +486,18 @@ class TestDeficiencyFamily:
         with pytest.raises(UsageError):
             verify_deficiency_family(0.5, (1.0, 0.0), 8)
 
+    def test_samples_keep_the_batched_rtol_above_scipys_floor(self, monkeypatch):
+        from scipy.integrate._ivp.common import EPS
+
+        floor = 100 * EPS  # scipy raises a smaller rtol to this, with a warning
+        bound = weyl.MAX_FAMILY_SAMPLES
+        assert weyl._batch_tolerances(weyl._FAMILY_RTOL, 1e-280, bound)[0] >= floor
+        assert weyl._batch_tolerances(weyl._FAMILY_RTOL, 1e-280, bound + 1)[0] < floor
+        # rejected before any solve
+        monkeypatch.setattr(weyl, "_l2_solutions", None)
+        with pytest.raises(UsageError, match=f"at most {bound} fibre samples"):
+            verify_deficiency_family(0.5, (0.0, 1.0), bound + 1)
+
     @pytest.mark.parametrize("other", [(3.0, 2.0), (0.5, 2.0), (1.0, 2.0), (-1.0, 0.0),
                                        (math.nan, 1.0), (math.inf, 5.0)])
     def test_other_interval_must_be_bounded_and_disjoint(self, other):
