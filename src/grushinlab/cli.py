@@ -35,6 +35,7 @@ from .errors import (
     UsageError,
 )
 from .evolution import (
+    DEFAULT_DT,
     BoundaryCondition,
     _step_count,
     bc_sensitivity,
@@ -196,12 +197,12 @@ _READS = {
     "evolve": {
         "evolve": {"alpha": (float, REQUIRED),
                    "protocol": (("sensitivity", "plane", "cylinder"), "sensitivity"),
-                   "t_final": (float, 1.0)},
-        "sensitivity": {"xi": (float, 0.5), "dt": (float, 1e-3), "refine": (int, 1, 1, MAX_COUNT),
+                   "t_final": (float, 1.0), "dt": (float, DEFAULT_DT)},
+        "sensitivity": {"xi": (float, 0.5), "refine": (int, 1, 1, MAX_COUNT),
                         "eps_grid": (list, "1e-1,1e-2,1e-3")},
         "sensitivity robin": {"beta": (float, 1.0)},
         # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
-        "plane cylinder": {"dt": (float, 2e-3), "eps": (float, 0.01), "outer_wall": (float, None),
+        "plane cylinder": {"eps": (float, 0.01), "outer_wall": (float, None),
                            "ny": (int, 45, None, MAX_COUNT), "sigma_xi": (float, 2.0),
                            "y_span": (float, 16.0), "bc": (("dirichlet", "robin"), "dirichlet"),
                            "jobs": (int, 1, 1, MAX_COUNT)},
@@ -219,6 +220,8 @@ _HELP = {
     "profile": "builtin custom profile name",
     "angles": "number of fan angles",
     "theta": "single launch angle instead of a fan",
+    "dt": "time step of every evolve protocol, a fourth-order unitary Pade step "
+          f"(default {DEFAULT_DT:g}); --t-final must be a whole number of steps",
     "refine": "divides the local spacing of the sensitivity protocol's grid (default 1)",
     "eps_grid": "comma list of strictly decreasing cutoffs",
     "beta": "Robin parameter (default 1)",

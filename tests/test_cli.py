@@ -503,7 +503,7 @@ def test_readme_recipes_rebuild_the_outputs(tmp_path, monkeypatch):
                  "--ny", "7", "--eps", "0.05", "--output-dir", str(tmp_path / "plane")]) == 0
     profile = power_law(1.0)
     psi0, _ = standard_plane_data(profile, "plane", 0.05, 7, 2.0, 16.0)
-    result = evolve_plane(psi0, profile, 0.02, BoundaryCondition.dirichlet(), dt=2e-3)
+    result = evolve_plane(psi0, profile, 0.02, BoundaryCondition.dirichlet())
     original = to_original(result.final, profile)
     x, y = np.meshgrid(psi0.grid.nodes, original.axis, indexing="ij")
     want = np.column_stack([x.ravel(), y.ravel(), (np.abs(original.values) ** 2).ravel()])
@@ -546,28 +546,28 @@ class TestEvolveCommand:
         assert 0.0 < grid["resolution_margin"] <= 0.5
         # the even data's xi > 0 fibres copy their mirror fibres
         work = doc["work"]
-        assert (work["fibres"], work["fibres_stepped"], work["steps"]) == (17, 9, 100)
-        assert work["node_steps"] % 100 == 0 and 0 < work["node_steps"] <= 100 * 9 * grid["n"]
+        assert (work["fibres"], work["fibres_stepped"], work["steps"]) == (17, 9, 40)
+        assert work["node_steps"] % 40 == 0 and 0 < work["node_steps"] <= 40 * 9 * grid["n"]
         assert (tmp_path / "fibre_norms.csv").exists()
         assert (tmp_path / "density.csv").exists()
 
     def test_plane_at_alpha_3(self, tmp_path):
         # resolving the edge fibre out to the xi = 0 wall at 30 took more
-        # than 2,000,000 nodes; each fibre out to its own wall takes 3,284
+        # than 2,000,000 nodes; each fibre out to its own wall takes 3,565
         assert main(["evolve", "--protocol", "plane", "--alpha", "3", "--t-final", "0.1",
                      "--output-dir", str(tmp_path)]) == 0
         grid = read_json(tmp_path / "evolution.json")["grid"]
-        assert grid["n"] == 3284 and grid["resolution_margin"] <= 0.5
+        assert grid["n"] == 3565 and grid["resolution_margin"] <= 0.5
 
     def test_unresolvable_grid_fails_fast(self, tmp_path, capsys):
-        # W = x^800 / 4 passes 1e240 inside the wall at 3.5: the node
+        # W = x^800 / 4 passes 1e240 inside the wall at 4: the node
         # estimate rejects the grid before the march lays 2,000,000 cells
         start = time.perf_counter()
         code = main(["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final",
-                     "0.002", "--output-dir", str(tmp_path / "out")])
+                     "0.005", "--output-dir", str(tmp_path / "out")])
         elapsed = time.perf_counter() - start
         assert code == 2
-        assert ("resolving the potential on [0.1, 3.5] needs more than 2000000 nodes"
+        assert ("resolving the potential on [0.1, 4] needs more than 2000000 nodes"
                 in capsys.readouterr().err)
         assert elapsed < 1.0
 
@@ -585,7 +585,7 @@ class TestEvolveCommand:
 
         profile = power_law(0.5)
         psi0, _ = standard_plane_data(profile, geometry, 0.05, 7, 2.0, 16.0)
-        result = evolve_plane(psi0, profile, 0.1, BoundaryCondition.dirichlet(), dt=2e-3)
+        result = evolve_plane(psi0, profile, 0.1, BoundaryCondition.dirichlet())
         original = to_original(result.final, profile)
         assert np.array_equal(x, psi0.grid.nodes) and np.array_equal(y, original.axis)
         assert np.array_equal(density, np.abs(original.values) ** 2)
@@ -824,13 +824,13 @@ def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
     # first two clean, the last two contaminated, all stepped side by side
     from grushinlab import evolution
 
-    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 2.75e-7)
+    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 4e-7)
     threads = set(threading.enumerate())
     out = tmp_path / "out"
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "0", "--xi", "0",
-                 "--t-final", "1.2", "--dt", "2e-3", "--eps-grid", "0.3,0.1,0.05,0.01",
+                 "--t-final", "1.2", "--eps-grid", "0.05,0.03,0.01,0.005",
                  "--output-dir", str(out)]) == 3
-    assert "(mass 2.79e-07 > 2.75e-07)" in capsys.readouterr().err
+    assert "(mass 4.20e-07 > 4e-07)" in capsys.readouterr().err
     assert not out.exists()
     assert set(threading.enumerate()) == threads
 
@@ -974,7 +974,7 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # --sigma-xi whose square does
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--eps-grid", "1e-200"], None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--eps", "1e-200", "--ny", "3",
-      "--t-final", "0.002"], None),
+      "--t-final", "0.005"], None),
     (["evolve", "--protocol", "sensitivity", "--alpha", "0", "--eps-grid", "1e-200",
       "--t-final", "0.01"], None),
     ([*PLANE_RUN, "--sigma-xi", "1e-300"], None),
@@ -982,9 +982,9 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # route or a grid march evaluates it
     (["classify", "--alpha", "-25", "--method", "numeric", "--xi-min", "0", "--xi-max", "1",
       "--xi-step", "0.5"], None),
-    (["evolve", "--protocol", "plane", "--alpha", "-80", "--t-final", "0.002", "--ny", "3"],
+    (["evolve", "--protocol", "plane", "--alpha", "-80", "--t-final", "0.005", "--ny", "3"],
      None),
-    (["evolve", "--protocol", "sensitivity", "--alpha", "-160", "--t-final", "0.002"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "-160", "--t-final", "0.005"], None),
     # no --alpha, number lists of the wrong length, an analytic route for a
     # profile that is no power law, and a cutoff of 0
     (["verify-deficiency"], None),
@@ -994,8 +994,8 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--eps-grid", "1e-1,0",
       "--t-final", "0.01"], None),
     # x^800 overflows on the outer-wall scan, to inf and, at xi = 0, to 0 * inf
-    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002"], None),
-    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.002", "--xi",
+    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.005"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "400", "--t-final", "0.005", "--xi",
       "0"], None),
     # a count just above its ceiling of 10,000, and far above it, where it
     # would fill memory or pass numpy's largest array; the xi grid's fibres
@@ -1015,12 +1015,12 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--refine", "1" + "0" * 400], None),
     (["classify", "--alpha", "1"], "[classify]\nmode = cylinder\nk-max = 10001\n"),
     # an evolution of more than 1,000,000 steps
-    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "1000.001"], None),
+    (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "5000.005"], None),
     (["evolve", "--protocol", "sensitivity", "--alpha", "1", "--t-final", "1e300"], None),
-    (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "2000.002", "--ny", "3"],
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "5000.005", "--ny", "3"],
      None),
     (["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "1e12", "--ny", "3"], None),
-    # plane data past its ceiling of values (29,107 x nodes times 9,999
+    # plane data past its ceiling of values (31,028 x nodes times 9,999
     # fibres), and family samples past scipy's rtol floor
     (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "9999"], None),
     (["verify-deficiency", "--alpha", "0.5", "--samples", "2029"], None),
@@ -1137,17 +1137,17 @@ def test_evolve_protocol_rejects_each_option_it_does_not_read(
 
 
 def test_evolve_records_its_protocol_defaults(tmp_path):
-    assert main(["evolve", "--alpha", "1.5", "--t-final", "0.002",
+    assert main(["evolve", "--alpha", "1.5", "--t-final", "0.005",
                  "--output-dir", str(tmp_path / "sensitivity")]) == 0
     config = read_json(tmp_path / "sensitivity" / "bc_sensitivity.json")["config"]
     assert {key: config[key] for key in ("protocol", "dt", "eps_grid", "beta", "refine")} == {
-        "protocol": "sensitivity", "dt": 0.001, "eps_grid": [0.1, 0.01, 0.001], "beta": 1.0,
+        "protocol": "sensitivity", "dt": 0.005, "eps_grid": [0.1, 0.01, 0.001], "beta": 1.0,
         "refine": 1}
-    assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.002",
+    assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.005",
                  "--output-dir", str(tmp_path / "plane")]) == 0
     config = read_json(tmp_path / "plane" / "evolution.json")["config"]
     assert {key: config[key] for key in ("dt", "eps", "ny", "sigma_xi", "y_span", "bc")} == {
-        "dt": 0.002, "eps": 0.01, "ny": 45, "sigma_xi": 2.0, "y_span": 16.0, "bc": "dirichlet"}
+        "dt": 0.005, "eps": 0.01, "ny": 45, "sigma_xi": 2.0, "y_span": 16.0, "bc": "dirichlet"}
 
 
 class Sentinel(Exception):
@@ -1161,7 +1161,7 @@ TRACED = {
     "bc_sensitivity": ["evolve", "--alpha", "1"],
     "evolve_plane": ["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "3"],
     "to_original": ["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "3",
-                    "--t-final", "0.002"],
+                    "--t-final", "0.005"],
     "classify_sweep": ["classify", "--alpha", "1"],
     "aggregate_verdict": ["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "0"],
     "classify_by_inequality": ["classify", "--alpha", "1", "--mode", "cylinder", "--k-max", "0"],
