@@ -204,8 +204,9 @@ _READS = {
         # 45 modes with the default envelope keep the spectrum-edge mass below 1e-8
         "plane cylinder": {"eps": (float, 0.01), "outer_wall": (float, None),
                            "ny": (int, 45, None, MAX_COUNT), "sigma_xi": (float, 2.0),
-                           "y_span": (float, 16.0), "bc": (("dirichlet", "robin"), "dirichlet"),
+                           "bc": (("dirichlet", "robin"), "dirichlet"),
                            "jobs": (int, 1, 1, MAX_COUNT)},
+        "plane": {"y_span": (float, 16.0)},  # the cylinder's circle is fixed
     },
     "verify-deficiency": {
         "verify-deficiency": {"alpha": (float, REQUIRED), "interval": (list, "0,1"),
@@ -542,8 +543,8 @@ def _evolve_plane(read, out) -> int:
     alpha, geometry, dt = read.alpha, read.protocol, read.dt
     profile = power_law(alpha)
     bc = BoundaryCondition.robin(read.beta) if read.bc == "robin" else BoundaryCondition.dirichlet()
-    psi0, grid_record = standard_plane_data(profile, geometry, read.eps, read.ny, read.sigma_xi,
-                                            read.y_span, read.outer_wall)
+    psi0 = standard_plane_data(profile, geometry, read.eps, read.ny, read.sigma_xi,
+                               getattr(read, "y_span", None), read.outer_wall)
     grid = psi0.grid
     result = evolve_plane(psi0, profile, read.t_final, bc, dt=dt, jobs=read.jobs)
 
@@ -569,7 +570,7 @@ def _evolve_plane(read, out) -> int:
     near_cutoff = grid.nodes < 0.05
     document = {
         "config": config,
-        "grid": grid_record,
+        "grid": result.grid,
         "norm_before": result.norm_before,
         "norm_after": result.norm_after,
         "norm_drift": result.norm_drift,

@@ -45,10 +45,12 @@ factors over the roots a = 3 +- i sqrt(3) of 1 - z/2 + z^2/12, so
 two Cayley transforms of the kind Crank-Nicolson (a = 2) takes once; at
 equal accuracy they allow a step several times longer.  Fibres are
 independent, so :class:`CrankNicolson` steps a stack of them as one
-block-diagonal tridiagonal system: the couplings across the seams are
-zero, the pivoting never crosses a seam, and every block's numbers are
-bit for bit those of a stepper of its own.  For each root, the general
-tridiagonal factorisation of half the stacked matrix, A/2 with
+block-diagonal tridiagonal system.  A block is its node count k: the
+first k cells, weights and nodes of the stack's grid, walled at node
+k + 1.  The couplings across the seams are zero, the pivoting never
+crosses a seam, and every block's numbers are bit for bit those of a
+stepper of its own.  For each root, the general tridiagonal
+factorisation of half the stacked matrix, A/2 with
 A = 1 + i dt H/a, is done once per (grid, potentials, conditions, dt), in
 place: the halving is exact, so its solve is 2 A^{-1} psi bit for bit and
 the factor 2 A^{-1} psi - psi is a copy, a solve and a subtraction.  A
@@ -81,8 +83,8 @@ proportional to x, a geometric grading in the spirit of Langer's
 logarithmic variable.  The plane and cylinder protocols share one grid,
 built from an envelope of the fibres: at x, the W of the largest |xi|
 whose turning-point wall lies beyond x.  W_xi = W_0 + xi^2/f^2 grows with
-|xi|, so it bounds every fibre stepped at x, and the stepper checks each
-fibre on its own block.
+|xi|, so it bounds every fibre stepped at x, and the stepper checks and
+records the margin of each block.
 Every protocol rule lives here once: ``standard_plane_data`` sets up the
 plane and cylinder runs, every protocol checks that its cutoff leaves the
 standard data room, and ``bc_sensitivity`` and ``evolve_plane`` hold
@@ -191,29 +193,16 @@ class FibreGrid:
     def h_max(self) -> float:
         return float(self.gaps.max())
 
+    def wall(self, k: int) -> float:
+        """The outer wall of the first k nodes: node k + 1, or L for all n."""
+        return self.L if k == self.n else float(self.nodes[k])
+
     def resolution_margin(self, w_values: np.ndarray) -> float:
-        """max_j h_j^2 |W(x_j)| over the nodes, h_j the larger of the two
-        cells at x_j."""
-        h = np.maximum(self.gaps[:-1], self.gaps[1:])
+        """max_j h_j^2 |W(x_j)| over the block of the first len(w_values)
+        nodes, h_j the larger of the two cells at x_j."""
+        k = len(w_values)
+        h = np.maximum(self.gaps[:k], self.gaps[1:k + 1])
         return float(np.max(h**2 * np.abs(w_values)))
-
-    def validate_resolution(self, w_values: np.ndarray) -> None:
-        """Enforce h^2 |W| <= 0.5 at every node."""
-        margin = self.resolution_margin(w_values)
-        if margin > RESOLUTION_LIMIT:
-            raise UsageError(
-                f"grid spacing {self.h_min:.3e}-{self.h_max:.3e} does not resolve the "
-                f"potential (max h^2 |W| = {margin:.3g} > {RESOLUTION_LIMIT})"
-            )
-
-    def prefix(self, k: int) -> "FibreGrid":
-        """The first k nodes with the outer wall at node k+1; the grid itself
-        when k is its node count."""
-        if k == self.n:
-            return self
-        if not 0 < k < self.n:
-            raise UsageError(f"a prefix of {k} nodes does not fit a grid of {self.n}")
-        return FibreGrid(eps=self.eps, L=float(self.nodes[k]), nodes=self.nodes[:k])
 
     @classmethod
     def uniform(cls, eps: float, L: float, n: int) -> "FibreGrid":
@@ -239,7 +228,8 @@ class FibreGrid:
         is repeated with a tighter target in the rare case that shifting
         the nodes inward breaks the resolution at one of them."""
         _check_interval(eps, L)
-        _check_resolution(resolution)
+        if not (0.0 < resolution <= RESOLUTION_LIMIT):
+            raise UsageError(f"resolution target must lie in (0, {RESOLUTION_LIMIT}]")
         limit = target = resolution / refine**2
         for _ in range(MARCH_TRIES):
             gaps = _march(eps, L, pot, SPACING_CAP / refine, target)
@@ -259,11 +249,6 @@ def _check_interval(eps: float, L: float) -> None:
         raise UsageError("grid requires 0 < eps < L")
     if eps * eps == 0.0:
         raise UsageError(f"cutoff eps={eps:g}: its square underflows to 0, so W(eps) is no float")
-
-
-def _check_resolution(resolution: float) -> None:
-    if not (0.0 < resolution <= RESOLUTION_LIMIT):
-        raise UsageError(f"resolution target must lie in (0, {RESOLUTION_LIMIT}]")
 
 
 def _march(eps, L, pot, cap, resolution):
@@ -374,9 +359,10 @@ def _weighted_sumsq(weights: np.ndarray, psi: np.ndarray) -> float:
 
 
 def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition):
-    """Sub-, main and super-diagonal of H = M^{-1} K + W, with K the
-    finite-volume stiffness matrix and M = diag(weights) the lumped mass."""
-    gaps, weights = grid.gaps, grid.weights
+    """Sub-, main and super-diagonal of H = M^{-1} K + W on the block of
+    k = len(w_values) nodes, with K the finite-volume stiffness matrix and
+    M = diag(weights) the lumped mass of its k + 1 cells."""
+    gaps, weights = grid.gaps[:len(w_values) + 1], grid.weights[:len(w_values)]
     inv = 1.0 / gaps
     stiff = inv[:-1] + inv[1:]
     if bc.kind == "robin":
@@ -397,10 +383,11 @@ class CrankNicolson:
     callers and the benchmark's tracer know the stepper by it.
 
     ``w_values`` holds one array and ``bcs`` one condition per block:
-    block m lives on the first len(w_values[m]) nodes of ``grid`` with its
-    outer wall at the next node (:meth:`FibreGrid.prefix`), so a single
-    fibre is a stack of one.  The blocks form one tridiagonal system whose
-    couplings across the seams are zero, so the pivoting of the
+    block m is its node count k = len(w_values[m]), the first k nodes of
+    ``grid`` walled at the next (:meth:`FibreGrid.wall`), so a single
+    fibre is a stack of one; each block's resolution margin is checked
+    once and kept in ``margins``.  The blocks form one tridiagonal system
+    whose couplings across the seams are zero, so the pivoting of the
     factorisation never crosses a seam and each block's factors and solves
     are bit for bit those of a stepper of its own.  A bare array with a bare
     condition, the form perfbench's tracer test builds, is one block.
@@ -419,6 +406,13 @@ class CrankNicolson:
             w_values, bcs = [w_values], [bcs]
         if len(bcs) != len(w_values):
             raise UsageError(f"{len(bcs)} boundary conditions for {len(w_values)} blocks")
+        for w in w_values:
+            if not 0 < len(w) <= grid.n:
+                raise UsageError(f"a block of {len(w)} nodes does not fit a grid of {grid.n}")
+        self.margins = [grid.resolution_margin(w) for w in w_values]
+        if max(self.margins) > RESOLUTION_LIMIT:
+            raise UsageError(f"a block of the grid does not resolve the potential "
+                             f"(max h^2 |W| = {max(self.margins):.3g} > {RESOLUTION_LIMIT})")
         ends = np.cumsum([len(w) for w in w_values])
         self.grid, self.dt = grid, dt
         self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_values)]
@@ -428,11 +422,9 @@ class CrankNicolson:
         sub, main, sup = np.zeros(size - 1), np.empty(size), np.zeros(size - 1)
         self._w2 = np.empty(2 * size)
         for sl, w, cond in zip(self._slices, w_values, bcs):
-            block = grid.prefix(sl.stop - sl.start)
-            block.validate_resolution(w)
             inner = slice(sl.start, sl.stop - 1)
-            sub[inner], main[sl], sup[inner] = _hamiltonian_diagonals(block, w, cond)
-            self._w2[2 * sl.start:2 * sl.stop] = np.repeat(block.weights, 2)
+            sub[inner], main[sl], sup[inner] = _hamiltonian_diagonals(grid, w, cond)
+            self._w2[2 * sl.start:2 * sl.stop] = np.repeat(grid.weights[:sl.stop - sl.start], 2)
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(1, complex),))
         self._factors = []
         for shift in PADE_SHIFTS:
@@ -556,12 +548,14 @@ def _standard_packet(grid: FibreGrid) -> np.ndarray:
 
 
 def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
-    """sum_j w_j |psi_j|^2 over the nodes within 0.5 of the outer wall."""
-    near = grid.nodes >= grid.L - 0.5
-    return _weighted_sumsq(grid.weights[near], psi[near])
+    """sum_j w_j |psi_j|^2 over the block of len(psi) nodes, within 0.5 of its wall."""
+    near = grid.nodes[:psi.size] >= grid.wall(psi.size) - 0.5
+    return _weighted_sumsq(grid.weights[:psi.size][near], psi[near])
 
 
-def _grid_record(grid: FibreGrid, margin: float) -> dict:
+def _grid_record(steppers: Sequence[CrankNicolson]) -> dict:
+    """The steppers' shared grid and the largest margin of their blocks."""
+    grid, margin = steppers[0].grid, max(max(s.margins) for s in steppers)
     return {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max, "resolution_margin": margin}
 
 
@@ -653,13 +647,12 @@ def bc_sensitivity(
     bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
     grids = [FibreGrid.resolved(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
              for eps in eps_list]
-    w_values = [pot(grid.nodes) for grid in grids]
     packets = [_standard_packet(grid) for grid in grids]
-    steppers = [CrankNicolson(grid, [w, w], bcs, dt) for grid, w in zip(grids, w_values)]
+    steppers = [CrankNicolson(grid, [pot(grid.nodes)] * 2, bcs, dt) for grid in grids]
     runs = _evolve_stacks(steppers, [[psi0, psi0] for psi0 in packets], nsteps)
 
-    rows, walls, drifts, records = [], [], [], []
-    for eps, grid, w, (finals, sumsq) in zip(eps_list, grids, w_values, runs):
+    rows, walls, drifts = [], [], []
+    for eps, grid, (finals, sumsq) in zip(eps_list, grids, runs):
         wall = max(_wall_mass(grid, psi) for psi in finals)
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
@@ -667,10 +660,13 @@ def bc_sensitivity(
                 f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is contaminated "
                 f"(mass {wall:.2e} > {WALL_MASS_LIMIT})"
             )
-        rows.append((eps, math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))))
+        distance = math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))
+        if distance == 0.0:
+            raise UsageError(f"cutoff eps={eps:g}: the Dirichlet and the Robin(beta={beta:g}) "
+                             "runs end equal, so D is 0 and measures nothing")
+        rows.append((eps, distance))
         walls.append(wall)
         drifts.append(drift)
-        records.append(_grid_record(grid, grid.resolution_margin(w)))
 
     return BcSensitivityResult(
         rows=tuple(rows),
@@ -687,7 +683,7 @@ def bc_sensitivity(
             "gaussian": {"center": GAUSS_CENTER, "width": GAUSS_WIDTH},
             "profile": prof.name,
         },
-        grids=tuple(records),
+        grids=tuple(_grid_record([stepper]) for stepper in steppers),
     )
 
 
@@ -830,6 +826,7 @@ class PlaneEvolutionResult:
     norm_trace: np.ndarray = field(repr=False)
     # counts of the fibres, the fibres stepped, the steps and the node-steps
     work: dict
+    grid: dict  # the shared x grid and the largest margin of a fibre's block
     spectrum_edge_mass: float = 0.0
     wall_mass: float = 0.0
 
@@ -839,22 +836,24 @@ class PlaneEvolutionResult:
 
 
 def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: int,
-                        sigma_xi: float, y_span: float, outer_wall: float | None = None):
-    """Standard transformed data of the plane and cylinder protocols and
-    the record of its shared grid.  The xi axis holds the frequencies of
-    the ``ny``-node y transform (integer modes on the cylinder; on the plane
-    the window [-y_span/2, y_span/2) centres the packet).  The outer wall,
-    unless given, is the wall of the most-spreading fibre, xi = 0; the grid
-    resolves the envelope of the fibres (:func:`_envelope`), and its record
-    holds the largest margin of any fibre on its own prefix.  The data is
+                        sigma_xi: float, y_span=None, outer_wall: float | None = None):
+    """Standard transformed data of the plane and cylinder protocols.  The
+    xi axis holds the frequencies of the ``ny``-node y transform (integer
+    modes on the cylinder, which ignores ``y_span``; on the plane the window
+    [-y_span/2, y_span/2) centres the packet).  The outer wall, unless
+    given, is the wall of the most-spreading fibre, xi = 0, and the grid
+    resolves the envelope of the fibres (:func:`_envelope`).  The data is
     the standard Gaussian times the xi envelope exp(-xi^2 / (2 sigma_xi^2))
     scaled to dxi sum env^2 = 1."""
     if ny < 3 or ny % 2 == 0:
         raise UsageError(f"ny must be odd and at least 3 so the xi grid is symmetric, got {ny}")
-    if sigma_xi <= 0.0 or y_span <= 0.0:
-        raise UsageError("sigma_xi and y_span must be positive")
-    if sigma_xi * sigma_xi == 0.0:
-        raise UsageError(f"sigma_xi={sigma_xi:g}: its square underflows to 0")
+    if not (sigma_xi > 0.0 and 0.0 < sigma_xi * sigma_xi < math.inf):
+        raise UsageError(f"sigma_xi={sigma_xi:g} must be positive, its square neither "
+                         "underflowing to 0 nor overflowing a float")
+    if geometry == "cylinder":
+        y_span = 2.0 * math.pi  # the circle: the axis is the integer modes
+    elif y_span is None or y_span <= 0.0:
+        raise UsageError("y_span must be positive")
     axis = np.sort(_fft_frequencies(ny, y_span / ny, geometry))
     dxi = float(axis[1] - axis[0])
     y0 = 0.0 if geometry == "cylinder" else -y_span / 2.0
@@ -869,17 +868,15 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
     with np.errstate(over="ignore"):
         env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
     env /= math.sqrt(dxi * float(np.sum(env**2)))
-    psi0 = PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
+    return PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
                              axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
-    blocks = [(_fibre_grid(grid, pot), pot) for pot in pots]
-    return psi0, _grid_record(grid, max(b.resolution_margin(pot(b.nodes)) for b, pot in blocks))
 
 
 def _envelope(pots: Sequence[FibrePotential]):
     """The potential the shared grid resolves, for fibres of ascending |xi|:
     at x, the W of the largest |xi| whose wall (``choose_outer_wall``) lies
     beyond x, or of the smallest beyond every wall.  W_xi grows with |xi|,
-    so the walls do not, and this W bounds every fibre whose prefix holds x.
+    so the walls do not, and this W bounds every fibre whose block holds x.
     A float x counts the walls with ``bisect`` on lists, a few times
     cheaper than numpy on one float, an array with numpy: the same W."""
     from bisect import bisect_left
@@ -901,12 +898,11 @@ def _envelope(pots: Sequence[FibrePotential]):
     return envelope
 
 
-def _fibre_grid(grid: FibreGrid, pot: FibrePotential) -> FibreGrid:
-    """The prefix of ``grid`` that ends at the first node at or past the
-    fibre's own turning-point wall (``choose_outer_wall``); never fewer
-    than 100 nodes, and ``grid`` itself when that wall is not inside it."""
-    k = max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
-    return grid.prefix(min(k, grid.n))
+def _fibre_nodes(grid: FibreGrid, pot: FibrePotential) -> int:
+    """The node count of the fibre's block, walled at the first node at or
+    past its own turning-point wall (``choose_outer_wall``); never fewer
+    than 100 nodes, and every node when that wall is not inside ``grid``."""
+    return min(max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot)))), grid.n)
 
 
 def _contiguous_parts(sizes: Sequence[int], parts: int) -> list[range]:
@@ -932,23 +928,24 @@ def evolve_plane(
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
     ``psi0.grid`` is the widest domain.  Each fibre is evolved on the
-    prefix of it that ends at its own turning-point wall, the rule of the
-    sensitivity protocol, and is zero beyond; a fibre whose wall lies at
-    or beyond ``grid.L`` uses ``grid`` unchanged.  A fibre whose prefix,
-    potential values and data equal an earlier fibre's bit for bit (the
-    +-xi twins of even data) takes that fibre's final state and trace.
-    The distinct fibres are independent blocks of :class:`CrankNicolson`
-    stacks: they are split into ``min(jobs, distinct fibres)`` contiguous
-    stacks of near-equal node count, every stack is factored on the
-    calling thread, and each runs its :meth:`CrankNicolson.evolve` on a
-    thread of its own (the tridiagonal solves release the GIL), or on the
-    calling thread for a single stack.  Each block's numbers are those of
-    a stepper of its own, so the result depends neither on ``jobs`` nor
-    on the copies; ``work`` counts what was stepped.  The xi grid must be
-    symmetric about zero (odd FFT size); mass in the outermost frequency
-    bins must be negligible for the assembly to represent the plane
-    faithfully, and is recorded, as is the total-norm trace over the
-    steps.
+    block of its first nodes that ends at its own turning-point wall, the
+    rule of the sensitivity protocol, and is zero beyond; a fibre whose
+    wall lies at or beyond ``grid.L`` uses every node.  A fibre whose
+    potential values and data (so its block) have the bytes of an earlier
+    fibre's, the +-xi twins of even data, takes that fibre's final state
+    and trace.  The distinct fibres are independent blocks of
+    :class:`CrankNicolson` stacks: they are split into
+    ``min(jobs, distinct fibres)`` contiguous stacks of near-equal node
+    count, every stack is factored on the calling thread, and each runs its
+    :meth:`CrankNicolson.evolve` on a thread of its own (the tridiagonal
+    solves release the GIL), or on the calling thread for a single stack.
+    Each block's numbers are those of a stepper of its own, so the result
+    depends neither on ``jobs`` nor on the copies; ``work`` counts what was
+    stepped, and ``grid`` holds the largest margin the steppers checked.
+    The xi grid must be symmetric about zero (odd FFT size); mass in the
+    outermost frequency bins must be negligible for the assembly to
+    represent the plane faithfully, and is recorded, as is the total-norm
+    trace over the steps.
 
     The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
     before its wall at ``t_final``, plus any initial mass beyond the wall;
@@ -965,30 +962,30 @@ def evolve_plane(
 
     grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.weights
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in psi0.axis]
-    fibres = [_fibre_grid(grid, pot) for pot in pots]
+    sizes = [_fibre_nodes(grid, pot) for pot in pots]
     dens = np.abs(psi0.values) ** 2
     column_mass = weights @ dens
-    beyond = [float(weights[f.n:] @ dens[f.n:, m]) for m, f in enumerate(fibres)]
+    beyond = [float(weights[k:] @ dens[k:, m]) for m, k in enumerate(sizes)]
     del dens
     total = float(np.sum(column_mass))
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
-    w_values = [pot(f.nodes) for pot, f in zip(pots, fibres)]
-    # fibre m copies the first distinct fibre whose block and data are its
-    # own bit for bit (the +-xi twins of even data); compared in place
-    source = []
-    for m, f in enumerate(fibres):
-        source.append(next((k for k in range(m) if source[k] == k and fibres[k].n == f.n
-                            and np.array_equal(w_values[k], w_values[m])
-                            and np.array_equal(psi0.values[:f.n, k], psi0.values[:f.n, m])), m))
+    w_values = [pot(grid.nodes[:k]) for pot, k in zip(pots, sizes)]
+    columns = [psi0.values[:k, m] for m, k in enumerate(sizes)]
+    # fibre m copies the first fibre whose potential values and data, and
+    # so its block, are its own bit for bit (the +-xi twins of even data)
+    first = {}
+    source = [first.setdefault((w.tobytes(), column.tobytes()), m)
+              for m, (w, column) in enumerate(zip(w_values, columns))]
+    del first
     distinct = [m for m, k in enumerate(source) if k == m]
     parts = [[distinct[i] for i in run] for run in
-             _contiguous_parts([fibres[m].n for m in distinct], min(jobs, len(distinct)))]
+             _contiguous_parts([sizes[m] for m in distinct], min(jobs, len(distinct)))]
     steppers = [CrankNicolson(grid, [w_values[m] for m in part], [bc] * len(part), dt)
                 for part in parts]
     del w_values
-    data = [[psi0.values[:fibres[m].n, m] for m in part] for part in parts]
+    data = [[columns[m] for m in part] for part in parts]
     stacks = _evolve_stacks(steppers, data, nsteps, record=True)
     finals = {m: run for part, (states, sumsq) in zip(parts, stacks)
               for m, run in zip(part, zip(states, sumsq))}
@@ -999,12 +996,12 @@ def evolve_plane(
         psi, trace = finals[k]
         out[: psi.size, m] = psi
         traces.append(trace)
-        wall_masses.append(dxi * (_wall_mass(fibres[m], psi) + beyond[m]))
+        wall_masses.append(dxi * (_wall_mass(grid, psi) + beyond[m]))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
         raise ProtocolError(
-            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={fibres[worst].L:.4g} "
+            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={grid.wall(sizes[worst]):.4g} "
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 
@@ -1019,6 +1016,7 @@ def evolve_plane(
         norm_trace=norm_trace,
         spectrum_edge_mass=edge_mass,
         wall_mass=max(wall_masses),
-        work={"fibres": len(fibres), "fibres_stepped": len(distinct), "steps": nsteps,
-              "node_steps": nsteps * sum(fibres[m].n for m in distinct)},
+        work={"fibres": len(sizes), "fibres_stepped": len(distinct), "steps": nsteps,
+              "node_steps": nsteps * sum(sizes[m] for m in distinct)},
+        grid=_grid_record(steppers),
     )

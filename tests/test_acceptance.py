@@ -323,7 +323,7 @@ def test_criterion_8b_time_error_at_the_default_dt():
     d_error = float(np.max(np.abs(d / d_ref - 1.0)))
 
     profile = power_law(1.0)
-    psi0, _ = standard_plane_data(profile, "plane", 0.01, 45, 2.0, 16.0)
+    psi0 = standard_plane_data(profile, "plane", 0.01, 45, 2.0, 16.0)
     psi, ref = (evolve_plane(psi0, profile, 1.0, BoundaryCondition.dirichlet(), dt=dt,
                              jobs=2).final.values for dt in dts)
     weights = psi0.grid.weights

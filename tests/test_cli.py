@@ -502,7 +502,7 @@ def test_readme_recipes_rebuild_the_outputs(tmp_path, monkeypatch):
     assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02",
                  "--ny", "7", "--eps", "0.05", "--output-dir", str(tmp_path / "plane")]) == 0
     profile = power_law(1.0)
-    psi0, _ = standard_plane_data(profile, "plane", 0.05, 7, 2.0, 16.0)
+    psi0 = standard_plane_data(profile, "plane", 0.05, 7, 2.0, 16.0)
     result = evolve_plane(psi0, profile, 0.02, BoundaryCondition.dirichlet())
     original = to_original(result.final, profile)
     x, y = np.meshgrid(psi0.grid.nodes, original.axis, indexing="ij")
@@ -538,7 +538,7 @@ class TestEvolveCommand:
         doc = read_json(tmp_path / "evolution.json")
         assert doc["norm_drift"] <= 1e-6
         # the shared grid, its resolution margin the largest margin of any
-        # fibre on its own prefix
+        # fibre on its own block
         grid = doc["grid"]
         assert set(grid) == {"n", "h_min", "h_max", "resolution_margin"}
         assert grid["n"] == doc["config"]["n_x"]
@@ -584,7 +584,7 @@ class TestEvolveCommand:
         density = np.array([float(v) for v in lines[2:]]).reshape(x.size, y.size)
 
         profile = power_law(0.5)
-        psi0, _ = standard_plane_data(profile, geometry, 0.05, 7, 2.0, 16.0)
+        psi0 = standard_plane_data(profile, geometry, 0.05, 7, 2.0, 16.0)
         result = evolve_plane(psi0, profile, 0.1, BoundaryCondition.dirichlet())
         original = to_original(result.final, profile)
         assert np.array_equal(x, psi0.grid.nodes) and np.array_equal(y, original.axis)
@@ -1024,6 +1024,13 @@ PLANE_RUN = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.02
     # fibres), and family samples past scipy's rtol floor
     (["evolve", "--protocol", "plane", "--alpha", "1", "--ny", "9999"], None),
     (["verify-deficiency", "--alpha", "0.5", "--samples", "2029"], None),
+    # a --sigma-xi whose square overflows a float
+    (["evolve", "--protocol", "plane", "--alpha", "1", "--sigma-xi", "1e300"], None),
+    (["evolve", "--protocol", "cylinder", "--alpha", "1", "--sigma-xi", "1e200"], None),
+    # D = 0 at a cutoff: a Robin row that rounds to the Dirichlet one, and a
+    # step too short to move the data
+    (["evolve", "--alpha", "1", "--beta", "1e20"], None),
+    (["evolve", "--alpha", "1", "--dt", "1e-300", "--t-final", "1e-300"], None),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, ini):
     if ini is not None:
@@ -1116,6 +1123,7 @@ UNREAD_OPTIONS = [
     ("sensitivity", "jobs", "2"),
     ("plane", "xi", "0.5"), ("plane", "eps-grid", "1e-1,1e-2"), ("plane", "refine", "2"),
     ("plane", "beta", "2"),  # without --bc robin
+    ("cylinder", "y-span", "8"),  # the circle's length is fixed
 ]
 
 

@@ -20,7 +20,7 @@ from grushinlab.evolution import (
     _contiguous_parts,
     _envelope,
     _fft_frequencies,
-    _fibre_grid,
+    _fibre_nodes,
     _hamiltonian_diagonals,
     _march,
     _node_estimate,
@@ -51,6 +51,14 @@ def endpoint_uniform(eps, L, pot, resolution=RESOLUTION_LIMIT):
     w_edge = max(abs(float(pot(eps))), abs(float(pot(L))), 1.0)
     h = min(SPACING_CAP, math.sqrt(resolution / w_edge))
     return FibreGrid.uniform(eps, L, max(100, math.ceil((L - eps) / h) - 1))
+
+
+def block_grid(grid, k):
+    """The block of the first k nodes of ``grid`` as a grid of its own, its
+    wall at node k + 1: the stand-alone reference of a stacked block."""
+    if k == grid.n:
+        return grid
+    return FibreGrid(grid.eps, L=float(grid.nodes[k]), nodes=grid.nodes[:k])
 
 
 def check_local_rule(g, pot, resolution):
@@ -179,7 +187,7 @@ class TestGradedGrid:
             grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot, refine=refine,
                                       resolution=res)
         else:
-            psi0, _ = standard_plane_data(prof, protocol, eps, 45, 2.0, 16.0)
+            psi0 = standard_plane_data(prof, protocol, eps, 45, 2.0, 16.0)
             grid, res = psi0.grid, RESOLUTION_LIMIT
             pot = _envelope(_fibres(prof, np.unique(np.abs(psi0.axis))))
         estimate = _node_estimate(grid.eps, grid.L, pot, SPACING_CAP / refine, res / refine**2)
@@ -526,8 +534,8 @@ class TestStackedStepper:
     @staticmethod
     def _alone(grid, w, data, bc, nsteps):
         """Every block on a stepper of its own."""
-        runs = [CrankNicolson(grid.prefix(v.size), [v], [b], 1e-3).evolve([p], nsteps, record=True)
-                for v, p, b in zip(w, data, bc)]
+        runs = [CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3)
+                .evolve([p], nsteps, record=True) for v, p, b in zip(w, data, bc)]
         return [s for (s,), _ in runs], [t for _, (t,) in runs]
 
     def test_stack_equals_steppers_of_their_own(self):
@@ -542,11 +550,11 @@ class TestStackedStepper:
             assert np.array_equal(got, want)
         # each trace sums the block's own weighted squares, in some order
         for got, state in zip(traces[:, -1], states):
-            want = float(grid.prefix(state.size).weights @ np.abs(state) ** 2)
+            want = float(block_grid(grid, state.size).weights @ np.abs(state) ** 2)
             assert got == pytest.approx(want, rel=1e-13)
         # one step of the stacked vector, block by block
         stacked = stepper.step(np.concatenate(data))
-        singles = np.concatenate([CrankNicolson(grid.prefix(v.size), [v], [b], 1e-3).step(p)
+        singles = np.concatenate([CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3).step(p)
                                   for v, p, b in zip(w, data, self.BCS)])
         assert np.array_equal(stacked, singles)
 
@@ -583,8 +591,9 @@ class TestStackedStepper:
         grid, w, data = self._blocks()
         with pytest.raises(UsageError, match="3 boundary conditions for 4 blocks"):
             CrankNicolson(grid, w, self.BCS[:3], 1e-3)
-        with pytest.raises(UsageError, match="does not fit"):
-            CrankNicolson(grid, [np.zeros(grid.n + 1)], self.BCS[:1], 1e-3)
+        for k in (0, grid.n + 1):
+            with pytest.raises(UsageError, match="does not fit"):
+                CrankNicolson(grid, [np.zeros(k)], self.BCS[:1], 1e-3)
         with pytest.raises(UsageError, match="does not resolve"):
             CrankNicolson(grid, [w[0], w[1] * 1e6], [self.BCS[0]] * 2, 1e-3)
 
@@ -772,7 +781,7 @@ class TestPlaneEvolution:
         # the standard data is even in xi, so each xi > 0 fibre repeats the
         # block and the data of its mirror fibre
         prof = power_law(1.0)
-        psi0, _ = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
+        psi0 = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
         if not twins:
             psi0 = self._without_twins(psi0)
         res = evolve_plane(psi0, prof, 0.01, BoundaryCondition.dirichlet(), dt=2e-3, jobs=2)
@@ -786,7 +795,7 @@ class TestPlaneEvolution:
     def test_twins_that_differ_are_stepped_apart(self, stacked_blocks):
         # one ulp inside the xi > 0 twin's prefix makes it a fibre of its own
         prof, bc, dt = power_law(1.0), BoundaryCondition.dirichlet(), 2e-3
-        psi0, _ = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
+        psi0 = standard_plane_data(prof, "plane", 0.01, 45, 2.0, 16.0)
         values = psi0.values.copy()
         m = 30  # the twin of fibre 14
         j = int(np.argmax(np.abs(values[:, m])))
@@ -798,10 +807,10 @@ class TestPlaneEvolution:
         assert res.work["fibres_stepped"] == 24
         for k in (44 - m, m):
             pot = FibrePotential(xi=float(psi0.axis[k]), profile=prof)
-            prefix = _fibre_grid(psi0.grid, pot)
-            (alone,), _ = CrankNicolson(prefix, [pot(prefix.nodes)], [bc], dt).evolve(
-                [values[:prefix.n, k]], 5)
-            assert np.array_equal(res.final.values[:prefix.n, k], alone)
+            block = block_grid(psi0.grid, _fibre_nodes(psi0.grid, pot))
+            (alone,), _ = CrankNicolson(block, [pot(block.nodes)], [bc], dt).evolve(
+                [values[:block.n, k]], 5)
+            assert np.array_equal(res.final.values[:block.n, k], alone)
 
     @pytest.mark.parametrize("sizes, parts, expected", [
         ([5, 5, 5, 5], 2, [2, 2]),
@@ -872,7 +881,7 @@ class TestPlaneEvolution:
     @staticmethod
     def _stiff_plane(center=2.0):
         # the |xi| = 3, 6 fibres turn near x = 4.2 and x = 2.1, so their
-        # walls move in from L = 12 to about 6.3 and 3.6
+        # walls move in from L = 12 to about 6.3 and 4 (choose_outer_wall's floor)
         prof = power_law(1.0)
         axis = np.array([-6.0, -3.0, 0.0, 3.0, 6.0])
         grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof))
@@ -908,16 +917,17 @@ class TestPlaneEvolution:
         # the shared grid follows the fibres still stepped, not the edge
         # fibre out to the xi = 0 wall, which took edge_rule_n nodes
         prof = power_law(alpha)
-        psi0, record = standard_plane_data(prof, geometry, 0.01, 45, 2.0, 16.0)
+        psi0 = standard_plane_data(prof, geometry, 0.01, 45, 2.0, 16.0)
         grid = psi0.grid
         assert grid.n < edge_rule_n / 4
         pots = _fibres(prof, psi0.axis)
-        margins = [f.resolution_margin(pot(f.nodes))
-                   for f, pot in ((_fibre_grid(grid, pot), pot) for pot in pots)]
+        blocks = [block_grid(grid, _fibre_nodes(grid, pot)) for pot in pots]
+        margins = [f.resolution_margin(pot(f.nodes)) for f, pot in zip(blocks, pots)]
         assert max(margins) <= RESOLUTION_LIMIT
-        assert record["resolution_margin"] == max(margins)
-        # the stepper checks each fibre's block again
+        # the steppers check each fibre's block and record the largest margin
         result = evolve_plane(psi0, prof, 0.02, BoundaryCondition.dirichlet(), dt=2e-3)
+        assert result.grid == {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
+                               "resolution_margin": max(margins)}
         assert result.norm_drift <= 1e-6
 
     @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
@@ -928,7 +938,7 @@ class TestPlaneEvolution:
         # alone puts the steep fibres' walls at 3.5, five widths past the
         # data's centre, where the data holds up to 1.2e-7
         prof = power_law(alpha)
-        psi0, _ = standard_plane_data(prof, geometry, 0.01, 45, 2.0, 16.0)
+        psi0 = standard_plane_data(prof, geometry, 0.01, 45, 2.0, 16.0)
         result = evolve_plane(psi0, prof, 0.0, BoundaryCondition.dirichlet())
         assert result.wall_mass <= 1e-2 * WALL_MASS_LIMIT
 
@@ -944,10 +954,22 @@ class TestPlaneEvolution:
 
     @pytest.mark.parametrize("center", [3.3, 5.0])
     def test_truncated_wall_contamination_detected(self, center):
-        # data next to (3.3) or beyond (5.0) the xi = 6 fibre's wall near 3.6
+        # data next to (3.3) or beyond (5.0) the xi = 6 fibre's wall near 4
         prof, grid, psi0 = self._stiff_plane(center)
         with pytest.raises(ProtocolError, match="xi=-6"):
             evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3)
+
+    def test_interior_wall_contamination_detected_without_data_beyond(self):
+        # data next to the xi = +-6 fibres' wall near 4 and none beyond it:
+        # only the mass before that wall shows it, none before grid.L = 12
+        prof, grid, psi0 = self._stiff_plane(3.3)
+        k = _fibre_nodes(grid, FibrePotential(xi=6.0, profile=prof))
+        assert grid.nodes[k] < 4.1
+        values = psi0.values.copy()
+        values[k:, [0, 4]] = 0.0
+        with pytest.raises(ProtocolError, match=f"xi=-6: its outer wall at x={grid.nodes[k]:.4g} "):
+            evolve_plane(replace(psi0, values=values), prof, 0.05, BoundaryCondition.dirichlet(),
+                         dt=1e-3)
 
 
 class TestBcSensitivity:

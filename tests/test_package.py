@@ -50,3 +50,21 @@ def test_package_root_imports_no_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "['grushinlab'] []"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # the tracer of perfbench/run.py --trace 1 wraps library names by
+    # attribute: a rename or a deletion in the package breaks it on entry
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    from grushinlab import cli, evolution
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = spec_from_file_location("perfbench_tracing", path)
+    tracing = module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    originals = (evolution.CrankNicolson.__init__, cli.main)
+    with tracing.Tracer().installed():
+        assert cli.main is not originals[1]
+    assert (evolution.CrankNicolson.__init__, cli.main) == originals
