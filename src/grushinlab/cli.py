@@ -47,6 +47,7 @@ from .profiles import GrushinProfile, builtin_profile, power_law
 from .weyl import (
     FAMILY_TOL,
     MAX_FAMILY_SAMPLES,
+    Method,
     Mode,
     aggregate_verdict,
     classify_by_inequality,
@@ -361,6 +362,24 @@ def _outdir(args) -> str:
 # classify
 # ---------------------------------------------------------------------------
 
+NUMERIC_DIAGNOSTICS = ("c0", "c0_fit_error", "indicial_slope", "early_limit_point", "x_end")
+
+
+def _fibre_row(report) -> dict:
+    """A fibre's row of ``verdict.json``; a numeric fibre adds the
+    diagnostics of its two routes.  A c0 that diverges (the exp_inverse
+    fibres) is written null, with ``c0_diverges``, so the JSON stays strict."""
+    row = {"xi": report.xi, "endpoint_zero": report.endpoint_zero.value,
+           "endpoint_infinity": report.endpoint_infinity.value,
+           "deficiency": report.deficiency, "method": report.method.value}
+    if report.method is Method.NUMERIC_ODE:
+        row.update({key: report.diagnostics[key] for key in NUMERIC_DIAGNOSTICS})
+        row["c0_diverges"] = not math.isfinite(row["c0"])
+        if row["c0_diverges"]:
+            row["c0"] = None
+    return row
+
+
 def _cmd_classify(args) -> int:
     flags = _given(args)
     _fill_from_config(args)
@@ -402,16 +421,7 @@ def _cmd_classify(args) -> int:
         "profile": profile.name,
         "alpha": profile.alpha,
         "mode": mode.value,
-        "fibres": [
-            {
-                "xi": r.xi,
-                "endpoint_zero": r.endpoint_zero.value,
-                "endpoint_infinity": r.endpoint_infinity.value,
-                "deficiency": r.deficiency,
-                "method": r.method.value,
-            }
-            for r in sorted(reports, key=lambda r: r.xi)
-        ],
+        "fibres": [_fibre_row(r) for r in sorted(reports, key=lambda r: r.xi)],
         "verdict": verdict.verdict.value,
         "failing_fibres": verdict.failing_fibres,
         "total_deficiency": verdict.total_deficiency.value,
@@ -528,6 +538,7 @@ def _evolve_sensitivity(read, out) -> int:
         "trend": result.trend,
         "ratio_end_to_start": result.ratio_end_to_start,
         "norm_drift": result.norm_drift,
+        "work": result.work,
     }
     jpath = _write_json(os.path.join(out, "bc_sensitivity.json"), document)
     eps_col, d_col = zip(*result.rows)

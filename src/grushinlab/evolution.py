@@ -11,51 +11,61 @@ at L and a configurable condition at the inner cutoff eps: Dirichlet
 Robin with parameter beta.
 
 The interior nodes x_1 < ... < x_n need not be equally spaced
-(:class:`FibreGrid`).  With cells h_{j+1/2} = x_{j+1} - x_j (x_0 = eps,
-x_{n+1} = L) and lumped-mass weights w_j = (h_{j-1/2} + h_{j+1/2})/2,
-the finite-volume Laplacian is M^{-1} K with M = diag(w) and
+(:class:`FibreGrid`); the cells are h_{j+1/2} = x_{j+1} - x_j, with
+x_0 = eps and x_{n+1} = L.  Each fibre is discretised by linear finite
+elements with the averaged mass, the mean of the lumped and the
+consistent one (Marfurt, Geophysics 49 (1984) 533):
 
-    K_jj = 1/h_{j-1/2} + 1/h_{j+1/2},    K_{j,j+1} = K_{j+1,j} = -1/h_{j+1/2},
+    M = tridiag(h/12, 5 (h_- + h_+)/12, h/12),
+    K_jj = 1/h_- + 1/h_+,    K_{j,j+1} = K_{j+1,j} = -1/h_{j+1/2},
 
-and the discrete Hamiltonian is H = M^{-1} K + diag(W(x_j)).  The Robin
-condition eliminates the boundary node one-sidedly over the first cell,
-
-    u'(eps) = beta u(eps)   ->   u_0 = u_1 / (1 + beta h_{1/2}),
-    K_11 = (1 - 1/(1 + beta h_{1/2})) / h_{1/2} + 1/h_{3/2}.
-
-On equal spacings these reduce to the three-point formulas 2/h^2, -1/h^2
-and (2 - 1/(1 + beta h))/h^2.  H is not symmetric, but it is similar to
-the real symmetric M^{-1/2} K M^{-1/2} + W, so it is self-adjoint in the
-weighted inner product <u, v> = sum_j w_j conj(u_j) v_j, and every norm,
-distance and mass below is a sum with the weights.
+and A = K + W with the potential symmetrised, M_jj W_j on the diagonal
+and M_{j,j+1} (W_j + W_{j+1})/2 off it.  The discrete Hamiltonian is the
+pencil H = M^{-1} A.  On equal cells M is Numerov's operator h (1, 10,
+1)/12, and where W is constant the scheme is fourth order; where W
+varies, the symmetrised W leaves a second-order term proportional to
+h^2 (W'' u + 2 W' u') / 24, far below the lumped mass's dispersion error
+on the protocols' data.  The Dirichlet condition holds u_0 = 0; the
+Robin condition u'(eps) = beta u(eps) is natural: the node x_0 = eps is an
+unknown of its own, with the half cell's averaged mass and
+K_00 = 1/h_{1/2} + beta, which is second order at the cutoff.  M and A
+are real symmetric and M is positive definite, so H is self-adjoint in
+the M inner product <u, v> = u^* M v, and every norm, distance and
+drift below is the norm psi^* M psi.  It differs from the L^2 norm of
+the nodal values by -(h^2/12) |psi'|^2 to leading order, so data of unit
+M-norm are nodal samples rescaled by 1 + O(h^2).  The wall-mass
+diagnostics stay lumped quadratures sum_j w_j |psi_j|^2, with the
+dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2.
 
 Time stepping applies the (2,2) diagonal Pade approximant of e^{-i dt H},
 
     R = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12),    z = -i dt H,
 
 which is fourth order and, like every diagonal Pade approximant, has
-modulus 1 on the imaginary axis: R is exactly unitary in the weighted
-discrete L^2 norm at every dt, on the stiff cutoff modes too (van Dijk
-and Toyama, Phys. Rev. E 75, 036707, 2007).  Explicit schemes are ruled
+modulus 1 on the imaginary axis: R is exactly unitary in the M-norm at
+every dt, on the stiff cutoff modes too (van Dijk and Toyama, Phys.
+Rev. E 75, 036707, 2007, who pair such steps with higher-order spatial
+schemes).  Explicit schemes are ruled
 out by the inverse-square growth of W near the cutoff.  The denominator
 factors over the roots a = 3 +- i sqrt(3) of 1 - z/2 + z^2/12, so
 
     R = prod over a of (1 - i dt H/a) / (1 + i dt H/a),
 
 two Cayley transforms of the kind Crank-Nicolson (a = 2) takes once; at
-equal accuracy they allow a step several times longer.  Fibres are
+equal accuracy they allow a step several times longer.  Each factor is
+2 P^{-1} M - 1 with the pencil P = M + i dt A/a.  Fibres are
 independent, so :class:`CrankNicolson` steps a stack of them as one
 block-diagonal tridiagonal system.  A block is its node count k: the
-first k cells, weights and nodes of the stack's grid, walled at node
-k + 1.  The couplings across the seams are zero, the pivoting never
-crosses a seam, and every block's numbers are bit for bit those of a
-stepper of its own.  For each root, the general tridiagonal
-factorisation of half the stacked matrix, A/2 with
-A = 1 + i dt H/a, is done once per (grid, potentials, conditions, dt), in
-place: the halving is exact, so its solve is 2 A^{-1} psi bit for bit and
-the factor 2 A^{-1} psi - psi is a copy, a solve and a subtraction.  A
-step applies both, through one scratch buffer, and the steps alternate
-between two preallocated buffers.
+first k cells and nodes of the stack's grid, walled at node k + 1, after
+the node eps under Robin.  The couplings across the seams are zero, the
+pivoting never crosses a seam, and every block's numbers are bit for bit
+those of a stepper of its own.  For each root, the general tridiagonal
+factorisation of half the stacked pencil, P/2, is done once per (grid,
+potentials, conditions, dt), in place: the halving is exact, so its
+solve is 2 P^{-1} b bit for bit and a factor is the tridiagonal product
+M psi, a solve and a subtraction.  A step applies both, through one
+scratch buffer, and the steps alternate between two preallocated
+buffers.
 Every protocol steps through its one loop,
 :meth:`CrankNicolson.evolve`: ``evolve_fibre`` is a stack of one block,
 ``bc_sensitivity`` stacks the Dirichlet and the Robin block of each
@@ -68,11 +78,13 @@ solves release the GIL): the sensitivity protocol always runs one thread
 per cutoff, with no flag, and the plane protocol one per stack.
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
-data under Dirichlet-at-eps and Robin-at-eps and record the distance
+data (the Robin block's node eps starting at 0, the Dirichlet value)
+under Dirichlet-at-eps and Robin-at-eps and record the distance
 
     D(eps) = || psi_Dirichlet(t_final) - psi_Robin(t_final) ||
 
-as the cutoff is pushed towards the boundary.  In the confining regime
+in the Robin block's M-norm, the Dirichlet state 0 at the node eps, as
+the cutoff is pushed towards the boundary.  In the confining regime
 the inner condition is asymptotically irrelevant and D collapses
 rapidly; outside it the collapse is measurably slower.
 
@@ -129,7 +141,7 @@ GAUSS_WIDTH = 0.3
 WALL_ENERGY = 160.0
 FREE_WALL = 30.0
 WALL_MASS_LIMIT = 1e-8
-SPACING_CAP = 0.01
+SPACING_CAP = 0.08
 RESOLUTION_LIMIT = 0.5  # h^2 |W| at every node, the grid invariant
 # fibre grids: largest ratio of neighbouring cells; bounds on the shrinks
 # of one cell, on the marches and on the node count before giving up
@@ -150,16 +162,52 @@ DEFAULT_DT = 5e-3
 PADE_SHIFTS = (complex(math.sqrt(3.0) / 12.0, 0.25), complex(-math.sqrt(3.0) / 12.0, 0.25))
 
 
+@dataclass(frozen=True)
+class BoundaryCondition:
+    """Condition applied at the inner cutoff; the outer wall is always
+    Dirichlet."""
+
+    kind: str
+    beta: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("dirichlet", "robin"):
+            raise UsageError("boundary condition kind must be dirichlet or robin")
+        if self.kind == "robin" and not math.isfinite(self.beta):
+            raise UsageError("Robin parameter beta must be finite")
+
+    @classmethod
+    def dirichlet(cls) -> "BoundaryCondition":
+        return cls(kind="dirichlet")
+
+    @classmethod
+    def robin(cls, beta: float = 1.0) -> "BoundaryCondition":
+        return cls(kind="robin", beta=beta)
+
+    def label(self) -> str:
+        return self.kind if self.kind == "dirichlet" else f"robin(beta={self.beta:g})"
+
+    @property
+    def lead(self) -> int:
+        """The unknowns of a block before its first interior node: the node
+        x_0 = eps of the natural Robin condition, none under Dirichlet."""
+        return int(self.kind == "robin")
+
+
+DIRICHLET = BoundaryCondition("dirichlet")
+
+
 @dataclass(frozen=True, eq=False)
 class FibreGrid:
-    """Interior nodes eps < x_1 < ... < x_n < L of the truncated half-line
-    and their lumped-mass quadrature weights.
+    """Interior nodes eps < x_1 < ... < x_n < L of the truncated half-line.
 
-    The boundary nodes x_0 = eps and x_{n+1} = L carry the boundary
-    conditions and are not stored.  ``gaps`` are the n+1 cell lengths
-    h_{j+1/2} = x_{j+1} - x_j and ``weights`` the dual-cell lengths
-    w_j = (h_{j-1/2} + h_{j+1/2}) / 2, so sum_j w_j |u_j|^2 is the
-    discrete L^2 norm.
+    ``gaps`` are the n+1 cell lengths h_{j+1/2} = x_{j+1} - x_j, with
+    x_0 = eps and x_{n+1} = L.  A block is the first k nodes under a
+    condition at eps: its unknowns are those nodes, after x_0 itself under
+    the natural Robin condition, and its cells the first k + 1, walled at
+    node k + 1.  ``weights`` are the lumped dual-cell lengths
+    w_j = (h_{j-1/2} + h_{j+1/2}) / 2, the quadrature of the wall-mass
+    diagnostics; the norms are those of the averaged mass.
     """
 
     eps: float
@@ -197,11 +245,21 @@ class FibreGrid:
         """The outer wall of the first k nodes: node k + 1, or L for all n."""
         return self.L if k == self.n else float(self.nodes[k])
 
-    def resolution_margin(self, w_values: np.ndarray) -> float:
-        """max_j h_j^2 |W(x_j)| over the block of the first len(w_values)
-        nodes, h_j the larger of the two cells at x_j."""
-        k = len(w_values)
-        h = np.maximum(self.gaps[:k], self.gaps[1:k + 1])
+    def block_nodes(self, k: int, bc: BoundaryCondition = DIRICHLET) -> np.ndarray:
+        """The x of the unknowns of the block of the first k nodes under ``bc``."""
+        return np.concatenate(([self.eps], self.nodes[:k])) if bc.lead else self.nodes[:k]
+
+    def block_cells(self, size: int, bc: BoundaryCondition = DIRICHLET):
+        """The cells left and right of each of a block's ``size`` unknowns;
+        the Robin node x_0 = eps has none on its left (length 0)."""
+        right = self.gaps[1 - bc.lead:size + 1 - bc.lead]
+        left = np.concatenate(([0.0], right[:-1])) if bc.lead else self.gaps[:size]
+        return left, right
+
+    def resolution_margin(self, w_values: np.ndarray, bc: BoundaryCondition = DIRICHLET) -> float:
+        """max_j h_j^2 |W(x_j)| over the unknowns of a block, whose W are
+        ``w_values``, h_j the larger of the two cells at x_j."""
+        h = np.maximum(*self.block_cells(len(w_values), bc))
         return float(np.max(h**2 * np.abs(w_values)))
 
     @classmethod
@@ -220,22 +278,31 @@ class FibreGrid:
         resolution: float = RESOLUTION_LIMIT,
     ) -> "FibreGrid":
         """Grid whose cells follow the local size of the potential: marching
-        from eps, each cell is at most min(SPACING_CAP, sqrt(resolution / |W|)) /
+        from eps, each cell is at most min(cap, sqrt(resolution / |W|)) /
         refine at both of its ends and at most GRID_GROWTH times the cell
-        before it.  The cells are then shrunk by one common factor so that
-        the last one ends at L, which keeps every growth ratio (cells short
-        of L by roundoff get one more, so no cell is stretched); the march
-        is repeated with a tighter target in the rare case that shifting
-        the nodes inward breaks the resolution at one of them."""
+        before it, with cap = min(SPACING_CAP, (L - eps)/101), so that a
+        short interval still holds 100 nodes.  The trailing cells longer
+        than the overshoot past L are then shrunk by one common factor so
+        that the last one ends at L: that keeps every growth ratio (cells
+        short of L by roundoff get one more, so no cell is stretched), and
+        no node moves past the place of the node before it, where W was
+        checked.  The march is repeated with a tighter target in the rare
+        case that shifting the nodes inward breaks the resolution at one of
+        them."""
         _check_interval(eps, L)
         if not (0.0 < resolution <= RESOLUTION_LIMIT):
             raise UsageError(f"resolution target must lie in (0, {RESOLUTION_LIMIT}]")
-        limit = target = resolution / refine**2
+        limit = resolution / refine**2
+        target = limit * (1.0 - 1e-12)  # room for the rounding of sqrt(target / |W|)
         for _ in range(MARCH_TRIES):
-            gaps = _march(eps, L, pot, SPACING_CAP / refine, target)
+            gaps = _march(eps, L, pot, min(SPACING_CAP, (L - eps) / 101) / refine, target)
             if gaps.sum() < L - eps:
                 gaps = np.append(gaps, gaps[-1])
-            grid = cls(eps=eps, L=L, nodes=eps + np.cumsum(gaps[:-1] * ((L - eps) / gaps.sum())))
+            short = np.flatnonzero(gaps <= gaps.sum() - (L - eps))
+            head = gaps[:short[-1] + 1 if short.size else 0]
+            tail = gaps[head.size:]
+            tail = tail * ((L - eps - head.sum()) / tail.sum())
+            grid = cls(eps=eps, L=L, nodes=np.cumsum(np.concatenate(([eps], head, tail[:-1])))[1:])
             ends = grid.gaps[[0, -1]] ** 2 * np.abs(pot(np.array([eps, L])))
             margin = max(grid.resolution_margin(pot(grid.nodes)), *ends)
             if margin <= limit:
@@ -252,19 +319,9 @@ def _check_interval(eps: float, L: float) -> None:
 
 
 def _march(eps, L, pot, cap, resolution):
-    """Cell lengths from eps until they pass L: each at most ``cap``, at
-    most GRID_GROWTH times its predecessor, and with h^2 |W| <= resolution
-    at both of its ends.
-
-    The cells are laid one by one, but where the march stands at a cap
-    cell the cap cells that follow are laid as one array: their far ends
-    are running sums from x, so bit for bit the loop's x + h, and W is
-    evaluated on them at once.  A run keeps the cells whose far end has
-    |W| cap^2 <= resolution (1 - 1e-12), which leaves any rounding of the
-    array evaluation no room to shrink the cell, through the first far
-    end at or past L; the first doubtful cell goes back to the scalar
-    step.  A run's chunks start at 64 cells and double while every cell
-    is kept, so the work stays linear in the cells laid."""
+    """Cell lengths from eps until they pass L, laid one by one: each at
+    most ``cap``, at most GRID_GROWTH times its predecessor, and with
+    h^2 |W| <= resolution at both of its ends."""
 
     def local(x):
         try:
@@ -273,35 +330,12 @@ def _march(eps, L, pot, cap, resolution):
             raise UsageError(f"the potential overflows a float at x={x:g}") from None
         return min(cap, math.sqrt(resolution / w)) if w > 0.0 else cap
 
-    def cap_run(x):
-        """Lay the cap cells that follow x; returns the far end of the last."""
-        size = 64
-        while len(gaps) <= MAX_GRID_NODES:
-            ends = np.add.accumulate(np.concatenate(([x], np.full(size, cap))))[1:]
-            with np.errstate(all="ignore"):
-                sure = np.abs(pot(ends)) * cap**2 <= resolution * (1.0 - 1e-12)
-            kept = min(size if sure.all() else int(np.argmin(sure)),
-                       int(np.searchsorted(ends, L)) + 1)
-            gaps.extend([cap] * kept)
-            if kept:
-                x = float(ends[kept - 1])
-            if kept < size or x >= L:
-                break
-            size *= 2
-        return x
-
     too_many = UsageError(f"resolving the potential on [{eps:g}, {L:g}] needs more "
                           f"than {MAX_GRID_NODES} nodes")
-    gaps, x, h, h_here = [], eps, math.inf, local(eps)
     if _node_estimate(eps, L, pot, cap, resolution) > 2 * MAX_GRID_NODES:
         raise too_many
+    gaps, x, h, h_here = [], eps, math.inf, local(eps)
     while x < L:
-        if h == h_here == cap:
-            x = cap_run(x)
-            if len(gaps) > MAX_GRID_NODES:
-                raise too_many
-            if x >= L:
-                break
         h = min(GRID_GROWTH * h, h_here)
         for _ in range(MARCH_SHRINKS):  # the far end of the cell
             h_there = local(x + h)
@@ -319,60 +353,65 @@ def _march(eps, L, pot, cap, resolution):
 
 def _node_estimate(eps, L, pot, cap, resolution) -> float:
     """About the number of cells ``_march`` lays, within a few per cent:
-    the integral of 1 / min(cap, sqrt(resolution / |W|)) over 8,000 even and
-    geometric samples, leaving out those where W is no float."""
+    the integral of 1/h over 8,000 even and geometric samples, leaving out
+    those where W is no float.  h is the local size min(cap, sqrt(resolution
+    / |W|)) as far as the growth allows: a cell grows by GRID_GROWTH - 1 of
+    its length per cell, so h(x) is the least local(y) + (GRID_GROWTH -
+    1)(x - y) over the samples y <= x, taken at the running minimiser so
+    that no large terms cancel."""
     xs = np.union1d(np.geomspace(eps, L, 4000), np.linspace(eps, L, 4000))
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = np.fmax(1.0 / cap, np.sqrt(np.abs(np.asarray(pot(xs), dtype=float)) / resolution))
-    return float(np.diff(xs) @ np.where(np.isfinite(density), density, 0.0)[1:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.abs(np.asarray(pot(xs), dtype=float))
+        local = np.fmin(cap, np.sqrt(resolution / w))
+    finite = np.isfinite(w)
+    slope = (GRID_GROWTH - 1.0) * xs
+    key = np.where(finite, local - slope, np.inf)
+    best = np.maximum.accumulate(np.where(key == np.minimum.accumulate(key), np.arange(xs.size), 0))
+    h = local[best] + (slope - slope[best])
+    return float(np.diff(xs) @ np.divide(1.0, h, out=np.zeros_like(h), where=finite)[1:])
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """Condition applied at the inner cutoff; the outer wall is always
-    Dirichlet."""
-
-    kind: str
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("dirichlet", "robin"):
-            raise UsageError("boundary condition kind must be dirichlet or robin")
-        if self.kind == "robin" and not math.isfinite(self.beta):
-            raise UsageError("Robin parameter beta must be finite")
-
-    @classmethod
-    def dirichlet(cls) -> "BoundaryCondition":
-        return cls(kind="dirichlet")
-
-    @classmethod
-    def robin(cls, beta: float = 1.0) -> "BoundaryCondition":
-        return cls(kind="robin", beta=beta)
-
-    def label(self) -> str:
-        return self.kind if self.kind == "dirichlet" else f"robin(beta={self.beta:g})"
+def _mass_diagonals(grid: FibreGrid, size: int, bc: BoundaryCondition):
+    """Main and off diagonal of the averaged mass of a block of ``size``
+    unknowns: the mean of the lumped mass and the consistent one of linear
+    elements, tridiag(h/12, 5 (h_- + h_+)/12, h/12)."""
+    left, right = grid.block_cells(size, bc)
+    return (5.0 / 12.0) * (left + right), right[:-1] / 12.0
 
 
-def _weighted_sumsq(weights: np.ndarray, psi: np.ndarray) -> float:
-    """sum_j w_j |psi_j|^2"""
-    return float(np.vdot(psi, weights * psi).real)
+def _mass_sumsq(grid: FibreGrid, psi: np.ndarray, bc: BoundaryCondition = DIRICHLET):
+    """psi^* M psi over a block's unknowns under ``bc``, for each column of
+    a two-dimensional ``psi``."""
+    main, off = _mass_diagonals(grid, len(psi), bc)
+    return main @ (psi.real**2 + psi.imag**2) + (2.0 * off) @ (psi[:-1].conj() * psi[1:]).real
+
+
+def _block_data(psi: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Data on the first interior nodes as the state of a block under
+    ``bc``: a Robin block's node eps starts at 0, the Dirichlet value."""
+    return np.concatenate((np.zeros(bc.lead, dtype=complex), psi)) if bc.lead else psi
 
 
 def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition):
-    """Sub-, main and super-diagonal of H = M^{-1} K + W on the block of
-    k = len(w_values) nodes, with K the finite-volume stiffness matrix and
-    M = diag(weights) the lumped mass of its k + 1 cells."""
-    gaps, weights = grid.gaps[:len(w_values) + 1], grid.weights[:len(w_values)]
-    inv = 1.0 / gaps
-    stiff = inv[:-1] + inv[1:]
-    if bc.kind == "robin":
-        denom = 1.0 + bc.beta * gaps[0]
-        if denom <= 0.0:
-            raise UsageError("Robin elimination requires 1 + beta*h > 0")
-        stiff[0] = (1.0 - 1.0 / denom) * inv[0] + inv[1]
-    main = stiff / weights + np.asarray(w_values, dtype=float)
-    coupling = -inv[1:-1]
-    return coupling / weights[1:], main, coupling / weights[:-1]
+    """The pencil of H = M^{-1} A on a block whose unknowns carry the
+    potential ``w_values``, as (main, off) diagonals of M and of A.
+
+    M is the averaged mass and A = K + W the stiffness of linear elements
+    plus the symmetrised potential, M_jj W_j on the diagonal and
+    M_{j,j+1} (W_j + W_{j+1})/2 off it.  The Robin condition is natural:
+    the node x_0 = eps gains beta on its diagonal, K_00 = 1/h_{1/2} + beta.
+    It is resolved as W is: h_{1/2}^2 beta^2 <= RESOLUTION_LIMIT."""
+    w = np.asarray(w_values, dtype=float)
+    left, right = grid.block_cells(w.size, bc)
+    if bc.lead and (right[0] * bc.beta) ** 2 > RESOLUTION_LIMIT:
+        raise UsageError(f"Robin parameter beta={bc.beta:g} is not resolved by the first cell "
+                         f"(h^2 beta^2 = {(right[0] * bc.beta) ** 2:.3g} > {RESOLUTION_LIMIT})")
+    inv = 1.0 / right
+    inv_left = np.concatenate(([bc.beta], 1.0 / left[1:])) if bc.lead else 1.0 / left
+    m_main, m_off = _mass_diagonals(grid, w.size, bc)
+    a_main = inv_left + inv + m_main * w
+    a_off = m_off * (0.5 * (w[:-1] + w[1:])) - inv[:-1]
+    return (m_main, m_off), (a_main, a_off)
 
 
 class CrankNicolson:
@@ -383,19 +422,22 @@ class CrankNicolson:
     callers and the benchmark's tracer know the stepper by it.
 
     ``w_values`` holds one array and ``bcs`` one condition per block:
-    block m is its node count k = len(w_values[m]), the first k nodes of
-    ``grid`` walled at the next (:meth:`FibreGrid.wall`), so a single
-    fibre is a stack of one; each block's resolution margin is checked
-    once and kept in ``margins``.  The blocks form one tridiagonal system
-    whose couplings across the seams are zero, so the pivoting of the
-    factorisation never crosses a seam and each block's factors and solves
-    are bit for bit those of a stepper of its own.  A bare array with a bare
-    condition, the form perfbench's tracer test builds, is one block.
+    block m is the first k nodes of ``grid`` walled at the next
+    (:meth:`FibreGrid.wall`), after the node eps under Robin, and
+    ``w_values[m]`` is W at its unknowns (:meth:`FibreGrid.block_nodes`),
+    so a single fibre is a stack of one; each block's resolution margin is
+    checked once and kept in ``margins``.  The blocks form one tridiagonal
+    pencil whose couplings across the seams are zero, so the pivoting of
+    the factorisation never crosses a seam and each block's factors and
+    solves are bit for bit those of a stepper of its own.  A bare array
+    with a bare condition, the form perfbench's tracer test builds, is one
+    block.
 
-    H is similar to a real symmetric matrix, M^{1/2} H M^{-1/2}, so the
-    step is unitary in the weighted norm sum_j w_j |psi_j|^2.  Neither
-    factor is unitary alone: the shifts are conjugate roots, and only the
-    product has modulus 1 on every real eigenvalue."""
+    H = M^{-1} A with M and A real symmetric and M positive definite, so
+    H is self-adjoint in the M inner product and the step is unitary in
+    the norm psi^* M psi.  Neither factor is unitary alone: the shifts are
+    conjugate roots, and only the product has modulus 1 on every real
+    eigenvalue."""
 
     def __init__(self, grid: FibreGrid, w_values, bcs, dt: float):
         from scipy.linalg import get_lapack_funcs
@@ -406,47 +448,62 @@ class CrankNicolson:
             w_values, bcs = [w_values], [bcs]
         if len(bcs) != len(w_values):
             raise UsageError(f"{len(bcs)} boundary conditions for {len(w_values)} blocks")
-        for w in w_values:
-            if not 0 < len(w) <= grid.n:
-                raise UsageError(f"a block of {len(w)} nodes does not fit a grid of {grid.n}")
-        self.margins = [grid.resolution_margin(w) for w in w_values]
+        for w, cond in zip(w_values, bcs):
+            if not cond.lead < len(w) <= grid.n + cond.lead:
+                raise UsageError(f"a block of {len(w)} unknowns under {cond.label()} does not "
+                                 f"fit a grid of {grid.n}")
+        self.margins = [grid.resolution_margin(w, cond) for w, cond in zip(w_values, bcs)]
         if max(self.margins) > RESOLUTION_LIMIT:
             raise UsageError(f"a block of the grid does not resolve the potential "
                              f"(max h^2 |W| = {max(self.margins):.3g} > {RESOLUTION_LIMIT})")
         ends = np.cumsum([len(w) for w in w_values])
         self.grid, self.dt = grid, dt
         self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_values)]
-        size = int(ends[-1])
-        # the stacked diagonals of H, zero across the seams, and each node's
-        # weight twice, over the interleaved real view of a buffer
-        sub, main, sup = np.zeros(size - 1), np.empty(size), np.zeros(size - 1)
-        self._w2 = np.empty(2 * size)
+        self.size = size = int(ends[-1])
+        # the stacked diagonals of M and A, zero across the seams
+        m_main, m_off, a_main, a_off = np.empty(size), np.zeros(size), np.empty(size), np.zeros(size)
         for sl, w, cond in zip(self._slices, w_values, bcs):
             inner = slice(sl.start, sl.stop - 1)
-            sub[inner], main[sl], sup[inner] = _hamiltonian_diagonals(grid, w, cond)
-            self._w2[2 * sl.start:2 * sl.stop] = np.repeat(grid.weights[:sl.stop - sl.start], 2)
+            (m_main[sl], m_off[inner]), (a_main[sl], a_off[inner]) = \
+                _hamiltonian_diagonals(grid, w, cond)
+        m_off, a_off = m_off[:-1], a_off[:-1]
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(1, complex),))
         self._factors = []
         for shift in PADE_SHIFTS:
-            # the stacked matrix A/2 = (1 + i dt H/a)/2, factored in place: the
-            # halving is exact, so the factors are A's halved and the pivots A's
+            # the stacked pencil (M + i dt A/a)/2, factored in place: the
+            # halving is exact, so the factors are the pencil's halved and
+            # the pivots its own
             z = dt * shift
-            *factors, info = gttrf(0.5 * (z * sub), 0.5 * (1.0 + z * main), 0.5 * (z * sup),
+            off = 0.5 * (m_off + z * a_off)
+            *factors, info = gttrf(off, 0.5 * (m_main + z * a_main), off.copy(),
                                    overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info != 0:
                 raise NumericError(f"tridiagonal factorisation failed (info={info})")
             self._factors.append(factors)
+        # M over the interleaved real view of a buffer: each entry twice
+        self._m2, self._off2 = np.repeat(m_main, 2), np.repeat(m_off, 2)
+        self._cross = np.empty(2 * size - 2)
         self._buffers = (np.empty(size, complex), np.empty(size, complex))
         self._half = np.empty(size, complex)
         self._squares = np.empty(2 * size)
         self._block_starts = np.array([2 * sl.start for sl in self._slices])
 
+    def _mass(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The product M psi into ``out``, on the real views: M is real."""
+        v, o = psi.view(float), out.view(float)
+        np.multiply(self._m2, v, out=o)
+        np.multiply(self._off2, v[2:], out=self._cross)
+        o[:-2] += self._cross
+        np.multiply(self._off2, v[:-2], out=self._cross)
+        o[2:] += self._cross
+        return out
+
     def _cayley(self, factors, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One factor (1 - i dt H/a)/(1 + i dt H/a) = 2 A^{-1} - 1, with
-        A = 1 + i dt H/a, into ``out``: the stored factors of A/2 solve for
-        2 A^{-1} psi directly, so it is a copy, a solve and a subtraction."""
-        out[...] = psi
-        out, info = self._gttrs(*factors, out, overwrite_b=1)
+        """One factor (1 - i dt H/a)/(1 + i dt H/a) = 2 P^{-1} M - 1, with
+        the pencil P = M + i dt A/a, into ``out``: the stored factors of P/2
+        solve for 2 P^{-1} M psi directly, so it is the product M psi, a
+        solve and a subtraction."""
+        out, info = self._gttrs(*factors, self._mass(psi, out), overwrite_b=1)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed (info={info})")
         out -= psi
@@ -462,21 +519,19 @@ class CrankNicolson:
         return self._cayley(second, self._cayley(first, psi, self._half), out)
 
     def _norms(self, psi: np.ndarray, column: np.ndarray) -> None:
-        """Squared weighted norm sum_j w_j (re_j^2 + im_j^2) of each block
-        of ``psi`` into ``column``: one pass over the whole stack, summed
-        per block."""
-        v = psi.view(float)
-        np.multiply(v, v, out=self._squares)
-        self._squares *= self._w2
+        """psi^* M psi of each block of ``psi`` into ``column``: the real
+        views of psi and M psi (through the scratch buffer) multiplied, one
+        pass over the whole stack, and summed per block."""
+        np.multiply(psi.view(float), self._mass(psi, self._half).view(float), out=self._squares)
         np.add.reduceat(self._squares, self._block_starts, out=column)
 
     def evolve(self, psi, nsteps: int, record: bool = False):
-        """Load ``psi`` (one array per block) and apply ``nsteps`` steps,
-        allocating nothing per step.  Returns the per-block final states,
-        views of one of the stepper's two buffers that the next call
-        overwrites, and the traces: row m is block m's squared weighted norm
-        sum_j w_j |psi_j|^2 after every step with ``record``, else at the
-        start and the end only."""
+        """Load ``psi`` (one state per block, on its unknowns) and apply
+        ``nsteps`` steps, allocating nothing per step.  Returns the
+        per-block final states, views of one of the stepper's two buffers
+        that the next call overwrites, and the traces: row m is block m's
+        squared norm psi^* M psi after every step with ``record``, else at
+        the start and the end only."""
         first, second = self._buffers
         for sl, block in zip(self._slices, psi, strict=True):
             first[sl] = block
@@ -519,19 +574,20 @@ def _evolve_stacks(steppers: Sequence[CrankNicolson], data, nsteps: int, record:
 
 def evolve_fibre(grid: FibreGrid, pot: FibrePotential, bc: BoundaryCondition, psi: np.ndarray,
                  t_final: float, dt: float, record_norms: bool = False):
-    """Evolve one fibre from t = 0 to ``t_final``, a stack of one block;
-    returns (psi, norm trace)."""
+    """Evolve one fibre, ``psi`` on its unknowns (``grid.block_nodes(grid.n,
+    bc)``), from t = 0 to ``t_final``, a stack of one block; returns (psi,
+    M-norm trace)."""
     nsteps = _step_count(t_final, dt)
-    stepper = CrankNicolson(grid, [pot(grid.nodes)], [bc], dt)
+    stepper = CrankNicolson(grid, [pot(grid.block_nodes(grid.n, bc))], [bc], dt)
     (psi,), (sumsq,) = stepper.evolve([psi], nsteps, record_norms)
     return psi, np.sqrt(sumsq)
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
-    """Unit-norm real Gaussian on the interior nodes."""
+    """Real Gaussian on the interior nodes, of unit M-norm."""
     x = grid.nodes
     psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
-    nrm = math.sqrt(_weighted_sumsq(grid.weights, psi))
+    nrm = math.sqrt(_mass_sumsq(grid, psi))
     if nrm == 0.0:
         raise UsageError("Gaussian data vanishes on this grid")
     return psi / nrm
@@ -548,15 +604,26 @@ def _standard_packet(grid: FibreGrid) -> np.ndarray:
 
 
 def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
-    """sum_j w_j |psi_j|^2 over the block of len(psi) nodes, within 0.5 of its wall."""
+    """The lumped quadrature sum_j w_j |psi_j|^2 over the interior block of
+    len(psi) nodes, within 0.5 of its wall."""
     near = grid.nodes[:psi.size] >= grid.wall(psi.size) - 0.5
-    return _weighted_sumsq(grid.weights[:psi.size][near], psi[near])
+    return float(grid.weights[:psi.size][near] @ np.abs(psi[near]) ** 2)
 
 
 def _grid_record(steppers: Sequence[CrankNicolson]) -> dict:
     """The steppers' shared grid and the largest margin of their blocks."""
     grid, margin = steppers[0].grid, max(max(s.margins) for s in steppers)
     return {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max, "resolution_margin": margin}
+
+
+def _work(steppers: Sequence[CrankNicolson], nsteps: int) -> dict:
+    """What ``nsteps`` steps of every stepper cost: a step is two solves of
+    each block, a node-step one step of one unknown.  Counted per block, so
+    the record does not depend on how the blocks are stacked."""
+    blocks, nodes = sum(len(s.margins) for s in steppers), sum(s.size for s in steppers)
+    return {"steps": nsteps, "node_steps": nsteps * nodes,
+            "solves": len(PADE_SHIFTS) * nsteps * blocks,
+            "node_solves": len(PADE_SHIFTS) * nsteps * nodes}
 
 
 def choose_outer_wall(pot: FibrePotential) -> float:
@@ -588,6 +655,8 @@ class BcSensitivityResult:
     config: dict = field(default_factory=dict, compare=False)
     # per eps: n, h_min, h_max and resolution_margin (max h^2 |W| over the nodes)
     grids: tuple[dict, ...] = field(default=(), compare=False)
+    # steps, node-steps, solves and node-solves over both blocks of every cutoff
+    work: dict = field(default_factory=dict, compare=False)
 
     @property
     def ratio_end_to_start(self) -> float:
@@ -640,27 +709,38 @@ def bc_sensitivity(
     if nsteps == 0:
         raise UsageError(f"evolution time {t_final:g} takes no steps of {dt:g}, "
                          "so D would be 0 at every cutoff")
+    # the two runs' blocks differ by the Robin node, so their solves round
+    # apart: a time that turns no component of the data by more than
+    # rounding leaves a D of rounding alone
+    if t_final * WALL_ENERGY <= np.finfo(float).eps:
+        raise UsageError(f"evolution time {t_final:g} turns the standard data by at most "
+                         f"{t_final * WALL_ENERGY:.1e}, below rounding, so D would be rounding")
     prof = power_law(alpha)
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)
 
-    bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
+    bcs = dirichlet, robin = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
     grids = [FibreGrid.resolved(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
              for eps in eps_list]
     packets = [_standard_packet(grid) for grid in grids]
-    steppers = [CrankNicolson(grid, [pot(grid.nodes)] * 2, bcs, dt) for grid in grids]
-    runs = _evolve_stacks(steppers, [[psi0, psi0] for psi0 in packets], nsteps)
+    steppers = []
+    for grid in grids:
+        w = pot(grid.block_nodes(grid.n, robin))  # W(eps), then the interior nodes
+        steppers.append(CrankNicolson(grid, [w[1:], w], bcs, dt))
+    runs = _evolve_stacks(steppers, [[psi0, _block_data(psi0, robin)] for psi0 in packets],
+                          nsteps)
 
     rows, walls, drifts = [], [], []
     for eps, grid, (finals, sumsq) in zip(eps_list, grids, runs):
-        wall = max(_wall_mass(grid, psi) for psi in finals)
+        wall = max(_wall_mass(grid, psi[cond.lead:]) for psi, cond in zip(finals, bcs))
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
                 f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is contaminated "
                 f"(mass {wall:.2e} > {WALL_MASS_LIMIT})"
             )
-        distance = math.sqrt(_weighted_sumsq(grid.weights, finals[0] - finals[1]))
+        # in the Robin block's norm, the Dirichlet state 0 at the node eps
+        distance = math.sqrt(_mass_sumsq(grid, finals[1] - _block_data(finals[0], robin), robin))
         if distance == 0.0:
             raise UsageError(f"cutoff eps={eps:g}: the Dirichlet and the Robin(beta={beta:g}) "
                              "runs end equal, so D is 0 and measures nothing")
@@ -684,6 +764,7 @@ def bc_sensitivity(
             "profile": prof.name,
         },
         grids=tuple(_grid_record([stepper]) for stepper in steppers),
+        work=_work(steppers, nsteps),
     )
 
 
@@ -704,7 +785,7 @@ class PlaneWavefunction:
     ``transformed``: values(x, xi) in flat L^2(dx dxi) after the rescaling
                      psi -> sqrt(f) psi and the Fourier transform in y.
 
-    ``grid`` holds the x nodes and their quadrature weights, ``axis`` the
+    ``grid`` holds the x nodes and their cells, ``axis`` the
     y nodes (original) or the xi frequencies (transformed); ``geometry``
     is "plane" or "cylinder" (for the latter the y axis is the circle of
     circumference 2 pi and xi values are integer mode numbers).
@@ -737,15 +818,15 @@ class PlaneWavefunction:
         return float(abs(self.axis[1] - self.axis[0]))
 
     def norm(self, profile: GrushinProfile | None = None) -> float:
-        """sum_j w_j sum_m |values_jm|^2, times f(x_j) and dy in the
-        original representation, times dxi in the transformed one."""
-        row_sums = np.sum(np.abs(self.values) ** 2, axis=1)
+        """The sum over the axis of the columns' M-norms psi^* M psi, times
+        dxi in the transformed representation; in the original one, of the
+        columns times sqrt(f(x_j)), times dy, which the transform keeps."""
+        values = self.values
         if self.representation == ORIGINAL:
             if profile is None:
                 raise UsageError("original-representation norm needs the profile")
-            weight = self.grid.weights * np.asarray(profile.f(self.x), dtype=float)
-            return math.sqrt(self.daxis * float(weight @ row_sums))
-        return math.sqrt(self.daxis * float(self.grid.weights @ row_sums))
+            values = values * np.sqrt(np.asarray(profile.f(self.x), dtype=float))[:, None]
+        return math.sqrt(self.daxis * float(np.sum(_mass_sumsq(self.grid, values))))
 
 
 def _check_finite(values):
@@ -824,7 +905,8 @@ class PlaneEvolutionResult:
     norm_after: float
     fibre_norms: np.ndarray = field(repr=False)
     norm_trace: np.ndarray = field(repr=False)
-    # counts of the fibres, the fibres stepped, the steps and the node-steps
+    # counts of the fibres, the fibres stepped, the steps, node-steps,
+    # solves and node-solves
     work: dict
     grid: dict  # the shared x grid and the largest margin of a fibre's block
     spectrum_edge_mass: float = 0.0
@@ -945,10 +1027,12 @@ def evolve_plane(
     The xi grid must be symmetric about zero (odd FFT size); mass in the
     outermost frequency bins must be negligible for the assembly to
     represent the plane faithfully, and is recorded, as is the total-norm
-    trace over the steps.
+    trace over the steps.  Every norm is the M-norm of the fibres' blocks,
+    their Robin nodes at eps included; ``final`` holds the interior nodes.
 
-    The wall mass of a fibre is ``dxi sum_j w_j |psi_j|^2`` over the last 0.5
-    before its wall at ``t_final``, plus any initial mass beyond the wall;
+    The wall mass of a fibre is the lumped ``dxi sum_j w_j |psi_j|^2`` over
+    the last 0.5 before its wall at ``t_final``, plus any initial mass
+    beyond the wall;
     the result records the largest.  A fibre whose wall mass exceeds 1e-8,
     at its own turning-point wall or at ``grid.L``, raises
     :class:`ProtocolError`.
@@ -971,8 +1055,8 @@ def evolve_plane(
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
-    w_values = [pot(grid.nodes[:k]) for pot, k in zip(pots, sizes)]
-    columns = [psi0.values[:k, m] for m, k in enumerate(sizes)]
+    w_values = [pot(grid.block_nodes(k, bc)) for pot, k in zip(pots, sizes)]
+    columns = [_block_data(psi0.values[:k, m], bc) for m, k in enumerate(sizes)]
     # fibre m copies the first fibre whose potential values and data, and
     # so its block, are its own bit for bit (the +-xi twins of even data)
     first = {}
@@ -981,7 +1065,7 @@ def evolve_plane(
     del first
     distinct = [m for m, k in enumerate(source) if k == m]
     parts = [[distinct[i] for i in run] for run in
-             _contiguous_parts([sizes[m] for m in distinct], min(jobs, len(distinct)))]
+             _contiguous_parts([w_values[m].size for m in distinct], min(jobs, len(distinct)))]
     steppers = [CrankNicolson(grid, [w_values[m] for m in part], [bc] * len(part), dt)
                 for part in parts]
     del w_values
@@ -994,9 +1078,10 @@ def evolve_plane(
     traces, wall_masses = [], []
     for m, k in enumerate(source):
         psi, trace = finals[k]
-        out[: psi.size, m] = psi
+        interior = psi[bc.lead:]
+        out[:interior.size, m] = interior
         traces.append(trace)
-        wall_masses.append(dxi * (_wall_mass(grid, psi) + beyond[m]))
+        wall_masses.append(dxi * (_wall_mass(grid, interior) + beyond[m]))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
@@ -1005,18 +1090,16 @@ def evolve_plane(
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 
-    final = replace(psi0, values=out)
-    fibre_norms = np.sqrt(dxi * (weights @ np.abs(out) ** 2))
-    norm_trace = np.sqrt(dxi * np.sum(np.column_stack(traces), axis=1))
+    traces = np.column_stack(traces)
+    fibre_norms = np.sqrt(dxi * traces[-1])
     return PlaneEvolutionResult(
-        final=final,
+        final=replace(psi0, values=out),
         norm_before=psi0.norm(),
         norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,
-        norm_trace=norm_trace,
+        norm_trace=np.sqrt(dxi * np.sum(traces, axis=1)),
         spectrum_edge_mass=edge_mass,
         wall_mass=max(wall_masses),
-        work={"fibres": len(sizes), "fibres_stepped": len(distinct), "steps": nsteps,
-              "node_steps": nsteps * sum(sizes[m] for m in distinct)},
+        work={"fibres": len(sizes), "fibres_stepped": len(distinct), **_work(steppers, nsteps)},
         grid=_grid_record(steppers),
     )

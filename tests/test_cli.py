@@ -27,7 +27,13 @@ from grushinlab.errors import (
     ProtocolError,
     UsageError,
 )
-from grushinlab.evolution import BoundaryCondition, evolve_plane, standard_plane_data, to_original
+from grushinlab.evolution import (
+    SPACING_CAP,
+    BoundaryCondition,
+    evolve_plane,
+    standard_plane_data,
+    to_original,
+)
 from grushinlab.geodesics import GeodesicInitialData, geodesic_fan, integrate_geodesic
 from grushinlab.profiles import power_law
 
@@ -75,6 +81,37 @@ class TestClassifyCommand:
         for xi, expected in [(0.0, 1), (0.25, 1), (0.5, 1), (0.75, 1),
                              (1.0, 0), (1.25, 0), (2.0, 0)]:
             assert table[xi] == expected
+
+    def test_numeric_rows_carry_their_diagnostics(self, tmp_path):
+        # the ode-verdicts line of exp_inverse fibres, whose c0 diverges, and
+        # a numeric power law: strict JSON, each numeric row with both
+        # routes' numbers; analytic rows carry none
+        base = {"xi", "endpoint_zero", "endpoint_infinity", "deficiency", "method"}
+        diagnostics = {"c0", "c0_diverges", "c0_fit_error", "indicial_slope",
+                       "early_limit_point", "x_end"}
+
+        def strict(constant):
+            raise AssertionError(f"{constant} in verdict.json")
+
+        def rows(name, argv):
+            assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
+            text = (tmp_path / name / "verdict.json").read_text()
+            return json.loads(text, parse_constant=strict)["fibres"]
+
+        xi = ["--xi-min", "-4.75", "--xi-max", "5.25", "--xi-step", "0.25"]
+        diverging = rows("exp", ["classify", "--profile", "exp_inverse", *xi])
+        assert len(diverging) == 41
+        for row in diverging:
+            assert set(row) == base | diagnostics and row["method"] == "numeric_ode"
+            assert row["c0"] is None and row["c0_diverges"] is True
+            assert row["early_limit_point"] is True and row["x_end"] == 1e-7
+        for row in rows("numeric", ["classify", "--alpha", "0.5", "--method", "numeric", *xi]):
+            assert set(row) == base | diagnostics and row["c0_diverges"] is False
+            # c0 = alpha (alpha + 2)/4 + xi^2 lim x^2 / f^2, which is 0
+            assert row["c0"] == pytest.approx(0.3125, abs=1e-6)
+            assert row["c0_fit_error"] < 1e-3 and row["indicial_slope"] < 0.0
+        for row in rows("analytic", ["classify", "--alpha", "0.5"]):
+            assert set(row) == base and row["method"] == "analytic_power_law"
 
     def test_custom_profile_numeric(self, tmp_path):
         code = main(["classify", "--profile", "exp_inverse", "--mode", "cylinder",
@@ -525,6 +562,10 @@ class TestEvolveCommand:
         assert last["n"] > first["n"] >= 100
         assert last["h_min"] < first["h_min"] <= first["h_max"] <= doc["config"]["spacing_cap"]
         assert 0.0 < last["resolution_margin"] <= doc["config"]["resolution"]
+        # two solves per step of each block, the Robin block with the node eps
+        unknowns = sum(2 * row["n"] + 1 for row in doc["rows"])
+        assert doc["work"] == {"steps": 100, "node_steps": 100 * unknowns,
+                               "solves": 2 * 100 * 4, "node_solves": 2 * 100 * unknowns}
         lines = (tmp_path / "bc_sensitivity.csv").read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "eps,D,wall_mass"
@@ -542,7 +583,9 @@ class TestEvolveCommand:
         grid = doc["grid"]
         assert set(grid) == {"n", "h_min", "h_max", "resolution_margin"}
         assert grid["n"] == doc["config"]["n_x"]
-        assert 0.0 < grid["h_min"] < grid["h_max"] <= 0.01
+        # cap cells past x = 16 are not spaced exactly, so h_max may exceed
+        # the cap by rounding
+        assert 0.0 < grid["h_min"] < grid["h_max"] <= SPACING_CAP * (1.0 + 1e-12)
         assert 0.0 < grid["resolution_margin"] <= 0.5
         # the even data's xi > 0 fibres copy their mirror fibres
         work = doc["work"]
@@ -553,11 +596,11 @@ class TestEvolveCommand:
 
     def test_plane_at_alpha_3(self, tmp_path):
         # resolving the edge fibre out to the xi = 0 wall at 30 took more
-        # than 2,000,000 nodes; each fibre out to its own wall takes 3,565
+        # than 2,000,000 nodes; each fibre out to its own wall takes 1,260
         assert main(["evolve", "--protocol", "plane", "--alpha", "3", "--t-final", "0.1",
                      "--output-dir", str(tmp_path)]) == 0
         grid = read_json(tmp_path / "evolution.json")["grid"]
-        assert grid["n"] == 3565 and grid["resolution_margin"] <= 0.5
+        assert grid["n"] == 1260 and grid["resolution_margin"] <= 0.5
 
     def test_unresolvable_grid_fails_fast(self, tmp_path, capsys):
         # W = x^800 / 4 passes 1e240 inside the wall at 4: the node
@@ -607,17 +650,21 @@ class TestEvolveCommand:
                      "--ny", "16", "--output-dir", str(tmp_path)]) == 2
 
     def test_jobs_do_not_change_outputs(self, tmp_path):
-        outputs = {}
-        for jobs in ("1", "3"):
-            d = tmp_path / f"jobs{jobs}"
-            code = main(["evolve", "--protocol", "plane", "--alpha", "1",
-                         "--t-final", "0.05", "--eps", "0.05", "--ny", "7",
-                         "--jobs", jobs, "--output-dir", str(d)])
-            assert code == 0
-            outputs[jobs] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
-        assert set(outputs["1"]) == {"density.csv", "evolution.json",
-                                     "fibre_norms.csv", "norm_trace.csv"}
-        assert outputs["1"] == outputs["3"]
+        # plane and cylinder, Dirichlet and Robin: the Robin blocks lead with
+        # the node eps, and the stack cuts fall between such blocks
+        for case in (["plane"], ["cylinder"], ["plane", "--bc", "robin"],
+                     ["cylinder", "--bc", "robin", "--beta", "0.5"]):
+            outputs = {}
+            for jobs in ("1", "2", "3"):
+                d = tmp_path / "-".join(case) / f"jobs{jobs}"
+                code = main(["evolve", "--protocol", *case, "--alpha", "1",
+                             "--t-final", "0.05", "--eps", "0.05", "--ny", "7",
+                             "--jobs", jobs, "--output-dir", str(d)])
+                assert code == 0
+                outputs[jobs] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+            assert set(outputs["1"]) == {"density.csv", "evolution.json",
+                                         "fibre_norms.csv", "norm_trace.csv"}
+            assert outputs["1"] == outputs["2"] == outputs["3"], case
 
     def test_plane_wall_check(self, tmp_path):
         argv = ["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.1",
@@ -651,7 +698,7 @@ def test_csv_writer_matches_per_row_formatter(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_csv", recording)
     out = tmp_path / "out"
     assert main(["evolve", "--protocol", "plane", "--alpha", "1", "--t-final", "0.05",
-                 "--eps", "0.05", "--ny", "7", "--output-dir", str(out)]) == 0
+                 "--eps", "0.05", "--ny", "9", "--output-dir", str(out)]) == 0
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "1.5", "--t-final", "0.1",
                  "--eps-grid", "1e-1,3e-2", "--output-dir", str(out)]) == 0
     assert main(["geodesics", "--alpha", "1", "--angles", "4", "--output-dir", str(out)]) == 0
@@ -824,13 +871,13 @@ def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
     # first two clean, the last two contaminated, all stepped side by side
     from grushinlab import evolution
 
-    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 4e-7)
+    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.65e-7)
     threads = set(threading.enumerate())
     out = tmp_path / "out"
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "0", "--xi", "0",
-                 "--t-final", "1.2", "--eps-grid", "0.05,0.03,0.01,0.005",
+                 "--t-final", "1.2", "--eps-grid", "0.05,0.03,0.015,0.0075",
                  "--output-dir", str(out)]) == 3
-    assert "(mass 4.20e-07 > 4e-07)" in capsys.readouterr().err
+    assert "(mass 3.69e-07 > 3.65e-07)" in capsys.readouterr().err
     assert not out.exists()
     assert set(threading.enumerate()) == threads
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh
 
 from grushinlab.errors import ProtocolError, UsageError
 from grushinlab.evolution import (
@@ -21,8 +21,9 @@ from grushinlab.evolution import (
     _envelope,
     _fft_frequencies,
     _fibre_nodes,
+    _block_data,
     _hamiltonian_diagonals,
-    _march,
+    _mass_sumsq,
     _node_estimate,
     _trend,
     BoundaryCondition,
@@ -103,13 +104,37 @@ def stacked_blocks(monkeypatch):
     return blocks
 
 
+@pytest.fixture
+def stepper_sizes(monkeypatch):
+    """(blocks, buffer size) of every :class:`CrankNicolson` built."""
+    sizes = []
+    init = CrankNicolson.__init__
+
+    def spy(self, grid, w_values, bcs, dt):
+        init(self, grid, w_values, bcs, dt)
+        sizes.append((len(self.margins), self._buffers[0].size))
+
+    monkeypatch.setattr(CrankNicolson, "__init__", spy)
+    return sizes
+
+
+def dense_pencil(grid, w, bc):
+    """The dense M and A of a block whose unknowns carry the potential w."""
+    return [np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+            for main, off in _hamiltonian_diagonals(grid, w, bc)]
+
+
 def spectral_map(grid, w, bc, r):
-    """The dense matrix r(H) of the discrete H = M^{-1} K + W, from the
-    eigenpairs of its symmetric form M^{1/2} H M^{-1/2}."""
-    _, main, upper = _hamiltonian_diagonals(grid, w, bc)
-    root = np.sqrt(grid.weights)
-    evals, vecs = eigh_tridiagonal(main, upper * root[:-1] / root[1:])
-    return (vecs * r(evals)) @ vecs.T / root[:, None] * root[None, :]
+    """The dense matrix r(H) of the discrete H = M^{-1} A, from the
+    eigenpairs of the pencil (A, M): with V^T M V = 1, r(H) = V r(E) V^T M."""
+    mass, a = dense_pencil(grid, w, bc)
+    evals, vecs = eigh(a, mass)
+    return (vecs * r(evals)) @ vecs.T @ mass
+
+
+def fibre_block(grid, pot, bc, psi):
+    """W at the block's unknowns and the data as its state."""
+    return pot(grid.block_nodes(grid.n, bc)), _block_data(psi, bc)
 
 
 def make_fibre(alpha, xi, eps=0.05, L=12.0):
@@ -201,37 +226,49 @@ class TestGradedGrid:
         grid = FibreGrid.resolved(eps, choose_outer_wall(pot), pot)
         check_local_rule(grid, pot, RESOLUTION_LIMIT)
         bc = BoundaryCondition.dirichlet() if beta is None else BoundaryCondition.robin(beta)
-        psi0 = gaussian_packet(grid, center=eps + 0.5, width=0.2)  # reaches the cutoff
-        stepper = CrankNicolson(grid, [pot(grid.nodes)], [bc], 1e-3)
+        # data that reaches the cutoff
+        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid, center=eps + 0.5, width=0.2))
+        stepper = CrankNicolson(grid, [w], [bc], 1e-3)
         _, (sumsq,) = stepper.evolve([psi0], 200, record=True)
         norms = np.sqrt(sumsq)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7)])
     def test_uniform_diagonals_are_the_three_point_formula(self, bc):
+        # Numerov's mass h (1, 10, 1)/12 and the three-point stiffness
+        # (-1, 2, -1)/h plus the symmetrised W; the natural Robin row at eps
+        # has half the mass and 1/h + beta
         pot = FibrePotential(xi=1.0, profile=power_law(1.0))
         grid = endpoint_uniform(0.05, 8.0, pot)
-        h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.nodes)
-        lower, main, upper = _hamiltonian_diagonals(grid, w, bc)
-        expected = 2.0 / h**2 + w
+        h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.block_nodes(grid.n, bc))
+        (m_main, m_off), (a_main, a_off) = _hamiltonian_diagonals(grid, w, bc)
+        mass = np.full(w.size, 10.0 * h / 12.0)
+        stiff = np.full(w.size, 2.0 / h)
         if bc.kind == "robin":
-            expected[0] = (2.0 - 1.0 / (1.0 + bc.beta * h)) / h**2 + w[0]
-        assert np.max(np.abs(main / expected - 1.0)) <= 1e-12
-        for off in (lower, upper):
-            assert np.max(np.abs(off * h**2 + 1.0)) <= 1e-12
+            mass[0], stiff[0] = 5.0 * h / 12.0, 1.0 / h + bc.beta
+        assert np.max(np.abs(m_main / mass - 1.0)) <= 1e-12
+        assert np.max(np.abs(m_off * 12.0 / h - 1.0)) <= 1e-12
+        assert np.max(np.abs(a_main / (stiff + mass * w) - 1.0)) <= 1e-12
+        off = h / 12.0 * (w[:-1] + w[1:]) / 2.0 - 1.0 / h
+        assert np.max(np.abs(a_off / off - 1.0)) <= 1e-12
 
     def test_weighted_norm_conserved_on_graded_robin_grid(self):
-        pot = FibrePotential(xi=0.5, profile=power_law(0.5))
+        # the step is unitary in the averaged-mass norm psi^* M psi, to
+        # rounding, and the trace is that norm of the state
+        pot, bc = FibrePotential(xi=0.5, profile=power_law(0.5)), BoundaryCondition.robin(1.0)
         grid = FibreGrid.resolved(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
-        stepper = CrankNicolson(grid, [pot(grid.nodes)], [BoundaryCondition.robin(1.0)], 1e-3)
-        psi0 = gaussian_packet(grid, center=0.5, width=0.2)  # reaches the cutoff
+        # data that reaches the cutoff
+        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid, center=0.5, width=0.2))
+        stepper = CrankNicolson(grid, [w], [bc], 1e-3)
         (psi,), (sumsq,) = stepper.evolve([psi0], 1000, record=True)
         norms = np.sqrt(sumsq)
         assert norms.size == 1001 and norms[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
-        # the unweighted sum is not what the step conserves on this grid
-        flat = [np.sum(np.abs(p) ** 2) for p in (psi0, psi)]
-        assert abs(flat[1] / flat[0] - 1.0) > 1e-6
+        assert sumsq[-1] == pytest.approx(_mass_sumsq(grid, psi, bc), rel=1e-13)
+        # the lumped norm, sum_j w_j |psi_j|^2, is not what the step conserves
+        weights = 0.5 * np.add(*grid.block_cells(psi.size, bc))
+        lumped = [weights @ np.abs(p) ** 2 for p in (psi0, psi)]
+        assert abs(lumped[1] / lumped[0] - 1.0) > 1e-6
 
     def test_interior_maximum_is_refined(self):
         # W = 2e4 exp(-(x-3)^2/0.05): its maximum is inside (eps, L) and far
@@ -244,10 +281,10 @@ class TestGradedGrid:
                               base_w=bump, inv_f2=lambda x: np.ones_like(x))
         pot = FibrePotential(xi=0.0, profile=prof)
         dirichlet = BoundaryCondition.dirichlet()
-        uniform = endpoint_uniform(0.1, 6.0, pot)
+        uniform = endpoint_uniform(0.1, 9.0, pot)
         with pytest.raises(UsageError, match="does not resolve"):
             CrankNicolson(uniform, [pot(uniform.nodes)], [dirichlet], 1e-3)
-        graded = FibreGrid.resolved(0.1, 6.0, pot)
+        graded = FibreGrid.resolved(0.1, 9.0, pot)
         assert graded.resolution_margin(pot(graded.nodes)) <= 0.5
         CrankNicolson(graded, [pot(graded.nodes)], [dirichlet], 1e-3)
         near = np.abs(graded.nodes - 3.0) < 0.05
@@ -278,27 +315,10 @@ def scalar_march(eps, L, pot, cap, resolution):
     return np.array(gaps)
 
 
-def last_bit_step(resolution, cap):
-    """W = 1 below x = 1 and from there the least float that makes a cell
-    shorter than the cap, which an array evaluation reads one bit lower
-    (vectorised powers may round otherwise than scalar ones): a run that
-    trusts the array without a margin keeps cap cells the scalar step
-    shrinks."""
-    high = resolution / cap**2
-    while not math.sqrt(resolution / high) < cap:
-        high = math.nextafter(high, math.inf)
-    low = math.nextafter(high, 0.0)
-    assert low * cap**2 <= resolution  # the array reading passes without the margin
-
-    def pot(x):
-        return np.where(np.asarray(x) >= 1.0, low if np.ndim(x) else high, 1.0)
-
-    return pot
-
-
 class TestCapRuns:
-    """``_march`` lays runs of cap cells as arrays; the nodes are those of
-    the march one cell at a time."""
+    """The grids of every protocol, out to their cap cells, are those of the
+    plain march of ``scalar_march``: ``_march``'s guards (the node
+    estimate, the overflow check, the node ceiling) move no node."""
 
     @staticmethod
     def _both_ways(monkeypatch, build):
@@ -313,9 +333,7 @@ class TestCapRuns:
     @pytest.mark.parametrize("kind", ["sensitivity", "plane", "cylinder"])
     @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_nodes_match_the_scalar_march(self, monkeypatch, kind, alpha):
-        # sensitivity grids at res 0.04 (alpha 1.5 at xi 0.5 passes
-        # |W| = res/cap^2 before its wall, so a run ends on W) and envelope
-        # grids at res 0.5
+        # sensitivity grids at res 0.04 and envelope grids at res 0.5
         prof = power_law(alpha)
         if kind == "sensitivity":
             pot = FibrePotential(xi=0.5, profile=prof)
@@ -324,8 +342,8 @@ class TestCapRuns:
             axis = np.sort(_fft_frequencies(45, 16.0 / 45, kind))
             pot = _envelope(_fibres(prof, np.unique(np.abs(axis))))
             L, res = choose_outer_wall(FibrePotential(xi=0.0, profile=prof)), RESOLUTION_LIMIT
-        # alpha -2 envelope grids at eps 1e-3 grade 34k-68k cells one by one
-        # before the same runs as at 1e-2, a second of scalar reference
+        # alpha -2 envelope grids at eps 1e-3 grade 34k-68k cells, a second
+        # of reference march on top of the march itself
         cutoffs = (1e-1, 1e-2) if alpha == -2.0 and kind != "sensitivity" else (1e-1, 1e-2, 1e-3)
         for eps in cutoffs:
             for refine in (1, 2):
@@ -333,39 +351,38 @@ class TestCapRuns:
                     eps, L, pot, refine=refine, resolution=res))
                 assert got.size == want.size and np.array_equal(got, want), (eps, refine)
 
-    def test_doubtful_last_bit_goes_to_the_scalar_step(self, monkeypatch):
-        pot = last_bit_step(RESOLUTION_LIMIT, SPACING_CAP)
-        got, want = self._both_ways(monkeypatch, lambda: FibreGrid.resolved(0.1, 3.0, pot))
-        assert np.array_equal(got, want)
-        assert np.max(np.diff(want[want > 1.5])) < SPACING_CAP  # the step did shrink
 
-    def test_a_run_doubles_its_chunks(self):
-        # W = 1 everywhere: after the first cell, one run of 2,999 cap cells
-        scalar, chunks = [], []
+class TestConvergence:
+    """Orders of the discretisation, with bounds fixed before measuring."""
 
-        def flat(x):
-            (chunks if np.ndim(x) else scalar).append(np.size(x))
-            return np.ones_like(x)
+    def test_bulk_cap_halving_is_fourth_order(self):
+        # a packet moving at k = 5 on the flat fibre W = xi^2 = 9, far from
+        # the cutoff, on nested uniform grids of 119, 238 and 476 cells on
+        # [0.5, 10] (the first at about the cap), each solved exactly in
+        # time from the same nodal samples: the successive differences at
+        # the coarse nodes shrink 2^4 times.  A lumped W term or the
+        # consistent mass alone is second order.  (Where W varies, the
+        # symmetrised W leaves a smaller second-order term, and a unit M-norm
+        # rescales the data by 1 + O(h^2), so neither is used here.)
+        pot, bc, t = FibrePotential(xi=3.0, profile=power_law(0.0)), BoundaryCondition.dirichlet(), 0.1
+        finals = []
+        for cells in (119, 238, 476):
+            grid = FibreGrid.uniform(0.5, 10.0, cells - 1)
+            psi0 = np.exp(-((grid.nodes - 5.0) ** 2) / 0.18 + 5j * grid.nodes)
+            psi = spectral_map(grid, pot(grid.nodes), bc, lambda e: np.exp(-1j * t * e)) @ psi0
+            finals.append(psi[cells // 119 - 1::cells // 119])
+        coarse = FibreGrid.uniform(0.5, 10.0, 118)
+        steps = [math.sqrt(_mass_sumsq(coarse, a - b)) for a, b in zip(finals, finals[1:])]
+        assert 3.5 <= math.log2(steps[0] / steps[1]) <= 4.5
 
-        gaps = _march(1e-9, 30.0, flat, SPACING_CAP, RESOLUTION_LIMIT)
-        assert gaps.size == 3000 and np.all(gaps == SPACING_CAP)
-        assert len(scalar) == 2  # both ends of the first cell
-        # the node estimate, then 64, 128, ..., 2048 cells
-        assert chunks[1:] == [64 * 2**k for k in range(6)]
-
-    def test_runs_that_keep_breaking_stay_linear(self):
-        # |W| cap^2 inside the margin everywhere: every run keeps no cell and
-        # the scalar step lays it at the cap, so each cell costs one chunk
-        points = []
-
-        def band(x):
-            if np.ndim(x):
-                points.append(np.size(x))
-            return np.full(np.shape(x), RESOLUTION_LIMIT / SPACING_CAP**2 * (1.0 - 1e-13))
-
-        gaps = _march(0.1, 3.0, band, SPACING_CAP, RESOLUTION_LIMIT)
-        assert gaps.size == 291 and np.all(gaps == SPACING_CAP)
-        assert sum(points[1:]) == 64 * (gaps.size - 1)  # the node estimate first
+    def test_robin_closure_is_second_order_at_the_cutoff(self):
+        # D(1e-3) at xi 0.5, beta 1, alpha 1 under two halvings of the
+        # spacing (refine 1, 2, 4): the natural condition's successive
+        # differences shrink more than 3 times; the one-sided elimination of
+        # the boundary node shrinks them about 2 times
+        d = [bc_sensitivity(1.0, 0.5, 1.0, [1e-3], refine=refine).rows[0][1]
+             for refine in (1, 2, 4)]
+        assert abs(d[0] - d[1]) / abs(d[1] - d[2]) > 3.0
 
 
 class TestBoundaryCondition:
@@ -384,7 +401,7 @@ class TestUnitarity:
     def test_single_step_norm(self):
         grid, pot, psi0 = make_fibre(1.0, 1.0)
         psi, _ = evolve_fibre(grid, pot, BoundaryCondition.dirichlet(), psi0, 1e-3, 1e-3)
-        norms = [math.sqrt(float(grid.weights @ np.abs(p) ** 2)) for p in (psi0, psi)]
+        norms = [math.sqrt(_mass_sumsq(grid, p)) for p in (psi0, psi)]
         assert abs(norms[1] - norms[0]) <= 1e-10
 
     def test_step_matches_explicit_cayley_map(self):
@@ -401,35 +418,43 @@ class TestUnitarity:
 
         for grid in (endpoint_uniform(0.05, 6.0, pot),
                      FibreGrid.resolved(1e-3, 6.0, pot, resolution=0.04)):
-            w = pot(grid.nodes)
+            w, psi = fibre_block(grid, pot, bc, gaussian_packet(grid, center=0.5, width=0.2))
             dense = spectral_map(grid, w, bc, pade)
-            psi = gaussian_packet(grid, center=0.5, width=0.2)
             got = CrankNicolson(grid, [w], [bc], dt).step(psi)
             assert np.max(np.abs(got - dense @ psi)) <= 1e-12
             assert np.max(np.abs(got - psi)) > 1e-2  # the step does move the data
 
     def test_step_is_twice_the_solve_of_the_unscaled_factors(self):
-        # the stepper stores the factors of A/2 for each A = 1 + i dt H/a: on
-        # normal-range numbers each factor is bit for bit 2 A^{-1} psi - psi
-        # from A's own factors, and a step is the second after the first
+        # the stepper stores the factors of P/2 for each pencil P = M + i dt
+        # A/a: on normal-range numbers each factor is bit for bit
+        # 2 P^{-1} M psi - psi from P's own factors, and a step is the second
+        # after the first; the product M psi is the dense one
         from scipy.linalg import get_lapack_funcs
 
         grid, pot, _ = make_fibre(0.5, 0.5, eps=1e-3)
-        w, dt = pot(grid.nodes), DEFAULT_DT
-        psi = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, grid.n))
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
+        dt, rng = DEFAULT_DT, np.random.default_rng(3)
         for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)):
-            sub, main, sup = _hamiltonian_diagonals(grid, w, bc)
+            w = pot(grid.block_nodes(grid.n, bc))
+            psi = np.array([1.0, 1j]) @ rng.normal(size=(2, w.size))
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
+            (m_main, m_off), (a_main, a_off) = _hamiltonian_diagonals(grid, w, bc)
             stepper = CrankNicolson(grid, [w], [bc], dt)
+
+            def mass(v):
+                return stepper._mass(v, np.empty_like(v))
+
+            dense = dense_pencil(grid, w, bc)[0] @ psi
+            assert np.max(np.abs(mass(psi) - dense)) <= 1e-15 * np.max(np.abs(dense))
             expected = psi
             for shift, factors in zip(PADE_SHIFTS, stepper._factors):
                 z = dt * shift
-                *unscaled, info = gttrf(z * sub, 1.0 + z * main, z * sup)
-                solved, info_solve = gttrs(*unscaled, psi)
+                off = m_off + z * a_off
+                *unscaled, info = gttrf(off, m_main + z * a_main, off.copy())
+                solved, info_solve = gttrs(*unscaled, mass(psi))
                 assert info == info_solve == 0
                 got = stepper._cayley(factors, psi, np.empty_like(psi))
                 assert np.array_equal(got, 2.0 * solved - psi)
-                solved, _ = gttrs(*unscaled, expected)
+                solved, _ = gttrs(*unscaled, mass(expected))
                 expected = 2.0 * solved - expected
             assert np.array_equal(stepper.step(psi), expected)
 
@@ -438,15 +463,16 @@ class TestUnitarity:
         # discrete H: halving dt from 5e-3 cuts the error about 2^4 = 16
         # times (15.7), where Crank-Nicolson's cuts it 4 times; the norm stays
         pot = FibrePotential(xi=1.0, profile=power_law(1.0))
-        grid, bc, t = FibreGrid.resolved(0.05, 6.0, pot), BoundaryCondition.robin(1.0), 0.2
-        w, psi0 = pot(grid.nodes), gaussian_packet(grid)
+        grid = FibreGrid.resolved(0.05, 6.0, pot, refine=2)  # at least 100 nodes
+        bc, t = BoundaryCondition.robin(1.0), 0.2
+        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid))
         exact = spectral_map(grid, w, bc, lambda e: np.exp(-1j * t * e)) @ psi0
         errors = []
         for dt in (5e-3, 2.5e-3):
             (psi,), (sumsq,) = CrankNicolson(grid, [w], [bc], dt).evolve(
                 [psi0], round(t / dt), record=True)
             assert np.max(np.abs(np.sqrt(sumsq) - 1.0)) <= 1e-12
-            errors.append(math.sqrt(float(grid.weights @ np.abs(psi - exact) ** 2)))
+            errors.append(math.sqrt(_mass_sumsq(grid, psi - exact, bc)))
         assert 12.0 <= errors[0] / errors[1] <= 20.0
 
     def test_t_final_must_be_whole_steps(self):
@@ -462,7 +488,8 @@ class TestUnitarity:
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
     def test_thousand_steps(self, bc):
         grid, pot, psi0 = make_fibre(0.5, 0.5)
-        _, norms = evolve_fibre(grid, pot, bc, psi0, 1.0, 1e-3, record_norms=True)
+        _, norms = evolve_fibre(grid, pot, bc, _block_data(psi0, bc), 1.0, 1e-3,
+                                record_norms=True)
         assert norms.size == 1001
         assert np.max(np.abs(norms - norms[0])) <= 1e-6
         assert np.max(np.abs(np.diff(norms))) <= 1e-10
@@ -493,12 +520,10 @@ class TestUnitarity:
         prof = power_law(1.0)
         pot = FibrePotential(xi=1.0, profile=prof)
         grid = endpoint_uniform(0.05, 12.0, pot)
-        h = grid.h_max
         w = pot(grid.nodes)
-        main = 2.0 / h**2 + w
-        off = np.full(grid.n - 1, -1.0 / h**2)
-        evals, evecs = eigh_tridiagonal(main, off, select="i", select_range=(0, 0))
-        v0 = evecs[:, 0] / math.sqrt(h * float(np.sum(evecs[:, 0] ** 2)))
+        mass, a = dense_pencil(grid, w, BoundaryCondition.dirichlet())
+        evals, evecs = eigh(a, mass, subset_by_index=[0, 0])  # v^T M v = 1
+        v0 = evecs[:, 0]
         dt, nsteps = 1e-3, 500
         stepper = CrankNicolson(grid, [w], [BoundaryCondition.dirichlet()], dt)
         psi = v0.astype(complex)
@@ -525,16 +550,16 @@ class TestStackedStepper:
         grid = FibreGrid.resolved(0.05, 8.0, FibrePotential(xi=max(cls.XI), profile=prof))
         rng = np.random.default_rng(seed)
         w, data = [], []
-        for k, xi in zip(cls.LENGTHS, cls.XI):
-            k = k or grid.n
-            w.append(FibrePotential(xi=xi, profile=prof)(grid.nodes[:k]))
-            data.append(rng.normal(size=k) + 1j * rng.normal(size=k))
+        for k, xi, bc in zip(cls.LENGTHS, cls.XI, cls.BCS):
+            nodes = grid.block_nodes(k or grid.n, bc)  # after eps under Robin
+            w.append(FibrePotential(xi=xi, profile=prof)(nodes))
+            data.append(rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size))
         return grid, w, data
 
     @staticmethod
     def _alone(grid, w, data, bc, nsteps):
         """Every block on a stepper of its own."""
-        runs = [CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3)
+        runs = [CrankNicolson(block_grid(grid, v.size - b.lead), [v], [b], 1e-3)
                 .evolve([p], nsteps, record=True) for v, p, b in zip(w, data, bc)]
         return [s for (s,), _ in runs], [t for _, (t,) in runs]
 
@@ -548,14 +573,15 @@ class TestStackedStepper:
             assert np.array_equal(got, want)
         for got, want in zip(traces, expected_traces):
             assert np.array_equal(got, want)
-        # each trace sums the block's own weighted squares, in some order
-        for got, state in zip(traces[:, -1], states):
-            want = float(block_grid(grid, state.size).weights @ np.abs(state) ** 2)
+        # each trace is the block's own norm psi^* M psi, in some order
+        for got, state, bc in zip(traces[:, -1], states, self.BCS):
+            want = _mass_sumsq(block_grid(grid, state.size - bc.lead), state, bc)
             assert got == pytest.approx(want, rel=1e-13)
         # one step of the stacked vector, block by block
         stacked = stepper.step(np.concatenate(data))
-        singles = np.concatenate([CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3).step(p)
-                                  for v, p, b in zip(w, data, self.BCS)])
+        singles = np.concatenate([
+            CrankNicolson(block_grid(grid, v.size - b.lead), [v], [b], 1e-3).step(p)
+            for v, p, b in zip(w, data, self.BCS)])
         assert np.array_equal(stacked, singles)
 
     @pytest.mark.parametrize("perturb", ["data", "potential", "condition"])
@@ -586,6 +612,23 @@ class TestStackedStepper:
             assert all(s.base is buffer for s in states)
             fresh, _ = CrankNicolson(grid, w, self.BCS, 1e-3).evolve(data, nsteps)
             assert all(np.array_equal(s, f) for s, f in zip(states, fresh))
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.5)])
+    def test_work_counts_every_solve(self, stepper_sizes, bc):
+        # a step solves each block twice: node-solves are twice the steps
+        # times the unknowns the steppers hold, Robin nodes at eps included
+        prof, grid, psi0 = TestPlaneEvolution._stiff_plane()
+        work = evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=2).work
+        blocks, unknowns = map(sum, zip(*stepper_sizes))
+        assert (blocks, len(stepper_sizes)) == (work["fibres_stepped"], 2)
+        assert work["node_solves"] == 2 * work["steps"] * unknowns == 2 * work["node_steps"]
+        assert work["solves"] == 2 * work["steps"] * blocks
+        stepper_sizes.clear()
+        r = bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2], beta=0.5)
+        assert [size for _, size in stepper_sizes] == [2 * g["n"] + 1 for g in r.grids]
+        unknowns = sum(size for _, size in stepper_sizes)
+        assert r.work == {"steps": 2, "node_steps": 2 * unknowns, "solves": 2 * 2 * 4,
+                          "node_solves": 2 * 2 * unknowns}
 
     def test_block_validation(self):
         grid, w, data = self._blocks()
@@ -620,15 +663,14 @@ class TestTransforms:
         assert hat.norm() == pytest.approx(self.psi.norm(prof0), abs=1e-12)
 
     def test_norms_agree_across_representations(self):
-        # oracle: direct quadrature of |psi|^2 f(x) dx dy vs flat sum
+        # oracle: direct quadrature of |psi|^2 f(x) dx dy, f = 1/x, with
+        # Numerov's mass h (1, 10, 1)/12 on the uniform grid, vs flat sum
         grid = endpoint_uniform(0.05, 12.0, self.pot)
         psi = self.bump(grid)
-        x = grid.nodes
-        direct = math.sqrt(
-            grid.h_max
-            * (self.y[1] - self.y[0])
-            * float(np.sum(np.abs(psi.values) ** 2 * (1.0 / x)[:, None]))
-        )
+        u = psi.values / np.sqrt(grid.nodes)[:, None]
+        quadrature = (10.0 * np.sum(np.abs(u) ** 2)
+                      + 2.0 * np.sum((u[:-1].conj() * u[1:]).real)) * grid.h_max / 12.0
+        direct = math.sqrt((self.y[1] - self.y[0]) * float(quadrature))
         hat = to_transformed(psi, self.prof)
         assert hat.norm() == pytest.approx(direct, rel=1e-8)
 
@@ -776,7 +818,7 @@ class TestPlaneEvolution:
         values[:, psi0.axis < 0] *= np.exp(0.1j)
         return replace(psi0, values=values)
 
-    @pytest.mark.parametrize("twins, stepped, nodes", [(True, 23, 19593), (False, 45, 36187)])
+    @pytest.mark.parametrize("twins, stepped, nodes", [(True, 23, 5364), (False, 45, 10082)])
     def test_each_distinct_fibre_is_stepped_once(self, stacked_blocks, twins, stepped, nodes):
         # the standard data is even in xi, so each xi > 0 fibre repeats the
         # block and the data of its mirror fibre
@@ -788,7 +830,8 @@ class TestPlaneEvolution:
         lengths = [n for stack in stacked_blocks for n in stack]
         assert (len(lengths), sum(lengths)) == (stepped, nodes)
         assert res.work == {"fibres": 45, "fibres_stepped": stepped, "steps": 5,
-                            "node_steps": 5 * sum(lengths)}
+                            "node_steps": 5 * sum(lengths), "solves": 2 * 5 * stepped,
+                            "node_solves": 2 * 5 * sum(lengths)}
         mirrored = np.array_equal(res.final.values, res.final.values[:, ::-1])
         assert mirrored == twins
 
@@ -881,10 +924,11 @@ class TestPlaneEvolution:
     @staticmethod
     def _stiff_plane(center=2.0):
         # the |xi| = 3, 6 fibres turn near x = 4.2 and x = 2.1, so their
-        # walls move in from L = 12 to about 6.3 and 4 (choose_outer_wall's floor)
+        # walls move in from L = 12 to about 6.3 and 4 (choose_outer_wall's
+        # floor); the grid is refined so that a block's 100 nodes end before 4
         prof = power_law(1.0)
         axis = np.array([-6.0, -3.0, 0.0, 3.0, 6.0])
-        grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof))
+        grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof), refine=2)
         g = np.exp(-((grid.nodes - center) ** 2) / (2.0 * 0.3**2))
         vals = np.outer(g, np.exp(-(axis**2) / 8.0)).astype(complex)
         psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
@@ -1020,19 +1064,22 @@ class TestBcSensitivity:
         eps, beta, dt = 1e-2, 1.0, 1e-3
         pot = FibrePotential(xi=0.5, profile=power_law(alpha))
         grid = endpoint_uniform(eps, choose_outer_wall(pot), pot, SENSITIVITY_RESOLUTION)
-        w, psi0 = pot(grid.nodes), gaussian_packet(grid)
+        dirichlet, robin = BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta)
         finals = [CrankNicolson(grid, [w], [bc], dt).evolve([psi0], 1000)[0][0]
-                  for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))]
-        d_uniform = math.sqrt(float(grid.weights @ np.abs(finals[0] - finals[1]) ** 2))
+                  for bc in (dirichlet, robin)
+                  for w, psi0 in [fibre_block(grid, pot, bc, gaussian_packet(grid))]]
+        d_uniform = math.sqrt(_mass_sumsq(grid, finals[1] - _block_data(finals[0], robin), robin))
         r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
         assert r.grids[0]["n"] < grid.n / 2
         assert r.rows[0][1] == pytest.approx(d_uniform, rel=0.01)
 
     def test_grids_recorded(self):
         r = bc_sensitivity(1.5, 0.5, 0.1, [1e-1, 1e-3])
-        assert [g["n"] for g in r.grids] == [1169, 1243]
+        assert [g["n"] for g in r.grids] == [515, 606]
         for g in r.grids:
-            assert 0.0 < g["h_min"] <= g["h_max"] <= SPACING_CAP
+            # cap cells past x = 16 are not spaced exactly, so h_max may
+            # exceed the cap by rounding
+            assert 0.0 < g["h_min"] <= g["h_max"] <= SPACING_CAP * (1.0 + 1e-12)
             assert 0.0 < g["resolution_margin"] <= SENSITIVITY_RESOLUTION
         assert r.grids[1]["h_min"] < 0.02 * r.grids[0]["h_min"]
 
@@ -1062,14 +1109,14 @@ class TestBcSensitivity:
         assert pool_sizes == [3]
 
     def test_first_contaminated_cutoff_in_eps_order_raises(self, monkeypatch):
-        # free flight to t = 1.2 leaves 3.6e-7 to 4.3e-7 of the mass at the
-        # wall, by cutoff: under a limit of 4e-7 the first two cutoffs are
-        # clean (3.58e-7, 3.82e-7) and the last two contaminated (4.20e-7,
-        # 4.27e-7), the last one more
+        # free flight to t = 1.2 leaves 3.3e-7 to 3.7e-7 of the mass at the
+        # wall, by cutoff: under a limit of 3.65e-7 the first two cutoffs are
+        # clean (3.33e-7, 3.59e-7) and the last two contaminated (3.69e-7,
+        # 3.70e-7), the last one more
         import grushinlab.evolution as evolution
 
-        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 4e-7)
-        eps_grid = [0.05, 0.03, 0.01, 0.005]
+        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.65e-7)
+        eps_grid = [0.05, 0.03, 0.015, 0.0075]
         alone = []
         for eps in eps_grid:
             try:
@@ -1081,4 +1128,4 @@ class TestBcSensitivity:
         with pytest.raises(ProtocolError) as caught:
             bc_sensitivity(0.0, 0.0, 1.2, eps_grid)
         assert str(caught.value) == alone[2]
-        assert str(caught.value).startswith("cutoff eps=0.01: its outer wall at L=")
+        assert str(caught.value).startswith("cutoff eps=0.015: its outer wall at L=")
