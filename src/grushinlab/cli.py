@@ -578,7 +578,6 @@ def _evolve_plane(read, out) -> int:
     spath = _write_csv(os.path.join(out, "density.csv"), ["density"], [density.ravel()],
                        {**config, "x": grid.nodes, "y": original.axis})
 
-    near_cutoff = grid.nodes < 0.05
     document = {
         "config": config,
         "grid": result.grid,
@@ -586,10 +585,7 @@ def _evolve_plane(read, out) -> int:
         "norm_after": result.norm_after,
         "norm_drift": result.norm_drift,
         "wall_mass": result.wall_mass,
-        "boundary_mass_below_0.05": float(
-            result.final.daxis * np.sum(grid.weights[near_cutoff, None]
-                                         * np.abs(result.final.values[near_cutoff]) ** 2)
-        ),
+        "boundary_mass_below_0.05": result.boundary_mass,
         "work": result.work,
     }
     jpath = _write_json(os.path.join(out, "evolution.json"), document)
@@ -619,7 +615,6 @@ def _cmd_verify_deficiency(args) -> int:
         "max_residual": report.max_residual,
         "max_norm_error": report.max_norm_error,
         "max_cross_inner_product": report.max_cross_inner,
-        "family_norm_sq": report.family_norm_sq,
         "contradiction": report.contradiction,
         "nfev": report.nfev,
         "grid": report.grid,

@@ -33,9 +33,9 @@ are real symmetric and M is positive definite, so H is self-adjoint in
 the M inner product <u, v> = u^* M v, and every norm, distance and
 drift below is the norm psi^* M psi.  It differs from the L^2 norm of
 the nodal values by -(h^2/12) |psi'|^2 to leading order, so data of unit
-M-norm are nodal samples rescaled by 1 + O(h^2).  The wall-mass
-diagnostics stay lumped quadratures sum_j w_j |psi_j|^2, with the
-dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2.
+M-norm are nodal samples rescaled by 1 + O(h^2).  The mass diagnostics
+(wall, spectrum-edge, boundary) stay lumped quadratures sum_j w_j |psi_j|^2,
+with the dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2.
 
 Time stepping applies the (2,2) diagonal Pade approximant of e^{-i dt H},
 
@@ -205,9 +205,9 @@ class FibreGrid:
     x_0 = eps and x_{n+1} = L.  A block is the first k nodes under a
     condition at eps: its unknowns are those nodes, after x_0 itself under
     the natural Robin condition, and its cells the first k + 1, walled at
-    node k + 1.  ``weights`` are the lumped dual-cell lengths
-    w_j = (h_{j-1/2} + h_{j+1/2}) / 2, the quadrature of the wall-mass
-    diagnostics; the norms are those of the averaged mass.
+    node k + 1.  :meth:`block_weights` are a block's lumped dual-cell
+    lengths w_j = (h_{j-1/2} + h_{j+1/2}) / 2, the quadrature of every
+    mass diagnostic; the norms are those of the averaged mass.
     """
 
     eps: float
@@ -228,10 +228,6 @@ class FibreGrid:
     @cached_property
     def gaps(self) -> np.ndarray:
         return np.diff(np.concatenate(([self.eps], self.nodes, [self.L])))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return 0.5 * (self.gaps[:-1] + self.gaps[1:])
 
     @property
     def h_min(self) -> float:
@@ -255,6 +251,11 @@ class FibreGrid:
         right = self.gaps[1 - bc.lead:size + 1 - bc.lead]
         left = np.concatenate(([0.0], right[:-1])) if bc.lead else self.gaps[:size]
         return left, right
+
+    def block_weights(self, size: int, bc: BoundaryCondition = DIRICHLET) -> np.ndarray:
+        """The lumped dual cells (left + right)/2 of a block's ``size``
+        unknowns (:meth:`block_cells`): h_{1/2}/2 at the Robin node eps."""
+        return 0.5 * np.add(*self.block_cells(size, bc))
 
     def resolution_margin(self, w_values: np.ndarray, bc: BoundaryCondition = DIRICHLET) -> float:
         """max_j h_j^2 |W(x_j)| over the unknowns of a block, whose W are
@@ -603,11 +604,12 @@ def _standard_packet(grid: FibreGrid) -> np.ndarray:
     return gaussian_packet(grid)
 
 
-def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
-    """The lumped quadrature sum_j w_j |psi_j|^2 over the interior block of
-    len(psi) nodes, within 0.5 of its wall."""
-    near = grid.nodes[:psi.size] >= grid.wall(psi.size) - 0.5
-    return float(grid.weights[:psi.size][near] @ np.abs(psi[near]) ** 2)
+def _wall_mass(grid: FibreGrid, psi: np.ndarray, bc: BoundaryCondition) -> float:
+    """The lumped quadrature sum_j w_j |psi_j|^2 of a block's state ``psi``
+    under ``bc`` over its unknowns within 0.5 of its wall."""
+    k = psi.size - bc.lead
+    near = grid.block_nodes(k, bc) >= grid.wall(k) - 0.5
+    return float(grid.block_weights(psi.size, bc)[near] @ np.abs(psi[near]) ** 2)
 
 
 def _grid_record(steppers: Sequence[CrankNicolson]) -> dict:
@@ -732,7 +734,7 @@ def bc_sensitivity(
 
     rows, walls, drifts = [], [], []
     for eps, grid, (finals, sumsq) in zip(eps_list, grids, runs):
-        wall = max(_wall_mass(grid, psi[cond.lead:]) for psi, cond in zip(finals, bcs))
+        wall = max(_wall_mass(grid, psi, cond) for psi, cond in zip(finals, bcs))
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
             raise ProtocolError(
@@ -911,6 +913,7 @@ class PlaneEvolutionResult:
     grid: dict  # the shared x grid and the largest margin of a fibre's block
     spectrum_edge_mass: float = 0.0
     wall_mass: float = 0.0
+    boundary_mass: float = 0.0  # below x = 0.05, Robin nodes at eps included
 
     @property
     def norm_drift(self) -> float:
@@ -958,33 +961,28 @@ def _envelope(pots: Sequence[FibrePotential]):
     """The potential the shared grid resolves, for fibres of ascending |xi|:
     at x, the W of the largest |xi| whose wall (``choose_outer_wall``) lies
     beyond x, or of the smallest beyond every wall.  W_xi grows with |xi|,
-    so the walls do not, and this W bounds every fibre whose block holds x.
-    A float x counts the walls with ``bisect`` on lists, a few times
-    cheaper than numpy on one float, an array with numpy: the same W."""
-    from bisect import bisect_left
-
+    so the walls do not, and this W bounds every fibre at every node of its
+    block (:func:`_fibre_nodes`), a float x or an array alike."""
     profile = pots[0].profile
-    walls = [-choose_outer_wall(pot) for pot in pots]  # ascending
+    walls = -np.array([choose_outer_wall(pot) for pot in pots])  # ascending
     # entry k: the largest xi^2 of k fibres alive; entry 0: the smallest
-    squares = [pot.xi**2 for pot in pots[:1] + pots]
-    wall_array, square_array = np.array(walls), np.array(squares)
+    squares = np.array([pot.xi**2 for pot in pots[:1] + pots])
 
     def envelope(x):
         # the entry at the number of walls beyond x
-        if isinstance(x, float):
-            square = squares[bisect_left(walls, -x)]
-        else:
-            square = square_array[wall_array.searchsorted(-x)]
+        square = squares[walls.searchsorted(-x)]
         return profile.base_potential(x) + square * profile.inv_f_squared(x)
 
     return envelope
 
 
 def _fibre_nodes(grid: FibreGrid, pot: FibrePotential) -> int:
-    """The node count of the fibre's block, walled at the first node at or
-    past its own turning-point wall (``choose_outer_wall``); never fewer
-    than 100 nodes, and every node when that wall is not inside ``grid``."""
-    return min(max(100, int(np.searchsorted(grid.nodes, choose_outer_wall(pot)))), grid.n)
+    """The node count of the fibre's block: the nodes before its own
+    turning-point wall (``choose_outer_wall``), so the block is walled at
+    the first node at or past it and :func:`_envelope` bounds its W at
+    every node; every node when that wall is not inside ``grid``, and at
+    least one."""
+    return max(1, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
 
 
 def _contiguous_parts(sizes: Sequence[int], parts: int) -> list[range]:
@@ -1009,9 +1007,9 @@ def evolve_plane(
 ) -> PlaneEvolutionResult:
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
-    ``psi0.grid`` is the widest domain.  Each fibre is evolved on the
-    block of its first nodes that ends at its own turning-point wall, the
-    rule of the sensitivity protocol, and is zero beyond; a fibre whose
+    ``psi0.grid`` is the widest domain.  Each fibre is evolved on its
+    block, the nodes before its own turning-point wall (:func:`_fibre_nodes`,
+    the rule of the sensitivity protocol), and is zero beyond; a fibre whose
     wall lies at or beyond ``grid.L`` uses every node.  A fibre whose
     potential values and data (so its block) have the bytes of an earlier
     fibre's, the +-xi twins of even data, takes that fibre's final state
@@ -1030,12 +1028,13 @@ def evolve_plane(
     trace over the steps.  Every norm is the M-norm of the fibres' blocks,
     their Robin nodes at eps included; ``final`` holds the interior nodes.
 
-    The wall mass of a fibre is the lumped ``dxi sum_j w_j |psi_j|^2`` over
-    the last 0.5 before its wall at ``t_final``, plus any initial mass
-    beyond the wall;
-    the result records the largest.  A fibre whose wall mass exceeds 1e-8,
-    at its own turning-point wall or at ``grid.L``, raises
-    :class:`ProtocolError`.
+    Every mass is the lumped ``dxi sum_j w_j |psi_j|^2`` with the weights
+    of :meth:`FibreGrid.block_weights`.  The wall mass of a fibre sums its
+    block's unknowns in the last 0.5 before its wall at ``t_final``, plus
+    the initial mass beyond the wall; the result records the largest.  A
+    fibre whose wall mass exceeds 1e-8, at its own turning-point wall or at
+    ``grid.L``, raises :class:`ProtocolError`.  ``boundary_mass`` sums every
+    fibre's unknowns below x = 0.05 at ``t_final``, the Robin node included.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -1044,7 +1043,7 @@ def evolve_plane(
         raise UsageError("xi grid must be symmetric about 0")
     nsteps = _step_count(t_final, dt)
 
-    grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.weights
+    grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.block_weights(psi0.grid.n)
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in psi0.axis]
     sizes = [_fibre_nodes(grid, pot) for pot in pots]
     dens = np.abs(psi0.values) ** 2
@@ -1074,14 +1073,17 @@ def evolve_plane(
     finals = {m: run for part, (states, sumsq) in zip(parts, stacks)
               for m, run in zip(part, zip(states, sumsq))}
 
-    out = np.zeros(psi0.values.shape, dtype=complex)
+    # every fibre's block state, zero beyond its block: the Robin node eps first
+    out = np.zeros((bc.lead + grid.n, psi0.axis.size), dtype=complex)
     traces, wall_masses = [], []
     for m, k in enumerate(source):
         psi, trace = finals[k]
-        interior = psi[bc.lead:]
-        out[:interior.size, m] = interior
+        out[:psi.size, m] = psi
         traces.append(trace)
-        wall_masses.append(dxi * (_wall_mass(grid, interior) + beyond[m]))
+        wall_masses.append(dxi * (_wall_mass(grid, psi, bc) + beyond[m]))
+    near = grid.block_nodes(grid.n, bc) < 0.05
+    boundary = float(np.sum(grid.block_weights(out.shape[0], bc)[near, None]
+                            * np.abs(out[near]) ** 2))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
@@ -1093,13 +1095,14 @@ def evolve_plane(
     traces = np.column_stack(traces)
     fibre_norms = np.sqrt(dxi * traces[-1])
     return PlaneEvolutionResult(
-        final=replace(psi0, values=out),
+        final=replace(psi0, values=out[bc.lead:]),
         norm_before=psi0.norm(),
         norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,
         norm_trace=np.sqrt(dxi * np.sum(traces, axis=1)),
         spectrum_edge_mass=edge_mass,
         wall_mass=max(wall_masses),
+        boundary_mass=dxi * boundary,
         work={"fibres": len(sizes), "fibres_stepped": len(distinct), **_work(steppers, nsteps)},
         grid=_grid_record(steppers),
     )

@@ -599,7 +599,6 @@ class DeficiencyFamilyReport:
     max_residual: float = math.nan
     max_norm_error: float = math.nan
     max_cross_inner: float | None = None
-    family_norm_sq: float = math.nan
     contradiction: bool = False
     nfev: int = 0
     grid: dict = field(default_factory=dict, compare=False)
@@ -804,9 +803,6 @@ def verify_deficiency_family(
         max_res = max(max_res, res)
         max_norm_err = max(max_norm_err, norm_err)
 
-    # ||Phi_J||^2 = |J| once each fibre is normalised
-    family_norm_sq = float(np.trapezoid(np.ones_like(xi_values), xi_values))
-
     max_cross = None
     if other_interval is not None:
         # indicator overlap on the joint grid; disjoint supports give 0
@@ -820,7 +816,6 @@ def verify_deficiency_family(
         max_residual=max_res,
         max_norm_error=max_norm_err,
         max_cross_inner=max_cross,
-        family_norm_sq=family_norm_sq,
         contradiction=contradiction,
         nfev=nfev,
         grid={

@@ -326,7 +326,7 @@ def test_criterion_8b_time_error_at_the_default_dt():
     psi0 = standard_plane_data(profile, "plane", 0.01, 45, 2.0, 16.0)
     psi, ref = (evolve_plane(psi0, profile, 1.0, BoundaryCondition.dirichlet(), dt=dt,
                              jobs=2).final.values for dt in dts)
-    weights = psi0.grid.weights
+    weights = psi0.grid.block_weights(psi0.grid.n)
     diff, mass = weights @ np.abs(psi - ref) ** 2, weights @ np.abs(ref) ** 2
     total = math.sqrt(diff.sum() / mass.sum())
     heavy = mass > 1e-4 * mass.sum()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -512,6 +513,18 @@ def test_readme_config_example_runs(tmp_path):
     assert doc["alpha"] == float(parser["classify"]["alpha"])
 
 
+def test_readme_usage_commands_run(tmp_path, monkeypatch):
+    # every command of the usage block under "Command line", as written,
+    # in a directory of its own
+    (usage,) = [body for body in _readme_recipes("") if body.startswith("# essential")]
+    commands = [shlex.split(line) for line in usage.replace("\\\n", " ").splitlines()
+                if line.startswith("grushinlab ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command[1:]) == 0, command
+
+
 def test_readme_recipes_rebuild_the_outputs(tmp_path, monkeypatch):
     trajectory, density = _readme_recipes("python")
 
@@ -601,6 +614,13 @@ class TestEvolveCommand:
                      "--output-dir", str(tmp_path)]) == 0
         grid = read_json(tmp_path / "evolution.json")["grid"]
         assert grid["n"] == 1260 and grid["resolution_margin"] <= 0.5
+
+    def test_plane_at_alpha_half(self, tmp_path):
+        # the |xi| = 8.25 and 8.64 fibres step the 94 nodes before their
+        # wall at x = 4; past it the grid does not resolve their W
+        assert main(["evolve", "--protocol", "plane", "--alpha", "0.5", "--t-final", "0.01",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "evolution.json")["grid"]["resolution_margin"] <= 0.5
 
     def test_unresolvable_grid_fails_fast(self, tmp_path, capsys):
         # W = x^800 / 4 passes 1e240 inside the wall at 4: the node

@@ -149,7 +149,7 @@ class TestGrid:
         g = FibreGrid.uniform(0.1, 10.1, 999)
         assert g.gaps.size == 1000
         assert g.h_min == pytest.approx(0.01) and g.h_max == pytest.approx(0.01)
-        assert np.allclose(g.weights, 0.01)
+        assert np.allclose(g.block_weights(g.n), 0.01)
         assert g.nodes[0] == pytest.approx(0.11)
         assert g.nodes[-1] == pytest.approx(10.09)
 
@@ -194,7 +194,8 @@ class TestGradedGrid:
         assert g.h_min < cell_ratio * g.h_max  # graded: fine where |W| is large
         # and at most 60% of the nodes of the uniform grid sized by both ends
         assert g.n < 0.6 * endpoint_uniform(eps, L, pot, resolution / refine**2).n
-        assert np.sum(g.weights) == pytest.approx(L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
+        assert np.sum(g.block_weights(g.n)) == pytest.approx(
+            L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
 
     # the bc-sweep grids, and the envelope grids of the plane and cylinder
     # runs at alpha 1-3
@@ -293,8 +294,8 @@ class TestGradedGrid:
 
 
 def scalar_march(eps, L, pot, cap, resolution):
-    """The march one cell at a time, with no runs of cap cells: the
-    reference the runs must reproduce bit for bit."""
+    """``_march`` without its guards: the reference whose grids the guarded
+    march must reproduce bit for bit."""
 
     def local(x):
         w = abs(float(pot(x)))
@@ -316,9 +317,9 @@ def scalar_march(eps, L, pot, cap, resolution):
 
 
 class TestCapRuns:
-    """The grids of every protocol, out to their cap cells, are those of the
-    plain march of ``scalar_march``: ``_march``'s guards (the node
-    estimate, the overflow check, the node ceiling) move no node."""
+    """``_march``'s guards (the node estimate, the overflow check, the node
+    ceiling) move no node: the grids of every protocol are those of the
+    unguarded march of ``scalar_march``."""
 
     @staticmethod
     def _both_ways(monkeypatch, build):
@@ -756,6 +757,23 @@ class TestPlaneEvolution:
         assert np.array_equal(res.final.values[:, 0], fin)
         assert res.spectrum_edge_mass == pytest.approx(1.0)  # the one column is the edge
 
+    def test_boundary_mass_counts_the_robin_node(self):
+        # the lumped mass below x = 0.05 of the block's state, whose node eps
+        # (weight h_{1/2}/2) final.values leaves out
+        prof, robin = power_law(1.0), BoundaryCondition.robin(1.0)
+        pot = FibrePotential(xi=0.0, profile=prof)
+        grid = FibreGrid.resolved(0.01, 12.0, pot)
+        g = gaussian_packet(grid)
+        psi0 = PlaneWavefunction(values=g[:, None], grid=grid, axis=np.array([0.0]),
+                                 representation="transformed")
+        res = evolve_plane(psi0, prof, 0.2, robin, dt=1e-3)
+        fin, _ = evolve_fibre(grid, pot, robin, _block_data(g, robin), 0.2, 1e-3)
+        assert np.array_equal(res.final.values[:, 0], fin[1:])
+        near = grid.block_nodes(grid.n, robin) < 0.05
+        lumped = grid.block_weights(fin.size, robin)[near] * np.abs(fin[near]) ** 2
+        assert near[0] and lumped[0] > 1e-3 * lumped.sum() > 0.0
+        assert res.boundary_mass == pytest.approx(lumped.sum(), rel=1e-12)
+
     def test_cylinder_mode_norms_sum(self):
         prof = power_law(0.5)
         kmax = 3
@@ -915,9 +933,7 @@ class TestPlaneEvolution:
                                      axis=psi0.axis, representation="transformed")
             res = evolve_plane(psi0, prof, 1.0, BoundaryCondition.dirichlet(),
                                dt=2e-3)
-            zone = grid.nodes < 0.05
-            mass = float(np.sum(grid.weights[zone, None] * np.abs(res.final.values[zone]) ** 2))
-            masses.append(mass)
+            masses.append(res.boundary_mass)
             assert res.norm_drift <= 1e-6
         assert all(m < 1e-4 for m in masses)
 
@@ -925,7 +941,8 @@ class TestPlaneEvolution:
     def _stiff_plane(center=2.0):
         # the |xi| = 3, 6 fibres turn near x = 4.2 and x = 2.1, so their
         # walls move in from L = 12 to about 6.3 and 4 (choose_outer_wall's
-        # floor); the grid is refined so that a block's 100 nodes end before 4
+        # floor); the grid resolves the xi = 6 fibre at refine 2, so the
+        # |xi| = 6 blocks are the 157 nodes before 4 of its 1,244
         prof = power_law(1.0)
         axis = np.array([-6.0, -3.0, 0.0, 3.0, 6.0])
         grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof), refine=2)
@@ -973,6 +990,30 @@ class TestPlaneEvolution:
         assert result.grid == {"n": grid.n, "h_min": grid.h_min, "h_max": grid.h_max,
                                "resolution_margin": max(margins)}
         assert result.norm_drift <= 1e-6
+
+    @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
+    def test_standard_runs_step_each_fibre_before_its_own_wall(self, stacked_blocks, geometry):
+        # the 66 standard runs of each geometry to t = 0.01 all finish, and
+        # every block is the nodes before its fibre's own wall: no fewer,
+        # and none past it, where the envelope no longer bounds its W (at
+        # alpha 0.5, eps 0.01 the |xi| = 8.25 and 8.64 plane fibres have 94
+        # nodes before x = 4)
+        for alpha in (-2.0, -1.0, -0.5, 0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0):
+            prof = power_law(alpha)
+            for eps in (0.01, 0.05, 0.1):
+                psi0 = standard_plane_data(prof, geometry, eps, 45, 2.0, 16.0)
+                grid = psi0.grid
+                # the even data's distinct fibres are the first 23, xi <= 0
+                walls = [choose_outer_wall(pot) for pot in _fibres(prof, psi0.axis[:23])]
+                for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)):
+                    stacked_blocks.clear()
+                    res = evolve_plane(psi0, prof, 0.01, bc)
+                    assert res.wall_mass <= WALL_MASS_LIMIT and res.norm_drift <= 1e-12
+                    (sizes,) = stacked_blocks
+                    assert len(sizes) == len(walls)
+                    for size, wall in zip(sizes, walls):
+                        k = size - bc.lead
+                        assert grid.nodes[k - 1] < wall <= grid.wall(k), (alpha, eps, bc.kind)
 
     @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])

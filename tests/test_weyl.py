@@ -407,7 +407,6 @@ class TestDeficiencyFamily:
         assert report.max_residual <= 1e-6
         assert report.max_cross_inner <= 1e-10
         assert report.max_norm_error <= 1e-6
-        assert report.family_norm_sq == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.95, 0.99])
     def test_steep_fibres_pass_without_overflow(self, alpha):
