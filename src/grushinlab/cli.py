@@ -23,17 +23,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    InconclusiveClassification,
-    NumericError,
-    ProtocolError,
-    UsageError,
-)
+from .errors import InconclusiveClassification, NumericError, UsageError
 from .evolution import (
     DEFAULT_DT,
     BoundaryCondition,
@@ -222,16 +218,16 @@ _HELP = {
     "profile": "builtin custom profile name",
     "angles": "number of fan angles",
     "theta": "single launch angle instead of a fan",
-    "dt": "time step of every evolve protocol, a fourth-order unitary Pade step "
-          f"(default {DEFAULT_DT:g}); --t-final must be a whole number of steps",
-    "refine": "divides the local spacing of the sensitivity protocol's grid (default 1)",
+    "dt": "time step of every evolve protocol, a fourth-order unitary Pade step; "
+          "--t-final must be a whole number of steps",
+    "refine": "divides the local spacing of the sensitivity protocol's grid",
     "eps_grid": "comma list of strictly decreasing cutoffs",
-    "beta": "Robin parameter (default 1)",
+    "beta": "Robin parameter",
     "outer_wall": "widest outer wall of a plane or cylinder run; each fibre stops at its "
                   "own turning-point wall inside it",
     "jobs": "stacks of fibres a plane or cylinder run steps, each on a thread of its own "
             "(at most one per distinct fibre: equal fibres are stepped once)",
-    "interval": "xi interval a,b (default 0,1)",
+    "interval": "xi interval a,b",
     "other_interval": "disjoint interval for orthogonality",
 }
 
@@ -637,6 +633,7 @@ def _cmd_verify_deficiency(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each option's help names its table default."""
     parser = argparse.ArgumentParser(
         prog="grushinlab",
         description="confinement experiments on Grushin-type geometries",
@@ -649,9 +646,16 @@ def build_parser() -> argparse.ArgumentParser:
             ("evolve", _cmd_evolve, "fibre/plane Schroedinger evolution"),
             ("verify-deficiency", _cmd_verify_deficiency, "deficiency eigenfunction family")):
         p = sub.add_parser(command, help=text)
-        for name, (kind, *_) in {"config": (str,), "output_dir": (str,),
-                                 **_options(command)}.items():
-            p.add_argument(_flag(name), help=_HELP.get(name),
+        # no option name starts with '-' and a digit or '.', so such a token
+        # (-1e-3, -1,0) is the value of the flag before it; argparse alone
+        # takes only a plain negative number so
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        for name, (kind, default, *_) in {"config": (str, None), "output_dir": (str, None),
+                                          **_options(command)}.items():
+            help_text = _HELP.get(name)
+            if default is not None and default is not REQUIRED:
+                help_text = f"{help_text or ''} (default {default})".lstrip()
+            p.add_argument(_flag(name), help=help_text,
                            choices=kind if isinstance(kind, tuple) else None)
         p.set_defaults(func=func)
     return parser
@@ -668,7 +672,7 @@ def main(argv=None) -> int:
     except InconclusiveClassification as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (NumericError, ProtocolError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,14 +20,10 @@ class UsageError(GrushinError, ValueError):
 
 class NumericError(GrushinError, RuntimeError):
     """A numerical routine failed (an ODE solve that stopped, a grid that
-    resolves nothing, a non-finite output); the message says which, e.g.
-    the launch angle of a geodesic half or a fan's reference orbit."""
+    resolves nothing, a non-finite output, an outer wall the wave packet
+    reached); the message says which, e.g. the launch angle of a geodesic
+    half or a fan's reference orbit."""
 
 
 class InconclusiveClassification(GrushinError):
     """The endpoint classification routes disagree; no verdict is issued."""
-
-
-class ProtocolError(GrushinError, RuntimeError):
-    """A fixed experiment protocol detected self-inconsistency (e.g. the
-    outer wall of a truncated grid was reached by the wave packet)."""

@@ -25,17 +25,20 @@ pencil H = M^{-1} A.  On equal cells M is Numerov's operator h (1, 10,
 1)/12, and where W is constant the scheme is fourth order; where W
 varies, the symmetrised W leaves a second-order term proportional to
 h^2 (W'' u + 2 W' u') / 24, far below the lumped mass's dispersion error
-on the protocols' data.  The Dirichlet condition holds u_0 = 0; the
-Robin condition u'(eps) = beta u(eps) is natural: the node x_0 = eps is an
-unknown of its own, with the half cell's averaged mass and
-K_00 = 1/h_{1/2} + beta, which is second order at the cutoff.  M and A
-are real symmetric and M is positive definite, so H is self-adjoint in
-the M inner product <u, v> = u^* M v, and every norm, distance and
-drift below is the norm psi^* M psi.  It differs from the L^2 norm of
-the nodal values by -(h^2/12) |psi'|^2 to leading order, so data of unit
-M-norm are nodal samples rescaled by 1 + O(h^2).  The mass diagnostics
-(wall, spectrum-edge, boundary) stay lumped quadratures sum_j w_j |psi_j|^2,
-with the dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2.
+on the protocols' data.  The node x_0 = eps is an unknown under every
+condition, with the half cell's averaged mass, and the condition is its
+row of the pencil, nothing else.  The Robin condition u'(eps) = beta
+u(eps) is natural there, K_00 = 1/h_{1/2} + beta, which is second order
+at the cutoff.  The Dirichlet condition u_0 = 0 zeroes the row's
+couplings in M and in A: data that is 0 at eps stays exactly 0 through
+every step, and the other rows are those of the interior nodes alone.  M
+and A are real symmetric and M is positive definite, so H is self-adjoint
+in the M inner product <u, v> = u^* M v, and every norm, distance and
+drift below is the norm psi^* M psi.  It differs from the L^2 norm of the
+nodal values by -(h^2/12) |psi'|^2 at order h^2, so data of unit M-norm
+are nodal samples rescaled by 1 + O(h^2).  The mass diagnostics (wall,
+spectrum-edge, boundary) stay lumped quadratures sum_j w_j |psi_j|^2, with
+the dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2 (h_{-1/2} = 0).
 
 Time stepping applies the (2,2) diagonal Pade approximant of e^{-i dt H},
 
@@ -55,11 +58,11 @@ two Cayley transforms of the kind Crank-Nicolson (a = 2) takes once; at
 equal accuracy they allow a step several times longer.  Each factor is
 2 P^{-1} M - 1 with the pencil P = M + i dt A/a.  Fibres are
 independent, so :class:`CrankNicolson` steps a stack of them as one
-block-diagonal tridiagonal system.  A block is its node count k: the
-first k cells and nodes of the stack's grid, walled at node k + 1, after
-the node eps under Robin.  The couplings across the seams are zero, the
-pivoting never crosses a seam, and every block's numbers are bit for bit
-those of a stepper of its own.  For each root, the general tridiagonal
+block-diagonal tridiagonal system.  A block of size s is the first s
+points x_0 = eps, x_1, ..., x_{s-1} of the stack's grid and their cells,
+walled at x_s, under either condition.  The couplings across the seams
+are zero, the pivoting never crosses a seam, and every block's numbers
+are bit for bit those of a stepper of its own.  For each root, the general tridiagonal
 factorisation of half the stacked pencil, P/2, is done once per (grid,
 potentials, conditions, dt), in place: the halving is exact, so its
 solve is 2 P^{-1} b bit for bit and a factor is the tridiagonal product
@@ -78,15 +81,14 @@ solves release the GIL): the sensitivity protocol always runs one thread
 per cutoff, with no flag, and the plane protocol one per stack.
 
 ``bc_sensitivity`` is the confinement probe: evolve identical initial
-data (the Robin block's node eps starting at 0, the Dirichlet value)
-under Dirichlet-at-eps and Robin-at-eps and record the distance
+data (0 at the node eps) on two equal blocks, under Dirichlet-at-eps and
+Robin-at-eps, and record the distance
 
     D(eps) = || psi_Dirichlet(t_final) - psi_Robin(t_final) ||
 
-in the Robin block's M-norm, the Dirichlet state 0 at the node eps, as
-the cutoff is pushed towards the boundary.  In the confining regime
-the inner condition is asymptotically irrelevant and D collapses
-rapidly; outside it the collapse is measurably slower.
+in the blocks' M-norm as the cutoff is pushed towards the boundary.  In
+the confining regime the inner condition is asymptotically irrelevant and
+D collapses rapidly; outside it the collapse is measurably slower.
 
 Every protocol builds its grid with :meth:`FibreGrid.resolved`, whose
 cells follow the local size of W and grow by at most GRID_GROWTH from
@@ -115,7 +117,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ProtocolError, UsageError
+from .errors import NumericError, UsageError
 from .profiles import FibrePotential, GrushinProfile, power_law
 
 __all__ = [
@@ -187,27 +189,15 @@ class BoundaryCondition:
     def label(self) -> str:
         return self.kind if self.kind == "dirichlet" else f"robin(beta={self.beta:g})"
 
-    @property
-    def lead(self) -> int:
-        """The unknowns of a block before its first interior node: the node
-        x_0 = eps of the natural Robin condition, none under Dirichlet."""
-        return int(self.kind == "robin")
-
-
-DIRICHLET = BoundaryCondition("dirichlet")
-
 
 @dataclass(frozen=True, eq=False)
 class FibreGrid:
     """Interior nodes eps < x_1 < ... < x_n < L of the truncated half-line.
 
-    ``gaps`` are the n+1 cell lengths h_{j+1/2} = x_{j+1} - x_j, with
-    x_0 = eps and x_{n+1} = L.  A block is the first k nodes under a
-    condition at eps: its unknowns are those nodes, after x_0 itself under
-    the natural Robin condition, and its cells the first k + 1, walled at
-    node k + 1.  :meth:`block_weights` are a block's lumped dual-cell
-    lengths w_j = (h_{j-1/2} + h_{j+1/2}) / 2, the quadrature of every
-    mass diagnostic; the norms are those of the averaged mass.
+    ``points`` are x_0 = eps, the n nodes and x_{n+1} = L, and ``gaps``
+    the n+1 cell lengths h_{j+1/2} = x_{j+1} - x_j.  A block of size s,
+    under either condition at eps, has the unknowns ``points[:s]``, the
+    cells ``gaps[:s]`` (:meth:`cells`) and its wall at ``points[s]``.
     """
 
     eps: float
@@ -226,8 +216,12 @@ class FibreGrid:
         return self.nodes.size
 
     @cached_property
+    def points(self) -> np.ndarray:
+        return np.concatenate(([self.eps], self.nodes, [self.L]))
+
+    @cached_property
     def gaps(self) -> np.ndarray:
-        return np.diff(np.concatenate(([self.eps], self.nodes, [self.L])))
+        return np.diff(self.points)
 
     @property
     def h_min(self) -> float:
@@ -237,30 +231,16 @@ class FibreGrid:
     def h_max(self) -> float:
         return float(self.gaps.max())
 
-    def wall(self, k: int) -> float:
-        """The outer wall of the first k nodes: node k + 1, or L for all n."""
-        return self.L if k == self.n else float(self.nodes[k])
+    def cells(self, size: int):
+        """The cells left and right of each unknown of the block of
+        ``size``; eps has none on its left (length 0)."""
+        right = self.gaps[:size]
+        return np.concatenate(([0.0], right[:-1])), right
 
-    def block_nodes(self, k: int, bc: BoundaryCondition = DIRICHLET) -> np.ndarray:
-        """The x of the unknowns of the block of the first k nodes under ``bc``."""
-        return np.concatenate(([self.eps], self.nodes[:k])) if bc.lead else self.nodes[:k]
-
-    def block_cells(self, size: int, bc: BoundaryCondition = DIRICHLET):
-        """The cells left and right of each of a block's ``size`` unknowns;
-        the Robin node x_0 = eps has none on its left (length 0)."""
-        right = self.gaps[1 - bc.lead:size + 1 - bc.lead]
-        left = np.concatenate(([0.0], right[:-1])) if bc.lead else self.gaps[:size]
-        return left, right
-
-    def block_weights(self, size: int, bc: BoundaryCondition = DIRICHLET) -> np.ndarray:
-        """The lumped dual cells (left + right)/2 of a block's ``size``
-        unknowns (:meth:`block_cells`): h_{1/2}/2 at the Robin node eps."""
-        return 0.5 * np.add(*self.block_cells(size, bc))
-
-    def resolution_margin(self, w_values: np.ndarray, bc: BoundaryCondition = DIRICHLET) -> float:
+    def resolution_margin(self, w_values: np.ndarray) -> float:
         """max_j h_j^2 |W(x_j)| over the unknowns of a block, whose W are
         ``w_values``, h_j the larger of the two cells at x_j."""
-        h = np.maximum(*self.block_cells(len(w_values), bc))
+        h = np.maximum(*self.cells(len(w_values)))
         return float(np.max(h**2 * np.abs(w_values)))
 
     @classmethod
@@ -304,8 +284,8 @@ class FibreGrid:
             tail = gaps[head.size:]
             tail = tail * ((L - eps - head.sum()) / tail.sum())
             grid = cls(eps=eps, L=L, nodes=np.cumsum(np.concatenate(([eps], head, tail[:-1])))[1:])
-            ends = grid.gaps[[0, -1]] ** 2 * np.abs(pot(np.array([eps, L])))
-            margin = max(grid.resolution_margin(pot(grid.nodes)), *ends)
+            w = pot(grid.points)
+            margin = max(grid.resolution_margin(w[:-1]), grid.gaps[-1] ** 2 * abs(w[-1]))
             if margin <= limit:
                 return grid
             target *= limit / margin
@@ -372,46 +352,49 @@ def _node_estimate(eps, L, pot, cap, resolution) -> float:
     return float(np.diff(xs) @ np.divide(1.0, h, out=np.zeros_like(h), where=finite)[1:])
 
 
-def _mass_diagonals(grid: FibreGrid, size: int, bc: BoundaryCondition):
-    """Main and off diagonal of the averaged mass of a block of ``size``
-    unknowns: the mean of the lumped mass and the consistent one of linear
-    elements, tridiag(h/12, 5 (h_- + h_+)/12, h/12)."""
-    left, right = grid.block_cells(size, bc)
+def _mass_diagonals(grid: FibreGrid, size: int):
+    """Main and off diagonal of the averaged mass of the block of ``size``:
+    the mean of the lumped mass and the consistent one of linear elements,
+    tridiag(h/12, 5 (h_- + h_+)/12, h/12)."""
+    left, right = grid.cells(size)
     return (5.0 / 12.0) * (left + right), right[:-1] / 12.0
 
 
-def _mass_sumsq(grid: FibreGrid, psi: np.ndarray, bc: BoundaryCondition = DIRICHLET):
-    """psi^* M psi over a block's unknowns under ``bc``, for each column of
-    a two-dimensional ``psi``."""
-    main, off = _mass_diagonals(grid, len(psi), bc)
+def _mass_sumsq(grid: FibreGrid, psi: np.ndarray, start: int = 0):
+    """psi^* M psi of a block's state, for each column of a two-dimensional
+    ``psi`` on ``points[start:start + len(psi)]`` and 0 before: with
+    ``start`` 1, data on the nodes that is 0 at eps, summed over the nodes."""
+    main, off = _mass_diagonals(grid, start + len(psi))
+    main, off = main[start:], off[start:]
     return main @ (psi.real**2 + psi.imag**2) + (2.0 * off) @ (psi[:-1].conj() * psi[1:]).real
-
-
-def _block_data(psi: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Data on the first interior nodes as the state of a block under
-    ``bc``: a Robin block's node eps starts at 0, the Dirichlet value."""
-    return np.concatenate((np.zeros(bc.lead, dtype=complex), psi)) if bc.lead else psi
 
 
 def _hamiltonian_diagonals(grid: FibreGrid, w_values: np.ndarray, bc: BoundaryCondition):
     """The pencil of H = M^{-1} A on a block whose unknowns carry the
-    potential ``w_values``, as (main, off) diagonals of M and of A.
+    potential ``w_values``, as (main, off) diagonals of M and of A; the
+    one place that reads the condition at eps.
 
     M is the averaged mass and A = K + W the stiffness of linear elements
     plus the symmetrised potential, M_jj W_j on the diagonal and
     M_{j,j+1} (W_j + W_{j+1})/2 off it.  The Robin condition is natural:
     the node x_0 = eps gains beta on its diagonal, K_00 = 1/h_{1/2} + beta.
-    It is resolved as W is: h_{1/2}^2 beta^2 <= RESOLUTION_LIMIT."""
+    It is resolved as W is: h_{1/2}^2 beta^2 <= RESOLUTION_LIMIT.  The
+    Dirichlet condition zeroes the couplings of that row in M and A, so
+    each factor solves it to 0 from data 0 at eps, with no pivot and a
+    zero multiplier, and leaves the other rows' numbers those of the
+    interior nodes alone."""
     w = np.asarray(w_values, dtype=float)
-    left, right = grid.block_cells(w.size, bc)
-    if bc.lead and (right[0] * bc.beta) ** 2 > RESOLUTION_LIMIT:
+    left, right = grid.cells(w.size)
+    robin = bc.kind == "robin"
+    if robin and (right[0] * bc.beta) ** 2 > RESOLUTION_LIMIT:
         raise UsageError(f"Robin parameter beta={bc.beta:g} is not resolved by the first cell "
                          f"(h^2 beta^2 = {(right[0] * bc.beta) ** 2:.3g} > {RESOLUTION_LIMIT})")
     inv = 1.0 / right
-    inv_left = np.concatenate(([bc.beta], 1.0 / left[1:])) if bc.lead else 1.0 / left
-    m_main, m_off = _mass_diagonals(grid, w.size, bc)
-    a_main = inv_left + inv + m_main * w
+    m_main, m_off = _mass_diagonals(grid, w.size)
+    a_main = np.concatenate(([bc.beta if robin else 0.0], 1.0 / left[1:])) + inv + m_main * w
     a_off = m_off * (0.5 * (w[:-1] + w[1:])) - inv[:-1]
+    if not robin:
+        m_off[0] = a_off[0] = 0.0
     return (m_main, m_off), (a_main, a_off)
 
 
@@ -423,14 +406,16 @@ class CrankNicolson:
     callers and the benchmark's tracer know the stepper by it.
 
     ``w_values`` holds one array and ``bcs`` one condition per block:
-    block m is the first k nodes of ``grid`` walled at the next
-    (:meth:`FibreGrid.wall`), after the node eps under Robin, and
-    ``w_values[m]`` is W at its unknowns (:meth:`FibreGrid.block_nodes`),
+    ``w_values[m]`` is W at the unknowns of block m, ``grid.points[:s]``
+    for its size s (eps and at least one node), walled at ``points[s]``,
+    and only the pencil reads its condition (:func:`_hamiltonian_diagonals`),
     so a single fibre is a stack of one; each block's resolution margin is
-    checked once and kept in ``margins``.  The blocks form one tridiagonal
-    pencil whose couplings across the seams are zero, so the pivoting of
-    the factorisation never crosses a seam and each block's factors and
-    solves are bit for bit those of a stepper of its own.  A bare array
+    checked once and kept in ``margins``.  A state of a block is on its
+    unknowns; under Dirichlet it is 0 at eps and stays exactly 0.  The
+    blocks form one tridiagonal pencil whose couplings across the seams are
+    zero, so the pivoting of the factorisation never crosses a seam and
+    each block's factors and solves are bit for bit those of a stepper of
+    its own.  A bare array
     with a bare condition, the form perfbench's tracer test builds, is one
     block.
 
@@ -449,11 +434,11 @@ class CrankNicolson:
             w_values, bcs = [w_values], [bcs]
         if len(bcs) != len(w_values):
             raise UsageError(f"{len(bcs)} boundary conditions for {len(w_values)} blocks")
-        for w, cond in zip(w_values, bcs):
-            if not cond.lead < len(w) <= grid.n + cond.lead:
-                raise UsageError(f"a block of {len(w)} unknowns under {cond.label()} does not "
-                                 f"fit a grid of {grid.n}")
-        self.margins = [grid.resolution_margin(w, cond) for w, cond in zip(w_values, bcs)]
+        for w in w_values:
+            if not 1 < len(w) <= grid.n + 1:
+                raise UsageError(f"a block of {len(w)} unknowns does not fit a grid of "
+                                 f"{grid.n} nodes after eps")
+        self.margins = [grid.resolution_margin(w) for w in w_values]
         if max(self.margins) > RESOLUTION_LIMIT:
             raise UsageError(f"a block of the grid does not resolve the potential "
                              f"(max h^2 |W| = {max(self.margins):.3g} > {RESOLUTION_LIMIT})")
@@ -575,20 +560,21 @@ def _evolve_stacks(steppers: Sequence[CrankNicolson], data, nsteps: int, record:
 
 def evolve_fibre(grid: FibreGrid, pot: FibrePotential, bc: BoundaryCondition, psi: np.ndarray,
                  t_final: float, dt: float, record_norms: bool = False):
-    """Evolve one fibre, ``psi`` on its unknowns (``grid.block_nodes(grid.n,
-    bc)``), from t = 0 to ``t_final``, a stack of one block; returns (psi,
-    M-norm trace)."""
+    """Evolve one fibre, ``psi`` on the block of every node
+    (``grid.points[:-1]``, eps first: 0 there under Dirichlet), from t = 0
+    to ``t_final``, a stack of one block; returns (psi, M-norm trace)."""
     nsteps = _step_count(t_final, dt)
-    stepper = CrankNicolson(grid, [pot(grid.block_nodes(grid.n, bc))], [bc], dt)
+    stepper = CrankNicolson(grid, [pot(grid.points[:-1])], [bc], dt)
     (psi,), (sumsq,) = stepper.evolve([psi], nsteps, record_norms)
     return psi, np.sqrt(sumsq)
 
 
 def gaussian_packet(grid: FibreGrid, center: float = GAUSS_CENTER, width: float = GAUSS_WIDTH):
-    """Real Gaussian on the interior nodes, of unit M-norm."""
-    x = grid.nodes
-    psi = np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
-    nrm = math.sqrt(_mass_sumsq(grid, psi))
+    """Real Gaussian on the nodes and 0 at eps, of unit M-norm: a state of
+    the block of every node (``grid.points[:-1]``) under either condition."""
+    psi = np.zeros(grid.n + 1, dtype=complex)
+    psi[1:] = np.exp(-((grid.nodes - center) ** 2) / (2.0 * width**2))
+    nrm = math.sqrt(_mass_sumsq(grid, psi[1:], start=1))
     if nrm == 0.0:
         raise UsageError("Gaussian data vanishes on this grid")
     return psi / nrm
@@ -604,12 +590,11 @@ def _standard_packet(grid: FibreGrid) -> np.ndarray:
     return gaussian_packet(grid)
 
 
-def _wall_mass(grid: FibreGrid, psi: np.ndarray, bc: BoundaryCondition) -> float:
+def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
     """The lumped quadrature sum_j w_j |psi_j|^2 of a block's state ``psi``
-    under ``bc`` over its unknowns within 0.5 of its wall."""
-    k = psi.size - bc.lead
-    near = grid.block_nodes(k, bc) >= grid.wall(k) - 0.5
-    return float(grid.block_weights(psi.size, bc)[near] @ np.abs(psi[near]) ** 2)
+    over its unknowns within 0.5 of its wall."""
+    near = grid.points[:psi.size] >= grid.points[psi.size] - 0.5
+    return float(0.5 * np.add(*grid.cells(psi.size))[near] @ np.abs(psi[near]) ** 2)
 
 
 def _grid_record(steppers: Sequence[CrankNicolson]) -> dict:
@@ -691,12 +676,12 @@ def bc_sensitivity(
 
     For each eps in the (strictly decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
-    Robin(beta)-at-eps on the same grid (:meth:`FibreGrid.resolved` at
-    SENSITIVITY_RESOLUTION), and D(eps) is the discrete L^2 distance of
-    the two final states.  The outer wall is positioned so that boundary
-    mass at L stays below 1e-8; contamination raises
-    :class:`ProtocolError` naming the first contaminated cutoff in eps
-    order and its wall.  Every cutoff's grid, data and Dirichlet+Robin
+    Robin(beta)-at-eps on two equal blocks of the same grid
+    (:meth:`FibreGrid.resolved` at SENSITIVITY_RESOLUTION), and D(eps) is
+    the M-norm of the difference of the two final states.  The outer wall
+    is positioned so that boundary mass at L stays below 1e-8;
+    contamination raises :class:`NumericError` naming the first
+    contaminated cutoff in eps order and its wall.  Every cutoff's grid, data and Dirichlet+Robin
     stack are built on the calling thread, and the stacks are then stepped
     side by side, one thread per cutoff; each block's numbers are those of
     a stepper of its own, so the result does not depend on the threading.
@@ -711,7 +696,7 @@ def bc_sensitivity(
     if nsteps == 0:
         raise UsageError(f"evolution time {t_final:g} takes no steps of {dt:g}, "
                          "so D would be 0 at every cutoff")
-    # the two runs' blocks differ by the Robin node, so their solves round
+    # the two blocks differ in the row at eps, so their solves round
     # apart: a time that turns no component of the data by more than
     # rounding leaves a D of rounding alone
     if t_final * WALL_ENERGY <= np.finfo(float).eps:
@@ -721,28 +706,23 @@ def bc_sensitivity(
     pot = FibrePotential(xi=xi, profile=prof)
     L = choose_outer_wall(pot)
 
-    bcs = dirichlet, robin = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
+    bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
     grids = [FibreGrid.resolved(eps, L, pot, refine=refine, resolution=SENSITIVITY_RESOLUTION)
              for eps in eps_list]
     packets = [_standard_packet(grid) for grid in grids]
-    steppers = []
-    for grid in grids:
-        w = pot(grid.block_nodes(grid.n, robin))  # W(eps), then the interior nodes
-        steppers.append(CrankNicolson(grid, [w[1:], w], bcs, dt))
-    runs = _evolve_stacks(steppers, [[psi0, _block_data(psi0, robin)] for psi0 in packets],
-                          nsteps)
+    steppers = [CrankNicolson(grid, [pot(grid.points[:-1])] * 2, bcs, dt) for grid in grids]
+    runs = _evolve_stacks(steppers, [[psi0] * 2 for psi0 in packets], nsteps)
 
     rows, walls, drifts = [], [], []
     for eps, grid, (finals, sumsq) in zip(eps_list, grids, runs):
-        wall = max(_wall_mass(grid, psi, cond) for psi, cond in zip(finals, bcs))
+        wall = max(_wall_mass(grid, psi) for psi in finals)
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
-            raise ProtocolError(
+            raise NumericError(
                 f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is contaminated "
                 f"(mass {wall:.2e} > {WALL_MASS_LIMIT})"
             )
-        # in the Robin block's norm, the Dirichlet state 0 at the node eps
-        distance = math.sqrt(_mass_sumsq(grid, finals[1] - _block_data(finals[0], robin), robin))
+        distance = math.sqrt(_mass_sumsq(grid, finals[1] - finals[0]))
         if distance == 0.0:
             raise UsageError(f"cutoff eps={eps:g}: the Dirichlet and the Robin(beta={beta:g}) "
                              "runs end equal, so D is 0 and measures nothing")
@@ -828,7 +808,7 @@ class PlaneWavefunction:
             if profile is None:
                 raise UsageError("original-representation norm needs the profile")
             values = values * np.sqrt(np.asarray(profile.f(self.x), dtype=float))[:, None]
-        return math.sqrt(self.daxis * float(np.sum(_mass_sumsq(self.grid, values))))
+        return math.sqrt(self.daxis * float(np.sum(_mass_sumsq(self.grid, values, start=1))))
 
 
 def _check_finite(values):
@@ -913,7 +893,7 @@ class PlaneEvolutionResult:
     grid: dict  # the shared x grid and the largest margin of a fibre's block
     spectrum_edge_mass: float = 0.0
     wall_mass: float = 0.0
-    boundary_mass: float = 0.0  # below x = 0.05, Robin nodes at eps included
+    boundary_mass: float = 0.0  # below x = 0.05, eps included
 
     @property
     def norm_drift(self) -> float:
@@ -953,7 +933,7 @@ def standard_plane_data(profile: GrushinProfile, geometry: str, eps: float, ny: 
     with np.errstate(over="ignore"):
         env = np.exp(-(axis**2) / (2.0 * sigma_xi**2))
     env /= math.sqrt(dxi * float(np.sum(env**2)))
-    return PlaneWavefunction(values=np.outer(_standard_packet(grid), env), grid=grid,
+    return PlaneWavefunction(values=np.outer(_standard_packet(grid)[1:], env), grid=grid,
                              axis=axis, representation=TRANSFORMED, geometry=geometry, y0=y0)
 
 
@@ -962,7 +942,7 @@ def _envelope(pots: Sequence[FibrePotential]):
     at x, the W of the largest |xi| whose wall (``choose_outer_wall``) lies
     beyond x, or of the smallest beyond every wall.  W_xi grows with |xi|,
     so the walls do not, and this W bounds every fibre at every node of its
-    block (:func:`_fibre_nodes`), a float x or an array alike."""
+    block (:func:`_fibre_size`), a float x or an array alike."""
     profile = pots[0].profile
     walls = -np.array([choose_outer_wall(pot) for pot in pots])  # ascending
     # entry k: the largest xi^2 of k fibres alive; entry 0: the smallest
@@ -976,13 +956,13 @@ def _envelope(pots: Sequence[FibrePotential]):
     return envelope
 
 
-def _fibre_nodes(grid: FibreGrid, pot: FibrePotential) -> int:
-    """The node count of the fibre's block: the nodes before its own
+def _fibre_size(grid: FibreGrid, pot: FibrePotential) -> int:
+    """The size of the fibre's block: eps and the nodes before its own
     turning-point wall (``choose_outer_wall``), so the block is walled at
     the first node at or past it and :func:`_envelope` bounds its W at
     every node; every node when that wall is not inside ``grid``, and at
     least one."""
-    return max(1, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
+    return 1 + max(1, int(np.searchsorted(grid.nodes, choose_outer_wall(pot))))
 
 
 def _contiguous_parts(sizes: Sequence[int], parts: int) -> list[range]:
@@ -1008,9 +988,10 @@ def evolve_plane(
     """Evolve a transformed wavefunction fibre by fibre to ``t_final``.
 
     ``psi0.grid`` is the widest domain.  Each fibre is evolved on its
-    block, the nodes before its own turning-point wall (:func:`_fibre_nodes`,
-    the rule of the sensitivity protocol), and is zero beyond; a fibre whose
-    wall lies at or beyond ``grid.L`` uses every node.  A fibre whose
+    block, eps and the nodes before its own turning-point wall
+    (:func:`_fibre_size`, the rule of the sensitivity protocol), and is
+    zero beyond; a fibre whose wall lies at or beyond ``grid.L`` uses every
+    node.  A fibre whose
     potential values and data (so its block) have the bytes of an earlier
     fibre's, the +-xi twins of even data, takes that fibre's final state
     and trace.  The distinct fibres are independent blocks of
@@ -1025,16 +1006,16 @@ def evolve_plane(
     The xi grid must be symmetric about zero (odd FFT size); mass in the
     outermost frequency bins must be negligible for the assembly to
     represent the plane faithfully, and is recorded, as is the total-norm
-    trace over the steps.  Every norm is the M-norm of the fibres' blocks,
-    their Robin nodes at eps included; ``final`` holds the interior nodes.
+    trace over the steps.  The data is 0 at eps; every norm is the M-norm
+    of the fibres' blocks, eps included, and ``final`` holds the nodes.
 
-    Every mass is the lumped ``dxi sum_j w_j |psi_j|^2`` with the weights
-    of :meth:`FibreGrid.block_weights`.  The wall mass of a fibre sums its
+    Every mass is the lumped ``dxi sum_j w_j |psi_j|^2`` with the dual cells
+    w_j of :meth:`FibreGrid.cells`.  The wall mass of a fibre sums its
     block's unknowns in the last 0.5 before its wall at ``t_final``, plus
     the initial mass beyond the wall; the result records the largest.  A
     fibre whose wall mass exceeds 1e-8, at its own turning-point wall or at
-    ``grid.L``, raises :class:`ProtocolError`.  ``boundary_mass`` sums every
-    fibre's unknowns below x = 0.05 at ``t_final``, the Robin node included.
+    ``grid.L``, raises :class:`NumericError`.  ``boundary_mass`` sums every
+    fibre's unknowns below x = 0.05 at ``t_final``, eps included.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -1043,19 +1024,23 @@ def evolve_plane(
         raise UsageError("xi grid must be symmetric about 0")
     nsteps = _step_count(t_final, dt)
 
-    grid, dxi, weights = psi0.grid, psi0.daxis, psi0.grid.block_weights(psi0.grid.n)
+    grid, dxi = psi0.grid, psi0.daxis
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in psi0.axis]
-    sizes = [_fibre_nodes(grid, pot) for pot in pots]
-    dens = np.abs(psi0.values) ** 2
-    column_mass = weights @ dens
-    beyond = [float(weights[k:] @ dens[k:, m]) for m, k in enumerate(sizes)]
+    sizes = [_fibre_size(grid, pot) for pot in pots]
+    # every fibre's column on the points before L: its data, 0 at eps, and
+    # then its final state, 0 beyond its block
+    out = np.zeros((grid.n + 1, psi0.axis.size), dtype=complex)
+    out[1:] = psi0.values
+    weights, dens = 0.5 * np.add(*grid.cells(grid.n + 1)), np.abs(out) ** 2
+    column_mass = weights[1:] @ dens[1:]
+    beyond = [float(weights[s:] @ dens[s:, m]) for m, s in enumerate(sizes)]
     del dens
     total = float(np.sum(column_mass))
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
 
-    w_values = [pot(grid.block_nodes(k, bc)) for pot, k in zip(pots, sizes)]
-    columns = [_block_data(psi0.values[:k, m], bc) for m, k in enumerate(sizes)]
+    w_values = [pot(grid.points[:s]) for pot, s in zip(pots, sizes)]
+    columns = [out[:s, m] for m, s in enumerate(sizes)]
     # fibre m copies the first fibre whose potential values and data, and
     # so its block, are its own bit for bit (the +-xi twins of even data)
     first = {}
@@ -1073,29 +1058,27 @@ def evolve_plane(
     finals = {m: run for part, (states, sumsq) in zip(parts, stacks)
               for m, run in zip(part, zip(states, sumsq))}
 
-    # every fibre's block state, zero beyond its block: the Robin node eps first
-    out = np.zeros((bc.lead + grid.n, psi0.axis.size), dtype=complex)
+    out[:] = 0.0
     traces, wall_masses = [], []
     for m, k in enumerate(source):
         psi, trace = finals[k]
         out[:psi.size, m] = psi
         traces.append(trace)
-        wall_masses.append(dxi * (_wall_mass(grid, psi, bc) + beyond[m]))
-    near = grid.block_nodes(grid.n, bc) < 0.05
-    boundary = float(np.sum(grid.block_weights(out.shape[0], bc)[near, None]
-                            * np.abs(out[near]) ** 2))
+        wall_masses.append(dxi * (_wall_mass(grid, psi) + beyond[m]))
+    near = grid.points[:-1] < 0.05
+    boundary = float(np.sum(weights[near, None] * np.abs(out[near]) ** 2))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
-        raise ProtocolError(
-            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={grid.wall(sizes[worst]):.4g} "
+        raise NumericError(
+            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={grid.points[sizes[worst]]:.4g} "
             f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
         )
 
     traces = np.column_stack(traces)
     fibre_norms = np.sqrt(dxi * traces[-1])
     return PlaneEvolutionResult(
-        final=replace(psi0, values=out[bc.lead:]),
+        final=replace(psi0, values=out[1:]),
         norm_before=psi0.norm(),
         norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,

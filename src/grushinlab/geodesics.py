@@ -36,7 +36,8 @@ and the fall time x_t a B(a, 1/2) from x_t to x = 0,
 Near the vertical (s^2 > 0.9) s^2 has lost the digits of cos^2 theta, and
 scipy's hyp2f1 returns nan there once a >= 171; so there both times are
 read from I_{cos^2 theta}(1/2, a), the share of the fall spent above x0:
-the fall times 1 - I inward and 1 + I outward.
+the fall times 1 - I inward and 1 + I outward.  At alpha = 1 the inward
+1 - I is the arcsine law (2/pi) acos |cos theta|.
 
 The ODE route detects the boundary with a terminal event at a small
 floor X_STOP and extrapolates the remaining X_STOP / |P_x| of travel;
@@ -359,6 +360,8 @@ def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
         return 2.0 * fall - inward
     if c > 0.0:
         return fall * (1.0 + float(betainc(0.5, a, c * c)))
+    if a == 0.5:  # scipy's betaincc(1/2, 1/2, x) is off by 1e-11 at small x
+        return fall * (2.0 / math.pi) * math.acos(-c)
     return fall * float(betaincc(0.5, a, c * c))
 
 

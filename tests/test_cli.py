@@ -25,7 +25,6 @@ from grushinlab.errors import (
     GrushinError,
     InconclusiveClassification,
     NumericError,
-    ProtocolError,
     UsageError,
 )
 from grushinlab.evolution import (
@@ -575,8 +574,8 @@ class TestEvolveCommand:
         assert last["n"] > first["n"] >= 100
         assert last["h_min"] < first["h_min"] <= first["h_max"] <= doc["config"]["spacing_cap"]
         assert 0.0 < last["resolution_margin"] <= doc["config"]["resolution"]
-        # two solves per step of each block, the Robin block with the node eps
-        unknowns = sum(2 * row["n"] + 1 for row in doc["rows"])
+        # two solves per step of each block, both with the node eps
+        unknowns = sum(2 * row["n"] + 2 for row in doc["rows"])
         assert doc["work"] == {"steps": 100, "node_steps": 100 * unknowns,
                                "solves": 2 * 100 * 4, "node_solves": 2 * 100 * unknowns}
         lines = (tmp_path / "bc_sensitivity.csv").read_text().splitlines()
@@ -670,8 +669,8 @@ class TestEvolveCommand:
                      "--ny", "16", "--output-dir", str(tmp_path)]) == 2
 
     def test_jobs_do_not_change_outputs(self, tmp_path):
-        # plane and cylinder, Dirichlet and Robin: the Robin blocks lead with
-        # the node eps, and the stack cuts fall between such blocks
+        # plane and cylinder, Dirichlet and Robin: every block starts at the
+        # node eps, and the stack cuts fall between such blocks
         for case in (["plane"], ["cylinder"], ["plane", "--bc", "robin"],
                      ["cylinder", "--bc", "robin", "--beta", "0.5"]):
             outputs = {}
@@ -864,6 +863,48 @@ def test_identical_configurations_write_identical_bytes(tmp_path, argv):
         assert main(argv + ["--output-dir", str(tmp_path / run)]) == 0
         outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "-1e-3"],
+    ["geodesics", "--alpha", "0.5", "--theta", "-1e-1"],
+    ["evolve", "--protocol", "sensitivity", "--alpha", "1", "--beta", "-2.5e-1",
+     "--eps-grid", "1e-1", "--t-final", "0.1"],
+    ["classify", "--alpha", "-2", "--xi-min", "-1e1", "--xi-max", "1e1", "--xi-step", "0.5"],
+    ["verify-deficiency", "--alpha", "0.5", "--interval", "-1,0"],
+], ids=["alpha", "theta", "beta", "xi-min", "interval"])
+def test_negative_values_in_e_notation_are_flag_values(tmp_path, capsys, argv):
+    # argparse alone takes -1e-3 or -1,0 for an option name; the run must
+    # write what the --flag=value spelling writes
+    joined = []
+    for token in argv:
+        if token.startswith("-") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    outputs = []
+    for run, spelling in (("spaced", argv), ("joined", joined)):
+        out = tmp_path / run
+        assert main(spelling + ["--output-dir", str(out)]) == 0, spelling
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((printed, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0][1] and outputs[0] == outputs[1]
+
+
+def test_help_names_every_table_default(capsys):
+    for command in cli._READS:
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        # one entry per option, its flags first and its help after them
+        text = capsys.readouterr().out.split("options:\n")[1]
+        entries = {entry.split()[0]: " ".join(entry.split())
+                   for entry in re.split(r"\n  (?=-)", text.strip("\n"))}
+        for name, (_, default, *_) in cli._options(command).items():
+            if default is None or default is cli.REQUIRED:
+                assert "(default" not in entries[cli._flag(name)], (command, name)
+            else:
+                assert entries[cli._flag(name)].endswith(f"(default {default})"), (command, name)
 
 
 def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -1117,7 +1158,7 @@ def _error_classes(cls=GrushinError):
 
 
 # the exit code the README documents for each error class
-EXIT_CODES = {UsageError: 2, NumericError: 3, ProtocolError: 3, InconclusiveClassification: 4}
+EXIT_CODES = {UsageError: 2, NumericError: 3, InconclusiveClassification: 4}
 
 
 @pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda cls: cls.__name__),
@@ -1152,11 +1193,13 @@ def _imported_with_cli(module):
     return out.strip()
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.integrate", "scipy.linalg", "scipy.special"])
 def test_import_leaves_out_scipy(module):
     # only the ODE routes need scipy.integrate, only evolve factorises with
     # scipy.linalg, and only the hit-time formula needs scipy.special; a
-    # command must not pay for importing what it does not run
+    # command must not pay for importing what it does not run.  scipy
+    # itself, which any of its modules loads, guards every one: they take
+    # about three times as long to import as the package
     assert _imported_with_cli(module) == "False"
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from grushinlab.errors import ProtocolError, UsageError
+from grushinlab.errors import NumericError, UsageError
 from grushinlab.evolution import (
     DEFAULT_DT,
     GRID_GROWTH,
@@ -20,8 +20,7 @@ from grushinlab.evolution import (
     _contiguous_parts,
     _envelope,
     _fft_frequencies,
-    _fibre_nodes,
-    _block_data,
+    _fibre_size,
     _hamiltonian_diagonals,
     _mass_sumsq,
     _node_estimate,
@@ -54,12 +53,12 @@ def endpoint_uniform(eps, L, pot, resolution=RESOLUTION_LIMIT):
     return FibreGrid.uniform(eps, L, max(100, math.ceil((L - eps) / h) - 1))
 
 
-def block_grid(grid, k):
-    """The block of the first k nodes of ``grid`` as a grid of its own, its
-    wall at node k + 1: the stand-alone reference of a stacked block."""
-    if k == grid.n:
+def block_grid(grid, size):
+    """The block of ``size`` of ``grid`` as a grid of its own, its wall at
+    ``points[size]``: the stand-alone reference of a stacked block."""
+    if size == grid.n + 1:
         return grid
-    return FibreGrid(grid.eps, L=float(grid.nodes[k]), nodes=grid.nodes[:k])
+    return FibreGrid(grid.eps, L=float(grid.points[size]), nodes=grid.nodes[:size - 1])
 
 
 def check_local_rule(g, pot, resolution):
@@ -70,7 +69,7 @@ def check_local_rule(g, pot, resolution):
     x = np.concatenate(([g.eps], g.nodes, [g.L]))
     h = np.concatenate(([g.gaps[0]], np.maximum(g.gaps[:-1], g.gaps[1:]), [g.gaps[-1]]))
     assert np.max(h**2 * np.abs(pot(x))) <= resolution
-    assert g.resolution_margin(pot(g.nodes)) <= resolution
+    assert g.resolution_margin(pot(g.points[:-1])) <= resolution
 
 
 @pytest.fixture
@@ -132,11 +131,6 @@ def spectral_map(grid, w, bc, r):
     return (vecs * r(evals)) @ vecs.T @ mass
 
 
-def fibre_block(grid, pot, bc, psi):
-    """W at the block's unknowns and the data as its state."""
-    return pot(grid.block_nodes(grid.n, bc)), _block_data(psi, bc)
-
-
 def make_fibre(alpha, xi, eps=0.05, L=12.0):
     """The grid, potential and standard Gaussian data of one fibre."""
     pot = FibrePotential(xi=xi, profile=power_law(alpha))
@@ -149,7 +143,7 @@ class TestGrid:
         g = FibreGrid.uniform(0.1, 10.1, 999)
         assert g.gaps.size == 1000
         assert g.h_min == pytest.approx(0.01) and g.h_max == pytest.approx(0.01)
-        assert np.allclose(g.block_weights(g.n), 0.01)
+        assert np.allclose(0.5 * np.add(*g.cells(g.n + 1))[1:], 0.01)  # the nodes' dual cells
         assert g.nodes[0] == pytest.approx(0.11)
         assert g.nodes[-1] == pytest.approx(10.09)
 
@@ -165,7 +159,7 @@ class TestGrid:
         pot = FibrePotential(xi=0.0, profile=power_law(2.0))
         g = FibreGrid.uniform(1e-3, 5.0, 200)  # far too coarse near eps
         with pytest.raises(UsageError):
-            CrankNicolson(g, [pot(g.nodes)], [BoundaryCondition.dirichlet()], 1e-3)
+            CrankNicolson(g, [pot(g.points[:-1])], [BoundaryCondition.dirichlet()], 1e-3)
 
 
 class TestGradedGrid:
@@ -194,7 +188,7 @@ class TestGradedGrid:
         assert g.h_min < cell_ratio * g.h_max  # graded: fine where |W| is large
         # and at most 60% of the nodes of the uniform grid sized by both ends
         assert g.n < 0.6 * endpoint_uniform(eps, L, pot, resolution / refine**2).n
-        assert np.sum(g.block_weights(g.n)) == pytest.approx(
+        assert np.sum(0.5 * np.add(*g.cells(g.n + 1))[1:]) == pytest.approx(
             L - eps - 0.5 * (g.gaps[0] + g.gaps[-1]))
 
     # the bc-sweep grids, and the envelope grids of the plane and cylinder
@@ -228,7 +222,7 @@ class TestGradedGrid:
         check_local_rule(grid, pot, RESOLUTION_LIMIT)
         bc = BoundaryCondition.dirichlet() if beta is None else BoundaryCondition.robin(beta)
         # data that reaches the cutoff
-        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid, center=eps + 0.5, width=0.2))
+        w, psi0 = pot(grid.points[:-1]), gaussian_packet(grid, center=eps + 0.5, width=0.2)
         stepper = CrankNicolson(grid, [w], [bc], 1e-3)
         _, (sumsq,) = stepper.evolve([psi0], 200, record=True)
         norms = np.sqrt(sumsq)
@@ -237,20 +231,24 @@ class TestGradedGrid:
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.7)])
     def test_uniform_diagonals_are_the_three_point_formula(self, bc):
         # Numerov's mass h (1, 10, 1)/12 and the three-point stiffness
-        # (-1, 2, -1)/h plus the symmetrised W; the natural Robin row at eps
-        # has half the mass and 1/h + beta
+        # (-1, 2, -1)/h plus the symmetrised W; the row at eps has half the
+        # mass and 1/h + beta under Robin, and no couplings under Dirichlet
         pot = FibrePotential(xi=1.0, profile=power_law(1.0))
         grid = endpoint_uniform(0.05, 8.0, pot)
-        h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.block_nodes(grid.n, bc))
+        h, w = (8.0 - 0.05) / (grid.n + 1), pot(grid.points[:-1])
         (m_main, m_off), (a_main, a_off) = _hamiltonian_diagonals(grid, w, bc)
         mass = np.full(w.size, 10.0 * h / 12.0)
         stiff = np.full(w.size, 2.0 / h)
-        if bc.kind == "robin":
-            mass[0], stiff[0] = 5.0 * h / 12.0, 1.0 / h + bc.beta
+        mass[0], stiff[0] = 5.0 * h / 12.0, 1.0 / h + bc.beta
+        if bc.kind == "dirichlet":
+            assert m_off[0] == a_off[0] == 0.0
+            m_off, a_off, w_off = m_off[1:], a_off[1:], w[1:]
+        else:
+            w_off = w
         assert np.max(np.abs(m_main / mass - 1.0)) <= 1e-12
         assert np.max(np.abs(m_off * 12.0 / h - 1.0)) <= 1e-12
         assert np.max(np.abs(a_main / (stiff + mass * w) - 1.0)) <= 1e-12
-        off = h / 12.0 * (w[:-1] + w[1:]) / 2.0 - 1.0 / h
+        off = h / 12.0 * (w_off[:-1] + w_off[1:]) / 2.0 - 1.0 / h
         assert np.max(np.abs(a_off / off - 1.0)) <= 1e-12
 
     def test_weighted_norm_conserved_on_graded_robin_grid(self):
@@ -259,15 +257,15 @@ class TestGradedGrid:
         pot, bc = FibrePotential(xi=0.5, profile=power_law(0.5)), BoundaryCondition.robin(1.0)
         grid = FibreGrid.resolved(1e-3, 8.0, pot, resolution=SENSITIVITY_RESOLUTION)
         # data that reaches the cutoff
-        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid, center=0.5, width=0.2))
+        w, psi0 = pot(grid.points[:-1]), gaussian_packet(grid, center=0.5, width=0.2)
         stepper = CrankNicolson(grid, [w], [bc], 1e-3)
         (psi,), (sumsq,) = stepper.evolve([psi0], 1000, record=True)
         norms = np.sqrt(sumsq)
         assert norms.size == 1001 and norms[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(norms - norms[0])) <= 1e-12
-        assert sumsq[-1] == pytest.approx(_mass_sumsq(grid, psi, bc), rel=1e-13)
+        assert sumsq[-1] == pytest.approx(_mass_sumsq(grid, psi), rel=1e-13)
         # the lumped norm, sum_j w_j |psi_j|^2, is not what the step conserves
-        weights = 0.5 * np.add(*grid.block_cells(psi.size, bc))
+        weights = 0.5 * np.add(*grid.cells(psi.size))
         lumped = [weights @ np.abs(p) ** 2 for p in (psi0, psi)]
         assert abs(lumped[1] / lumped[0] - 1.0) > 1e-6
 
@@ -284,10 +282,10 @@ class TestGradedGrid:
         dirichlet = BoundaryCondition.dirichlet()
         uniform = endpoint_uniform(0.1, 9.0, pot)
         with pytest.raises(UsageError, match="does not resolve"):
-            CrankNicolson(uniform, [pot(uniform.nodes)], [dirichlet], 1e-3)
+            CrankNicolson(uniform, [pot(uniform.points[:-1])], [dirichlet], 1e-3)
         graded = FibreGrid.resolved(0.1, 9.0, pot)
-        assert graded.resolution_margin(pot(graded.nodes)) <= 0.5
-        CrankNicolson(graded, [pot(graded.nodes)], [dirichlet], 1e-3)
+        assert graded.resolution_margin(pot(graded.points[:-1])) <= 0.5
+        CrankNicolson(graded, [pot(graded.points[:-1])], [dirichlet], 1e-3)
         near = np.abs(graded.nodes - 3.0) < 0.05
         assert np.max(graded.gaps[1:][near]) < 0.6 * SPACING_CAP
         assert graded.h_max == pytest.approx(SPACING_CAP, rel=1e-3)
@@ -369,9 +367,11 @@ class TestConvergence:
         finals = []
         for cells in (119, 238, 476):
             grid = FibreGrid.uniform(0.5, 10.0, cells - 1)
-            psi0 = np.exp(-((grid.nodes - 5.0) ** 2) / 0.18 + 5j * grid.nodes)
-            psi = spectral_map(grid, pot(grid.nodes), bc, lambda e: np.exp(-1j * t * e)) @ psi0
-            finals.append(psi[cells // 119 - 1::cells // 119])
+            x = grid.points[:-1]
+            psi0 = np.exp(-((x - 5.0) ** 2) / 0.18 + 5j * x)
+            psi0[0] = 0.0
+            psi = spectral_map(grid, pot(x), bc, lambda e: np.exp(-1j * t * e)) @ psi0
+            finals.append(psi[::cells // 119])  # eps and the coarse nodes
         coarse = FibreGrid.uniform(0.5, 10.0, 118)
         steps = [math.sqrt(_mass_sumsq(coarse, a - b)) for a, b in zip(finals, finals[1:])]
         assert 3.5 <= math.log2(steps[0] / steps[1]) <= 4.5
@@ -419,7 +419,7 @@ class TestUnitarity:
 
         for grid in (endpoint_uniform(0.05, 6.0, pot),
                      FibreGrid.resolved(1e-3, 6.0, pot, resolution=0.04)):
-            w, psi = fibre_block(grid, pot, bc, gaussian_packet(grid, center=0.5, width=0.2))
+            w, psi = pot(grid.points[:-1]), gaussian_packet(grid, center=0.5, width=0.2)
             dense = spectral_map(grid, w, bc, pade)
             got = CrankNicolson(grid, [w], [bc], dt).step(psi)
             assert np.max(np.abs(got - dense @ psi)) <= 1e-12
@@ -435,7 +435,7 @@ class TestUnitarity:
         grid, pot, _ = make_fibre(0.5, 0.5, eps=1e-3)
         dt, rng = DEFAULT_DT, np.random.default_rng(3)
         for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)):
-            w = pot(grid.block_nodes(grid.n, bc))
+            w = pot(grid.points[:-1])
             psi = np.array([1.0, 1j]) @ rng.normal(size=(2, w.size))
             gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi,))
             (m_main, m_off), (a_main, a_off) = _hamiltonian_diagonals(grid, w, bc)
@@ -466,14 +466,14 @@ class TestUnitarity:
         pot = FibrePotential(xi=1.0, profile=power_law(1.0))
         grid = FibreGrid.resolved(0.05, 6.0, pot, refine=2)  # at least 100 nodes
         bc, t = BoundaryCondition.robin(1.0), 0.2
-        w, psi0 = fibre_block(grid, pot, bc, gaussian_packet(grid))
+        w, psi0 = pot(grid.points[:-1]), gaussian_packet(grid)
         exact = spectral_map(grid, w, bc, lambda e: np.exp(-1j * t * e)) @ psi0
         errors = []
         for dt in (5e-3, 2.5e-3):
             (psi,), (sumsq,) = CrankNicolson(grid, [w], [bc], dt).evolve(
                 [psi0], round(t / dt), record=True)
             assert np.max(np.abs(np.sqrt(sumsq) - 1.0)) <= 1e-12
-            errors.append(math.sqrt(_mass_sumsq(grid, psi - exact, bc)))
+            errors.append(math.sqrt(_mass_sumsq(grid, psi - exact)))
         assert 12.0 <= errors[0] / errors[1] <= 20.0
 
     def test_t_final_must_be_whole_steps(self):
@@ -489,8 +489,7 @@ class TestUnitarity:
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
     def test_thousand_steps(self, bc):
         grid, pot, psi0 = make_fibre(0.5, 0.5)
-        _, norms = evolve_fibre(grid, pot, bc, _block_data(psi0, bc), 1.0, 1e-3,
-                                record_norms=True)
+        _, norms = evolve_fibre(grid, pot, bc, psi0, 1.0, 1e-3, record_norms=True)
         assert norms.size == 1001
         assert np.max(np.abs(norms - norms[0])) <= 1e-6
         assert np.max(np.abs(np.diff(norms))) <= 1e-10
@@ -500,7 +499,7 @@ class TestUnitarity:
         prof = power_law(0.0)
         pot = FibrePotential(xi=0.0, profile=prof)
         grid = FibreGrid.uniform(0.5, 10.0, 800)
-        w = pot(grid.nodes)
+        w = pot(grid.points[:-1])
         stepper = CrankNicolson(grid, [w], [BoundaryCondition.dirichlet()], 1e-4)
         psi = gaussian_packet(grid, center=5.0, width=0.5)
 
@@ -521,7 +520,7 @@ class TestUnitarity:
         prof = power_law(1.0)
         pot = FibrePotential(xi=1.0, profile=prof)
         grid = endpoint_uniform(0.05, 12.0, pot)
-        w = pot(grid.nodes)
+        w = pot(grid.points[:-1])
         mass, a = dense_pencil(grid, w, BoundaryCondition.dirichlet())
         evals, evecs = eigh(a, mass, subset_by_index=[0, 0])  # v^T M v = 1
         v0 = evecs[:, 0]
@@ -552,15 +551,17 @@ class TestStackedStepper:
         rng = np.random.default_rng(seed)
         w, data = [], []
         for k, xi, bc in zip(cls.LENGTHS, cls.XI, cls.BCS):
-            nodes = grid.block_nodes(k or grid.n, bc)  # after eps under Robin
+            nodes = grid.points[:-1][:(k or grid.n) + 1]  # eps and the first k nodes
             w.append(FibrePotential(xi=xi, profile=prof)(nodes))
             data.append(rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size))
+            if bc.kind == "dirichlet":  # a Dirichlet block's state is 0 at eps
+                data[-1][0] = 0.0
         return grid, w, data
 
     @staticmethod
     def _alone(grid, w, data, bc, nsteps):
         """Every block on a stepper of its own."""
-        runs = [CrankNicolson(block_grid(grid, v.size - b.lead), [v], [b], 1e-3)
+        runs = [CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3)
                 .evolve([p], nsteps, record=True) for v, p, b in zip(w, data, bc)]
         return [s for (s,), _ in runs], [t for _, (t,) in runs]
 
@@ -576,14 +577,53 @@ class TestStackedStepper:
             assert np.array_equal(got, want)
         # each trace is the block's own norm psi^* M psi, in some order
         for got, state, bc in zip(traces[:, -1], states, self.BCS):
-            want = _mass_sumsq(block_grid(grid, state.size - bc.lead), state, bc)
+            want = _mass_sumsq(block_grid(grid, state.size), state)
             assert got == pytest.approx(want, rel=1e-13)
         # one step of the stacked vector, block by block
         stacked = stepper.step(np.concatenate(data))
         singles = np.concatenate([
-            CrankNicolson(block_grid(grid, v.size - b.lead), [v], [b], 1e-3).step(p)
+            CrankNicolson(block_grid(grid, v.size), [v], [b], 1e-3).step(p)
             for v, p, b in zip(w, data, self.BCS)])
         assert np.array_equal(stacked, singles)
+
+    def test_dirichlet_row_holds_zero_and_leaves_the_nodes_alone(self):
+        # Dirichlet blocks on both sides of a Robin block, 1,000 steps from
+        # data 0 at eps: each Dirichlet unknown at eps stays exactly 0, and
+        # its nodes are bit for bit those of the pencil's interior rows
+        # alone (the block of the nodes, u_0 = 0 eliminated), factored and
+        # stepped here without the stepper
+        from scipy.linalg import get_lapack_funcs
+
+        grid, pot, psi0 = make_fibre(0.5, 0.5, eps=1e-3)
+        w, dt, nsteps = pot(grid.points[:-1]), DEFAULT_DT, 1000
+        dirichlet = BoundaryCondition.dirichlet()
+        bcs = (dirichlet, BoundaryCondition.robin(1.0), dirichlet)
+        finals, _ = CrankNicolson(grid, [w] * 3, bcs, dt).evolve([psi0] * 3, nsteps)
+        assert finals[0][0] == 0.0 and finals[2][0] == 0.0 and finals[1][0] != 0.0
+
+        (m_main, m_off), (a_main, a_off) = (
+            (main[1:], off[1:]) for main, off in _hamiltonian_diagonals(grid, w, dirichlet))
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (psi0,))
+        m2, off2 = np.repeat(m_main, 2), np.repeat(m_off, 2)
+
+        def mass(v):  # M v on the real views, as the stepper forms it
+            x = v.view(float)
+            out = m2 * x
+            out[:-2] += off2 * x[2:]
+            out[2:] += off2 * x[:-2]
+            return out.view(complex)
+
+        factors = []
+        for shift in PADE_SHIFTS:
+            off = 0.5 * (m_off + dt * shift * a_off)
+            *pencil, info = gttrf(off, 0.5 * (m_main + dt * shift * a_main), off.copy())
+            assert info == 0
+            factors.append(pencil)
+        psi = psi0[1:]
+        for _ in range(nsteps):
+            for pencil in factors:
+                psi = gttrs(*pencil, mass(psi))[0] - psi
+        assert np.array_equal(finals[0][1:], psi) and np.array_equal(finals[2][1:], psi)
 
     @pytest.mark.parametrize("perturb", ["data", "potential", "condition"])
     def test_perturbing_one_block_leaves_the_others(self, perturb):
@@ -617,7 +657,7 @@ class TestStackedStepper:
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(0.5)])
     def test_work_counts_every_solve(self, stepper_sizes, bc):
         # a step solves each block twice: node-solves are twice the steps
-        # times the unknowns the steppers hold, Robin nodes at eps included
+        # times the unknowns the steppers hold, the nodes eps included
         prof, grid, psi0 = TestPlaneEvolution._stiff_plane()
         work = evolve_plane(psi0, prof, 0.01, bc, dt=2e-3, jobs=2).work
         blocks, unknowns = map(sum, zip(*stepper_sizes))
@@ -626,7 +666,7 @@ class TestStackedStepper:
         assert work["solves"] == 2 * work["steps"] * blocks
         stepper_sizes.clear()
         r = bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2], beta=0.5)
-        assert [size for _, size in stepper_sizes] == [2 * g["n"] + 1 for g in r.grids]
+        assert [size for _, size in stepper_sizes] == [2 * g["n"] + 2 for g in r.grids]
         unknowns = sum(size for _, size in stepper_sizes)
         assert r.work == {"steps": 2, "node_steps": 2 * unknowns, "solves": 2 * 2 * 4,
                           "node_solves": 2 * 2 * unknowns}
@@ -635,9 +675,9 @@ class TestStackedStepper:
         grid, w, data = self._blocks()
         with pytest.raises(UsageError, match="3 boundary conditions for 4 blocks"):
             CrankNicolson(grid, w, self.BCS[:3], 1e-3)
-        for k in (0, grid.n + 1):
+        for size in (0, 1, grid.n + 2):  # eps and at least one node, at most all
             with pytest.raises(UsageError, match="does not fit"):
-                CrankNicolson(grid, [np.zeros(k)], self.BCS[:1], 1e-3)
+                CrankNicolson(grid, [np.zeros(size)], self.BCS[:1], 1e-3)
         with pytest.raises(UsageError, match="does not resolve"):
             CrankNicolson(grid, [w[0], w[1] * 1e6], [self.BCS[0]] * 2, 1e-3)
 
@@ -747,30 +787,30 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         g = gaussian_packet(grid)
         psi0 = PlaneWavefunction(
-            values=g[:, None].astype(complex),
+            values=g[1:, None].astype(complex),
             grid=grid,
             axis=np.array([0.0]),
             representation="transformed",
         )
         res = evolve_plane(psi0, prof, 0.2, BoundaryCondition.dirichlet(), dt=1e-3)
         fin, _ = evolve_fibre(grid, pot, BoundaryCondition.dirichlet(), g, 0.2, 1e-3)
-        assert np.array_equal(res.final.values[:, 0], fin)
+        assert fin[0] == 0.0 and np.array_equal(res.final.values[:, 0], fin[1:])
         assert res.spectrum_edge_mass == pytest.approx(1.0)  # the one column is the edge
 
     def test_boundary_mass_counts_the_robin_node(self):
         # the lumped mass below x = 0.05 of the block's state, whose node eps
-        # (weight h_{1/2}/2) final.values leaves out
+        # (weight h_{1/2}/2, nonzero under Robin) final.values leaves out
         prof, robin = power_law(1.0), BoundaryCondition.robin(1.0)
         pot = FibrePotential(xi=0.0, profile=prof)
         grid = FibreGrid.resolved(0.01, 12.0, pot)
         g = gaussian_packet(grid)
-        psi0 = PlaneWavefunction(values=g[:, None], grid=grid, axis=np.array([0.0]),
+        psi0 = PlaneWavefunction(values=g[1:, None], grid=grid, axis=np.array([0.0]),
                                  representation="transformed")
         res = evolve_plane(psi0, prof, 0.2, robin, dt=1e-3)
-        fin, _ = evolve_fibre(grid, pot, robin, _block_data(g, robin), 0.2, 1e-3)
+        fin, _ = evolve_fibre(grid, pot, robin, g, 0.2, 1e-3)
         assert np.array_equal(res.final.values[:, 0], fin[1:])
-        near = grid.block_nodes(grid.n, robin) < 0.05
-        lumped = grid.block_weights(fin.size, robin)[near] * np.abs(fin[near]) ** 2
+        near = grid.points[:-1] < 0.05
+        lumped = 0.5 * np.add(*grid.cells(fin.size))[near] * np.abs(fin[near]) ** 2
         assert near[0] and lumped[0] > 1e-3 * lumped.sum() > 0.0
         assert res.boundary_mass == pytest.approx(lumped.sum(), rel=1e-12)
 
@@ -781,7 +821,7 @@ class TestPlaneEvolution:
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         axis = np.arange(-kmax, kmax + 1, dtype=float)
         g = gaussian_packet(grid)
-        vals = np.outer(g, np.exp(-(axis**2) / 4.0)).astype(complex)
+        vals = np.outer(g[1:], np.exp(-(axis**2) / 4.0)).astype(complex)
         psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
                                  representation="transformed", geometry="cylinder")
         res = evolve_plane(psi0, prof, 0.1, BoundaryCondition.dirichlet(), dt=1e-3)
@@ -794,7 +834,7 @@ class TestPlaneEvolution:
         pot = FibrePotential(xi=2.0, profile=prof)
         grid = FibreGrid.resolved(0.05, 12.0, pot)
         axis = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        vals = np.outer(gaussian_packet(grid), np.ones(5)).astype(complex)
+        vals = np.outer(gaussian_packet(grid)[1:], np.ones(5)).astype(complex)
         psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
                                  representation="transformed")
         r1 = evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3)
@@ -846,7 +886,8 @@ class TestPlaneEvolution:
             psi0 = self._without_twins(psi0)
         res = evolve_plane(psi0, prof, 0.01, BoundaryCondition.dirichlet(), dt=2e-3, jobs=2)
         lengths = [n for stack in stacked_blocks for n in stack]
-        assert (len(lengths), sum(lengths)) == (stepped, nodes)
+        # the blocks' unknowns: their nodes and each block's eps
+        assert (len(lengths), sum(lengths)) == (stepped, nodes + stepped)
         assert res.work == {"fibres": 45, "fibres_stepped": stepped, "steps": 5,
                             "node_steps": 5 * sum(lengths), "solves": 2 * 5 * stepped,
                             "node_solves": 2 * 5 * sum(lengths)}
@@ -868,10 +909,10 @@ class TestPlaneEvolution:
         assert res.work["fibres_stepped"] == 24
         for k in (44 - m, m):
             pot = FibrePotential(xi=float(psi0.axis[k]), profile=prof)
-            block = block_grid(psi0.grid, _fibre_nodes(psi0.grid, pot))
-            (alone,), _ = CrankNicolson(block, [pot(block.nodes)], [bc], dt).evolve(
-                [values[:block.n, k]], 5)
-            assert np.array_equal(res.final.values[:block.n, k], alone)
+            block = block_grid(psi0.grid, _fibre_size(psi0.grid, pot))
+            (alone,), _ = CrankNicolson(block, [pot(block.points[:-1])], [bc], dt).evolve(
+                [np.concatenate(([0.0], values[:block.n, k]))], 5)
+            assert np.array_equal(res.final.values[:block.n, k], alone[1:])
 
     @pytest.mark.parametrize("sizes, parts, expected", [
         ([5, 5, 5, 5], 2, [2, 2]),
@@ -923,7 +964,7 @@ class TestPlaneEvolution:
             grid = FibreGrid.resolved(eps, wall, pot)
             g = gaussian_packet(grid)
             psi0 = PlaneWavefunction(
-                values=np.outer(g, [0.5, 1.0, 0.5]).astype(complex),
+                values=np.outer(g[1:], [0.5, 1.0, 0.5]).astype(complex),
                 grid=grid,
                 axis=np.array([-1.0, 0.0, 1.0]),
                 representation="transformed",
@@ -959,8 +1000,9 @@ class TestPlaneEvolution:
         res = evolve_plane(psi0, prof, 0.2, bc, dt=2e-3)
         # the full-grid reference: every fibre on the caller's grid
         full = np.column_stack([
-            CrankNicolson(grid, [FibrePotential(xi=float(xi), profile=prof)(grid.nodes)], [bc],
-                          2e-3).evolve([psi0.values[:, m]], 100)[0][0]
+            CrankNicolson(grid, [FibrePotential(xi=float(xi), profile=prof)(grid.points[:-1])],
+                          [bc], 2e-3).evolve([np.concatenate(([0.0], psi0.values[:, m]))],
+                                             100)[0][0][1:]
             for m, xi in enumerate(psi0.axis)
         ])
         beyond = grid.nodes > 6.5
@@ -982,8 +1024,8 @@ class TestPlaneEvolution:
         grid = psi0.grid
         assert grid.n < edge_rule_n / 4
         pots = _fibres(prof, psi0.axis)
-        blocks = [block_grid(grid, _fibre_nodes(grid, pot)) for pot in pots]
-        margins = [f.resolution_margin(pot(f.nodes)) for f, pot in zip(blocks, pots)]
+        blocks = [block_grid(grid, _fibre_size(grid, pot)) for pot in pots]
+        margins = [f.resolution_margin(pot(f.points[:-1])) for f, pot in zip(blocks, pots)]
         assert max(margins) <= RESOLUTION_LIMIT
         # the steppers check each fibre's block and record the largest margin
         result = evolve_plane(psi0, prof, 0.02, BoundaryCondition.dirichlet(), dt=2e-3)
@@ -1012,8 +1054,8 @@ class TestPlaneEvolution:
                     (sizes,) = stacked_blocks
                     assert len(sizes) == len(walls)
                     for size, wall in zip(sizes, walls):
-                        k = size - bc.lead
-                        assert grid.nodes[k - 1] < wall <= grid.wall(k), (alpha, eps, bc.kind)
+                        assert grid.points[size - 1] < wall <= grid.points[size], (alpha, eps,
+                                                                                   bc.kind)
 
     @pytest.mark.parametrize("geometry", ["plane", "cylinder"])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
@@ -1032,27 +1074,28 @@ class TestPlaneEvolution:
         # whole grid and spreads onto its end by t = 0.1
         prof = power_law(1.0)
         grid = FibreGrid.resolved(0.05, 4.0, FibrePotential(xi=0.0, profile=prof))
-        psi0 = PlaneWavefunction(values=gaussian_packet(grid)[:, None], grid=grid,
+        psi0 = PlaneWavefunction(values=gaussian_packet(grid)[1:, None], grid=grid,
                                  axis=np.array([0.0]), representation="transformed")
-        with pytest.raises(ProtocolError, match="xi=0: its outer wall at x=4 "):
+        with pytest.raises(NumericError, match="xi=0: its outer wall at x=4 "):
             evolve_plane(psi0, prof, 0.1, BoundaryCondition.dirichlet(), dt=1e-3)
 
     @pytest.mark.parametrize("center", [3.3, 5.0])
     def test_truncated_wall_contamination_detected(self, center):
         # data next to (3.3) or beyond (5.0) the xi = 6 fibre's wall near 4
         prof, grid, psi0 = self._stiff_plane(center)
-        with pytest.raises(ProtocolError, match="xi=-6"):
+        with pytest.raises(NumericError, match="xi=-6"):
             evolve_plane(psi0, prof, 0.05, BoundaryCondition.dirichlet(), dt=1e-3)
 
     def test_interior_wall_contamination_detected_without_data_beyond(self):
         # data next to the xi = +-6 fibres' wall near 4 and none beyond it:
         # only the mass before that wall shows it, none before grid.L = 12
         prof, grid, psi0 = self._stiff_plane(3.3)
-        k = _fibre_nodes(grid, FibrePotential(xi=6.0, profile=prof))
-        assert grid.nodes[k] < 4.1
+        size = _fibre_size(grid, FibrePotential(xi=6.0, profile=prof))
+        assert grid.points[size] < 4.1
         values = psi0.values.copy()
-        values[k:, [0, 4]] = 0.0
-        with pytest.raises(ProtocolError, match=f"xi=-6: its outer wall at x={grid.nodes[k]:.4g} "):
+        values[size - 1:, [0, 4]] = 0.0  # the nodes from the wall on
+        with pytest.raises(NumericError,
+                           match=f"xi=-6: its outer wall at x={grid.points[size]:.4g} "):
             evolve_plane(replace(psi0, values=values), prof, 0.05, BoundaryCondition.dirichlet(),
                          dt=1e-3)
 
@@ -1096,7 +1139,7 @@ class TestBcSensitivity:
         assert all(d < 1e-5 for _, d in r.rows)
 
     def test_wall_contamination_detected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(NumericError):
             bc_sensitivity(0.0, 0.0, 2.5, [0.1], dt=2e-3)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -1106,10 +1149,10 @@ class TestBcSensitivity:
         pot = FibrePotential(xi=0.5, profile=power_law(alpha))
         grid = endpoint_uniform(eps, choose_outer_wall(pot), pot, SENSITIVITY_RESOLUTION)
         dirichlet, robin = BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta)
+        w, psi0 = pot(grid.points[:-1]), gaussian_packet(grid)
         finals = [CrankNicolson(grid, [w], [bc], dt).evolve([psi0], 1000)[0][0]
-                  for bc in (dirichlet, robin)
-                  for w, psi0 in [fibre_block(grid, pot, bc, gaussian_packet(grid))]]
-        d_uniform = math.sqrt(_mass_sumsq(grid, finals[1] - _block_data(finals[0], robin), robin))
+                  for bc in (dirichlet, robin)]
+        d_uniform = math.sqrt(_mass_sumsq(grid, finals[1] - finals[0]))
         r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
         assert r.grids[0]["n"] < grid.n / 2
         assert r.rows[0][1] == pytest.approx(d_uniform, rel=0.01)
@@ -1163,10 +1206,10 @@ class TestBcSensitivity:
             try:
                 bc_sensitivity(0.0, 0.0, 1.2, [eps])
                 alone.append(None)
-            except ProtocolError as exc:
+            except NumericError as exc:
                 alone.append(str(exc))
         assert alone[:2] == [None, None] and None not in alone[2:] and alone[2] != alone[3]
-        with pytest.raises(ProtocolError) as caught:
+        with pytest.raises(NumericError) as caught:
             bc_sensitivity(0.0, 0.0, 1.2, eps_grid)
         assert str(caught.value) == alone[2]
         assert str(caught.value).startswith("cutoff eps=0.015: its outer wall at L=")

@@ -54,6 +54,23 @@ class TestQuadrature:
         traj = integrate_geodesic(init, t_span=(0.0, 60.0))
         assert abs(traj.hit_time_plus - hit_time_quadrature(init)) <= 1e-8
 
+    @pytest.mark.parametrize("offset", [1e-9, 1e-7, 1e-5, -1e-9, -1e-7, -1e-5])
+    def test_near_vertical_alpha_one_to_rounding(self, offset):
+        # the classical Grushin plane is a harmonic oscillator in x of
+        # frequency w = |sin theta| / x0, so x = 0 comes at w t = acos|cos
+        # theta| inward and pi - acos(cos theta) outward, here in 50 digits
+        # at the float theta; scipy's betaincc(1/2, 1/2, x) was off by
+        # 7.8e-12 at theta = pi/2 + 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        theta, x0 = PI / 2 + offset, 1.3
+        with mpmath.workdps(50):
+            t = mpmath.mpf(theta)
+            c, s = mpmath.cos(t), mpmath.sin(t)
+            phase = mpmath.acos(abs(c)) if c <= 0 else mpmath.pi - mpmath.acos(c)
+            exact = float(x0 * phase / abs(s))
+        got = hit_time_quadrature(launch(theta, 1.0, x0=x0))
+        assert abs(got / exact - 1.0) <= 1e-14
+
     def test_theta_zero_never_hits_forward(self):
         assert hit_time_quadrature(launch(0.0, 1.0)) is None
 
