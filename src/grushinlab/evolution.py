@@ -33,12 +33,12 @@ at the cutoff.  The Dirichlet condition u_0 = 0 zeroes the row's
 couplings in M and in A: data that is 0 at eps stays exactly 0 through
 every step, and the other rows are those of the interior nodes alone.  M
 and A are real symmetric and M is positive definite, so H is self-adjoint
-in the M inner product <u, v> = u^* M v, and every norm, distance and
-drift below is the norm psi^* M psi.  It differs from the L^2 norm of the
-nodal values by -(h^2/12) |psi'|^2 at order h^2, so data of unit M-norm
-are nodal samples rescaled by 1 + O(h^2).  The mass diagnostics (wall,
-spectrum-edge, boundary) stay lumped quadratures sum_j w_j |psi_j|^2, with
-the dual-cell lengths w_j = (h_{j-1/2} + h_{j+1/2})/2 (h_{-1/2} = 0).
+in the M inner product <u, v> = u^* M v, and every norm, distance, drift
+and mass below is psi^* M psi; on rows S of a block, psi_S^* M_SS psi_S,
+the couplings across the cut dropped, and 2/3 D_S <= M_SS <= D_S for the
+lumped dual-cell mass D, as M is diagonally dominant.  The norm differs
+from the L^2 norm of the nodal values by -(h^2/12) |psi'|^2 at order h^2,
+so data of unit M-norm are nodal samples rescaled by 1 + O(h^2).
 
 Time stepping applies the (2,2) diagonal Pade approximant of e^{-i dt H},
 
@@ -361,9 +361,10 @@ def _mass_diagonals(grid: FibreGrid, size: int):
 
 
 def _mass_sumsq(grid: FibreGrid, psi: np.ndarray, start: int = 0):
-    """psi^* M psi of a block's state, for each column of a two-dimensional
-    ``psi`` on ``points[start:start + len(psi)]`` and 0 before: with
-    ``start`` 1, data on the nodes that is 0 at eps, summed over the nodes."""
+    """psi_S^* M_SS psi_S, the one quadrature of every norm and mass, for
+    each column of a two-dimensional ``psi`` on the rows S from ``start``
+    on, the couplings of M across the cuts dropped: with ``start`` 1, data
+    on the nodes that is 0 at eps, summed over the nodes."""
     main, off = _mass_diagonals(grid, start + len(psi))
     main, off = main[start:], off[start:]
     return main @ (psi.real**2 + psi.imag**2) + (2.0 * off) @ (psi[:-1].conj() * psi[1:]).real
@@ -415,9 +416,8 @@ class CrankNicolson:
     blocks form one tridiagonal pencil whose couplings across the seams are
     zero, so the pivoting of the factorisation never crosses a seam and
     each block's factors and solves are bit for bit those of a stepper of
-    its own.  A bare array
-    with a bare condition, the form perfbench's tracer test builds, is one
-    block.
+    its own.  A bare array with a bare condition, the form perfbench's
+    tracer test builds, is one block.
 
     H = M^{-1} A with M and A real symmetric and M positive definite, so
     H is self-adjoint in the M inner product and the step is unitary in
@@ -453,6 +453,8 @@ class CrankNicolson:
             (m_main[sl], m_off[inner]), (a_main[sl], a_off[inner]) = \
                 _hamiltonian_diagonals(grid, w, cond)
         m_off, a_off = m_off[:-1], a_off[:-1]
+        # the Dirichlet blocks' rows at eps, which the pencil decouples
+        self._doors = {sl.start for sl in self._slices if m_off[sl.start] == a_off[sl.start] == 0}
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(1, complex),))
         self._factors = []
         for shift in PADE_SHIFTS:
@@ -517,10 +519,15 @@ class CrankNicolson:
         per-block final states, views of one of the stepper's two buffers
         that the next call overwrites, and the traces: row m is block m's
         squared norm psi^* M psi after every step with ``record``, else at
-        the start and the end only."""
+        the start and the end only.  A Dirichlet block's state must be 0 at
+        eps, so that its trace is its :func:`_mass_sumsq`; else a
+        :class:`UsageError` names the block."""
         first, second = self._buffers
-        for sl, block in zip(self._slices, psi, strict=True):
+        for m, (sl, block) in enumerate(zip(self._slices, psi, strict=True)):
             first[sl] = block
+            if sl.start in self._doors and first[sl.start] != 0.0:
+                raise UsageError(f"block {m} is Dirichlet at eps, so its state must be 0 "
+                                 f"there, not {first[sl.start]:.3g}")
         traces = np.empty((len(self._slices), nsteps + 1 if record else 2))
         self._norms(first, traces[:, 0])
         state = first
@@ -591,10 +598,9 @@ def _standard_packet(grid: FibreGrid) -> np.ndarray:
 
 
 def _wall_mass(grid: FibreGrid, psi: np.ndarray) -> float:
-    """The lumped quadrature sum_j w_j |psi_j|^2 of a block's state ``psi``
-    over its unknowns within 0.5 of its wall."""
-    near = grid.points[:psi.size] >= grid.points[psi.size] - 0.5
-    return float(0.5 * np.add(*grid.cells(psi.size))[near] @ np.abs(psi[near]) ** 2)
+    """The M-norm of a block's state ``psi`` on its rows within 0.5 of its wall."""
+    start = int(np.searchsorted(grid.points, grid.points[psi.size] - 0.5))
+    return float(_mass_sumsq(grid, psi[start:], start))
 
 
 def _grid_record(steppers: Sequence[CrankNicolson]) -> dict:
@@ -679,7 +685,7 @@ def bc_sensitivity(
     Robin(beta)-at-eps on two equal blocks of the same grid
     (:meth:`FibreGrid.resolved` at SENSITIVITY_RESOLUTION), and D(eps) is
     the M-norm of the difference of the two final states.  The outer wall
-    is positioned so that boundary mass at L stays below 1e-8;
+    is placed so that its wall mass (:func:`_wall_mass`) stays below 1e-8;
     contamination raises :class:`NumericError` naming the first
     contaminated cutoff in eps order and its wall.  Every cutoff's grid, data and Dirichlet+Robin
     stack are built on the calling thread, and the stacks are then stepped
@@ -718,10 +724,8 @@ def bc_sensitivity(
         wall = max(_wall_mass(grid, psi) for psi in finals)
         drift = max(abs(math.sqrt(end) - math.sqrt(start)) for start, end in sumsq)
         if wall > WALL_MASS_LIMIT:
-            raise NumericError(
-                f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is contaminated "
-                f"(mass {wall:.2e} > {WALL_MASS_LIMIT})"
-            )
+            raise NumericError(f"cutoff eps={eps:g}: its outer wall at L={grid.L:.4g} is "
+                               f"contaminated (mass {wall:.2e} > {WALL_MASS_LIMIT})")
         distance = math.sqrt(_mass_sumsq(grid, finals[1] - finals[0]))
         if distance == 0.0:
             raise UsageError(f"cutoff eps={eps:g}: the Dirichlet and the Robin(beta={beta:g}) "
@@ -1006,16 +1010,15 @@ def evolve_plane(
     The xi grid must be symmetric about zero (odd FFT size); mass in the
     outermost frequency bins must be negligible for the assembly to
     represent the plane faithfully, and is recorded, as is the total-norm
-    trace over the steps.  The data is 0 at eps; every norm is the M-norm
-    of the fibres' blocks, eps included, and ``final`` holds the nodes.
-
-    Every mass is the lumped ``dxi sum_j w_j |psi_j|^2`` with the dual cells
-    w_j of :meth:`FibreGrid.cells`.  The wall mass of a fibre sums its
-    block's unknowns in the last 0.5 before its wall at ``t_final``, plus
-    the initial mass beyond the wall; the result records the largest.  A
-    fibre whose wall mass exceeds 1e-8, at its own turning-point wall or at
-    ``grid.L``, raises :class:`NumericError`.  ``boundary_mass`` sums every
-    fibre's unknowns below x = 0.05 at ``t_final``, eps included.
+    trace over the steps.  The data is 0 at eps, and ``final`` holds the
+    nodes.  Every norm and mass is dxi times the M-norm of the rows it
+    names (:func:`_mass_sumsq`), so a mass is 2/3 to 1 of their lumped sum:
+    ``norm_before`` and the traces, of the fibres' blocks, eps included;
+    the wall mass of a fibre, of its block's rows in the last 0.5 before
+    its wall at ``t_final`` plus its data's rows from the wall on, the
+    largest recorded; ``boundary_mass``, of every fibre's rows below x =
+    0.05 at ``t_final``, eps included.  A fibre whose wall mass exceeds
+    WALL_MASS_LIMIT, at its own wall or at ``grid.L``, raises NumericError.
     """
     if psi0.representation != TRANSFORMED:
         raise UsageError("evolve_plane expects transformed initial data")
@@ -1031,10 +1034,8 @@ def evolve_plane(
     # then its final state, 0 beyond its block
     out = np.zeros((grid.n + 1, psi0.axis.size), dtype=complex)
     out[1:] = psi0.values
-    weights, dens = 0.5 * np.add(*grid.cells(grid.n + 1)), np.abs(out) ** 2
-    column_mass = weights[1:] @ dens[1:]
-    beyond = [float(weights[s:] @ dens[s:, m]) for m, s in enumerate(sizes)]
-    del dens
+    column_mass = _mass_sumsq(grid, out[1:], start=1)
+    beyond = [float(_mass_sumsq(grid, out[s:, m], start=s)) for m, s in enumerate(sizes)]
     total = float(np.sum(column_mass))
     edges = column_mass[[0, -1]] if column_mass.size > 1 else column_mass
     edge_mass = float(np.sum(edges)) / total if total > 0 else 0.0
@@ -1065,21 +1066,19 @@ def evolve_plane(
         out[:psi.size, m] = psi
         traces.append(trace)
         wall_masses.append(dxi * (_wall_mass(grid, psi) + beyond[m]))
-    near = grid.points[:-1] < 0.05
-    boundary = float(np.sum(weights[near, None] * np.abs(out[near]) ** 2))
+    boundary = float(np.sum(_mass_sumsq(grid, out[:np.searchsorted(grid.points, 0.05)])))
 
     worst = int(np.argmax(wall_masses))
     if wall_masses[worst] > WALL_MASS_LIMIT:
-        raise NumericError(
-            f"fibre xi={psi0.axis[worst]:g}: its outer wall at x={grid.points[sizes[worst]]:.4g} "
-            f"is contaminated (mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})"
-        )
+        raise NumericError(f"fibre xi={psi0.axis[worst]:g}: its outer wall at "
+                           f"x={grid.points[sizes[worst]]:.4g} is contaminated "
+                           f"(mass {wall_masses[worst]:.2e} > {WALL_MASS_LIMIT})")
 
     traces = np.column_stack(traces)
     fibre_norms = np.sqrt(dxi * traces[-1])
     return PlaneEvolutionResult(
         final=replace(psi0, values=out[1:]),
-        norm_before=psi0.norm(),
+        norm_before=math.sqrt(dxi * total),
         norm_after=math.sqrt(float(np.sum(fibre_norms**2))),
         fibre_norms=fibre_norms,
         norm_trace=np.sqrt(dxi * np.sum(traces, axis=1)),

@@ -932,13 +932,13 @@ def test_contaminated_cutoff_exits_3_and_leaves_no_worker(tmp_path, capsys, monk
     # first two clean, the last two contaminated, all stepped side by side
     from grushinlab import evolution
 
-    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.65e-7)
+    monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.40e-7)
     threads = set(threading.enumerate())
     out = tmp_path / "out"
     assert main(["evolve", "--protocol", "sensitivity", "--alpha", "0", "--xi", "0",
                  "--t-final", "1.2", "--eps-grid", "0.05,0.03,0.015,0.0075",
                  "--output-dir", str(out)]) == 3
-    assert "(mass 3.69e-07 > 3.65e-07)" in capsys.readouterr().err
+    assert "(mass 3.45e-07 > 3.4e-07)" in capsys.readouterr().err
     assert not out.exists()
     assert set(threading.enumerate()) == threads
 

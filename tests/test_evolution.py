@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
@@ -22,6 +22,7 @@ from grushinlab.evolution import (
     _fft_frequencies,
     _fibre_size,
     _hamiltonian_diagonals,
+    _mass_diagonals,
     _mass_sumsq,
     _node_estimate,
     _trend,
@@ -121,6 +122,24 @@ def dense_pencil(grid, w, bc):
     """The dense M and A of a block whose unknowns carry the potential w."""
     return [np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
             for main, off in _hamiltonian_diagonals(grid, w, bc)]
+
+
+def dense_mass(grid, psi, rows):
+    """psi_S^* M_SS psi_S on the rows S of a state on ``points[:psi.size]``,
+    from the dense M of :func:`_mass_diagonals`, and the lumped sum over the
+    rows' dual cells, sum_j w_j |psi_j|^2."""
+    main, off = _mass_diagonals(grid, psi.size)
+    mass = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1))[np.ix_(rows, rows)]
+    v = psi[rows]
+    lumped = 0.5 * np.add(*grid.cells(psi.size))[rows] @ np.abs(v) ** 2
+    return float((v.conj() @ mass @ v).real), float(lumped)
+
+
+def check_sandwich(masses):
+    """2/3 D_S <= M_SS <= D_S, M being diagonally dominant: each (M-norm,
+    lumped sum) pair lies within [2/3, 1] of the lumped sum, to rounding."""
+    for m_norm, lumped in masses:
+        assert 2.0 / 3.0 * lumped * (1.0 - 1e-12) <= m_norm <= lumped * (1.0 + 1e-12)
 
 
 def spectral_map(grid, w, bc, r):
@@ -671,6 +690,43 @@ class TestStackedStepper:
         assert r.work == {"steps": 2, "node_steps": 2 * unknowns, "solves": 2 * 2 * 4,
                           "node_solves": 2 * 2 * unknowns}
 
+    def test_dirichlet_data_off_zero_at_eps_is_refused(self):
+        # the stepper would step such a row as a decoupled unknown, and its
+        # trace would then not be the block's _mass_sumsq
+        grid, w, data = self._blocks()
+        stepper = CrankNicolson(grid, w, self.BCS, 1e-3)
+        data[2][0] = 1e-300  # block 2 is Dirichlet
+        with pytest.raises(UsageError, match="block 2 is Dirichlet at eps, so its state must "
+                                             "be 0 there, not 1e-300"):
+            stepper.evolve(data, 1)
+        data[2][0], data[3][0] = 0.0, 1.0  # block 3 is Robin: any value at eps
+        _, traces = stepper.evolve(data, 1)
+        assert np.all(traces > 0.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), nsteps=st.integers(0, 3),
+           blocks=st.lists(st.tuples(st.integers(2, 151), st.booleans(), st.floats(-5.0, 5.0)),
+                           min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_traces_are_each_blocks_mass_sumsq(self, seed, nsteps, blocks):
+        # random stacks of random blocks, potentials and conditions, the
+        # Dirichlet data 0 at eps: every block's trace, at the start and at
+        # the end, is _mass_sumsq of its state.  A stack of two unknowns in
+        # all is left out: scipy's gttrf wrapper rejects a system of size 2
+        assume(sum(size for size, _, _ in blocks) > 2)
+        grid = FibreGrid.uniform(0.05, 4.0, 150)
+        rng = np.random.default_rng(seed)
+        w, bcs, data = [], [], []
+        for size, dirichlet, beta in blocks:
+            w.append(rng.uniform(-100.0, 100.0, size))
+            bcs.append(BoundaryCondition.dirichlet() if dirichlet else BoundaryCondition.robin(beta))
+            data.append(rng.normal(size=size) + 1j * rng.normal(size=size))
+            if dirichlet:
+                data[-1][0] = 0.0
+        states, traces = CrankNicolson(grid, w, bcs, 1e-3).evolve(data, nsteps)
+        for (start, end), before, after in zip(traces, data, states):
+            assert start == pytest.approx(_mass_sumsq(grid, before), rel=1e-13)
+            assert end == pytest.approx(_mass_sumsq(grid, after), rel=1e-13)
+
     def test_block_validation(self):
         grid, w, data = self._blocks()
         with pytest.raises(UsageError, match="3 boundary conditions for 4 blocks"):
@@ -798,8 +854,8 @@ class TestPlaneEvolution:
         assert res.spectrum_edge_mass == pytest.approx(1.0)  # the one column is the edge
 
     def test_boundary_mass_counts_the_robin_node(self):
-        # the lumped mass below x = 0.05 of the block's state, whose node eps
-        # (weight h_{1/2}/2, nonzero under Robin) final.values leaves out
+        # the M-norm below x = 0.05 of the block's state, whose node eps
+        # (nonzero under Robin) final.values leaves out
         prof, robin = power_law(1.0), BoundaryCondition.robin(1.0)
         pot = FibrePotential(xi=0.0, profile=prof)
         grid = FibreGrid.resolved(0.01, 12.0, pot)
@@ -809,10 +865,44 @@ class TestPlaneEvolution:
         res = evolve_plane(psi0, prof, 0.2, robin, dt=1e-3)
         fin, _ = evolve_fibre(grid, pot, robin, g, 0.2, 1e-3)
         assert np.array_equal(res.final.values[:, 0], fin[1:])
-        near = grid.points[:-1] < 0.05
-        lumped = 0.5 * np.add(*grid.cells(fin.size))[near] * np.abs(fin[near]) ** 2
-        assert near[0] and lumped[0] > 1e-3 * lumped.sum() > 0.0
-        assert res.boundary_mass == pytest.approx(lumped.sum(), rel=1e-12)
+        near = np.flatnonzero(grid.points[:-1] < 0.05)
+        (mass, lumped), (nodes_only, _) = (dense_mass(grid, fin, rows) for rows in (near, near[1:]))
+        assert near[0] == 0 and mass - nodes_only > 1e-3 * mass > 0.0
+        assert res.boundary_mass == pytest.approx(mass, rel=1e-12)
+        check_sandwich([(mass, lumped)])
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
+    def test_masses_are_m_norms_of_the_rows_they_name(self, monkeypatch, bc):
+        # data next to and beyond the |xi| = 6 fibres' wall near 4, under a
+        # lifted limit: a fibre's wall mass is the M-norm of its block's
+        # rows within 0.5 of the wall at the end plus that of its data's
+        # rows from the wall on, and the boundary mass that of every
+        # fibre's rows below x = 0.05, each the principal block of the
+        # dense M on those rows and within [2/3, 1] of the lumped sum
+        import grushinlab.evolution as evolution
+
+        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", math.inf)
+        prof, grid, psi0 = self._stiff_plane(3.3, eps=0.01)
+        dt, nsteps, points = 1e-3, 100, grid.points
+        res = evolve_plane(psi0, prof, nsteps * dt, bc, dt=dt)
+        walls, boundary = [], []
+        for m, xi in enumerate(psi0.axis):
+            pot = FibrePotential(xi=float(xi), profile=prof)
+            size = _fibre_size(grid, pot)
+            data = np.concatenate(([0.0], psi0.values[:, m]))
+            (final,), _ = CrankNicolson(grid, [pot(points[:size])], [bc], dt).evolve(
+                [data[:size]], nsteps)
+            assert np.array_equal(res.final.values[:size - 1, m], final[1:])
+            wall = dense_mass(grid, final, np.flatnonzero(points[:size] >= points[size] - 0.5))
+            beyond = dense_mass(grid, data, np.arange(size, grid.n + 1))
+            boundary.append(dense_mass(grid, final, np.flatnonzero(points[:size] < 0.05)))
+            check_sandwich([wall, beyond, boundary[-1]])
+            walls.append((wall[0], beyond[0]))
+        worst = max(walls, key=sum)
+        assert worst[1] > 10.0 * worst[0] > 0.0  # both parts count, the data's more
+        assert res.wall_mass == pytest.approx(psi0.daxis * sum(worst), rel=1e-12)
+        assert res.boundary_mass == pytest.approx(psi0.daxis * sum(b for b, _ in boundary),
+                                                  rel=1e-12)
 
     def test_cylinder_mode_norms_sum(self):
         prof = power_law(0.5)
@@ -979,14 +1069,14 @@ class TestPlaneEvolution:
         assert all(m < 1e-4 for m in masses)
 
     @staticmethod
-    def _stiff_plane(center=2.0):
+    def _stiff_plane(center=2.0, eps=0.05):
         # the |xi| = 3, 6 fibres turn near x = 4.2 and x = 2.1, so their
         # walls move in from L = 12 to about 6.3 and 4 (choose_outer_wall's
-        # floor); the grid resolves the xi = 6 fibre at refine 2, so the
-        # |xi| = 6 blocks are the 157 nodes before 4 of its 1,244
+        # floor); the grid resolves the xi = 6 fibre at refine 2, so at eps
+        # 0.05 the |xi| = 6 blocks are the 157 nodes before 4 of its 1,244
         prof = power_law(1.0)
         axis = np.array([-6.0, -3.0, 0.0, 3.0, 6.0])
-        grid = FibreGrid.resolved(0.05, 12.0, FibrePotential(xi=6.0, profile=prof), refine=2)
+        grid = FibreGrid.resolved(eps, 12.0, FibrePotential(xi=6.0, profile=prof), refine=2)
         g = np.exp(-((grid.nodes - center) ** 2) / (2.0 * 0.3**2))
         vals = np.outer(g, np.exp(-(axis**2) / 8.0)).astype(complex)
         psi0 = PlaneWavefunction(values=vals, grid=grid, axis=axis,
@@ -1192,14 +1282,41 @@ class TestBcSensitivity:
         bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2, 1e-3])
         assert pool_sizes == [3]
 
-    def test_first_contaminated_cutoff_in_eps_order_raises(self, monkeypatch):
-        # free flight to t = 1.2 leaves 3.3e-7 to 3.7e-7 of the mass at the
-        # wall, by cutoff: under a limit of 3.65e-7 the first two cutoffs are
-        # clean (3.33e-7, 3.59e-7) and the last two contaminated (3.69e-7,
-        # 3.70e-7), the last one more
+    def test_wall_mass_is_the_m_norm_of_the_rows_near_the_wall(self, monkeypatch):
+        # the free-flight contamination case under a lifted limit: each
+        # cutoff's wall mass is the larger of its two final states' M-norms
+        # on the rows within 0.5 of L, the principal block of the dense M
+        # on them, and within [2/3, 1] of the lumped sum
         import grushinlab.evolution as evolution
 
-        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.65e-7)
+        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", math.inf)
+        runs, evolve_stacks = [], evolution._evolve_stacks
+
+        def spy(steppers, data, nsteps, record=False):
+            stacks = evolve_stacks(steppers, data, nsteps, record)
+            runs.extend((s.grid, [psi.copy() for psi in states])
+                        for s, (states, _) in zip(steppers, stacks))
+            return stacks
+
+        monkeypatch.setattr(evolution, "_evolve_stacks", spy)
+        result = bc_sensitivity(0.0, 0.0, 1.2, [0.05, 0.0075])
+        assert len(runs) == 2
+        for got, (grid, finals) in zip(result.wall_mass, runs):
+            rows = np.flatnonzero(grid.points[:-1] >= grid.L - 0.5)
+            masses = [dense_mass(grid, psi, rows) for psi in finals]
+            check_sandwich(masses)
+            assert got == pytest.approx(max(m for m, _ in masses), rel=1e-12)
+            assert got > 1e-7
+
+    def test_first_contaminated_cutoff_in_eps_order_raises(self, monkeypatch):
+        # free flight to t = 1.2 leaves 3.1e-7 to 3.5e-7 of the mass at the
+        # wall in the M-norm, by cutoff: under a limit of 3.40e-7, near the
+        # middle of the gap, the first two cutoffs are clean (3.114e-7,
+        # 3.358e-7) and the last two contaminated (3.448e-7, 3.458e-7), the
+        # last one more
+        import grushinlab.evolution as evolution
+
+        monkeypatch.setattr(evolution, "WALL_MASS_LIMIT", 3.40e-7)
         eps_grid = [0.05, 0.03, 0.015, 0.0075]
         alone = []
         for eps in eps_grid:
