@@ -425,6 +425,9 @@ def _cmd_classify(args) -> int:
         "grid": verdict.grid,
         "inequality_check": {"verdict": ineq.value, **info},
     }
+    if reports[0].method is Method.NUMERIC_ODE:
+        # the sweep's one solve, which every numeric report shares
+        document["work"] = reports[0].diagnostics["work"]
     path = _write_json(os.path.join(out, "verdict.json"), document)
     print(f"{profile.name} [{mode.value}]: {verdict.verdict.value}"
           f" (failing: {verdict.failing_fibres}; deficiency: {verdict.total_deficiency.value})")

@@ -443,6 +443,9 @@ class CrankNicolson:
             raise UsageError(f"a block of the grid does not resolve the potential "
                              f"(max h^2 |W| = {max(self.margins):.3g} > {RESOLUTION_LIMIT})")
         ends = np.cumsum([len(w) for w in w_values])
+        if ends[-1] < 3:  # scipy's gttrf wrapper rejects a system of 2
+            raise UsageError(f"a stack of {int(ends[-1])} unknowns is too small: the "
+                             f"tridiagonal factorisation needs at least 3")
         self.grid, self.dt = grid, dt
         self._slices = [slice(int(e) - len(w), int(e)) for e, w in zip(ends, w_values)]
         self.size = size = int(ends[-1])

@@ -37,7 +37,10 @@ Near the vertical (s^2 > 0.9) s^2 has lost the digits of cos^2 theta, and
 scipy's hyp2f1 returns nan there once a >= 171; so there both times are
 read from I_{cos^2 theta}(1/2, a), the share of the fall spent above x0:
 the fall times 1 - I inward and 1 + I outward.  At alpha = 1 the inward
-1 - I is the arcsine law (2/pi) acos |cos theta|.
+1 - I is the arcsine law (2/pi) acos |cos theta|.  Below alpha of about
+7e-5, x_t overflows near the vertical; an inward time is then the
+Laplace form of 2F1, x0 integral_0^inf e^(-u) (1 - s^2 e^(-u/a))^(-1/2) du,
+finite for s^2 < 1.
 
 The ODE route detects the boundary with a terminal event at a small
 floor X_STOP and extrapolates the remaining X_STOP / |P_x| of travel;
@@ -331,6 +334,19 @@ def integrate_geodesic(
     )
 
 
+def _inward_time(x0, c, s, a) -> float:
+    """x0 2F1(a, 1/2; a + 1; s^2), the inward hit time, in the Laplace form
+    x0 integral_0^inf e^(-u) (1 - s^2 e^(-u/a))^(-1/2) du (t = e^(-u/a) in
+    Euler's integral), with 1 - s^2 e^(-u/a) = c^2 - s^2 expm1(-u/a)
+    formed without cancellation.  It needs neither the turning point nor
+    hyp2f1, so it holds where x_t overflows and hyp2f1 is nan (a >= 171)."""
+    from scipy.integrate import quad
+
+    value, _ = quad(lambda u: math.exp(-u) / math.sqrt(c * c - s * s * math.expm1(-u / a)),
+                    0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return x0 * value
+
+
 def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
     """Forward boundary-arrival time in the closed form of the module
     docstring, or None for theta = 0 (the only launch direction with no
@@ -354,6 +370,8 @@ def hit_time_quadrature(init: GeodesicInitialData) -> float | None:
     try:  # the fall from x_t to x = 0
         fall = x0 * abs(s) ** (-1.0 / alpha) * a * float(beta(a, 0.5))
     except OverflowError:
+        if c <= 0.0:
+            return _inward_time(x0, c, s, a)
         raise UsageError(f"theta={theta:g}: the turning point x0 |sin theta|^(-1/alpha) "
                          f"overflows a float at alpha={alpha:g}") from None
     if not near_vertical:

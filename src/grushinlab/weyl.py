@@ -51,9 +51,15 @@ Three classification routes are implemented and cross-checked:
   dominant solution is not square integrable (s <= -1/2).  The two
   sub-routes must agree or the classification is declared inconclusive.
 
-Both ODE routes step in t = ln x on z = (u, x u'), with dz/dt =
-(z2, x^2 (W - i) z1 + z2): a Frobenius solution x^s is e^(st), so the
-singular end costs a few steps per decade.
+Both ODE routes solve in t = ln x for z = (u, x u'), with dz/dt =
+(z2, a z1 + z2) and a = x^2 (W - i): a Frobenius solution x^s is e^(st),
+so the singular end costs a few steps per decade.  The classification
+steps the Liouville-Green gauge w = e^(-G) z (F. W. J. Olver, Asymptotics
+and Special Functions, ch. 6), G' the root of l^2 - l = a that grows
+inward, and carries g = Re G: exponential growth such as e^(1/(2x)) lives
+in g, and DOP853 steps the slowly varying w.  The deficiency family steps
+z itself: its residual needs the phase Im G that g drops, and a gauge
+carrying all of G saved 5% of its calls at nearly twice their cost.
 
 When a fibre is limit circle, ker(A(xi)* - i) is one-dimensional;
 ``verify_deficiency_family`` builds the normalised solutions phi_xi over
@@ -279,6 +285,24 @@ def _deficiency_rhs(t, z, profile, xi2):
     return np.concatenate((v, a * u + v))
 
 
+def _gauged_rhs(t, y, profile, xi2):
+    """The deficiency equation in the exponential gauge: ``y`` stacks the
+    rows u, v and g of every column, with e^g (u, v) = e^(i phase) (u, x u')
+    and g' = Re lam.  lam = 1/2 - sqrt(1/4 + a), the root of l^2 - l = a
+    that grows fastest inward, is the local exponent of the dominant
+    solution, so (u, v) varies slowly wherever the growth is exponential.
+    With a = lam (lam - 1), d/dt (u, v) = (v - lam u, (1 - lam)(v - lam u))."""
+    u, v, _ = y.reshape(3, -1)
+    x = math.exp(t)
+    x2 = x * x
+    # 1/4 + a, a = x^2 (W - i) as _deficiency_rhs forms it
+    quarter_a = (x2 * profile.inv_f_squared(x)) * xi2 + complex(
+        x2 * profile.base_potential(x) + 0.25, -x2)
+    lam = 0.5 - np.sqrt(quarter_a)
+    du = v - lam * u
+    return np.concatenate((du, (1.0 - lam) * du, lam.real))
+
+
 def _wkb_roots(profile, xi2, x):
     """k = sqrt(W - i) with Re k > 0 of every fibre at x: u' = -k u is the
     decaying WKB branch."""
@@ -290,18 +314,17 @@ def _first_step(k, x):
     return min(0.1, 1.0 / float(np.abs(k).max(initial=1.0))) / x
 
 
-def _log_mag_squared(z):
-    # log(|u|^2 + |x u'|^2) per column: 2 s t for Frobenius solutions
-    # u ~ x^s, and finite (u and u' cannot vanish together)
-    z = z.reshape(2, -1)
-    return np.log((z.real ** 2 + z.imag ** 2).sum(axis=0))
+def _log_mag_squared(y):
+    # log(|u|^2 + |x u'|^2) per column of a gauged state: 2 s t for
+    # Frobenius solutions u ~ x^s, and finite (u and u' cannot vanish
+    # together); the scale e^g carries the growth, so |u|^2 + |v|^2
+    # stays far from overflow
+    u, v, g = y.reshape(3, -1)
+    return np.log(u.real ** 2 + u.imag ** 2 + v.real ** 2 + v.imag ** 2) + 2.0 * g.real
 
 
 # the magnitude guard fires when log m^2 grows by this within a block
 _GUARD_LOG_M2 = 200.0
-# a column is rescaled to m = 1 when its log m^2 passes this, so that
-# growth over many blocks cannot overflow |z|^2 (at 709)
-_RESCALE_LOG_M2 = 400.0
 
 
 def _batch_tolerances(rtol, atol, n):
@@ -317,13 +340,14 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
 
     Integrates -u'' + W u = i u in t = ln x from X_START to X_END, both
     canonical initial conditions of every fibre in one DOP853 stepping
-    loop, and reads the growth rate of log m, m^2 = |u|^2 + |x u'|^2,
-    over each half-decade block from the dense output at its edges; a
-    column whose m passes e^200 is rescaled to 1, its scale carried into
-    its slopes.  Returns one (the last block's slope of each initial
-    condition, early_limit_point) pair per fibre.  Growth by e^100 within
-    a block, more singular than any inverse square, stops the fibre early
-    with both its columns and the slopes of the stopped block.
+    loop in the exponential gauge of :func:`_gauged_rhs`, and reads the
+    growth rate of log m, m^2 = |u|^2 + |x u'|^2, over each half-decade
+    block from the dense output at its edges.  Returns one (the last
+    block's slope of each initial condition, early_limit_point, work)
+    triple per fibre, ``work`` the solve's {"nfev", "steps"}, shared by
+    every fibre.  Growth by e^100 within a block, more singular than any
+    inverse square, stops the fibre early with both its columns and the
+    slopes of the stopped block.
     """
     from scipy.integrate import DOP853
     from scipy.optimize import brentq
@@ -336,36 +360,43 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
         raise UsageError(f"the potential overflows a float at x={X_END:g}") from None
     n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
     edges = np.linspace(math.log(X_START), math.log(X_END), n_blocks + 1)
-    # columns 2i and 2i + 1 are fibre i's (u, x u') = (1, 0) and (0, 1)
+    # columns 2i and 2i + 1 are fibre i's (u, x u') = (1, 0) and (0, 1),
+    # at the scale g = 0
     fibre = np.repeat(np.arange(xi2.size), 2)
-    z = np.tile(np.eye(2, dtype=complex), xi2.size)
-    # per column: log m^2 divided out, at the block's start edge, and the
-    # slope of the last finished block
-    scale, ref, last = (np.zeros(fibre.size) for _ in range(3))
+    y = np.concatenate((np.tile(np.eye(2, dtype=complex), xi2.size),
+                        np.zeros((1, fibre.size))))
+    # per column: log m^2 at the block's start edge, and the slope of the
+    # last finished block
+    ref, last = np.zeros(fibre.size), np.zeros(fibre.size)
     slopes = [None] * xi2.size
     early = np.zeros(xi2.size, dtype=bool)
+    nfev = steps = 0
     # a restart keeps the step size reached (none at the end point, where
     # DOP853 takes no step and rejects a zero one)
     t, k, step = edges[0], 0, _first_step(_wkb_roots(profile, xi2, X_START), X_START)
     while fibre.size and k < n_blocks:
-        rtol, atol = _batch_tolerances(1e-10, 1e-30, fibre.size)
-        solver = DOP853(lambda s, y, q=xi2[fibre]: _deficiency_rhs(s, y, profile, q),
-                        t, z.ravel(), edges[-1], rtol=rtol, atol=atol,
+        # a column's u and v are two of its three rows: the tolerances
+        # divided by sqrt(3/2 columns) bound the u and v errors of each
+        # column by those of an ungauged solve of that column alone, the
+        # g rows' errors only tightening it
+        rtol, atol = _batch_tolerances(1e-10, 1e-30, 1.5 * fibre.size)
+        solver = DOP853(lambda s, w, q=xi2[fibre]: _gauged_rhs(s, w, profile, q),
+                        t, y.ravel(), edges[-1], rtol=rtol, atol=atol,
                         first_step=min(step, t - edges[-1]) or None)
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
                 raise NumericError(f"deficiency ODE integration failed: {message}")
-            raw = _log_mag_squared(solver.y)
+            steps += 1
             dense, begin, fired = None, solver.t_old, False
             # one segment per block the step enters
             while k < n_blocks:
                 end = max(solver.t, edges[k + 1])
                 if end == solver.t:
-                    grown = raw + scale - ref
+                    grown = _log_mag_squared(solver.y) - ref
                 else:
                     dense = dense if dense is not None else solver.dense_output()
-                    grown = _log_mag_squared(dense(end)) + scale - ref
+                    grown = _log_mag_squared(dense(end)) - ref
                 fired = grown.max() >= _GUARD_LOG_M2
                 if fired or end > edges[k + 1]:
                     break
@@ -380,36 +411,30 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
                 dense = dense if dense is not None else solver.dense_output()
 
                 def excess(s, own):
-                    lm2 = _log_mag_squared(dense(s)) + scale - ref
-                    return float(lm2[own].max()) - _GUARD_LOG_M2
+                    return float((_log_mag_squared(dense(s)) - ref)[own].max()) - _GUARD_LOG_M2
 
                 stop = np.isin(fibre, fibre[grown >= _GUARD_LOG_M2])
                 tol = 4.0 * np.finfo(float).eps
                 for i in np.unique(fibre[stop]):
                     own = fibre == i
                     t = brentq(excess, end, begin, args=(own,), xtol=tol, rtol=tol)
-                    grown_at = _log_mag_squared(dense(t)) + scale - ref
+                    grown_at = _log_mag_squared(dense(t)) - ref
                     slopes[i] = [float(v) for v in 0.5 * grown_at[own] / (t - edges[k])]
                 early[fibre[stop]] = True
                 t = end
-                z = (solver.y if end == solver.t else dense(end)).reshape(2, -1)[:, ~stop]
-                fibre, scale, ref, last = fibre[~stop], scale[~stop], ref[~stop], last[~stop]
+                y = (solver.y if end == solver.t else dense(end)).reshape(3, -1)[:, ~stop]
+                fibre, ref, last = fibre[~stop], ref[~stop], last[~stop]
                 step = solver.step_size
                 break
-            if raw.max() > _RESCALE_LOG_M2:
-                t, big = solver.t, raw > _RESCALE_LOG_M2
-                z = solver.y.reshape(2, -1).copy()
-                z[:, big] /= np.exp(0.5 * raw[big])
-                scale = scale + np.where(big, raw, 0.0)
-                step = solver.step_size
-                break
+        nfev += solver.nfev
     for j, i in enumerate(fibre[::2]):
         slopes[i] = [float(last[2 * j]), float(last[2 * j + 1])]
-    return [(fibre_slopes, bool(stopped)) for fibre_slopes, stopped in zip(slopes, early)]
+    work = {"nfev": nfev, "steps": steps}
+    return [(fibre_slopes, bool(stopped), work) for fibre_slopes, stopped in zip(slopes, early)]
 
 
 def classify_numeric(pot: FibrePotential, *,
-                     slopes: tuple[list[float], bool] | None = None) -> WeylReport:
+                     slopes: tuple[list[float], bool, dict] | None = None) -> WeylReport:
     """Classify a fibre at x = 0 by sampling plus ODE integration.
 
     The indicial fit estimates c0 = lim x^2 W on 26 samples spanning
@@ -428,7 +453,7 @@ def classify_numeric(pot: FibrePotential, *,
 
     if slopes is None:
         (slopes,) = _amplitude_slopes(pot.profile, [pot.xi])
-    slopes, early_lp = slopes
+    slopes, early_lp, work = slopes
     s_est = min(slopes)
     lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + SLOPE_TOL
 
@@ -445,6 +470,7 @@ def classify_numeric(pot: FibrePotential, *,
         "early_limit_point": early_lp,
         "x0": X_START,
         "x_end": X_END,
+        "work": work,
     }
     return WeylReport(
         xi=float(pot.xi),

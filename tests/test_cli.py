@@ -170,6 +170,32 @@ class TestClassifyCommand:
                   "--output-dir", str(d)])
         assert (d1 / "verdict.json").read_bytes() == (d2 / "verdict.json").read_bytes()
 
+    def test_numeric_sweep_records_its_solve(self, tmp_path, monkeypatch):
+        # a one-fibre sweep: work counts the right-hand-side calls of the
+        # one solve, as it runs, and DOP853's 12 stages per accepted step;
+        # the record is deterministic and analytic sweeps have none
+        from grushinlab import weyl
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        rhs = weyl._gauged_rhs
+        monkeypatch.setattr(weyl, "_gauged_rhs", counted)
+        argv = ["classify", "--profile", "exp_inverse", "--xi-min", "0", "--xi-max", "0"]
+        for name in ("a", "b"):
+            assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
+        doc = read_json(tmp_path / "a" / "verdict.json")
+        assert len(doc["fibres"]) == 1 and set(doc["work"]) == {"nfev", "steps"}
+        assert 2 * doc["work"]["nfev"] == len(calls)  # the calls of both runs
+        assert 0 < 12 * doc["work"]["steps"] <= doc["work"]["nfev"]
+        assert (tmp_path / "a" / "verdict.json").read_bytes() == \
+            (tmp_path / "b" / "verdict.json").read_bytes()
+        main(["classify", "--alpha", "0.5", "--output-dir", str(tmp_path / "analytic")])
+        assert "work" not in read_json(tmp_path / "analytic" / "verdict.json")
+
     def test_xi_grid_ends_at_xi_max(self, tmp_path):
         # 0.1 + 3 * 0.2 is 0.7000000000000001; the last node must be xi_max
         code = main(["classify", "--alpha", "1", "--xi-min", "0.1", "--xi-max", "0.7",

@@ -737,6 +737,22 @@ class TestStackedStepper:
         with pytest.raises(UsageError, match="does not resolve"):
             CrankNicolson(grid, [w[0], w[1] * 1e6], [self.BCS[0]] * 2, 1e-3)
 
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), BoundaryCondition.robin(1.0)])
+    def test_a_stack_of_two_unknowns_is_rejected(self, bc):
+        # a lone block of eps and one node fits its grid, but the stack's
+        # tridiagonal system of 2 is below what scipy's gttrf takes; two
+        # such blocks, or one block of 3, step
+        grid = FibreGrid.uniform(0.1, 10.0, 200)
+        with pytest.raises(UsageError, match="a stack of 2 unknowns"):
+            CrankNicolson(grid, [np.zeros(2)], [bc], 1e-3)
+        for w in ([np.zeros(2)] * 2, [np.zeros(3)]):
+            psi = [np.ones(len(v), dtype=complex) for v in w]
+            if bc.kind == "dirichlet":
+                for p in psi:
+                    p[0] = 0.0
+            states, _ = CrankNicolson(grid, w, [bc] * len(w), 1e-3).evolve(psi, 2)
+            assert all(np.all(np.isfinite(s)) for s in states)
+
 
 class TestTransforms:
     def setup_method(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grushinlab import geodesics
 from grushinlab.errors import NumericError, UsageError
 from grushinlab.geodesics import (
     GeodesicInitialData,
@@ -70,6 +71,21 @@ class TestQuadrature:
             exact = float(x0 * phase / abs(s))
         got = hit_time_quadrature(launch(theta, 1.0, x0=x0))
         assert abs(got / exact - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-4])
+    def test_inward_time_needs_no_turning_point(self, alpha):
+        # below alpha ~7e-5 the turning point x0 |sin theta|^(-1/alpha) of
+        # a launch near the vertical overflows a float (at 1e-5 it is
+        # e^837); the Laplace form of the inward time never forms it
+        init = launch(1.7, alpha)
+        ode = integrate_geodesic(init).hit_time_plus
+        laplace = geodesics._inward_time(1.0, math.cos(1.7), math.sin(1.7), 0.5 / alpha)
+        assert abs(laplace - ode) <= 1e-9
+        if alpha < 7e-5:
+            assert hit_time_quadrature(init) == laplace
+        # an outward launch still rises to x_t, and still overflows
+        with pytest.raises(UsageError, match="overflows a float"):
+            hit_time_quadrature(launch(PI - 1.7, 1e-5))
 
     def test_theta_zero_never_hits_forward(self):
         assert hit_time_quadrature(launch(0.0, 1.0)) is None

@@ -203,11 +203,13 @@ class TestNumericClassification:
     def test_steep_inverse_square_fibre_keeps_its_slope(self):
         # alpha -1, xi 30: c0 = 899.75, and u ~ x^(-29.5) grows by about
         # 10^206 over seven decades without tripping the per-block guard;
-        # unrescaled, |u|^2 overflows and the fibre is stopped early
+        # |u|^2 would overflow, so the growth must live in the gauge's
+        # scale g.  Stepped ungauged, the fibre took 17,840 calls
         r = classify_numeric(FibrePotential(xi=30.0, profile=power_law(-1.0)))
         assert r.endpoint_zero is LP
         assert r.diagnostics["early_limit_point"] is False
         assert r.diagnostics["indicial_slope"] == pytest.approx(-29.5, abs=1e-6)
+        assert 0 < r.diagnostics["work"]["nfev"] <= 3000
 
     @pytest.mark.parametrize("alpha,xi", [(-2.0, 0.5), (-3.0, 1.0)])
     def test_early_stop_slope_is_finite_and_limit_point(self, alpha, xi):
@@ -243,6 +245,23 @@ def assert_sweep_matches_fibres_alone(profile, xis):
     return swept
 
 
+def sweep_calls(monkeypatch, profile, xis):
+    """A numeric sweep's reports and the right-hand-side calls of its one
+    solve, counted at the function the solve calls; every report records
+    that count as its work."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    rhs = weyl._gauged_rhs
+    monkeypatch.setattr(weyl, "_gauged_rhs", counted)
+    swept = classify_sweep(profile, xis, method="numeric")
+    assert all(r.diagnostics["work"]["nfev"] == len(calls) for r in swept)
+    return swept, len(calls)
+
+
 class TestBatchedClassification:
     @pytest.mark.parametrize("alpha", CRITERION_4_ALPHAS)
     def test_sweep_matches_fibres_alone(self, alpha):
@@ -270,25 +289,32 @@ class TestBatchedClassification:
         assert [r.endpoint_zero for r in swept] == [LC] * 4
 
     def test_steep_inverse_square_sweep_matches_fibres_alone(self):
-        # the xi = 30 fibre grows by about 10^206 and must be rescaled on
-        # its way; its neighbours grow by 10^31 and not at all
+        # the xi = 30 fibre grows by about 10^206, past the doubles, all
+        # of it carried by its scale g; its neighbours grow by 10^31 and
+        # not at all
         swept = assert_sweep_matches_fibres_alone(power_law(-1.0), [0.5, 5.0, 30.0])
         assert [r.endpoint_zero for r in swept] == [LC, LP, LP]
 
     def test_sweep_makes_half_the_work_of_per_block_restarts(self, monkeypatch):
         # the benchmark's alpha 0.5 numeric sweep: 41 fibres, 5,648
         # right-hand-side calls when every half-decade block restarted
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return rhs(*args)
-
-        rhs = weyl._deficiency_rhs
-        monkeypatch.setattr(weyl, "_deficiency_rhs", counted)
-        swept = classify_sweep(power_law(0.5), np.linspace(-5.0, 5.0, 41), method="numeric")
+        swept, calls = sweep_calls(monkeypatch, power_law(0.5), np.linspace(-5.0, 5.0, 41))
         assert [r.endpoint_zero for r in swept] == [LC] * 41
-        assert 0 < len(calls) <= 5648 // 2
+        assert 0 < calls <= 5648 // 2
+
+    @pytest.mark.parametrize("mode,bound", [("plane", 4000), ("cylinder", 3500)])
+    def test_gauge_halves_the_exp_inverse_sweeps(self, monkeypatch, mode, bound):
+        # the benchmark's exp_inverse sweeps grow like e^(1/(2x)).  Stepped
+        # ungauged they took 7,720 (plane, 41 fibres) and 6,868 (cylinder,
+        # k <= 3) calls; gauged by the root that grows outward, 15,148
+        # on the plane
+        if mode == "plane":
+            xis = [float(v) for v in np.linspace(-5.0, 5.0, 41) + 0.125]
+        else:
+            xis = [float(k) for k in range(-3, 4)]
+        swept, calls = sweep_calls(monkeypatch, builtin_profile("exp_inverse"), xis)
+        assert all(r.endpoint_zero is LP for r in swept)
+        assert 0 < calls <= bound
 
     def test_unknown_method_rejected(self):
         with pytest.raises(UsageError):
