@@ -615,7 +615,7 @@ def _cmd_verify_deficiency(args) -> int:
         "max_norm_error": report.max_norm_error,
         "max_cross_inner_product": report.max_cross_inner,
         "contradiction": report.contradiction,
-        "nfev": report.nfev,
+        "work": report.work,
         "grid": report.grid,
         "xi_values": [float(v) for v in report.xi_values],
     }

@@ -64,8 +64,9 @@ carrying all of G saved 5% of its calls at nearly twice their cost.
 When a fibre is limit circle, ker(A(xi)* - i) is one-dimensional;
 ``verify_deficiency_family`` builds the normalised solutions phi_xi over
 a compact interval J of fibres, checks the eigenvalue residual on a
-fixed observation grid, and confirms that families over disjoint
-intervals are orthogonal, which is the mechanism producing an infinite
+fixed observation grid and the norm, a row of the solve, against
+Simpson's rule, and confirms that families over disjoint intervals are
+orthogonal, which is the mechanism producing an infinite
 deficiency index for the full operator.  Each phi_xi is seeded on its
 decaying WKB branch beyond a decay budget B = 1/2 ln 1e15, since the
 growing solution's share of the seed falls like e^(-2B).
@@ -274,15 +275,15 @@ def _squares(xi) -> np.ndarray:
 
 def _deficiency_rhs(t, z, profile, xi2):
     """-u'' + W u = i u in t = ln x for every column at once, W = base +
-    xi^2 / f^2.  ``z`` stacks the columns' u and x u' in two complex rows,
-    and d/dt (u, x u') = (x u', x^2 (W - i) u + x u'): a Frobenius
-    solution x^s is e^(st)."""
-    u, v = z.reshape(2, -1)
+    xi^2 / f^2.  ``z`` stacks the columns' u, x u' and N in three complex
+    rows, d/dt (u, x u', N) = (x u', x^2 (W - i) u + x u', -x |u|^2): a
+    Frobenius solution x^s is e^(st), and N is the mass on (x, start)."""
+    u, v, _ = z.reshape(3, -1)
     x = math.exp(t)
     x2 = x * x
     # x^2 (W - i), with the scalar parts folded before the one array product
     a = (x2 * profile.inv_f_squared(x)) * xi2 + complex(x2 * profile.base_potential(x), -x2)
-    return np.concatenate((v, a * u + v))
+    return np.concatenate((v, a * u + v, -x * (u.real ** 2 + u.imag ** 2)))
 
 
 def _gauged_rhs(t, y, profile, xi2):
@@ -417,7 +418,10 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
                 tol = 4.0 * np.finfo(float).eps
                 for i in np.unique(fibre[stop]):
                     own = fibre == i
+                    # a bracket narrower than xtol returns the block's edge,
+                    # which spans nothing: the segment's end stands for it
                     t = brentq(excess, end, begin, args=(own,), xtol=tol, rtol=tol)
+                    t = end if t == edges[k] else t
                     grown_at = _log_mag_squared(dense(t)) - ref
                     slopes[i] = [float(v) for v in 0.5 * grown_at[own] / (t - edges[k])]
                 early[fibre[stop]] = True
@@ -595,7 +599,7 @@ def aggregate_verdict(
 # deficiency eigenfunction family
 # ---------------------------------------------------------------------------
 
-# bound on a family's eigenvalue residual and unit-norm error (criterion 6)
+# bound on a family's eigenvalue residual and norm error (criterion 6)
 FAMILY_TOL = 1e-6
 OBS_GRID_LO = 0.3
 OBS_GRID_HI = 8.0
@@ -605,8 +609,8 @@ OBS_GRID_STEP = 1.0 / 256.0
 _DECAY_BUDGET = 0.5 * math.log(1e15)
 # inner end of the deficiency solves; a power tail covers (0, FAMILY_X_MIN)
 FAMILY_X_MIN = 1e-6
-# |u|^2 enters the norm sums and overflows for |u| above 1.3e154: a
-# fibre whose state passes this stops the solve, a factor 1e4 short of it
+# |u|^2 enters the mass row and overflows for |u| above 1.3e154: a fibre
+# whose u or x u' passes this stops the solve, a factor 1e4 short of it
 _MAX_STATE = 1e150
 # the family solve's rtol for one fibre, divided by sqrt(fibres) over the
 # batch (_batch_tolerances); scipy raises an rtol below 100 machine
@@ -626,7 +630,7 @@ class DeficiencyFamilyReport:
     max_norm_error: float = math.nan
     max_cross_inner: float | None = None
     contradiction: bool = False
-    nfev: int = 0
+    work: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict, compare=False)
 
 
@@ -645,43 +649,17 @@ def _right_start(pot: FibrePotential) -> float:
     return x
 
 
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w with ``w @ y == scipy.integrate.simpson(y, x=x)``: the
-    irregular-spacing Simpson panels and, for an even number of points,
-    the last interval's end correction."""
-    w = np.zeros(x.size)
-    h = np.diff(x)
-    m = x.size if x.size % 2 else x.size - 1
-    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
-    hsum = h0 + h1
-    w[0:m - 2:2] += hsum / 6.0 * (2.0 - h1 / h0)
-    w[1:m - 1:2] += hsum / 6.0 * hsum * hsum / (h0 * h1)
-    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
-    if m < x.size:
-        h0, h1 = h[-2], h[-1]
-        w[-1] += (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
-        w[-2] += (h1 * h1 + 3.0 * h0 * h1) / (6.0 * h0)
-        w[-3] -= h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    return w
-
-
-# row r of _RULES adds a point of rule r to the coarse and refined sums
-_RULES = np.eye(3)[:, :2]
-
-
 def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
     """One inward DOP853 solve in t = ln x of the square-integrable
-    solution of every fibre ``xi`` down to FAMILY_X_MIN.  A fibre joins
-    the running solve at its own abscissa ``starts``, seeded on its
-    decaying WKB branch; the fibres are decoupled and linear, so a join
-    leaves the running ones' solutions unchanged, and the solver restarts
-    there with the tolerances of the new fibre count.  The coarse and the
-    refined norm rule (Simpson in x on a log grid below OBS_GRID_LO and
-    on a uniform grid above it, up to the largest start) are summed as
-    the solve passes their points, a fibre contributing nothing above its
-    start; only the points ``kept`` keep values.  Returns each fibre's
-    coarse and refined norm^2 on (FAMILY_X_MIN, start), its complex values
-    at ``kept``, and the solve's right-hand-side calls."""
+    solution of every fibre ``xi``, down to the smallest of the points
+    ``kept``.  A fibre joins the running solve at its own abscissa
+    ``starts``, seeded on its decaying WKB branch at mass 0; the fibres
+    are decoupled and linear, so a join leaves the running ones' solutions
+    unchanged, and the solver restarts there with the tolerances of the
+    new fibre count.  Returns each fibre's u and its mass row N, the
+    integral of |u|^2 dx from x up to its start (:func:`_deficiency_rhs`),
+    at ``kept``, read from the dense output of the steps that pass them,
+    and the solve's work {"nfev", "steps"}."""
     from scipy.integrate import DOP853
 
     xi = np.asarray(xi, dtype=float)
@@ -690,64 +668,48 @@ def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
     order = np.argsort(-starts, kind="stable")
     xi2 = _squares(xi[order])
     starts = starts[order]
-    grids = [grid for refine in (1, 2) for grid in (
-        np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 2001 * refine),
-        np.linspace(OBS_GRID_LO, starts[0], 12001 * refine))]
-    weights = np.concatenate([*map(_simpson_weights, grids), np.zeros(len(kept))])
-    # the sum a point feeds: 0 the coarse norm, 1 the refined one, 2 none
-    rule = np.repeat(np.array([0, 0, 1, 1, 2], dtype=np.int8), [*map(len, grids), len(kept)])
-    # -t = -ln x ascends in the order the solve passes the points; the x
-    # grids and the sort order (0.3 MB each) do not outlive the set-up
-    neg_t = -np.log(np.concatenate((*grids, kept)))
-    del grids
+    # -t = -ln x ascends in the order the solve passes the kept points
+    neg_t = -np.log(kept)
     inward = np.argsort(neg_t, kind="stable")
-    neg_t, weights, rule = neg_t[inward], weights[inward], rule[inward]
-    # the index into ``kept`` of each kept point, in the order passed
-    slots = inward[rule == 2] - (inward.size - len(kept))
-    del inward
+    neg_t = neg_t[inward]
 
-    norms = np.zeros((xi2.size, 2))
-    values = np.zeros((xi2.size, len(kept)), dtype=complex)
-    z = np.empty((2, 0), dtype=complex)
-    done = passed = nfev = 0
+    values = np.zeros((2, xi2.size, inward.size), dtype=complex)
+    z = np.empty((3, 0), dtype=complex)
+    done = nfev = steps = 0
     joins = np.unique(starts)[::-1]
     for x0, t0, t1 in zip(joins, np.log(joins), [*np.log(joins[1:]), -neg_t[-1]]):
         n = int(np.count_nonzero(starts >= x0))
         # the joining fibres' decaying WKB branch, u = 1 and x u' = -k x
         k = _wkb_roots(profile, xi2[z.shape[1]:n], x0)
-        z = np.concatenate((z, [np.ones(k.size), -k * x0]), axis=1)
+        z = np.concatenate((z, [np.ones(k.size), -k * x0, np.zeros(k.size)]), axis=1)
         rtol, atol = _batch_tolerances(_FAMILY_RTOL, 1e-280, n)
         solver = DOP853(lambda t, s, q=xi2[:n]: _deficiency_rhs(t, s, profile, q), t0,
                         z.ravel(), t1, rtol=rtol, atol=atol, first_step=_first_step(k, x0))
         while solver.status == "running":
             message = solver.step()
-            if solver.status == "failed":
-                raise NumericError(f"deficiency solve failed at x={math.exp(solver.t):g}: "
-                                   f"{message}")
-            big = np.flatnonzero(np.abs(solver.y.reshape(2, n)).max(axis=0) > _MAX_STATE)
-            if big.size:
-                raise NumericError(
-                    f"deficiency solution of the fibre xi={xi[order[big[0]]]:g} outgrows "
-                    f"doubles at x={math.exp(solver.t):g}")
+            # each fibre's largest |u| or |x u'|
+            big = np.abs(solver.y.reshape(3, n)[:2]).max(axis=0)
+            if solver.status == "failed" or big.max() > _MAX_STATE:
+                raise NumericError(f"deficiency solve stopped at x={math.exp(solver.t):g}, where "
+                                   f"the fibre xi={xi[order[big.argmax()]]:g} has the largest "
+                                   f"solution: {message or 'it outgrows doubles'}")
+            steps += 1
             reached = int(np.searchsorted(neg_t, -solver.t, side="right"))
             if reached > done:
-                u = solver.dense_output()(-neg_t[done:reached])[:n]
-                r = rule[done:reached]
-                norms[:n] += ((u.real ** 2 + u.imag ** 2) * weights[done:reached]) @ _RULES[r]
-                here = r == 2
-                upto = passed + int(np.count_nonzero(here))
-                values[:n, slots[passed:upto]] = u[:, here]
-                done, passed = reached, upto
+                points = solver.dense_output()(-neg_t[done:reached])
+                values[:, :n, inward[done:reached]] = points.reshape(3, n, -1)[::2]
+                done = reached
         nfev += solver.nfev
-        z = solver.y.reshape(2, n)
+        z = solver.y.reshape(3, n)
     back = np.argsort(order)
-    return norms[back], values[back], nfev
+    return values[0, back], values[1, back].real, {"nfev": nfev, "steps": steps}
 
 
 def _bounded_interval(interval, name):
     lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise UsageError(f"{name} must be bounded with a < b")
+    # a finite width b - a implies finite ends
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise UsageError(f"{name} must be bounded with a < b and a finite width b - a")
     return lo, hi
 
 
@@ -767,20 +729,22 @@ def verify_deficiency_family(
 
     * eigenvalue residual of the 5-point finite-difference operator on
       the observation grid (independent of the integration route);
-    * unit norm under a refined re-quadrature;
+    * the norm, a row of the solve, against Simpson's rule over the kept
+      values: in ln x on a log grid below the observation grid, and in x
+      on it (``max_norm_error``, the worst relative gap);
     * orthogonality against the family over ``other_interval``, which
       must be bounded and disjoint from ``interval`` (exact, since the
       xi supports do not meet).
 
     A failure to find a square-integrable solution (fitted local growth
     at zero at or below the critical exponent) sets ``contradiction``.
-    The whole family is one inward DOP853 solve in t = ln x: each fibre
-    joins it at its own right start, and the norms are summed with Simpson weights
-    as the solve passes their points, so only the observation grid and
-    the two points of the exponent fit keep values.  A fibre whose
-    solution outgrows doubles, or any non-finite per-fibre number, raises
-    :class:`NumericError` naming its xi.
+    The whole family is one inward DOP853 solve in t = ln x that each
+    fibre joins at its own right start.  A fibre whose solution outgrows
+    doubles, a failed solve, or any non-finite per-fibre number raises
+    :class:`NumericError` naming a fibre's xi.
     """
+    from scipy.integrate import simpson
+
     if not (0.0 < alpha < 1.0):
         raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
     if xi_samples < 8:
@@ -801,33 +765,39 @@ def verify_deficiency_family(
     h = OBS_GRID_STEP
     xs = np.arange(OBS_GRID_LO, OBS_GRID_HI, h)
     xc = xs[2:-2]
+    # kept: 401 points in ln x up to the observation grid, the exponent
+    # fit's second point, and the observation grid
+    x_log = np.geomspace(FAMILY_X_MIN, OBS_GRID_LO, 401)
     starts = [_right_start(pot) for pot in pots]
-    norms, values, nfev = _l2_solutions(profile, xi_values, starts,
-                                        np.concatenate(([FAMILY_X_MIN, 10.0 * FAMILY_X_MIN], xs)))
-    max_res = max_norm_err = 0.0
+    values, mass, work = _l2_solutions(profile, xi_values, starts,
+                                       np.concatenate((x_log, [10.0 * FAMILY_X_MIN], xs)))
+    m = x_log.size
+    u2 = values.real ** 2 + values.imag ** 2
+    # Simpson's rule against the mass row's increment on each span
+    gaps = np.abs(np.array([
+        simpson(x_log * u2[:, :m], x=np.log(x_log)) / (mass[:, 0] - mass[:, m - 1]),
+        simpson(u2[:, m + 1:], x=xs) / (mass[:, m + 1] - mass[:, -1])]) - 1.0).max(axis=0)
+    max_res = 0.0
     contradiction = False
-    for pot, (coarse, fine), u in zip(pots, norms, values):
-        u_min, u_ten = abs(u[0]), abs(u[1])
+    for pot, u, norm2, norm_err in zip(pots, values, mass[:, 0], gaps.tolist()):
+        u_min, u_ten = abs(u[0]), abs(u[m])
         # fitted local exponent over the last decade above FAMILY_X_MIN,
         # and the analytic power tail of the norm below it
         s_fit = math.log(u_ten / u_min) / math.log(10.0)
         tail = 0.0
         if 2.0 * s_fit + 1.0 > 1e-6:
             tail = u_min ** 2 * FAMILY_X_MIN / (2.0 * s_fit + 1.0)
-        scale = 1.0 / math.sqrt(coarse + tail)
-        phi = u[2:] * scale
+        phi = u[m + 1:] / math.sqrt(norm2 + tail)
         # independent arithmetic path: 4th-order central differences
         upp = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (
             12.0 * h * h
         )
         res = float(np.abs(-upp + (pot(xc) - 1j) * phi[2:-2]).max())
-        norm_err = abs(math.sqrt(fine + tail) * scale - 1.0)
         if not all(map(math.isfinite, (s_fit, res, norm_err))):
             raise NumericError(f"deficiency check of the fibre xi={pot.xi:g} is not finite "
                                f"(s_fit {s_fit}, residual {res}, norm error {norm_err})")
         contradiction = contradiction or s_fit <= CRITICAL_EXPONENT + 1e-3
         max_res = max(max_res, res)
-        max_norm_err = max(max_norm_err, norm_err)
 
     max_cross = None
     if other_interval is not None:
@@ -840,10 +810,10 @@ def verify_deficiency_family(
     return DeficiencyFamilyReport(
         xi_values=xi_values,
         max_residual=max_res,
-        max_norm_error=max_norm_err,
+        max_norm_error=float(gaps.max()),
         max_cross_inner=max_cross,
         contradiction=contradiction,
-        nfev=nfev,
+        work=work,
         grid={
             "observation_grid": [OBS_GRID_LO, OBS_GRID_HI, OBS_GRID_STEP],
             "x_min": FAMILY_X_MIN,

@@ -32,6 +32,7 @@ from grushinlab.evolution import (
 from grushinlab.geodesics import GeodesicInitialData, hit_time_quadrature, integrate_geodesic
 from grushinlab.profiles import FibrePotential, power_law
 from grushinlab.weyl import (
+    FAMILY_TOL,
     Mode,
     SAVerdict,
     aggregate_verdict,
@@ -177,14 +178,17 @@ def test_criterion_6_deficiency_family():
     report = verify_deficiency_family(0.5, (0.0, 1.0), 16, (2.0, 3.0))
     elapsed = time.perf_counter() - start
     ok = (not report.contradiction and report.max_residual <= 1e-6
+          and report.max_norm_error <= FAMILY_TOL
           and report.max_cross_inner <= 1e-10 and elapsed < 30.0)
     record_acceptance(
         f"criterion 6 (deficiency family, alpha=0.5, 16 fibres): "
         f"{'PASS' if ok else 'FAIL'} (max residual {report.max_residual:.2e}, "
+        f"norm error {report.max_norm_error:.1e}, "
         f"cross inner {report.max_cross_inner:.1e}, {elapsed:.1f} s)"
     )
     assert not report.contradiction
     assert report.max_residual <= 1e-6
+    assert report.max_norm_error <= FAMILY_TOL
     assert report.max_cross_inner <= 1e-10
     assert elapsed < 30.0
 
@@ -232,7 +236,7 @@ def test_criterion_7_confining_side(dichotomy_ratios):
 
 
 @pytest.mark.xfail(
-    strict=False,
+    strict=True,
     reason=(
         "unattainable as stated: with any fixed inner boundary condition the "
         "Dirichlet and Robin truncations converge to the same limiting "

@@ -991,7 +991,9 @@ class TestVerifyDeficiencyCommand:
         assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,1",
                      "--other-interval", "2,3", "--output-dir", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "deficiency_family.json")
-        assert 0 < doc["nfev"] <= 15471 // 2
+        assert set(doc["work"]) == {"nfev", "steps"}
+        assert 0 < doc["work"]["nfev"] <= 15471 // 2
+        assert 0 < 12 * doc["work"]["steps"] <= doc["work"]["nfev"]
         starts = doc["grid"]["x_right"]
         assert len(starts) == len(doc["xi_values"]) == 16
         # W grows with xi, so the decay budget is spent sooner
@@ -1005,6 +1007,15 @@ class TestVerifyDeficiencyCommand:
         doc = read_json(tmp_path / "deficiency_family.json")
         assert doc["max_residual"] > 1e-6 and doc["contradiction"] is False
         assert "[FAIL: max_residual" in capsys.readouterr().out
+
+    def test_interval_wider_than_the_doubles_exits_2(self, tmp_path, capsys):
+        # each end is a double, the width b - a is not: np.linspace over it
+        # overflowed into a nan fibre
+        assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "-1e308,1e308",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "interval must be bounded with a < b and a finite width b - a" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
         assert main(["verify-deficiency", "--alpha", "0.5", "--interval", "0,20",

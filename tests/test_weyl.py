@@ -220,6 +220,14 @@ class TestNumericClassification:
         assert r.endpoint_zero is LP
         assert math.isfinite(slope) and slope < -0.5
 
+    def test_guard_crossing_at_a_block_edge_has_a_finite_slope(self):
+        # at xi = 1e100 the first step grows past e^200 within 1.4e-101 of
+        # x = 1, a bracket narrower than brentq's xtol: it returned the
+        # block's edge, and the slope over no span was 0/0
+        ((slopes, early, _),) = weyl._amplitude_slopes(power_law(0.5), [1e100])
+        assert early is True
+        assert all(math.isfinite(s) and s < -0.5 for s in slopes)
+
 
 # the (alpha, xi) pairs of acceptance criterion 4
 CRITERION_4_ALPHAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 1.5, 3.0)
@@ -444,24 +452,27 @@ class TestDeficiencyFamily:
         assert 0.0 < report.max_norm_error <= 1e-6
 
     def test_non_finite_fibre_numbers_are_not_dropped(self, monkeypatch):
-        # without the state guard |u|^2 overflows in the norm sums; the
-        # per-fibre finiteness check must still name the fibre
+        # without the state guard the xi = 20 column outgrows the others
+        # until the step size underflows; the failure must still name the
+        # fibre
         monkeypatch.setattr(weyl, "_MAX_STATE", math.inf)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match=r"xi=20\b.*not finite"):
+                pytest.raises(NumericError, match=r"fibre xi=20\b"):
             verify_deficiency_family(0.5, (0.0, 20.0), 8)
 
-    @pytest.mark.parametrize("refine", [1, 2])
-    @pytest.mark.parametrize("part", ["log", "uniform"])
-    def test_simpson_weights_reproduce_scipy(self, part, refine):
-        from scipy.integrate import simpson
+    def test_a_non_finite_fibre_number_names_its_fibre(self, monkeypatch):
+        # the per-fibre finiteness check behind the solve's own guard
+        solve = weyl._l2_solutions
 
-        if part == "log":
-            x = np.geomspace(weyl.FAMILY_X_MIN, weyl.OBS_GRID_LO, 2001 * refine)
-        else:
-            x = np.linspace(weyl.OBS_GRID_LO, 58.0, 12001 * refine)
-        y = np.random.default_rng(refine).random(x.size)
-        assert weyl._simpson_weights(x) @ y == pytest.approx(simpson(y, x=x), rel=1e-14, abs=0)
+        def poisoned(*args):
+            values, mass, work = solve(*args)
+            values[5, 0] = math.nan  # the fibre xi = 5/7, at FAMILY_X_MIN
+            return values, mass, work
+
+        monkeypatch.setattr(weyl, "_l2_solutions", poisoned)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"fibre xi=0\.714286 is not finite"):
+            verify_deficiency_family(0.5, (0.0, 1.0), 8)
 
     def test_joined_fibres_match_fibres_alone(self):
         # right starts 33, 18 and 14: the later fibres join a running solve
@@ -470,12 +481,14 @@ class TestDeficiencyFamily:
         starts = [weyl._right_start(FibrePotential(xi=v, profile=profile)) for v in xi]
         assert len(set(starts)) == 3
         kept = np.arange(weyl.OBS_GRID_LO, weyl.OBS_GRID_HI, weyl.OBS_GRID_STEP)
-        norms, values, _ = weyl._l2_solutions(profile, xi, starts, kept)
-        for v, start, norm, u in zip(xi, starts, norms, values):
-            alone_norm, alone, _ = weyl._l2_solutions(profile, [v], [start], kept)
-            phi, phi_alone = u / math.sqrt(norm[0]), alone[0] / math.sqrt(alone_norm[0, 0])
+        kept = np.concatenate(([weyl.FAMILY_X_MIN], kept))
+        values, mass, _ = weyl._l2_solutions(profile, xi, starts, kept)
+        for v, start, u, norm2 in zip(xi, starts, values, mass):
+            alone, alone_mass, _ = weyl._l2_solutions(profile, [v], [start], kept)
+            phi = u / math.sqrt(norm2[0])
+            phi_alone = alone[0] / math.sqrt(alone_mass[0, 0])
             assert np.abs(phi - phi_alone).max() <= 1e-9 * np.abs(phi_alone).max()
-            np.testing.assert_allclose(norm, alone_norm[0], rtol=1e-9, atol=0)
+            np.testing.assert_allclose(norm2, alone_mass[0], rtol=1e-9, atol=0)
 
     def test_purification_law_can_fail(self, monkeypatch):
         # the growing solution's share of the seed falls like e^(-2B): at
@@ -484,12 +497,13 @@ class TestDeficiencyFamily:
         profile = power_law(0.5)
         xi = np.linspace(0.0, 1.0, 16)
         kept = np.arange(weyl.OBS_GRID_LO, weyl.OBS_GRID_HI, weyl.OBS_GRID_STEP)
+        kept = np.concatenate(([weyl.FAMILY_X_MIN], kept))
 
         def phi(budget):
             monkeypatch.setattr(weyl, "_DECAY_BUDGET", budget)
             starts = [weyl._right_start(FibrePotential(xi=v, profile=profile)) for v in xi]
-            norms, values, _ = weyl._l2_solutions(profile, xi, starts, kept)
-            return values / np.sqrt(norms[:, :1])
+            values, mass, _ = weyl._l2_solutions(profile, xi, starts, kept)
+            return values[:, 1:] / np.sqrt(mass[:, :1])
 
         def gap(u, reference):
             # each fibre's phi is unique up to a phase: align it first
