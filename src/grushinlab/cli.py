@@ -333,13 +333,15 @@ def _read(args, command, given, selector=None):
 
 
 def _resolve_profile(read) -> GrushinProfile:
-    """The profile named by --alpha or by --profile, flag or file key."""
-    if read.alpha is not None and read.profile is not None:
+    """The profile named by --alpha or, where the command has that option, by
+    --profile, flag or file key; no other command code builds one."""
+    name = getattr(read, "profile", None)
+    if read.alpha is not None and name is not None:
         raise UsageError("give exactly one of --alpha, --profile")
     if read.alpha is not None:
         return power_law(read.alpha)
-    if read.profile is not None:
-        return builtin_profile(read.profile)
+    if name is not None:
+        return builtin_profile(name)
     raise UsageError("no profile given: use --alpha or --profile")
 
 
@@ -527,9 +529,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _evolve_sensitivity(read, out) -> int:
-    alpha, xi = read.alpha, read.xi
-    result = bc_sensitivity(alpha, xi, read.t_final, read.eps_grid, beta=read.beta, dt=read.dt,
-                            refine=read.refine)
+    result = bc_sensitivity(_resolve_profile(read), read.xi, read.t_final, read.eps_grid,
+                            beta=read.beta, dt=read.dt, refine=read.refine)
     config = {"command": "evolve", **vars(read), **result.config}
     document = {
         "config": config,
@@ -543,7 +544,7 @@ def _evolve_sensitivity(read, out) -> int:
     eps_col, d_col = zip(*result.rows)
     cpath = _write_csv(os.path.join(out, "bc_sensitivity.csv"), ["eps", "D", "wall_mass"],
                        [eps_col, d_col, result.wall_mass], config)
-    print(f"alpha={alpha:g} xi={xi:g}: D trend {result.trend}, "
+    print(f"alpha={read.alpha:g} xi={read.xi:g}: D trend {result.trend}, "
           f"D({result.rows[-1][0]:g})/D({result.rows[0][0]:g}) = {result.ratio_end_to_start:.3e}")
     print(f"wrote {cpath}\nwrote {jpath}")
     return EXIT_OK
@@ -551,7 +552,7 @@ def _evolve_sensitivity(read, out) -> int:
 
 def _evolve_plane(read, out) -> int:
     alpha, geometry, dt = read.alpha, read.protocol, read.dt
-    profile = power_law(alpha)
+    profile = _resolve_profile(read)
     bc = BoundaryCondition.robin(read.beta) if read.bc == "robin" else BoundaryCondition.dirichlet()
     psi0 = standard_plane_data(profile, geometry, read.eps, read.ny, read.sigma_xi,
                                getattr(read, "y_span", None), read.outer_wall)
@@ -607,7 +608,7 @@ def _cmd_verify_deficiency(args) -> int:
         raise UsageError("--other-interval needs two comma-separated numbers")
     out = _outdir(args)
 
-    report = verify_deficiency_family(alpha, tuple(interval), read.samples,
+    report = verify_deficiency_family(_resolve_profile(read), tuple(interval), read.samples,
                                       tuple(other) if other else None)
     document = {
         "config": {"command": "verify-deficiency", **vars(read)},

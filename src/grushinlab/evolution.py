@@ -118,7 +118,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .profiles import FibrePotential, GrushinProfile, power_law
+from .profiles import FibrePotential, GrushinProfile
 
 __all__ = [
     "FibreGrid",
@@ -672,7 +672,7 @@ def _trend(ds: Sequence[float]) -> str:
 
 
 def bc_sensitivity(
-    alpha: float,
+    profile: GrushinProfile,
     xi: float,
     t_final: float,
     eps_grid: Sequence[float],
@@ -681,7 +681,8 @@ def bc_sensitivity(
     dt: float = DEFAULT_DT,
     refine: int = 1,
 ) -> BcSensitivityResult:
-    """Cutoff boundary-condition sensitivity D(eps) for one fibre.
+    """Cutoff boundary-condition sensitivity D(eps) for the fibre ``xi`` of
+    ``profile`` (``power_law(alpha)`` or ``builtin_profile(name)``).
 
     For each eps in the (strictly decreasing) grid, identical standard Gaussian
     data is evolved to ``t_final`` under Dirichlet-at-eps and under
@@ -711,8 +712,7 @@ def bc_sensitivity(
     if t_final * WALL_ENERGY <= np.finfo(float).eps:
         raise UsageError(f"evolution time {t_final:g} turns the standard data by at most "
                          f"{t_final * WALL_ENERGY:.1e}, below rounding, so D would be rounding")
-    prof = power_law(alpha)
-    pot = FibrePotential(xi=xi, profile=prof)
+    pot = FibrePotential(xi=xi, profile=profile)
     L = choose_outer_wall(pot)
 
     bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.robin(beta))
@@ -750,7 +750,7 @@ def bc_sensitivity(
             "resolution": SENSITIVITY_RESOLUTION,
             "outer_wall": L,
             "gaussian": {"center": GAUSS_CENTER, "width": GAUSS_WIDTH},
-            "profile": prof.name,
+            "profile": profile.name,
         },
         grids=tuple(_grid_record([stepper]) for stepper in steppers),
         work=_work(steppers, nsteps),

@@ -82,7 +82,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InconclusiveClassification, NumericError, UsageError
-from .profiles import FibrePotential, GrushinProfile, check_assumptions, power_law
+from .profiles import FibrePotential, GrushinProfile, check_assumptions
 
 __all__ = [
     "Endpoint",
@@ -336,6 +336,9 @@ def _batch_tolerances(rtol, atol, n):
     return rtol / root, atol / root
 
 
+# past xi ~ 1e147 a trial step's error norm overflows (to a NaN norm) and
+# DOP853 rejects the step: the solver's status decides, not numpy's warning
+@np.errstate(over="ignore", invalid="ignore")
 def _amplitude_slopes(profile: GrushinProfile, xi):
     """Growth exponents of the deficiency solutions of every fibre ``xi``.
 
@@ -348,12 +351,23 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
     triple per fibre, ``work`` the solve's {"nfev", "steps"}, shared by
     every fibre.  Growth by e^100 within a block, more singular than any
     inverse square, stops the fibre early with both its columns and the
-    slopes of the stopped block.
+    slopes of the stopped block.  A non-finite growth of log m, from which
+    every slope is read, raises :class:`NumericError` naming its fibre.
     """
     from scipy.integrate import DOP853
     from scipy.optimize import brentq
 
     xi2 = _squares(xi)
+
+    def finite(grown, columns):
+        # ``grown`` by column, ``columns`` the fibre of each
+        bad = ~np.isfinite(grown)
+        if bad.any():
+            raise NumericError(f"classification solve of the fibre xi="
+                               f"{float(np.atleast_1d(xi)[columns[bad][0]]):g} reached a "
+                               "non-finite log-magnitude")
+        return grown
+
     # 1/f^2 of a power law with alpha < 0 is largest at X_END
     try:
         profile.inv_f_squared(X_END)
@@ -394,10 +408,10 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
             while k < n_blocks:
                 end = max(solver.t, edges[k + 1])
                 if end == solver.t:
-                    grown = _log_mag_squared(solver.y) - ref
+                    grown = finite(_log_mag_squared(solver.y) - ref, fibre)
                 else:
                     dense = dense if dense is not None else solver.dense_output()
-                    grown = _log_mag_squared(dense(end)) - ref
+                    grown = finite(_log_mag_squared(dense(end)) - ref, fibre)
                 fired = grown.max() >= _GUARD_LOG_M2
                 if fired or end > edges[k + 1]:
                     break
@@ -422,7 +436,7 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
                     # which spans nothing: the segment's end stands for it
                     t = brentq(excess, end, begin, args=(own,), xtol=tol, rtol=tol)
                     t = end if t == edges[k] else t
-                    grown_at = _log_mag_squared(dense(t)) - ref
+                    grown_at = finite(_log_mag_squared(dense(t)) - ref, fibre)
                     slopes[i] = [float(v) for v in 0.5 * grown_at[own] / (t - edges[k])]
                 early[fibre[stop]] = True
                 t = end
@@ -446,13 +460,19 @@ def classify_numeric(pot: FibrePotential, *,
     deficiency equation in t = ln x inward from X_START, in one solve of
     two independent initial conditions, and reads the dominant growth
     exponent s from the last half-decade's amplitude ratio: both local
-    solutions are square integrable near zero iff s > -1/2.  The routes must agree; disagreement raises
-    :class:`InconclusiveClassification` rather than silently picking a
-    side.  ``slopes`` is this fibre's entry of :func:`_amplitude_slopes`
-    when a sweep has integrated it together with others; without it the
-    fibre is integrated alone.
+    solutions are square integrable near zero iff s > -1/2.  The routes
+    must agree, and a fit whose tail error spans 3/4 decides nothing;
+    either failure raises :class:`InconclusiveClassification` rather than
+    silently picking a side.  ``slopes`` is this fibre's entry of
+    :func:`_amplitude_slopes` when a sweep has integrated it together
+    with others; without it the fibre is integrated alone.
     """
     c0, c0_err = _fit_c0(pot)
+    # the tail error spans 3/4 where xi^2 / f^2 still dominates at X_END
+    if 2.0 * c0_err > C0_FIT_TOL and abs(c0 - CRITICAL_COEFFICIENT) <= 2.0 * c0_err:
+        raise InconclusiveClassification(
+            f"indicial fit (c0={c0:.6g} +- {c0_err:.3g}) has not converged at "
+            f"x={X_END:g} for xi={pot.xi:g} on profile {pot.profile.name}")
     lp_fit = c0 >= CRITICAL_COEFFICIENT - max(C0_FIT_TOL, 2.0 * c0_err)
 
     if slopes is None:
@@ -714,7 +734,7 @@ def _bounded_interval(interval, name):
 
 
 def verify_deficiency_family(
-    alpha: float,
+    profile: GrushinProfile,
     interval: tuple[float, float] = (0.0, 1.0),
     xi_samples: int = 16,
     other_interval: tuple[float, float] | None = None,
@@ -722,10 +742,10 @@ def verify_deficiency_family(
     """Numerically realise the compact-interval eigenfunction family.
 
     For each sampled xi in ``interval`` the square-integrable solution of
-    A(xi)* phi = i phi is constructed (alpha must lie in (0, 1), where
-    every fibre is limit circle so exactly one solution decays at
-    infinity and all are admissible at zero), normalised to unit fibre
-    norm, and verified:
+    A(xi)* phi = i phi is constructed (``profile`` must be
+    ``power_law(alpha)`` with alpha in (0, 1), where every fibre is limit
+    circle so exactly one solution decays at infinity and all are
+    admissible at zero), normalised to unit fibre norm, and verified:
 
     * eigenvalue residual of the 5-point finite-difference operator on
       the observation grid (independent of the integration route);
@@ -745,8 +765,8 @@ def verify_deficiency_family(
     """
     from scipy.integrate import simpson
 
-    if not (0.0 < alpha < 1.0):
-        raise UsageError("the deficiency family construction assumes alpha in (0, 1)")
+    if not (profile.is_power_law and 0.0 < profile.alpha < 1.0):
+        raise UsageError(f"the deficiency family assumes alpha in (0, 1), got {profile.name}")
     if xi_samples < 8:
         raise UsageError("need at least 8 fibre samples")
     if xi_samples > MAX_FAMILY_SAMPLES:
@@ -758,7 +778,6 @@ def verify_deficiency_family(
         if a2 <= b and a <= b2:
             raise UsageError("other interval must be disjoint from the interval")
 
-    profile = power_law(alpha)
     xi_values = np.linspace(a, b, xi_samples)
     pots = [FibrePotential(xi=float(xi), profile=profile) for xi in xi_values]
 

@@ -175,7 +175,7 @@ def test_criterion_5_geodesic_hit_times():
 
 def test_criterion_6_deficiency_family():
     start = time.perf_counter()
-    report = verify_deficiency_family(0.5, (0.0, 1.0), 16, (2.0, 3.0))
+    report = verify_deficiency_family(power_law(0.5), (0.0, 1.0), 16, (2.0, 3.0))
     elapsed = time.perf_counter() - start
     ok = (not report.contradiction and report.max_residual <= 1e-6
           and report.max_norm_error <= FAMILY_TOL
@@ -207,8 +207,8 @@ def dichotomy_ratios():
     start = time.perf_counter()
     data = {}
     for alpha in DICHOTOMY_ALPHAS:
-        base = bc_sensitivity(alpha, 0.5, 1.0, [1e-1, 1e-3])
-        halved = bc_sensitivity(alpha, 0.5, 1.0, [1e-1, 1e-3], refine=2)
+        base = bc_sensitivity(power_law(alpha), 0.5, 1.0, [1e-1, 1e-3])
+        halved = bc_sensitivity(power_law(alpha), 0.5, 1.0, [1e-1, 1e-3], refine=2)
         data[alpha] = (base.ratio_end_to_start, halved.ratio_end_to_start)
     data["elapsed"] = time.perf_counter() - start
     return data
@@ -323,8 +323,8 @@ def test_criterion_8b_time_error_at_the_default_dt():
     worst fibre)."""
     start = time.perf_counter()
     dts = (DEFAULT_DT, DEFAULT_DT / 4)
-    d, d_ref = (np.array([row[1] for row in bc_sensitivity(1.5, 0.5, 1.0, [1e-1, 1e-3],
-                                                         dt=dt).rows]) for dt in dts)
+    d, d_ref = (np.array([row[1] for row in bc_sensitivity(power_law(1.5), 0.5, 1.0,
+                                                         [1e-1, 1e-3], dt=dt).rows]) for dt in dts)
     d_error = float(np.max(np.abs(d / d_ref - 1.0)))
 
     profile = power_law(1.0)

@@ -213,6 +213,16 @@ class TestClassifyCommand:
         monkeypatch.setattr(cli, "classify_sweep", boom)
         assert main(["classify", "--alpha", "1", "--output-dir", str(tmp_path)]) == 4
 
+    def test_huge_xi_numeric_sweep_is_inconclusive(self, tmp_path, capsys):
+        # every fibre of alpha 0.5 is limit circle, but the indicial fit
+        # has not converged at these xi: exit 4 and no verdict, where a
+        # limit-point verdict was written before
+        out = tmp_path / "out"
+        assert main(["classify", "--alpha", "0.5", "--method", "numeric", "--xi-min", "0",
+                     "--xi-max", "1e100", "--xi-step", "1e98", "--output-dir", str(out)]) == 4
+        assert "has not converged" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # classify options: two values a flag or the config file may give, and the
 # default (None: the option is required)

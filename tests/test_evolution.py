@@ -39,7 +39,7 @@ from grushinlab.evolution import (
     to_original,
     to_transformed,
 )
-from grushinlab.profiles import FibrePotential, custom_profile, power_law
+from grushinlab.profiles import FibrePotential, builtin_profile, custom_profile, power_law
 
 
 def _fibres(profile, xis):
@@ -400,7 +400,7 @@ class TestConvergence:
         # spacing (refine 1, 2, 4): the natural condition's successive
         # differences shrink more than 3 times; the one-sided elimination of
         # the boundary node shrinks them about 2 times
-        d = [bc_sensitivity(1.0, 0.5, 1.0, [1e-3], refine=refine).rows[0][1]
+        d = [bc_sensitivity(power_law(1.0), 0.5, 1.0, [1e-3], refine=refine).rows[0][1]
              for refine in (1, 2, 4)]
         assert abs(d[0] - d[1]) / abs(d[1] - d[2]) > 3.0
 
@@ -684,7 +684,7 @@ class TestStackedStepper:
         assert work["node_solves"] == 2 * work["steps"] * unknowns == 2 * work["node_steps"]
         assert work["solves"] == 2 * work["steps"] * blocks
         stepper_sizes.clear()
-        r = bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2], beta=0.5)
+        r = bc_sensitivity(power_law(1.5), 0.5, 0.01, [1e-1, 1e-2], beta=0.5)
         assert [size for _, size in stepper_sizes] == [2 * g["n"] + 2 for g in r.grids]
         unknowns = sum(size for _, size in stepper_sizes)
         assert r.work == {"steps": 2, "node_steps": 2 * unknowns, "solves": 2 * 2 * 4,
@@ -1208,7 +1208,7 @@ class TestPlaneEvolution:
 
 class TestBcSensitivity:
     def test_confining_trend_decreases(self):
-        r = bc_sensitivity(1.5, 0.5, 1.0, [1e-1, 1e-2])
+        r = bc_sensitivity(power_law(1.5), 0.5, 1.0, [1e-1, 1e-2])
         assert r.trend == "decreasing"
         assert r.rows[1][1] < 0.2 * r.rows[0][1]
         assert r.norm_drift <= 1e-6
@@ -1228,25 +1228,33 @@ class TestBcSensitivity:
     def test_trend_rule(self, ds, trend):
         assert _trend(ds) == trend
 
+    def test_takes_any_profile(self):
+        # the protocol reads the geometry from its profile alone, so a
+        # non-power-law one runs as a power law does
+        r = bc_sensitivity(builtin_profile("exp_inverse"), 0.0, 0.1, [0.2, 0.1])
+        assert all(math.isfinite(d) and d > 0.0 for _, d in r.rows)
+        assert r.rows[1][1] < r.rows[0][1]
+        assert r.config["profile"] == "exp_inverse"
+
     def test_subcritical_stays_positive(self):
-        r = bc_sensitivity(0.5, 0.5, 1.0, [1e-1, 1e-2])
+        r = bc_sensitivity(power_law(0.5), 0.5, 1.0, [1e-1, 1e-2])
         assert all(d > 1e-4 for _, d in r.rows)
 
     def test_rate_separation(self):
         # the confining regime sheds boundary-condition dependence
         # measurably faster as eps decreases
-        lc = bc_sensitivity(0.5, 0.5, 1.0, [1e-1, 1e-2])
-        lp = bc_sensitivity(1.5, 0.5, 1.0, [1e-1, 1e-2])
+        lc = bc_sensitivity(power_law(0.5), 0.5, 1.0, [1e-1, 1e-2])
+        lp = bc_sensitivity(power_law(1.5), 0.5, 1.0, [1e-1, 1e-2])
         assert lp.ratio_end_to_start < 0.1 * lc.ratio_end_to_start
 
     def test_quiescent_before_arrival(self):
         # data far from the cutoff, tiny time: no sensitivity yet
-        r = bc_sensitivity(0.0, 0.0, 0.01, [0.5, 0.25])
+        r = bc_sensitivity(power_law(0.0), 0.0, 0.01, [0.5, 0.25])
         assert all(d < 1e-5 for _, d in r.rows)
 
     def test_wall_contamination_detected(self):
         with pytest.raises(NumericError):
-            bc_sensitivity(0.0, 0.0, 2.5, [0.1], dt=2e-3)
+            bc_sensitivity(power_law(0.0), 0.0, 2.5, [0.1], dt=2e-3)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_graded_matches_uniform_grid(self, alpha):
@@ -1259,12 +1267,12 @@ class TestBcSensitivity:
         finals = [CrankNicolson(grid, [w], [bc], dt).evolve([psi0], 1000)[0][0]
                   for bc in (dirichlet, robin)]
         d_uniform = math.sqrt(_mass_sumsq(grid, finals[1] - finals[0]))
-        r = bc_sensitivity(alpha, 0.5, 1.0, [eps], beta=beta, dt=dt)
+        r = bc_sensitivity(power_law(alpha), 0.5, 1.0, [eps], beta=beta, dt=dt)
         assert r.grids[0]["n"] < grid.n / 2
         assert r.rows[0][1] == pytest.approx(d_uniform, rel=0.01)
 
     def test_grids_recorded(self):
-        r = bc_sensitivity(1.5, 0.5, 0.1, [1e-1, 1e-3])
+        r = bc_sensitivity(power_law(1.5), 0.5, 0.1, [1e-1, 1e-3])
         assert [g["n"] for g in r.grids] == [515, 606]
         for g in r.grids:
             # cap cells past x = 16 are not spaced exactly, so h_max may
@@ -1275,27 +1283,27 @@ class TestBcSensitivity:
 
     def test_eps_grid_validation(self):
         with pytest.raises(UsageError):
-            bc_sensitivity(1.0, 0.5, 1.0, [1e-2, 1e-1])  # increasing
+            bc_sensitivity(power_law(1.0), 0.5, 1.0, [1e-2, 1e-1])  # increasing
         with pytest.raises(UsageError):
-            bc_sensitivity(1.0, 0.5, 1.0, [1.5])  # overlaps the data
+            bc_sensitivity(power_law(1.0), 0.5, 1.0, [1.5])  # overlaps the data
 
     def test_no_step_is_bad_input(self):
         with pytest.raises(UsageError, match="evolution time 0 takes no steps"):
-            bc_sensitivity(1.5, 0.5, 0.0, [1e-1, 1e-2])
+            bc_sensitivity(power_law(1.5), 0.5, 0.0, [1e-1, 1e-2])
 
     def test_cutoffs_side_by_side_match_cutoffs_alone(self):
         eps_grid = [1e-1, 1e-2, 1e-3]
-        together = bc_sensitivity(1.5, 0.5, 0.1, eps_grid, beta=0.9)
-        alone = [bc_sensitivity(1.5, 0.5, 0.1, [eps], beta=0.9) for eps in eps_grid]
+        together = bc_sensitivity(power_law(1.5), 0.5, 0.1, eps_grid, beta=0.9)
+        alone = [bc_sensitivity(power_law(1.5), 0.5, 0.1, [eps], beta=0.9) for eps in eps_grid]
         assert together.rows == tuple(r.rows[0] for r in alone)
         assert together.wall_mass == tuple(r.wall_mass[0] for r in alone)
         assert together.norm_drift == max(r.norm_drift for r in alone)
         assert together.grids == tuple(r.grids[0] for r in alone)
 
     def test_thread_pool_only_for_several_cutoffs(self, pool_sizes):
-        bc_sensitivity(1.5, 0.5, 0.01, [1e-1])
+        bc_sensitivity(power_law(1.5), 0.5, 0.01, [1e-1])
         assert pool_sizes == []
-        bc_sensitivity(1.5, 0.5, 0.01, [1e-1, 1e-2, 1e-3])
+        bc_sensitivity(power_law(1.5), 0.5, 0.01, [1e-1, 1e-2, 1e-3])
         assert pool_sizes == [3]
 
     def test_wall_mass_is_the_m_norm_of_the_rows_near_the_wall(self, monkeypatch):
@@ -1315,7 +1323,7 @@ class TestBcSensitivity:
             return stacks
 
         monkeypatch.setattr(evolution, "_evolve_stacks", spy)
-        result = bc_sensitivity(0.0, 0.0, 1.2, [0.05, 0.0075])
+        result = bc_sensitivity(power_law(0.0), 0.0, 1.2, [0.05, 0.0075])
         assert len(runs) == 2
         for got, (grid, finals) in zip(result.wall_mass, runs):
             rows = np.flatnonzero(grid.points[:-1] >= grid.L - 0.5)
@@ -1337,12 +1345,12 @@ class TestBcSensitivity:
         alone = []
         for eps in eps_grid:
             try:
-                bc_sensitivity(0.0, 0.0, 1.2, [eps])
+                bc_sensitivity(power_law(0.0), 0.0, 1.2, [eps])
                 alone.append(None)
             except NumericError as exc:
                 alone.append(str(exc))
         assert alone[:2] == [None, None] and None not in alone[2:] and alone[2] != alone[3]
         with pytest.raises(NumericError) as caught:
-            bc_sensitivity(0.0, 0.0, 1.2, eps_grid)
+            bc_sensitivity(power_law(0.0), 0.0, 1.2, eps_grid)
         assert str(caught.value) == alone[2]
         assert str(caught.value).startswith("cutoff eps=0.015: its outer wall at L=")

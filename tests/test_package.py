@@ -68,3 +68,24 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     with tracing.Tracer().installed():
         assert cli.main is not originals[1]
     assert (evolution.CrankNicolson.__init__, cli.main) == originals
+
+
+def power_law_callers(package: Path) -> set[tuple[str, str | None]]:
+    """(module, top-level def) of every call of ``power_law`` in ``package``;
+    None for a call outside any def."""
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "power_law" in (
+                        getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                    callers.add((path.stem, owner))
+    return callers
+
+
+def test_only_the_cli_resolver_builds_a_power_law():
+    # every library experiment takes a GrushinProfile; the one place that
+    # turns --alpha into a geometry is cli._resolve_profile
+    callers = power_law_callers(Path(grushinlab.__file__).resolve().parent)
+    assert {c for c in callers if c[0] != "profiles"} == {("cli", "_resolve_profile")}

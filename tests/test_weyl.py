@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grushinlab import weyl
-from grushinlab.errors import NumericError, UsageError
+from grushinlab.errors import InconclusiveClassification, NumericError, UsageError
 from grushinlab.profiles import FibrePotential, builtin_profile, power_law
 from grushinlab.weyl import (
     Endpoint,
@@ -219,6 +220,36 @@ class TestNumericClassification:
         slope = r.diagnostics["indicial_slope"]
         assert r.endpoint_zero is LP
         assert math.isfinite(slope) and slope < -0.5
+
+    @pytest.mark.parametrize("xi", [1e10, 1e12, 1e100])
+    def test_unconverged_fit_is_inconclusive(self, xi):
+        # c0 = 5/16 (limit circle) at alpha 0.5, but at X_END the fit still
+        # reads xi^2 x^3: 0.4125 +- 1.48 at 1e10, 1000 +- 1.5e4 at 1e12.
+        # Its error spans 3/4, so it decides nothing; widening the
+        # tolerance by that error called every such fibre limit point
+        with pytest.raises(InconclusiveClassification,
+                           match=r"c0=.* \+- .*" + re.escape(f"for xi={xi:g} on profile")):
+            classify_numeric(FibrePotential(xi=xi, profile=power_law(0.5)))
+
+    @pytest.mark.parametrize("xi", [1e148, 1e150])
+    def test_overflowing_step_is_rejected_without_warnings(self, xi):
+        # the first trial step's error norm overflows; DOP853 rejects it,
+        # and the fibre still stops at its guard (warnings are errors here)
+        ((slopes, early, _),) = weyl._amplitude_slopes(builtin_profile("exp_inverse"), [xi])
+        assert early is True
+        assert all(math.isfinite(s) and s < -0.5 for s in slopes)
+
+    def test_non_finite_growth_names_its_fibre(self, monkeypatch):
+        log_mag = weyl._log_mag_squared
+
+        def poisoned(y):
+            out = log_mag(y)
+            out[2:4] = np.nan  # the second fibre's columns
+            return out
+
+        monkeypatch.setattr(weyl, "_log_mag_squared", poisoned)
+        with pytest.raises(NumericError, match="fibre xi=0.5 reached a non-finite"):
+            weyl._amplitude_slopes(power_law(0.5), [0.25, 0.5, 0.75])
 
     def test_guard_crossing_at_a_block_edge_has_a_finite_slope(self):
         # at xi = 1e100 the first step grows past e^200 within 1.4e-101 of
@@ -436,7 +467,7 @@ class TestAggregation:
 
 class TestDeficiencyFamily:
     def test_family_residual_and_orthogonality(self):
-        report = verify_deficiency_family(0.5, (0.0, 1.0), 8, (2.0, 3.0))
+        report = verify_deficiency_family(power_law(0.5), (0.0, 1.0), 8, (2.0, 3.0))
         assert not report.contradiction
         assert report.max_residual <= 1e-6
         assert report.max_cross_inner <= 1e-10
@@ -446,7 +477,7 @@ class TestDeficiencyFamily:
     def test_steep_fibres_pass_without_overflow(self, alpha):
         # started at a larger fibre's right start, the xi = 1 fibre grew
         # past the doubles: its norm went inf and its residual 0
-        report = verify_deficiency_family(alpha, (0.0, 1.0), 8)
+        report = verify_deficiency_family(power_law(alpha), (0.0, 1.0), 8)
         assert not report.contradiction
         assert 0.0 < report.max_residual <= 1e-6
         assert 0.0 < report.max_norm_error <= 1e-6
@@ -458,7 +489,7 @@ class TestDeficiencyFamily:
         monkeypatch.setattr(weyl, "_MAX_STATE", math.inf)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match=r"fibre xi=20\b"):
-            verify_deficiency_family(0.5, (0.0, 20.0), 8)
+            verify_deficiency_family(power_law(0.5), (0.0, 20.0), 8)
 
     def test_a_non_finite_fibre_number_names_its_fibre(self, monkeypatch):
         # the per-fibre finiteness check behind the solve's own guard
@@ -472,7 +503,7 @@ class TestDeficiencyFamily:
         monkeypatch.setattr(weyl, "_l2_solutions", poisoned)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericError, match=r"fibre xi=0\.714286 is not finite"):
-            verify_deficiency_family(0.5, (0.0, 1.0), 8)
+            verify_deficiency_family(power_law(0.5), (0.0, 1.0), 8)
 
     def test_joined_fibres_match_fibres_alone(self):
         # right starts 33, 18 and 14: the later fibres join a running solve
@@ -519,11 +550,11 @@ class TestDeficiencyFamily:
 
     def test_alpha_validation(self):
         with pytest.raises(UsageError):
-            verify_deficiency_family(1.5, (0.0, 1.0), 8)
+            verify_deficiency_family(power_law(1.5), (0.0, 1.0), 8)
         with pytest.raises(UsageError):
-            verify_deficiency_family(0.5, (0.0, 1.0), 4)
+            verify_deficiency_family(power_law(0.5), (0.0, 1.0), 4)
         with pytest.raises(UsageError):
-            verify_deficiency_family(0.5, (1.0, 0.0), 8)
+            verify_deficiency_family(power_law(0.5), (1.0, 0.0), 8)
 
     def test_samples_keep_the_batched_rtol_above_scipys_floor(self, monkeypatch):
         from scipy.integrate._ivp.common import EPS
@@ -535,10 +566,16 @@ class TestDeficiencyFamily:
         # rejected before any solve
         monkeypatch.setattr(weyl, "_l2_solutions", None)
         with pytest.raises(UsageError, match=f"at most {bound} fibre samples"):
-            verify_deficiency_family(0.5, (0.0, 1.0), bound + 1)
+            verify_deficiency_family(power_law(0.5), (0.0, 1.0), bound + 1)
+
+    @pytest.mark.parametrize("profile", [builtin_profile("exp_inverse"), power_law(0.0),
+                                         power_law(1.0)], ids=["exp_inverse", "alpha 0", "alpha 1"])
+    def test_needs_a_power_law_with_alpha_in_zero_one(self, profile):
+        with pytest.raises(UsageError, match=r"alpha in \(0, 1\), got " + re.escape(profile.name)):
+            verify_deficiency_family(profile, (0.0, 1.0), 8)
 
     @pytest.mark.parametrize("other", [(3.0, 2.0), (0.5, 2.0), (1.0, 2.0), (-1.0, 0.0),
                                        (math.nan, 1.0), (math.inf, 5.0)])
     def test_other_interval_must_be_bounded_and_disjoint(self, other):
         with pytest.raises(UsageError):
-            verify_deficiency_family(0.5, (0.0, 1.0), 8, other)
+            verify_deficiency_family(power_law(0.5), (0.0, 1.0), 8, other)
