@@ -360,7 +360,8 @@ def _outdir(args) -> str:
 # classify
 # ---------------------------------------------------------------------------
 
-NUMERIC_DIAGNOSTICS = ("c0", "c0_fit_error", "indicial_slope", "early_limit_point", "x_end")
+NUMERIC_DIAGNOSTICS = ("c0", "c0_fit_error", "indicial_slope", "early_limit_point",
+                       "slope_error", "x_end")
 
 
 def _fibre_row(report) -> dict:
@@ -428,7 +429,7 @@ def _cmd_classify(args) -> int:
         "inequality_check": {"verdict": ineq.value, **info},
     }
     if reports[0].method is Method.NUMERIC_ODE:
-        # the sweep's one solve, which every numeric report shares
+        # the sweep's propagator work, which every numeric report shares
         document["work"] = reports[0].diagnostics["work"]
     path = _write_json(os.path.join(out, "verdict.json"), document)
     print(f"{profile.name} [{mode.value}]: {verdict.verdict.value}"

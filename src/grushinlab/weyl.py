@@ -51,15 +51,15 @@ Three classification routes are implemented and cross-checked:
   dominant solution is not square integrable (s <= -1/2).  The two
   sub-routes must agree or the classification is declared inconclusive.
 
-Both ODE routes solve in t = ln x for z = (u, x u'), with dz/dt =
-(z2, a z1 + z2) and a = x^2 (W - i): a Frobenius solution x^s is e^(st),
-so the singular end costs a few steps per decade.  The classification
-steps the Liouville-Green gauge w = e^(-G) z (F. W. J. Olver, Asymptotics
-and Special Functions, ch. 6), G' the root of l^2 - l = a that grows
-inward, and carries g = Re G: exponential growth such as e^(1/(2x)) lives
-in g, and DOP853 steps the slowly varying w.  The deficiency family steps
-z itself: its residual needs the phase Im G that g drops, and a gauge
-carrying all of G saved 5% of its calls at nearly twice their cost.
+Both ODE routes solve in t = ln x for z = (u, x u'), with dz/dt = B z,
+B = [[0, 1], [a, 1]] and a = x^2 (W - i): a Frobenius solution x^s is
+e^(st), so the singular end costs a few steps per decade.  The
+classification takes fourth-order Magnus steps (W. Magnus, CPAM 7, 1954;
+A. Iserles and S. P. Norsett, Phil. Trans. A 357, 1999), a closed-form
+2x2 exponential per step that is exact wherever a is constant, so growth
+such as e^(1/(2x)) is the exponential's own; a log scale per column
+carries it, and a shadow at twice the step bounds each slope's error.
+The deficiency family steps z with DOP853.
 
 When a fibre is limit circle, ker(A(xi)* - i) is one-dimensional;
 ``verify_deficiency_family`` builds the normalised solutions phi_xi over
@@ -286,46 +286,9 @@ def _deficiency_rhs(t, z, profile, xi2):
     return np.concatenate((v, a * u + v, -x * (u.real ** 2 + u.imag ** 2)))
 
 
-def _gauged_rhs(t, y, profile, xi2):
-    """The deficiency equation in the exponential gauge: ``y`` stacks the
-    rows u, v and g of every column, with e^g (u, v) = e^(i phase) (u, x u')
-    and g' = Re lam.  lam = 1/2 - sqrt(1/4 + a), the root of l^2 - l = a
-    that grows fastest inward, is the local exponent of the dominant
-    solution, so (u, v) varies slowly wherever the growth is exponential.
-    With a = lam (lam - 1), d/dt (u, v) = (v - lam u, (1 - lam)(v - lam u))."""
-    u, v, _ = y.reshape(3, -1)
-    x = math.exp(t)
-    x2 = x * x
-    # 1/4 + a, a = x^2 (W - i) as _deficiency_rhs forms it
-    quarter_a = (x2 * profile.inv_f_squared(x)) * xi2 + complex(
-        x2 * profile.base_potential(x) + 0.25, -x2)
-    lam = 0.5 - np.sqrt(quarter_a)
-    du = v - lam * u
-    return np.concatenate((du, (1.0 - lam) * du, lam.real))
-
-
-def _wkb_roots(profile, xi2, x):
-    """k = sqrt(W - i) with Re k > 0 of every fibre at x: u' = -k u is the
-    decaying WKB branch."""
-    return np.sqrt(profile.base_potential(x) + xi2 * profile.inv_f_squared(x) - 1j)
-
-
 def _first_step(k, x):
     # a step in t = ln x at x that resolves the fastest WKB rate |k|
     return min(0.1, 1.0 / float(np.abs(k).max(initial=1.0))) / x
-
-
-def _log_mag_squared(y):
-    # log(|u|^2 + |x u'|^2) per column of a gauged state: 2 s t for
-    # Frobenius solutions u ~ x^s, and finite (u and u' cannot vanish
-    # together); the scale e^g carries the growth, so |u|^2 + |v|^2
-    # stays far from overflow
-    u, v, g = y.reshape(3, -1)
-    return np.log(u.real ** 2 + u.imag ** 2 + v.real ** 2 + v.imag ** 2) + 2.0 * g.real
-
-
-# the magnitude guard fires when log m^2 grows by this within a block
-_GUARD_LOG_M2 = 200.0
 
 
 def _batch_tolerances(rtol, atol, n):
@@ -336,38 +299,67 @@ def _batch_tolerances(rtol, atol, n):
     return rtol / root, atol / root
 
 
-# past xi ~ 1e147 a trial step's error norm overflows (to a NaN norm) and
-# DOP853 rejects the step: the solver's status decides, not numpy's warning
-@np.errstate(over="ignore", invalid="ignore")
+# the magnitude guard fires when log m^2 grows by this within a block
+_GUARD_LOG_M2 = 200.0
+# Gauss-Legendre nodes of a step, as fractions of it
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+# a fibre's steps in a block resolve its rate, |h| |sqrt(1/4 + a)| <=
+# _STEP_RATE, in a power of two from _MIN_STEPS to _MAX_STEPS, and are
+# formed _CHUNK at a time; a fibre at the cap passes the guard at once
+_STEP_RATE, _MIN_STEPS, _MAX_STEPS, _CHUNK = 0.5, 16, 1024, 64
+# bound on a fibre's step-doubling slope error, fixed before measuring
+SLOPE_ERROR_TOL = 1e-6
+# the largest |a| a step takes: a1 + a2 is the largest number it forms
+_COEFFICIENT_MAX = float(np.finfo(float).max) / 4.0
+
+
+def _coefficients(profile, x):
+    """q = x^2 (base - i) and w = x^2 / f^2 at the abscissae ``x``: every
+    fibre's a = x^2 (W - i) is q + xi^2 w."""
+    x2 = x * x
+    return x2 * profile.base_potential(x) - 1j * x2, x2 * profile.inv_f_squared(x)
+
+
+def _magnus_steps(a1, a2, h):
+    """Fourth-order Magnus steps of z' = B z, B = [[0, 1], [a, 1]], from a
+    at each step's two Gauss points: exp(Omega), Omega = h/2 (B1 + B2) +
+    (sqrt(3)/12) h^2 [B2, B1] = h/2 I + N, [B2, B1] = (a1 - a2) [[1, 0],
+    [1, -1]].  N^2 = delta^2 I, so exp(Omega) = e^(h/2 + delta) E with E =
+    (1 + e^(-2 delta))/2 I + (1 - e^(-2 delta))/(2 delta) N, Re delta >= 0.
+    Returns E's entries and the log scale h/2 + Re delta; the phase of
+    e^delta is common to both columns and dropped, and no h^2 a^2 is formed."""
+    am = 0.5 * (a1 + a2)
+    c = (math.sqrt(3.0) / 12.0 * h * h) * (a1 - a2)
+    b = (h * h) * (0.25 + am)
+    # delta = sqrt(c^2 + b), with c and sqrt|b| scaled to at most 1
+    s = np.maximum(np.abs(c), np.sqrt(np.abs(b)))
+    r = c / s
+    delta = s * np.sqrt(r * r + b / s / s)
+    em1 = np.expm1(-2.0 * delta)
+    even, odd, d = 1.0 + 0.5 * em1, em1 / (-2.0 * delta), c - 0.5 * h
+    return (even + odd * d, odd * h, odd * (h * am + c), even - odd * d), 0.5 * h + delta.real
+
+
 def _amplitude_slopes(profile: GrushinProfile, xi):
     """Growth exponents of the deficiency solutions of every fibre ``xi``.
 
-    Integrates -u'' + W u = i u in t = ln x from X_START to X_END, both
-    canonical initial conditions of every fibre in one DOP853 stepping
-    loop in the exponential gauge of :func:`_gauged_rhs`, and reads the
-    growth rate of log m, m^2 = |u|^2 + |x u'|^2, over each half-decade
-    block from the dense output at its edges.  Returns one (the last
-    block's slope of each initial condition, early_limit_point, work)
-    triple per fibre, ``work`` the solve's {"nfev", "steps"}, shared by
-    every fibre.  Growth by e^100 within a block, more singular than any
-    inverse square, stops the fibre early with both its columns and the
-    slopes of the stopped block.  A non-finite growth of log m, from which
-    every slope is read, raises :class:`NumericError` naming its fibre.
+    Steps both canonical initial conditions z = (u, x u') of every fibre
+    from X_START to X_END with :func:`_magnus_steps`, each column
+    renormalised after every step and its growth kept as a log, and reads
+    the growth rate of log m, m^2 = |u|^2 + |x u'|^2, over each half-decade
+    block.  A fibre's step count in a block is set by its own coefficient,
+    and fibres with equal counts are stepped together, so a swept fibre is
+    bit-identical to the fibre alone.  Growth by e^100 within a block stops
+    the fibre at the end of that step.  Returns one (the last block's slope
+    of each initial condition, early_limit_point, slope_error, work) tuple
+    per fibre: the slopes' largest change at twice the step (None for a
+    stopped fibre), and the sweep's group steps, shadow included, and
+    potential evaluations.  A coefficient past _COEFFICIENT_MAX, a
+    non-finite growth or a slope error above SLOPE_ERROR_TOL raises
+    :class:`NumericError` naming its fibre.
     """
-    from scipy.integrate import DOP853
-    from scipy.optimize import brentq
-
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     xi2 = _squares(xi)
-
-    def finite(grown, columns):
-        # ``grown`` by column, ``columns`` the fibre of each
-        bad = ~np.isfinite(grown)
-        if bad.any():
-            raise NumericError(f"classification solve of the fibre xi="
-                               f"{float(np.atleast_1d(xi)[columns[bad][0]]):g} reached a "
-                               "non-finite log-magnitude")
-        return grown
-
     # 1/f^2 of a power law with alpha < 0 is largest at X_END
     try:
         profile.inv_f_squared(X_END)
@@ -375,97 +367,102 @@ def _amplitude_slopes(profile: GrushinProfile, xi):
         raise UsageError(f"the potential overflows a float at x={X_END:g}") from None
     n_blocks = int(math.ceil(2.0 * math.log10(X_START / X_END)))
     edges = np.linspace(math.log(X_START), math.log(X_END), n_blocks + 1)
-    # columns 2i and 2i + 1 are fibre i's (u, x u') = (1, 0) and (0, 1),
-    # at the scale g = 0
-    fibre = np.repeat(np.arange(xi2.size), 2)
-    y = np.concatenate((np.tile(np.eye(2, dtype=complex), xi2.size),
-                        np.zeros((1, fibre.size))))
-    # per column: log m^2 at the block's start edge, and the slope of the
-    # last finished block
-    ref, last = np.zeros(fibre.size), np.zeros(fibre.size)
-    slopes = [None] * xi2.size
-    early = np.zeros(xi2.size, dtype=bool)
-    nfev = steps = 0
-    # a restart keeps the step size reached (none at the end point, where
-    # DOP853 takes no step and rejects a zero one)
-    t, k, step = edges[0], 0, _first_step(_wkb_roots(profile, xi2, X_START), X_START)
-    while fibre.size and k < n_blocks:
-        # a column's u and v are two of its three rows: the tolerances
-        # divided by sqrt(3/2 columns) bound the u and v errors of each
-        # column by those of an ungauged solve of that column alone, the
-        # g rows' errors only tightening it
-        rtol, atol = _batch_tolerances(1e-10, 1e-30, 1.5 * fibre.size)
-        solver = DOP853(lambda s, w, q=xi2[fibre]: _gauged_rhs(s, w, profile, q),
-                        t, y.ravel(), edges[-1], rtol=rtol, atol=atol,
-                        first_step=min(step, t - edges[-1]) or None)
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise NumericError(f"deficiency ODE integration failed: {message}")
-            steps += 1
-            dense, begin, fired = None, solver.t_old, False
-            # one segment per block the step enters
-            while k < n_blocks:
-                end = max(solver.t, edges[k + 1])
-                if end == solver.t:
-                    grown = finite(_log_mag_squared(solver.y) - ref, fibre)
-                else:
-                    dense = dense if dense is not None else solver.dense_output()
-                    grown = finite(_log_mag_squared(dense(end)) - ref, fibre)
-                fired = grown.max() >= _GUARD_LOG_M2
-                if fired or end > edges[k + 1]:
-                    break
-                last = 0.5 * grown / (edges[k + 1] - edges[k])
-                ref, begin, k = ref + grown, end, k + 1
-            if fired:
-                # the magnitude guard: growth beyond e^100 within half a
-                # decade, steeper than any inverse-square profile.  Each
-                # fibre past it stops at its own crossing, located as
-                # solve_ivp locates a terminal event; the others restart
-                # where the segment ends.
-                dense = dense if dense is not None else solver.dense_output()
+    q, w = _coefficients(profile, np.exp(edges))
+    work = {"steps": 0, "potential_evals": edges.size}
+    # |sqrt(1/4 + a)| <= sqrt|1/4 + q| + |xi| sqrt(w), with no xi^2 w
+    # formed, at a block's larger edge; a NaN rate takes the cap
+    rate = np.sqrt(np.abs(0.25 + q))[:, None] + np.sqrt(w)[:, None] * np.sqrt(xi2)
+    need = np.maximum(rate[:-1], rate[1:]) * (abs(edges[1] - edges[0]) / _STEP_RATE / _MIN_STEPS)
+    doublings = np.fmin(np.ceil(np.log2(np.maximum(need, 1.0))), math.log2(_MAX_STEPS / _MIN_STEPS))
+    counts = _MIN_STEPS << doublings.astype(int)
 
-                def excess(s, own):
-                    return float((_log_mag_squared(dense(s)) - ref)[own].max()) - _GUARD_LOG_M2
-
-                stop = np.isin(fibre, fibre[grown >= _GUARD_LOG_M2])
-                tol = 4.0 * np.finfo(float).eps
-                for i in np.unique(fibre[stop]):
-                    own = fibre == i
-                    # a bracket narrower than xtol returns the block's edge,
-                    # which spans nothing: the segment's end stands for it
-                    t = brentq(excess, end, begin, args=(own,), xtol=tol, rtol=tol)
-                    t = end if t == edges[k] else t
-                    grown_at = finite(_log_mag_squared(dense(t)) - ref, fibre)
-                    slopes[i] = [float(v) for v in 0.5 * grown_at[own] / (t - edges[k])]
-                early[fibre[stop]] = True
-                t = end
-                y = (solver.y if end == solver.t else dense(end)).reshape(3, -1)[:, ~stop]
-                fibre, ref, last = fibre[~stop], ref[~stop], last[~stop]
-                step = solver.step_size
+    def block(k, n, own, state, guarded):
+        # Step state[:, :, own] across block k in n steps, in place; the
+        # slopes of log m over the block or, if ``guarded``, up to the end of
+        # the step whose growth of log m^2 passes the guard, and who stopped.
+        h = (edges[k + 1] - edges[k]) / n
+        slope, grown = np.empty((2, own.size)), np.zeros((2, own.size))
+        stop, run = np.zeros(own.size, dtype=bool), np.arange(own.size)
+        for j0 in range(0, n, _CHUNK):
+            j, t0 = np.arange(j0, min(n, j0 + _CHUNK)), edges[k] + j0 * h
+            q, w = _coefficients(profile, np.exp(edges[k] + (j[:, None] + _GAUSS) * h))
+            work["steps"] += j.size
+            work["potential_evals"] += q.size
+            fibres = own[run]
+            big = fibres[xi2[fibres].argmax()]
+            if float(xi2[big]) * float(w.max()) > _COEFFICIENT_MAX:
+                raise NumericError(f"classification of the fibre xi={xi[big]:g}: x^2 (W - i) "
+                                   f"passes {_COEFFICIENT_MAX:.3g} near x={math.exp(t0):g}")
+            a = q[..., None] + w[..., None] * xi2[fibres]
+            entries, scale = _magnus_steps(a[:, 0], a[:, 1], h)
+            # both columns of every fibre as one row, (u, x u') renormalised
+            u, v = state[:, :, fibres].reshape(2, -1)
+            m = np.empty((j.size, u.size))
+            for e00, e01, e10, e11, mi in zip(*(np.tile(e, 2) for e in entries), m):
+                u, v = e00 * u + e01 * v, e10 * u + e11 * v
+                np.hypot(np.abs(u), np.abs(v), out=mi)
+                u /= mi
+                v /= mi
+            state[:, :, fibres] = np.stack((u, v)).reshape(2, 2, -1)
+            g = grown[:, run] + np.cumsum(np.log(m).reshape(j.size, 2, -1) + scale[:, None], axis=0)
+            bad = ~np.isfinite(g).all(axis=(0, 1))
+            if bad.any():
+                raise NumericError(f"classification solve of the fibre xi={xi[fibres[bad][0]]:g} "
+                                   "reached a non-finite log-magnitude")
+            grown[:, run] = g[-1]
+            fired = (2.0 * g >= _GUARD_LOG_M2).any(axis=1) & guarded
+            hit = fired.any(axis=0)
+            first = fired[:, hit].argmax(axis=0)
+            slope[:, run[hit]] = g[first, :, hit.nonzero()[0]].T / ((j0 + first + 1) * h)
+            stop[run[hit]], run = True, run[~hit]
+            if not run.size:
                 break
-        nfev += solver.nfev
-    for j, i in enumerate(fibre[::2]):
-        slopes[i] = [float(last[2 * j]), float(last[2 * j + 1])]
-    work = {"nfev": nfev, "steps": steps}
-    return [(fibre_slopes, bool(stopped), work) for fibre_slopes, stopped in zip(slopes, early)]
+        slope[:, run] = grown[:, run] / (n * h)
+        return slope, stop
+
+    # each fibre's columns (u, x u') = (1, 0) and (0, 1), as (2, 2, fibres),
+    # and the same columns at the shadow's doubled steps
+    z = np.repeat(np.eye(2, dtype=complex)[:, :, None], xi.size, axis=2)
+    shadow = z.copy()
+    slopes, shadow_slopes = np.zeros((2, xi.size)), np.zeros((2, xi.size))
+    early = np.zeros(xi.size, dtype=bool)
+    live = np.arange(xi.size)
+    for k in range(n_blocks):
+        for count in np.unique(counts[k, live]):
+            own = live[counts[k, live] == count]
+            slopes[:, own], stop = block(k, count, own, z, guarded=True)
+            early[own[stop]] = True
+            if not stop.all():
+                shadow_slopes[:, own[~stop]] = block(k, count // 2, own[~stop], shadow, False)[0]
+        live = live[~early[live]]
+    errors = np.abs(slopes - shadow_slopes).max(axis=0)
+    for i in live:
+        if not errors[i] <= SLOPE_ERROR_TOL:
+            raise NumericError(f"classification solve of the fibre xi={xi[i]:g} has a slope "
+                               f"error {errors[i]:.3g} above {SLOPE_ERROR_TOL:g}")
+    return [([float(s) for s in slopes[:, i]], bool(early[i]),
+             None if early[i] else float(errors[i]), work) for i in range(xi.size)]
 
 
 def classify_numeric(pot: FibrePotential, *,
-                     slopes: tuple[list[float], bool, dict] | None = None) -> WeylReport:
+                     slopes: tuple[list[float], bool, float | None, dict] | None = None
+                     ) -> WeylReport:
     """Classify a fibre at x = 0 by sampling plus ODE integration.
 
     The indicial fit estimates c0 = lim x^2 W on 26 samples spanning
-    five decades down to X_END; the cross-check integrates the
-    deficiency equation in t = ln x inward from X_START, in one solve of
-    two independent initial conditions, and reads the dominant growth
-    exponent s from the last half-decade's amplitude ratio: both local
-    solutions are square integrable near zero iff s > -1/2.  The routes
-    must agree, and a fit whose tail error spans 3/4 decides nothing;
-    either failure raises :class:`InconclusiveClassification` rather than
-    silently picking a side.  ``slopes`` is this fibre's entry of
-    :func:`_amplitude_slopes` when a sweep has integrated it together
-    with others; without it the fibre is integrated alone.
+    five decades down to X_END; the cross-check steps the deficiency
+    equation in t = ln x inward from X_START with the Magnus propagator
+    of :func:`_amplitude_slopes`, two independent initial conditions, and
+    reads the dominant growth exponent s from the last half-decade's
+    amplitude ratio: both local solutions are square integrable near zero
+    iff s > -1/2.  The routes must agree, and a fit whose tail error spans
+    3/4 decides nothing; either failure raises
+    :class:`InconclusiveClassification` rather than silently picking a
+    side.  The diagnostics carry the shadow's ``slope_error`` (None for a
+    fibre stopped early) and the propagator's ``work``.  ``slopes`` is
+    this fibre's entry of :func:`_amplitude_slopes` when a sweep has
+    stepped it together with others; without it the fibre is stepped
+    alone, bit-identically.
     """
     c0, c0_err = _fit_c0(pot)
     # the tail error spans 3/4 where xi^2 / f^2 still dominates at X_END
@@ -477,7 +474,7 @@ def classify_numeric(pot: FibrePotential, *,
 
     if slopes is None:
         (slopes,) = _amplitude_slopes(pot.profile, [pot.xi])
-    slopes, early_lp, work = slopes
+    slopes, early_lp, slope_error, work = slopes
     s_est = min(slopes)
     lp_ode = early_lp or s_est <= CRITICAL_EXPONENT + SLOPE_TOL
 
@@ -492,6 +489,7 @@ def classify_numeric(pot: FibrePotential, *,
         "c0_fit_error": c0_err,
         "indicial_slope": s_est,
         "early_limit_point": early_lp,
+        "slope_error": slope_error,
         "x0": X_START,
         "x_end": X_END,
         "work": work,
@@ -510,7 +508,7 @@ def classify_sweep(
     method: str = "auto",
 ) -> list[WeylReport]:
     """Classify every fibre in ``xi_values``, analytic when possible.  The
-    numeric route integrates all fibres in one vector ODE and then decides
+    numeric route steps all fibres in one propagator run and then decides
     each fibre with :func:`classify_numeric`."""
     if method not in ("auto", "analytic", "numeric"):
         raise UsageError(f"method must be auto, analytic or numeric, got {method!r}")
@@ -699,8 +697,9 @@ def _l2_solutions(profile: GrushinProfile, xi, starts, kept):
     joins = np.unique(starts)[::-1]
     for x0, t0, t1 in zip(joins, np.log(joins), [*np.log(joins[1:]), -neg_t[-1]]):
         n = int(np.count_nonzero(starts >= x0))
-        # the joining fibres' decaying WKB branch, u = 1 and x u' = -k x
-        k = _wkb_roots(profile, xi2[z.shape[1]:n], x0)
+        # the joining fibres' decaying WKB branch, u = 1 and x u' = -k x,
+        # k = sqrt(W - i) with Re k > 0
+        k = np.sqrt(profile.base_potential(x0) + xi2[z.shape[1]:n] * profile.inv_f_squared(x0) - 1j)
         z = np.concatenate((z, [np.ones(k.size), -k * x0, np.zeros(k.size)]), axis=1)
         rtol, atol = _batch_tolerances(_FAMILY_RTOL, 1e-280, n)
         solver = DOP853(lambda t, s, q=xi2[:n]: _deficiency_rhs(t, s, profile, q), t0,

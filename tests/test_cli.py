@@ -88,7 +88,7 @@ class TestClassifyCommand:
         # routes' numbers; analytic rows carry none
         base = {"xi", "endpoint_zero", "endpoint_infinity", "deficiency", "method"}
         diagnostics = {"c0", "c0_diverges", "c0_fit_error", "indicial_slope",
-                       "early_limit_point", "x_end"}
+                       "early_limit_point", "slope_error", "x_end"}
 
         def strict(constant):
             raise AssertionError(f"{constant} in verdict.json")
@@ -105,11 +105,13 @@ class TestClassifyCommand:
             assert set(row) == base | diagnostics and row["method"] == "numeric_ode"
             assert row["c0"] is None and row["c0_diverges"] is True
             assert row["early_limit_point"] is True and row["x_end"] == 1e-7
+            assert row["slope_error"] is None  # a stopped fibre has no shadow slope
         for row in rows("numeric", ["classify", "--alpha", "0.5", "--method", "numeric", *xi]):
             assert set(row) == base | diagnostics and row["c0_diverges"] is False
             # c0 = alpha (alpha + 2)/4 + xi^2 lim x^2 / f^2, which is 0
             assert row["c0"] == pytest.approx(0.3125, abs=1e-6)
             assert row["c0_fit_error"] < 1e-3 and row["indicial_slope"] < 0.0
+            assert 0.0 <= row["slope_error"] <= 1e-6
         for row in rows("analytic", ["classify", "--alpha", "0.5"]):
             assert set(row) == base and row["method"] == "analytic_power_law"
 
@@ -171,26 +173,28 @@ class TestClassifyCommand:
         assert (d1 / "verdict.json").read_bytes() == (d2 / "verdict.json").read_bytes()
 
     def test_numeric_sweep_records_its_solve(self, tmp_path, monkeypatch):
-        # a one-fibre sweep: work counts the right-hand-side calls of the
-        # one solve, as it runs, and DOP853's 12 stages per accepted step;
-        # the record is deterministic and analytic sweeps have none
+        # a one-fibre sweep: work counts the potential evaluations of the
+        # propagator, as it makes them, two Gauss points per step and one
+        # per block edge; the record is deterministic and analytic sweeps
+        # have none
         from grushinlab import weyl
 
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return rhs(*args)
+        def counted(profile, x):
+            calls.append(np.size(x))
+            return coefficients(profile, x)
 
-        rhs = weyl._gauged_rhs
-        monkeypatch.setattr(weyl, "_gauged_rhs", counted)
+        coefficients = weyl._coefficients
+        monkeypatch.setattr(weyl, "_coefficients", counted)
         argv = ["classify", "--profile", "exp_inverse", "--xi-min", "0", "--xi-max", "0"]
         for name in ("a", "b"):
             assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
         doc = read_json(tmp_path / "a" / "verdict.json")
-        assert len(doc["fibres"]) == 1 and set(doc["work"]) == {"nfev", "steps"}
-        assert 2 * doc["work"]["nfev"] == len(calls)  # the calls of both runs
-        assert 0 < 12 * doc["work"]["steps"] <= doc["work"]["nfev"]
+        assert len(doc["fibres"]) == 1 and set(doc["work"]) == {"steps", "potential_evals"}
+        assert 2 * doc["work"]["potential_evals"] == sum(calls)  # the calls of both runs
+        assert 0 < doc["work"]["steps"] and doc["work"]["potential_evals"] == \
+            2 * doc["work"]["steps"] + 15
         assert (tmp_path / "a" / "verdict.json").read_bytes() == \
             (tmp_path / "b" / "verdict.json").read_bytes()
         main(["classify", "--alpha", "0.5", "--output-dir", str(tmp_path / "analytic")])

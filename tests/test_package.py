@@ -89,3 +89,18 @@ def test_only_the_cli_resolver_builds_a_power_law():
     # turns --alpha into a geometry is cli._resolve_profile
     callers = power_law_callers(Path(grushinlab.__file__).resolve().parent)
     assert {c for c in callers if c[0] != "profiles"} == {("cli", "_resolve_profile")}
+
+
+def test_numeric_classification_runs_on_numpy_alone():
+    # the classification sweep is numpy's Magnus propagator: neither a
+    # scipy integrator nor a root finder is imported by a numeric sweep
+    code = ("import sys; from grushinlab.profiles import builtin_profile; "
+            "from grushinlab.weyl import classify_sweep; "
+            "reports = classify_sweep(builtin_profile('exp_inverse'), [0.0, 0.5, 1.0], "
+            "method='numeric'); "
+            "print(len(reports), sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    src = str(Path(grushinlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "3 []"

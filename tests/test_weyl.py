@@ -204,13 +204,17 @@ class TestNumericClassification:
     def test_steep_inverse_square_fibre_keeps_its_slope(self):
         # alpha -1, xi 30: c0 = 899.75, and u ~ x^(-29.5) grows by about
         # 10^206 over seven decades without tripping the per-block guard;
-        # |u|^2 would overflow, so the growth must live in the gauge's
-        # scale g.  Stepped ungauged, the fibre took 17,840 calls
+        # |u|^2 would overflow, so the growth must live in the columns'
+        # log scale.  |sqrt(1/4 + a)| <= 31 sets 128 steps in each of the
+        # 14 blocks and 64 in the shadow's, two potential evaluations a
+        # step and one at each of the 15 block edges
         r = classify_numeric(FibrePotential(xi=30.0, profile=power_law(-1.0)))
         assert r.endpoint_zero is LP
         assert r.diagnostics["early_limit_point"] is False
         assert r.diagnostics["indicial_slope"] == pytest.approx(-29.5, abs=1e-6)
-        assert 0 < r.diagnostics["work"]["nfev"] <= 3000
+        assert r.diagnostics["slope_error"] <= weyl.SLOPE_ERROR_TOL
+        assert r.diagnostics["work"] == {"steps": 14 * (128 + 64),
+                                         "potential_evals": 15 + 2 * 14 * (128 + 64)}
 
     @pytest.mark.parametrize("alpha,xi", [(-2.0, 0.5), (-3.0, 1.0)])
     def test_early_stop_slope_is_finite_and_limit_point(self, alpha, xi):
@@ -233,31 +237,69 @@ class TestNumericClassification:
 
     @pytest.mark.parametrize("xi", [1e148, 1e150])
     def test_overflowing_step_is_rejected_without_warnings(self, xi):
-        # the first trial step's error norm overflows; DOP853 rejects it,
-        # and the fibre still stops at its guard (warnings are errors here)
-        ((slopes, early, _),) = weyl._amplitude_slopes(builtin_profile("exp_inverse"), [xi])
-        assert early is True
+        # xi^2 / f^2 near 1e300: h^2 a^2 and the solution would overflow;
+        # the step's scaled exponential and the log scale form neither, and
+        # the fibre still stops at its guard (warnings are errors here)
+        ((slopes, early, error, _),) = weyl._amplitude_slopes(builtin_profile("exp_inverse"),
+                                                              [xi])
+        assert early is True and error is None
         assert all(math.isfinite(s) and s < -0.5 for s in slopes)
 
     def test_non_finite_growth_names_its_fibre(self, monkeypatch):
-        log_mag = weyl._log_mag_squared
+        steps = weyl._magnus_steps
 
-        def poisoned(y):
-            out = log_mag(y)
-            out[2:4] = np.nan  # the second fibre's columns
-            return out
+        def poisoned(a1, a2, h):
+            entries, scale = steps(a1, a2, h)
+            scale[:, 1] = np.nan  # the second fibre's
+            return entries, scale
 
-        monkeypatch.setattr(weyl, "_log_mag_squared", poisoned)
+        monkeypatch.setattr(weyl, "_magnus_steps", poisoned)
         with pytest.raises(NumericError, match="fibre xi=0.5 reached a non-finite"):
             weyl._amplitude_slopes(power_law(0.5), [0.25, 0.5, 0.75])
 
+    def test_slope_error_past_its_bound_names_its_fibre(self, monkeypatch):
+        # the shadow's estimate on these fibres is about 1e-14; a bound of
+        # zero rejects the first
+        monkeypatch.setattr(weyl, "SLOPE_ERROR_TOL", 0.0)
+        with pytest.raises(NumericError, match=r"fibre xi=0.25 has a slope error .* above 0"):
+            weyl._amplitude_slopes(power_law(0.5), [0.25, 0.5])
+
     def test_guard_crossing_at_a_block_edge_has_a_finite_slope(self):
-        # at xi = 1e100 the first step grows past e^200 within 1.4e-101 of
-        # x = 1, a bracket narrower than brentq's xtol: it returned the
-        # block's edge, and the slope over no span was 0/0
-        ((slopes, early, _),) = weyl._amplitude_slopes(power_law(0.5), [1e100])
+        # at xi = 1e100 the first step grows past e^200: the slope is
+        # read over that step, never over no span (a root finder that
+        # returned the block's edge made it 0/0)
+        ((slopes, early, _, _),) = weyl._amplitude_slopes(power_law(0.5), [1e100])
         assert early is True
         assert all(math.isfinite(s) and s < -0.5 for s in slopes)
+
+    @pytest.mark.parametrize("profile", [power_law(0.5), power_law(-1.0), power_law(-2.0),
+                                         power_law(3.0), builtin_profile("exp_inverse")],
+                             ids=lambda p: p.name)
+    def test_largest_xi_ends_in_a_verdict_or_names_its_fibre(self, profile):
+        # xi = 1e154, whose square is still a float, swept with xi = 0.5:
+        # xi^2 x^2 / f^2 passes the largest coefficient a step takes (the
+        # power laws), or the fit has not converged (exp_inverse).  No
+        # warning either way (they are errors here), and the error names
+        # the fibre
+        try:
+            reports = classify_sweep(profile, [0.5, 1e154], method="numeric")
+        except (InconclusiveClassification, NumericError) as exc:
+            assert "xi=1e+154" in str(exc)
+        else:
+            assert reports[1].endpoint_zero is LP
+
+    def test_step_is_fourth_order(self, monkeypatch):
+        # alpha -0.75 at xi 5 on 4, 8 and 16 steps a block: the slope's
+        # change falls 16-fold per halving of h, as the fourth-order step's
+        # error does (4-fold for a step without the commutator, or with its
+        # Gauss points swapped)
+        monkeypatch.setattr(weyl, "_STEP_RATE", math.inf)
+        slopes = []
+        for floor in (4, 8, 16):
+            monkeypatch.setattr(weyl, "_MIN_STEPS", floor)
+            ((s, _, _, _),) = weyl._amplitude_slopes(power_law(-0.75), [5.0])
+            slopes.append(min(s))
+        assert (slopes[0] - slopes[1]) / (slopes[1] - slopes[2]) == pytest.approx(16.0, rel=0.1)
 
 
 # the (alpha, xi) pairs of acceptance criterion 4
@@ -266,9 +308,10 @@ CRITERION_4_XIS = (0.0, 0.5, 1.0, 2.0)
 
 
 def assert_sweep_matches_fibres_alone(profile, xis):
-    """classify_sweep integrates the fibres together; each must get the
-    verdict, slope and early-stop flag of a solve of that fibre alone.  W
-    depends on xi^2 only, so a fibre alone is solved once per |xi|."""
+    """classify_sweep steps the fibres together; each must get the
+    verdict, early-stop flag and, bit for bit, the slope and slope error
+    of a solve of that fibre alone.  W depends on xi^2 only, so a fibre
+    alone is solved once per |xi|."""
     swept = classify_sweep(profile, xis, method="numeric")
     alone = {abs(xi): classify_numeric(FibrePotential(xi=abs(xi), profile=profile))
              for xi in xis}
@@ -278,27 +321,26 @@ def assert_sweep_matches_fibres_alone(profile, xis):
         assert report.endpoint_zero is reference.endpoint_zero, xi
         assert report.diagnostics["early_limit_point"] is reference.diagnostics[
             "early_limit_point"], xi
-        # slopes near 0 (alpha 0, or alpha -1 at xi 1/2) need the abs floor
-        assert report.diagnostics["indicial_slope"] == pytest.approx(
-            reference.diagnostics["indicial_slope"], rel=1e-9, abs=1e-12), xi
+        for key in ("indicial_slope", "slope_error"):
+            assert report.diagnostics[key] == reference.diagnostics[key], (xi, key)
     return swept
 
 
 def sweep_calls(monkeypatch, profile, xis):
-    """A numeric sweep's reports and the right-hand-side calls of its one
-    solve, counted at the function the solve calls; every report records
+    """A numeric sweep's reports and its potential evaluations, counted
+    at the function that evaluates the profile; every report records
     that count as its work."""
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return rhs(*args)
+    def counted(profile, x):
+        calls.append(np.size(x))
+        return coefficients(profile, x)
 
-    rhs = weyl._gauged_rhs
-    monkeypatch.setattr(weyl, "_gauged_rhs", counted)
+    coefficients = weyl._coefficients
+    monkeypatch.setattr(weyl, "_coefficients", counted)
     swept = classify_sweep(profile, xis, method="numeric")
-    assert all(r.diagnostics["work"]["nfev"] == len(calls) for r in swept)
-    return swept, len(calls)
+    assert all(r.diagnostics["work"]["potential_evals"] == sum(calls) for r in swept)
+    return swept, sum(calls)
 
 
 class TestBatchedClassification:
@@ -336,17 +378,20 @@ class TestBatchedClassification:
 
     def test_sweep_makes_half_the_work_of_per_block_restarts(self, monkeypatch):
         # the benchmark's alpha 0.5 numeric sweep: 41 fibres, 5,648
-        # right-hand-side calls when every half-decade block restarted
+        # right-hand-side calls of a DOP853 solve when every half-decade
+        # block restarted.  Every fibre takes the 16-step floor, so the
+        # sweep is one group: 15 edges and 2 x 14 x (16 + 8) Gauss points
         swept, calls = sweep_calls(monkeypatch, power_law(0.5), np.linspace(-5.0, 5.0, 41))
         assert [r.endpoint_zero for r in swept] == [LC] * 41
         assert 0 < calls <= 5648 // 2
 
     @pytest.mark.parametrize("mode,bound", [("plane", 4000), ("cylinder", 3500)])
-    def test_gauge_halves_the_exp_inverse_sweeps(self, monkeypatch, mode, bound):
-        # the benchmark's exp_inverse sweeps grow like e^(1/(2x)).  Stepped
-        # ungauged they took 7,720 (plane, 41 fibres) and 6,868 (cylinder,
-        # k <= 3) calls; gauged by the root that grows outward, 15,148
-        # on the plane
+    def test_exp_inverse_sweeps_evaluate_less_than_the_gauge(self, monkeypatch, mode, bound):
+        # the benchmark's exp_inverse sweeps grow like e^(1/(2x)).  DOP853
+        # took 7,720 (plane, 41 fibres) and 6,868 (cylinder, k <= 3)
+        # right-hand-side calls ungauged, and at most these bounds in the
+        # Liouville-Green gauge; the fibres share their step counts, so
+        # the propagator evaluates the potential once per group
         if mode == "plane":
             xis = [float(v) for v in np.linspace(-5.0, 5.0, 41) + 0.125]
         else:
